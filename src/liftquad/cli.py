@@ -59,8 +59,6 @@ def _resolve_config(args):
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.duration is not None:
-        if args.duration <= 0.0:
-            raise ConfigError("--duration must be > 0")
         cfg = replace(cfg, duration=args.duration)
     if getattr(args, "condition", None):
         cfg = cfg.with_condition(args.condition)

@@ -2,10 +2,11 @@
 
 The format is one ``key = value`` pair per line with dotted section
 keys (``plant.rho = 1.3``), ``#`` comments and blank lines.  Parsing is
-deliberately strict: unknown keys, duplicate keys and malformed values
-are all errors, because reproducible runs require that every knob in a
-config file actually did something.  Every key has a default, so the
-empty file is a valid full experiment (the stock circle).
+deliberately strict: unknown keys, duplicate keys and malformed or
+non-finite values are all errors, because reproducible runs require
+that every knob in a config file actually did something.  Every key
+has a default, so the empty file is a valid full experiment (the stock
+circle).
 
 Angle keys with a ``_deg`` suffix are degrees (``plant.kappa_deg``);
 all other angles, ``trajectory.psi`` included, are radians like
@@ -107,14 +108,19 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ConfigError("sim.duration must be > 0")
+        # written so that NaN fails the range checks too
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError("sim.duration must be finite and > 0")
         if self.rate <= 0 or self.substeps <= 0:
             raise ConfigError("sim.rate and sim.substeps must be > 0")
-        if self.abort_radius <= 0.0:
-            raise ConfigError("sim.abort_radius must be > 0")
+        if not 0.0 < self.abort_radius < math.inf:
+            raise ConfigError("sim.abort_radius must be finite and > 0")
         if self.delay_ticks < 0:
             raise ConfigError("sim.delay_ticks must be >= 0")
+        # the plant substep follows from the tick rate, so a config
+        # derived with replace() never integrates a stale step
+        object.__setattr__(self, "plant", replace(
+            self.plant, step=1.0 / (self.rate * self.substeps)))
 
     @property
     def ff_params(self):
@@ -162,7 +168,10 @@ def _convert(key, value):
     tag = _SCHEMA[key][0]
     try:
         if tag == "float":
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError("not a finite number")
+            return number
         if tag == "int":
             return int(value)
         if tag == "bool":
@@ -201,10 +210,6 @@ def build_config(raw):
         except ValueError as exc:
             raise ConfigError(f"invalid {section} parameters: {exc}") from None
 
-    rate = values["sim.rate"]
-    substeps = values["sim.substeps"]
-    if rate <= 0 or substeps <= 0:
-        raise ConfigError("sim.rate and sim.substeps must be > 0")
     try:
         trajectory = TrajectoryDef(
             kind=values["trajectory.kind"],
@@ -217,8 +222,7 @@ def build_config(raw):
             aero=aero("plant"),
             v_wind=vec("plant.wind"),
             tau_omega=values["plant.tau_omega"],
-            tau_thrust=values["plant.tau_thrust"],
-            step=1.0 / (rate * substeps))
+            tau_thrust=values["plant.tau_thrust"])
         model = aero("model")
         gains = ControlGains(
             kpp=vec("gains.kpp"), kvp=vec("gains.kvp"), kvi=vec("gains.kvi"),
@@ -239,7 +243,8 @@ def build_config(raw):
     return ExperimentConfig(
         trajectory=trajectory, plant=plant, model=model,
         wind_est=vec("model.wind"), gains=gains, limits=limits, mode=mode,
-        duration=values["sim.duration"], rate=rate, substeps=substeps,
+        duration=values["sim.duration"], rate=values["sim.rate"],
+        substeps=values["sim.substeps"],
         abort_radius=values["sim.abort_radius"],
         delay_ticks=values["sim.delay_ticks"], seed=values["sim.seed"])
 

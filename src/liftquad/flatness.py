@@ -61,15 +61,6 @@ class SingularSystemError(ArithmeticError):
     """The body-rate linear system is singular at this flight condition."""
 
 
-class ZeroAirspeedError(ValueError):
-    """Airspeed below the minimum for the smooth attitude construction."""
-
-
-class AlignedAxisError(ValueError):
-    """Airspeed direction is parallel to the demanded specific force; the
-    lateral axis is undefined without a fallback."""
-
-
 class SingularCase(IntEnum):
     """Which singular policy, if any, produced a flatness output."""
 
@@ -127,17 +118,6 @@ class TransformContext:
     in_singular: bool = False
 
 
-def wind_axis(v, wind=None, min_speed=SPEED_SINGULAR_ENTER):
-    """Unit airspeed direction, or None below ``min_speed``."""
-    v_air = np.asarray(v, dtype=float)
-    if wind is not None:
-        v_air = v_air - wind
-    speed = np.linalg.norm(v_air)
-    if speed < min_speed:
-        return None
-    return v_air / speed
-
-
 def wind_frame_accels(axis, accel):
     """Specific-force components along and across the airspeed direction.
 
@@ -191,33 +171,6 @@ def symmetry_plane_vector(params, v_air, accel):
     normal together with the airspeed direction)."""
     qa = params.rho * params.area * np.linalg.norm(v_air) / (2.0 * params.mass)
     return qa * params.cy0 * v_air - GRAVITY_VEC + accel
-
-
-def attitude_from_flat(params, sample, wind=None, min_speed=SPEED_SINGULAR_ENTER):
-    """Smooth-branch attitude construction.
-
-    Returns ``(rotation, alpha, thrust, axis, plane)`` where ``axis`` is
-    the unit airspeed direction and ``plane`` the symmetry-plane vector.
-    Raises :class:`ZeroAirspeedError` below ``min_speed``,
-    :class:`AlignedAxisError` when the lateral axis is undefined, and
-    propagates :class:`DegenerateBalanceError`.
-    """
-    v_air = sample.v if wind is None else sample.v - wind
-    speed = np.linalg.norm(v_air)
-    if speed < min_speed:
-        raise ZeroAirspeedError(f"airspeed {speed:.3g} m/s below {min_speed:g}")
-    axis = v_air / speed
-    along, perp = wind_frame_accels(axis, sample.a)
-    thrust, alpha = thrust_and_alpha(params, speed, along, perp)
-    plane = symmetry_plane_vector(params, v_air, sample.a)
-    cross = np.cross(axis, plane)
-    cross_norm = np.linalg.norm(cross)
-    if cross_norm < CROSS_ALIGN_TOL * max(np.linalg.norm(plane), _TINY):
-        raise AlignedAxisError("airspeed parallel to demanded force")
-    y_body = cross / cross_norm
-    x_body = rodrigues(y_body, alpha - params.kappa) @ axis
-    rotation = np.column_stack((x_body, y_body, np.cross(x_body, y_body)))
-    return rotation, alpha, thrust, axis, plane
 
 
 def angular_velocity_from_flat(params, sample, rotation, thrust, wind=None):
@@ -295,15 +248,22 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     if cross_norm < CROSS_ALIGN_TOL * max(np.linalg.norm(plane), _TINY):
         return _axis_aligned_output(
             params, sample, axis, along, perp, thrust, alpha, plane, wind)
-    y_body = cross / cross_norm
+    rotation, omega = _smooth_attitude(
+        params, sample, axis, cross / cross_norm, thrust, alpha, wind)
+    return FlatnessOutput(rotation, thrust, alpha, omega, axis,
+                          along, perp, SingularCase.NONE)
+
+
+def _smooth_attitude(params, sample, axis, y_body, thrust, alpha, wind):
+    """Smooth-branch rotation and body rate: the body x-axis is ``axis``
+    rotated about the lateral axis ``y_body`` by ``alpha - kappa``."""
     x_body = rodrigues(y_body, alpha - params.kappa) @ axis
     rotation = np.column_stack((x_body, y_body, np.cross(x_body, y_body)))
     try:
         omega = angular_velocity_from_flat(params, sample, rotation, thrust, wind)
     except SingularSystemError:
         omega = np.zeros(3)
-    return FlatnessOutput(rotation, thrust, alpha, omega, axis,
-                          along, perp, SingularCase.NONE)
+    return rotation, omega
 
 
 def _lateral_from_candidates(candidates, plane):
@@ -355,11 +315,7 @@ def _axis_aligned_output(params, sample, axis, along, perp, thrust, alpha,
     # project it off y_b so the rotation columns stay orthonormal
     axis_p = axis - float(axis @ y_body) * y_body
     axis_p = axis_p / np.linalg.norm(axis_p)
-    x_body = rodrigues(y_body, alpha - params.kappa) @ axis_p
-    rotation = np.column_stack((x_body, y_body, np.cross(x_body, y_body)))
-    try:
-        omega = angular_velocity_from_flat(params, sample, rotation, thrust, wind)
-    except SingularSystemError:
-        omega = np.zeros(3)
+    rotation, omega = _smooth_attitude(
+        params, sample, axis_p, y_body, thrust, alpha, wind)
     return FlatnessOutput(rotation, thrust, alpha, omega, axis,
                           along, perp, SingularCase.AXIS_ALIGNED)

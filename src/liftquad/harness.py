@@ -15,7 +15,8 @@ rate-feedforward ablation, and reports tracking RMSE per cell.
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -104,6 +105,37 @@ class RunResult:
             err = err[mask]
         return float(np.max(err))
 
+    @classmethod
+    def allocate(cls, cfg):
+        """Zeroed rows for a run of ``cfg``: N ticks log N+1 rows."""
+        n_rows = round(cfg.rate * cfg.duration) + 1
+        return cls(
+            np.zeros(n_rows), np.zeros((n_rows, 3)), np.zeros((n_rows, 3)),
+            np.zeros((n_rows, 3)), np.zeros((n_rows, 3)),
+            np.zeros((n_rows, 4)), np.zeros((n_rows, 4)), np.zeros(n_rows),
+            np.zeros((n_rows, 3)), np.zeros(n_rows),
+            np.zeros(n_rows, dtype=int), cfg.seed)
+
+    def store(self, k, t, ref, state, q_d, cmd, flat):
+        """Fill row ``k`` from the tick's reference, plant state, desired
+        attitude, command and feedforward."""
+        self.t[k] = t
+        self.p_ref[k] = ref.p
+        self.p[k] = state.p
+        self.v_ref[k] = ref.v
+        self.v[k] = state.v
+        self.q[k] = mat_to_quat(state.R)
+        self.q_d[k] = q_d
+        self.thrust[k] = cmd.thrust
+        self.omega[k] = cmd.omega
+        self.alpha[k] = flat.alpha
+        self.singular[k] = int(flat.singular)
+
+    def head(self, n_rows):
+        """The first ``n_rows`` rows, e.g. a diverged run's partial trace."""
+        return replace(self, **{f.name: getattr(self, f.name)[:n_rows]
+                                for f in fields(self) if f.name != "seed"})
+
     def rows(self):
         for k in range(len(self.t)):
             yield np.concatenate((
@@ -121,118 +153,72 @@ class RunResult:
                 handle.write(",".join(cells) + "\n")
 
 
-class _Log:
-    """Preallocated column store for one run."""
-
-    def __init__(self, n_rows, seed):
-        self.t = np.zeros(n_rows)
-        self.p_ref = np.zeros((n_rows, 3))
-        self.p = np.zeros((n_rows, 3))
-        self.v_ref = np.zeros((n_rows, 3))
-        self.v = np.zeros((n_rows, 3))
-        self.q = np.zeros((n_rows, 4))
-        self.q_d = np.zeros((n_rows, 4))
-        self.thrust = np.zeros(n_rows)
-        self.omega = np.zeros((n_rows, 3))
-        self.alpha = np.zeros(n_rows)
-        self.singular = np.zeros(n_rows, dtype=int)
-        self.seed = seed
-
-    def store(self, k, t, ref, state, q_d, cmd, flat):
-        self.t[k] = t
-        self.p_ref[k] = ref.p
-        self.p[k] = state.p
-        self.v_ref[k] = ref.v
-        self.v[k] = state.v
-        self.q[k] = mat_to_quat(state.R)
-        self.q_d[k] = q_d
-        self.thrust[k] = cmd.thrust
-        self.omega[k] = cmd.omega
-        self.alpha[k] = flat.alpha
-        self.singular[k] = int(flat.singular)
-
-    def result(self, n_rows):
-        return RunResult(
-            self.t[:n_rows], self.p_ref[:n_rows], self.p[:n_rows],
-            self.v_ref[:n_rows], self.v[:n_rows], self.q[:n_rows],
-            self.q_d[:n_rows], self.thrust[:n_rows], self.omega[:n_rows],
-            self.alpha[:n_rows], self.singular[:n_rows], self.seed)
-
-
-def initial_state(cfg):
-    """Plant state on the reference at t=0, attitude from the flatness
-    transform (with a throwaway context)."""
-    first = sample_trajectory(cfg.trajectory, 0.0)
-    flat = flatness_transform(cfg.ff_params, first, TransformContext(),
-                              wind=cfg.wind_est)
-    return VehicleState(first.p.copy(), first.v.copy(), flat.rotation.copy(),
-                        0.0)
+def _ticks(cfg, n_rows):
+    """The tick skeleton every run shares: for each of the ``n_rows``
+    logged ticks, its index, time, reference sample and flatness
+    feedforward, all transforms of one run going through one context."""
+    dt = 1.0 / cfg.rate
+    ff_params = cfg.ff_params
+    transform_ctx = TransformContext()
+    for k in range(n_rows):
+        t = k * dt
+        ref = sample_trajectory(cfg.trajectory, t)
+        yield k, t, ref, flatness_transform(ff_params, ref, transform_ctx,
+                                            wind=cfg.wind_est)
 
 
 def run_experiment(cfg):
     """One closed-loop run; returns a RunResult or raises DivergenceError
-    (with the partial result attached) when tracking breaks down."""
-    dt = 1.0 / cfg.rate
-    n_ticks = round(cfg.rate * cfg.duration)
-    ff_params = cfg.ff_params
-    transform_ctx = TransformContext()
-    control_ctx = ControllerContext()
-    log = _Log(n_ticks + 1, cfg.seed)
+    (with the partial result attached) when tracking breaks down.
 
-    first = sample_trajectory(cfg.trajectory, 0.0)
-    flat0 = flatness_transform(ff_params, first, transform_ctx,
-                               wind=cfg.wind_est)
-    state = VehicleState(first.p.copy(), first.v.copy(),
-                         flat0.rotation.copy(), 0.0)
+    The plant starts on tick 0's reference in tick 0's feedforward
+    attitude, with tick 0's feedforward as the applied input."""
+    dt = 1.0 / cfg.rate
+    result = RunResult.allocate(cfg)
+    last = len(result.t) - 1
+    ticks = _ticks(cfg, len(result.t))
+    first = next(ticks)
+    _, _, ref0, flat0 = first
+    state = VehicleState(ref0.p.copy(), ref0.v.copy(), flat0.rotation.copy(),
+                         0.0)
+    control_ctx = ControllerContext()
     control_ctx.held_attitude = flat0.rotation.copy()
     applied = ControlInput(flat0.thrust, flat0.omega.copy())
     # position-only measurement delay; the oldest entry is what the
     # controller sees this tick
     p_history = deque([state.p.copy()], maxlen=cfg.delay_ticks + 1)
 
-    for k in range(n_ticks + 1):
-        t = k * dt
-        ref = sample_trajectory(cfg.trajectory, t)
-        flat = flatness_transform(ff_params, ref, transform_ctx,
-                                  wind=cfg.wind_est)
+    for k, t, ref, flat in chain([first], ticks):
         measured = VehicleState(p_history[0], state.v, state.R, t)
         cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
                               ref, flat, measured, control_ctx, dt,
                               wind=cfg.wind_est)
-        log.store(k, t, ref, state, mat_to_quat(control_ctx.held_attitude),
-                  cmd, flat)
+        result.store(k, t, ref, state,
+                     mat_to_quat(control_ctx.held_attitude), cmd, flat)
         error = float(np.linalg.norm(state.p - ref.p))
         if error > cfg.abort_radius:
             raise DivergenceError(t, float(np.linalg.norm(ref.v)),
-                                  log.result(k + 1))
-        if k == n_ticks:
+                                  result.head(k + 1))
+        if k == last:
             break
         for _ in range(cfg.substeps):
             applied = actuator_lag(cfg.plant, cmd, applied, cfg.plant.step)
             state = rk4_step(cfg.plant, state, applied)
         p_history.append(state.p.copy())
-    return log.result(n_ticks + 1)
+    return result
 
 
 def feedforward_trace(cfg):
     """Open-loop flatness sweep along the reference (no plant, no
     feedback): reference kinematics plus the transform's outputs, in the
     same row format as a closed-loop run."""
-    dt = 1.0 / cfg.rate
-    n_ticks = round(cfg.rate * cfg.duration)
-    ff_params = cfg.ff_params
-    transform_ctx = TransformContext()
-    log = _Log(n_ticks + 1, cfg.seed)
-    for k in range(n_ticks + 1):
-        t = k * dt
-        ref = sample_trajectory(cfg.trajectory, t)
-        flat = flatness_transform(ff_params, ref, transform_ctx,
-                                  wind=cfg.wind_est)
+    result = RunResult.allocate(cfg)
+    for k, t, ref, flat in _ticks(cfg, len(result.t)):
         quat = mat_to_quat(flat.rotation)
         state = VehicleState(ref.p, ref.v, flat.rotation, t)
         cmd = ControlInput(flat.thrust, flat.omega)
-        log.store(k, t, ref, state, quat, cmd, flat)
-    return log.result(n_ticks + 1)
+        result.store(k, t, ref, state, quat, cmd, flat)
+    return result
 
 
 @dataclass

@@ -74,6 +74,13 @@ def test_bad_duration_override_exit_code(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("duration", ["nan", "inf"])
+def test_non_finite_duration_override_exit_code(tmp_path, capsys, duration):
+    code = main(["sim", "--duration", duration, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "sim.duration must be finite and > 0" in capsys.readouterr().err
+
+
 def test_compare_writes_matrix(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sim.duration = 1\n")
     code = main(["compare", "--config", cfg, "--out", str(tmp_path)])

@@ -9,12 +9,11 @@ from numpy.testing import assert_allclose
 from scipy.optimize import fsolve
 
 from liftquad.aero import AeroParams, GRAVITY, GRAVITY_VEC, aero_accel
-from liftquad.flatness import (AlignedAxisError, DegenerateBalanceError,
-                               FlatSample, SingularCase, SingularSystemError,
-                               TransformContext, ZeroAirspeedError,
-                               angular_velocity_from_flat, attitude_from_flat,
+from liftquad.flatness import (DegenerateBalanceError, FlatSample,
+                               SingularCase, SingularSystemError,
+                               TransformContext, angular_velocity_from_flat,
                                flatness_transform, symmetry_plane_vector,
-                               thrust_and_alpha, wind_axis, wind_frame_accels)
+                               thrust_and_alpha, wind_frame_accels)
 
 PARAMS = AeroParams()
 
@@ -36,11 +35,19 @@ def in_plane_residual(params, speed, a_along, a_perp, thrust, alpha):
 
 
 def test_wind_axis_basics():
-    assert_allclose(wind_axis(np.array([10.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
-    assert_allclose(wind_axis(np.array([3.0, 4.0, 0.0])), [0.6, 0.8, 0.0])
-    assert wind_axis(np.zeros(3)) is None
-    assert wind_axis(np.array([5.0, 0.0, 0.0]),
-                     wind=np.array([5.0, 0.0, 0.0])) is None
+    # the unit airspeed direction on the smooth branch; at (air)standstill
+    # the transform falls back to the zero-velocity policy instead
+    def transform(v, wind=None):
+        return flatness_transform(PARAMS, make_sample(v, [0.0] * 3), wind=wind)
+
+    for v, axis in (([10.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                    ([3.0, 4.0, 0.0], [0.6, 0.8, 0.0])):
+        out = transform(v)
+        assert out.singular is SingularCase.NONE
+        assert_allclose(out.wind_axis, axis)
+    assert transform([0.0] * 3).singular is SingularCase.ZERO_VELOCITY
+    assert transform([5.0, 0.0, 0.0], wind=np.array([5.0, 0.0, 0.0])
+                     ).singular is SingularCase.ZERO_VELOCITY
 
 
 def test_wind_frame_accels_level_flight():
@@ -154,11 +161,12 @@ def test_attitude_orthogonality_invariants():
         if np.linalg.norm(v) < 1.0:
             continue
         sample = make_sample(v, rng.uniform(-5.0, 5.0, size=3))
-        try:
-            rotation, alpha, thrust, axis, plane = attitude_from_flat(
-                PARAMS, sample)
-        except (AlignedAxisError, DegenerateBalanceError):
+        out = flatness_transform(PARAMS, sample)
+        if out.singular is not SingularCase.NONE:
             continue
+        rotation, alpha, thrust, axis = (out.rotation, out.alpha, out.thrust,
+                                         out.wind_axis)
+        plane = symmetry_plane_vector(PARAMS, sample.v, sample.a)
         y_body = rotation[:, 1]
         assert abs(float(y_body @ plane)) < 1e-12 * np.linalg.norm(plane)
         assert abs(float(y_body @ axis)) < 1e-12
@@ -169,13 +177,17 @@ def test_attitude_orthogonality_invariants():
 
 
 def test_attitude_rejects_standstill():
-    with pytest.raises(ZeroAirspeedError):
-        attitude_from_flat(PARAMS, make_sample([0.01, 0.0, 0.0], [0.0] * 3))
+    # the smooth construction is refused below the entry speed; the
+    # zero-velocity policy takes over and is flagged
+    out = flatness_transform(PARAMS, make_sample([0.01, 0.0, 0.0], [0.0] * 3))
+    assert out.singular is SingularCase.ZERO_VELOCITY
 
 
 def test_attitude_rejects_aligned_demand():
-    with pytest.raises(AlignedAxisError):
-        attitude_from_flat(PARAMS, make_sample([0.0, 0.0, -3.0], [0.0] * 3))
+    # vertical climb: the airspeed is parallel to the demanded force, so
+    # the smooth lateral axis is undefined and the aligned policy is flagged
+    out = flatness_transform(PARAMS, make_sample([0.0, 0.0, -3.0], [0.0] * 3))
+    assert out.singular is SingularCase.AXIS_ALIGNED
 
 
 def test_level_cruise_is_wings_level_with_zero_rates():

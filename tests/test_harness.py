@@ -1,6 +1,7 @@
 """Config parsing and the closed-loop experiment harness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from liftquad.aero import GRAVITY
 from liftquad.config import (CONDITIONS, ConfigError, ExperimentConfig,
                              build_config, load_config, parse_config_text)
 from liftquad.flatness import SingularCase
+from liftquad.geom import quat_to_mat
 from liftquad.harness import (CSV_COLUMNS, DivergenceError, EmptySeriesError,
                               condition_matrix, feasibility_check,
-                              feedforward_trace, format_matrix, initial_state,
-                              rmse, run_experiment)
+                              feedforward_trace, format_matrix, rmse,
+                              run_experiment)
 from liftquad.trajectories import TrajectoryKind
 
 
@@ -79,6 +81,15 @@ def test_config_rejects_malformed_input(text, fragment):
 def test_config_error_carries_location():
     with pytest.raises(ConfigError, match=r"demo\.cfg:2"):
         parse_config_text("plant.rho = 1.0\nnope = 1", source="demo.cfg")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["sim.duration", "sim.abort_radius",
+                                 "gains.kpp.x", "plant.rho", "model.wind.y",
+                                 "trajectory.p0.z"])
+def test_config_rejects_non_finite_numbers(key, value):
+    with pytest.raises(ConfigError, match="not a finite number"):
+        build_config(parse_config_text(f"{key} = {value}"))
 
 
 def test_config_rejects_invalid_physics():
@@ -164,14 +175,36 @@ def test_hover_tracks_exactly():
 
 def test_initial_state_sits_on_the_reference():
     cfg = short_circle()
-    state = initial_state(cfg)
-    assert_allclose(state.p, cfg.trajectory.p0)
-    assert_allclose(state.v, np.zeros(3))
-    assert np.linalg.norm(state.R.T @ state.R - np.eye(3)) < 1e-12
+    result = run_experiment(cfg)
+    assert_allclose(result.p[0], cfg.trajectory.p0)
+    assert_allclose(result.v[0], np.zeros(3))
+    rotation = quat_to_mat(result.q[0])
+    assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-12
     # standstill start with a tangential pull: heading close to the +y
     # yaw fallback, tilted slightly by the initial acceleration
-    assert state.R[0, 0] == pytest.approx(0.0, abs=1e-9)
-    assert state.R[1, 0] > 0.99
+    assert rotation[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert rotation[1, 0] > 0.99
+
+
+@pytest.mark.parametrize("kind", ["circle", "hover"])
+def test_closed_loop_starts_where_the_feedforward_does(kind):
+    # the plant starts on tick 0's reference, in tick 0's feedforward
+    # attitude: row 0 of the closed loop is row 0 of the open loop
+    cfg = config_from(f"sim.duration = 0.1\ntrajectory.kind = {kind}")
+    run = run_experiment(cfg)
+    trace = feedforward_trace(cfg)
+    assert np.array_equal(run.p[0], run.p_ref[0])
+    for name in ("p", "p_ref", "v", "v_ref", "q", "alpha", "singular"):
+        assert np.array_equal(getattr(run, name)[0], getattr(trace, name)[0])
+
+
+def test_rate_override_keeps_the_plant_step_in_step():
+    # a rate set through replace() must integrate the same substep as
+    # the same rate parsed from the config file
+    parsed = config_from("sim.duration = 5\nsim.rate = 500")
+    replaced = replace(config_from("sim.duration = 5"), rate=500)
+    assert replaced.plant.step == parsed.plant.step == 1.0 / 2000.0
+    assert run_experiment(replaced).rmse == run_experiment(parsed).rmse
 
 
 def test_matched_circle_error_stays_small():
@@ -287,3 +320,7 @@ def test_experiment_config_validation():
         ExperimentConfig(duration=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(delay_ticks=-1)
+    for field in ("duration", "abort_radius"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                ExperimentConfig(**{field: value})
