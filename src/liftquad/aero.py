@@ -11,11 +11,11 @@ The airframe is a quadcopter with a wing installed at a fixed angle
   the airspeed vector within the wing symmetry plane.
 
 The model is quadratic in airspeed with a flat-plate-style lift curve.
-:func:`aero_force_wind` returns the classic drag/side/lift magnitudes
-along the wind axes.  :func:`aero_force_wing` and :func:`aero_accel`
-return the force (acceleration) actually acting on the airframe, with the
-sign fixed so that drag opposes the airspeed: with only ``cd0`` active the
-earth-frame acceleration is ``-(rho*S*cd0 / 2m) * |v_a| * v_a``.
+:func:`aero_accel` is the one implementation that the controller and
+the plant call; drag opposes the airspeed: with only ``cd0`` active the
+earth-frame acceleration is ``-(rho*S*cd0 / 2m) * |v_a| * v_a``.  The
+wind- and wing-frame forms (:func:`aero_force_wind`, :func:`aero_force_wing`
+and their frame rotations) are independent oracles for tests only.
 """
 
 import math
@@ -96,7 +96,7 @@ def body_to_wing_rotation(kappa):
     """Coordinate transform from body axes to wing axes.
 
     Equals the transpose of a right-handed rotation by ``kappa`` about
-    +y, i.e. ``rodrigues(e_y, kappa).T``.
+    +y, i.e. ``rodrigues(e_y, kappa).T``.  Oracle, not in the live loop.
     """
     c = math.cos(kappa)
     s = math.sin(kappa)
@@ -109,7 +109,7 @@ def body_to_wing_rotation(kappa):
 
 def wing_to_wind_rotation(alpha):
     """Coordinate transform from wing axes to wind axes at angle of attack
-    ``alpha``."""
+    ``alpha``.  Oracle, not in the live loop."""
     c = math.cos(alpha)
     s = math.sin(alpha)
     return np.array([
@@ -124,7 +124,7 @@ def aero_force_wind(params, airspeed, alpha):
 
     Returns the parametric model ``qbar*S * [cd0 + cla*sin^2(a), 0,
     cla*sin(a)*cos(a)]``; the force acting on the airframe is the negative
-    of this vector.
+    of this vector.  Oracle, not in the live loop.
     """
     q_s = 0.5 * params.rho * params.area * airspeed * airspeed
     sa = math.sin(alpha)
@@ -142,7 +142,8 @@ def aero_force_wing(params, rotation, airspeed_vec):
     ``rotation`` is the body-to-earth attitude; ``airspeed_vec`` is the
     earth-frame airspeed.  This form needs no angle of attack: the lift
     and drag fall out of the per-axis coefficients applied to the
-    wing-frame airspeed components.
+    wing-frame airspeed components.  Oracle for :func:`aero_accel`, not
+    in the live loop.
     """
     v_wing = body_to_wing_rotation(params.kappa) @ (rotation.T @ airspeed_vec)
     coeffs = np.array([params.cd0, params.cy0, params.cd0 + params.cla])

@@ -1,23 +1,26 @@
 """Six-degree-of-freedom point-mass plant with attitude kinematics.
 
 Translational dynamics sum rotor thrust along body z, the wing
-aerodynamic force and gravity; the attitude integrates the commanded
-body rate directly (the inner rate loop is assumed fast, so no
-rotational inertia is modeled).  Integration is classical RK4 with the
-rotation re-orthonormalized after every step; an optional first-order
-actuator lag sits between the commanded and applied inputs.
+aerodynamic acceleration (the controller's :func:`aero_accel`) and
+gravity; the attitude follows the commanded body rate directly (the
+inner rate loop is assumed fast, so no rotational inertia is modeled).
+With the input held over a step the attitude update ``R exp(h[w]x)`` is
+exact, and classical RK4 integrates position and velocity along it.  An
+optional first-order actuator lag, updated exactly over the held step,
+sits between the commanded and applied inputs.
 
 The plant's aerodynamic parameters are independent of the controller's
 copy, which is how model mismatch experiments are expressed.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aero import AeroParams, GRAVITY_VEC, aero_force_wing, body_to_wing_rotation
+from .aero import AeroParams, GRAVITY_VEC, aero_accel
 from .control import ControlInput
-from .geom import orthonormalize, skew
+from .geom import rodrigues
 
 
 @dataclass
@@ -29,9 +32,6 @@ class VehicleState:
     v: np.ndarray
     R: np.ndarray
     t: float = 0.0
-
-    def copy(self):
-        return VehicleState(self.p.copy(), self.v.copy(), self.R.copy(), self.t)
 
 
 @dataclass(frozen=True)
@@ -54,57 +54,55 @@ class PlantConfig:
             raise ValueError("actuator time constants must be >= 0")
 
 
-def state_derivative(cfg, state, inp):
-    """Time derivatives ``(p_dot, v_dot, R_dot)`` under ``inp``.
+def acceleration(cfg, R, v, thrust):
+    """Earth-frame acceleration at attitude ``R`` and velocity ``v``.
 
-    Thrust acts along body z (negative thrust pulls up in NED), the
-    wing force is rotated from the wing frame to earth, gravity closes
-    the sum; the rotation evolves by the commanded body rate.
+    Thrust acts along body z (negative thrust pulls up in NED), the wing
+    acts through the airspeed ``v - v_wind``, gravity closes the sum.
     """
-    aero = cfg.aero
-    thrust_force = state.R @ np.array([0.0, 0.0, inp.thrust])
-    f_wing = aero_force_wing(aero, state.R, state.v - cfg.v_wind)
-    wing_to_earth = state.R @ body_to_wing_rotation(aero.kappa).T
-    v_dot = (thrust_force + wing_to_earth @ f_wing) / aero.mass + GRAVITY_VEC
-    return state.v, v_dot, state.R @ skew(inp.omega)
+    return ((thrust / cfg.aero.mass) * R[:, 2]
+            + aero_accel(cfg.aero, R, v - cfg.v_wind) + GRAVITY_VEC)
 
 
 def rk4_step(cfg, state, inp):
-    """One classical RK4 step of length ``cfg.step``; the input is held
-    constant across the stages and the rotation is re-orthonormalized
-    afterwards."""
-    h = cfg.step
+    """One step of length ``cfg.step`` with the input held constant.
 
-    def deriv(p, v, R):
-        return state_derivative(cfg, VehicleState(p, v, R, state.t), inp)
-
-    k1 = deriv(state.p, state.v, state.R)
-    k2 = deriv(state.p + 0.5 * h * k1[0], state.v + 0.5 * h * k1[1],
-               state.R + 0.5 * h * k1[2])
-    k3 = deriv(state.p + 0.5 * h * k2[0], state.v + 0.5 * h * k2[1],
-               state.R + 0.5 * h * k2[2])
-    k4 = deriv(state.p + h * k3[0], state.v + h * k3[1], state.R + h * k3[2])
-    p = state.p + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    v = state.v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    R = state.R + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    return VehicleState(p, v, orthonormalize(R), state.t + h)
-
-
-def actuator_lag(cfg, commanded, applied_prev, dt):
-    """First-order lag between commanded and applied inputs.
-
-    Explicit per-channel update ``applied += (dt/tau)(commanded -
-    applied)``; a zero time constant passes the command through.  The
-    thrust and body-rate channels use their own time constants.
+    The attitude turns exactly by ``h * omega``, in two half turns that
+    give the attitude at mid-step and at the end; classical RK4
+    integrates position and velocity along it.
     """
-    if cfg.tau_thrust > 0.0:
-        thrust = applied_prev.thrust + (dt / cfg.tau_thrust) * (
-            commanded.thrust - applied_prev.thrust)
-    else:
-        thrust = commanded.thrust
-    if cfg.tau_omega > 0.0:
-        omega = applied_prev.omega + (dt / cfg.tau_omega) * (
-            commanded.omega - applied_prev.omega)
-    else:
-        omega = commanded.omega
-    return ControlInput(thrust, omega)
+    h = cfg.step
+    rate = math.hypot(*inp.omega)
+    half = (rodrigues(inp.omega / rate, 0.5 * h * rate) if rate > 0.0
+            else np.eye(3))
+    R_mid = state.R @ half
+    R_end = R_mid @ half
+    v1 = state.v
+    a1 = acceleration(cfg, state.R, v1, inp.thrust)
+    v2 = v1 + 0.5 * h * a1
+    a2 = acceleration(cfg, R_mid, v2, inp.thrust)
+    v3 = v1 + 0.5 * h * a2
+    a3 = acceleration(cfg, R_mid, v3, inp.thrust)
+    v4 = v1 + h * a3
+    a4 = acceleration(cfg, R_end, v4, inp.thrust)
+    p = state.p + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+    v = v1 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    return VehicleState(p, v, R_end, state.t + h)
+
+
+def _lag(tau, step, commanded, previous):
+    # exact zero-order-hold response; tau == 0 passes the command through
+    if tau == 0.0:
+        return commanded
+    return commanded + math.exp(-step / tau) * (previous - commanded)
+
+
+def actuator_lag(cfg, commanded, applied_prev):
+    """First-order lag between commanded and applied inputs over one
+    plant step, ``cmd + exp(-step/tau) (prev - cmd)`` per channel, so
+    the applied value stays between the previous one and the command.
+    The thrust and body-rate channels use their own time constants.
+    """
+    return ControlInput(
+        _lag(cfg.tau_thrust, cfg.step, commanded.thrust, applied_prev.thrust),
+        _lag(cfg.tau_omega, cfg.step, commanded.omega, applied_prev.omega))

@@ -83,18 +83,6 @@ def rodrigues(axis, angle, tol=UNIT_TOL):
     return c * np.eye(3) + (1.0 - c) * np.outer(axis, axis) + s * skew(axis)
 
 
-def orthonormalize(rotation):
-    """Nearest proper rotation to ``rotation`` in the Frobenius sense.
-
-    Computed through the polar factor; used to scrub integration drift.
-    """
-    u, _, vt = np.linalg.svd(rotation)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
-        u = u.copy()
-        u[:, 2] = -u[:, 2]
-    return u @ vt
-
-
 def quat_mul(a, b):
     """Hamilton product of two scalar-first quaternions."""
     aw, ax, ay, az = a

@@ -116,15 +116,16 @@ class RunResult:
             np.zeros((n_rows, 3)), np.zeros(n_rows),
             np.zeros(n_rows, dtype=int), cfg.seed)
 
-    def store(self, k, t, ref, state, q_d, cmd, flat):
-        """Fill row ``k`` from the tick's reference, plant state, desired
-        attitude, command and feedforward."""
+    def store(self, k, t, ref, state, q, q_d, cmd, flat):
+        """Fill row ``k`` from the tick's reference, the position and
+        velocity of ``state``, the measured and desired attitude
+        quaternions, the command and the feedforward."""
         self.t[k] = t
         self.p_ref[k] = ref.p
         self.p[k] = state.p
         self.v_ref[k] = ref.v
         self.v[k] = state.v
-        self.q[k] = mat_to_quat(state.R)
+        self.q[k] = q
         self.q_d[k] = q_d
         self.thrust[k] = cmd.thrust
         self.omega[k] = cmd.omega
@@ -193,7 +194,7 @@ def run_experiment(cfg):
         cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
                               ref, flat, measured, control_ctx, dt,
                               wind=cfg.wind_est)
-        result.store(k, t, ref, state,
+        result.store(k, t, ref, state, mat_to_quat(state.R),
                      mat_to_quat(control_ctx.held_attitude), cmd, flat)
         error = float(np.linalg.norm(state.p - ref.p))
         if error > cfg.abort_radius:
@@ -202,7 +203,7 @@ def run_experiment(cfg):
         if k == last:
             break
         for _ in range(cfg.substeps):
-            applied = actuator_lag(cfg.plant, cmd, applied, cfg.plant.step)
+            applied = actuator_lag(cfg.plant, cmd, applied)
             state = rk4_step(cfg.plant, state, applied)
         p_history.append(state.p.copy())
     return result
@@ -214,10 +215,10 @@ def feedforward_trace(cfg):
     same row format as a closed-loop run."""
     result = RunResult.allocate(cfg)
     for k, t, ref, flat in _ticks(cfg, len(result.t)):
+        # the reference is the state: measured and desired attitude agree
         quat = mat_to_quat(flat.rotation)
-        state = VehicleState(ref.p, ref.v, flat.rotation, t)
         cmd = ControlInput(flat.thrust, flat.omega)
-        result.store(k, t, ref, state, quat, cmd, flat)
+        result.store(k, t, ref, ref, quat, quat, cmd, flat)
     return result
 
 

@@ -60,6 +60,16 @@ def test_sim_divergence_exit_code(tmp_path, capsys):
     assert len(lines) > 2
 
 
+def test_near_zero_actuator_lag_exits_ok(tmp_path, capsys):
+    # tau far below the plant step must pass the command through, not
+    # overshoot into a crash outside the exit-code contract
+    cfg = write_cfg(tmp_path, "\n".join([
+        "sim.duration = 0.5", "sim.abort_radius = 1e300",
+        "plant.tau_omega = 0.0001", "plant.tau_thrust = 0.0001", ""]))
+    assert main(["sim", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    assert "E_p = " in capsys.readouterr().out
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bogus.key = 1\n")
     code = main(["sim", "--config", cfg, "--out", str(tmp_path)])

@@ -1,15 +1,18 @@
-"""Plant model: force composition, RK4 integration, actuator lag."""
+"""Plant model: force composition, exact attitude step, RK4 on position
+and velocity, actuator lag."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from liftquad.aero import AeroParams, GRAVITY, GRAVITY_VEC, aero_accel
-from liftquad.control import ControlInput
-from liftquad.dynamics import (PlantConfig, VehicleState, actuator_lag,
-                               rk4_step, state_derivative)
+from liftquad.aero import (AeroParams, GRAVITY, GRAVITY_VEC, aero_force_wing,
+                           body_to_wing_rotation)
+from liftquad.control import ControlInput, ControlLimits
+from liftquad.dynamics import (PlantConfig, VehicleState, acceleration,
+                               actuator_lag, rk4_step)
 from liftquad.geom import rodrigues
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -22,44 +25,44 @@ def make_state(p=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0), R=None, t=0.0):
 
 def test_free_fall_accelerates_at_gravity():
     cfg = PlantConfig(aero=AeroParams().zeroed())
-    _, v_dot, _ = state_derivative(cfg, make_state(), ControlInput(0.0, np.zeros(3)))
+    v_dot = acceleration(cfg, np.eye(3), np.zeros(3), 0.0)
     assert_allclose(v_dot, GRAVITY_VEC)
 
 
 def test_hover_thrust_balances_weight():
     cfg = PlantConfig()
-    inp = ControlInput(-cfg.aero.mass * GRAVITY, np.zeros(3))
-    p_dot, v_dot, r_dot = state_derivative(cfg, make_state(), inp)
-    assert_allclose(p_dot, np.zeros(3))
+    v_dot = acceleration(cfg, np.eye(3), np.zeros(3), -cfg.aero.mass * GRAVITY)
     assert_allclose(v_dot, np.zeros(3), atol=1e-15)
-    assert_allclose(r_dot, np.zeros((3, 3)))
 
 
 def test_force_sum_matches_drag_matrix_route():
-    # oracle: thrust accel + symmetric drag-matrix acceleration + gravity
+    # oracle: thrust plus the wing-frame force rotated to earth, over the
+    # mass, plus gravity; independent of the drag-matrix route under test
     cfg = PlantConfig(v_wind=np.array([1.0, -2.0, 0.5]))
+    aero = cfg.aero
+    wing_to_body = body_to_wing_rotation(aero.kappa).T
     rng = np.random.default_rng(41)
     for _ in range(50):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        state = make_state(v=rng.uniform(-10, 10, size=3),
-                           R=rodrigues(axis, rng.uniform(-3, 3)))
-        inp = ControlInput(-rng.uniform(0, 30), rng.uniform(-2, 2, size=3))
-        _, v_dot, _ = state_derivative(cfg, state, inp)
-        expected = state.R @ np.array([0.0, 0.0, inp.thrust]) / cfg.aero.mass \
-            + aero_accel(cfg.aero, state.R, state.v - cfg.v_wind) + GRAVITY_VEC
+        R = rodrigues(axis, rng.uniform(-3, 3))
+        v = rng.uniform(-10, 10, size=3)
+        thrust = -rng.uniform(0, 30)
+        v_dot = acceleration(cfg, R, v, thrust)
+        f_wing = aero_force_wing(aero, R, v - cfg.v_wind)
+        expected = (R @ np.array([0.0, 0.0, thrust])
+                    + R @ wing_to_body @ f_wing) / aero.mass + GRAVITY_VEC
         assert_allclose(v_dot, expected, atol=1e-12)
 
 
 def test_wind_enters_through_relative_velocity():
     cfg_still = PlantConfig()
     cfg_windy = PlantConfig(v_wind=np.array([3.0, 0.0, 0.0]))
-    inp = ControlInput(0.0, np.zeros(3))
-    moving = make_state(v=(3.0, 0.0, 0.0))
-    _, v_dot_rel, _ = state_derivative(cfg_windy, moving, inp)
+    moving = np.array([3.0, 0.0, 0.0])
+    v_dot_rel = acceleration(cfg_windy, np.eye(3), moving, 0.0)
     # moving with the wind: no relative airflow, pure free fall
     assert_allclose(v_dot_rel, GRAVITY_VEC, atol=1e-15)
-    _, v_dot_still, _ = state_derivative(cfg_still, moving, inp)
+    v_dot_still = acceleration(cfg_still, np.eye(3), moving, 0.0)
     assert np.linalg.norm(v_dot_still - GRAVITY_VEC) > 0.1
 
 
@@ -100,6 +103,25 @@ def test_rk4_full_turn_returns_to_identity():
     assert np.linalg.norm(state.R - np.eye(3)) < 1e-6
 
 
+def test_rk4_attitude_step_is_exact():
+    cfg = PlantConfig()
+    h = cfg.step
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        state = make_state(v=rng.uniform(-10, 10, size=3),
+                           R=rodrigues(axis, rng.uniform(-3, 3)))
+        omega = rng.uniform(-6, 6, size=3)
+        rate = np.linalg.norm(omega)
+        out = rk4_step(cfg, state, ControlInput(-10.0, omega))
+        assert_allclose(out.R, state.R @ rodrigues(omega / rate, h * rate),
+                        rtol=0, atol=1e-15)
+    # no rate: the attitude is left bit for bit
+    still = rk4_step(cfg, state, ControlInput(-10.0, np.zeros(3)))
+    assert np.array_equal(still.R, state.R)
+
+
 def test_rotation_stays_orthonormal_over_long_run():
     cfg = PlantConfig()
     inp = ControlInput(-10.0, np.array([0.7, -0.4, 1.3]))
@@ -135,31 +157,33 @@ def test_actuator_lag_passthrough_when_disabled():
     cfg = PlantConfig()
     cmd = ControlInput(-12.0, np.array([1.0, 2.0, 3.0]))
     prev = ControlInput(-5.0, np.zeros(3))
-    out = actuator_lag(cfg, cmd, prev, 1e-3)
+    out = actuator_lag(cfg, cmd, prev)
     assert out.thrust == cmd.thrust
     assert_allclose(out.omega, cmd.omega)
 
 
 def test_actuator_lag_single_step_arithmetic():
-    cfg = PlantConfig(tau_omega=0.05, tau_thrust=0.1)
+    cfg = PlantConfig(tau_omega=0.05, tau_thrust=0.1, step=0.004)
     cmd = ControlInput(-10.0, np.array([1.0, 0.0, -1.0]))
     prev = ControlInput(0.0, np.zeros(3))
-    out = actuator_lag(cfg, cmd, prev, 0.004)
-    # oracle: y + (dt/tau)(u - y) by hand
-    assert out.thrust == pytest.approx(-0.4)
-    assert_allclose(out.omega, [0.08, 0.0, -0.08])
+    out = actuator_lag(cfg, cmd, prev)
+    # oracle: u (1 - exp(-dt/tau)) from rest, by hand
+    assert out.thrust == pytest.approx(-10.0 * (1.0 - math.exp(-0.04)),
+                                       rel=1e-15)
+    step = 1.0 - math.exp(-0.08)
+    assert_allclose(out.omega, [step, 0.0, -step], rtol=1e-15)
 
 
 def test_actuator_lag_tracks_exponential():
-    # explicit Euler vs the exact first-order response over ten steps
+    # the zero-order-hold update is the exact first-order response
     tau, dt = 0.05, 0.004
-    cfg = PlantConfig(tau_omega=tau)
+    cfg = PlantConfig(tau_omega=tau, step=dt)
     cmd = ControlInput(0.0, np.array([1.0, 0.0, 0.0]))
     applied = ControlInput(0.0, np.zeros(3))
     for k in range(10):
-        applied = actuator_lag(cfg, cmd, applied, dt)
+        applied = actuator_lag(cfg, cmd, applied)
         exact = 1.0 - math.exp(-(k + 1) * dt / tau)
-        assert abs(applied.omega[0] - exact) <= 0.02  # of the unit step
+        assert abs(applied.omega[0] - exact) <= 1e-14  # of the unit step
 
 
 def test_plant_config_validation():
@@ -183,3 +207,46 @@ def test_integration_is_deterministic():
     assert np.array_equal(a.p, b.p)
     assert np.array_equal(a.v, b.v)
     assert np.array_equal(a.R, b.R)
+
+
+LIMITS = ControlLimits()
+finite = dict(allow_nan=False, allow_infinity=False)
+rates = st.lists(st.floats(-LIMITS.omega_max, LIMITS.omega_max, **finite),
+                 min_size=3, max_size=3)
+thrusts = st.floats(LIMITS.thrust_min, 0.0, **finite)
+
+
+@settings(max_examples=10, deadline=None)
+@given(omega=rates, thrust=thrusts,
+       v0=st.lists(st.floats(-30.0, 30.0, **finite), min_size=3, max_size=3))
+def test_rk4_keeps_attitude_orthonormal_and_state_finite(omega, thrust, v0):
+    cfg = PlantConfig(v_wind=np.array([2.0, -1.0, 0.0]))
+    inp = ControlInput(thrust, np.array(omega))
+    state = make_state(v=v0)
+    for _ in range(10_000):
+        state = rk4_step(cfg, state, inp)
+    assert np.linalg.norm(state.R.T @ state.R - np.eye(3)) < 1e-10
+    assert np.all(np.isfinite(state.p)) and np.all(np.isfinite(state.v))
+
+
+def between(value, a, b):
+    # to rounding: cmd + f (prev - cmd) can land an ulp past prev when the
+    # factor f rounds to 1, so allow a few ulp of the larger end
+    tol = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
+    return min(a, b) - tol <= value <= max(a, b) + tol
+
+
+@given(tau_thrust=st.floats(0.0, 1e6, **finite),
+       tau_omega=st.floats(0.0, 1e6, **finite),
+       step=st.floats(0.0, 1e3, exclude_min=True, **finite),
+       thrust=st.tuples(thrusts, thrusts),
+       omega=st.tuples(rates, rates))
+def test_actuator_lag_stays_between_previous_and_command(
+        tau_thrust, tau_omega, step, thrust, omega):
+    cfg = PlantConfig(tau_omega=tau_omega, tau_thrust=tau_thrust, step=step)
+    prev = ControlInput(thrust[0], np.array(omega[0]))
+    cmd = ControlInput(thrust[1], np.array(omega[1]))
+    out = actuator_lag(cfg, cmd, prev)
+    assert between(out.thrust, prev.thrust, cmd.thrust)
+    for i in range(3):
+        assert between(out.omega[i], prev.omega[i], cmd.omega[i])

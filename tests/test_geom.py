@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from liftquad.geom import (AxisAngle, NonOrthonormalError, NonUnitAxisError,
-                           mat_to_quat, orthonormalize, quat_conj, quat_mul,
+                           mat_to_quat, quat_conj, quat_mul,
                            quat_to_axis_angle, quat_to_mat, rodrigues, skew,
                            unskew, wrap_pi)
 
@@ -98,23 +98,6 @@ def test_rotation_outputs_orthonormal():
         rot = random_rotation(rng)
         assert np.linalg.norm(rot.T @ rot - np.eye(3)) < 1e-12
         assert abs(np.linalg.det(rot) - 1.0) < 1e-12
-
-
-def test_orthonormalize_repairs_drift():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        rot = random_rotation(rng) + 1e-4 * rng.normal(size=(3, 3))
-        fixed = orthonormalize(rot)
-        assert np.linalg.norm(fixed.T @ fixed - np.eye(3)) < 1e-12
-        assert abs(np.linalg.det(fixed) - 1.0) < 1e-12
-        # already-orthonormal input is a fixed point
-        assert_allclose(orthonormalize(fixed), fixed, atol=1e-13)
-
-
-def test_orthonormalize_never_returns_reflection():
-    flipped = np.diag([1.0, 1.0, -1.0]) * 1.001
-    fixed = orthonormalize(flipped)
-    assert abs(np.linalg.det(fixed) - 1.0) < 1e-12
 
 
 def test_quat_identity_round_trip():

@@ -207,6 +207,13 @@ def test_rate_override_keeps_the_plant_step_in_step():
     assert run_experiment(replaced).rmse == run_experiment(parsed).rmse
 
 
+def test_near_zero_actuator_lag_tracks_like_no_lag():
+    lagged = run_experiment(short_circle(**{
+        "plant.tau_omega": 1e-4, "plant.tau_thrust": 1e-4}))
+    assert lagged.rmse == pytest.approx(run_experiment(short_circle()).rmse,
+                                        rel=1e-3)
+
+
 def test_matched_circle_error_stays_small():
     result = run_experiment(short_circle(**{"mode.integrator": "false"}))
     assert result.rmse < 0.1
