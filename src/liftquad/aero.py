@@ -11,15 +11,16 @@ The airframe is a quadcopter with a wing installed at a fixed angle
   the airspeed vector within the wing symmetry plane.
 
 The model is quadratic in airspeed with a flat-plate-style lift curve.
-:func:`aero_accel` is the one implementation that the controller and
-the plant call; drag opposes the airspeed: with only ``cd0`` active the
-earth-frame acceleration is ``-(rho*S*cd0 / 2m) * |v_a| * v_a``.  The
-wind- and wing-frame forms (:func:`aero_force_wind`, :func:`aero_force_wing`
-and their frame rotations) are independent oracles for tests only.
+:func:`aero_accel` (through ``AeroParams.drag``) is the one
+implementation that the controller and the plant call; drag opposes the
+airspeed: with only ``cd0`` active the earth-frame acceleration is
+``-(rho*S*cd0 / 2m) * |v_a| * v_a``.  The wind- and wing-frame forms
+(:func:`aero_force_wind`, :func:`aero_force_wing` and their frame
+rotations) are independent oracles for tests only.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +39,8 @@ class AeroParams:
     ``kappa`` is the wing installation angle in radians; 90 degrees is a
     tail-sitter.  ``cd0`` is the zero-lift drag coefficient, ``cy0`` the
     lateral drag coefficient and ``cla`` the lift-curve slope.
+    ``drag`` (derived, read-only) is the body-frame drag matrix D, with
+    the wing's x-z coupling: the force is ``-(rho*S*|v_a|/2) R D R^T v_a``.
     """
 
     mass: float = 1.5
@@ -47,6 +50,7 @@ class AeroParams:
     cd0: float = 0.05
     cy0: float = 0.0
     cla: float = 2.0
+    drag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mass <= 0.0:
@@ -61,6 +65,14 @@ class AeroParams:
                 "outside (15, 90] deg")
         if self.cd0 < 0.0 or self.cla < 0.0:
             raise ValueError("drag and lift coefficients must be non-negative")
+        c, s = math.cos(self.kappa), math.sin(self.kappa)
+        cdxz = self.cla * s * c
+        drag = np.array([
+            [self.cd0 * c * c + (self.cla + self.cd0) * s * s, 0.0, cdxz],
+            [0.0, self.cy0, 0.0],
+            [cdxz, 0.0, self.cd0 * s * s + (self.cla + self.cd0) * c * c]])
+        drag.setflags(write=False)
+        object.__setattr__(self, "drag", drag)
 
     def zeroed(self):
         """Copy with all aerodynamic coefficients set to zero.
@@ -68,28 +80,6 @@ class AeroParams:
         Used for feedforward variants that ignore the wing.
         """
         return replace(self, cd0=0.0, cy0=0.0, cla=0.0)
-
-
-@dataclass(frozen=True)
-class DragMatrix:
-    """Body-frame drag coupling coefficients.
-
-    ``as_matrix`` assembles the symmetric positive semi-definite matrix D
-    with x-z coupling ``cdxz`` introduced by the inclined wing; the acting
-    aerodynamic force is ``-(rho*S*|v_a|/2) * R D R^T v_a``.
-    """
-
-    cdx: float
-    cdz: float
-    cdxz: float
-    cy0: float
-
-    def as_matrix(self):
-        return np.array([
-            [self.cdx, 0.0, self.cdxz],
-            [0.0, self.cy0, 0.0],
-            [self.cdxz, 0.0, self.cdz],
-        ])
 
 
 def body_to_wing_rotation(kappa):
@@ -151,26 +141,13 @@ def aero_force_wing(params, rotation, airspeed_vec):
     return -0.5 * params.rho * params.area * speed * coeffs * v_wing
 
 
-def drag_matrix(params):
-    """Body-frame drag coupling of the inclined wing (see
-    :class:`DragMatrix`)."""
-    c = math.cos(params.kappa)
-    s = math.sin(params.kappa)
-    return DragMatrix(
-        cdx=params.cd0 * c * c + (params.cla + params.cd0) * s * s,
-        cdz=params.cd0 * s * s + (params.cla + params.cd0) * c * c,
-        cdxz=params.cla * s * c,
-        cy0=params.cy0,
-    )
-
-
 def aero_accel(params, rotation, airspeed_vec):
     """Earth-frame aerodynamic acceleration acting on the airframe.
 
     Equivalent to rotating :func:`aero_force_wing` to earth axes and
-    dividing by mass, but written through the body-frame drag matrix.
+    dividing by mass, but written through the body-frame drag matrix
+    ``params.drag``.
     """
     speed = np.linalg.norm(airspeed_vec)
     scale = params.rho * params.area * speed / (2.0 * params.mass)
-    d = drag_matrix(params).as_matrix()
-    return -scale * (rotation @ (d @ (rotation.T @ airspeed_vec)))
+    return -scale * (rotation @ (params.drag @ (rotation.T @ airspeed_vec)))

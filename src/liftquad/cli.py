@@ -71,28 +71,28 @@ def _out_dir(args):
     return out
 
 
+def _write_run(run, cfg, path):
+    try:
+        result = run(cfg)
+    except DivergenceError as exc:
+        exc.result.write_csv(path)
+        print(f"wrote partial trace to {path}", file=sys.stderr)
+        raise
+    result.write_csv(path)
+    print(f"wrote {len(result.t)} rows to {path}")
+    return result
+
+
 def _cmd_flat(args):
-    cfg = _resolve_config(args)
-    trace = feedforward_trace(cfg)
-    path = _out_dir(args) / "flat.csv"
-    trace.write_csv(path)
-    print(f"wrote {len(trace.t)} rows to {path}")
+    _write_run(feedforward_trace, _resolve_config(args),
+               _out_dir(args) / "flat.csv")
     return EXIT_OK
 
 
 def _cmd_sim(args):
     cfg = _resolve_config(args)
     name = args.condition or "sim"
-    path = _out_dir(args) / f"{name}.csv"
-    try:
-        result = run_experiment(cfg)
-    except DivergenceError as exc:
-        exc.result.write_csv(path)
-        print(f"wrote partial trace to {path}", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    result.write_csv(path)
-    print(f"wrote {len(result.t)} rows to {path}")
+    result = _write_run(run_experiment, cfg, _out_dir(args) / f"{name}.csv")
     print(f"E_p = {result.rmse:.6f} m over {cfg.duration:g} s "
           f"(seed {cfg.seed})")
     return EXIT_OK
@@ -134,6 +134,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -38,6 +38,9 @@ CONDITIONS = {
 
 _KINDS = {k.value: k for k in TrajectoryKind}
 
+# Most rows a run may log; 10**7 rows of a RunResult are about 2.2 GB.
+MAX_ROWS = 10**7
+
 # key -> (type tag, default); None defaults are resolved downstream
 # (per-kind trajectory values).
 _AERO_DEFAULT = AeroParams()
@@ -117,6 +120,9 @@ class ExperimentConfig:
             raise ConfigError("sim.abort_radius must be finite and > 0")
         if self.delay_ticks < 0:
             raise ConfigError("sim.delay_ticks must be >= 0")
+        if self.duration > (MAX_ROWS - 1) / self.rate:  # a huge int rate: no overflow
+            raise ConfigError(f"sim.rate * sim.duration must log at most "
+                              f"{MAX_ROWS} rows")
         # the plant substep follows from the tick rate, so a config
         # derived with replace() never integrates a stale step
         object.__setattr__(self, "plant", replace(

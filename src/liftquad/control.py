@@ -7,11 +7,12 @@ proportional attitude loop produces the body-rate command with the
 flatness body rate added as feedforward.
 
 The attitude step removes gravity and an attenuated model-based
-aerodynamic acceleration (evaluated at the reference attitude and
-airspeed) from the demand; what remains must come from the rotors, so
-the desired body z-axis opposes it and the thrust is its projection on
-that axis.  The lateral axis is completed from the reference airspeed
-direction, which encodes the no-sideslip heading.
+aerodynamic acceleration (at the feedforward's attitude and airspeed,
+the only place the wind estimate enters) from the demand; what remains
+must come from the rotors, so the desired body z-axis opposes it and
+the thrust is its projection on that axis.  The lateral axis is
+completed from the reference airspeed direction, which encodes the
+no-sideslip heading.
 
 All functions are pure given an explicit :class:`ControllerContext`;
 use one context per vehicle.
@@ -153,26 +154,24 @@ def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
     return gains.kvp * error + integrator + a_ref, integrator
 
 
-def accel_to_attitude_thrust(params, gains, mode, a_d, flat, v_ref, held=None,
-                             wind=None):
+def accel_to_attitude_thrust(params, gains, mode, a_d, flat, held=None):
     """Desired attitude and collective thrust from an acceleration demand.
 
     The aerodynamic feedforward is evaluated at the reference attitude
-    (``flat.rotation``) and reference airspeed (``v_ref`` minus wind),
+    (``flat.rotation``) and reference airspeed (``flat.airspeed``),
     attenuated by ``kff`` and removed from the demand together with
     gravity; what remains must come from the rotors.  Returns
     ``(rotation, thrust, free_fall)``; in the free-fall case the
     rotation is ``held`` (or the reference attitude when no hold exists)
     and the thrust is zero.
     """
+    a_rotor = a_d - GRAVITY_VEC
     if mode.use_aero_feedforward:
-        v_air_ref = v_ref if wind is None else v_ref - wind
-        a_ff = aero_accel(params, flat.rotation, v_air_ref)
-    else:
-        a_ff = np.zeros(3)
-    a_rotor = a_d - GRAVITY_VEC - gains.kff * a_ff
+        a_ff = aero_accel(params, flat.rotation, flat.airspeed)
+        a_rotor = a_rotor - gains.kff * a_ff
     norm = np.linalg.norm(a_rotor)
-    if norm < FREE_FALL_ACCEL:
+    if norm < FREE_FALL_ACCEL or (mode.printed_accel_projection
+                                  and np.linalg.norm(a_d) < FREE_FALL_ACCEL):
         rotation = held if held is not None else flat.rotation
         return rotation, 0.0, True
     z_body = -a_rotor / norm
@@ -180,11 +179,7 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat, v_ref, held=None,
     x_body = np.cross(y_body, z_body)
     rotation = np.column_stack((x_body, y_body, z_body))
     if mode.printed_accel_projection:
-        a_d_norm = np.linalg.norm(a_d)
-        if a_d_norm < FREE_FALL_ACCEL:
-            rotation = held if held is not None else flat.rotation
-            return rotation, 0.0, True
-        thrust = -params.mass * float(a_rotor @ a_d) / a_d_norm
+        thrust = -params.mass * float(a_rotor @ a_d) / np.linalg.norm(a_d)
     else:
         thrust = params.mass * float(z_body @ a_rotor)
     return rotation, min(thrust, 0.0), False
@@ -225,8 +220,7 @@ def saturate(limits, thrust, omega):
         np.clip(omega, -limits.omega_max, limits.omega_max))
 
 
-def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt,
-                    wind=None):
+def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     """One 250 Hz controller tick; chains the four loops and saturates.
 
     ``sample`` is the flat reference point, ``flat`` the matching
@@ -239,8 +233,7 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt,
     a_d, ctx.integrator = velocity_loop(
         gains, freeze, v_d, state.v, sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
-        params, gains, mode, a_d, flat, sample.v, held=ctx.held_attitude,
-        wind=wind)
+        params, gains, mode, a_d, flat, held=ctx.held_attitude)
     ctx.held_attitude = rotation_d
     omega_d = attitude_loop(gains, mode, rotation_d, mat_to_quat(state.R),
                             flat.omega)

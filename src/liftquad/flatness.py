@@ -33,7 +33,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .aero import GRAVITY, GRAVITY_VEC, drag_matrix
+from .aero import GRAVITY, GRAVITY_VEC
 from .geom import rodrigues
 
 # Hysteresis band for the zero-velocity branch: enter below the first
@@ -92,16 +92,18 @@ class FlatnessOutput:
     """Feedforward references produced by :func:`flatness_transform`.
 
     ``thrust`` is the collective body-z force (N, <= 0), ``omega`` the
-    body angular velocity (rad/s), ``wind_axis`` the unit airspeed
-    direction actually used (the held or fallback axis in the
-    zero-velocity branch), and ``accel_along`` / ``accel_perp`` the
-    specific-force components along and across it (``accel_perp <= 0``).
+    body angular velocity (rad/s), ``airspeed`` the ``v - wind`` it ran
+    at, ``wind_axis`` the unit airspeed direction actually used (the
+    held or fallback axis in the zero-velocity branch), and
+    ``accel_along`` / ``accel_perp`` the specific-force components along
+    and across it (``accel_perp <= 0``).
     """
 
     rotation: np.ndarray
     thrust: float
     alpha: float
     omega: np.ndarray
+    airspeed: np.ndarray
     wind_axis: np.ndarray
     accel_along: float
     accel_perp: float
@@ -173,7 +175,7 @@ def symmetry_plane_vector(params, v_air, accel):
     return qa * params.cy0 * v_air - GRAVITY_VEC + accel
 
 
-def angular_velocity_from_flat(params, sample, rotation, thrust, wind=None):
+def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
     """Body angular velocity consistent with the flat reference.
 
     Assembles and solves the 3x3 linear system obtained from the body
@@ -183,11 +185,10 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, wind=None):
     gravity component).  Raises :class:`SingularSystemError` when the
     system determinant vanishes relative to the matrix scale.
     """
-    v_air = sample.v if wind is None else sample.v - wind
     airspeed = np.linalg.norm(v_air)
     if airspeed < _TINY:
         raise SingularSystemError("zero airspeed")
-    d = drag_matrix(params)
+    (cdx, _, cdxz), (_, cy0, _), (_, _, cdz) = params.drag
     qa = params.rho * params.area * airspeed / (2.0 * params.mass)
     cz = thrust / params.mass
     vb = rotation.T @ v_air
@@ -195,23 +196,24 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, wind=None):
     jb = rotation.T @ sample.j
     # d|v_a|/dt / |v_a|, from the airspeed magnitude derivative
     speed_rate = float(v_air @ sample.a) / (airspeed * airspeed)
+    a01 = cz - qa * (2.0 * cdxz * vb[0] + (cdz - cdx) * vb[2])
+    a10 = -cz + qa * (cdxz * vb[0] + (cdz - cy0) * vb[2])
+    a12 = -qa * ((cdx - cy0) * vb[0] + cdxz * vb[2])
     a_mat = np.array([
-        [qa * d.cdxz * vb[1],
-         cz - qa * (2.0 * d.cdxz * vb[0] + (d.cdz - d.cdx) * vb[2]),
-         -qa * (d.cdx - d.cy0) * vb[1]],
-        [-cz + qa * (d.cdxz * vb[0] + (d.cdz - d.cy0) * vb[2]),
-         0.0,
-         -qa * ((d.cdx - d.cy0) * vb[0] + d.cdxz * vb[2])],
+        [qa * cdxz * vb[1], a01, -qa * (cdx - cy0) * vb[1]],
+        [a10, 0.0, a12],
         [vb[2], 0.0, -vb[0]],
     ])
     rhs = np.array([
-        jb[0] + qa * speed_rate * (d.cdx * vb[0] + d.cdxz * vb[2])
-        + qa * (d.cdx * ab[0] + d.cdxz * ab[2]),
-        jb[1] + qa * speed_rate * d.cy0 * vb[1] + qa * d.cy0 * ab[1],
+        jb[0] + qa * speed_rate * (cdx * vb[0] + cdxz * vb[2])
+        + qa * (cdx * ab[0] + cdxz * ab[2]),
+        jb[1] + qa * speed_rate * cy0 * vb[1] + qa * cy0 * ab[1],
         -GRAVITY * rotation[2, 1],
     ])
     scale = np.linalg.norm(a_mat)
-    if scale < _TINY or abs(np.linalg.det(a_mat)) < DET_TOL * scale ** 3:
+    # expanded along the middle column: no pivot to divide by
+    det = a01 * (a10 * vb[0] + a12 * vb[2])
+    if scale < _TINY or abs(det) < DET_TOL * scale ** 3:
         raise SingularSystemError("body-rate system is singular")
     return np.linalg.solve(a_mat, rhs)
 
@@ -222,7 +224,7 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     Singularities are resolved by policy (see the module docstring) and
     flagged in the output.  ``ctx`` carries the hysteresis state and the
     last good airspeed direction between calls; omit it for a stateless
-    per-sample transform.
+    per-sample transform.  The estimated ``wind`` enters only here.
     """
     v_air = sample.v if wind is None else sample.v - wind
     speed = np.linalg.norm(v_air)
@@ -247,20 +249,20 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     cross_norm = np.linalg.norm(cross)
     if cross_norm < CROSS_ALIGN_TOL * max(np.linalg.norm(plane), _TINY):
         return _axis_aligned_output(
-            params, sample, axis, along, perp, thrust, alpha, plane, wind)
+            params, sample, v_air, axis, along, perp, thrust, alpha, plane)
     rotation, omega = _smooth_attitude(
-        params, sample, axis, cross / cross_norm, thrust, alpha, wind)
-    return FlatnessOutput(rotation, thrust, alpha, omega, axis,
+        params, sample, v_air, axis, cross / cross_norm, thrust, alpha)
+    return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis,
                           along, perp, SingularCase.NONE)
 
 
-def _smooth_attitude(params, sample, axis, y_body, thrust, alpha, wind):
+def _smooth_attitude(params, sample, v_air, axis, y_body, thrust, alpha):
     """Smooth-branch rotation and body rate: the body x-axis is ``axis``
     rotated about the lateral axis ``y_body`` by ``alpha - kappa``."""
     x_body = rodrigues(y_body, alpha - params.kappa) @ axis
     rotation = np.column_stack((x_body, y_body, np.cross(x_body, y_body)))
     try:
-        omega = angular_velocity_from_flat(params, sample, rotation, thrust, wind)
+        omega = angular_velocity_from_flat(params, sample, rotation, thrust, v_air)
     except SingularSystemError:
         omega = np.zeros(3)
     return rotation, omega
@@ -287,7 +289,7 @@ def _zero_velocity_output(params, sample, v_air, ctx):
     if plane_norm < _TINY:
         # free-fall reference at rest: yaw-only attitude, no thrust
         rotation = rodrigues(_EZ, sample.psi)
-        return FlatnessOutput(rotation, 0.0, params.kappa, np.zeros(3),
+        return FlatnessOutput(rotation, 0.0, params.kappa, np.zeros(3), v_air,
                               yaw_axis, 0.0, 0.0, SingularCase.ZERO_VELOCITY)
     candidates = []
     if ctx is not None and ctx.held_axis is not None:
@@ -299,23 +301,24 @@ def _zero_velocity_output(params, sample, v_air, ctx):
     rotation = np.column_stack((x_body, y_body, np.cross(x_body, y_body)))
     thrust = min(0.0, params.mass * float(rotation[:, 2] @ (sample.a - GRAVITY_VEC)))
     along, perp = wind_frame_accels(axis, sample.a)
-    return FlatnessOutput(rotation, thrust, params.kappa, np.zeros(3),
+    return FlatnessOutput(rotation, thrust, params.kappa, np.zeros(3), v_air,
                           axis, along, perp, SingularCase.ZERO_VELOCITY)
 
 
-def _axis_aligned_output(params, sample, axis, along, perp, thrust, alpha,
-                         plane, wind):
+def _axis_aligned_output(params, sample, v_air, axis, along, perp, thrust,
+                         alpha, plane):
     """Aligned-axis policy (e.g. vertical flight): lateral axis from the
-    yaw fallback, then the smooth rotation about it."""
+    yaw fallback (led by the airspeed axis, which only qualifies in free
+    fall in motion), then the smooth rotation about it."""
     plane_norm = np.linalg.norm(plane)
     plane_ref = plane if plane_norm >= _TINY else -GRAVITY_VEC
     yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
-    _, y_body = _lateral_from_candidates((yaw_axis, _EX, _EY), plane_ref)
+    _, y_body = _lateral_from_candidates((axis, yaw_axis, _EX, _EY), plane_ref)
     # the airspeed axis is only numerically parallel to the plane vector;
     # project it off y_b so the rotation columns stay orthonormal
     axis_p = axis - float(axis @ y_body) * y_body
     axis_p = axis_p / np.linalg.norm(axis_p)
     rotation, omega = _smooth_attitude(
-        params, sample, axis_p, y_body, thrust, alpha, wind)
-    return FlatnessOutput(rotation, thrust, alpha, omega, axis,
+        params, sample, v_air, axis_p, y_body, thrust, alpha)
+    return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis,
                           along, perp, SingularCase.AXIS_ALIGNED)

@@ -35,15 +35,16 @@ class EmptySeriesError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Tracking error exceeded the abort radius.
+    """Tracking error exceeded the abort radius, or the arithmetic overflowed.
 
     Carries the abort time, the reference speed at that instant and the
-    partial :class:`RunResult` up to and including the offending tick.
+    partial :class:`RunResult` up to the offending tick.
     """
 
-    def __init__(self, time, ref_speed, result):
+    def __init__(self, time, ref_speed, result,
+                 reason="tracking error exceeded abort radius"):
         super().__init__(
-            f"tracking error exceeded abort radius at t={time:.3f} s "
+            f"{reason} at t={time:.3f} s "
             f"(reference speed {ref_speed:.2f} m/s)")
         self.time = time
         self.ref_speed = ref_speed
@@ -154,20 +155,34 @@ class RunResult:
                 handle.write(",".join(cells) + "\n")
 
 
-def _ticks(cfg, n_rows):
-    """The tick skeleton every run shares: for each of the ``n_rows``
-    logged ticks, its index, time, reference sample and flatness
-    feedforward, all transforms of one run going through one context."""
+# a run's first overflow or invalid operation raises: a divergence, not a NaN
+_STRICT_FP = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+
+def _went_non_finite(exc, t, ref, result, k):
+    return DivergenceError(t, float(np.linalg.norm(ref.v)), result.head(k),
+                           f"the run went non-finite ({exc})")
+
+
+def _ticks(cfg, result):
+    """The tick skeleton every run shares: for each row of ``result``,
+    the tick's index, time, reference sample and flatness feedforward,
+    all transforms of one run going through one context."""
     dt = 1.0 / cfg.rate
     ff_params = cfg.ff_params
     transform_ctx = TransformContext()
-    for k in range(n_rows):
+    for k in range(len(result.t)):
         t = k * dt
         ref = sample_trajectory(cfg.trajectory, t)
-        yield k, t, ref, flatness_transform(ff_params, ref, transform_ctx,
-                                            wind=cfg.wind_est)
+        try:
+            flat = flatness_transform(ff_params, ref, transform_ctx,
+                                      wind=cfg.wind_est)
+        except FloatingPointError as exc:
+            raise _went_non_finite(exc, t, ref, result, k) from None
+        yield k, t, ref, flat
 
 
+@np.errstate(**_STRICT_FP)
 def run_experiment(cfg):
     """One closed-loop run; returns a RunResult or raises DivergenceError
     (with the partial result attached) when tracking breaks down.
@@ -176,8 +191,7 @@ def run_experiment(cfg):
     attitude, with tick 0's feedforward as the applied input."""
     dt = 1.0 / cfg.rate
     result = RunResult.allocate(cfg)
-    last = len(result.t) - 1
-    ticks = _ticks(cfg, len(result.t))
+    ticks = _ticks(cfg, result)
     first = next(ticks)
     _, _, ref0, flat0 = first
     state = VehicleState(ref0.p.copy(), ref0.v.copy(), flat0.rotation.copy(),
@@ -190,31 +204,34 @@ def run_experiment(cfg):
     p_history = deque([state.p.copy()], maxlen=cfg.delay_ticks + 1)
 
     for k, t, ref, flat in chain([first], ticks):
-        measured = VehicleState(p_history[0], state.v, state.R, t)
-        cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
-                              ref, flat, measured, control_ctx, dt,
-                              wind=cfg.wind_est)
+        try:
+            if k:   # the plant follows the previous tick's command to t
+                for _ in range(cfg.substeps):
+                    applied = actuator_lag(cfg.plant, cmd, applied)
+                    state = rk4_step(cfg.plant, state, applied)
+                p_history.append(state.p.copy())
+            measured = VehicleState(p_history[0], state.v, state.R, t)
+            cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
+                                  ref, flat, measured, control_ctx, dt)
+            error = float(np.linalg.norm(state.p - ref.p))
+        except FloatingPointError as exc:
+            raise _went_non_finite(exc, t, ref, result, k) from None
         result.store(k, t, ref, state, mat_to_quat(state.R),
                      mat_to_quat(control_ctx.held_attitude), cmd, flat)
-        error = float(np.linalg.norm(state.p - ref.p))
         if error > cfg.abort_radius:
             raise DivergenceError(t, float(np.linalg.norm(ref.v)),
                                   result.head(k + 1))
-        if k == last:
-            break
-        for _ in range(cfg.substeps):
-            applied = actuator_lag(cfg.plant, cmd, applied)
-            state = rk4_step(cfg.plant, state, applied)
-        p_history.append(state.p.copy())
     return result
 
 
+@np.errstate(**_STRICT_FP)
 def feedforward_trace(cfg):
     """Open-loop flatness sweep along the reference (no plant, no
     feedback): reference kinematics plus the transform's outputs, in the
-    same row format as a closed-loop run."""
+    same row format as a closed-loop run; raises DivergenceError when
+    the transform overflows."""
     result = RunResult.allocate(cfg)
-    for k, t, ref, flat in _ticks(cfg, len(result.t)):
+    for k, t, ref, flat in _ticks(cfg, result):
         # the reference is the state: measured and desired attitude agree
         quat = mat_to_quat(flat.rotation)
         cmd = ControlInput(flat.thrust, flat.omega)

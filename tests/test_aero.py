@@ -1,13 +1,14 @@
 """Wing force model: frame forms, drag matrix, earth-frame acceleration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from liftquad.aero import (AeroParams, aero_accel, aero_force_wind,
-                           aero_force_wing, body_to_wing_rotation, drag_matrix,
+                           aero_force_wing, body_to_wing_rotation,
                            wing_to_wind_rotation)
 from liftquad.geom import rodrigues
 
@@ -125,29 +126,29 @@ def test_frame_equivalence_zero_sideslip():
 
 def test_drag_matrix_tail_sitter_angle():
     params = AeroParams(kappa=0.5 * math.pi)
-    d = drag_matrix(params)
-    assert d.cdx == pytest.approx(params.cd0 + params.cla)
-    assert d.cdz == pytest.approx(params.cd0, abs=1e-15)
-    assert d.cdxz == pytest.approx(0.0, abs=1e-15)
+    d = params.drag
+    assert d[0, 0] == pytest.approx(params.cd0 + params.cla)
+    assert d[2, 2] == pytest.approx(params.cd0, abs=1e-15)
+    assert d[0, 2] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_drag_matrix_no_lift_is_isotropic_in_plane():
-    d = drag_matrix(AeroParams(cla=0.0))
-    assert d.cdx == pytest.approx(0.05)
-    assert d.cdz == pytest.approx(0.05)
-    assert d.cdxz == pytest.approx(0.0, abs=1e-16)
+    d = AeroParams(cla=0.0).drag
+    assert d[0, 0] == pytest.approx(0.05)
+    assert d[2, 2] == pytest.approx(0.05)
+    assert d[0, 2] == pytest.approx(0.0, abs=1e-16)
 
 
 def test_drag_matrix_hand_values_and_congruence():
     params = AeroParams(cy0=0.2)
     kappa = params.kappa
-    d = drag_matrix(params)
+    mat = params.drag
     # oracle: direct evaluation of the coefficient formulas
     sk, ck = math.sin(kappa), math.cos(kappa)
-    assert d.cdx == pytest.approx(0.05 * ck * ck + 2.05 * sk * sk)
-    assert d.cdz == pytest.approx(0.05 * sk * sk + 2.05 * ck * ck)
-    assert d.cdxz == pytest.approx(2.0 * sk * ck)
-    mat = d.as_matrix()
+    assert mat[0, 0] == pytest.approx(0.05 * ck * ck + 2.05 * sk * sk)
+    assert mat[2, 2] == pytest.approx(0.05 * sk * sk + 2.05 * ck * ck)
+    assert mat[0, 2] == pytest.approx(2.0 * sk * ck)
+    assert mat[1, 1] == params.cy0
     assert_allclose(mat, mat.T)
     # oracle: congruence with the wing-frame diagonal
     r_bl = body_to_wing_rotation(kappa)
@@ -158,8 +159,36 @@ def test_drag_matrix_hand_values_and_congruence():
 def test_drag_matrix_positive_semidefinite():
     for params in (AeroParams(), AeroParams(cy0=0.4),
                    AeroParams(kappa=math.radians(80.0), cla=3.0)):
-        eigvals = np.linalg.eigvalsh(drag_matrix(params).as_matrix())
+        eigvals = np.linalg.eigvalsh(params.drag)
         assert np.all(eigvals >= -1e-14)
+
+
+def _drag_formulas(params):
+    c, s = math.cos(params.kappa), math.sin(params.kappa)
+    cdxz = params.cla * s * c
+    return np.array([
+        [params.cd0 * c * c + (params.cla + params.cd0) * s * s, 0.0, cdxz],
+        [0.0, params.cy0, 0.0],
+        [cdxz, 0.0, params.cd0 * s * s + (params.cla + params.cd0) * c * c]])
+
+
+def test_drag_field_is_derived_and_read_only():
+    params = AeroParams(kappa=math.radians(52.0), cd0=0.07, cy0=0.3, cla=2.6)
+    # bit for bit, not approximately: the controller and the plant read it
+    assert np.array_equal(params.drag, _drag_formulas(params))
+    heavier = replace(params, cla=4.0)
+    assert np.array_equal(heavier.drag, _drag_formulas(heavier))
+    assert not np.array_equal(heavier.drag, params.drag)
+    assert np.array_equal(params.zeroed().drag, np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        params.drag[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        replace(params, drag=np.eye(3))
+    with pytest.raises(TypeError):
+        AeroParams(drag=np.eye(3))
+    # derived, so neither compared nor shown
+    assert params == replace(params)
+    assert "drag" not in repr(params)
 
 
 def test_accel_zero_airspeed():

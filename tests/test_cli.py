@@ -1,5 +1,8 @@
 """Command-line front end: outputs, overrides, exit codes."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,50 @@ def test_near_zero_actuator_lag_exits_ok(tmp_path, capsys):
         "plant.tau_omega = 0.0001", "plant.tau_thrust = 0.0001", ""]))
     assert main(["sim", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
     assert "E_p = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, override", [
+    ("sim", "plant.cd0 = 1e300"), ("sim", "model.cd0 = 1e300"),
+    ("sim", "plant.mass = 1e-300"), ("flat", "model.wind.x = 1e200"),
+    ("flat", "model.cd0 = 1e300")])
+def test_non_finite_run_exits_as_divergence(tmp_path, capsys, command,
+                                            override):
+    # a run whose arithmetic overflows is a divergence: exit 3, a partial
+    # trace of the finite rows and one line of reason, no warnings
+    cfg = write_cfg(tmp_path, override + "\n")
+    code = main([command, "--config", cfg, "--duration", "1",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_DIVERGED
+    path = tmp_path / f"{command}.csv"
+    partial, reason = capsys.readouterr().err.splitlines()
+    assert partial == f"wrote partial trace to {path}"
+    assert re.fullmatch(r"error: the run went non-finite \(\w[\w ]* encountered"
+                        r" in [\w ]+\) at t=\d+\.\d{3} s \(reference speed"
+                        r" \d+\.\d\d m/s\)", reason)
+    lines = path.read_text().splitlines()
+    assert lines[0] == CSV_COLUMNS
+    assert len(lines) < 252
+    for line in lines[1:]:
+        assert all(math.isfinite(float(x)) for x in line.split(","))
+
+
+def test_check_reports_overflow_as_divergence(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "model.wind.x = 1e200\n")
+    code = main(["check", "--config", cfg, "--duration", "1"])
+    assert code == EXIT_DIVERGED
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: the run went non-finite (overflow")
+
+
+def test_tick_count_is_bounded(tmp_path, capsys):
+    # 6e12 rows would be refused by the allocator; the config refuses first
+    cfg = write_cfg(tmp_path, "sim.rate = 100000000000\n")
+    code = main(["sim", "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "at most 10000000 rows" in err
+    assert not (tmp_path / "sim.csv").exists()
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

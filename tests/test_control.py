@@ -105,7 +105,7 @@ def test_hover_demand_gives_level_attitude_and_weight():
     sample = FlatSample(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
     flat = flatness_transform(PARAMS, sample)
     rotation, thrust, free_fall = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(), np.zeros(3), flat, np.zeros(3))
+        PARAMS, ControlGains(), ControlMode(), np.zeros(3), flat)
     assert not free_fall
     assert_allclose(rotation, np.eye(3), atol=1e-15)
     assert thrust == pytest.approx(-PARAMS.mass * GRAVITY)
@@ -116,8 +116,14 @@ def test_free_fall_demand_holds_attitude():
     flat = flatness_transform(PARAMS, sample)
     held = rodrigues(EZ, 0.3)
     rotation, thrust, free_fall = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(), GRAVITY_VEC, flat, np.zeros(3),
-        held=held)
+        PARAMS, ControlGains(), ControlMode(), GRAVITY_VEC, flat, held=held)
+    assert free_fall
+    assert thrust == 0.0
+    assert rotation is held
+    # the printed projection divides by the demand: a zero one holds too
+    rotation, thrust, free_fall = accel_to_attitude_thrust(
+        PARAMS, ControlGains(), ControlMode(printed_accel_projection=True),
+        np.zeros(3), flat, held=held)
     assert free_fall
     assert thrust == 0.0
     assert rotation is held
@@ -128,10 +134,9 @@ def test_aero_feedforward_shifts_demand():
     gains = ControlGains()
     a_d = np.array([0.5, 0.0, -0.2])
     with_ff, thrust_ff, _ = accel_to_attitude_thrust(
-        PARAMS, gains, ControlMode(), a_d, flat, sample.v)
+        PARAMS, gains, ControlMode(), a_d, flat)
     without, thrust_raw, _ = accel_to_attitude_thrust(
-        PARAMS, gains, ControlMode(use_aero_feedforward=False), a_d, flat,
-        sample.v)
+        PARAMS, gains, ControlMode(use_aero_feedforward=False), a_d, flat)
     assert np.linalg.norm(with_ff - without) > 1e-3
     assert thrust_ff != pytest.approx(thrust_raw)
     # oracle: rebuild the compensated demand directly
@@ -146,7 +151,7 @@ def test_aero_feedforward_shifts_demand():
 def test_lateral_axis_prefers_airspeed_direction():
     sample, flat = cruise_reference()
     rotation, _, _ = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(), sample.a, flat, sample.v)
+        PARAMS, ControlGains(), ControlMode(), sample.a, flat)
     assert abs(float(rotation[:, 1] @ flat.wind_axis)) < 1e-12
 
 
@@ -154,10 +159,10 @@ def test_printed_projection_differs_but_stays_nonpositive():
     sample, flat = cruise_reference()
     a_d = np.array([1.0, 0.5, -0.5])
     _, thrust_std, _ = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(), a_d, flat, sample.v)
+        PARAMS, ControlGains(), ControlMode(), a_d, flat)
     _, thrust_alt, _ = accel_to_attitude_thrust(
         PARAMS, ControlGains(), ControlMode(printed_accel_projection=True),
-        a_d, flat, sample.v)
+        a_d, flat)
     assert thrust_alt <= 0.0
     assert thrust_alt != pytest.approx(thrust_std)
 
@@ -251,7 +256,7 @@ def test_controller_step_matches_manual_stage_replay():
     a_d, integ = velocity_loop(gains, mode, v_d, state.v, sample.a,
                                np.zeros(3), dt)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
-        PARAMS, gains, mode, a_d, flat, sample.v)
+        PARAMS, gains, mode, a_d, flat)
     omega_d = attitude_loop(gains, mode, rotation_d, mat_to_quat(state.R),
                             flat.omega)
     expected = saturate(limits, thrust_d, omega_d)
@@ -300,7 +305,7 @@ def test_saturated_step_keeps_other_mode_flags():
     a_d, _ = velocity_loop(gains, ControlMode(use_integrator=False), v_d,
                            state.v, sample.a, ctx_ref.integrator, 0.004)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
-        PARAMS, gains, mode, a_d, flat, sample.v)
+        PARAMS, gains, mode, a_d, flat)
     omega_d = attitude_loop(gains, mode, rotation_d, mat_to_quat(state.R),
                             flat.omega)
     expected = saturate(tight, thrust_d, omega_d)

@@ -213,7 +213,7 @@ def test_rate_system_residual_and_turn_constraint():
             continue
         try:
             omega = angular_velocity_from_flat(PARAMS, sample, out.rotation,
-                                               out.thrust)
+                                               out.thrust, sample.v)
         except SingularSystemError:
             continue
         v_body = out.rotation.T @ sample.v
@@ -249,7 +249,37 @@ def test_rate_matches_finite_difference_of_attitude():
 def test_rate_system_rejects_zero_airspeed():
     sample = make_sample([0.0] * 3, [0.0] * 3)
     with pytest.raises(SingularSystemError):
-        angular_velocity_from_flat(PARAMS, sample, np.eye(3), -14.0)
+        angular_velocity_from_flat(PARAMS, sample, np.eye(3), -14.0,
+                                   sample.v)
+
+
+def test_rate_system_with_subnormal_coefficients_stays_quiet():
+    # a subnormal lift slope puts subnormal entries in the body-rate
+    # system; deciding that it is singular must not divide by them
+    params = AeroParams(mass=1.0, kappa=1.0, cd0=0.0, cla=2.2e-309)
+    out = flatness_transform(params, make_sample([0.0] * 3, GRAVITY_VEC),
+                             wind=np.array([0.0, 0.0, 1.0]))
+    assert out.singular is SingularCase.AXIS_ALIGNED
+    assert_allclose(out.omega, np.zeros(3))
+
+
+def test_free_fall_reference_in_motion_keeps_airspeed_in_symmetry_plane():
+    # no force demanded and no aerodynamics: the plane vector vanishes and
+    # the yaw fallback (here across the airspeed) must not become the
+    # lateral axis, or the attitude degenerates to NaN
+    params = PARAMS.zeroed()
+    for v, psi in (([0.0, 1.0, 0.0], 0.0), ([3.0, 0.0, 0.0], 0.5 * math.pi),
+                   ([1.0, 2.0, -0.5], 0.3)):
+        out = flatness_transform(params, make_sample(v, GRAVITY_VEC, psi=psi))
+        assert out.singular is SingularCase.AXIS_ALIGNED
+        rotation = out.rotation
+        assert np.all(np.isfinite(rotation))
+        assert_allclose(rotation.T @ rotation, np.eye(3), atol=1e-12)
+        assert abs(float(rotation[:, 1] @ out.wind_axis)) < 1e-12
+        assert abs(rotation[2, 1]) < 1e-12     # wings level
+    # vertical free fall keeps the yaw fallback
+    out = flatness_transform(params, make_sample([0.0, 0.0, 2.0], GRAVITY_VEC))
+    assert_allclose(out.rotation[:, 1], [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_hover_output():

@@ -8,8 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from liftquad.aero import GRAVITY
-from liftquad.config import (CONDITIONS, ConfigError, ExperimentConfig,
-                             build_config, load_config, parse_config_text)
+from liftquad.config import (CONDITIONS, MAX_ROWS, ConfigError,
+                             ExperimentConfig, build_config, load_config,
+                             parse_config_text)
 from liftquad.flatness import SingularCase
 from liftquad.geom import quat_to_mat
 from liftquad.harness import (CSV_COLUMNS, DivergenceError, EmptySeriesError,
@@ -239,6 +240,19 @@ def test_zero_feedback_run_diverges():
     assert "abort radius" in str(err)
 
 
+def test_arithmetic_overflow_is_a_divergence():
+    # the first overflow ends the run with the finite rows before it, in
+    # the closed loop (plant or controller) and in the open loop alike
+    settings = np.geterr()
+    for run, key, rows in ((run_experiment, "plant.cd0", 1),
+                           (run_experiment, "model.cd0", 1),
+                           (feedforward_trace, "model.wind.x", 0)):
+        with pytest.raises(DivergenceError, match="went non-finite") as info:
+            run(short_circle(**{"sim.duration": 1, key: "1e300"}))
+        assert len(info.value.result.t) == rows
+        assert np.geterr() == settings
+
+
 def test_zero_aero_model_makes_ff_conditions_identical(tmp_path):
     base = ("sim.duration = 2\n"
             "plant.cd0 = 0\nplant.cy0 = 0\nplant.cla = 0\n"
@@ -331,3 +345,13 @@ def test_experiment_config_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="finite"):
                 ExperimentConfig(**{field: value})
+
+
+def test_experiment_config_bounds_the_row_count():
+    # checked before anything is allocated: N ticks log N+1 rows
+    at_limit = ExperimentConfig(duration=(MAX_ROWS - 1) / 250)
+    assert round(at_limit.rate * at_limit.duration) + 1 == MAX_ROWS
+    for overrides in ({"duration": MAX_ROWS / 250}, {"rate": 10**11},
+                      {"rate": 10**400}, {"duration": 1e300}):
+        with pytest.raises(ConfigError, match=f"at most {MAX_ROWS} rows"):
+            ExperimentConfig(**overrides)

@@ -1,0 +1,86 @@
+"""Property tests over the documented parameter ranges: the flatness
+transform is total and the controller's commands stay within limits."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from liftquad.aero import GRAVITY, GRAVITY_VEC, KAPPA_MAX, KAPPA_MIN, AeroParams
+from liftquad.control import (ControlGains, ControlLimits, ControlMode,
+                              ControllerContext, controller_step)
+from liftquad.dynamics import VehicleState
+from liftquad.flatness import FlatSample, TransformContext, flatness_transform
+from liftquad.geom import quat_to_mat
+
+
+def vectors(bound, size=3):
+    return st.lists(st.floats(-bound, bound), min_size=size,
+                    max_size=size).map(np.array)
+
+
+def units(size):
+    return vectors(1.0, size).filter(
+        lambda x: np.linalg.norm(x) > 0.1).map(lambda x: x / np.linalg.norm(x))
+
+
+airframes = st.builds(
+    AeroParams, mass=st.floats(0.1, 50.0),
+    kappa=st.floats(KAPPA_MIN, KAPPA_MAX, exclude_min=True),
+    cd0=st.floats(0.0, 1.0), cy0=st.floats(0.0, 1.0), cla=st.floats(0.0, 10.0))
+# speeds up to 50 m/s: at rest, vertical, around the hover band, anywhere
+velocities = st.one_of(
+    st.just(np.zeros(3)),
+    st.floats(-50.0, 50.0).map(lambda w: np.array([0.0, 0.0, w])),
+    vectors(0.6), vectors(50.0 / math.sqrt(3.0)))
+# a = g is the thrust-free rest
+accelerations = st.one_of(st.just(GRAVITY_VEC), vectors(30.0))
+samples = st.builds(FlatSample, p=vectors(100.0), v=velocities,
+                    a=accelerations, j=vectors(100.0),
+                    psi=st.floats(-math.pi, math.pi))
+winds = st.none() | vectors(10.0)
+contexts = st.one_of(
+    st.none(), st.builds(TransformContext),
+    st.builds(TransformContext, held_axis=units(3), in_singular=st.booleans()))
+
+
+def all_finite(*values):
+    return all(np.all(np.isfinite(value)) for value in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=airframes, sample=samples, ctx=contexts, wind=winds)
+def test_flatness_transform_is_total(params, sample, ctx, wind):
+    out = flatness_transform(params, sample, ctx, wind=wind)
+    assert all_finite(out.rotation, out.thrust, out.alpha, out.omega,
+                      out.wind_axis, out.accel_along, out.accel_perp,
+                      out.airspeed)
+    rotation = out.rotation
+    assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-10
+    assert np.linalg.det(rotation) > 0.0
+    assert out.thrust <= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=airframes, sample=samples, wind=winds,
+       offset=vectors(50.0), v=vectors(50.0), attitude=units(4),
+       held=st.none() | units(4), integrator=vectors(3.0),
+       saturated=st.booleans(), switches=st.lists(st.booleans(), min_size=4,
+                                                  max_size=4))
+def test_controller_commands_stay_within_limits(
+        params, sample, wind, offset, v, attitude, held, integrator,
+        saturated, switches):
+    mode = ControlMode(*switches)
+    ff_params = params if mode.use_aero_feedforward else params.zeroed()
+    flat = flatness_transform(ff_params, sample, wind=wind)
+    limits = ControlLimits(thrust_min=-4.0 * params.mass * GRAVITY)
+    ctx = ControllerContext(
+        integrator=integrator,
+        held_attitude=None if held is None else quat_to_mat(held),
+        thrust_saturated=saturated)
+    state = VehicleState(sample.p + offset, v, quat_to_mat(attitude))
+    cmd = controller_step(params, ControlGains(), mode, limits, sample, flat,
+                          state, ctx, 0.004)
+    assert all_finite(cmd.thrust, cmd.omega)
+    assert limits.thrust_min <= cmd.thrust <= 0.0
+    assert np.all(np.abs(cmd.omega) <= limits.omega_max)
