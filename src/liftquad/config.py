@@ -40,6 +40,9 @@ _KINDS = {k.value: k for k in TrajectoryKind}
 
 # Most rows a run may log; 10**7 rows of a RunResult are about 2.2 GB.
 MAX_ROWS = 10**7
+# Most plant substeps a run may integrate; at about 0.1 ms each, 10**8
+# substeps take about three hours.
+MAX_PLANT_STEPS = 10**8
 
 # key -> (type tag, default); None defaults are resolved downstream
 # (per-kind trajectory values).
@@ -123,10 +126,18 @@ class ExperimentConfig:
         if self.duration > (MAX_ROWS - 1) / self.rate:  # a huge int rate: no overflow
             raise ConfigError(f"sim.rate * sim.duration must log at most "
                               f"{MAX_ROWS} rows")
+        if self.n_rows * self.substeps > MAX_PLANT_STEPS:  # ints: no overflow
+            raise ConfigError(f"sim.substeps * rows ({self.n_rows}) must be "
+                              f"at most {MAX_PLANT_STEPS} plant steps")
         # the plant substep follows from the tick rate, so a config
         # derived with replace() never integrates a stale step
         object.__setattr__(self, "plant", replace(
             self.plant, step=1.0 / (self.rate * self.substeps)))
+
+    @property
+    def n_rows(self):
+        """Rows a run logs: N ticks log N+1, the first and last included."""
+        return round(self.rate * self.duration) + 1
 
     @property
     def ff_params(self):

@@ -68,16 +68,17 @@ def wrap_pi(angle):
     return a
 
 
-def rodrigues(axis, angle, tol=UNIT_TOL):
+def rodrigues(axis, angle):
     """Matrix of the right-handed rotation by ``angle`` about unit ``axis``.
 
     Raises :class:`NonUnitAxisError` if ``axis`` deviates from unit length
-    by more than ``tol``.
+    by more than ``UNIT_TOL``.
     """
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
-    if abs(n - 1.0) > tol:
-        raise NonUnitAxisError(f"axis norm {n:.9g} is not 1 within {tol:g}")
+    if abs(n - 1.0) > UNIT_TOL:
+        raise NonUnitAxisError(
+            f"axis norm {n:.9g} is not 1 within {UNIT_TOL:g}")
     c = math.cos(angle)
     s = math.sin(angle)
     return c * np.eye(3) + (1.0 - c) * np.outer(axis, axis) + s * skew(axis)
@@ -110,18 +111,18 @@ def quat_to_mat(q):
     ])
 
 
-def mat_to_quat(rotation, tol=UNIT_TOL):
+def mat_to_quat(rotation):
     """Quaternion of a rotation matrix, canonical sign (w >= 0).
 
     Raises :class:`NonOrthonormalError` when ``rotation`` is not orthonormal
-    within ``tol`` (Frobenius residual of R^T R - I) or has negative
+    within ``UNIT_TOL`` (Frobenius residual of R^T R - I) or has negative
     determinant.
     """
     r = np.asarray(rotation, dtype=float)
     residual = np.linalg.norm(r.T @ r - np.eye(3))
-    if residual > tol or np.linalg.det(r) <= 0.0:
-        raise NonOrthonormalError(
-            f"orthonormality residual {residual:.3g} exceeds {tol:g} or det <= 0")
+    if residual > UNIT_TOL or np.linalg.det(r) <= 0.0:
+        raise NonOrthonormalError(f"orthonormality residual {residual:.3g} "
+                                  f"exceeds {UNIT_TOL:g} or det <= 0")
     # Shepperd's method: branch on the largest diagonal combination to keep
     # the divisor well away from zero.
     t = np.trace(r)

@@ -15,7 +15,7 @@ rate-feedforward ablation, and reports tracking RMSE per cell.
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -28,6 +28,13 @@ from .trajectories import sample as sample_trajectory
 
 CSV_COLUMNS = ("t,px,py,pz,prx,pry,prz,vx,vy,vz,qw,qx,qy,qz,"
                "qdw,qdx,qdy,qdz,fz,wx,wy,wz,alpha,singular")
+# RunResult.table's columns by name: the trace's, in CSV_COLUMNS order,
+# then the reference velocity, which the trace does not write
+COLUMNS = {"t": 0, "p": slice(1, 4), "p_ref": slice(4, 7), "v": slice(7, 10),
+           "q": slice(10, 14), "q_d": slice(14, 18), "thrust": 18,
+           "omega": slice(19, 22), "alpha": 22, "singular": 23,
+           "v_ref": slice(24, 27)}
+_CSV_WIDTH = CSV_COLUMNS.count(",") + 1
 
 
 class EmptySeriesError(ValueError):
@@ -64,24 +71,21 @@ def rmse(p_ref, p):
 class RunResult:
     """Logged time series of one run plus scalar summaries.
 
-    Arrays are row-per-tick; ``q`` is the measured attitude, ``q_d`` the
+    ``table`` holds one row per tick, its columns named in ``COLUMNS``;
+    each name reads as a view of its columns (``result.p`` is the
+    measured position).  ``q`` is the measured attitude, ``q_d`` the
     controller's desired attitude, ``thrust``/``omega`` the saturated
     command, ``alpha`` and ``singular`` the flatness reference angle of
     attack and singular-case flag.
     """
 
-    t: np.ndarray
-    p_ref: np.ndarray
-    p: np.ndarray
-    v_ref: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-    q_d: np.ndarray
-    thrust: np.ndarray
-    omega: np.ndarray
-    alpha: np.ndarray
-    singular: np.ndarray
+    table: np.ndarray
     seed: int = 0
+
+    def __getattr__(self, name):
+        if name not in COLUMNS:
+            raise AttributeError(name)
+        return self.table[:, COLUMNS[name]]
 
     @property
     def rmse(self):
@@ -108,51 +112,32 @@ class RunResult:
 
     @classmethod
     def allocate(cls, cfg):
-        """Zeroed rows for a run of ``cfg``: N ticks log N+1 rows."""
-        n_rows = round(cfg.rate * cfg.duration) + 1
-        return cls(
-            np.zeros(n_rows), np.zeros((n_rows, 3)), np.zeros((n_rows, 3)),
-            np.zeros((n_rows, 3)), np.zeros((n_rows, 3)),
-            np.zeros((n_rows, 4)), np.zeros((n_rows, 4)), np.zeros(n_rows),
-            np.zeros((n_rows, 3)), np.zeros(n_rows),
-            np.zeros(n_rows, dtype=int), cfg.seed)
+        """Zeroed rows for a run of ``cfg``."""
+        return cls(np.zeros((cfg.n_rows, COLUMNS["v_ref"].stop)), cfg.seed)
 
     def store(self, k, t, ref, state, q, q_d, cmd, flat):
         """Fill row ``k`` from the tick's reference, the position and
         velocity of ``state``, the measured and desired attitude
         quaternions, the command and the feedforward."""
-        self.t[k] = t
-        self.p_ref[k] = ref.p
-        self.p[k] = state.p
-        self.v_ref[k] = ref.v
-        self.v[k] = state.v
-        self.q[k] = q
-        self.q_d[k] = q_d
-        self.thrust[k] = cmd.thrust
-        self.omega[k] = cmd.omega
-        self.alpha[k] = flat.alpha
-        self.singular[k] = int(flat.singular)
+        row = self.table[k]
+        for name, value in (("t", t), ("p", state.p), ("p_ref", ref.p),
+                            ("v", state.v), ("v_ref", ref.v), ("q", q),
+                            ("q_d", q_d), ("thrust", cmd.thrust),
+                            ("omega", cmd.omega), ("alpha", flat.alpha),
+                            ("singular", flat.singular)):
+            row[COLUMNS[name]] = value
 
     def head(self, n_rows):
         """The first ``n_rows`` rows, e.g. a diverged run's partial trace."""
-        return replace(self, **{f.name: getattr(self, f.name)[:n_rows]
-                                for f in fields(self) if f.name != "seed"})
-
-    def rows(self):
-        for k in range(len(self.t)):
-            yield np.concatenate((
-                [self.t[k]], self.p[k], self.p_ref[k], self.v[k],
-                self.q[k], self.q_d[k], [self.thrust[k]], self.omega[k],
-                [self.alpha[k]])), int(self.singular[k])
+        return replace(self, table=self.table[:n_rows])
 
     def write_csv(self, path):
         """Trace as CSV with 17-significant-digit floats; byte-stable."""
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(CSV_COLUMNS + "\n")
-            for floats, flag in self.rows():
-                cells = [f"{x:.17g}" for x in floats]
-                cells.append(str(flag))
-                handle.write(",".join(cells) + "\n")
+            for row in self.table[:, :_CSV_WIDTH]:
+                handle.write(",".join(f"{x:.17g}" for x in row.tolist())
+                             + "\n")
 
 
 # a run's first overflow or invalid operation raises: a divergence, not a NaN
@@ -171,7 +156,7 @@ def _ticks(cfg, result):
     dt = 1.0 / cfg.rate
     ff_params = cfg.ff_params
     transform_ctx = TransformContext()
-    for k in range(len(result.t)):
+    for k in range(cfg.n_rows):
         t = k * dt
         ref = sample_trajectory(cfg.trajectory, t)
         try:

@@ -30,6 +30,14 @@ class TrajectoryKind(Enum):
 _DEFAULT_RADIUS = {TrajectoryKind.CIRCLE: 15.0, TrajectoryKind.LEMNISCATE: 20.0}
 _DEFAULT_OMEGA = {TrajectoryKind.CIRCLE: 0.06, TrajectoryKind.LEMNISCATE: 0.33}
 
+# Range rules: within them every sample a run can reach (t up to 10**7 s,
+# its most rows at 1 Hz) has components below 1e25, so numpy squares
+# them without overflow.
+MAX_OFFSET = 1e7      # |p0| per axis (m)
+MAX_RADIUS = 1e6      # m
+MAX_OMEGA = 1e3       # rad/s
+MAX_SPEED = 1e4       # |speed_cap| (m/s)
+
 
 @dataclass(frozen=True)
 class TrajectoryDef:
@@ -60,8 +68,15 @@ class TrajectoryDef:
                                    TrajectoryKind.LEMNISCATE)
             object.__setattr__(self, "psi_fallback",
                                0.5 * math.pi if planar else 0.0)
-        if self.r < 0.0 or self.omega < 0.0:
-            raise ValueError("r and omega must be >= 0")
+        for key, value, low, high in (
+                *((f"p0.{axis}", x, -MAX_OFFSET, MAX_OFFSET)
+                  for axis, x in zip("xyz", p0)),
+                ("radius", self.r, 0.0, MAX_RADIUS),
+                ("omega", self.omega, 0.0, MAX_OMEGA),
+                ("speed_cap", self.speed_cap, -MAX_SPEED, MAX_SPEED)):
+            if not low <= value <= high:
+                raise ValueError(
+                    f"trajectory.{key} must be in [{low:g}, {high:g}]")
         if self.kind is TrajectoryKind.CIRCLE and self.speed_cap <= 0.0:
             raise ValueError("speed_cap must be > 0 for the circle")
 

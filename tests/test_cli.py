@@ -117,6 +117,27 @@ def test_tick_count_is_bounded(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("sim", "sim.substeps = 1" + "0" * 400, "sim.substeps"),
+    ("flat", "trajectory.kind = lemniscate\ntrajectory.omega = 1e200",
+     "trajectory.omega"),
+    ("flat", "trajectory.kind = lemniscate\ntrajectory.radius = 1e300",
+     "trajectory.radius"),
+    ("flat", "trajectory.kind = line\ntrajectory.p0.x = 1.7e308\n"
+             "trajectory.speed_cap = 1e308", "trajectory.p0.x"),
+    ("flat", "trajectory.kind = line\ntrajectory.speed_cap = 1e308",
+     "trajectory.speed_cap")])
+def test_out_of_range_key_is_a_config_error(tmp_path, capsys, command, text,
+                                            key):
+    # refused before the run starts: one line naming the key, no trace
+    cfg = write_cfg(tmp_path, text + "\n")
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {key} ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bogus.key = 1\n")
     code = main(["sim", "--config", cfg, "--out", str(tmp_path)])

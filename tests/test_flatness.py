@@ -411,3 +411,38 @@ def test_feedforward_consistency_along_figure_eight():
         accel = out.rotation @ np.array([0.0, 0.0, out.thrust]) / PARAMS.mass \
             + aero_accel(PARAMS, out.rotation, ref.v) + GRAVITY_VEC
         assert np.linalg.norm(accel - ref.a) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["circle", "lemniscate"])
+@pytest.mark.parametrize("kappa_deg", [16.0, 34.0, 60.0, 90.0])
+def test_feedforward_replay_holds_at_every_installation_angle(kind, kappa_deg):
+    # one control law for any wing angle: the plant, flying the
+    # transform's own commands at substep midpoints over [2, 4] s (the
+    # replay of acceptance criterion 1), stays on the reference
+    from liftquad.control import ControlInput
+    from liftquad.dynamics import PlantConfig, VehicleState, rk4_step
+    from liftquad.trajectories import TrajectoryDef, TrajectoryKind, sample
+    params = AeroParams(kappa=math.radians(kappa_deg))
+    plant = PlantConfig(aero=params)
+    traj = TrajectoryDef(kind=TrajectoryKind(kind))
+    ctx = TransformContext()
+    dt, h = 1.0 / 250.0, plant.step
+
+    def transform(t):
+        out = flatness_transform(params, sample(traj, t), ctx)
+        assert out.singular is SingularCase.NONE
+        return out
+
+    ref0 = sample(traj, 2.0)
+    state = VehicleState(ref0.p.copy(), ref0.v.copy(),
+                         transform(2.0).rotation.copy(), 2.0)
+    worst = 0.0
+    for k in range(501):
+        t = 2.0 + k * dt
+        worst = max(worst, float(np.linalg.norm(state.p - sample(traj, t).p)))
+        if k < 500:
+            for sub in range(4):
+                flat = transform(t + (sub + 0.5) * h)
+                state = rk4_step(plant, state,
+                                 ControlInput(flat.thrust, flat.omega))
+    assert worst <= 1e-6

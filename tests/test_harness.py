@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from liftquad.aero import GRAVITY
-from liftquad.config import (CONDITIONS, MAX_ROWS, ConfigError,
-                             ExperimentConfig, build_config, load_config,
-                             parse_config_text)
+from liftquad.config import (CONDITIONS, MAX_PLANT_STEPS, MAX_ROWS,
+                             ConfigError, ExperimentConfig, build_config,
+                             load_config, parse_config_text)
 from liftquad.flatness import SingularCase
 from liftquad.geom import quat_to_mat
 from liftquad.harness import (CSV_COLUMNS, DivergenceError, EmptySeriesError,
@@ -296,8 +296,16 @@ def test_csv_layout_and_round_trip(tmp_path):
     assert_allclose(data[:, 0], result.t, rtol=0, atol=0)
     assert_allclose(data[:, 1:4], result.p, rtol=0, atol=0)
     assert_allclose(data[:, 4:7], result.p_ref, rtol=0, atol=0)
+    assert_allclose(data[:, 7:10], result.v, rtol=0, atol=0)
+    assert_allclose(data[:, 10:14], result.q, rtol=0, atol=0)
+    assert_allclose(data[:, 14:18], result.q_d, rtol=0, atol=0)
     assert_allclose(data[:, 18], result.thrust, rtol=0, atol=0)
+    assert_allclose(data[:, 19:22], result.omega, rtol=0, atol=0)
+    assert_allclose(data[:, 22], result.alpha, rtol=0, atol=0)
     assert np.array_equal(data[:, 23].astype(int), result.singular)
+    # the table is the trace plus the reference velocity, views included
+    assert np.array_equal(result.table[:, :24], data)
+    assert result.v_ref.base is result.table
 
 
 def test_feedforward_trace_hover():
@@ -350,8 +358,20 @@ def test_experiment_config_validation():
 def test_experiment_config_bounds_the_row_count():
     # checked before anything is allocated: N ticks log N+1 rows
     at_limit = ExperimentConfig(duration=(MAX_ROWS - 1) / 250)
-    assert round(at_limit.rate * at_limit.duration) + 1 == MAX_ROWS
+    assert at_limit.n_rows == MAX_ROWS
     for overrides in ({"duration": MAX_ROWS / 250}, {"rate": 10**11},
                       {"rate": 10**400}, {"duration": 1e300}):
         with pytest.raises(ConfigError, match=f"at most {MAX_ROWS} rows"):
+            ExperimentConfig(**overrides)
+
+
+def test_experiment_config_bounds_the_plant_steps():
+    # rows times substeps, in integers: 100 rows at the limit, then over it
+    at_limit = ExperimentConfig(rate=1, duration=99,
+                                substeps=MAX_PLANT_STEPS // 100)
+    assert at_limit.n_rows * at_limit.substeps == MAX_PLANT_STEPS
+    for overrides in ({"rate": 1, "duration": 99,
+                       "substeps": MAX_PLANT_STEPS // 100 + 1},
+                      {"substeps": 10**9}, {"substeps": 10**400}):
+        with pytest.raises(ConfigError, match=f"at most {MAX_PLANT_STEPS}"):
             ExperimentConfig(**overrides)

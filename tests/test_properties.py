@@ -1,17 +1,22 @@
-"""Property tests over the documented parameter ranges: the flatness
-transform is total and the controller's commands stay within limits."""
+"""Property tests over the documented parameter ranges: references stay
+finite, the flatness transform is total and the controller's commands
+stay within limits."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liftquad.aero import GRAVITY, GRAVITY_VEC, KAPPA_MAX, KAPPA_MIN, AeroParams
+from liftquad.config import MAX_ROWS
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
                               ControllerContext, controller_step)
 from liftquad.dynamics import VehicleState
 from liftquad.flatness import FlatSample, TransformContext, flatness_transform
 from liftquad.geom import quat_to_mat
+from liftquad.trajectories import (MAX_OFFSET, MAX_OMEGA, MAX_RADIUS,
+                                   MAX_SPEED, TrajectoryDef, TrajectoryKind,
+                                   sample as sample_trajectory)
 
 
 def vectors(bound, size=3):
@@ -84,3 +89,21 @@ def test_controller_commands_stay_within_limits(
     assert all_finite(cmd.thrust, cmd.omega)
     assert limits.thrust_min <= cmd.thrust <= 0.0
     assert np.all(np.abs(cmd.omega) <= limits.omega_max)
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(TrajectoryKind), p0=vectors(MAX_OFFSET),
+       r=st.floats(0.0, MAX_RADIUS), omega=st.floats(0.0, MAX_OMEGA),
+       speed_cap=st.floats(-MAX_SPEED, MAX_SPEED),
+       psi=st.floats(allow_nan=False, allow_infinity=False),
+       t=st.floats(0.0, MAX_ROWS - 1.0))
+def test_reference_stays_finite_over_the_accepted_keys(
+        kind, p0, r, omega, speed_cap, psi, t):
+    # any time a run can reach (its most rows at 1 Hz), under the strict
+    # error state a run uses: every sample and its norm are finite
+    assume(kind is not TrajectoryKind.CIRCLE or speed_cap > 0.0)
+    traj = TrajectoryDef(kind, p0, r, omega, speed_cap, psi)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        ref = sample_trajectory(traj, t)
+        for value in (ref.p, ref.v, ref.a, ref.j):
+            assert math.isfinite(np.linalg.norm(value))
