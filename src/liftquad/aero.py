@@ -24,6 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .geom import norm
+
 GRAVITY = 9.81
 GRAVITY_VEC = np.array([0.0, 0.0, GRAVITY])  # NED: +z is down
 
@@ -137,7 +139,7 @@ def aero_force_wing(params, rotation, airspeed_vec):
     """
     v_wing = body_to_wing_rotation(params.kappa) @ (rotation.T @ airspeed_vec)
     coeffs = np.array([params.cd0, params.cy0, params.cd0 + params.cla])
-    speed = np.linalg.norm(airspeed_vec)
+    speed = norm(airspeed_vec)
     return -0.5 * params.rho * params.area * speed * coeffs * v_wing
 
 
@@ -148,6 +150,6 @@ def aero_accel(params, rotation, airspeed_vec):
     dividing by mass, but written through the body-frame drag matrix
     ``params.drag``.
     """
-    speed = np.linalg.norm(airspeed_vec)
+    speed = norm(airspeed_vec)
     scale = params.rho * params.area * speed / (2.0 * params.mass)
     return -scale * (rotation @ (params.drag @ (rotation.T @ airspeed_vec)))

@@ -126,6 +126,9 @@ class ExperimentConfig:
         if self.duration > (MAX_ROWS - 1) / self.rate:  # a huge int rate: no overflow
             raise ConfigError(f"sim.rate * sim.duration must log at most "
                               f"{MAX_ROWS} rows")
+        if self.rate > MAX_ROWS:  # an int rate: n_rows converts it to float
+            raise ConfigError(f"sim.rate must be at most {MAX_ROWS} "
+                              f"ticks per second")
         if self.n_rows * self.substeps > MAX_PLANT_STEPS:  # ints: no overflow
             raise ConfigError(f"sim.substeps * rows ({self.n_rows}) must be "
                               f"at most {MAX_PLANT_STEPS} plant steps")

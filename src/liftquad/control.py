@@ -19,11 +19,13 @@ use one context per vehicle.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .aero import GRAVITY, GRAVITY_VEC, aero_accel
-from .geom import mat_to_quat, quat_conj, quat_mul, quat_to_axis_angle
+from .geom import (cross3, mat_to_quat, norm, quat_conj, quat_mul,
+                   quat_to_axis_angle)
 
 # Acceleration-demand norm below which the thrust direction is
 # undefined and the free-fall policy (hold attitude, zero thrust) is
@@ -120,19 +122,31 @@ class ControlInput:
     omega: np.ndarray
 
 
+class Measurement(NamedTuple):
+    """What the controller reads of the vehicle: earth-frame position
+    and velocity and the body-to-earth attitude as a unit quaternion."""
+
+    p: np.ndarray
+    v: np.ndarray
+    q: np.ndarray
+
+
 @dataclass
 class ControllerContext:
     """Mutable per-vehicle controller state.
 
     ``integrator`` is the clamped integral acceleration term (m/s^2);
     ``held_attitude`` the last desired rotation, reused in the free-fall
-    policy and exposed for logging; ``thrust_saturated`` freezes the
-    integrator for one step after the thrust command hit its floor.
+    policy; ``thrust_saturated`` freezes the integrator for one step
+    after the thrust command hit its floor; ``held_quat`` is the
+    quaternion of ``held_attitude``, converted once per step and exposed
+    for logging.
     """
 
     integrator: np.ndarray = field(default_factory=lambda: np.zeros(3))
     held_attitude: np.ndarray | None = None
     thrust_saturated: bool = False
+    held_quat: np.ndarray | None = None
 
 
 def position_loop(gains, p_ref, p, v_ref):
@@ -169,17 +183,17 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat, held=None):
     if mode.use_aero_feedforward:
         a_ff = aero_accel(params, flat.rotation, flat.airspeed)
         a_rotor = a_rotor - gains.kff * a_ff
-    norm = np.linalg.norm(a_rotor)
-    if norm < FREE_FALL_ACCEL or (mode.printed_accel_projection
-                                  and np.linalg.norm(a_d) < FREE_FALL_ACCEL):
+    rotor_norm = norm(a_rotor)
+    if rotor_norm < FREE_FALL_ACCEL or (mode.printed_accel_projection
+                                        and norm(a_d) < FREE_FALL_ACCEL):
         rotation = held if held is not None else flat.rotation
         return rotation, 0.0, True
-    z_body = -a_rotor / norm
+    z_body = -a_rotor / rotor_norm
     y_body = _lateral_axis(z_body, flat)
-    x_body = np.cross(y_body, z_body)
+    x_body = cross3(y_body, z_body)
     rotation = np.column_stack((x_body, y_body, z_body))
     if mode.printed_accel_projection:
-        thrust = -params.mass * float(a_rotor @ a_d) / np.linalg.norm(a_d)
+        thrust = -params.mass * float(a_rotor @ a_d) / norm(a_d)
     else:
         thrust = params.mass * float(z_body @ a_rotor)
     return rotation, min(thrust, 0.0), False
@@ -189,22 +203,22 @@ def _lateral_axis(z_body, flat):
     """Unit lateral axis orthogonal to the thrust axis, preferring the
     reference airspeed direction so the no-sideslip heading is kept."""
     for cand in (flat.wind_axis, flat.rotation[:, 0], _EX, _EY):
-        cross = np.cross(z_body, cand)
-        norm = np.linalg.norm(cross)
-        if norm > _CROSS_TOL:
-            return cross / norm
+        cross = cross3(z_body, cand)
+        cross_norm = norm(cross)
+        if cross_norm > _CROSS_TOL:
+            return cross / cross_norm
     raise AssertionError("no usable lateral axis candidate")
 
 
-def attitude_loop(gains, mode, rotation_d, q_current, omega_ref):
+def attitude_loop(gains, mode, q_d, q_current, omega_ref):
     """Body-rate command from the attitude error.
 
-    The error quaternion rotates the current attitude onto the desired
-    one; its axis-angle vector is scaled by ``ktp`` and the flatness
-    body rate is added unless rate feedforward is off.  Antipodal
-    quaternion representations give the identical command.
+    The error quaternion rotates the current attitude ``q_current`` onto
+    the desired one ``q_d``; its axis-angle vector is scaled by ``ktp``
+    and the flatness body rate is added unless rate feedforward is off.
+    Antipodal quaternion representations give the identical command.
     """
-    q_err = quat_mul(quat_conj(q_current), mat_to_quat(rotation_d))
+    q_err = quat_mul(quat_conj(q_current), q_d)
     xi = quat_to_axis_angle(q_err).vector
     omega = gains.ktp * xi
     if mode.use_rate_feedforward:
@@ -224,9 +238,9 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     """One 250 Hz controller tick; chains the four loops and saturates.
 
     ``sample`` is the flat reference point, ``flat`` the matching
-    flatness feedforward, ``state`` anything with ``p``, ``v``, ``R``
-    attributes (measured), ``ctx`` the per-vehicle context (mutated).
-    Deterministic given its arguments.
+    flatness feedforward, ``state`` the :class:`Measurement` (anything
+    with ``p``, ``v`` and ``q``), ``ctx`` the per-vehicle context
+    (mutated).  Deterministic given its arguments.
     """
     v_d = position_loop(gains, sample.p, state.p, sample.v)
     freeze = replace(mode, use_integrator=False) if ctx.thrust_saturated else mode
@@ -235,8 +249,8 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
         params, gains, mode, a_d, flat, held=ctx.held_attitude)
     ctx.held_attitude = rotation_d
-    omega_d = attitude_loop(gains, mode, rotation_d, mat_to_quat(state.R),
-                            flat.omega)
+    ctx.held_quat = mat_to_quat(rotation_d)
+    omega_d = attitude_loop(gains, mode, ctx.held_quat, state.q, flat.omega)
     command = saturate(limits, thrust_d, omega_d)
     ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)
     return command

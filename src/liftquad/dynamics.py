@@ -20,7 +20,7 @@ import numpy as np
 
 from .aero import AeroParams, GRAVITY_VEC, aero_accel
 from .control import ControlInput
-from .geom import rodrigues
+from .geom import EYE3, rodrigues
 
 
 @dataclass
@@ -74,7 +74,7 @@ def rk4_step(cfg, state, inp):
     h = cfg.step
     rate = math.hypot(*inp.omega)
     half = (rodrigues(inp.omega / rate, 0.5 * h * rate) if rate > 0.0
-            else np.eye(3))
+            else EYE3)
     R_mid = state.R @ half
     R_end = R_mid @ half
     v1 = state.v

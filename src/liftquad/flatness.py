@@ -34,7 +34,7 @@ from enum import IntEnum
 import numpy as np
 
 from .aero import GRAVITY, GRAVITY_VEC
-from .geom import rodrigues
+from .geom import cross3, norm, rodrigues
 
 # Hysteresis band for the zero-velocity branch: enter below the first
 # speed, return to the smooth construction above the second.
@@ -130,7 +130,7 @@ def wind_frame_accels(axis, accel):
     """
     demand = accel - GRAVITY_VEC
     along = float(axis @ demand)
-    perp = -float(np.linalg.norm(demand - along * axis))
+    perp = -float(norm(demand - along * axis))
     return along, perp
 
 
@@ -171,7 +171,7 @@ def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
 def symmetry_plane_vector(params, v_air, accel):
     """Vector the wing symmetry plane must contain (the body y-axis is its
     normal together with the airspeed direction)."""
-    qa = params.rho * params.area * np.linalg.norm(v_air) / (2.0 * params.mass)
+    qa = params.rho * params.area * norm(v_air) / (2.0 * params.mass)
     return qa * params.cy0 * v_air - GRAVITY_VEC + accel
 
 
@@ -185,7 +185,7 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
     gravity component).  Raises :class:`SingularSystemError` when the
     system determinant vanishes relative to the matrix scale.
     """
-    airspeed = np.linalg.norm(v_air)
+    airspeed = norm(v_air)
     if airspeed < _TINY:
         raise SingularSystemError("zero airspeed")
     (cdx, _, cdxz), (_, cy0, _), (_, _, cdz) = params.drag
@@ -210,7 +210,7 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
         jb[1] + qa * speed_rate * cy0 * vb[1] + qa * cy0 * ab[1],
         -GRAVITY * rotation[2, 1],
     ])
-    scale = np.linalg.norm(a_mat)
+    scale = norm(a_mat)
     # expanded along the middle column: no pivot to divide by
     det = a01 * (a10 * vb[0] + a12 * vb[2])
     if scale < _TINY or abs(det) < DET_TOL * scale ** 3:
@@ -227,7 +227,7 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     per-sample transform.  The estimated ``wind`` enters only here.
     """
     v_air = sample.v if wind is None else sample.v - wind
-    speed = np.linalg.norm(v_air)
+    speed = norm(v_air)
     threshold = SPEED_SINGULAR_EXIT if (ctx is not None and ctx.in_singular) \
         else SPEED_SINGULAR_ENTER
     if speed < threshold:
@@ -245,9 +245,9 @@ def flatness_transform(params, sample, ctx=None, wind=None):
         # aerodynamics alone meet the demand: no thrust, chord on the path
         thrust, alpha = 0.0, params.kappa
     plane = symmetry_plane_vector(params, v_air, sample.a)
-    cross = np.cross(axis, plane)
-    cross_norm = np.linalg.norm(cross)
-    if cross_norm < CROSS_ALIGN_TOL * max(np.linalg.norm(plane), _TINY):
+    cross = cross3(axis, plane)
+    cross_norm = norm(cross)
+    if cross_norm < CROSS_ALIGN_TOL * max(norm(plane), _TINY):
         return _axis_aligned_output(
             params, sample, v_air, axis, along, perp, thrust, alpha, plane)
     rotation, omega = _smooth_attitude(
@@ -260,7 +260,7 @@ def _smooth_attitude(params, sample, v_air, axis, y_body, thrust, alpha):
     """Smooth-branch rotation and body rate: the body x-axis is ``axis``
     rotated about the lateral axis ``y_body`` by ``alpha - kappa``."""
     x_body = rodrigues(y_body, alpha - params.kappa) @ axis
-    rotation = np.column_stack((x_body, y_body, np.cross(x_body, y_body)))
+    rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))
     try:
         omega = angular_velocity_from_flat(params, sample, rotation, thrust, v_air)
     except SingularSystemError:
@@ -271,10 +271,10 @@ def _smooth_attitude(params, sample, v_air, axis, y_body, thrust, alpha):
 def _lateral_from_candidates(candidates, plane):
     """First candidate axis not parallel to ``plane``, as a unit lateral
     axis (candidate x plane, normalized)."""
-    plane_norm = np.linalg.norm(plane)
+    plane_norm = norm(plane)
     for cand in candidates:
-        cross = np.cross(cand, plane)
-        cross_norm = np.linalg.norm(cross)
+        cross = cross3(cand, plane)
+        cross_norm = norm(cross)
         if cross_norm > CROSS_ALIGN_TOL * plane_norm:
             return cand, cross / cross_norm
     raise AssertionError("no usable lateral axis candidate")
@@ -284,7 +284,7 @@ def _zero_velocity_output(params, sample, v_air, ctx):
     """Hover-regime policy: attitude from the held or fallback axis, thrust
     from the projection of the specific-force demand."""
     plane = symmetry_plane_vector(params, v_air, sample.a)
-    plane_norm = np.linalg.norm(plane)
+    plane_norm = norm(plane)
     yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
     if plane_norm < _TINY:
         # free-fall reference at rest: yaw-only attitude, no thrust
@@ -296,9 +296,9 @@ def _zero_velocity_output(params, sample, v_air, ctx):
         candidates.append(ctx.held_axis)
     candidates.extend((yaw_axis, _EX, _EY))
     axis, y_body = _lateral_from_candidates(candidates, plane)
-    x_body = np.cross(plane, y_body)
-    x_body = x_body / np.linalg.norm(x_body)
-    rotation = np.column_stack((x_body, y_body, np.cross(x_body, y_body)))
+    x_body = cross3(plane, y_body)
+    x_body = x_body / norm(x_body)
+    rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))
     thrust = min(0.0, params.mass * float(rotation[:, 2] @ (sample.a - GRAVITY_VEC)))
     along, perp = wind_frame_accels(axis, sample.a)
     return FlatnessOutput(rotation, thrust, params.kappa, np.zeros(3), v_air,
@@ -310,14 +310,14 @@ def _axis_aligned_output(params, sample, v_air, axis, along, perp, thrust,
     """Aligned-axis policy (e.g. vertical flight): lateral axis from the
     yaw fallback (led by the airspeed axis, which only qualifies in free
     fall in motion), then the smooth rotation about it."""
-    plane_norm = np.linalg.norm(plane)
+    plane_norm = norm(plane)
     plane_ref = plane if plane_norm >= _TINY else -GRAVITY_VEC
     yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
     _, y_body = _lateral_from_candidates((axis, yaw_axis, _EX, _EY), plane_ref)
     # the airspeed axis is only numerically parallel to the plane vector;
     # project it off y_b so the rotation columns stay orthonormal
     axis_p = axis - float(axis @ y_body) * y_body
-    axis_p = axis_p / np.linalg.norm(axis_p)
+    axis_p = axis_p / norm(axis_p)
     rotation, omega = _smooth_attitude(
         params, sample, v_air, axis_p, y_body, thrust, alpha)
     return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis,

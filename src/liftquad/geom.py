@@ -12,6 +12,20 @@ Conventions used throughout the package:
 
 All functions are pure and operate on float64 data; callers that share
 arrays across threads must not mutate them concurrently.
+
+One kernel per operation: the package takes every cross product of two
+3-vectors from :func:`cross3`, every 2-norm of a lone vector or 3x3
+matrix from :func:`norm` and the identity from the read-only
+:data:`EYE3`.  On a 3-vector, numpy's general routines cost far more
+per call than the arithmetic they do, and a controller tick makes
+dozens of these calls.
+
+Error-state contract: the kernels return bit for bit what
+``numpy.cross`` and ``numpy.linalg.norm`` return, and they compute on
+numpy float64 scalars and arrays, never on Python floats, so under
+``np.errstate(over="raise", invalid="raise", divide="raise")`` they
+raise ``FloatingPointError`` on the inputs where numpy's routine raises
+(Python float arithmetic would give ``inf`` silently).
 """
 
 import math
@@ -25,6 +39,9 @@ TWO_PI = 2.0 * math.pi
 # lengths, so the constructors validate their inputs up front.
 UNIT_TOL = 1e-6
 SMALL_ANGLE = 1e-6
+
+EYE3 = np.identity(3)
+EYE3.setflags(write=False)
 
 
 class NonUnitAxisError(ValueError):
@@ -46,8 +63,25 @@ class AxisAngle(NamedTuple):
     vector: np.ndarray
 
 
+def cross3(a, b):
+    """Cross product of two 3-vectors; bit for bit ``numpy.cross(a, b)``,
+    which computes each component as the same two products and one
+    difference."""
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def norm(x):
+    """2-norm of a float64 vector, or Frobenius norm of a matrix, as a
+    numpy float64; bit for bit ``numpy.linalg.norm(x)``, which takes the
+    square root of the same dot product of the flattened array."""
+    x = x.ravel(order="K")
+    return np.float64(math.sqrt(x.dot(x)))
+
+
 def skew(v):
-    """Skew-symmetric matrix of ``v``: ``skew(v) @ w == np.cross(v, w)``."""
+    """Skew-symmetric matrix of ``v``: ``skew(v) @ w == cross3(v, w)``."""
     return np.array([
         [0.0, -v[2], v[1]],
         [v[2], 0.0, -v[0]],
@@ -75,13 +109,13 @@ def rodrigues(axis, angle):
     by more than ``UNIT_TOL``.
     """
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
+    n = norm(axis)
     if abs(n - 1.0) > UNIT_TOL:
         raise NonUnitAxisError(
             f"axis norm {n:.9g} is not 1 within {UNIT_TOL:g}")
     c = math.cos(angle)
     s = math.sin(angle)
-    return c * np.eye(3) + (1.0 - c) * np.outer(axis, axis) + s * skew(axis)
+    return c * EYE3 + (1.0 - c) * np.outer(axis, axis) + s * skew(axis)
 
 
 def quat_mul(a, b):
@@ -119,7 +153,7 @@ def mat_to_quat(rotation):
     determinant.
     """
     r = np.asarray(rotation, dtype=float)
-    residual = np.linalg.norm(r.T @ r - np.eye(3))
+    residual = norm(r.T @ r - EYE3)
     if residual > UNIT_TOL or np.linalg.det(r) <= 0.0:
         raise NonOrthonormalError(f"orthonormality residual {residual:.3g} "
                                   f"exceeds {UNIT_TOL:g} or det <= 0")
@@ -154,7 +188,7 @@ def mat_to_quat(rotation):
                       f * (r[0, 2] + r[2, 0]),
                       f * (r[1, 2] + r[2, 1]),
                       z])
-    q = q / np.linalg.norm(q)
+    q = q / norm(q)
     if q[0] < 0.0:
         q = -q
     return q
@@ -168,7 +202,7 @@ def quat_to_axis_angle(q):
     ``abs(angle)``.
     """
     q = np.asarray(q, dtype=float)
-    q = q / np.linalg.norm(q)
+    q = q / norm(q)
     w = min(1.0, max(-1.0, q[0]))
     angle = wrap_pi(2.0 * math.acos(w))
     sign = 1.0 if w >= 0.0 else -1.0

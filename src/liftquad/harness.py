@@ -20,10 +20,11 @@ from itertools import chain
 
 import numpy as np
 
-from .control import ControlInput, ControllerContext, controller_step
+from .control import (ControlInput, ControllerContext, Measurement,
+                      controller_step)
 from .dynamics import VehicleState, actuator_lag, rk4_step
 from .flatness import TransformContext, flatness_transform
-from .geom import mat_to_quat
+from .geom import mat_to_quat, norm
 from .trajectories import sample as sample_trajectory
 
 CSV_COLUMNS = ("t,px,py,pz,prx,pry,prz,vx,vy,vz,qw,qx,qy,qz,"
@@ -145,7 +146,7 @@ _STRICT_FP = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 def _went_non_finite(exc, t, ref, result, k):
-    return DivergenceError(t, float(np.linalg.norm(ref.v)), result.head(k),
+    return DivergenceError(t, float(norm(ref.v)), result.head(k),
                            f"the run went non-finite ({exc})")
 
 
@@ -195,16 +196,16 @@ def run_experiment(cfg):
                     applied = actuator_lag(cfg.plant, cmd, applied)
                     state = rk4_step(cfg.plant, state, applied)
                 p_history.append(state.p.copy())
-            measured = VehicleState(p_history[0], state.v, state.R, t)
+            q = mat_to_quat(state.R)
+            measured = Measurement(p_history[0], state.v, q)
             cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
                                   ref, flat, measured, control_ctx, dt)
-            error = float(np.linalg.norm(state.p - ref.p))
+            error = float(norm(state.p - ref.p))
         except FloatingPointError as exc:
             raise _went_non_finite(exc, t, ref, result, k) from None
-        result.store(k, t, ref, state, mat_to_quat(state.R),
-                     mat_to_quat(control_ctx.held_attitude), cmd, flat)
+        result.store(k, t, ref, state, q, control_ctx.held_quat, cmd, flat)
         if error > cfg.abort_radius:
-            raise DivergenceError(t, float(np.linalg.norm(ref.v)),
+            raise DivergenceError(t, float(norm(ref.v)),
                                   result.head(k + 1))
     return result
 

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .flatness import FlatSample
+from .geom import norm
 
 
 class TrajectoryKind(Enum):
@@ -151,6 +152,6 @@ def derivative_check(traj, t, h):
     for minus, exact, plus in ((lo.p, mid.v, hi.p), (lo.v, mid.a, hi.v),
                                (lo.a, mid.j, hi.a)):
         diff = (plus - minus) / (2.0 * h)
-        err = np.linalg.norm(diff - exact) / max(np.linalg.norm(exact), 1.0)
+        err = norm(diff - exact) / max(norm(exact), 1.0)
         worst = max(worst, err)
     return worst

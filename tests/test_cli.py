@@ -119,6 +119,8 @@ def test_tick_count_is_bounded(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, text, key", [
     ("sim", "sim.substeps = 1" + "0" * 400, "sim.substeps"),
+    ("check", "sim.rate = 1" + "0" * 309 + "\nsim.duration = 1e-320",
+     "sim.rate"),
     ("flat", "trajectory.kind = lemniscate\ntrajectory.omega = 1e200",
      "trajectory.omega"),
     ("flat", "trajectory.kind = lemniscate\ntrajectory.radius = 1e300",

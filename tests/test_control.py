@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 from liftquad.aero import AeroParams, GRAVITY, GRAVITY_VEC, aero_accel
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
-                              ControllerContext, accel_to_attitude_thrust,
+                              ControllerContext, Measurement,
+                              accel_to_attitude_thrust,
                               attitude_loop, controller_step, position_loop,
                               saturate, velocity_loop)
 from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
@@ -20,13 +21,10 @@ PARAMS = AeroParams()
 EZ = np.array([0.0, 0.0, 1.0])
 
 
-class Measured:
-    """Minimal state stand-in with the attributes the controller reads."""
-
-    def __init__(self, p, v, R):
-        self.p = np.asarray(p, float)
-        self.v = np.asarray(v, float)
-        self.R = np.asarray(R, float)
+def measured(p, v, R):
+    """The controller's measurement of a vehicle at attitude ``R``."""
+    return Measurement(np.asarray(p, float), np.asarray(v, float),
+                       mat_to_quat(R))
 
 
 def cruise_reference(speed=8.0):
@@ -171,11 +169,11 @@ def test_attitude_loop_zero_error_returns_feedforward():
     gains = ControlGains(ktp=8.0)
     rotation = rodrigues(np.array([0.0, 1.0, 0.0]), 0.4)
     omega_ref = np.array([0.1, -0.2, 0.3])
-    omega = attitude_loop(gains, ControlMode(), rotation,
-                          mat_to_quat(rotation), omega_ref)
+    q = mat_to_quat(rotation)
+    omega = attitude_loop(gains, ControlMode(), q, q, omega_ref)
     assert_allclose(omega, omega_ref, atol=1e-12)
     omega = attitude_loop(gains, ControlMode(use_rate_feedforward=False),
-                          rotation, mat_to_quat(rotation), omega_ref)
+                          q, q, omega_ref)
     assert_allclose(omega, np.zeros(3), atol=1e-12)
 
 
@@ -183,7 +181,7 @@ def test_attitude_loop_quarter_turn_command():
     # oracle: axis-angle error (0, 0, pi/2) scaled by the gain
     gains = ControlGains(ktp=2.0)
     omega = attitude_loop(gains, ControlMode(use_rate_feedforward=False),
-                          rodrigues(EZ, 0.5 * math.pi),
+                          mat_to_quat(rodrigues(EZ, 0.5 * math.pi)),
                           np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
     assert_allclose(omega, [0.0, 0.0, math.pi], atol=1e-12)
 
@@ -191,7 +189,7 @@ def test_attitude_loop_quarter_turn_command():
 def test_attitude_loop_takes_shortest_path():
     gains = ControlGains(ktp=1.0)
     omega = attitude_loop(gains, ControlMode(use_rate_feedforward=False),
-                          rodrigues(EZ, 1.9 * math.pi),
+                          mat_to_quat(rodrigues(EZ, 1.9 * math.pi)),
                           np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
     assert np.linalg.norm(omega) <= math.pi
     assert omega[2] == pytest.approx(-0.1 * math.pi, abs=1e-12)
@@ -199,10 +197,10 @@ def test_attitude_loop_takes_shortest_path():
 
 def test_attitude_loop_antipodal_quaternions_agree():
     gains = ControlGains()
-    rotation = rodrigues(np.array([0.0, 1.0, 0.0]), 1.1)
+    q_d = mat_to_quat(rodrigues(np.array([0.0, 1.0, 0.0]), 1.1))
     q = mat_to_quat(rodrigues(EZ, 0.8))
-    a = attitude_loop(gains, ControlMode(), rotation, q, np.zeros(3))
-    b = attitude_loop(gains, ControlMode(), rotation, -q, np.zeros(3))
+    a = attitude_loop(gains, ControlMode(), q_d, q, np.zeros(3))
+    b = attitude_loop(gains, ControlMode(), q_d, -q, np.zeros(3))
     assert_allclose(a, b, atol=1e-12)
 
 
@@ -230,7 +228,7 @@ def test_controller_passes_feedforward_through_on_reference():
         ref = sample(traj, float(t))
         flat = flatness_transform(PARAMS, ref, tctx)
         assert flat.singular is SingularCase.NONE
-        state = Measured(ref.p, ref.v, flat.rotation)
+        state = measured(ref.p, ref.v, flat.rotation)
         cmd = controller_step(PARAMS, gains, ControlMode(), limits, ref, flat,
                               state, ctx, 0.004)
         assert cmd.thrust == pytest.approx(flat.thrust, abs=1e-9)
@@ -243,7 +241,7 @@ def test_controller_step_matches_manual_stage_replay():
     mode = ControlMode()
     limits = ControlLimits()
     sample, flat = cruise_reference()
-    state = Measured([0.3, -0.2, 0.1], [7.5, 0.2, -0.1],
+    state = measured([0.3, -0.2, 0.1], [7.5, 0.2, -0.1],
                      rodrigues(np.array([0.0, 1.0, 0.0]), 0.05))
     dt = 0.004
 
@@ -257,7 +255,7 @@ def test_controller_step_matches_manual_stage_replay():
                                np.zeros(3), dt)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
         PARAMS, gains, mode, a_d, flat)
-    omega_d = attitude_loop(gains, mode, rotation_d, mat_to_quat(state.R),
+    omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), state.q,
                             flat.omega)
     expected = saturate(limits, thrust_d, omega_d)
 
@@ -265,6 +263,7 @@ def test_controller_step_matches_manual_stage_replay():
     assert_allclose(cmd.omega, expected.omega)
     assert_allclose(ctx.integrator, integ)
     assert_allclose(ctx.held_attitude, rotation_d)
+    assert_allclose(ctx.held_quat, mat_to_quat(rotation_d))
 
 
 def test_integrator_freezes_after_thrust_floor():
@@ -273,7 +272,7 @@ def test_integrator_freezes_after_thrust_floor():
     tight = ControlLimits(thrust_min=-10.0)
     sample, flat = cruise_reference()
     # sinking 5 m/s below the reference demands a hard climb
-    state = Measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
+    state = measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
                      flat.rotation)
     ctx = ControllerContext()
     controller_step(PARAMS, gains, mode, tight, sample, flat, state, ctx,
@@ -291,7 +290,7 @@ def test_saturated_step_keeps_other_mode_flags():
     mode = ControlMode(use_aero_feedforward=False, use_rate_feedforward=False)
     tight = ControlLimits(thrust_min=-10.0)
     sample, flat = cruise_reference()
-    state = Measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
+    state = measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
                      flat.rotation)
     ctx = ControllerContext()
     controller_step(PARAMS, gains, mode, tight, sample, flat, state, ctx,
@@ -306,7 +305,7 @@ def test_saturated_step_keeps_other_mode_flags():
                            state.v, sample.a, ctx_ref.integrator, 0.004)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
         PARAMS, gains, mode, a_d, flat)
-    omega_d = attitude_loop(gains, mode, rotation_d, mat_to_quat(state.R),
+    omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), state.q,
                             flat.omega)
     expected = saturate(tight, thrust_d, omega_d)
     assert cmd.thrust == expected.thrust

@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from liftquad.geom import (AxisAngle, NonOrthonormalError, NonUnitAxisError,
-                           mat_to_quat, quat_conj, quat_mul,
+from liftquad.geom import (EYE3, AxisAngle, NonOrthonormalError,
+                           NonUnitAxisError, mat_to_quat, quat_conj, quat_mul,
                            quat_to_axis_angle, quat_to_mat, rodrigues, skew,
                            unskew, wrap_pi)
 
@@ -24,6 +24,12 @@ def random_unit(rng):
 
 def random_rotation(rng):
     return rodrigues(random_unit(rng), rng.uniform(-math.pi, math.pi))
+
+
+def test_eye3_is_the_read_only_identity():
+    assert EYE3.tobytes() == np.eye(3).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        EYE3[0, 0] = 2.0
 
 
 def test_skew_basis():

@@ -1,12 +1,14 @@
 """Config parsing and the closed-loop experiment harness."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from liftquad import control, harness
 from liftquad.aero import GRAVITY
 from liftquad.config import (CONDITIONS, MAX_PLANT_STEPS, MAX_ROWS,
                              ConfigError, ExperimentConfig, build_config,
@@ -172,6 +174,22 @@ def test_hover_tracks_exactly():
     result = run_experiment(cfg)
     assert result.rmse < 1e-6
     assert result.peak_error() < 1e-6
+
+
+def test_closed_loop_converts_each_rotation_once_per_tick(monkeypatch):
+    # two per tick, the measured attitude and the desired one, each in
+    # the module that needs it: nothing is converted twice
+    calls = Counter()
+    for module in (harness, control):
+        def counted(rotation, name=module.__name__,
+                    original=module.mat_to_quat):
+            calls[name] += 1
+            return original(rotation)
+        monkeypatch.setattr(module, "mat_to_quat", counted)
+    cfg = short_circle(**{"sim.duration": 0.2})
+    run_experiment(cfg)
+    assert calls == {"liftquad.harness": cfg.n_rows,
+                     "liftquad.control": cfg.n_rows}
 
 
 def test_initial_state_sits_on_the_reference():
@@ -363,6 +381,17 @@ def test_experiment_config_bounds_the_row_count():
                       {"rate": 10**400}, {"duration": 1e300}):
         with pytest.raises(ConfigError, match=f"at most {MAX_ROWS} rows"):
             ExperimentConfig(**overrides)
+
+
+def test_experiment_config_bounds_the_rate():
+    # a duration short enough for the row check leaves the rate itself,
+    # which must still convert to float
+    at_limit = ExperimentConfig(rate=MAX_ROWS, duration=1e-320)
+    assert at_limit.n_rows == 1
+    for rate in (MAX_ROWS + 1, 10**309):
+        with pytest.raises(ConfigError, match=f"sim.rate must be at most "
+                                              f"{MAX_ROWS}"):
+            ExperimentConfig(rate=rate, duration=1e-320)
 
 
 def test_experiment_config_bounds_the_plant_steps():

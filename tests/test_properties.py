@@ -1,6 +1,6 @@
 """Property tests over the documented parameter ranges: references stay
-finite, the flatness transform is total and the controller's commands
-stay within limits."""
+finite, the flatness transform is total, the controller's commands
+stay within limits and the geometric kernels are numpy's results."""
 
 import math
 
@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from liftquad.aero import GRAVITY, GRAVITY_VEC, KAPPA_MAX, KAPPA_MIN, AeroParams
 from liftquad.config import MAX_ROWS
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
-                              ControllerContext, controller_step)
-from liftquad.dynamics import VehicleState
+                              ControllerContext, Measurement,
+                              controller_step)
 from liftquad.flatness import FlatSample, TransformContext, flatness_transform
-from liftquad.geom import quat_to_mat
+from liftquad.geom import cross3, norm, quat_to_mat
 from liftquad.trajectories import (MAX_OFFSET, MAX_OMEGA, MAX_RADIUS,
                                    MAX_SPEED, TrajectoryDef, TrajectoryKind,
                                    sample as sample_trajectory)
@@ -83,7 +83,7 @@ def test_controller_commands_stay_within_limits(
         integrator=integrator,
         held_attitude=None if held is None else quat_to_mat(held),
         thrust_saturated=saturated)
-    state = VehicleState(sample.p + offset, v, quat_to_mat(attitude))
+    state = Measurement(sample.p + offset, v, attitude)
     cmd = controller_step(params, ControlGains(), mode, limits, sample, flat,
                           state, ctx, 0.004)
     assert all_finite(cmd.thrust, cmd.omega)
@@ -107,3 +107,53 @@ def test_reference_stays_finite_over_the_accepted_keys(
         ref = sample_trajectory(traj, t)
         for value in (ref.p, ref.v, ref.a, ref.j):
             assert math.isfinite(np.linalg.norm(value))
+
+
+# both zeros, subnormals, entries of one scale (whose sums round by
+# the order they are added in) and decades from 1e-300 to 1e300, whose
+# products and squares overflow, underflow and go subnormal
+_SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
+magnitudes = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-_SMALLEST_NORMAL, _SMALLEST_NORMAL),
+    st.floats(-2.0, 2.0),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(-10.0, 10.0), st.integers(-300, 299)))
+triples = st.lists(magnitudes, min_size=3, max_size=3).map(np.array)
+matrices = st.builds(
+    lambda entries, transpose: entries.T if transpose else entries,
+    st.lists(magnitudes, min_size=9, max_size=9).map(
+        lambda x: np.array(x).reshape(3, 3)),
+    st.booleans())
+_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _raises(fn, *args):
+    try:
+        with np.errstate(**_RAISE):
+            fn(*args)
+    except FloatingPointError:
+        return True
+    return False
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=triples, b=triples)
+def test_cross3_is_numpys_cross(a, b):
+    with np.errstate(all="ignore"):
+        assert _bits(cross3(a, b)) == _bits(np.cross(a, b))
+    assert _raises(cross3, a, b) == _raises(np.cross, a, b)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(x=st.one_of(triples, matrices))
+def test_norm_is_numpys_norm(x):
+    with np.errstate(all="ignore"):
+        value = norm(x)
+        assert type(value) is np.float64
+        assert _bits(value) == _bits(np.linalg.norm(x))
+    assert _raises(norm, x) == _raises(np.linalg.norm, x)
