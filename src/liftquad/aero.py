@@ -14,9 +14,7 @@ The model is quadratic in airspeed with a flat-plate-style lift curve.
 :func:`aero_accel` (through ``AeroParams.drag``) is the one
 implementation that the controller and the plant call; drag opposes the
 airspeed: with only ``cd0`` active the earth-frame acceleration is
-``-(rho*S*cd0 / 2m) * |v_a| * v_a``.  The wind- and wing-frame forms
-(:func:`aero_force_wind`, :func:`aero_force_wing` and their frame
-rotations) are independent oracles for tests only.
+``-(rho*S*cd0 / 2m) * |v_a| * v_a``.
 """
 
 import math
@@ -84,71 +82,10 @@ class AeroParams:
         return replace(self, cd0=0.0, cy0=0.0, cla=0.0)
 
 
-def body_to_wing_rotation(kappa):
-    """Coordinate transform from body axes to wing axes.
-
-    Equals the transpose of a right-handed rotation by ``kappa`` about
-    +y, i.e. ``rodrigues(e_y, kappa).T``.  Oracle, not in the live loop.
-    """
-    c = math.cos(kappa)
-    s = math.sin(kappa)
-    return np.array([
-        [c, 0.0, -s],
-        [0.0, 1.0, 0.0],
-        [s, 0.0, c],
-    ])
-
-
-def wing_to_wind_rotation(alpha):
-    """Coordinate transform from wing axes to wind axes at angle of attack
-    ``alpha``.  Oracle, not in the live loop."""
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    return np.array([
-        [c, 0.0, s],
-        [0.0, 1.0, 0.0],
-        [-s, 0.0, c],
-    ])
-
-
-def aero_force_wind(params, airspeed, alpha):
-    """Drag/side/lift magnitudes along the wind axes.
-
-    Returns the parametric model ``qbar*S * [cd0 + cla*sin^2(a), 0,
-    cla*sin(a)*cos(a)]``; the force acting on the airframe is the negative
-    of this vector.  Oracle, not in the live loop.
-    """
-    q_s = 0.5 * params.rho * params.area * airspeed * airspeed
-    sa = math.sin(alpha)
-    ca = math.cos(alpha)
-    return q_s * np.array([
-        params.cd0 + params.cla * sa * sa,
-        0.0,
-        params.cla * sa * ca,
-    ])
-
-
-def aero_force_wing(params, rotation, airspeed_vec):
-    """Force acting on the airframe, expressed in wing axes.
-
-    ``rotation`` is the body-to-earth attitude; ``airspeed_vec`` is the
-    earth-frame airspeed.  This form needs no angle of attack: the lift
-    and drag fall out of the per-axis coefficients applied to the
-    wing-frame airspeed components.  Oracle for :func:`aero_accel`, not
-    in the live loop.
-    """
-    v_wing = body_to_wing_rotation(params.kappa) @ (rotation.T @ airspeed_vec)
-    coeffs = np.array([params.cd0, params.cy0, params.cd0 + params.cla])
-    speed = norm(airspeed_vec)
-    return -0.5 * params.rho * params.area * speed * coeffs * v_wing
-
-
 def aero_accel(params, rotation, airspeed_vec):
-    """Earth-frame aerodynamic acceleration acting on the airframe.
-
-    Equivalent to rotating :func:`aero_force_wing` to earth axes and
-    dividing by mass, but written through the body-frame drag matrix
-    ``params.drag``.
+    """Earth-frame aerodynamic acceleration acting on the airframe,
+    ``-(rho*S*|v_a| / 2m) R D R^T v_a`` with the body-frame drag matrix
+    ``D = params.drag``.
     """
     speed = norm(airspeed_vec)
     scale = params.rho * params.area * speed / (2.0 * params.mass)

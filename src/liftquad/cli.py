@@ -67,7 +67,10 @@ def _resolve_config(args):
 
 def _out_dir(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out}: {exc}") from None
     return out
 
 
@@ -101,10 +104,10 @@ def _cmd_sim(args):
 def _cmd_compare(args):
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    matrix = condition_matrix(cfg)
-    for cell in list(matrix.cells) + [matrix.ablation]:
+    cells = condition_matrix(cfg)
+    for cell in cells:
         cell.result.write_csv(out / f"{cell.name}.csv")
-    table = format_matrix(matrix)
+    table = format_matrix(cells)
     (out / "summary.txt").write_text(
         f"seed {cfg.seed}, duration {cfg.duration:g} s\n{table}\n",
         encoding="utf-8")

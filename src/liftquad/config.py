@@ -121,8 +121,9 @@ class ExperimentConfig:
             raise ConfigError("sim.rate and sim.substeps must be > 0")
         if not 0.0 < self.abort_radius < math.inf:
             raise ConfigError("sim.abort_radius must be finite and > 0")
-        if self.delay_ticks < 0:
-            raise ConfigError("sim.delay_ticks must be >= 0")
+        # a delay longer than the longest run changes nothing
+        if not 0 <= self.delay_ticks <= MAX_ROWS:
+            raise ConfigError(f"sim.delay_ticks must be in [0, {MAX_ROWS}]")
         if self.duration > (MAX_ROWS - 1) / self.rate:  # a huge int rate: no overflow
             raise ConfigError(f"sim.rate * sim.duration must log at most "
                               f"{MAX_ROWS} rows")
@@ -274,6 +275,6 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return build_config(parse_config_text(text, source=str(path)))

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .aero import GRAVITY, GRAVITY_VEC, aero_accel
-from .geom import (cross3, mat_to_quat, norm, quat_conj, quat_mul,
-                   quat_to_axis_angle)
+from .geom import (cross3, lateral_axis, mat_to_quat, norm, quat_conj,
+                   quat_mul, quat_to_axis_angle)
 
 # Acceleration-demand norm below which the thrust direction is
 # undefined and the free-fall policy (hold attitude, zero thrust) is
@@ -34,8 +34,6 @@ FREE_FALL_ACCEL = 1e-6
 # Rejection threshold for lateral-axis candidates nearly parallel to
 # the desired thrust axis.
 _CROSS_TOL = 1e-6
-_EX = np.array([1.0, 0.0, 0.0])
-_EY = np.array([0.0, 1.0, 0.0])
 
 
 def _axis_vector(value):
@@ -188,8 +186,10 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat, held=None):
                                         and norm(a_d) < FREE_FALL_ACCEL):
         rotation = held if held is not None else flat.rotation
         return rotation, 0.0, True
-    z_body = -a_rotor / rotor_norm
-    y_body = _lateral_axis(z_body, flat)
+    force = a_rotor / rotor_norm
+    _, y_body = lateral_axis(force, (flat.wind_axis, flat.rotation[:, 0]),
+                             _CROSS_TOL)
+    z_body = -force
     x_body = cross3(y_body, z_body)
     rotation = np.column_stack((x_body, y_body, z_body))
     if mode.printed_accel_projection:
@@ -197,17 +197,6 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat, held=None):
     else:
         thrust = params.mass * float(z_body @ a_rotor)
     return rotation, min(thrust, 0.0), False
-
-
-def _lateral_axis(z_body, flat):
-    """Unit lateral axis orthogonal to the thrust axis, preferring the
-    reference airspeed direction so the no-sideslip heading is kept."""
-    for cand in (flat.wind_axis, flat.rotation[:, 0], _EX, _EY):
-        cross = cross3(z_body, cand)
-        cross_norm = norm(cross)
-        if cross_norm > _CROSS_TOL:
-            return cross / cross_norm
-    raise AssertionError("no usable lateral axis candidate")
 
 
 def attitude_loop(gains, mode, q_d, q_current, omega_ref):

@@ -25,13 +25,12 @@ from .geom import EYE3, rodrigues
 
 @dataclass
 class VehicleState:
-    """Plant state: position and velocity in the earth frame (NED),
-    body-to-earth rotation, and time."""
+    """Plant state: position and velocity in the earth frame (NED) and
+    the body-to-earth rotation."""
 
     p: np.ndarray
     v: np.ndarray
     R: np.ndarray
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def rk4_step(cfg, state, inp):
     a4 = acceleration(cfg, R_end, v4, inp.thrust)
     p = state.p + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
     v = v1 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return VehicleState(p, v, R_end, state.t + h)
+    return VehicleState(p, v, R_end)
 
 
 def _lag(tau, step, commanded, previous):

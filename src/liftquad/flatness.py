@@ -18,8 +18,8 @@ condition.
 Two singular regimes are handled by policy instead of failing:
 
 * near-zero airspeed (hover, with hysteresis on the speed threshold) --
-  the lateral axis is built from the last good airspeed direction when a
-  context is supplied, else from the yaw fallback;
+  the lateral axis is built from the last good airspeed direction the
+  context holds, else from the yaw fallback;
 * airspeed aligned with the demanded force (e.g. vertical flight) -- the
   lateral axis comes from the yaw fallback.
 
@@ -34,7 +34,7 @@ from enum import IntEnum
 import numpy as np
 
 from .aero import GRAVITY, GRAVITY_VEC
-from .geom import cross3, norm, rodrigues
+from .geom import cross3, lateral_axis, norm, rodrigues
 
 # Hysteresis band for the zero-velocity branch: enter below the first
 # speed, return to the smooth construction above the second.
@@ -47,9 +47,9 @@ CROSS_ALIGN_TOL = 1e-6
 DET_TOL = 1e-9
 
 _TINY = 1e-9
-_EX = np.array([1.0, 0.0, 0.0])
-_EY = np.array([0.0, 1.0, 0.0])
 _EZ = np.array([0.0, 0.0, 1.0])
+_NO_WIND = np.zeros(3)
+_NO_WIND.setflags(write=False)
 
 
 class DegenerateBalanceError(ArithmeticError):
@@ -93,10 +93,8 @@ class FlatnessOutput:
 
     ``thrust`` is the collective body-z force (N, <= 0), ``omega`` the
     body angular velocity (rad/s), ``airspeed`` the ``v - wind`` it ran
-    at, ``wind_axis`` the unit airspeed direction actually used (the
-    held or fallback axis in the zero-velocity branch), and
-    ``accel_along`` / ``accel_perp`` the specific-force components along
-    and across it (``accel_perp <= 0``).
+    at and ``wind_axis`` the unit airspeed direction actually used (the
+    held or fallback axis in the zero-velocity branch).
     """
 
     rotation: np.ndarray
@@ -105,8 +103,6 @@ class FlatnessOutput:
     omega: np.ndarray
     airspeed: np.ndarray
     wind_axis: np.ndarray
-    accel_along: float
-    accel_perp: float
     singular: SingularCase
 
 
@@ -223,21 +219,21 @@ def flatness_transform(params, sample, ctx=None, wind=None):
 
     Singularities are resolved by policy (see the module docstring) and
     flagged in the output.  ``ctx`` carries the hysteresis state and the
-    last good airspeed direction between calls; omit it for a stateless
-    per-sample transform.  The estimated ``wind`` enters only here.
+    last good airspeed direction between calls; omitted, a fresh context
+    makes the call a stateless per-sample transform.  The estimated
+    ``wind`` (none when omitted) enters only here.
     """
-    v_air = sample.v if wind is None else sample.v - wind
+    if ctx is None:
+        ctx = TransformContext()
+    v_air = sample.v - (_NO_WIND if wind is None else wind)
     speed = norm(v_air)
-    threshold = SPEED_SINGULAR_EXIT if (ctx is not None and ctx.in_singular) \
-        else SPEED_SINGULAR_ENTER
+    threshold = SPEED_SINGULAR_EXIT if ctx.in_singular else SPEED_SINGULAR_ENTER
     if speed < threshold:
-        if ctx is not None:
-            ctx.in_singular = True
-        return _zero_velocity_output(params, sample, v_air, ctx)
+        ctx.in_singular = True
+        return _zero_velocity_output(params, sample, v_air, ctx.held_axis)
     axis = v_air / speed
-    if ctx is not None:
-        ctx.in_singular = False
-        ctx.held_axis = axis.copy()
+    ctx.in_singular = False
+    ctx.held_axis = axis.copy()
     along, perp = wind_frame_accels(axis, sample.a)
     try:
         thrust, alpha = thrust_and_alpha(params, speed, along, perp)
@@ -249,11 +245,11 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     cross_norm = norm(cross)
     if cross_norm < CROSS_ALIGN_TOL * max(norm(plane), _TINY):
         return _axis_aligned_output(
-            params, sample, v_air, axis, along, perp, thrust, alpha, plane)
+            params, sample, v_air, axis, thrust, alpha, plane)
     rotation, omega = _smooth_attitude(
         params, sample, v_air, axis, cross / cross_norm, thrust, alpha)
     return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis,
-                          along, perp, SingularCase.NONE)
+                          SingularCase.NONE)
 
 
 def _smooth_attitude(params, sample, v_air, axis, y_body, thrust, alpha):
@@ -268,21 +264,10 @@ def _smooth_attitude(params, sample, v_air, axis, y_body, thrust, alpha):
     return rotation, omega
 
 
-def _lateral_from_candidates(candidates, plane):
-    """First candidate axis not parallel to ``plane``, as a unit lateral
-    axis (candidate x plane, normalized)."""
-    plane_norm = norm(plane)
-    for cand in candidates:
-        cross = cross3(cand, plane)
-        cross_norm = norm(cross)
-        if cross_norm > CROSS_ALIGN_TOL * plane_norm:
-            return cand, cross / cross_norm
-    raise AssertionError("no usable lateral axis candidate")
-
-
-def _zero_velocity_output(params, sample, v_air, ctx):
-    """Hover-regime policy: attitude from the held or fallback axis, thrust
-    from the projection of the specific-force demand."""
+def _zero_velocity_output(params, sample, v_air, held_axis):
+    """Hover-regime policy: attitude from the held (when there is one) or
+    fallback axis, thrust from the projection of the specific-force
+    demand."""
     plane = symmetry_plane_vector(params, v_air, sample.a)
     plane_norm = norm(plane)
     yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
@@ -290,30 +275,26 @@ def _zero_velocity_output(params, sample, v_air, ctx):
         # free-fall reference at rest: yaw-only attitude, no thrust
         rotation = rodrigues(_EZ, sample.psi)
         return FlatnessOutput(rotation, 0.0, params.kappa, np.zeros(3), v_air,
-                              yaw_axis, 0.0, 0.0, SingularCase.ZERO_VELOCITY)
-    candidates = []
-    if ctx is not None and ctx.held_axis is not None:
-        candidates.append(ctx.held_axis)
-    candidates.extend((yaw_axis, _EX, _EY))
-    axis, y_body = _lateral_from_candidates(candidates, plane)
+                              yaw_axis, SingularCase.ZERO_VELOCITY)
+    headings = (yaw_axis,) if held_axis is None else (held_axis, yaw_axis)
+    axis, y_body = lateral_axis(plane, headings, CROSS_ALIGN_TOL * plane_norm)
     x_body = cross3(plane, y_body)
     x_body = x_body / norm(x_body)
     rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))
     thrust = min(0.0, params.mass * float(rotation[:, 2] @ (sample.a - GRAVITY_VEC)))
-    along, perp = wind_frame_accels(axis, sample.a)
     return FlatnessOutput(rotation, thrust, params.kappa, np.zeros(3), v_air,
-                          axis, along, perp, SingularCase.ZERO_VELOCITY)
+                          axis, SingularCase.ZERO_VELOCITY)
 
 
-def _axis_aligned_output(params, sample, v_air, axis, along, perp, thrust,
-                         alpha, plane):
+def _axis_aligned_output(params, sample, v_air, axis, thrust, alpha, plane):
     """Aligned-axis policy (e.g. vertical flight): lateral axis from the
     yaw fallback (led by the airspeed axis, which only qualifies in free
     fall in motion), then the smooth rotation about it."""
     plane_norm = norm(plane)
     plane_ref = plane if plane_norm >= _TINY else -GRAVITY_VEC
     yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
-    _, y_body = _lateral_from_candidates((axis, yaw_axis, _EX, _EY), plane_ref)
+    _, y_body = lateral_axis(plane_ref, (axis, yaw_axis),
+                             CROSS_ALIGN_TOL * norm(plane_ref))
     # the airspeed axis is only numerically parallel to the plane vector;
     # project it off y_b so the rotation columns stay orthonormal
     axis_p = axis - float(axis @ y_body) * y_body
@@ -321,4 +302,4 @@ def _axis_aligned_output(params, sample, v_air, axis, along, perp, thrust,
     rotation, omega = _smooth_attitude(
         params, sample, v_air, axis_p, y_body, thrust, alpha)
     return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis,
-                          along, perp, SingularCase.AXIS_ALIGNED)
+                          SingularCase.AXIS_ALIGNED)

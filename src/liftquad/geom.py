@@ -80,6 +80,20 @@ def norm(x):
     return np.float64(math.sqrt(x.dot(x)))
 
 
+def lateral_axis(force, headings, floor):
+    """Body lateral axis ``heading x force``, normalized, from the first
+    of ``headings`` (then the earth x and y axes) whose cross product
+    with the demanded ``force`` is longer than ``floor``; returns
+    ``(heading, axis)``.  The flatness transform and the controller
+    complete their attitudes with it."""
+    for heading in (*headings, EYE3[0], EYE3[1]):
+        cross = cross3(heading, force)
+        cross_norm = norm(cross)
+        if cross_norm > floor:
+            return heading, cross / cross_norm
+    raise AssertionError("no usable lateral axis candidate")
+
+
 def skew(v):
     """Skew-symmetric matrix of ``v``: ``skew(v) @ w == cross3(v, w)``."""
     return np.array([
@@ -87,11 +101,6 @@ def skew(v):
         [v[2], 0.0, -v[0]],
         [-v[1], v[0], 0.0],
     ])
-
-
-def unskew(m):
-    """Inverse of :func:`skew` for an antisymmetric 3x3 matrix."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def wrap_pi(angle):
@@ -133,16 +142,6 @@ def quat_mul(a, b):
 def quat_conj(q):
     """Conjugate (inverse for unit quaternions)."""
     return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def quat_to_mat(q):
-    """Rotation matrix of a unit quaternion [w, x, y, z]."""
-    w, x, y, z = q
-    return np.array([
-        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-    ])
 
 
 def mat_to_quat(rotation):

@@ -5,8 +5,8 @@ transform, run the controller tick, pass the command through the
 actuator lag and integrate the plant for the configured substeps.
 Every tick is logged, including the final one, so a run of N ticks
 yields N+1 rows.  Runs are deterministic: identical configs produce
-byte-identical CSV traces (the seed is recorded for provenance, the
-loop itself draws no random numbers).
+byte-identical CSV traces (the loop draws no random numbers, and the
+seed is not part of the trace).
 
 ``condition_matrix`` repeats one experiment under the four controller
 conditions (PID/PD crossed with aero feedforward on/off) plus a
@@ -81,7 +81,6 @@ class RunResult:
     """
 
     table: np.ndarray
-    seed: int = 0
 
     def __getattr__(self, name):
         if name not in COLUMNS:
@@ -114,7 +113,7 @@ class RunResult:
     @classmethod
     def allocate(cls, cfg):
         """Zeroed rows for a run of ``cfg``."""
-        return cls(np.zeros((cfg.n_rows, COLUMNS["v_ref"].stop)), cfg.seed)
+        return cls(np.zeros((cfg.n_rows, COLUMNS["v_ref"].stop)))
 
     def store(self, k, t, ref, state, q, q_d, cmd, flat):
         """Fill row ``k`` from the tick's reference, the position and
@@ -180,8 +179,7 @@ def run_experiment(cfg):
     ticks = _ticks(cfg, result)
     first = next(ticks)
     _, _, ref0, flat0 = first
-    state = VehicleState(ref0.p.copy(), ref0.v.copy(), flat0.rotation.copy(),
-                         0.0)
+    state = VehicleState(ref0.p.copy(), ref0.v.copy(), flat0.rotation.copy())
     control_ctx = ControllerContext()
     control_ctx.held_attitude = flat0.rotation.copy()
     applied = ControlInput(flat0.thrust, flat0.omega.copy())
@@ -245,14 +243,6 @@ class Cell:
         return "ok"
 
 
-@dataclass
-class ConditionMatrix:
-    """Results of the four conditions plus the rate-feedforward ablation."""
-
-    cells: list
-    ablation: Cell
-
-
 def _run_cell(name, cfg):
     try:
         return Cell(name, run_experiment(cfg))
@@ -262,21 +252,20 @@ def _run_cell(name, cfg):
 
 def condition_matrix(cfg):
     """Run the four controller conditions and the rate-feedforward
-    ablation on one shared reference and plant; never raises on a
-    diverging cell."""
+    ablation on one shared reference and plant; returns their five
+    :class:`Cell` in that order and never raises on a diverging cell."""
     from .config import CONDITIONS
     cells = [_run_cell(name, cfg.with_condition(name)) for name in CONDITIONS]
     base = cfg.with_condition("pid-dfaf")
     ablation_cfg = replace(
         base, mode=replace(base.mode, use_rate_feedforward=False))
-    ablation = _run_cell("rate-ff-off", ablation_cfg)
-    return ConditionMatrix(cells, ablation)
+    return cells + [_run_cell("rate-ff-off", ablation_cfg)]
 
 
-def format_matrix(matrix):
-    """Human-readable summary table of a condition matrix."""
+def format_matrix(cells):
+    """Human-readable summary table of condition-matrix cells."""
     lines = [f"{'condition':<12} {'E_p [m]':>12} {'peak [m]':>12}  status"]
-    for cell in list(matrix.cells) + [matrix.ablation]:
+    for cell in cells:
         ep = cell.result.rmse if len(cell.result.t) else math.nan
         peak = cell.result.peak_error() if len(cell.result.t) else math.nan
         lines.append(f"{cell.name:<12} {ep:>12.6f} {peak:>12.6f}  "

@@ -5,7 +5,7 @@ uniformly accelerating phase angle until a speed cap and at constant
 angular rate after it, a Gerono-style figure-eight, a hover point and a
 constant-speed straight line.  Velocity, acceleration and jerk come
 from symbolic differentiation of the position law, not finite
-differences; ``derivative_check`` exists to audit exactly that.
+differences.
 """
 
 import math
@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .flatness import FlatSample
-from .geom import norm
 
 
 class TrajectoryKind(Enum):
@@ -136,22 +135,3 @@ def sample(traj, t):
     a = np.array([0.25 * r * w * w * ch, -r * w * w * s, 0.0])
     j = np.array([-0.125 * r * w ** 3 * sh, -r * w ** 3 * c, 0.0])
     return FlatSample(p, v, a, j, traj.psi_fallback)
-
-
-def derivative_check(traj, t, h):
-    """Central-difference audit of the analytic derivatives.
-
-    Compares ``(p(t+h)-p(t-h))/2h`` with v, and likewise v against a and
-    a against j, at step ``h > 0``; returns the largest error relative
-    to ``max(1, |exact|)``.  Keep ``t - h >= 0``.
-    """
-    if h <= 0.0:
-        raise ValueError("h must be > 0")
-    lo, mid, hi = sample(traj, t - h), sample(traj, t), sample(traj, t + h)
-    worst = 0.0
-    for minus, exact, plus in ((lo.p, mid.v, hi.p), (lo.v, mid.a, hi.v),
-                               (lo.a, mid.j, hi.a)):
-        diff = (plus - minus) / (2.0 * h)
-        err = norm(diff - exact) / max(norm(exact), 1.0)
-        worst = max(worst, err)
-    return worst

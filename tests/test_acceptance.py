@@ -12,17 +12,17 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from liftquad.aero import (AeroParams, GRAVITY, GRAVITY_VEC, aero_accel,
-                           aero_force_wind, aero_force_wing,
-                           body_to_wing_rotation, wing_to_wind_rotation)
+from liftquad.aero import AeroParams, GRAVITY, GRAVITY_VEC, aero_accel
 from liftquad.config import build_config, parse_config_text
 from liftquad.control import ControlInput
 from liftquad.dynamics import PlantConfig, VehicleState, rk4_step
 from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                flatness_transform)
-from liftquad.geom import rodrigues, unskew
+from liftquad.geom import rodrigues
 from liftquad.harness import DivergenceError, run_experiment
 from liftquad.trajectories import TrajectoryDef, TrajectoryKind, sample
+from oracles import (aero_force_wind, aero_force_wing, body_to_wing_rotation,
+                     unskew, wing_to_wind_rotation)
 
 PARAMS = AeroParams()
 
@@ -49,8 +49,7 @@ def test_criterion_1_feedforward_replay_tracks_reference():
     ref0 = sample(traj, 2.0)
     flat0 = flatness_transform(PARAMS, ref0, ctx)
     assert flat0.singular is SingularCase.NONE
-    state = VehicleState(ref0.p.copy(), ref0.v.copy(), flat0.rotation.copy(),
-                         2.0)
+    state = VehicleState(ref0.p.copy(), ref0.v.copy(), flat0.rotation.copy())
     worst = 0.0
     for k in range(501):
         t = 2.0 + k * dt

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from liftquad.aero import (AeroParams, aero_accel, aero_force_wind,
-                           aero_force_wing, body_to_wing_rotation,
-                           wing_to_wind_rotation)
+from liftquad.aero import AeroParams, aero_accel
 from liftquad.geom import rodrigues
+from oracles import (aero_force_wind, aero_force_wing, body_to_wing_rotation,
+                     wing_to_wind_rotation)
 
 EY = np.array([0.0, 1.0, 0.0])
 

@@ -128,7 +128,8 @@ def test_tick_count_is_bounded(tmp_path, capsys):
     ("flat", "trajectory.kind = line\ntrajectory.p0.x = 1.7e308\n"
              "trajectory.speed_cap = 1e308", "trajectory.p0.x"),
     ("flat", "trajectory.kind = line\ntrajectory.speed_cap = 1e308",
-     "trajectory.speed_cap")])
+     "trajectory.speed_cap"),
+    ("sim", "sim.delay_ticks = 1" + "0" * 23, "sim.delay_ticks")])
 def test_out_of_range_key_is_a_config_error(tmp_path, capsys, command, text,
                                             key):
     # refused before the run starts: one line naming the key, no trace
@@ -147,6 +148,27 @@ def test_bad_config_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "unknown key" in err
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"sim.rate = 2\xff50\n")
+    code = main(["sim", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: cannot read config {path}: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["flat", "sim", "compare"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = main([command, "--duration", "0.1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: cannot use --out {out}: ")
+    assert out.read_text() == ""
 
 
 def test_bad_duration_override_exit_code(tmp_path, capsys):

@@ -9,8 +9,8 @@ from scipy.linalg import expm
 
 from liftquad.geom import (EYE3, AxisAngle, NonOrthonormalError,
                            NonUnitAxisError, mat_to_quat, quat_conj, quat_mul,
-                           quat_to_axis_angle, quat_to_mat, rodrigues, skew,
-                           unskew, wrap_pi)
+                           quat_to_axis_angle, rodrigues, skew, wrap_pi)
+from oracles import quat_to_mat, unskew
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from liftquad.trajectories import (TrajectoryDef, TrajectoryKind,
-                                   derivative_check, sample)
+from liftquad.trajectories import TrajectoryDef, TrajectoryKind, sample
+from oracles import derivative_check
 
 
 def test_per_kind_defaults():
