@@ -26,8 +26,6 @@ def _add_common(parser, with_condition):
                         help="config file (defaults apply when omitted)")
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (created if missing)")
-    parser.add_argument("--seed", type=int, metavar="N",
-                        help="override sim.seed")
     parser.add_argument("--duration", type=float, metavar="S",
                         help="override sim.duration (seconds)")
     if with_condition:
@@ -56,8 +54,6 @@ def build_parser():
 
 def _resolve_config(args):
     cfg = load_config(args.config) if args.config else build_config({})
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.duration is not None:
         cfg = replace(cfg, duration=args.duration)
     if getattr(args, "condition", None):
@@ -74,14 +70,22 @@ def _out_dir(args):
     return out
 
 
+def _write(path, write):
+    """``write(path)``; an unwritable output is a usage error, like --out."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_run(run, cfg, path):
     try:
         result = run(cfg)
     except DivergenceError as exc:
-        exc.result.write_csv(path)
+        _write(path, exc.result.write_csv)
         print(f"wrote partial trace to {path}", file=sys.stderr)
         raise
-    result.write_csv(path)
+    _write(path, result.write_csv)
     print(f"wrote {len(result.t)} rows to {path}")
     return result
 
@@ -96,8 +100,7 @@ def _cmd_sim(args):
     cfg = _resolve_config(args)
     name = args.condition or "sim"
     result = _write_run(run_experiment, cfg, _out_dir(args) / f"{name}.csv")
-    print(f"E_p = {result.rmse:.6f} m over {cfg.duration:g} s "
-          f"(seed {cfg.seed})")
+    print(f"E_p = {result.rmse:.6f} m over {cfg.duration:g} s")
     return EXIT_OK
 
 
@@ -106,11 +109,10 @@ def _cmd_compare(args):
     out = _out_dir(args)
     cells = condition_matrix(cfg)
     for cell in cells:
-        cell.result.write_csv(out / f"{cell.name}.csv")
+        _write(out / f"{cell.name}.csv", cell.result.write_csv)
     table = format_matrix(cells)
-    (out / "summary.txt").write_text(
-        f"seed {cfg.seed}, duration {cfg.duration:g} s\n{table}\n",
-        encoding="utf-8")
+    _write(out / "summary.txt", lambda path: path.write_text(
+        f"duration {cfg.duration:g} s\n{table}\n", encoding="utf-8"))
     print(table)
     return EXIT_OK
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aero import AeroParams, GRAVITY
-from .control import ControlGains, ControlLimits, ControlMode
+from .control import (THRUST_FLOOR_FACTOR, ControlGains, ControlLimits,
+                      ControlMode)
 from .dynamics import PlantConfig
 from .trajectories import TrajectoryDef, TrajectoryKind
 
@@ -44,50 +45,6 @@ MAX_ROWS = 10**7
 # substeps take about three hours.
 MAX_PLANT_STEPS = 10**8
 
-# key -> (type tag, default); None defaults are resolved downstream
-# (per-kind trajectory values).
-_AERO_DEFAULT = AeroParams()
-_SCHEMA = {
-    "trajectory.kind": ("kind", TrajectoryKind.CIRCLE),
-    "trajectory.p0.x": ("float", 0.0),
-    "trajectory.p0.y": ("float", 0.0),
-    "trajectory.p0.z": ("float", 0.0),
-    "trajectory.radius": ("float", None),
-    "trajectory.omega": ("float", None),
-    "trajectory.speed_cap": ("float", 10.0),
-    "trajectory.psi": ("float", None),
-    "plant.tau_omega": ("float", 0.0),
-    "plant.tau_thrust": ("float", 0.0),
-    "gains.integrator_limit": ("float", 3.0),
-    "limits.thrust_factor": ("float", 4.0),
-    "limits.omega_max": ("float", 6.0),
-    "mode.integrator": ("bool", True),
-    "mode.aero_ff": ("bool", True),
-    "mode.rate_ff": ("bool", True),
-    "mode.printed_projection": ("bool", False),
-    "sim.duration": ("float", 60.0),
-    "sim.rate": ("int", 250),
-    "sim.substeps": ("int", 4),
-    "sim.abort_radius": ("float", 100.0),
-    "sim.delay_ticks": ("int", 0),
-    "sim.seed": ("int", 0),
-}
-for _section in ("plant", "model"):
-    _SCHEMA[f"{_section}.mass"] = ("float", _AERO_DEFAULT.mass)
-    _SCHEMA[f"{_section}.kappa_deg"] = ("float", math.degrees(_AERO_DEFAULT.kappa))
-    _SCHEMA[f"{_section}.rho"] = ("float", _AERO_DEFAULT.rho)
-    _SCHEMA[f"{_section}.area"] = ("float", _AERO_DEFAULT.area)
-    _SCHEMA[f"{_section}.cd0"] = ("float", _AERO_DEFAULT.cd0)
-    _SCHEMA[f"{_section}.cy0"] = ("float", _AERO_DEFAULT.cy0)
-    _SCHEMA[f"{_section}.cla"] = ("float", _AERO_DEFAULT.cla)
-    for _axis in "xyz":
-        _SCHEMA[f"{_section}.wind.{_axis}"] = ("float", 0.0)
-for _gain, _default in (("kpp", 1.0), ("kvp", 3.0), ("kvi", 0.6),
-                        ("kff", 0.8), ("ktp", 8.0)):
-    for _axis in "xyz":
-        _SCHEMA[f"gains.{_gain}.{_axis}"] = ("float", _default)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment: reference, plant, controller model and
@@ -111,7 +68,6 @@ class ExperimentConfig:
     substeps: int = 4
     abort_radius: float = 100.0
     delay_ticks: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         # written so that NaN fails the range checks too
@@ -160,6 +116,51 @@ class ExperimentConfig:
         mode = replace(self.mode, use_integrator=use_integrator,
                        use_aero_feedforward=use_aero)
         return replace(self, mode=mode)
+
+
+def _axes(prefix, vector):
+    return {f"{prefix}.{axis}": ("float", float(value))
+            for axis, value in zip("xyz", vector)}
+
+
+def _airframe(section, params, wind):
+    values = {"mass": params.mass, "kappa_deg": math.degrees(params.kappa),
+              "rho": params.rho, "area": params.area, "cd0": params.cd0,
+              "cy0": params.cy0, "cla": params.cla}
+    return {**{f"{section}.{name}": ("float", value)
+               for name, value in values.items()},
+            **_axes(f"{section}.wind", wind)}
+
+
+# key -> (type tag, default), each default read off the default config;
+# the per-kind trajectory keys default to None, resolved downstream
+_DEFAULT = ExperimentConfig()
+_SCHEMA = {
+    "trajectory.kind": ("kind", _DEFAULT.trajectory.kind),
+    **_axes("trajectory.p0", _DEFAULT.trajectory.p0),
+    "trajectory.radius": ("float", None),
+    "trajectory.omega": ("float", None),
+    "trajectory.speed_cap": ("float", _DEFAULT.trajectory.speed_cap),
+    "trajectory.psi": ("float", None),
+    "plant.tau_omega": ("float", _DEFAULT.plant.tau_omega),
+    "plant.tau_thrust": ("float", _DEFAULT.plant.tau_thrust),
+    "gains.integrator_limit": ("float", _DEFAULT.gains.integrator_limit),
+    "limits.thrust_factor": ("float", THRUST_FLOOR_FACTOR),
+    "limits.omega_max": ("float", _DEFAULT.limits.omega_max),
+    "mode.integrator": ("bool", _DEFAULT.mode.use_integrator),
+    "mode.aero_ff": ("bool", _DEFAULT.mode.use_aero_feedforward),
+    "mode.rate_ff": ("bool", _DEFAULT.mode.use_rate_feedforward),
+    "mode.printed_projection": ("bool", _DEFAULT.mode.printed_accel_projection),
+    "sim.duration": ("float", _DEFAULT.duration),
+    "sim.rate": ("int", _DEFAULT.rate),
+    "sim.substeps": ("int", _DEFAULT.substeps),
+    "sim.abort_radius": ("float", _DEFAULT.abort_radius),
+    "sim.delay_ticks": ("int", _DEFAULT.delay_ticks),
+    **_airframe("plant", _DEFAULT.plant.aero, _DEFAULT.plant.v_wind),
+    **_airframe("model", _DEFAULT.model, _DEFAULT.wind_est),
+}
+for _gain in ("kpp", "kvp", "kvi", "kff", "ktp"):
+    _SCHEMA.update(_axes(f"gains.{_gain}", getattr(_DEFAULT.gains, _gain)))
 
 
 def parse_config_text(text, source="<config>"):
@@ -215,19 +216,14 @@ def build_config(raw):
         values[key] = _convert(key, raw[key]) if key in raw else default
 
     def vec(prefix):
-        return np.array([values[f"{prefix}.x"], values[f"{prefix}.y"],
-                         values[f"{prefix}.z"]])
+        return np.array([values[f"{prefix}.{axis}"] for axis in "xyz"])
 
     def aero(section):
         try:
             return AeroParams(
-                mass=values[f"{section}.mass"],
                 kappa=math.radians(values[f"{section}.kappa_deg"]),
-                rho=values[f"{section}.rho"],
-                area=values[f"{section}.area"],
-                cd0=values[f"{section}.cd0"],
-                cy0=values[f"{section}.cy0"],
-                cla=values[f"{section}.cla"])
+                **{name: values[f"{section}.{name}"]
+                   for name in ("mass", "rho", "area", "cd0", "cy0", "cla")})
         except ValueError as exc:
             raise ConfigError(f"invalid {section} parameters: {exc}") from None
 
@@ -264,10 +260,8 @@ def build_config(raw):
     return ExperimentConfig(
         trajectory=trajectory, plant=plant, model=model,
         wind_est=vec("model.wind"), gains=gains, limits=limits, mode=mode,
-        duration=values["sim.duration"], rate=values["sim.rate"],
-        substeps=values["sim.substeps"],
-        abort_radius=values["sim.abort_radius"],
-        delay_ticks=values["sim.delay_ticks"], seed=values["sim.seed"])
+        **{name: values[f"sim.{name}"] for name in
+           ("duration", "rate", "substeps", "abort_radius", "delay_ticks")})
 
 
 def load_config(path):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aero import GRAVITY, GRAVITY_VEC, aero_accel
+from .aero import GRAVITY, GRAVITY_VEC, AeroParams, aero_accel
 from .geom import (cross3, lateral_axis, mat_to_quat, norm, quat_conj,
                    quat_mul, quat_to_axis_angle)
 
@@ -31,6 +31,7 @@ from .geom import (cross3, lateral_axis, mat_to_quat, norm, quat_conj,
 # undefined and the free-fall policy (hold attitude, zero thrust) is
 # used instead.
 FREE_FALL_ACCEL = 1e-6
+THRUST_FLOOR_FACTOR = 4.0  # default thrust floor, in airframe weights
 # Rejection threshold for lateral-axis candidates nearly parallel to
 # the desired thrust axis.
 _CROSS_TOL = 1e-6
@@ -101,7 +102,7 @@ class ControlLimits:
     default is four times the default airframe weight) and a per-axis
     body-rate bound (rad/s)."""
 
-    thrust_min: float = -4.0 * 1.5 * GRAVITY
+    thrust_min: float = -THRUST_FLOOR_FACTOR * AeroParams.mass * GRAVITY
     omega_max: float = 6.0
 
     def __post_init__(self):
@@ -134,15 +135,13 @@ class ControllerContext:
     """Mutable per-vehicle controller state.
 
     ``integrator`` is the clamped integral acceleration term (m/s^2);
-    ``held_attitude`` the last desired rotation, reused in the free-fall
-    policy; ``thrust_saturated`` freezes the integrator for one step
-    after the thrust command hit its floor; ``held_quat`` is the
-    quaternion of ``held_attitude``, converted once per step and exposed
-    for logging.
+    ``thrust_saturated`` freezes the integrator for one step after the
+    thrust command hit its floor; ``held_quat`` is the last desired
+    attitude as a quaternion, held through free fall and exposed for
+    logging.
     """
 
     integrator: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    held_attitude: np.ndarray | None = None
     thrust_saturated: bool = False
     held_quat: np.ndarray | None = None
 
@@ -166,7 +165,7 @@ def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
     return gains.kvp * error + integrator + a_ref, integrator
 
 
-def accel_to_attitude_thrust(params, gains, mode, a_d, flat, held=None):
+def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
     """Desired attitude and collective thrust from an acceleration demand.
 
     The aerodynamic feedforward is evaluated at the reference attitude
@@ -174,8 +173,7 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat, held=None):
     attenuated by ``kff`` and removed from the demand together with
     gravity; what remains must come from the rotors.  Returns
     ``(rotation, thrust, free_fall)``; in the free-fall case the
-    rotation is ``held`` (or the reference attitude when no hold exists)
-    and the thrust is zero.
+    rotation is the reference attitude and the thrust is zero.
     """
     a_rotor = a_d - GRAVITY_VEC
     if mode.use_aero_feedforward:
@@ -184,8 +182,7 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat, held=None):
     rotor_norm = norm(a_rotor)
     if rotor_norm < FREE_FALL_ACCEL or (mode.printed_accel_projection
                                         and norm(a_d) < FREE_FALL_ACCEL):
-        rotation = held if held is not None else flat.rotation
-        return rotation, 0.0, True
+        return flat.rotation, 0.0, True
     force = a_rotor / rotor_norm
     _, y_body = lateral_axis(force, (flat.wind_axis, flat.rotation[:, 0]),
                              _CROSS_TOL)
@@ -229,16 +226,17 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     ``sample`` is the flat reference point, ``flat`` the matching
     flatness feedforward, ``state`` the :class:`Measurement` (anything
     with ``p``, ``v`` and ``q``), ``ctx`` the per-vehicle context
-    (mutated).  Deterministic given its arguments.
+    (mutated; in free fall it holds its desired attitude, if it has one).
+    Deterministic given its arguments.
     """
     v_d = position_loop(gains, sample.p, state.p, sample.v)
     freeze = replace(mode, use_integrator=False) if ctx.thrust_saturated else mode
     a_d, ctx.integrator = velocity_loop(
         gains, freeze, v_d, state.v, sample.a, ctx.integrator, dt)
-    rotation_d, thrust_d, _ = accel_to_attitude_thrust(
-        params, gains, mode, a_d, flat, held=ctx.held_attitude)
-    ctx.held_attitude = rotation_d
-    ctx.held_quat = mat_to_quat(rotation_d)
+    rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
+        params, gains, mode, a_d, flat)
+    if not free_fall or ctx.held_quat is None:
+        ctx.held_quat = mat_to_quat(rotation_d)
     omega_d = attitude_loop(gains, mode, ctx.held_quat, state.q, flat.omega)
     command = saturate(limits, thrust_d, omega_d)
     ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)

@@ -241,27 +241,33 @@ def flatness_transform(params, sample, ctx=None, wind=None):
         # aerodynamics alone meet the demand: no thrust, chord on the path
         thrust, alpha = 0.0, params.kappa
     plane = symmetry_plane_vector(params, v_air, sample.a)
+    plane_norm = norm(plane)
     cross = cross3(axis, plane)
     cross_norm = norm(cross)
-    if cross_norm < CROSS_ALIGN_TOL * max(norm(plane), _TINY):
-        return _axis_aligned_output(
-            params, sample, v_air, axis, thrust, alpha, plane)
-    rotation, omega = _smooth_attitude(
-        params, sample, v_air, axis, cross / cross_norm, thrust, alpha)
-    return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis,
-                          SingularCase.NONE)
-
-
-def _smooth_attitude(params, sample, v_air, axis, y_body, thrust, alpha):
-    """Smooth-branch rotation and body rate: the body x-axis is ``axis``
-    rotated about the lateral axis ``y_body`` by ``alpha - kappa``."""
-    x_body = rodrigues(y_body, alpha - params.kappa) @ axis
+    x_wind, singular = axis, SingularCase.NONE
+    if cross_norm < CROSS_ALIGN_TOL * max(plane_norm, _TINY):
+        # aligned-axis policy (e.g. vertical flight): lateral axis from
+        # the yaw fallback, led by the airspeed axis, which only
+        # qualifies in free fall in motion
+        plane_ref = plane if plane_norm >= _TINY else -GRAVITY_VEC
+        yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
+        _, y_body = lateral_axis(plane_ref, (axis, yaw_axis),
+                                 CROSS_ALIGN_TOL * norm(plane_ref))
+        # the airspeed axis is only numerically parallel to the plane
+        # vector; project it off y_b so the rotation stays orthonormal
+        x_wind = axis - float(axis @ y_body) * y_body
+        x_wind = x_wind / norm(x_wind)
+        singular = SingularCase.AXIS_ALIGNED
+    else:
+        y_body = cross / cross_norm
+    # the body x-axis is the wind x-axis rotated about y_b by alpha - kappa
+    x_body = rodrigues(y_body, alpha - params.kappa) @ x_wind
     rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))
     try:
         omega = angular_velocity_from_flat(params, sample, rotation, thrust, v_air)
     except SingularSystemError:
         omega = np.zeros(3)
-    return rotation, omega
+    return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis, singular)
 
 
 def _zero_velocity_output(params, sample, v_air, held_axis):
@@ -285,21 +291,3 @@ def _zero_velocity_output(params, sample, v_air, held_axis):
     return FlatnessOutput(rotation, thrust, params.kappa, np.zeros(3), v_air,
                           axis, SingularCase.ZERO_VELOCITY)
 
-
-def _axis_aligned_output(params, sample, v_air, axis, thrust, alpha, plane):
-    """Aligned-axis policy (e.g. vertical flight): lateral axis from the
-    yaw fallback (led by the airspeed axis, which only qualifies in free
-    fall in motion), then the smooth rotation about it."""
-    plane_norm = norm(plane)
-    plane_ref = plane if plane_norm >= _TINY else -GRAVITY_VEC
-    yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
-    _, y_body = lateral_axis(plane_ref, (axis, yaw_axis),
-                             CROSS_ALIGN_TOL * norm(plane_ref))
-    # the airspeed axis is only numerically parallel to the plane vector;
-    # project it off y_b so the rotation columns stay orthonormal
-    axis_p = axis - float(axis @ y_body) * y_body
-    axis_p = axis_p / norm(axis_p)
-    rotation, omega = _smooth_attitude(
-        params, sample, v_air, axis_p, y_body, thrust, alpha)
-    return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis,
-                          SingularCase.AXIS_ALIGNED)

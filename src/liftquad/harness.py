@@ -5,8 +5,7 @@ transform, run the controller tick, pass the command through the
 actuator lag and integrate the plant for the configured substeps.
 Every tick is logged, including the final one, so a run of N ticks
 yields N+1 rows.  Runs are deterministic: identical configs produce
-byte-identical CSV traces (the loop draws no random numbers, and the
-seed is not part of the trace).
+byte-identical CSV traces.
 
 ``condition_matrix`` repeats one experiment under the four controller
 conditions (PID/PD crossed with aero feedforward on/off) plus a
@@ -181,7 +180,6 @@ def run_experiment(cfg):
     _, _, ref0, flat0 = first
     state = VehicleState(ref0.p.copy(), ref0.v.copy(), flat0.rotation.copy())
     control_ctx = ControllerContext()
-    control_ctx.held_attitude = flat0.rotation.copy()
     applied = ControlInput(flat0.thrust, flat0.omega.copy())
     # position-only measurement delay; the oldest entry is what the
     # controller sees this tick

@@ -36,12 +36,16 @@ def test_sim_reports_rmse_and_names_condition(tmp_path, capsys):
 
 def test_sim_seed_and_duration_overrides(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sim.duration = 30\ntrajectory.kind = hover\n")
-    code = main(["sim", "--config", cfg, "--duration", "0.5", "--seed", "7",
+    code = main(["sim", "--config", cfg, "--duration", "0.5",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "126 rows" in out
-    assert "seed 7" in out
+    assert out.endswith(" m over 0.5 s\n")
+    # the loop draws no randomness, so there is no seed to override
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--config", cfg, "--seed", "7", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_sim_divergence_exit_code(tmp_path, capsys):
@@ -171,6 +175,19 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("command, output", [
+    ("flat", "flat.csv"), ("sim", "sim.csv"), ("compare", "pd-df.csv"),
+    ("compare", "summary.txt")])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command,
+                                             output):
+    # an output path taken by a directory: one line naming it, exit 2
+    (tmp_path / output).mkdir()
+    code = main([command, "--duration", "0.1", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: cannot write {tmp_path / output}: ")
+
+
 def test_bad_duration_override_exit_code(tmp_path, capsys):
     code = main(["check", "--duration", "-1", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -190,7 +207,7 @@ def test_compare_writes_matrix(tmp_path, capsys):
     for name in ("pid-dfaf", "pd-dfaf", "pid-df", "pd-df", "rate-ff-off"):
         assert (tmp_path / f"{name}.csv").exists()
     summary = (tmp_path / "summary.txt").read_text()
-    assert summary.startswith("seed 0, duration 1 s\n")
+    assert summary.startswith("duration 1 s\n")
     assert "rate-ff-off" in summary
     assert "pid-dfaf" in capsys.readouterr().out
 

@@ -110,21 +110,30 @@ def test_hover_demand_gives_level_attitude_and_weight():
 
 
 def test_free_fall_demand_holds_attitude():
-    sample = FlatSample(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    flat = flatness_transform(PARAMS, sample)
-    held = rodrigues(EZ, 0.3)
-    rotation, thrust, free_fall = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(), GRAVITY_VEC, flat, held=held)
-    assert free_fall
-    assert thrust == 0.0
-    assert rotation is held
+    # on the reference, the stock loops demand a = g: free fall
+    falling = FlatSample(np.zeros(3), np.zeros(3), GRAVITY_VEC, np.zeros(3))
     # the printed projection divides by the demand: a zero one holds too
-    rotation, thrust, free_fall = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(printed_accel_projection=True),
-        np.zeros(3), flat, held=held)
-    assert free_fall
-    assert thrust == 0.0
-    assert rotation is held
+    hover = FlatSample(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
+    state = measured(np.zeros(3), np.zeros(3), rodrigues(EZ, 0.3))
+    for mode, ref in ((ControlMode(), falling),
+                      (ControlMode(printed_accel_projection=True), hover)):
+        flat = flatness_transform(PARAMS, ref)
+        _, thrust, free_fall = accel_to_attitude_thrust(
+            PARAMS, ControlGains(), mode, ref.a, flat)
+        assert free_fall and thrust == 0.0
+        # a fresh context takes the reference attitude
+        ctx = ControllerContext()
+        cmd = controller_step(PARAMS, ControlGains(), mode, ControlLimits(),
+                              ref, flat, state, ctx, 0.004)
+        assert cmd.thrust == 0.0
+        assert np.array_equal(ctx.held_quat, mat_to_quat(flat.rotation))
+        # a held attitude survives bit for bit
+        held = mat_to_quat(rodrigues(EZ, -0.7))
+        ctx = ControllerContext(held_quat=held)
+        controller_step(PARAMS, ControlGains(), mode, ControlLimits(), ref,
+                        flat, state, ctx, 0.004)
+        assert ctx.held_quat is held
+        assert np.array_equal(held, mat_to_quat(rodrigues(EZ, -0.7)))
 
 
 def test_aero_feedforward_shifts_demand():
@@ -262,7 +271,6 @@ def test_controller_step_matches_manual_stage_replay():
     assert cmd.thrust == expected.thrust
     assert_allclose(cmd.omega, expected.omega)
     assert_allclose(ctx.integrator, integ)
-    assert_allclose(ctx.held_attitude, rotation_d)
     assert_allclose(ctx.held_quat, mat_to_quat(rotation_d))
 
 

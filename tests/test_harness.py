@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -44,6 +44,28 @@ def test_empty_config_is_stock_circle():
     assert cfg.plant.step == pytest.approx(1e-3)
     assert cfg.limits.thrust_min == pytest.approx(-4.0 * 1.5 * GRAVITY)
     assert_allclose(cfg.gains.kvp, [3.0, 3.0, 3.0])
+
+
+def test_every_default_is_the_dataclass_default():
+    # the empty config is ExperimentConfig(), field by field, down to the
+    # bits: no key's default can drift from the one its dataclass declares
+    def leaves(obj, prefix=""):
+        for spec in fields(obj):
+            value = getattr(obj, spec.name)
+            if is_dataclass(value):
+                yield from leaves(value, f"{prefix}{spec.name}.")
+            else:
+                yield prefix + spec.name, value
+
+    built = dict(leaves(build_config({})))
+    stock = dict(leaves(ExperimentConfig()))
+    assert built.keys() == stock.keys()
+    for name, value in stock.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(built[name], value), name
+        else:
+            assert type(built[name]) is type(value), name
+            assert built[name] == value, name
 
 
 def test_config_values_comments_and_degrees():

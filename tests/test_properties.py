@@ -17,7 +17,6 @@ from liftquad.geom import cross3, norm
 from liftquad.trajectories import (MAX_OFFSET, MAX_OMEGA, MAX_RADIUS,
                                    MAX_SPEED, TrajectoryDef, TrajectoryKind,
                                    sample as sample_trajectory)
-from oracles import quat_to_mat
 
 
 def vectors(bound, size=3):
@@ -81,7 +80,7 @@ def test_controller_commands_stay_within_limits(
     limits = ControlLimits(thrust_min=-4.0 * params.mass * GRAVITY)
     ctx = ControllerContext(
         integrator=integrator,
-        held_attitude=None if held is None else quat_to_mat(held),
+        held_quat=held,
         thrust_saturated=saturated)
     state = Measurement(sample.p + offset, v, attitude)
     cmd = controller_step(params, ControlGains(), mode, limits, sample, flat,
