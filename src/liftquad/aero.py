@@ -14,15 +14,16 @@ The model is quadratic in airspeed with a flat-plate-style lift curve.
 :func:`aero_accel` (through ``AeroParams.drag``) is the one
 implementation that the controller and the plant call; drag opposes the
 airspeed: with only ``cd0`` active the earth-frame acceleration is
-``-(rho*S*cd0 / 2m) * |v_a| * v_a``.
+``-(rho*S*cd0 / 2m) * |v_a| * v_a``.  It is scalar arithmetic on the
+components of its inputs, so the plant runs it on Python floats and the
+controller on numpy float64 scalars, which raise under numpy's strict
+error state; both get the same bits from the same inputs.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .geom import norm
 
 GRAVITY = 9.81
 GRAVITY_VEC = np.array([0.0, 0.0, GRAVITY])  # NED: +z is down
@@ -51,6 +52,8 @@ class AeroParams:
     cy0: float = 0.0
     cla: float = 2.0
     drag: np.ndarray = field(init=False, repr=False, compare=False)
+    # ``drag`` as rows of Python floats, the form aero_accel reads
+    _drag_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mass <= 0.0:
@@ -73,6 +76,7 @@ class AeroParams:
             [cdxz, 0.0, self.cd0 * s * s + (self.cla + self.cd0) * c * c]])
         drag.setflags(write=False)
         object.__setattr__(self, "drag", drag)
+        object.__setattr__(self, "_drag_rows", tuple(map(tuple, drag.tolist())))
 
     def zeroed(self):
         """Copy with all aerodynamic coefficients set to zero.
@@ -85,8 +89,29 @@ class AeroParams:
 def aero_accel(params, rotation, airspeed_vec):
     """Earth-frame aerodynamic acceleration acting on the airframe,
     ``-(rho*S*|v_a| / 2m) R D R^T v_a`` with the body-frame drag matrix
-    ``D = params.drag``.
+    ``D = params.drag``, as a 3-tuple.
+
+    ``rotation`` is read as three rows and ``airspeed_vec`` as three
+    components, numpy or Python floats alike.  Every product and
+    quotient that can overflow has an input component as an operand,
+    so on numpy scalars an overflow raises under ``np.errstate``; on
+    Python floats it gives ``inf`` and nothing here raises: no division
+    by an input, and a square root only of a sum of squares.
     """
-    speed = norm(airspeed_vec)
-    scale = params.rho * params.area * speed / (2.0 * params.mass)
-    return -scale * (rotation @ (params.drag @ (rotation.T @ airspeed_vec)))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    ax, ay, az = airspeed_vec
+    # D is symmetric, with the wing's x-z coupling and no other
+    (dxx, _, dxz), (_, dyy, _), (_, _, dzz) = params._drag_rows
+    speed = math.sqrt(ax * ax + ay * ay + az * az)
+    # airspeed in body axes, R^T v_a
+    bx = r00 * ax + r10 * ay + r20 * az
+    by = r01 * ax + r11 * ay + r21 * az
+    bz = r02 * ax + r12 * ay + r22 * az
+    # |v_a| D R^T v_a
+    fx = (dxx * bx + dxz * bz) * speed
+    fy = dyy * by * speed
+    fz = (dxz * bx + dzz * bz) * speed
+    gain, twice_mass = -params.rho * params.area, 2.0 * params.mass
+    return (gain * (r00 * fx + r01 * fy + r02 * fz) / twice_mass,
+            gain * (r10 * fx + r11 * fy + r12 * fz) / twice_mass,
+            gain * (r20 * fx + r21 * fy + r22 * fz) / twice_mass)

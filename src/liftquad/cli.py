@@ -13,8 +13,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import CONDITIONS, ConfigError, build_config, load_config
-from .harness import (DivergenceError, condition_matrix, feasibility_check,
-                      feedforward_trace, format_matrix, run_experiment)
+from .harness import (ABLATION, DivergenceError, condition_matrix,
+                      feasibility_check, feedforward_trace, format_matrix,
+                      run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,7 +79,17 @@ def _write(path, write):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _claim(*paths):
+    """Refuse, before any run starts, an output that cannot be written.
+
+    Opening for appending creates a missing file empty and leaves an
+    existing one as it is; the run's output replaces it later."""
+    for path in paths:
+        _write(path, lambda p: p.open("a", encoding="utf-8").close())
+
+
 def _write_run(run, cfg, path):
+    _claim(path)
     try:
         result = run(cfg)
     except DivergenceError as exc:
@@ -107,11 +118,13 @@ def _cmd_sim(args):
 def _cmd_compare(args):
     cfg = _resolve_config(args)
     out = _out_dir(args)
+    summary = out / "summary.txt"
+    _claim(*(out / f"{name}.csv" for name in (*CONDITIONS, ABLATION)), summary)
     cells = condition_matrix(cfg)
     for cell in cells:
         _write(out / f"{cell.name}.csv", cell.result.write_csv)
     table = format_matrix(cells)
-    _write(out / "summary.txt", lambda path: path.write_text(
+    _write(summary, lambda path: path.write_text(
         f"duration {cfg.duration:g} s\n{table}\n", encoding="utf-8"))
     print(table)
     return EXIT_OK

@@ -115,7 +115,8 @@ class ControlLimits:
 @dataclass(frozen=True)
 class ControlInput:
     """Saturated actuator command: collective thrust (N, <= 0) and body
-    angular velocity (rad/s)."""
+    angular velocity (rad/s), a numpy array from the controller and a
+    float 3-tuple on the plant's side of the harness."""
 
     thrust: float
     omega: np.ndarray
@@ -123,7 +124,8 @@ class ControlInput:
 
 class Measurement(NamedTuple):
     """What the controller reads of the vehicle: earth-frame position
-    and velocity and the body-to-earth attitude as a unit quaternion."""
+    and velocity (3-vectors; the plant's are float tuples) and the
+    body-to-earth attitude as a unit quaternion."""
 
     p: np.ndarray
     v: np.ndarray

@@ -9,6 +9,12 @@ exact, and classical RK4 integrates position and velocity along it.  An
 optional first-order actuator lag, updated exactly over the held step,
 sits between the commanded and applied inputs.
 
+The plant runs on Python floats: the state is tuples and a step makes
+no numpy call, because numpy's per-call cost on a 3-vector or a 3x3
+matrix is far above the arithmetic it does.  Float arithmetic does not
+raise on overflow, it gives ``inf`` or ``nan``; the harness checks the
+state once per tick with :func:`require_finite`.
+
 The plant's aerodynamic parameters are independent of the controller's
 copy, which is how model mismatch experiments are expressed.
 """
@@ -18,19 +24,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aero import AeroParams, GRAVITY_VEC, aero_accel
+from .aero import GRAVITY, AeroParams, aero_accel
 from .control import ControlInput
-from .geom import EYE3, rodrigues
 
 
 @dataclass
 class VehicleState:
-    """Plant state: position and velocity in the earth frame (NED) and
-    the body-to-earth rotation."""
+    """Plant state: position and velocity in the earth frame (NED) as
+    3-tuples, and the body-to-earth rotation as three row tuples.
 
-    p: np.ndarray
-    v: np.ndarray
-    R: np.ndarray
+    A step reads any sequences of that shape, numpy arrays included,
+    and returns tuples."""
+
+    p: tuple
+    v: tuple
+    R: tuple
+
+
+def require_finite(state):
+    """Raise ``FloatingPointError`` unless every component of ``state``
+    is finite: float arithmetic overflows to ``inf`` without raising."""
+    (px, py, pz), (vx, vy, vz), (r0, r1, r2) = state.p, state.v, state.R
+    if not all(map(math.isfinite, (px, py, pz, vx, vy, vz, *r0, *r1, *r2))):
+        raise FloatingPointError("overflow encountered in the plant")
 
 
 @dataclass(frozen=True)
@@ -44,9 +60,12 @@ class PlantConfig:
     tau_omega: float = 0.0
     tau_thrust: float = 0.0
     step: float = 1e-3
+    # ``v_wind`` as Python floats, the form the plant reads
+    _wind: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v_wind", np.asarray(self.v_wind, dtype=float))
+        object.__setattr__(self, "_wind", tuple(self.v_wind.tolist()))
         if self.step <= 0.0:
             raise ValueError("integration step must be > 0")
         if self.tau_omega < 0.0 or self.tau_thrust < 0.0:
@@ -54,13 +73,32 @@ class PlantConfig:
 
 
 def acceleration(cfg, R, v, thrust):
-    """Earth-frame acceleration at attitude ``R`` and velocity ``v``.
+    """Earth-frame acceleration at attitude ``R`` (three rows) and
+    velocity ``v``, as a 3-tuple.
 
     Thrust acts along body z (negative thrust pulls up in NED), the wing
     acts through the airspeed ``v - v_wind``, gravity closes the sum.
     """
-    return ((thrust / cfg.aero.mass) * R[:, 2]
-            + aero_accel(cfg.aero, R, v - cfg.v_wind) + GRAVITY_VEC)
+    vx, vy, vz = v
+    wx, wy, wz = cfg._wind
+    ax, ay, az = aero_accel(cfg.aero, R, (vx - wx, vy - wy, vz - wz))
+    f = thrust / cfg.aero.mass
+    return (f * R[0][2] + ax, f * R[1][2] + ay, f * R[2][2] + az + GRAVITY)
+
+
+def _turn(R, h):
+    """``R @ h`` for two 3x3 matrices given as rows; rows out."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = R
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = h
+    return ((a00 * b00 + a01 * b10 + a02 * b20,
+             a00 * b01 + a01 * b11 + a02 * b21,
+             a00 * b02 + a01 * b12 + a02 * b22),
+            (a10 * b00 + a11 * b10 + a12 * b20,
+             a10 * b01 + a11 * b11 + a12 * b21,
+             a10 * b02 + a11 * b12 + a12 * b22),
+            (a20 * b00 + a21 * b10 + a22 * b20,
+             a20 * b01 + a21 * b11 + a22 * b21,
+             a20 * b02 + a21 * b12 + a22 * b22))
 
 
 def rk4_step(cfg, state, inp):
@@ -71,37 +109,57 @@ def rk4_step(cfg, state, inp):
     integrates position and velocity along it.
     """
     h = cfg.step
-    rate = math.hypot(*inp.omega)
-    half = (rodrigues(inp.omega / rate, 0.5 * h * rate) if rate > 0.0
-            else EYE3)
-    R_mid = state.R @ half
-    R_end = R_mid @ half
-    v1 = state.v
-    a1 = acceleration(cfg, state.R, v1, inp.thrust)
-    v2 = v1 + 0.5 * h * a1
-    a2 = acceleration(cfg, R_mid, v2, inp.thrust)
-    v3 = v1 + 0.5 * h * a2
-    a3 = acceleration(cfg, R_mid, v3, inp.thrust)
-    v4 = v1 + h * a3
-    a4 = acceleration(cfg, R_end, v4, inp.thrust)
-    p = state.p + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    v = v1 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return VehicleState(p, v, R_end)
-
-
-def _lag(tau, step, commanded, previous):
-    # exact zero-order-hold response; tau == 0 passes the command through
-    if tau == 0.0:
-        return commanded
-    return commanded + math.exp(-step / tau) * (previous - commanded)
+    wx, wy, wz = inp.omega
+    rate = math.hypot(wx, wy, wz)
+    if rate > 0.0:
+        # the half turn, Rodrigues' formula about the unit axis u
+        ux, uy, uz = wx / rate, wy / rate, wz / rate
+        angle = 0.5 * h * rate
+        c, s = math.cos(angle), math.sin(angle)
+        kx, ky, kz = (1.0 - c) * ux, (1.0 - c) * uy, (1.0 - c) * uz
+        sx, sy, sz = s * ux, s * uy, s * uz
+        half = ((c + kx * ux, kx * uy - sz, kx * uz + sy),
+                (kx * uy + sz, c + ky * uy, ky * uz - sx),
+                (kx * uz - sy, ky * uz + sx, c + kz * uz))
+        R_mid = _turn(state.R, half)
+        R_end = _turn(R_mid, half)
+    else:
+        R_mid = R_end = state.R
+    thrust = inp.thrust
+    px, py, pz = state.p
+    vx1, vy1, vz1 = state.v
+    ax1, ay1, az1 = acceleration(cfg, state.R, state.v, thrust)
+    g = 0.5 * h
+    vx2, vy2, vz2 = vx1 + g * ax1, vy1 + g * ay1, vz1 + g * az1
+    ax2, ay2, az2 = acceleration(cfg, R_mid, (vx2, vy2, vz2), thrust)
+    vx3, vy3, vz3 = vx1 + g * ax2, vy1 + g * ay2, vz1 + g * az2
+    ax3, ay3, az3 = acceleration(cfg, R_mid, (vx3, vy3, vz3), thrust)
+    vx4, vy4, vz4 = vx1 + h * ax3, vy1 + h * ay3, vz1 + h * az3
+    ax4, ay4, az4 = acceleration(cfg, R_end, (vx4, vy4, vz4), thrust)
+    w = h / 6.0
+    return VehicleState(
+        (px + w * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4),
+         py + w * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4),
+         pz + w * (vz1 + 2.0 * vz2 + 2.0 * vz3 + vz4)),
+        (vx1 + w * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+         vy1 + w * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
+         vz1 + w * (az1 + 2.0 * az2 + 2.0 * az3 + az4)),
+        R_end)
 
 
 def actuator_lag(cfg, commanded, applied_prev):
     """First-order lag between commanded and applied inputs over one
     plant step, ``cmd + exp(-step/tau) (prev - cmd)`` per channel, so
     the applied value stays between the previous one and the command.
-    The thrust and body-rate channels use their own time constants.
+    The thrust and body-rate channels use their own time constants; a
+    channel with ``tau == 0`` passes the command through.
     """
-    return ControlInput(
-        _lag(cfg.tau_thrust, cfg.step, commanded.thrust, applied_prev.thrust),
-        _lag(cfg.tau_omega, cfg.step, commanded.omega, applied_prev.omega))
+    thrust, omega = commanded.thrust, commanded.omega
+    if cfg.tau_thrust != 0.0:
+        f = math.exp(-cfg.step / cfg.tau_thrust)
+        thrust = thrust + f * (applied_prev.thrust - thrust)
+    if cfg.tau_omega != 0.0:
+        f = math.exp(-cfg.step / cfg.tau_omega)
+        (cx, cy, cz), (px, py, pz) = omega, applied_prev.omega
+        omega = (cx + f * (px - cx), cy + f * (py - cy), cz + f * (pz - cz))
+    return ControlInput(thrust, omega)

@@ -25,7 +25,12 @@ Error-state contract: the kernels return bit for bit what
 numpy float64 scalars and arrays, never on Python floats, so under
 ``np.errstate(over="raise", invalid="raise", divide="raise")`` they
 raise ``FloatingPointError`` on the inputs where numpy's routine raises
-(Python float arithmetic would give ``inf`` silently).
+(Python float arithmetic would give ``inf`` silently).  The reference,
+the flatness transform and the controller run on numpy under that
+state.  The plant (:mod:`liftquad.dynamics`) runs on Python floats
+instead, and the harness checks its state once per tick, after the
+substeps, raising the same ``FloatingPointError`` on the first
+non-finite component.
 """
 
 import math

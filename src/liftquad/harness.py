@@ -21,7 +21,7 @@ import numpy as np
 
 from .control import (ControlInput, ControllerContext, Measurement,
                       controller_step)
-from .dynamics import VehicleState, actuator_lag, rk4_step
+from .dynamics import VehicleState, actuator_lag, require_finite, rk4_step
 from .flatness import TransformContext, flatness_transform
 from .geom import mat_to_quat, norm
 from .trajectories import sample as sample_trajectory
@@ -35,6 +35,8 @@ COLUMNS = {"t": 0, "p": slice(1, 4), "p_ref": slice(4, 7), "v": slice(7, 10),
            "omega": slice(19, 22), "alpha": 22, "singular": 23,
            "v_ref": slice(24, 27)}
 _CSV_WIDTH = CSV_COLUMNS.count(",") + 1
+# the condition matrix's last cell: pid-dfaf without the rate feedforward
+ABLATION = "rate-ff-off"
 
 
 class EmptySeriesError(ValueError):
@@ -178,24 +180,29 @@ def run_experiment(cfg):
     ticks = _ticks(cfg, result)
     first = next(ticks)
     _, _, ref0, flat0 = first
-    state = VehicleState(ref0.p.copy(), ref0.v.copy(), flat0.rotation.copy())
+    # the plant runs on Python floats from here to the end of the run
+    state = VehicleState(tuple(ref0.p.tolist()), tuple(ref0.v.tolist()),
+                         tuple(map(tuple, flat0.rotation.tolist())))
     control_ctx = ControllerContext()
-    applied = ControlInput(flat0.thrust, flat0.omega.copy())
+    applied = ControlInput(float(flat0.thrust), tuple(flat0.omega.tolist()))
     # position-only measurement delay; the oldest entry is what the
     # controller sees this tick
-    p_history = deque([state.p.copy()], maxlen=cfg.delay_ticks + 1)
+    p_history = deque([state.p], maxlen=cfg.delay_ticks + 1)
 
     for k, t, ref, flat in chain([first], ticks):
         try:
             if k:   # the plant follows the previous tick's command to t
                 for _ in range(cfg.substeps):
-                    applied = actuator_lag(cfg.plant, cmd, applied)
+                    applied = actuator_lag(cfg.plant, held, applied)
                     state = rk4_step(cfg.plant, state, applied)
-                p_history.append(state.p.copy())
+                require_finite(state)
+                p_history.append(state.p)
             q = mat_to_quat(state.R)
             measured = Measurement(p_history[0], state.v, q)
             cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
                                   ref, flat, measured, control_ctx, dt)
+            # the command the plant holds until the next tick, in floats
+            held = ControlInput(cmd.thrust, tuple(cmd.omega.tolist()))
             error = float(norm(state.p - ref.p))
         except FloatingPointError as exc:
             raise _went_non_finite(exc, t, ref, result, k) from None
@@ -257,7 +264,7 @@ def condition_matrix(cfg):
     base = cfg.with_condition("pid-dfaf")
     ablation_cfg = replace(
         base, mode=replace(base.mode, use_rate_feedforward=False))
-    return cells + [_run_cell("rate-ff-off", ablation_cfg)]
+    return cells + [_run_cell(ABLATION, ablation_cfg)]
 
 
 def format_matrix(cells):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from liftquad import cli
 from liftquad.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from liftquad.harness import CSV_COLUMNS
 
@@ -177,15 +178,24 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, output", [
     ("flat", "flat.csv"), ("sim", "sim.csv"), ("compare", "pd-df.csv"),
-    ("compare", "summary.txt")])
-def test_unwritable_output_is_a_config_error(tmp_path, capsys, command,
-                                             output):
-    # an output path taken by a directory: one line naming it, exit 2
+    ("compare", "rate-ff-off.csv"), ("compare", "summary.txt")])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                             command, output):
+    # an output path taken by a directory: one line naming it, exit 2,
+    # before the run starts (stand-in runs fail if they are entered)
+    entered = []
+
+    def stand_in(cfg):
+        entered.append(cfg)
+        raise AssertionError("the run started")
+    for name in ("feedforward_trace", "run_experiment", "condition_matrix"):
+        monkeypatch.setattr(cli, name, stand_in)
     (tmp_path / output).mkdir()
     code = main([command, "--duration", "0.1", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"config error: cannot write {tmp_path / output}: ")
+    assert not entered
 
 
 def test_bad_duration_override_exit_code(tmp_path, capsys):

@@ -129,9 +129,10 @@ def test_rotation_stays_orthonormal_over_long_run():
     for k in range(100000):
         state = rk4_step(cfg, state, inp)
         if k % 500 == 0:
-            worst = max(worst, np.linalg.norm(
-                state.R.T @ state.R - np.eye(3)))
-    worst = max(worst, np.linalg.norm(state.R.T @ state.R - np.eye(3)))
+            R = np.asarray(state.R)
+            worst = max(worst, np.linalg.norm(R.T @ R - np.eye(3)))
+    R = np.asarray(state.R)
+    worst = max(worst, np.linalg.norm(R.T @ R - np.eye(3)))
     assert worst < 1e-9
 
 
@@ -142,7 +143,8 @@ def test_drag_only_dissipates_mechanical_energy():
     state = make_state(v=(12.0, 0.0, -4.0))
 
     def energy(s):
-        return 0.5 * m * float(s.v @ s.v) - m * GRAVITY * s.p[2]
+        v = np.asarray(s.v)
+        return 0.5 * m * float(v @ v) - m * GRAVITY * s.p[2]
 
     prev = energy(state)
     for _ in range(5000):
@@ -224,7 +226,8 @@ def test_rk4_keeps_attitude_orthonormal_and_state_finite(omega, thrust, v0):
     state = make_state(v=v0)
     for _ in range(10_000):
         state = rk4_step(cfg, state, inp)
-    assert np.linalg.norm(state.R.T @ state.R - np.eye(3)) < 1e-10
+    R = np.asarray(state.R)
+    assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-10
     assert np.all(np.isfinite(state.p)) and np.all(np.isfinite(state.v))
 
 

@@ -282,13 +282,20 @@ def test_zero_feedback_run_diverges():
 
 def test_arithmetic_overflow_is_a_divergence():
     # the first overflow ends the run with the finite rows before it, in
-    # the closed loop (plant or controller) and in the open loop alike
+    # the closed loop (plant or controller) and in the open loop alike;
+    # the plant's float state is checked once per tick, after the
+    # substeps, so a lagged plant in wind overflows on the same row
     settings = np.geterr()
-    for run, key, rows in ((run_experiment, "plant.cd0", 1),
-                           (run_experiment, "model.cd0", 1),
-                           (feedforward_trace, "model.wind.x", 0)):
+    lagged_windy_hover = {"trajectory.kind": "hover", "plant.wind.x": 4.0,
+                          "plant.wind.y": -2.0, "plant.tau_omega": 0.03,
+                          "plant.tau_thrust": 0.05}
+    for run, overrides, rows in (
+            (run_experiment, {"plant.cd0": "1e300"}, 1),
+            (run_experiment, {"model.cd0": "1e300"}, 1),
+            (feedforward_trace, {"model.wind.x": "1e300"}, 0),
+            (run_experiment, {**lagged_windy_hover, "plant.cd0": "1e300"}, 1)):
         with pytest.raises(DivergenceError, match="went non-finite") as info:
-            run(short_circle(**{"sim.duration": 1, key: "1e300"}))
+            run(short_circle(**{"sim.duration": 1, **overrides}))
         assert len(info.value.result.t) == rows
         assert np.geterr() == settings
 

@@ -1,22 +1,25 @@
 """Property tests over the documented parameter ranges: references stay
 finite, the flatness transform is total, the controller's commands
-stay within limits and the geometric kernels are numpy's results."""
+stay within limits, the geometric kernels are numpy's results and the
+wing-force kernel is one kernel on numpy and float inputs."""
 
 import math
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from liftquad.aero import GRAVITY, GRAVITY_VEC, KAPPA_MAX, KAPPA_MIN, AeroParams
+from liftquad.aero import (GRAVITY, GRAVITY_VEC, KAPPA_MAX, KAPPA_MIN,
+                           AeroParams, aero_accel)
 from liftquad.config import MAX_ROWS
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
                               ControllerContext, Measurement,
                               controller_step)
 from liftquad.flatness import FlatSample, TransformContext, flatness_transform
-from liftquad.geom import cross3, norm
+from liftquad.geom import cross3, norm, rodrigues
 from liftquad.trajectories import (MAX_OFFSET, MAX_OMEGA, MAX_RADIUS,
                                    MAX_SPEED, TrajectoryDef, TrajectoryKind,
                                    sample as sample_trajectory)
+from oracles import aero_force_wing, body_to_wing_rotation
 
 
 def vectors(bound, size=3):
@@ -156,3 +159,47 @@ def test_norm_is_numpys_norm(x):
         assert type(value) is np.float64
         assert _bits(value) == _bits(np.linalg.norm(x))
     assert _raises(norm, x) == _raises(np.linalg.norm, x)
+
+
+unit_axes = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda x: math.hypot(*x) > 0.1).map(lambda x: np.array(x) / math.hypot(*x))
+rotations = st.builds(rodrigues, unit_axes, st.floats(-math.pi, math.pi))
+
+
+def decades(low, high):
+    return st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                     st.floats(1.0, 10.0), st.integers(low, high))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rotation=st.one_of(matrices, rotations),
+       airspeed=st.one_of(triples, st.builds(lambda axis, speed: axis * speed,
+                                             unit_axes, decades(-300, 299))),
+       mass=decades(-300, 3))
+def test_aero_accel_is_one_kernel_on_numpy_and_float_inputs(rotation,
+                                                            airspeed, mass):
+    # the plant passes float tuples, the controller numpy arrays: the
+    # same bits either way, and on arrays under the strict error state
+    # a result that overflows raises instead of coming back non-finite,
+    # for light airframes too
+    params = AeroParams(mass=mass, cy0=0.1)
+    floats = aero_accel(params, rotation.tolist(), airspeed.tolist())
+    with np.errstate(all="ignore"):
+        assert _bits(aero_accel(params, rotation, airspeed)) == _bits(floats)
+    assert (_raises(aero_accel, params, rotation, airspeed)
+            == (not all(map(math.isfinite, floats))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa_deg=st.floats(16.0, 90.0), cy0=st.floats(0.0, 1.0),
+       rotation=rotations,
+       airspeed=st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3))
+def test_aero_accel_is_the_wing_frame_force_at_every_wing_angle(
+        kappa_deg, cy0, rotation, airspeed):
+    # oracle: the wing-frame force rotated to earth, over the mass
+    params = AeroParams(kappa=math.radians(kappa_deg), cy0=cy0)
+    airspeed = np.array(airspeed)
+    expected = (rotation @ body_to_wing_rotation(params.kappa).T
+                @ aero_force_wing(params, rotation, airspeed) / params.mass)
+    accel = aero_accel(params, rotation.tolist(), airspeed.tolist())
+    np.testing.assert_allclose(accel, expected, rtol=1e-12, atol=1e-12)
