@@ -15,9 +15,10 @@ The model is quadratic in airspeed with a flat-plate-style lift curve.
 implementation that the controller and the plant call; drag opposes the
 airspeed: with only ``cd0`` active the earth-frame acceleration is
 ``-(rho*S*cd0 / 2m) * |v_a| * v_a``.  It is scalar arithmetic on the
-components of its inputs, so the plant runs it on Python floats and the
-controller on numpy float64 scalars, which raise under numpy's strict
-error state; both get the same bits from the same inputs.
+components of its inputs: the plant and the controller run it on Python
+floats, and on numpy float64 scalars (the numpy controller oracle's
+arrays) it gives the same bits and raises under numpy's strict error
+state.
 """
 
 import math

@@ -180,8 +180,6 @@ def parse_config_text(text, source="<config>"):
             raise ConfigError(f"{source}:{lineno}: empty key or value")
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        if key not in _SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         raw[key] = value
     return raw
 
@@ -210,7 +208,11 @@ def _convert(key, value):
 
 
 def build_config(raw):
-    """ExperimentConfig from raw string pairs (defaults fill the gaps)."""
+    """ExperimentConfig from raw string pairs (defaults fill the gaps);
+    strict like the file format: an unknown key is a ConfigError."""
+    for key in raw:
+        if key not in _SCHEMA:
+            raise ConfigError(f"unknown key {key!r}")
     values = {}
     for key, (tag, default) in _SCHEMA.items():
         values[key] = _convert(key, raw[key]) if key in raw else default

@@ -16,16 +16,29 @@ no-sideslip heading.
 
 All functions are pure given an explicit :class:`ControllerContext`;
 use one context per vehicle.
+
+The tick runs on Python floats, as the plant does: vectors are
+3-tuples, rotations three row tuples and quaternions 4-tuples.  The
+loops read any sequences of those shapes, numpy arrays included; a
+step reads the reference sample and feedforward arrays once, with
+``tolist``, and makes no other numpy call.  Float arithmetic does not
+raise on overflow, so the step checks each value that a later clamp,
+branch or saturation could hide: the velocity integral before its
+clamp, the demand's norm before the free-fall and lateral-axis branches
+and the command before saturation.  Each raises
+``FloatingPointError("overflow encountered in the controller")``.  The
+numpy form of the controller is the test oracle in ``tests/oracles.py``.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .aero import GRAVITY, GRAVITY_VEC, AeroParams, aero_accel
-from .geom import (cross3, lateral_axis, mat_to_quat, norm, quat_conj,
-                   quat_mul, quat_to_axis_angle)
+from .aero import GRAVITY, AeroParams, aero_accel
+from .geom import (lateral_axis, mat_to_quat, quat_conj, quat_mul,
+                   quat_to_axis_angle)
 
 # Acceleration-demand norm below which the thrust direction is
 # undefined and the free-fall policy (hold attitude, zero thrust) is
@@ -35,6 +48,7 @@ THRUST_FLOOR_FACTOR = 4.0  # default thrust floor, in airframe weights
 # Rejection threshold for lateral-axis candidates nearly parallel to
 # the desired thrust axis.
 _CROSS_TOL = 1e-6
+_GAINS = ("kpp", "kvp", "kvi", "kff", "ktp")
 
 
 def _axis_vector(value):
@@ -61,9 +75,11 @@ class ControlGains:
     kff: np.ndarray = field(default_factory=lambda: np.full(3, 0.8))
     ktp: np.ndarray = field(default_factory=lambda: np.full(3, 8.0))
     integrator_limit: float = 3.0
+    # the five gains as rows of Python floats, the form the loops read
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("kpp", "kvp", "kvi", "kff", "ktp"):
+        for name in _GAINS:
             vec = _axis_vector(getattr(self, name))
             if vec.shape != (3,):
                 raise ValueError(f"{name} must be a scalar or 3-vector")
@@ -74,6 +90,8 @@ class ControlGains:
             raise ValueError(f"kff entries must be <= 1, got {self.kff}")
         if self.integrator_limit < 0.0:
             raise ValueError("integrator_limit must be >= 0")
+        object.__setattr__(self, "_rows", {
+            name: tuple(getattr(self, name).tolist()) for name in _GAINS})
 
 
 @dataclass(frozen=True)
@@ -112,45 +130,64 @@ class ControlLimits:
             raise ValueError("omega_max must be > 0")
 
 
-@dataclass(frozen=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     """Saturated actuator command: collective thrust (N, <= 0) and body
-    angular velocity (rad/s), a numpy array from the controller and a
-    float 3-tuple on the plant's side of the harness."""
+    angular velocity (rad/s) as a float 3-tuple, the form the plant
+    reads."""
 
     thrust: float
-    omega: np.ndarray
+    omega: tuple
 
 
 class Measurement(NamedTuple):
     """What the controller reads of the vehicle: earth-frame position
-    and velocity (3-vectors; the plant's are float tuples) and the
-    body-to-earth attitude as a unit quaternion."""
+    and velocity as 3-tuples and the body-to-earth attitude as a unit
+    quaternion 4-tuple (any sequences of those lengths will do)."""
 
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
+    p: tuple
+    v: tuple
+    q: tuple
 
 
 @dataclass
 class ControllerContext:
     """Mutable per-vehicle controller state.
 
-    ``integrator`` is the clamped integral acceleration term (m/s^2);
-    ``thrust_saturated`` freezes the integrator for one step after the
-    thrust command hit its floor; ``held_quat`` is the last desired
-    attitude as a quaternion, held through free fall and exposed for
-    logging.
+    ``integrator`` is the clamped integral acceleration term (m/s^2) as
+    a 3-tuple; ``thrust_saturated`` freezes the integrator for one step
+    after the thrust command hit its floor; ``held_quat`` is the last
+    desired attitude as a quaternion 4-tuple, held through free fall and
+    exposed for logging.
     """
 
-    integrator: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    integrator: tuple = (0.0, 0.0, 0.0)
     thrust_saturated: bool = False
-    held_quat: np.ndarray | None = None
+    held_quat: tuple | None = None
+
+
+def _require_finite(*values):
+    """Raise ``FloatingPointError`` unless every value is finite: float
+    arithmetic overflows to ``inf`` or ``nan`` without raising."""
+    if not all(map(math.isfinite, values)):
+        raise FloatingPointError("overflow encountered in the controller")
+
+
+def _clip(v, bound):
+    """Each component of the 3-vector ``v`` clipped to ``[-bound, bound]``,
+    as a 3-tuple; written as comparisons, which cost half of what the
+    ``min`` and ``max`` builtins do here."""
+    x, y, z = v
+    low = -bound
+    return (bound if x > bound else low if x < low else x,
+            bound if y > bound else low if y < low else y,
+            bound if z > bound else low if z < low else z)
 
 
 def position_loop(gains, p_ref, p, v_ref):
     """Velocity command from position error plus reference velocity."""
-    return gains.kpp * (p_ref - p) + v_ref
+    (kx, ky, kz), (rx, ry, rz), (px, py, pz) = gains._rows["kpp"], p_ref, p
+    vx, vy, vz = v_ref
+    return (kx * (rx - px) + vx, ky * (ry - py) + vy, kz * (rz - pz) + vz)
 
 
 def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
@@ -158,13 +195,22 @@ def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
 
     Returns ``(a_d, integrator')``.  The integrator stores the gain-scaled
     integral term directly, accumulates ``kvi * error * dt`` per call and
-    is clamped per axis; it is passed through unchanged in PD mode.
+    is clamped per axis; it is passed through unchanged in PD mode.  A
+    step of the integral that overflows raises ``FloatingPointError``
+    rather than reaching the clamp.
     """
-    error = v_d - v
+    (dx, dy, dz), (vx, vy, vz) = v_d, v
+    ex, ey, ez = dx - vx, dy - vy, dz - vz
     if mode.use_integrator:
-        limit = gains.integrator_limit
-        integrator = np.clip(integrator + gains.kvi * error * dt, -limit, limit)
-    return gains.kvp * error + integrator + a_ref, integrator
+        (kx, ky, kz), (ix, iy, iz) = gains._rows["kvi"], integrator
+        ix, iy, iz = ix + kx * ex * dt, iy + ky * ey * dt, iz + kz * ez * dt
+        integrator = (ix, iy, iz)
+        _require_finite(*integrator)
+        integrator = _clip(integrator, gains.integrator_limit)
+    (kx, ky, kz), (ix, iy, iz), (ax, ay, az) = (gains._rows["kvp"],
+                                                 integrator, a_ref)
+    a_d = (kx * ex + ix + ax, ky * ey + iy + ay, kz * ez + iz + az)
+    return a_d, integrator
 
 
 def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
@@ -174,27 +220,37 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
     (``flat.rotation``) and reference airspeed (``flat.airspeed``),
     attenuated by ``kff`` and removed from the demand together with
     gravity; what remains must come from the rotors.  Returns
-    ``(rotation, thrust, free_fall)``; in the free-fall case the
-    rotation is the reference attitude and the thrust is zero.
+    ``(rotation, thrust, free_fall)``, the rotation as three rows; in
+    the free-fall case the rotation is the reference attitude and the
+    thrust is zero.  A demand whose norm is not finite raises
+    ``FloatingPointError`` before either case is chosen.
     """
-    a_rotor = a_d - GRAVITY_VEC
+    dx, dy, dz = a_d
+    rx, ry, rz = dx, dy, dz - GRAVITY
+    rotation_ff = flat.rotation.tolist()
     if mode.use_aero_feedforward:
-        a_ff = aero_accel(params, flat.rotation, flat.airspeed)
-        a_rotor = a_rotor - gains.kff * a_ff
-    rotor_norm = norm(a_rotor)
-    if rotor_norm < FREE_FALL_ACCEL or (mode.printed_accel_projection
-                                        and norm(a_d) < FREE_FALL_ACCEL):
-        return flat.rotation, 0.0, True
-    force = a_rotor / rotor_norm
-    _, y_body = lateral_axis(force, (flat.wind_axis, flat.rotation[:, 0]),
-                             _CROSS_TOL)
-    z_body = -force
-    x_body = cross3(y_body, z_body)
-    rotation = np.column_stack((x_body, y_body, z_body))
+        (kx, ky, kz), (fx, fy, fz) = gains._rows["kff"], aero_accel(
+            params, rotation_ff, flat.airspeed.tolist())
+        rx, ry, rz = rx - kx * fx, ry - ky * fy, rz - kz * fz
+    rotor_norm = math.sqrt(rx * rx + ry * ry + rz * rz)
+    # the printed projection also divides by the demand's norm
+    demand_norm = (math.sqrt(dx * dx + dy * dy + dz * dz)
+                   if mode.printed_accel_projection else FREE_FALL_ACCEL)
+    _require_finite(rotor_norm, demand_norm)
+    if rotor_norm < FREE_FALL_ACCEL or demand_norm < FREE_FALL_ACCEL:
+        return rotation_ff, 0.0, True
+    force = (rx / rotor_norm, ry / rotor_norm, rz / rotor_norm)
+    (hx, _, _), (hy, _, _), (hz, _, _) = rotation_ff
+    _, (yx, yy, yz) = lateral_axis(
+        force, (flat.wind_axis.tolist(), (hx, hy, hz)), _CROSS_TOL)
+    zx, zy, zz = -force[0], -force[1], -force[2]
+    # x_body = y_body x z_body
+    xx, xy, xz = yy * zz - yz * zy, yz * zx - yx * zz, yx * zy - yy * zx
+    rotation = ((xx, yx, zx), (xy, yy, zy), (xz, yz, zz))
     if mode.printed_accel_projection:
-        thrust = -params.mass * float(a_rotor @ a_d) / norm(a_d)
+        thrust = -params.mass * (rx * dx + ry * dy + rz * dz) / demand_norm
     else:
-        thrust = params.mass * float(z_body @ a_rotor)
+        thrust = params.mass * (zx * rx + zy * ry + zz * rz)
     return rotation, min(thrust, 0.0), False
 
 
@@ -207,19 +263,19 @@ def attitude_loop(gains, mode, q_d, q_current, omega_ref):
     Antipodal quaternion representations give the identical command.
     """
     q_err = quat_mul(quat_conj(q_current), q_d)
-    xi = quat_to_axis_angle(q_err).vector
-    omega = gains.ktp * xi
-    if mode.use_rate_feedforward:
-        omega = omega + omega_ref
-    return omega
+    (kx, ky, kz), (ex, ey, ez) = (gains._rows["ktp"],
+                                  quat_to_axis_angle(q_err).vector)
+    if not mode.use_rate_feedforward:
+        return (kx * ex, ky * ey, kz * ez)
+    wx, wy, wz = omega_ref
+    return (kx * ex + wx, ky * ey + wy, kz * ez + wz)
 
 
 def saturate(limits, thrust, omega):
     """Clip the thrust to ``[thrust_min, 0]`` and each body-rate axis to
     ``[-omega_max, omega_max]``; idempotent."""
-    return ControlInput(
-        float(np.clip(thrust, limits.thrust_min, 0.0)),
-        np.clip(omega, -limits.omega_max, limits.omega_max))
+    return ControlInput(min(max(thrust, limits.thrust_min), 0.0),
+                        _clip(omega, limits.omega_max))
 
 
 def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
@@ -229,17 +285,21 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     flatness feedforward, ``state`` the :class:`Measurement` (anything
     with ``p``, ``v`` and ``q``), ``ctx`` the per-vehicle context
     (mutated; in free fall it holds its desired attitude, if it has one).
-    Deterministic given its arguments.
+    Deterministic given its arguments.  Raises ``FloatingPointError``
+    when the integral step, the demand or the unsaturated command is not
+    finite.
     """
-    v_d = position_loop(gains, sample.p, state.p, sample.v)
+    v_d = position_loop(gains, sample.p.tolist(), state.p, sample.v.tolist())
     freeze = replace(mode, use_integrator=False) if ctx.thrust_saturated else mode
     a_d, ctx.integrator = velocity_loop(
-        gains, freeze, v_d, state.v, sample.a, ctx.integrator, dt)
+        gains, freeze, v_d, state.v, sample.a.tolist(), ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
         params, gains, mode, a_d, flat)
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
-    omega_d = attitude_loop(gains, mode, ctx.held_quat, state.q, flat.omega)
+    omega_d = attitude_loop(gains, mode, ctx.held_quat, state.q,
+                            flat.omega.tolist())
+    _require_finite(thrust_d, *omega_d)
     command = saturate(limits, thrust_d, omega_d)
     ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)
     return command

@@ -215,14 +215,25 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
 
 
 def flatness_transform(params, sample, ctx=None, wind=None):
-    """Full flat-reference to feedforward mapping; total function.
+    """Full flat-reference to feedforward mapping; total on its domain.
 
-    Singularities are resolved by policy (see the module docstring) and
-    flagged in the output.  ``ctx`` carries the hysteresis state and the
-    last good airspeed direction between calls; omitted, a fresh context
-    makes the call a stateless per-sample transform.  The estimated
-    ``wind`` (none when omitted) enters only here.
+    The domain is every sample whose ``p``, ``v``, ``a``, ``j`` and
+    ``psi`` are finite; outside it the call raises ``ValueError`` naming
+    the first non-finite field, before it reads or changes ``ctx``.
+    Inside it, singularities are resolved by policy (see the module
+    docstring) and flagged in the output; arithmetic that overflows (a
+    speed near 1e154, say) raises ``FloatingPointError`` under the
+    strict error state the harness runs it in.  ``ctx`` carries the
+    hysteresis state and the last good airspeed direction between calls;
+    omitted, a fresh context makes the call a stateless per-sample
+    transform.  The estimated ``wind`` (none when omitted) enters only
+    here.
     """
+    for name in ("p", "v", "a", "j"):
+        if not all(map(math.isfinite, getattr(sample, name).tolist())):
+            raise ValueError(f"flat sample field {name} is not finite")
+    if not math.isfinite(sample.psi):
+        raise ValueError("flat sample field psi is not finite")
     if ctx is None:
         ctx = TransformContext()
     v_air = sample.v - (_NO_WIND if wind is None else wind)
@@ -253,6 +264,7 @@ def flatness_transform(params, sample, ctx=None, wind=None):
         yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
         _, y_body = lateral_axis(plane_ref, (axis, yaw_axis),
                                  CROSS_ALIGN_TOL * norm(plane_ref))
+        y_body = np.array(y_body)
         # the airspeed axis is only numerically parallel to the plane
         # vector; project it off y_b so the rotation stays orthonormal
         x_wind = axis - float(axis @ y_body) * y_body
@@ -284,6 +296,7 @@ def _zero_velocity_output(params, sample, v_air, held_axis):
                               yaw_axis, SingularCase.ZERO_VELOCITY)
     headings = (yaw_axis,) if held_axis is None else (held_axis, yaw_axis)
     axis, y_body = lateral_axis(plane, headings, CROSS_ALIGN_TOL * plane_norm)
+    axis, y_body = np.asarray(axis, dtype=float), np.array(y_body)
     x_body = cross3(plane, y_body)
     x_body = x_body / norm(x_body)
     rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))

@@ -2,35 +2,44 @@
 
 Conventions used throughout the package:
 
-* vectors are numpy arrays of shape (3,), rotation matrices (3, 3),
-  quaternions (4,) in scalar-first order [w, x, y, z] with Hamilton
-  products;
+* vectors are 3-sequences (numpy arrays of shape (3,) or float
+  3-tuples), rotation matrices 3x3 (numpy arrays, or three row tuples),
+  quaternions 4-sequences in scalar-first order [w, x, y, z] with
+  Hamilton products;
 * a body-to-earth rotation stores the body axes as columns, so
   ``R @ v_body`` expresses a body vector in earth axes and the attitude
   kinematics read ``Rdot = R @ skew(omega_body)``;
 * the earth frame is north-east-down: z points down, so "up" is -z.
 
-All functions are pure and operate on float64 data; callers that share
-arrays across threads must not mutate them concurrently.
+All functions are pure; callers that share arrays across threads must
+not mutate them concurrently.
 
-One kernel per operation: the package takes every cross product of two
-3-vectors from :func:`cross3`, every 2-norm of a lone vector or 3x3
-matrix from :func:`norm` and the identity from the read-only
-:data:`EYE3`.  On a 3-vector, numpy's general routines cost far more
-per call than the arithmetic they do, and a controller tick makes
-dozens of these calls.
+The quaternion functions and :func:`lateral_axis` are scalar arithmetic
+on the components of their inputs and return float tuples: on a
+3-vector or a 3x3 matrix, numpy's per-call cost is far above the
+arithmetic it does, and a controller tick makes dozens of these calls.
+The numpy form of :func:`mat_to_quat` is the test oracle in
+``tests/oracles.py``.  The flatness transform still computes on numpy
+arrays: it takes every cross product of two 3-vectors from
+:func:`cross3` and every 2-norm of a lone vector or 3x3 matrix from
+:func:`norm`, as :func:`rodrigues` does with the read-only identity
+:data:`EYE3`; the harness's divergence messages take the reference
+speed from :func:`norm`.
 
-Error-state contract: the kernels return bit for bit what
-``numpy.cross`` and ``numpy.linalg.norm`` return, and they compute on
-numpy float64 scalars and arrays, never on Python floats, so under
-``np.errstate(over="raise", invalid="raise", divide="raise")`` they
-raise ``FloatingPointError`` on the inputs where numpy's routine raises
-(Python float arithmetic would give ``inf`` silently).  The reference,
-the flatness transform and the controller run on numpy under that
-state.  The plant (:mod:`liftquad.dynamics`) runs on Python floats
-instead, and the harness checks its state once per tick, after the
-substeps, raising the same ``FloatingPointError`` on the first
-non-finite component.
+Error-state contract: :func:`cross3` and :func:`norm` return bit for bit
+what ``numpy.cross`` and ``numpy.linalg.norm`` return, and they compute
+on numpy float64 scalars and arrays, so under ``np.errstate(over="raise",
+invalid="raise", divide="raise")`` they raise ``FloatingPointError`` on
+the inputs where numpy's routine raises.  The reference and the
+flatness transform run on numpy under that state; the float functions
+here compute on numpy float64 scalars when given numpy arrays, so the
+transform's calls to :func:`lateral_axis` raise under it too.  The
+controller (:mod:`liftquad.control`) and the plant
+(:mod:`liftquad.dynamics`) run on Python floats instead, whose
+arithmetic gives ``inf`` or ``nan`` without raising: the controller
+checks its own values each tick, and the harness checks the plant state
+once per tick, each raising the same ``FloatingPointError`` on the
+first non-finite value.
 """
 
 import math
@@ -47,6 +56,9 @@ SMALL_ANGLE = 1e-6
 
 EYE3 = np.identity(3)
 EYE3.setflags(write=False)
+# the earth axes lateral_axis falls back on, as floats
+_EARTH_X = (1.0, 0.0, 0.0)
+_EARTH_Y = (0.0, 1.0, 0.0)
 
 
 class NonUnitAxisError(ValueError):
@@ -60,12 +72,13 @@ class NonOrthonormalError(ValueError):
 class AxisAngle(NamedTuple):
     """Axis-angle form of a rotation.
 
-    ``vector`` is the rotation vector (axis scaled by angle); its norm
-    equals ``abs(angle)`` and ``angle`` lies in (-pi, pi].
+    ``vector`` is the rotation vector (axis scaled by angle) as a
+    3-tuple; its norm equals ``abs(angle)`` and ``angle`` lies in
+    (-pi, pi].
     """
 
     angle: float
-    vector: np.ndarray
+    vector: tuple
 
 
 def cross3(a, b):
@@ -89,13 +102,15 @@ def lateral_axis(force, headings, floor):
     """Body lateral axis ``heading x force``, normalized, from the first
     of ``headings`` (then the earth x and y axes) whose cross product
     with the demanded ``force`` is longer than ``floor``; returns
-    ``(heading, axis)``.  The flatness transform and the controller
-    complete their attitudes with it."""
-    for heading in (*headings, EYE3[0], EYE3[1]):
-        cross = cross3(heading, force)
-        cross_norm = norm(cross)
+    ``(heading, axis)``, the axis as a 3-tuple.  The flatness transform
+    and the controller complete their attitudes with it."""
+    fx, fy, fz = force
+    for heading in (*headings, _EARTH_X, _EARTH_Y):
+        hx, hy, hz = heading
+        cx, cy, cz = hy * fz - hz * fy, hz * fx - hx * fz, hx * fy - hy * fx
+        cross_norm = math.sqrt(cx * cx + cy * cy + cz * cz)
         if cross_norm > floor:
-            return heading, cross / cross_norm
+            return heading, (cx / cross_norm, cy / cross_norm, cz / cross_norm)
     raise AssertionError("no usable lateral axis candidate")
 
 
@@ -133,69 +148,68 @@ def rodrigues(axis, angle):
 
 
 def quat_mul(a, b):
-    """Hamilton product of two scalar-first quaternions."""
+    """Hamilton product of two scalar-first quaternions, as a 4-tuple."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
 
 
 def quat_conj(q):
-    """Conjugate (inverse for unit quaternions)."""
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    """Conjugate (inverse for unit quaternions), as a 4-tuple."""
+    w, x, y, z = q
+    return (w, -x, -y, -z)
 
 
 def mat_to_quat(rotation):
-    """Quaternion of a rotation matrix, canonical sign (w >= 0).
+    """Quaternion of a rotation matrix (read as three rows), canonical
+    sign (w >= 0), as a 4-tuple.
 
     Raises :class:`NonOrthonormalError` when ``rotation`` is not orthonormal
     within ``UNIT_TOL`` (Frobenius residual of R^T R - I) or has negative
     determinant.
     """
-    r = np.asarray(rotation, dtype=float)
-    residual = norm(r.T @ r - EYE3)
-    if residual > UNIT_TOL or np.linalg.det(r) <= 0.0:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    # R^T R - I: three diagonal and three (twice counted) off-diagonal
+    # entries
+    d00 = r00 * r00 + r10 * r10 + r20 * r20 - 1.0
+    d11 = r01 * r01 + r11 * r11 + r21 * r21 - 1.0
+    d22 = r02 * r02 + r12 * r12 + r22 * r22 - 1.0
+    d01 = r00 * r01 + r10 * r11 + r20 * r21
+    d02 = r00 * r02 + r10 * r12 + r20 * r22
+    d12 = r01 * r02 + r11 * r12 + r21 * r22
+    residual = math.sqrt(d00 * d00 + d11 * d11 + d22 * d22
+                         + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
+    det = (r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
+           + r02 * (r10 * r21 - r11 * r20))
+    if residual > UNIT_TOL or det <= 0.0:
         raise NonOrthonormalError(f"orthonormality residual {residual:.3g} "
                                   f"exceeds {UNIT_TOL:g} or det <= 0")
     # Shepperd's method: branch on the largest diagonal combination to keep
     # the divisor well away from zero.
-    t = np.trace(r)
-    if t >= max(r[0, 0], r[1, 1], r[2, 2]):
+    t = r00 + r11 + r22
+    if t >= max(r00, r11, r22):
         w = 0.5 * math.sqrt(max(0.0, 1.0 + t))
         f = 0.25 / w
-        q = np.array([w,
-                      f * (r[2, 1] - r[1, 2]),
-                      f * (r[0, 2] - r[2, 0]),
-                      f * (r[1, 0] - r[0, 1])])
-    elif r[0, 0] >= max(r[1, 1], r[2, 2]):
-        x = 0.5 * math.sqrt(max(0.0, 1.0 + r[0, 0] - r[1, 1] - r[2, 2]))
+        x, y, z = f * (r21 - r12), f * (r02 - r20), f * (r10 - r01)
+    elif r00 >= max(r11, r22):
+        x = 0.5 * math.sqrt(max(0.0, 1.0 + r00 - r11 - r22))
         f = 0.25 / x
-        q = np.array([f * (r[2, 1] - r[1, 2]),
-                      x,
-                      f * (r[0, 1] + r[1, 0]),
-                      f * (r[0, 2] + r[2, 0])])
-    elif r[1, 1] >= r[2, 2]:
-        y = 0.5 * math.sqrt(max(0.0, 1.0 + r[1, 1] - r[0, 0] - r[2, 2]))
+        w, y, z = f * (r21 - r12), f * (r01 + r10), f * (r02 + r20)
+    elif r11 >= r22:
+        y = 0.5 * math.sqrt(max(0.0, 1.0 + r11 - r00 - r22))
         f = 0.25 / y
-        q = np.array([f * (r[0, 2] - r[2, 0]),
-                      f * (r[0, 1] + r[1, 0]),
-                      y,
-                      f * (r[1, 2] + r[2, 1])])
+        w, x, z = f * (r02 - r20), f * (r01 + r10), f * (r12 + r21)
     else:
-        z = 0.5 * math.sqrt(max(0.0, 1.0 + r[2, 2] - r[0, 0] - r[1, 1]))
+        z = 0.5 * math.sqrt(max(0.0, 1.0 + r22 - r00 - r11))
         f = 0.25 / z
-        q = np.array([f * (r[1, 0] - r[0, 1]),
-                      f * (r[0, 2] + r[2, 0]),
-                      f * (r[1, 2] + r[2, 1]),
-                      z])
-    q = q / norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+        w, x, y = f * (r10 - r01), f * (r02 + r20), f * (r12 + r21)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if w < 0.0:
+        n = -n
+    return (w / n, x / n, y / n, z / n)
 
 
 def quat_to_axis_angle(q):
@@ -205,9 +219,9 @@ def quat_to_axis_angle(q):
     The returned angle lies in (-pi, pi] and ``vector`` has norm
     ``abs(angle)``.
     """
-    q = np.asarray(q, dtype=float)
-    q = q / norm(q)
-    w = min(1.0, max(-1.0, q[0]))
+    qw, qx, qy, qz = q
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    w = min(1.0, max(-1.0, qw / n))
     angle = wrap_pi(2.0 * math.acos(w))
     sign = 1.0 if w >= 0.0 else -1.0
     if abs(angle) < SMALL_ANGLE:
@@ -215,4 +229,5 @@ def quat_to_axis_angle(q):
         scale = 2.0 + angle * angle / 12.0
     else:
         scale = angle / math.sin(0.5 * angle)
-    return AxisAngle(angle, sign * scale * q[1:4])
+    k = sign * scale
+    return AxisAngle(angle, (k * (qx / n), k * (qy / n), k * (qz / n)))

@@ -145,9 +145,11 @@ class RunResult:
 _STRICT_FP = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
-def _went_non_finite(exc, t, ref, result, k):
+def _went_non_finite(reason, t, ref, result, k):
+    """The divergence of a run whose tick ``k`` went non-finite;
+    ``reason`` says what happened in which layer."""
     return DivergenceError(t, float(norm(ref.v)), result.head(k),
-                           f"the run went non-finite ({exc})")
+                           f"the run went non-finite ({reason})")
 
 
 def _ticks(cfg, result):
@@ -164,7 +166,13 @@ def _ticks(cfg, result):
             flat = flatness_transform(ff_params, ref, transform_ctx,
                                       wind=cfg.wind_est)
         except FloatingPointError as exc:
-            raise _went_non_finite(exc, t, ref, result, k) from None
+            # numpy's message names the operation ("overflow encountered
+            # in dot"); the other layers' messages name the layer, and so
+            # does this one
+            what = str(exc).partition(" encountered in ")[0]
+            raise _went_non_finite(
+                f"{what} encountered in the flatness transform", t, ref,
+                result, k) from None
         yield k, t, ref, flat
 
 
@@ -193,17 +201,20 @@ def run_experiment(cfg):
         try:
             if k:   # the plant follows the previous tick's command to t
                 for _ in range(cfg.substeps):
-                    applied = actuator_lag(cfg.plant, held, applied)
+                    applied = actuator_lag(cfg.plant, cmd, applied)
                     state = rk4_step(cfg.plant, state, applied)
                 require_finite(state)
                 p_history.append(state.p)
             q = mat_to_quat(state.R)
             measured = Measurement(p_history[0], state.v, q)
+            # the command the plant holds until the next tick
             cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
                                   ref, flat, measured, control_ctx, dt)
-            # the command the plant holds until the next tick, in floats
-            held = ControlInput(cmd.thrust, tuple(cmd.omega.tolist()))
-            error = float(norm(state.p - ref.p))
+            (px, py, pz), (rx, ry, rz) = state.p, ref.p.tolist()
+            dx, dy, dz = px - rx, py - ry, pz - rz
+            error = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if not math.isfinite(error):
+                raise FloatingPointError("overflow encountered in the harness")
         except FloatingPointError as exc:
             raise _went_non_finite(exc, t, ref, result, k) from None
         result.store(k, t, ref, state, q, control_ctx.held_quat, cmd, flat)
@@ -222,7 +233,7 @@ def feedforward_trace(cfg):
     result = RunResult.allocate(cfg)
     for k, t, ref, flat in _ticks(cfg, result):
         # the reference is the state: measured and desired attitude agree
-        quat = mat_to_quat(flat.rotation)
+        quat = mat_to_quat(flat.rotation.tolist())
         cmd = ControlInput(flat.thrust, flat.omega)
         result.store(k, t, ref, ref, quat, quat, cmd, flat)
     return result

@@ -78,14 +78,21 @@ def test_near_zero_actuator_lag_exits_ok(tmp_path, capsys):
     assert "E_p = " in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command, override", [
-    ("sim", "plant.cd0 = 1e300"), ("sim", "model.cd0 = 1e300"),
-    ("sim", "plant.mass = 1e-300"), ("flat", "model.wind.x = 1e200"),
-    ("flat", "model.cd0 = 1e300")])
+_OVERFLOWS = [
+    ("sim", "plant.cd0 = 1e300", "the plant"),
+    ("sim", "model.cd0 = 1e300", "the controller"),
+    ("sim", "plant.mass = 1e-300", "the plant"),
+    ("flat", "model.wind.x = 1e200", "the flatness transform"),
+    ("flat", "model.cd0 = 1e300", "the flatness transform")]
+
+
+@pytest.mark.parametrize("command, override, layer", _OVERFLOWS,
+                         ids=[f"{c}-{o}" for c, o, _ in _OVERFLOWS])
 def test_non_finite_run_exits_as_divergence(tmp_path, capsys, command,
-                                            override):
+                                            override, layer):
     # a run whose arithmetic overflows is a divergence: exit 3, a partial
-    # trace of the finite rows and one line of reason, no warnings
+    # trace of the finite rows and one line of reason naming the layer
+    # that overflowed, no warnings
     cfg = write_cfg(tmp_path, override + "\n")
     code = main([command, "--config", cfg, "--duration", "1",
                  "--out", str(tmp_path)])
@@ -96,6 +103,7 @@ def test_non_finite_run_exits_as_divergence(tmp_path, capsys, command,
     assert re.fullmatch(r"error: the run went non-finite \(\w[\w ]* encountered"
                         r" in [\w ]+\) at t=\d+\.\d{3} s \(reference speed"
                         r" \d+\.\d\d m/s\)", reason)
+    assert f" encountered in {layer}) at t=" in reason
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_COLUMNS
     assert len(lines) < 252

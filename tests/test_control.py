@@ -144,6 +144,7 @@ def test_aero_feedforward_shifts_demand():
         PARAMS, gains, ControlMode(), a_d, flat)
     without, thrust_raw, _ = accel_to_attitude_thrust(
         PARAMS, gains, ControlMode(use_aero_feedforward=False), a_d, flat)
+    with_ff, without = np.asarray(with_ff), np.asarray(without)
     assert np.linalg.norm(with_ff - without) > 1e-3
     assert thrust_ff != pytest.approx(thrust_raw)
     # oracle: rebuild the compensated demand directly
@@ -159,6 +160,7 @@ def test_lateral_axis_prefers_airspeed_direction():
     sample, flat = cruise_reference()
     rotation, _, _ = accel_to_attitude_thrust(
         PARAMS, ControlGains(), ControlMode(), sample.a, flat)
+    rotation = np.asarray(rotation)
     assert abs(float(rotation[:, 1] @ flat.wind_axis)) < 1e-12
 
 
@@ -209,7 +211,7 @@ def test_attitude_loop_antipodal_quaternions_agree():
     q_d = mat_to_quat(rodrigues(np.array([0.0, 1.0, 0.0]), 1.1))
     q = mat_to_quat(rodrigues(EZ, 0.8))
     a = attitude_loop(gains, ControlMode(), q_d, q, np.zeros(3))
-    b = attitude_loop(gains, ControlMode(), q_d, -q, np.zeros(3))
+    b = attitude_loop(gains, ControlMode(), q_d, -np.asarray(q), np.zeros(3))
     assert_allclose(a, b, atol=1e-12)
 
 
@@ -286,7 +288,7 @@ def test_integrator_freezes_after_thrust_floor():
     controller_step(PARAMS, gains, mode, tight, sample, flat, state, ctx,
                     0.004)
     assert ctx.thrust_saturated
-    frozen = ctx.integrator.copy()
+    frozen = np.asarray(ctx.integrator)
     controller_step(PARAMS, gains, mode, tight, sample, flat, state, ctx,
                     0.004)
     assert_allclose(ctx.integrator, frozen)
@@ -306,7 +308,7 @@ def test_saturated_step_keeps_other_mode_flags():
     cmd = controller_step(PARAMS, gains, mode, tight, sample, flat, state,
                           ctx, 0.004)
 
-    ctx_ref = ControllerContext(integrator=ctx.integrator.copy(),
+    ctx_ref = ControllerContext(integrator=np.asarray(ctx.integrator),
                                 thrust_saturated=True)
     v_d = position_loop(gains, sample.p, state.p, sample.v)
     a_d, _ = velocity_loop(gains, ControlMode(use_integrator=False), v_d,

@@ -175,7 +175,8 @@ def test_axis_angle_long_way_takes_shortest_path():
     assert out.angle == pytest.approx(wrap_pi(angle), abs=1e-12)
     # oracle: re-composing the axis-angle reproduces the rotation (the
     # vector carries the sign, so rotate by its norm about its direction)
-    recomposed = rodrigues(out.vector / abs(out.angle), abs(out.angle))
+    recomposed = rodrigues(np.asarray(out.vector) / abs(out.angle),
+                           abs(out.angle))
     assert np.linalg.norm(recomposed - quat_to_mat(q)) < 1e-12
 
 
@@ -185,14 +186,15 @@ def test_axis_angle_round_trip_random():
         rot = random_rotation(rng)
         q = mat_to_quat(rot)
         if rng.uniform() < 0.5:
-            q = -q  # both quaternion signs must give the same answer
+            # both quaternion signs must give the same answer
+            q = -np.asarray(q)
         out = quat_to_axis_angle(q)
         assert isinstance(out, AxisAngle)
         assert abs(out.angle) <= math.pi + 1e-12
         assert np.linalg.norm(out.vector) == pytest.approx(abs(out.angle),
                                                            abs=1e-9)
         if abs(out.angle) > 1e-12:
-            recomposed = rodrigues(out.vector / abs(out.angle),
+            recomposed = rodrigues(np.asarray(out.vector) / abs(out.angle),
                                    abs(out.angle))
             assert np.linalg.norm(recomposed - rot) < 1e-11
 
@@ -210,5 +212,5 @@ def test_antipodal_quaternions_same_axis_angle():
     rng = np.random.default_rng(13)
     for _ in range(20):
         q = mat_to_quat(random_rotation(rng))
-        a, b = quat_to_axis_angle(q), quat_to_axis_angle(-q)
+        a, b = quat_to_axis_angle(q), quat_to_axis_angle(-np.asarray(q))
         assert_allclose(a.vector, b.vector, atol=1e-12)

@@ -105,7 +105,14 @@ def test_config_rejects_malformed_input(text, fragment):
 
 def test_config_error_carries_location():
     with pytest.raises(ConfigError, match=r"demo\.cfg:2"):
-        parse_config_text("plant.rho = 1.0\nnope = 1", source="demo.cfg")
+        parse_config_text("plant.rho = 1.0\nplant.rho = 1", source="demo.cfg")
+
+
+def test_library_config_rejects_unknown_keys():
+    # the file parser and the library entry point share one key check:
+    # a misspelt key must not silently give the stock run
+    with pytest.raises(ConfigError, match="unknown key 'sim.duraton'"):
+        build_config({"sim.duraton": "5"})
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -284,17 +291,29 @@ def test_arithmetic_overflow_is_a_divergence():
     # the first overflow ends the run with the finite rows before it, in
     # the closed loop (plant or controller) and in the open loop alike;
     # the plant's float state is checked once per tick, after the
-    # substeps, so a lagged plant in wind overflows on the same row
+    # substeps, so a lagged plant in wind overflows on the same row; a
+    # controller's integral step or command that overflows raises before
+    # its clamp or saturation could make it finite again
     settings = np.geterr()
     lagged_windy_hover = {"trajectory.kind": "hover", "plant.wind.x": 4.0,
                           "plant.wind.y": -2.0, "plant.tau_omega": 0.03,
                           "plant.tau_thrust": 0.05}
-    for run, overrides, rows in (
-            (run_experiment, {"plant.cd0": "1e300"}, 1),
-            (run_experiment, {"model.cd0": "1e300"}, 1),
-            (feedforward_trace, {"model.wind.x": "1e300"}, 0),
-            (run_experiment, {**lagged_windy_hover, "plant.cd0": "1e300"}, 1)):
-        with pytest.raises(DivergenceError, match="went non-finite") as info:
+    coarse_lemniscate = {"trajectory.kind": "lemniscate",
+                         "sim.duration": 30}
+    for run, overrides, rows, layer in (
+            (run_experiment, {"plant.cd0": "1e300"}, 1, "plant"),
+            (run_experiment, {"model.cd0": "1e300"}, 1, "controller"),
+            (feedforward_trace, {"model.wind.x": "1e300"}, 0,
+             "flatness transform"),
+            (run_experiment, {**lagged_windy_hover, "plant.cd0": "1e300"}, 1,
+             "plant"),
+            (run_experiment, {**coarse_lemniscate, "sim.rate": 1,
+                              "gains.kvi.x": "1e308"}, 2, "controller"),
+            (run_experiment, {**coarse_lemniscate, "sim.rate": 2,
+                              "gains.ktp.x": "1e308"}, 1, "controller")):
+        with pytest.raises(DivergenceError,
+                           match=f"went non-finite .* in the {layer}\\)"
+                           ) as info:
             run(short_circle(**{"sim.duration": 1, **overrides}))
         assert len(info.value.result.t) == rows
         assert np.geterr() == settings

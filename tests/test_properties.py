@@ -1,24 +1,31 @@
 """Property tests over the documented parameter ranges: references stay
-finite, the flatness transform is total, the controller's commands
-stay within limits, the geometric kernels are numpy's results and the
-wing-force kernel is one kernel on numpy and float inputs."""
+finite, the flatness transform is total on its domain, the controller's
+commands stay within limits, the float controller and quaternion
+conversion agree with their numpy oracles, the geometric kernels are
+numpy's results and the wing-force kernel is one kernel on numpy and
+float inputs."""
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from numpy.testing import assert_allclose
 
 from liftquad.aero import (GRAVITY, GRAVITY_VEC, KAPPA_MAX, KAPPA_MIN,
                            AeroParams, aero_accel)
 from liftquad.config import MAX_ROWS
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
                               ControllerContext, Measurement,
-                              controller_step)
-from liftquad.flatness import FlatSample, TransformContext, flatness_transform
-from liftquad.geom import cross3, norm, rodrigues
+                              accel_to_attitude_thrust, controller_step)
+from liftquad.flatness import (FlatnessOutput, FlatSample, SingularCase,
+                               TransformContext, flatness_transform)
+from liftquad.geom import (NonOrthonormalError, cross3, mat_to_quat, norm,
+                           rodrigues)
 from liftquad.trajectories import (MAX_OFFSET, MAX_OMEGA, MAX_RADIUS,
                                    MAX_SPEED, TrajectoryDef, TrajectoryKind,
                                    sample as sample_trajectory)
+import oracles
 from oracles import aero_force_wing, body_to_wing_rotation
 
 
@@ -69,6 +76,28 @@ def test_flatness_transform_is_total(params, sample, ctx, wind):
 
 
 @settings(max_examples=200, deadline=None)
+@given(sample=samples, field=st.sampled_from(["p", "v", "a", "j", "psi"]),
+       axis=st.integers(0, 2),
+       bad=st.sampled_from([math.inf, -math.inf, math.nan]), ctx=contexts)
+def test_flatness_transform_refuses_non_finite_input(sample, field, axis, bad,
+                                                     ctx):
+    # outside its domain the transform raises one ValueError naming the
+    # field, under the strict error state too, and leaves the context be
+    values = {name: np.array(getattr(sample, name)) for name in "pvaj"}
+    values["psi"] = sample.psi
+    if field == "psi":
+        values["psi"] = bad
+    else:
+        values[field][axis] = bad
+    sample = FlatSample(**values)
+    before = None if ctx is None else (ctx.held_axis, ctx.in_singular)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with pytest.raises(ValueError, match=f"field {field} is not finite"):
+            flatness_transform(AeroParams(), sample, ctx)
+    assert before is None or (ctx.held_axis, ctx.in_singular) == before
+
+
+@settings(max_examples=200, deadline=None)
 @given(params=airframes, sample=samples, wind=winds,
        offset=vectors(50.0), v=vectors(50.0), attitude=units(4),
        held=st.none() | units(4), integrator=vectors(3.0),
@@ -91,6 +120,120 @@ def test_controller_commands_stay_within_limits(
     assert all_finite(cmd.thrust, cmd.omega)
     assert limits.thrust_min <= cmd.thrust <= 0.0
     assert np.all(np.abs(cmd.omega) <= limits.omega_max)
+
+
+def assert_agrees(actual, expected):
+    """Equal to 1e-12 of the larger of 1 and the largest magnitude."""
+    expected = np.asarray(expected, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert_allclose(np.asarray(actual, dtype=float), expected, rtol=0.0,
+                    atol=1e-12 * scale)
+
+
+def assert_controllers_agree(params, gains, mode, limits, sample, flat, p, v,
+                             q, ctx, steps=1):
+    """Run the float controller on float tuples and the numpy oracle on
+    arrays, ``steps`` ticks from the same context, and compare the
+    commands and the contexts they leave."""
+    oracle_ctx = ControllerContext(
+        np.array(ctx.integrator, dtype=float), ctx.thrust_saturated,
+        None if ctx.held_quat is None else np.array(ctx.held_quat, float))
+    ctx = ControllerContext(
+        tuple(map(float, ctx.integrator)), ctx.thrust_saturated,
+        None if ctx.held_quat is None else tuple(map(float, ctx.held_quat)))
+    floats = Measurement(*(tuple(map(float, x)) for x in (p, v, q)))
+    arrays = Measurement(*(np.array(x, dtype=float) for x in (p, v, q)))
+    for _ in range(steps):
+        cmd = controller_step(params, gains, mode, limits, sample, flat,
+                              floats, ctx, 0.004)
+        expected = oracles.controller_step(params, gains, mode, limits,
+                                           sample, flat, arrays, oracle_ctx,
+                                           0.004)
+        assert type(cmd.thrust) is float and type(cmd.omega) is tuple
+        assert_agrees(cmd.thrust, expected.thrust)
+        assert_agrees(cmd.omega, expected.omega)
+        assert_agrees(ctx.integrator, oracle_ctx.integrator)
+        assert_agrees(ctx.held_quat, oracle_ctx.held_quat)
+        assert ctx.thrust_saturated is oracle_ctx.thrust_saturated
+    return ctx
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=airframes, sample=samples, wind=winds,
+       offset=st.just(np.zeros(3)) | vectors(50.0),
+       v=st.none() | vectors(50.0), attitude=units(4),
+       held=st.none() | units(4),
+       integrator=st.just(np.zeros(3)) | vectors(3.0),
+       limit=st.sampled_from([0.0, 0.5, 3.0]),
+       saturated=st.booleans(),
+       switches=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_float_controller_is_the_numpy_oracle(
+        params, sample, wind, offset, v, attitude, held, integrator, limit,
+        saturated, switches):
+    # on and off the reference (v None: the vehicle flies the reference
+    # velocity, so a = g references fall freely), PID and PD, both
+    # projections, both feedforwards, clamped and frozen integrators
+    mode = ControlMode(*switches)
+    ff_params = params if mode.use_aero_feedforward else params.zeroed()
+    flat = flatness_transform(ff_params, sample, wind=wind)
+    limits = ControlLimits(thrust_min=-4.0 * params.mass * GRAVITY)
+    ctx = ControllerContext(integrator, saturated, held)
+    assert_controllers_agree(
+        params, ControlGains(integrator_limit=limit), mode, limits, sample,
+        flat, sample.p + offset, sample.v if v is None else v, attitude, ctx,
+        steps=2)
+
+
+_G = GRAVITY
+_NO_AERO = ControlMode(use_aero_feedforward=False)
+
+
+@pytest.mark.parametrize(
+    "mode, a_ref, heading, flat_rotation, v, integrator, limits, y_body", [
+        # the demand along both headings: the earth x axis, then the y axis
+        (_NO_AERO, (0.0, 0.0, 2.0 * _G), (0.0, 0.0, 1.0),
+         rodrigues(np.array([0.0, 1.0, 0.0]), -0.5 * math.pi), (0, 0, 0),
+         (0, 0, 0), ControlLimits(), (0.0, -1.0, 0.0)),
+        (_NO_AERO, (5.0, 0.0, _G), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0),
+         (0, 0, 0), ControlLimits(), (0.0, 0.0, -1.0)),
+        # free fall, and the printed projection's zero demand
+        (_NO_AERO, (0.0, 0.0, _G), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0),
+         (0, 0, 0), ControlLimits(), None),
+        (ControlMode(use_aero_feedforward=False,
+                     printed_accel_projection=True),
+         (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0), (0, 0, 0),
+         ControlLimits(), None),
+        # the thrust floor, whose next tick freezes the integrator
+        (ControlMode(), (0.0, 0.0, -3.0 * _G), (1.0, 0.0, 0.0), np.eye(3),
+         (0.0, 0.0, 5.0), (0.5, -0.5, 0.5), ControlLimits(thrust_min=-10.0),
+         (0.0, 1.0, 0.0)),
+        # the integrator clamp on all three axes
+        (ControlMode(), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.eye(3),
+         (-5.0, 5.0, -5.0), (2.999, -2.999, 2.999), ControlLimits(), None),
+    ], ids=["earth-x", "earth-y", "free-fall", "printed-free-fall",
+            "thrust-floor", "clamp"])
+def test_float_controller_is_the_numpy_oracle_on_every_branch(
+        mode, a_ref, heading, flat_rotation, v, integrator, limits, y_body):
+    params, gains = AeroParams(), ControlGains()
+    sample = FlatSample(np.array([1.0, 2.0, -3.0]), np.zeros(3),
+                        np.array(a_ref), np.zeros(3))
+    flat = FlatnessOutput(flat_rotation, -10.0, params.kappa, np.zeros(3),
+                          np.zeros(3), np.array(heading),
+                          SingularCase.AXIS_ALIGNED)
+    q = (1.0, 0.0, 0.0, 0.0)
+    held = mat_to_quat(rodrigues(np.array([0.0, 0.0, 1.0]), 0.4))
+    ctx = ControllerContext(integrator, False, held)
+    ctx = assert_controllers_agree(params, gains, mode, limits, sample, flat,
+                                   sample.p, v, q, ctx, steps=2)
+    # each case takes the branch it is named for
+    rotation, thrust, free_fall = accel_to_attitude_thrust(
+        params, gains, mode, sample.a, flat)
+    if y_body is None:
+        assert free_fall or np.all(np.abs(ctx.integrator) == 3.0)
+        assert not free_fall or ctx.held_quat == held
+    else:
+        assert np.array_equal(np.asarray(rotation)[:, 1], y_body)
+        assert ctx.thrust_saturated == (thrust < limits.thrust_min)
 
 
 @settings(max_examples=500, deadline=None)
@@ -178,8 +321,9 @@ def decades(low, high):
        mass=decades(-300, 3))
 def test_aero_accel_is_one_kernel_on_numpy_and_float_inputs(rotation,
                                                             airspeed, mass):
-    # the plant passes float tuples, the controller numpy arrays: the
-    # same bits either way, and on arrays under the strict error state
+    # the plant and the controller pass float tuples, the numpy
+    # controller oracle arrays: the same bits either way, and on arrays
+    # under the strict error state
     # a result that overflows raises instead of coming back non-finite,
     # for light airframes too
     params = AeroParams(mass=mass, cy0=0.1)
@@ -203,3 +347,45 @@ def test_aero_accel_is_the_wing_frame_force_at_every_wing_angle(
                 @ aero_force_wing(params, rotation, airspeed) / params.mass)
     accel = aero_accel(params, rotation.tolist(), airspeed.tolist())
     np.testing.assert_allclose(accel, expected, rtol=1e-12, atol=1e-12)
+
+
+# half turns about the earth axes and near them: Shepperd's x, y and z
+# branches
+_AXES = np.eye(3)
+half_turns = st.builds(
+    lambda axis, tilt, angle: rodrigues(
+        (axis + tilt) / np.linalg.norm(axis + tilt), angle),
+    st.sampled_from(list(_AXES)), vectors(0.3),
+    st.floats(2.5, math.pi) | st.floats(-math.pi, -2.5))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rotation=st.one_of(rotations, half_turns),
+       noise=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(
+           lambda x: np.array(x).reshape(3, 3)),
+       scale=st.just(0.0) | decades(-12, 1),
+       flip=st.booleans())
+@example(rotation=_AXES, noise=np.zeros((3, 3)), scale=0.0, flip=False)
+@example(rotation=np.diag([1.0, -1.0, -1.0]), noise=np.zeros((3, 3)),
+         scale=0.0, flip=False)
+@example(rotation=np.diag([-1.0, 1.0, -1.0]), noise=np.zeros((3, 3)),
+         scale=0.0, flip=False)
+@example(rotation=np.diag([-1.0, -1.0, 1.0]), noise=np.zeros((3, 3)),
+         scale=0.0, flip=False)
+def test_float_mat_to_quat_is_the_numpy_oracle(rotation, noise, scale, flip):
+    # rotations on all four of Shepperd's branches, perturbed from exact
+    # to far off orthonormal, and reflections: the float conversion
+    # refuses exactly the matrices the oracle refuses, and agrees with
+    # it on the rest
+    matrix = rotation + scale * noise
+    if flip:
+        matrix[:, 2] = -matrix[:, 2]
+    try:
+        expected = oracles.mat_to_quat(matrix)
+    except NonOrthonormalError:
+        with pytest.raises(NonOrthonormalError):
+            mat_to_quat(matrix.tolist())
+        return
+    quat = mat_to_quat(matrix.tolist())
+    assert type(quat) is tuple and quat[0] >= 0.0
+    assert_allclose(quat, expected, rtol=0.0, atol=1e-15)
