@@ -41,8 +41,9 @@ class AeroParams:
     ``kappa`` is the wing installation angle in radians; 90 degrees is a
     tail-sitter.  ``cd0`` is the zero-lift drag coefficient, ``cy0`` the
     lateral drag coefficient and ``cla`` the lift-curve slope.
-    ``drag`` (derived, read-only) is the body-frame drag matrix D, with
-    the wing's x-z coupling: the force is ``-(rho*S*|v_a|/2) R D R^T v_a``.
+    ``drag`` (derived, read-only) is the body-frame drag matrix D as
+    three row tuples of floats, with the wing's x-z coupling: the force
+    is ``-(rho*S*|v_a|/2) R D R^T v_a``.
     """
 
     mass: float = 1.5
@@ -52,9 +53,7 @@ class AeroParams:
     cd0: float = 0.05
     cy0: float = 0.0
     cla: float = 2.0
-    drag: np.ndarray = field(init=False, repr=False, compare=False)
-    # ``drag`` as rows of Python floats, the form aero_accel reads
-    _drag_rows: tuple = field(init=False, repr=False, compare=False)
+    drag: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mass <= 0.0:
@@ -71,13 +70,10 @@ class AeroParams:
             raise ValueError("drag and lift coefficients must be non-negative")
         c, s = math.cos(self.kappa), math.sin(self.kappa)
         cdxz = self.cla * s * c
-        drag = np.array([
-            [self.cd0 * c * c + (self.cla + self.cd0) * s * s, 0.0, cdxz],
-            [0.0, self.cy0, 0.0],
-            [cdxz, 0.0, self.cd0 * s * s + (self.cla + self.cd0) * c * c]])
-        drag.setflags(write=False)
-        object.__setattr__(self, "drag", drag)
-        object.__setattr__(self, "_drag_rows", tuple(map(tuple, drag.tolist())))
+        object.__setattr__(self, "drag", (
+            (self.cd0 * c * c + (self.cla + self.cd0) * s * s, 0.0, cdxz),
+            (0.0, self.cy0, 0.0),
+            (cdxz, 0.0, self.cd0 * s * s + (self.cla + self.cd0) * c * c)))
 
     def zeroed(self):
         """Copy with all aerodynamic coefficients set to zero.
@@ -95,14 +91,14 @@ def aero_accel(params, rotation, airspeed_vec):
     ``rotation`` is read as three rows and ``airspeed_vec`` as three
     components, numpy or Python floats alike.  Every product and
     quotient that can overflow has an input component as an operand,
-    so on numpy scalars an overflow raises under ``np.errstate``; on
-    Python floats it gives ``inf`` and nothing here raises: no division
-    by an input, and a square root only of a sum of squares.
+    so on numpy scalars an overflow raises under numpy's strict error
+    state; on Python floats it gives ``inf`` and nothing here raises: no
+    division by an input, and a square root only of a sum of squares.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
     ax, ay, az = airspeed_vec
     # D is symmetric, with the wing's x-z coupling and no other
-    (dxx, _, dxz), (_, dyy, _), (_, _, dzz) = params._drag_rows
+    (dxx, _, dxz), (_, dyy, _), (_, _, dzz) = params.drag
     speed = math.sqrt(ax * ax + ay * ay + az * az)
     # airspeed in body axes, R^T v_a
     bx = r00 * ax + r10 * ay + r20 * az

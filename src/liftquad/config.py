@@ -16,8 +16,6 @@ everywhere in code.
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .aero import AeroParams, GRAVITY
 from .control import (THRUST_FLOOR_FACTOR, ControlGains, ControlLimits,
                       ControlMode)
@@ -50,16 +48,16 @@ class ExperimentConfig:
     """Fully resolved experiment: reference, plant, controller model and
     gains, run length and output bookkeeping.
 
-    ``model`` and ``wind_est`` are the controller's beliefs and are
-    independent of the plant's truth; ``ff_params`` is what the
-    flatness feedforward actually uses, the zeroed model in the
+    ``model`` and ``wind_est`` (a float 3-tuple) are the controller's
+    beliefs and are independent of the plant's truth; ``ff_params`` is
+    what the flatness feedforward actually uses, the zeroed model in the
     aero-feedforward-off conditions.
     """
 
     trajectory: TrajectoryDef = field(default_factory=TrajectoryDef)
     plant: PlantConfig = field(default_factory=PlantConfig)
     model: AeroParams = field(default_factory=AeroParams)
-    wind_est: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    wind_est: tuple = (0.0, 0.0, 0.0)
     gains: ControlGains = field(default_factory=ControlGains)
     limits: ControlLimits = field(default_factory=ControlLimits)
     mode: ControlMode = field(default_factory=ControlMode)
@@ -163,9 +161,17 @@ for _gain in ("kpp", "kvp", "kvi", "kff", "ktp"):
     _SCHEMA.update(_axes(f"gains.{_gain}", getattr(_DEFAULT.gains, _gain)))
 
 
+class _Located(dict):
+    """Raw key-value pairs; ``where[key]`` is the ``source:line: `` prefix
+    of a message about ``key``."""
+
+
 def parse_config_text(text, source="<config>"):
-    """Raw key-value pairs from config text; strict (see module docstring)."""
-    raw = {}
+    """Raw key-value pairs from config text; strict (see module docstring).
+    The pairs carry each key's line, so that :func:`build_config` can
+    locate an unknown key."""
+    raw = _Located()
+    raw.where = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line[:line.index("#")]
@@ -181,6 +187,7 @@ def parse_config_text(text, source="<config>"):
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         raw[key] = value
+        raw.where[key] = f"{source}:{lineno}: "
     return raw
 
 
@@ -209,16 +216,18 @@ def _convert(key, value):
 
 def build_config(raw):
     """ExperimentConfig from raw string pairs (defaults fill the gaps);
-    strict like the file format: an unknown key is a ConfigError."""
+    strict like the file format: an unknown key is a ConfigError, located
+    when ``raw`` came from :func:`parse_config_text`."""
+    where = getattr(raw, "where", {})
     for key in raw:
         if key not in _SCHEMA:
-            raise ConfigError(f"unknown key {key!r}")
+            raise ConfigError(f"{where.get(key, '')}unknown key {key!r}")
     values = {}
     for key, (tag, default) in _SCHEMA.items():
         values[key] = _convert(key, raw[key]) if key in raw else default
 
     def vec(prefix):
-        return np.array([values[f"{prefix}.{axis}"] for axis in "xyz"])
+        return tuple(values[f"{prefix}.{axis}"] for axis in "xyz")
 
     def aero(section):
         try:

@@ -20,8 +20,8 @@ use one context per vehicle.
 The tick runs on Python floats, as the plant does: vectors are
 3-tuples, rotations three row tuples and quaternions 4-tuples.  The
 loops read any sequences of those shapes, numpy arrays included; a
-step reads the reference sample and feedforward arrays once, with
-``tolist``, and makes no other numpy call.  Float arithmetic does not
+step reads the reference sample and the feedforward as the float tuples
+they are, and makes no numpy call.  Float arithmetic does not
 raise on overflow, so the step checks each value that a later clamp,
 branch or saturation could hide: the velocity integral before its
 clamp, the demand's norm before the free-fall and lateral-axis branches
@@ -37,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .aero import GRAVITY, AeroParams, aero_accel
-from .geom import (lateral_axis, mat_to_quat, quat_conj, quat_mul,
-                   quat_to_axis_angle)
+from .geom import (check_finite, lateral_axis, mat_to_quat, quat_conj,
+                   quat_mul, quat_to_axis_angle)
 
 # Acceleration-demand norm below which the thrust direction is
 # undefined and the free-fall policy (hold attitude, zero thrust) is
@@ -49,6 +49,7 @@ THRUST_FLOOR_FACTOR = 4.0  # default thrust floor, in airframe weights
 # the desired thrust axis.
 _CROSS_TOL = 1e-6
 _GAINS = ("kpp", "kvp", "kvi", "kff", "ktp")
+_LAYER = "the controller"
 
 
 def _axis_vector(value):
@@ -165,13 +166,6 @@ class ControllerContext:
     held_quat: tuple | None = None
 
 
-def _require_finite(*values):
-    """Raise ``FloatingPointError`` unless every value is finite: float
-    arithmetic overflows to ``inf`` or ``nan`` without raising."""
-    if not all(map(math.isfinite, values)):
-        raise FloatingPointError("overflow encountered in the controller")
-
-
 def _clip(v, bound):
     """Each component of the 3-vector ``v`` clipped to ``[-bound, bound]``,
     as a 3-tuple; written as comparisons, which cost half of what the
@@ -205,7 +199,7 @@ def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
         (kx, ky, kz), (ix, iy, iz) = gains._rows["kvi"], integrator
         ix, iy, iz = ix + kx * ex * dt, iy + ky * ey * dt, iz + kz * ez * dt
         integrator = (ix, iy, iz)
-        _require_finite(*integrator)
+        check_finite(_LAYER, *integrator)
         integrator = _clip(integrator, gains.integrator_limit)
     (kx, ky, kz), (ix, iy, iz), (ax, ay, az) = (gains._rows["kvp"],
                                                  integrator, a_ref)
@@ -227,22 +221,22 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
     """
     dx, dy, dz = a_d
     rx, ry, rz = dx, dy, dz - GRAVITY
-    rotation_ff = flat.rotation.tolist()
+    rotation_ff = flat.rotation
     if mode.use_aero_feedforward:
         (kx, ky, kz), (fx, fy, fz) = gains._rows["kff"], aero_accel(
-            params, rotation_ff, flat.airspeed.tolist())
+            params, rotation_ff, flat.airspeed)
         rx, ry, rz = rx - kx * fx, ry - ky * fy, rz - kz * fz
     rotor_norm = math.sqrt(rx * rx + ry * ry + rz * rz)
     # the printed projection also divides by the demand's norm
     demand_norm = (math.sqrt(dx * dx + dy * dy + dz * dz)
                    if mode.printed_accel_projection else FREE_FALL_ACCEL)
-    _require_finite(rotor_norm, demand_norm)
+    check_finite(_LAYER, rotor_norm, demand_norm)
     if rotor_norm < FREE_FALL_ACCEL or demand_norm < FREE_FALL_ACCEL:
         return rotation_ff, 0.0, True
     force = (rx / rotor_norm, ry / rotor_norm, rz / rotor_norm)
     (hx, _, _), (hy, _, _), (hz, _, _) = rotation_ff
     _, (yx, yy, yz) = lateral_axis(
-        force, (flat.wind_axis.tolist(), (hx, hy, hz)), _CROSS_TOL)
+        force, (flat.wind_axis, (hx, hy, hz)), _CROSS_TOL)
     zx, zy, zz = -force[0], -force[1], -force[2]
     # x_body = y_body x z_body
     xx, xy, xz = yy * zz - yz * zy, yz * zx - yx * zz, yx * zy - yy * zx
@@ -289,17 +283,16 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     when the integral step, the demand or the unsaturated command is not
     finite.
     """
-    v_d = position_loop(gains, sample.p.tolist(), state.p, sample.v.tolist())
+    v_d = position_loop(gains, sample.p, state.p, sample.v)
     freeze = replace(mode, use_integrator=False) if ctx.thrust_saturated else mode
     a_d, ctx.integrator = velocity_loop(
-        gains, freeze, v_d, state.v, sample.a.tolist(), ctx.integrator, dt)
+        gains, freeze, v_d, state.v, sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
         params, gains, mode, a_d, flat)
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
-    omega_d = attitude_loop(gains, mode, ctx.held_quat, state.q,
-                            flat.omega.tolist())
-    _require_finite(thrust_d, *omega_d)
+    omega_d = attitude_loop(gains, mode, ctx.held_quat, state.q, flat.omega)
+    check_finite(_LAYER, thrust_d, *omega_d)
     command = saturate(limits, thrust_d, omega_d)
     ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)
     return command

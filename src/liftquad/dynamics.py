@@ -26,6 +26,7 @@ import numpy as np
 
 from .aero import GRAVITY, AeroParams, aero_accel
 from .control import ControlInput
+from .geom import check_finite
 
 
 @dataclass
@@ -45,8 +46,7 @@ def require_finite(state):
     """Raise ``FloatingPointError`` unless every component of ``state``
     is finite: float arithmetic overflows to ``inf`` without raising."""
     (px, py, pz), (vx, vy, vz), (r0, r1, r2) = state.p, state.v, state.R
-    if not all(map(math.isfinite, (px, py, pz, vx, vy, vz, *r0, *r1, *r2))):
-        raise FloatingPointError("overflow encountered in the plant")
+    check_finite("the plant", px, py, pz, vx, vy, vz, *r0, *r1, *r2)
 
 
 @dataclass(frozen=True)

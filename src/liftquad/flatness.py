@@ -25,16 +25,23 @@ Two singular regimes are handled by policy instead of failing:
 
 In both regimes the feedforward body rate is zero and the output is
 flagged through :class:`SingularCase`.
+
+The transform computes on Python floats, as the controller and the
+plant do: vectors are 3-tuples and rotations three row tuples.  Float
+arithmetic does not raise on overflow, so the transform checks its
+output, and before that each value a branch or clamp could hide (the
+airspeed, the force-balance normalizer, the symmetry-plane norm, the
+body-rate system's scale, the hover thrust), raising
+``FloatingPointError("overflow encountered in the flatness transform")``.
+Its numpy form is the test oracle in ``tests/oracles.py``.
 """
 
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
-from .aero import GRAVITY, GRAVITY_VEC
-from .geom import cross3, lateral_axis, norm, rodrigues
+from .aero import GRAVITY
+from .geom import check_finite, lateral_axis
 
 # Hysteresis band for the zero-velocity branch: enter below the first
 # speed, return to the smooth construction above the second.
@@ -47,9 +54,10 @@ CROSS_ALIGN_TOL = 1e-6
 DET_TOL = 1e-9
 
 _TINY = 1e-9
-_EZ = np.array([0.0, 0.0, 1.0])
-_NO_WIND = np.zeros(3)
-_NO_WIND.setflags(write=False)
+_LAYER = "the flatness transform"
+_ZERO = (0.0, 0.0, 0.0)
+# the vertical (up), the lateral-axis reference of a free-fall demand
+_UP = (0.0, 0.0, -GRAVITY)
 
 
 class DegenerateBalanceError(ArithmeticError):
@@ -71,38 +79,35 @@ class SingularCase(IntEnum):
 
 @dataclass
 class FlatSample:
-    """One point of a flat reference: position and derivatives, plus the
-    yaw angle used only when the trajectory does not define a heading."""
+    """One point of a flat reference: position and derivatives as float
+    3-tuples, plus the yaw angle used only when the trajectory does not
+    define a heading."""
 
-    p: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    j: np.ndarray
+    p: tuple
+    v: tuple
+    a: tuple
+    j: tuple
     psi: float = 0.0
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        self.j = np.asarray(self.j, dtype=float)
 
 
 @dataclass
 class FlatnessOutput:
     """Feedforward references produced by :func:`flatness_transform`.
 
-    ``thrust`` is the collective body-z force (N, <= 0), ``omega`` the
+    ``rotation`` is the body-to-earth attitude as three row tuples,
+    ``thrust`` the collective body-z force (N, <= 0), ``omega`` the
     body angular velocity (rad/s), ``airspeed`` the ``v - wind`` it ran
     at and ``wind_axis`` the unit airspeed direction actually used (the
-    held or fallback axis in the zero-velocity branch).
+    held or fallback axis in the zero-velocity branch), each a float
+    3-tuple.
     """
 
-    rotation: np.ndarray
+    rotation: tuple
     thrust: float
     alpha: float
-    omega: np.ndarray
-    airspeed: np.ndarray
-    wind_axis: np.ndarray
+    omega: tuple
+    airspeed: tuple
+    wind_axis: tuple
     singular: SingularCase
 
 
@@ -112,22 +117,32 @@ class TransformContext:
     hysteresis flag for the zero-velocity branch.  Use one context per
     reference stream; it is not safe to share across threads."""
 
-    held_axis: np.ndarray | None = None
+    held_axis: tuple | None = None
     in_singular: bool = False
+
+
+def _frame(x, y):
+    """The rotation, as three rows, whose columns are the body axes
+    ``x``, ``y`` and ``x cross y``."""
+    (xx, xy, xz), (yx, yy, yz) = x, y
+    return ((xx, yx, xy * yz - xz * yy),
+            (xy, yy, xz * yx - xx * yz),
+            (xz, yz, xx * yy - xy * yx))
 
 
 def wind_frame_accels(axis, accel):
     """Specific-force components along and across the airspeed direction.
 
     Returns ``(along, perp)`` with ``along = axis . (a - g)`` and
-    ``perp = -|（I - axis axis^T)(a - g)| <= 0``; the cross-path component
+    ``perp = -|(I - axis axis^T)(a - g)| <= 0``; the cross-path component
     is negative because the lift-plus-thrust resultant points up (-z in
     the wind frame) in ordinary flight.
     """
-    demand = accel - GRAVITY_VEC
-    along = float(axis @ demand)
-    perp = -float(norm(demand - along * axis))
-    return along, perp
+    (ux, uy, uz), (dx, dy, dz) = axis, accel
+    dz -= GRAVITY
+    along = ux * dx + uy * dy + uz * dz
+    px, py, pz = dx - along * ux, dy - along * uy, dz - along * uz
+    return along, -math.sqrt(px * px + py * py + pz * pz)
 
 
 def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
@@ -137,7 +152,8 @@ def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
     from the wind z-axis plus quadratic drag/lift equals the mass-scaled
     specific force) for ``(thrust, alpha)`` with ``thrust <= 0``.  Raises
     :class:`DegenerateBalanceError` when the normalizer vanishes, which
-    happens exactly when aerodynamic forces alone meet the demand.
+    happens exactly when aerodynamic forces alone meet the demand, and
+    ``FloatingPointError`` when the normalizer or its scale overflows.
     """
     q_s = 0.5 * params.rho * params.area * airspeed * airspeed
     lift_gain = params.cla * q_s
@@ -150,6 +166,7 @@ def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
     cos_num = (k_along + lift_gain) * sk - k_perp * ck
     k1 = math.hypot(sin_num, cos_num)
     scale = params.mass * GRAVITY + abs(k_along) + abs(k_perp) + lift_gain
+    check_finite(_LAYER, k1, scale)
     if k1 <= 1e-12 * scale:
         raise DegenerateBalanceError(
             "force balance normalizer vanished (thrust-free equilibrium)")
@@ -166,52 +183,68 @@ def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
 
 def symmetry_plane_vector(params, v_air, accel):
     """Vector the wing symmetry plane must contain (the body y-axis is its
-    normal together with the airspeed direction)."""
-    qa = params.rho * params.area * norm(v_air) / (2.0 * params.mass)
-    return qa * params.cy0 * v_air - GRAVITY_VEC + accel
+    normal together with the airspeed direction), as a 3-tuple."""
+    (vx, vy, vz), (ax, ay, az) = v_air, accel
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+    k = params.rho * params.area * speed / (2.0 * params.mass) * params.cy0
+    return (k * vx + ax, k * vy + ay, k * vz - GRAVITY + az)
 
 
 def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
-    """Body angular velocity consistent with the flat reference.
+    """Body angular velocity consistent with the flat reference, as a
+    3-tuple.
 
     Assembles and solves the 3x3 linear system obtained from the body
     x/y projections of the differentiated force balance together with
     the differentiated no-sideslip condition
     ``w_x*v_z - w_z*v_x = -g_y`` (body-frame airspeed components, body-y
     gravity component).  Raises :class:`SingularSystemError` when the
-    system determinant vanishes relative to the matrix scale.
+    system determinant vanishes relative to the matrix scale, and
+    ``FloatingPointError`` when that scale overflows.
     """
-    airspeed = norm(v_air)
+    vx, vy, vz = v_air
+    airspeed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if airspeed < _TINY:
         raise SingularSystemError("zero airspeed")
     (cdx, _, cdxz), (_, cy0, _), (_, _, cdz) = params.drag
     qa = params.rho * params.area * airspeed / (2.0 * params.mass)
     cz = thrust / params.mass
-    vb = rotation.T @ v_air
-    ab = rotation.T @ sample.a
-    jb = rotation.T @ sample.j
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    (ax, ay, az), (jx, jy, jz) = sample.a, sample.j
+    # airspeed (u, v, w), acceleration and jerk in body axes, R^T x
+    u = r00 * vx + r10 * vy + r20 * vz
+    v = r01 * vx + r11 * vy + r21 * vz
+    w = r02 * vx + r12 * vy + r22 * vz
+    abx = r00 * ax + r10 * ay + r20 * az
+    aby = r01 * ax + r11 * ay + r21 * az
+    abz = r02 * ax + r12 * ay + r22 * az
+    jbx = r00 * jx + r10 * jy + r20 * jz
+    jby = r01 * jx + r11 * jy + r21 * jz
     # d|v_a|/dt / |v_a|, from the airspeed magnitude derivative
-    speed_rate = float(v_air @ sample.a) / (airspeed * airspeed)
-    a01 = cz - qa * (2.0 * cdxz * vb[0] + (cdz - cdx) * vb[2])
-    a10 = -cz + qa * (cdxz * vb[0] + (cdz - cy0) * vb[2])
-    a12 = -qa * ((cdx - cy0) * vb[0] + cdxz * vb[2])
-    a_mat = np.array([
-        [qa * cdxz * vb[1], a01, -qa * (cdx - cy0) * vb[1]],
-        [a10, 0.0, a12],
-        [vb[2], 0.0, -vb[0]],
-    ])
-    rhs = np.array([
-        jb[0] + qa * speed_rate * (cdx * vb[0] + cdxz * vb[2])
-        + qa * (cdx * ab[0] + cdxz * ab[2]),
-        jb[1] + qa * speed_rate * cy0 * vb[1] + qa * cy0 * ab[1],
-        -GRAVITY * rotation[2, 1],
-    ])
-    scale = norm(a_mat)
+    speed_rate = (vx * ax + vy * ay + vz * az) / (airspeed * airspeed)
+    # the system [[a00, a01, a02], [a10, 0, a12], [w, 0, -u]] omega = rhs
+    a00 = qa * cdxz * v
+    a01 = cz - qa * (2.0 * cdxz * u + (cdz - cdx) * w)
+    a02 = -qa * (cdx - cy0) * v
+    a10 = -cz + qa * (cdxz * u + (cdz - cy0) * w)
+    a12 = -qa * ((cdx - cy0) * u + cdxz * w)
+    rhs0 = (jbx + qa * speed_rate * (cdx * u + cdxz * w)
+            + qa * (cdx * abx + cdxz * abz))
+    rhs1 = jby + qa * speed_rate * cy0 * v + qa * cy0 * aby
+    rhs2 = -GRAVITY * r21
+    scale = math.sqrt(a00 * a00 + a01 * a01 + a02 * a02 + a10 * a10
+                      + a12 * a12 + w * w + u * u)
+    cube = scale * scale * scale
+    check_finite(_LAYER, cube)
     # expanded along the middle column: no pivot to divide by
-    det = a01 * (a10 * vb[0] + a12 * vb[2])
-    if scale < _TINY or abs(det) < DET_TOL * scale ** 3:
+    inner = a10 * u + a12 * w
+    det = a01 * inner
+    if scale < _TINY or abs(det) < DET_TOL * cube:
         raise SingularSystemError("body-rate system is singular")
-    return np.linalg.solve(a_mat, rhs)
+    # rows 1 and 2 hold w_x and w_z only; row 0 then gives w_y
+    wx = (rhs1 * u + a12 * rhs2) / inner
+    wz = (w * rhs1 - a10 * rhs2) / inner
+    return wx, (rhs0 - a00 * wx - a02 * wz) / a01, wz
 
 
 def flatness_transform(params, sample, ctx=None, wind=None):
@@ -222,85 +255,111 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     the first non-finite field, before it reads or changes ``ctx``.
     Inside it, singularities are resolved by policy (see the module
     docstring) and flagged in the output; arithmetic that overflows (a
-    speed near 1e154, say) raises ``FloatingPointError`` under the
-    strict error state the harness runs it in.  ``ctx`` carries the
-    hysteresis state and the last good airspeed direction between calls;
-    omitted, a fresh context makes the call a stateless per-sample
-    transform.  The estimated ``wind`` (none when omitted) enters only
-    here.
+    speed near 1e154, say) raises ``FloatingPointError`` naming the
+    flatness transform.  ``ctx`` carries the hysteresis state and the
+    last good airspeed direction between calls; omitted, a fresh context
+    makes the call a stateless per-sample transform.  The estimated
+    ``wind`` (none when omitted) enters only here.
     """
     for name in ("p", "v", "a", "j"):
-        if not all(map(math.isfinite, getattr(sample, name).tolist())):
+        if not all(map(math.isfinite, getattr(sample, name))):
             raise ValueError(f"flat sample field {name} is not finite")
     if not math.isfinite(sample.psi):
         raise ValueError("flat sample field psi is not finite")
     if ctx is None:
         ctx = TransformContext()
-    v_air = sample.v - (_NO_WIND if wind is None else wind)
-    speed = norm(v_air)
+    (vx, vy, vz), (wx, wy, wz) = sample.v, _ZERO if wind is None else wind
+    vx, vy, vz = v_air = (vx - wx, vy - wy, vz - wz)
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+    check_finite(_LAYER, speed)
     threshold = SPEED_SINGULAR_EXIT if ctx.in_singular else SPEED_SINGULAR_ENTER
     if speed < threshold:
         ctx.in_singular = True
-        return _zero_velocity_output(params, sample, v_air, ctx.held_axis)
-    axis = v_air / speed
+        return _finite(_zero_velocity_output(params, sample, v_air,
+                                             ctx.held_axis))
+    ux, uy, uz = axis = (vx / speed, vy / speed, vz / speed)
     ctx.in_singular = False
-    ctx.held_axis = axis.copy()
+    ctx.held_axis = axis
     along, perp = wind_frame_accels(axis, sample.a)
     try:
         thrust, alpha = thrust_and_alpha(params, speed, along, perp)
     except DegenerateBalanceError:
         # aerodynamics alone meet the demand: no thrust, chord on the path
         thrust, alpha = 0.0, params.kappa
-    plane = symmetry_plane_vector(params, v_air, sample.a)
-    plane_norm = norm(plane)
-    cross = cross3(axis, plane)
-    cross_norm = norm(cross)
-    x_wind, singular = axis, SingularCase.NONE
+    px, py, pz = plane = symmetry_plane_vector(params, v_air, sample.a)
+    plane_norm = math.sqrt(px * px + py * py + pz * pz)
+    check_finite(_LAYER, plane_norm)
+    # axis x plane
+    cx, cy, cz = uy * pz - uz * py, uz * px - ux * pz, ux * py - uy * px
+    cross_norm = math.sqrt(cx * cx + cy * cy + cz * cz)
+    singular = SingularCase.NONE
     if cross_norm < CROSS_ALIGN_TOL * max(plane_norm, _TINY):
         # aligned-axis policy (e.g. vertical flight): lateral axis from
         # the yaw fallback, led by the airspeed axis, which only
         # qualifies in free fall in motion
-        plane_ref = plane if plane_norm >= _TINY else -GRAVITY_VEC
-        yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
-        _, y_body = lateral_axis(plane_ref, (axis, yaw_axis),
-                                 CROSS_ALIGN_TOL * norm(plane_ref))
-        y_body = np.array(y_body)
+        plane_ref, ref_norm = ((plane, plane_norm) if plane_norm >= _TINY
+                               else (_UP, GRAVITY))
+        yaw_axis = (math.cos(sample.psi), math.sin(sample.psi), 0.0)
+        _, (yx, yy, yz) = lateral_axis(plane_ref, (axis, yaw_axis),
+                                       CROSS_ALIGN_TOL * ref_norm)
         # the airspeed axis is only numerically parallel to the plane
         # vector; project it off y_b so the rotation stays orthonormal
-        x_wind = axis - float(axis @ y_body) * y_body
-        x_wind = x_wind / norm(x_wind)
+        d = ux * yx + uy * yy + uz * yz
+        ux, uy, uz = ux - d * yx, uy - d * yy, uz - d * yz
+        n = math.sqrt(ux * ux + uy * uy + uz * uz)
+        ux, uy, uz = ux / n, uy / n, uz / n
         singular = SingularCase.AXIS_ALIGNED
     else:
-        y_body = cross / cross_norm
-    # the body x-axis is the wind x-axis rotated about y_b by alpha - kappa
-    x_body = rodrigues(y_body, alpha - params.kappa) @ x_wind
-    rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))
+        yx, yy, yz = cx / cross_norm, cy / cross_norm, cz / cross_norm
+    # the body x-axis is the wind x-axis rotated about y_b by
+    # alpha - kappa; y_b is normal to it, so Rodrigues' formula keeps
+    # only its cosine and sine terms
+    c, s = math.cos(alpha - params.kappa), math.sin(alpha - params.kappa)
+    x_body = (c * ux + s * (yy * uz - yz * uy),
+              c * uy + s * (yz * ux - yx * uz),
+              c * uz + s * (yx * uy - yy * ux))
+    rotation = _frame(x_body, (yx, yy, yz))
     try:
-        omega = angular_velocity_from_flat(params, sample, rotation, thrust, v_air)
+        omega = angular_velocity_from_flat(params, sample, rotation, thrust,
+                                           v_air)
     except SingularSystemError:
-        omega = np.zeros(3)
-    return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis, singular)
+        omega = _ZERO
+    return _finite(FlatnessOutput(rotation, thrust, alpha, omega, v_air,
+                                  axis, singular))
 
 
 def _zero_velocity_output(params, sample, v_air, held_axis):
     """Hover-regime policy: attitude from the held (when there is one) or
     fallback axis, thrust from the projection of the specific-force
     demand."""
-    plane = symmetry_plane_vector(params, v_air, sample.a)
-    plane_norm = norm(plane)
-    yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
+    px, py, pz = plane = symmetry_plane_vector(params, v_air, sample.a)
+    plane_norm = math.sqrt(px * px + py * py + pz * pz)
+    check_finite(_LAYER, plane_norm)
+    c, s = math.cos(sample.psi), math.sin(sample.psi)
+    yaw_axis = (c, s, 0.0)
     if plane_norm < _TINY:
         # free-fall reference at rest: yaw-only attitude, no thrust
-        rotation = rodrigues(_EZ, sample.psi)
-        return FlatnessOutput(rotation, 0.0, params.kappa, np.zeros(3), v_air,
+        rotation = ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+        return FlatnessOutput(rotation, 0.0, params.kappa, _ZERO, v_air,
                               yaw_axis, SingularCase.ZERO_VELOCITY)
     headings = (yaw_axis,) if held_axis is None else (held_axis, yaw_axis)
-    axis, y_body = lateral_axis(plane, headings, CROSS_ALIGN_TOL * plane_norm)
-    axis, y_body = np.asarray(axis, dtype=float), np.array(y_body)
-    x_body = cross3(plane, y_body)
-    x_body = x_body / norm(x_body)
-    rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))
-    thrust = min(0.0, params.mass * float(rotation[:, 2] @ (sample.a - GRAVITY_VEC)))
-    return FlatnessOutput(rotation, thrust, params.kappa, np.zeros(3), v_air,
-                          axis, SingularCase.ZERO_VELOCITY)
+    axis, (yx, yy, yz) = lateral_axis(plane, headings,
+                                      CROSS_ALIGN_TOL * plane_norm)
+    # x_b = plane x y_b, normalized
+    xx, xy, xz = py * yz - pz * yy, pz * yx - px * yz, px * yy - py * yx
+    n = math.sqrt(xx * xx + xy * xy + xz * xz)
+    rotation = _frame((xx / n, xy / n, xz / n), (yx, yy, yz))
+    (_, _, zx), (_, _, zy), (_, _, zz) = rotation
+    ax, ay, az = sample.a
+    thrust = params.mass * (zx * ax + zy * ay + zz * (az - GRAVITY))
+    check_finite(_LAYER, thrust)
+    return FlatnessOutput(rotation, min(0.0, thrust), params.kappa, _ZERO,
+                          v_air, axis, SingularCase.ZERO_VELOCITY)
 
+
+def _finite(out):
+    """``out``, once its attitude, thrust, angle of attack and body rate
+    are finite (its airspeed and wind axis are, once the speed is)."""
+    r0, r1, r2 = out.rotation
+    check_finite(_LAYER, *r0, *r1, *r2, out.thrust, out.alpha, *out.omega)
+    return out

@@ -2,67 +2,44 @@
 
 Conventions used throughout the package:
 
-* vectors are 3-sequences (numpy arrays of shape (3,) or float
-  3-tuples), rotation matrices 3x3 (numpy arrays, or three row tuples),
-  quaternions 4-sequences in scalar-first order [w, x, y, z] with
-  Hamilton products;
+* vectors are float 3-tuples, rotation matrices three row tuples and
+  quaternions float 4-tuples in scalar-first order [w, x, y, z] with
+  Hamilton products; a function reads any sequences of those shapes,
+  numpy arrays included;
 * a body-to-earth rotation stores the body axes as columns, so
   ``R @ v_body`` expresses a body vector in earth axes and the attitude
   kinematics read ``Rdot = R @ skew(omega_body)``;
 * the earth frame is north-east-down: z points down, so "up" is -z.
 
-All functions are pure; callers that share arrays across threads must
-not mutate them concurrently.
+All functions are pure scalar arithmetic on the components of their
+inputs and return float tuples: on a 3-vector or a 3x3 matrix, numpy's
+per-call cost is far above the arithmetic it does, and a tick makes
+dozens of these calls.  The numpy form of :func:`mat_to_quat` is a
+test oracle in ``tests/oracles.py``, beside the numpy kernels
+(``cross3``, ``norm``, ``skew``, ``rodrigues``) of the numpy flatness
+transform the float one is checked against.
 
-The quaternion functions and :func:`lateral_axis` are scalar arithmetic
-on the components of their inputs and return float tuples: on a
-3-vector or a 3x3 matrix, numpy's per-call cost is far above the
-arithmetic it does, and a controller tick makes dozens of these calls.
-The numpy form of :func:`mat_to_quat` is the test oracle in
-``tests/oracles.py``.  The flatness transform still computes on numpy
-arrays: it takes every cross product of two 3-vectors from
-:func:`cross3` and every 2-norm of a lone vector or 3x3 matrix from
-:func:`norm`, as :func:`rodrigues` does with the read-only identity
-:data:`EYE3`; the harness's divergence messages take the reference
-speed from :func:`norm`.
-
-Error-state contract: :func:`cross3` and :func:`norm` return bit for bit
-what ``numpy.cross`` and ``numpy.linalg.norm`` return, and they compute
-on numpy float64 scalars and arrays, so under ``np.errstate(over="raise",
-invalid="raise", divide="raise")`` they raise ``FloatingPointError`` on
-the inputs where numpy's routine raises.  The reference and the
-flatness transform run on numpy under that state; the float functions
-here compute on numpy float64 scalars when given numpy arrays, so the
-transform's calls to :func:`lateral_axis` raise under it too.  The
-controller (:mod:`liftquad.control`) and the plant
-(:mod:`liftquad.dynamics`) run on Python floats instead, whose
-arithmetic gives ``inf`` or ``nan`` without raising: the controller
-checks its own values each tick, and the harness checks the plant state
-once per tick, each raising the same ``FloatingPointError`` on the
-first non-finite value.
+Overflow: float arithmetic gives ``inf`` or ``nan`` where numpy would
+raise under its strict error state, and nothing here raises on it.  The
+flatness transform (:mod:`liftquad.flatness`), the controller
+(:mod:`liftquad.control`) and the plant (:mod:`liftquad.dynamics`) each
+check their own values with :func:`check_finite`, which raises
+``FloatingPointError`` naming the layer on the first non-finite one.
 """
 
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
-# Rotations built from nearly-but-not-exactly-unit axes silently distort
-# lengths, so the constructors validate their inputs up front.
+# A matrix this far from orthonormal silently distorts lengths, so
+# mat_to_quat refuses it instead of converting it.
 UNIT_TOL = 1e-6
 SMALL_ANGLE = 1e-6
 
-EYE3 = np.identity(3)
-EYE3.setflags(write=False)
 # the earth axes lateral_axis falls back on, as floats
 _EARTH_X = (1.0, 0.0, 0.0)
 _EARTH_Y = (0.0, 1.0, 0.0)
-
-
-class NonUnitAxisError(ValueError):
-    """Rotation axis is not unit length."""
 
 
 class NonOrthonormalError(ValueError):
@@ -81,21 +58,12 @@ class AxisAngle(NamedTuple):
     vector: tuple
 
 
-def cross3(a, b):
-    """Cross product of two 3-vectors; bit for bit ``numpy.cross(a, b)``,
-    which computes each component as the same two products and one
-    difference."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
-def norm(x):
-    """2-norm of a float64 vector, or Frobenius norm of a matrix, as a
-    numpy float64; bit for bit ``numpy.linalg.norm(x)``, which takes the
-    square root of the same dot product of the flattened array."""
-    x = x.ravel(order="K")
-    return np.float64(math.sqrt(x.dot(x)))
+def check_finite(layer, *values):
+    """Raise ``FloatingPointError`` naming ``layer`` unless every value is
+    finite: float arithmetic overflows to ``inf`` or ``nan`` without
+    raising."""
+    if not all(map(math.isfinite, values)):
+        raise FloatingPointError(f"overflow encountered in {layer}")
 
 
 def lateral_axis(force, headings, floor):
@@ -114,37 +82,12 @@ def lateral_axis(force, headings, floor):
     raise AssertionError("no usable lateral axis candidate")
 
 
-def skew(v):
-    """Skew-symmetric matrix of ``v``: ``skew(v) @ w == cross3(v, w)``."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
 def wrap_pi(angle):
     """Wrap an angle in radians to (-pi, pi]."""
     a = angle % TWO_PI
     if a > math.pi:
         a -= TWO_PI
     return a
-
-
-def rodrigues(axis, angle):
-    """Matrix of the right-handed rotation by ``angle`` about unit ``axis``.
-
-    Raises :class:`NonUnitAxisError` if ``axis`` deviates from unit length
-    by more than ``UNIT_TOL``.
-    """
-    axis = np.asarray(axis, dtype=float)
-    n = norm(axis)
-    if abs(n - 1.0) > UNIT_TOL:
-        raise NonUnitAxisError(
-            f"axis norm {n:.9g} is not 1 within {UNIT_TOL:g}")
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return c * EYE3 + (1.0 - c) * np.outer(axis, axis) + s * skew(axis)
 
 
 def quat_mul(a, b):

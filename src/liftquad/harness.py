@@ -23,7 +23,7 @@ from .control import (ControlInput, ControllerContext, Measurement,
                       controller_step)
 from .dynamics import VehicleState, actuator_lag, require_finite, rk4_step
 from .flatness import TransformContext, flatness_transform
-from .geom import mat_to_quat, norm
+from .geom import check_finite, mat_to_quat
 from .trajectories import sample as sample_trajectory
 
 CSV_COLUMNS = ("t,px,py,pz,prx,pry,prz,vx,vy,vz,qw,qx,qy,qz,"
@@ -141,14 +141,10 @@ class RunResult:
                              + "\n")
 
 
-# a run's first overflow or invalid operation raises: a divergence, not a NaN
-_STRICT_FP = {"over": "raise", "divide": "raise", "invalid": "raise"}
-
-
 def _went_non_finite(reason, t, ref, result, k):
     """The divergence of a run whose tick ``k`` went non-finite;
     ``reason`` says what happened in which layer."""
-    return DivergenceError(t, float(norm(ref.v)), result.head(k),
+    return DivergenceError(t, math.hypot(*ref.v), result.head(k),
                            f"the run went non-finite ({reason})")
 
 
@@ -166,17 +162,10 @@ def _ticks(cfg, result):
             flat = flatness_transform(ff_params, ref, transform_ctx,
                                       wind=cfg.wind_est)
         except FloatingPointError as exc:
-            # numpy's message names the operation ("overflow encountered
-            # in dot"); the other layers' messages name the layer, and so
-            # does this one
-            what = str(exc).partition(" encountered in ")[0]
-            raise _went_non_finite(
-                f"{what} encountered in the flatness transform", t, ref,
-                result, k) from None
+            raise _went_non_finite(exc, t, ref, result, k) from None
         yield k, t, ref, flat
 
 
-@np.errstate(**_STRICT_FP)
 def run_experiment(cfg):
     """One closed-loop run; returns a RunResult or raises DivergenceError
     (with the partial result attached) when tracking breaks down.
@@ -188,11 +177,9 @@ def run_experiment(cfg):
     ticks = _ticks(cfg, result)
     first = next(ticks)
     _, _, ref0, flat0 = first
-    # the plant runs on Python floats from here to the end of the run
-    state = VehicleState(tuple(ref0.p.tolist()), tuple(ref0.v.tolist()),
-                         tuple(map(tuple, flat0.rotation.tolist())))
+    state = VehicleState(ref0.p, ref0.v, flat0.rotation)
     control_ctx = ControllerContext()
-    applied = ControlInput(float(flat0.thrust), tuple(flat0.omega.tolist()))
+    applied = ControlInput(flat0.thrust, flat0.omega)
     # position-only measurement delay; the oldest entry is what the
     # controller sees this tick
     p_history = deque([state.p], maxlen=cfg.delay_ticks + 1)
@@ -210,21 +197,18 @@ def run_experiment(cfg):
             # the command the plant holds until the next tick
             cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
                                   ref, flat, measured, control_ctx, dt)
-            (px, py, pz), (rx, ry, rz) = state.p, ref.p.tolist()
+            (px, py, pz), (rx, ry, rz) = state.p, ref.p
             dx, dy, dz = px - rx, py - ry, pz - rz
             error = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if not math.isfinite(error):
-                raise FloatingPointError("overflow encountered in the harness")
+            check_finite("the harness", error)
         except FloatingPointError as exc:
             raise _went_non_finite(exc, t, ref, result, k) from None
         result.store(k, t, ref, state, q, control_ctx.held_quat, cmd, flat)
         if error > cfg.abort_radius:
-            raise DivergenceError(t, float(norm(ref.v)),
-                                  result.head(k + 1))
+            raise DivergenceError(t, math.hypot(*ref.v), result.head(k + 1))
     return result
 
 
-@np.errstate(**_STRICT_FP)
 def feedforward_trace(cfg):
     """Open-loop flatness sweep along the reference (no plant, no
     feedback): reference kinematics plus the transform's outputs, in the
@@ -233,7 +217,7 @@ def feedforward_trace(cfg):
     result = RunResult.allocate(cfg)
     for k, t, ref, flat in _ticks(cfg, result):
         # the reference is the state: measured and desired attitude agree
-        quat = mat_to_quat(flat.rotation.tolist())
+        quat = mat_to_quat(flat.rotation)
         cmd = ControlInput(flat.thrust, flat.omega)
         result.store(k, t, ref, ref, quat, quat, cmd, flat)
     return result

@@ -5,14 +5,12 @@ uniformly accelerating phase angle until a speed cap and at constant
 angular rate after it, a Gerono-style figure-eight, a hover point and a
 constant-speed straight line.  Velocity, acceleration and jerk come
 from symbolic differentiation of the position law, not finite
-differences.
+differences.  A sample is Python floats: its vectors are 3-tuples.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .flatness import FlatSample
 
@@ -29,10 +27,11 @@ class TrajectoryKind(Enum):
 # (+y) so the standstill start hands off smoothly.
 _DEFAULT_RADIUS = {TrajectoryKind.CIRCLE: 15.0, TrajectoryKind.LEMNISCATE: 20.0}
 _DEFAULT_OMEGA = {TrajectoryKind.CIRCLE: 0.06, TrajectoryKind.LEMNISCATE: 0.33}
+_ZERO = (0.0, 0.0, 0.0)
 
 # Range rules: within them every sample a run can reach (t up to 10**7 s,
-# its most rows at 1 Hz) has components below 1e25, so numpy squares
-# them without overflow.
+# its most rows at 1 Hz) has components below 1e25, so squaring them
+# cannot overflow.
 MAX_OFFSET = 1e7      # |p0| per axis (m)
 MAX_RADIUS = 1e6      # m
 MAX_OMEGA = 1e3       # rad/s
@@ -46,18 +45,19 @@ class TrajectoryDef:
     ``r`` and ``omega`` default per kind (15 m / 0.06 rad/s circle,
     20 m / 0.33 rad/s figure-eight); ``speed_cap`` bounds the circle's
     accelerating phase and sets the line speed; ``psi_fallback`` seeds
-    the flatness yaw policy and doubles as the line heading.
+    the flatness yaw policy and doubles as the line heading.  ``p0`` is
+    kept as a float 3-tuple.
     """
 
     kind: TrajectoryKind = TrajectoryKind.CIRCLE
-    p0: np.ndarray = None
+    p0: tuple = None
     r: float = None
     omega: float = None
     speed_cap: float = 10.0
     psi_fallback: float = None
 
     def __post_init__(self):
-        p0 = np.zeros(3) if self.p0 is None else np.asarray(self.p0, float)
+        p0 = _ZERO if self.p0 is None else tuple(map(float, self.p0))
         object.__setattr__(self, "p0", p0)
         if self.r is None:
             object.__setattr__(self, "r", _DEFAULT_RADIUS.get(self.kind, 0.0))
@@ -105,33 +105,38 @@ def sample(traj, t):
     if t < 0.0:
         raise ValueError("t must be >= 0")
     kind = traj.kind
+    x, y, z = traj.p0
     if kind is TrajectoryKind.HOVER:
-        return FlatSample(traj.p0.copy(), np.zeros(3), np.zeros(3),
-                          np.zeros(3), traj.psi_fallback)
+        return FlatSample(traj.p0, _ZERO, _ZERO, _ZERO, traj.psi_fallback)
     if kind is TrajectoryKind.LINE:
-        heading = np.array([math.cos(traj.psi_fallback),
-                            math.sin(traj.psi_fallback), 0.0])
-        v = traj.speed_cap * heading
-        return FlatSample(traj.p0 + t * v, v, np.zeros(3), np.zeros(3),
-                          traj.psi_fallback)
+        cap = traj.speed_cap
+        vx = cap * math.cos(traj.psi_fallback)
+        vy = cap * math.sin(traj.psi_fallback)
+        return FlatSample((x + t * vx, y + t * vy, z), (vx, vy, 0.0), _ZERO,
+                          _ZERO, traj.psi_fallback)
     if kind is TrajectoryKind.CIRCLE:
         theta, d1, d2, d3 = _angle_states(traj, t)
         s, c = math.sin(theta), math.cos(theta)
         r = traj.r
-        along = np.array([s, c, 0.0])
-        inward = np.array([c, -s, 0.0])
-        p = traj.p0 + r * np.array([1.0 - c, s, 0.0])
-        v = r * d1 * along
-        a = r * d2 * along + r * d1 * d1 * inward
-        j = r * d3 * along + 3.0 * r * d1 * d2 * inward - r * d1 ** 3 * along
-        return FlatSample(p, v, a, j, traj.psi_fallback)
+        # multiples of the tangent (s, c, 0) and the inward normal (c, -s, 0)
+        speed, tangential, centripetal = r * d1, r * d2, r * d1 * d1
+        j_along, j_inward, j_turn = r * d3, 3.0 * r * d1 * d2, r * d1 ** 3
+        return FlatSample(
+            (x + r * (1.0 - c), y + r * s, z),
+            (speed * s, speed * c, 0.0),
+            (tangential * s + centripetal * c,
+             tangential * c - centripetal * s, 0.0),
+            (j_along * s + j_inward * c - j_turn * s,
+             j_along * c - j_inward * s - j_turn * c, 0.0),
+            traj.psi_fallback)
     # figure-eight: x sweeps at half the phase rate of y
     u = traj.omega * t
     r, w = traj.r, traj.omega
     sh, ch = math.sin(0.5 * u), math.cos(0.5 * u)
     s, c = math.sin(u), math.cos(u)
-    p = traj.p0 + np.array([r * (1.0 - ch), r * s, 0.0])
-    v = np.array([0.5 * r * w * sh, r * w * c, 0.0])
-    a = np.array([0.25 * r * w * w * ch, -r * w * w * s, 0.0])
-    j = np.array([-0.125 * r * w ** 3 * sh, -r * w ** 3 * c, 0.0])
-    return FlatSample(p, v, a, j, traj.psi_fallback)
+    return FlatSample(
+        (x + r * (1.0 - ch), y + r * s, z),
+        (0.5 * r * w * sh, r * w * c, 0.0),
+        (0.25 * r * w * w * ch, -r * w * w * s, 0.0),
+        (-0.125 * r * w ** 3 * sh, -r * w ** 3 * c, 0.0),
+        traj.psi_fallback)

@@ -4,9 +4,14 @@ package against; none of them runs in a simulation.
 * the wing- and wind-frame forms of the aerodynamic force and their
   frame rotations, oracles for :func:`liftquad.aero.aero_accel`;
 * the quaternion-to-matrix map and the inverse of the skew matrix;
-* the numpy forms of :func:`liftquad.geom.mat_to_quat` and of the
+* the numpy forms of :func:`liftquad.geom.mat_to_quat`, of the
   controller (:func:`controller_step` and its four loops and
-  :func:`saturate`), which the package computes on Python floats;
+  :func:`saturate`) and of the flatness transform
+  (:func:`flatness_transform` and its helpers), which the package
+  computes on Python floats, with the numpy kernels the transform
+  calls (:func:`cross3`, :func:`norm`, :data:`EYE3`, :func:`skew`,
+  :func:`rodrigues`); the transform reads a
+  :class:`liftquad.flatness.FlatSample` of numpy arrays;
 * a central-difference audit of the trajectories' analytic derivatives.
 """
 
@@ -15,12 +20,68 @@ from dataclasses import replace
 
 import numpy as np
 
-from liftquad.aero import GRAVITY_VEC, aero_accel
+from liftquad.aero import GRAVITY, GRAVITY_VEC, aero_accel
 from liftquad.control import (_CROSS_TOL, FREE_FALL_ACCEL, ControlInput)
-from liftquad.geom import (EYE3, UNIT_TOL, NonOrthonormalError, cross3,
-                           lateral_axis, norm, quat_conj, quat_mul,
-                           quat_to_axis_angle)
+from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL,
+                               SPEED_SINGULAR_ENTER, SPEED_SINGULAR_EXIT,
+                               DegenerateBalanceError, FlatnessOutput,
+                               SingularCase, SingularSystemError,
+                               TransformContext, thrust_and_alpha)
+from liftquad.geom import (UNIT_TOL, NonOrthonormalError, lateral_axis,
+                           quat_conj, quat_mul, quat_to_axis_angle)
 from liftquad.trajectories import sample
+
+EYE3 = np.identity(3)
+EYE3.setflags(write=False)
+_EZ = np.array([0.0, 0.0, 1.0])
+_NO_WIND = np.zeros(3)
+_NO_WIND.setflags(write=False)
+
+
+class NonUnitAxisError(ValueError):
+    """Rotation axis is not unit length."""
+
+
+def cross3(a, b):
+    """Cross product of two 3-vectors; bit for bit ``numpy.cross(a, b)``,
+    which computes each component as the same two products and one
+    difference."""
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def norm(x):
+    """2-norm of a float64 vector, or Frobenius norm of a matrix, as a
+    numpy float64; bit for bit ``numpy.linalg.norm(x)``, which takes the
+    square root of the same dot product of the flattened array."""
+    x = x.ravel(order="K")
+    return np.float64(math.sqrt(x.dot(x)))
+
+
+def skew(v):
+    """Skew-symmetric matrix of ``v``: ``skew(v) @ w == cross3(v, w)``."""
+    return np.array([
+        [0.0, -v[2], v[1]],
+        [v[2], 0.0, -v[0]],
+        [-v[1], v[0], 0.0],
+    ])
+
+
+def rodrigues(axis, angle):
+    """Matrix of the right-handed rotation by ``angle`` about unit ``axis``.
+
+    Raises :class:`NonUnitAxisError` if ``axis`` deviates from unit length
+    by more than ``UNIT_TOL``.
+    """
+    axis = np.asarray(axis, dtype=float)
+    n = norm(axis)
+    if abs(n - 1.0) > UNIT_TOL:
+        raise NonUnitAxisError(
+            f"axis norm {n:.9g} is not 1 within {UNIT_TOL:g}")
+    c = math.cos(angle)
+    s = math.sin(angle)
+    return c * EYE3 + (1.0 - c) * np.outer(axis, axis) + s * skew(axis)
 
 
 def body_to_wing_rotation(kappa):
@@ -92,8 +153,7 @@ def quat_to_mat(q):
 
 
 def unskew(m):
-    """Inverse of :func:`liftquad.geom.skew` for an antisymmetric 3x3
-    matrix."""
+    """Inverse of :func:`skew` for an antisymmetric 3x3 matrix."""
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
@@ -110,6 +170,7 @@ def derivative_check(traj, t, h):
     worst = 0.0
     for minus, exact, plus in ((lo.p, mid.v, hi.p), (lo.v, mid.a, hi.v),
                                (lo.a, mid.j, hi.a)):
+        minus, exact, plus = map(np.asarray, (minus, exact, plus))
         diff = (plus - minus) / (2.0 * h)
         err = norm(diff - exact) / max(norm(exact), 1.0)
         worst = max(worst, err)
@@ -260,3 +321,166 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     command = saturate(limits, thrust_d, omega_d)
     ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)
     return command
+
+
+def wind_frame_accels(axis, accel):
+    """Specific-force components along and across the airspeed direction.
+
+    Returns ``(along, perp)`` with ``along = axis . (a - g)`` and
+    ``perp = -|（I - axis axis^T)(a - g)| <= 0``; the cross-path component
+    is negative because the lift-plus-thrust resultant points up (-z in
+    the wind frame) in ordinary flight.
+    """
+    demand = accel - GRAVITY_VEC
+    along = float(axis @ demand)
+    perp = -float(norm(demand - along * axis))
+    return along, perp
+
+
+def symmetry_plane_vector(params, v_air, accel):
+    """Vector the wing symmetry plane must contain (the body y-axis is its
+    normal together with the airspeed direction)."""
+    qa = params.rho * params.area * norm(v_air) / (2.0 * params.mass)
+    return qa * params.cy0 * v_air - GRAVITY_VEC + accel
+
+
+def body_rate_system(params, sample, rotation, thrust, v_air):
+    """The 3x3 body-rate system ``a_mat @ omega = rhs`` that
+    :func:`angular_velocity_from_flat` solves, as ``(a_mat, rhs, det)``."""
+    airspeed = norm(v_air)
+    if airspeed < _TINY:
+        raise SingularSystemError("zero airspeed")
+    (cdx, _, cdxz), (_, cy0, _), (_, _, cdz) = params.drag
+    qa = params.rho * params.area * airspeed / (2.0 * params.mass)
+    cz = thrust / params.mass
+    vb = rotation.T @ v_air
+    ab = rotation.T @ sample.a
+    jb = rotation.T @ sample.j
+    # d|v_a|/dt / |v_a|, from the airspeed magnitude derivative
+    speed_rate = float(v_air @ sample.a) / (airspeed * airspeed)
+    a01 = cz - qa * (2.0 * cdxz * vb[0] + (cdz - cdx) * vb[2])
+    a10 = -cz + qa * (cdxz * vb[0] + (cdz - cy0) * vb[2])
+    a12 = -qa * ((cdx - cy0) * vb[0] + cdxz * vb[2])
+    a_mat = np.array([
+        [qa * cdxz * vb[1], a01, -qa * (cdx - cy0) * vb[1]],
+        [a10, 0.0, a12],
+        [vb[2], 0.0, -vb[0]],
+    ])
+    rhs = np.array([
+        jb[0] + qa * speed_rate * (cdx * vb[0] + cdxz * vb[2])
+        + qa * (cdx * ab[0] + cdxz * ab[2]),
+        jb[1] + qa * speed_rate * cy0 * vb[1] + qa * cy0 * ab[1],
+        -GRAVITY * rotation[2, 1],
+    ])
+    # expanded along the middle column: no pivot to divide by
+    det = a01 * (a10 * vb[0] + a12 * vb[2])
+    return a_mat, rhs, det
+
+
+def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
+    """Body angular velocity consistent with the flat reference.
+
+    Assembles and solves the 3x3 linear system obtained from the body
+    x/y projections of the differentiated force balance together with
+    the differentiated no-sideslip condition
+    ``w_x*v_z - w_z*v_x = -g_y`` (body-frame airspeed components, body-y
+    gravity component).  Raises :class:`SingularSystemError` when the
+    system determinant vanishes relative to the matrix scale.
+    """
+    a_mat, rhs, det = body_rate_system(params, sample, rotation, thrust,
+                                       v_air)
+    scale = norm(a_mat)
+    if scale < _TINY or abs(det) < DET_TOL * scale ** 3:
+        raise SingularSystemError("body-rate system is singular")
+    return np.linalg.solve(a_mat, rhs)
+
+
+def flatness_transform(params, sample, ctx=None, wind=None):
+    """Full flat-reference to feedforward mapping; total on its domain.
+
+    The domain is every sample whose ``p``, ``v``, ``a``, ``j`` and
+    ``psi`` are finite; outside it the call raises ``ValueError`` naming
+    the first non-finite field, before it reads or changes ``ctx``.
+    Inside it, singularities are resolved by policy (see the module
+    docstring) and flagged in the output; arithmetic that overflows (a
+    speed near 1e154, say) raises ``FloatingPointError`` under the
+    strict error state the harness runs it in.  ``ctx`` carries the
+    hysteresis state and the last good airspeed direction between calls;
+    omitted, a fresh context makes the call a stateless per-sample
+    transform.  The estimated ``wind`` (none when omitted) enters only
+    here.
+    """
+    for name in ("p", "v", "a", "j"):
+        if not all(map(math.isfinite, getattr(sample, name).tolist())):
+            raise ValueError(f"flat sample field {name} is not finite")
+    if not math.isfinite(sample.psi):
+        raise ValueError("flat sample field psi is not finite")
+    if ctx is None:
+        ctx = TransformContext()
+    v_air = sample.v - (_NO_WIND if wind is None else wind)
+    speed = norm(v_air)
+    threshold = SPEED_SINGULAR_EXIT if ctx.in_singular else SPEED_SINGULAR_ENTER
+    if speed < threshold:
+        ctx.in_singular = True
+        return _zero_velocity_output(params, sample, v_air, ctx.held_axis)
+    axis = v_air / speed
+    ctx.in_singular = False
+    ctx.held_axis = axis.copy()
+    along, perp = wind_frame_accels(axis, sample.a)
+    try:
+        thrust, alpha = thrust_and_alpha(params, speed, along, perp)
+    except DegenerateBalanceError:
+        # aerodynamics alone meet the demand: no thrust, chord on the path
+        thrust, alpha = 0.0, params.kappa
+    plane = symmetry_plane_vector(params, v_air, sample.a)
+    plane_norm = norm(plane)
+    cross = cross3(axis, plane)
+    cross_norm = norm(cross)
+    x_wind, singular = axis, SingularCase.NONE
+    if cross_norm < CROSS_ALIGN_TOL * max(plane_norm, _TINY):
+        # aligned-axis policy (e.g. vertical flight): lateral axis from
+        # the yaw fallback, led by the airspeed axis, which only
+        # qualifies in free fall in motion
+        plane_ref = plane if plane_norm >= _TINY else -GRAVITY_VEC
+        yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
+        _, y_body = lateral_axis(plane_ref, (axis, yaw_axis),
+                                 CROSS_ALIGN_TOL * norm(plane_ref))
+        y_body = np.array(y_body)
+        # the airspeed axis is only numerically parallel to the plane
+        # vector; project it off y_b so the rotation stays orthonormal
+        x_wind = axis - float(axis @ y_body) * y_body
+        x_wind = x_wind / norm(x_wind)
+        singular = SingularCase.AXIS_ALIGNED
+    else:
+        y_body = cross / cross_norm
+    # the body x-axis is the wind x-axis rotated about y_b by alpha - kappa
+    x_body = rodrigues(y_body, alpha - params.kappa) @ x_wind
+    rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))
+    try:
+        omega = angular_velocity_from_flat(params, sample, rotation, thrust, v_air)
+    except SingularSystemError:
+        omega = np.zeros(3)
+    return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis, singular)
+
+
+def _zero_velocity_output(params, sample, v_air, held_axis):
+    """Hover-regime policy: attitude from the held (when there is one) or
+    fallback axis, thrust from the projection of the specific-force
+    demand."""
+    plane = symmetry_plane_vector(params, v_air, sample.a)
+    plane_norm = norm(plane)
+    yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
+    if plane_norm < _TINY:
+        # free-fall reference at rest: yaw-only attitude, no thrust
+        rotation = rodrigues(_EZ, sample.psi)
+        return FlatnessOutput(rotation, 0.0, params.kappa, np.zeros(3), v_air,
+                              yaw_axis, SingularCase.ZERO_VELOCITY)
+    headings = (yaw_axis,) if held_axis is None else (held_axis, yaw_axis)
+    axis, y_body = lateral_axis(plane, headings, CROSS_ALIGN_TOL * plane_norm)
+    axis, y_body = np.asarray(axis, dtype=float), np.array(y_body)
+    x_body = cross3(plane, y_body)
+    x_body = x_body / norm(x_body)
+    rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))
+    thrust = min(0.0, params.mass * float(rotation[:, 2] @ (sample.a - GRAVITY_VEC)))
+    return FlatnessOutput(rotation, thrust, params.kappa, np.zeros(3), v_air,
+                          axis, SingularCase.ZERO_VELOCITY)

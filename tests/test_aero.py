@@ -8,9 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from liftquad.aero import AeroParams, aero_accel
-from liftquad.geom import rodrigues
 from oracles import (aero_force_wind, aero_force_wing, body_to_wing_rotation,
-                     wing_to_wind_rotation)
+                     rodrigues, wing_to_wind_rotation)
 
 EY = np.array([0.0, 1.0, 0.0])
 
@@ -126,14 +125,14 @@ def test_frame_equivalence_zero_sideslip():
 
 def test_drag_matrix_tail_sitter_angle():
     params = AeroParams(kappa=0.5 * math.pi)
-    d = params.drag
+    d = np.asarray(params.drag)
     assert d[0, 0] == pytest.approx(params.cd0 + params.cla)
     assert d[2, 2] == pytest.approx(params.cd0, abs=1e-15)
     assert d[0, 2] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_drag_matrix_no_lift_is_isotropic_in_plane():
-    d = AeroParams(cla=0.0).drag
+    d = np.asarray(AeroParams(cla=0.0).drag)
     assert d[0, 0] == pytest.approx(0.05)
     assert d[2, 2] == pytest.approx(0.05)
     assert d[0, 2] == pytest.approx(0.0, abs=1e-16)
@@ -142,7 +141,7 @@ def test_drag_matrix_no_lift_is_isotropic_in_plane():
 def test_drag_matrix_hand_values_and_congruence():
     params = AeroParams(cy0=0.2)
     kappa = params.kappa
-    mat = params.drag
+    mat = np.asarray(params.drag)
     # oracle: direct evaluation of the coefficient formulas
     sk, ck = math.sin(kappa), math.cos(kappa)
     assert mat[0, 0] == pytest.approx(0.05 * ck * ck + 2.05 * sk * sk)
@@ -159,7 +158,7 @@ def test_drag_matrix_hand_values_and_congruence():
 def test_drag_matrix_positive_semidefinite():
     for params in (AeroParams(), AeroParams(cy0=0.4),
                    AeroParams(kappa=math.radians(80.0), cla=3.0)):
-        eigvals = np.linalg.eigvalsh(params.drag)
+        eigvals = np.linalg.eigvalsh(np.asarray(params.drag))
         assert np.all(eigvals >= -1e-14)
 
 
@@ -180,8 +179,8 @@ def test_drag_field_is_derived_and_read_only():
     assert np.array_equal(heavier.drag, _drag_formulas(heavier))
     assert not np.array_equal(heavier.drag, params.drag)
     assert np.array_equal(params.zeroed().drag, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        params.drag[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        params.drag[0][0] = 1.0
     with pytest.raises(ValueError):
         replace(params, drag=np.eye(3))
     with pytest.raises(TypeError):

@@ -15,7 +15,8 @@ from liftquad.control import (ControlGains, ControlLimits, ControlMode,
                               saturate, velocity_loop)
 from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                flatness_transform)
-from liftquad.geom import mat_to_quat, rodrigues
+from liftquad.geom import mat_to_quat
+from oracles import rodrigues
 
 PARAMS = AeroParams()
 EZ = np.array([0.0, 0.0, 1.0])

@@ -12,8 +12,7 @@ from liftquad.aero import AeroParams, GRAVITY, GRAVITY_VEC
 from liftquad.control import ControlInput, ControlLimits
 from liftquad.dynamics import (PlantConfig, VehicleState, acceleration,
                                actuator_lag, rk4_step)
-from liftquad.geom import rodrigues
-from oracles import aero_force_wing, body_to_wing_rotation
+from oracles import aero_force_wing, body_to_wing_rotation, rodrigues
 
 EZ = np.array([0.0, 0.0, 1.0])
 

@@ -2,6 +2,8 @@
 singular policies."""
 
 import math
+import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -19,8 +21,11 @@ PARAMS = AeroParams()
 
 
 def make_sample(v, a, j=None, psi=0.0):
-    return FlatSample(np.zeros(3), np.asarray(v, float), np.asarray(a, float),
-                      np.zeros(3) if j is None else np.asarray(j, float), psi)
+    """A sample at the origin, its vectors as float 3-tuples."""
+    return FlatSample((0.0, 0.0, 0.0), tuple(map(float, v)),
+                      tuple(map(float, a)),
+                      (0.0, 0.0, 0.0) if j is None else tuple(map(float, j)),
+                      psi)
 
 
 def in_plane_residual(params, speed, a_along, a_perp, thrust, alpha):
@@ -164,8 +169,8 @@ def test_attitude_orthogonality_invariants():
         out = flatness_transform(PARAMS, sample)
         if out.singular is not SingularCase.NONE:
             continue
-        rotation, alpha, thrust, axis = (out.rotation, out.alpha, out.thrust,
-                                         out.wind_axis)
+        rotation, alpha, thrust, axis = (np.asarray(out.rotation), out.alpha,
+                                         out.thrust, out.wind_axis)
         plane = symmetry_plane_vector(PARAMS, sample.v, sample.a)
         y_body = rotation[:, 1]
         assert abs(float(y_body @ plane)) < 1e-12 * np.linalg.norm(plane)
@@ -194,7 +199,8 @@ def test_level_cruise_is_wings_level_with_zero_rates():
     sample = make_sample([10.0, 0.0, 0.0], [0.0] * 3)
     out = flatness_transform(PARAMS, sample)
     assert out.singular is SingularCase.NONE
-    assert_allclose(out.rotation[:, 1], [0.0, 1.0, 0.0], atol=1e-15)
+    assert_allclose(np.asarray(out.rotation)[:, 1], [0.0, 1.0, 0.0],
+                    atol=1e-15)
     # homogeneous rate system with a level lateral axis: exact zeros
     assert_allclose(out.omega, np.zeros(3))
 
@@ -216,9 +222,10 @@ def test_rate_system_residual_and_turn_constraint():
                                                out.thrust, sample.v)
         except SingularSystemError:
             continue
-        v_body = out.rotation.T @ sample.v
+        rotation = np.asarray(out.rotation)
+        v_body = rotation.T @ sample.v
         turn = omega[0] * v_body[2] - omega[2] * v_body[0] \
-            + GRAVITY * out.rotation[2, 1]
+            + GRAVITY * rotation[2, 1]
         assert abs(turn) < 1e-12 * max(np.linalg.norm(v), 1.0)
         checked += 1
     assert checked >= 150
@@ -241,8 +248,9 @@ def test_rate_matches_finite_difference_of_attitude():
         outs = [flatness_transform(PARAMS, arc(tt)) for tt in
                 (t - h, t, t + h)]
         assert all(o.singular is SingularCase.NONE for o in outs)
-        r_dot = (outs[2].rotation - outs[0].rotation) / (2.0 * h)
-        omega_fd = unskew(outs[1].rotation.T @ r_dot)
+        r_minus, r_mid, r_plus = (np.asarray(o.rotation) for o in outs)
+        r_dot = (r_plus - r_minus) / (2.0 * h)
+        omega_fd = unskew(r_mid.T @ r_dot)
         assert_allclose(outs[1].omega, omega_fd, atol=1e-5)
 
 
@@ -272,14 +280,15 @@ def test_free_fall_reference_in_motion_keeps_airspeed_in_symmetry_plane():
                    ([1.0, 2.0, -0.5], 0.3)):
         out = flatness_transform(params, make_sample(v, GRAVITY_VEC, psi=psi))
         assert out.singular is SingularCase.AXIS_ALIGNED
-        rotation = out.rotation
+        rotation = np.asarray(out.rotation)
         assert np.all(np.isfinite(rotation))
         assert_allclose(rotation.T @ rotation, np.eye(3), atol=1e-12)
         assert abs(float(rotation[:, 1] @ out.wind_axis)) < 1e-12
         assert abs(rotation[2, 1]) < 1e-12     # wings level
     # vertical free fall keeps the yaw fallback
     out = flatness_transform(params, make_sample([0.0, 0.0, 2.0], GRAVITY_VEC))
-    assert_allclose(out.rotation[:, 1], [0.0, 1.0, 0.0], atol=1e-15)
+    assert_allclose(np.asarray(out.rotation)[:, 1], [0.0, 1.0, 0.0],
+                    atol=1e-15)
 
 
 def test_hover_output():
@@ -295,7 +304,7 @@ def test_hover_with_heading_yaws_identity():
     psi = 0.7
     out = flatness_transform(PARAMS, make_sample([0.0] * 3, [0.0] * 3,
                                                  psi=psi))
-    assert_allclose(out.rotation[:, 0],
+    assert_allclose(np.asarray(out.rotation)[:, 0],
                     [math.cos(psi), math.sin(psi), 0.0], atol=1e-12)
     assert out.thrust == pytest.approx(-PARAMS.mass * GRAVITY)
 
@@ -309,11 +318,12 @@ def test_free_fall_at_rest_gives_zero_thrust():
 def test_vertical_ascent_uses_aligned_fallback():
     out = flatness_transform(PARAMS, make_sample([0.0, 0.0, -3.0], [0.0] * 3))
     assert out.singular is SingularCase.AXIS_ALIGNED
-    assert np.linalg.norm(out.rotation.T @ out.rotation - np.eye(3)) < 1e-12
-    assert abs(np.linalg.det(out.rotation) - 1.0) < 1e-12
+    rotation = np.asarray(out.rotation)
+    assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-12
+    assert abs(np.linalg.det(rotation) - 1.0) < 1e-12
     assert out.thrust <= 0.0
     # the heading fallback fixes the lateral axis
-    assert_allclose(out.rotation[:, 1], [0.0, 1.0, 0.0], atol=1e-12)
+    assert_allclose(rotation[:, 1], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_degenerate_balance_policy_in_transform():
@@ -340,7 +350,7 @@ def test_zero_aero_reduction_matches_quadcopter_flatness():
         if out.singular is not SingularCase.NONE:
             continue
         demand = a - GRAVITY_VEC
-        assert_allclose(out.rotation[:, 2],
+        assert_allclose(np.asarray(out.rotation)[:, 2],
                         -demand / np.linalg.norm(demand), atol=1e-12)
         assert out.thrust == pytest.approx(
             -bare.mass * np.linalg.norm(demand), rel=1e-12)
@@ -386,9 +396,26 @@ def test_transform_is_total_over_random_inputs():
                              rng.uniform(-5.0, 5.0, size=3),
                              psi=rng.uniform(-math.pi, math.pi))
         out = flatness_transform(PARAMS, sample, ctx)
-        assert np.linalg.norm(out.rotation.T @ out.rotation - np.eye(3)) < 1e-9
+        rotation = np.asarray(out.rotation)
+        assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-9
         assert out.thrust <= 0.0
         assert np.all(np.isfinite(out.omega))
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+@pytest.mark.parametrize("speed", [1e160, 1e300])
+def test_overflow_raises_one_error_in_any_error_state(speed, strict):
+    # a finite sample whose arithmetic overflows: one FloatingPointError
+    # naming the transform, whatever numpy's error state, and no warning
+    sample = make_sample([speed, 0.0, 0.0], [0.0] * 3)
+    state = (np.errstate(over="raise", divide="raise", invalid="raise")
+             if strict else nullcontext())
+    with warnings.catch_warnings(), state:
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match="^overflow encountered in the flatness "
+                                 "transform$"):
+            flatness_transform(PARAMS, sample)
 
 
 def test_symmetry_plane_vector_zero_side_coefficient():
@@ -433,12 +460,12 @@ def test_feedforward_replay_holds_at_every_installation_angle(kind, kappa_deg):
         return out
 
     ref0 = sample(traj, 2.0)
-    state = VehicleState(ref0.p.copy(), ref0.v.copy(),
-                         transform(2.0).rotation.copy())
+    state = VehicleState(ref0.p, ref0.v, transform(2.0).rotation)
     worst = 0.0
     for k in range(501):
         t = 2.0 + k * dt
-        worst = max(worst, float(np.linalg.norm(state.p - sample(traj, t).p)))
+        worst = max(worst, float(np.linalg.norm(
+            np.asarray(state.p) - sample(traj, t).p)))
         if k < 500:
             for sub in range(4):
                 flat = transform(t + (sub + 0.5) * h)

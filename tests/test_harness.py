@@ -1,6 +1,7 @@
 """Config parsing and the closed-loop experiment harness."""
 
 import math
+import re
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 
@@ -113,6 +114,16 @@ def test_library_config_rejects_unknown_keys():
     # a misspelt key must not silently give the stock run
     with pytest.raises(ConfigError, match="unknown key 'sim.duraton'"):
         build_config({"sim.duraton": "5"})
+
+
+def test_config_file_locates_unknown_key(tmp_path):
+    # the one key check still names the file and line of a misspelt key
+    path = tmp_path / "f.cfg"
+    path.write_text("sim.duration = 1\nsim.duraton = 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(str(path))}:2: unknown key "
+                             r"'sim\.duraton'$"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

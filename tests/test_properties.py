@@ -1,11 +1,13 @@
 """Property tests over the documented parameter ranges: references stay
 finite, the flatness transform is total on its domain, the controller's
-commands stay within limits, the float controller and quaternion
-conversion agree with their numpy oracles, the geometric kernels are
-numpy's results and the wing-force kernel is one kernel on numpy and
-float inputs."""
+commands stay within limits, the float flatness transform, controller
+and quaternion conversion agree with their numpy oracles, and the
+wing-force kernel is one kernel on numpy and float inputs."""
 
 import math
+import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,13 +22,16 @@ from liftquad.control import (ControlGains, ControlLimits, ControlMode,
                               accel_to_attitude_thrust, controller_step)
 from liftquad.flatness import (FlatnessOutput, FlatSample, SingularCase,
                                TransformContext, flatness_transform)
-from liftquad.geom import (NonOrthonormalError, cross3, mat_to_quat, norm,
-                           rodrigues)
+from liftquad.geom import NonOrthonormalError, mat_to_quat
 from liftquad.trajectories import (MAX_OFFSET, MAX_OMEGA, MAX_RADIUS,
                                    MAX_SPEED, TrajectoryDef, TrajectoryKind,
                                    sample as sample_trajectory)
 import oracles
-from oracles import aero_force_wing, body_to_wing_rotation
+from oracles import aero_force_wing, body_to_wing_rotation, rodrigues
+
+
+def float_tuple(x):
+    return tuple(map(float, x))
 
 
 def vectors(bound, size=3):
@@ -50,17 +55,28 @@ velocities = st.one_of(
     vectors(0.6), vectors(50.0 / math.sqrt(3.0)))
 # a = g is the thrust-free rest
 accelerations = st.one_of(st.just(GRAVITY_VEC), vectors(30.0))
-samples = st.builds(FlatSample, p=vectors(100.0), v=velocities,
-                    a=accelerations, j=vectors(100.0),
+# float 3-tuples, the form the reference gives the transform
+samples = st.builds(FlatSample, p=vectors(100.0).map(float_tuple),
+                    v=velocities.map(float_tuple),
+                    a=accelerations.map(float_tuple),
+                    j=vectors(100.0).map(float_tuple),
                     psi=st.floats(-math.pi, math.pi))
-winds = st.none() | vectors(10.0)
+winds = st.none() | vectors(10.0).map(float_tuple)
 contexts = st.one_of(
     st.none(), st.builds(TransformContext),
-    st.builds(TransformContext, held_axis=units(3), in_singular=st.booleans()))
+    st.builds(TransformContext, held_axis=units(3).map(float_tuple),
+              in_singular=st.booleans()))
 
 
 def all_finite(*values):
     return all(np.all(np.isfinite(value)) for value in values)
+
+
+def as_arrays(record, names):
+    """``record`` with its fields ``names`` as numpy arrays, the form the
+    numpy oracles read."""
+    return replace(record, **{name: np.array(getattr(record, name), float)
+                              for name in names})
 
 
 @settings(max_examples=300, deadline=None)
@@ -69,7 +85,7 @@ def test_flatness_transform_is_total(params, sample, ctx, wind):
     out = flatness_transform(params, sample, ctx, wind=wind)
     assert all_finite(out.rotation, out.thrust, out.alpha, out.omega,
                       out.wind_axis, out.airspeed)
-    rotation = out.rotation
+    rotation = np.asarray(out.rotation)
     assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-10
     assert np.linalg.det(rotation) > 0.0
     assert out.thrust <= 0.0
@@ -95,6 +111,86 @@ def test_flatness_transform_refuses_non_finite_input(sample, field, axis, bad,
         with pytest.raises(ValueError, match=f"field {field} is not finite"):
             flatness_transform(AeroParams(), sample, ctx)
     assert before is None or (ctx.held_axis, ctx.in_singular) == before
+
+
+_ZERO = (0.0, 0.0, 0.0)
+_FREE_FALL = (0.0, 0.0, GRAVITY)
+
+
+def _flat_example(v, a, params=AeroParams(), wind=None):
+    return example(params=params, sample=FlatSample(_ZERO, v, a, _ZERO),
+                   ctx=None, wind=wind, bad=None)
+
+
+def _copy_context(ctx, vector):
+    """A copy of ``ctx`` whose held axis, if any, is ``vector(held)``."""
+    if ctx is None:
+        return None
+    held = None if ctx.held_axis is None else vector(ctx.held_axis)
+    return TransformContext(held, ctx.in_singular)
+
+
+@settings(max_examples=500, deadline=None)
+@given(params=airframes, sample=samples, ctx=contexts, wind=winds,
+       bad=st.none() | st.tuples(
+           st.sampled_from(["p", "v", "a", "j", "psi"]), st.integers(0, 2),
+           st.sampled_from([math.inf, -math.inf, math.nan])))
+@_flat_example((4.0, -3.0, 0.5), (1.0, 2.0, -1.0))          # smooth
+@_flat_example(_ZERO, _ZERO)                                # hover
+@_flat_example((0.0, 0.0, -3.0), _ZERO)                     # vertical
+@_flat_example(_ZERO, _FREE_FALL)                           # free fall
+@_flat_example((3.0, 0.0, 0.0), _FREE_FALL, AeroParams().zeroed())
+@_flat_example((5.0, 0.0, 0.0), _ZERO, wind=(5.0, 0.0, 0.0))
+def test_float_flatness_transform_is_the_numpy_oracle(params, sample, ctx,
+                                                      wind, bad):
+    # smooth, zero-velocity, axis-aligned and free-fall samples, with and
+    # without wind, from fresh and holding contexts, and samples outside
+    # the domain: the float transform on tuples takes the numpy oracle's
+    # branches and refusals, leaves the same context, and agrees with its
+    # numbers
+    if bad is not None:
+        field, axis, value = bad
+        if field == "psi":
+            sample = replace(sample, psi=value)
+        else:
+            vector = list(getattr(sample, field))
+            vector[axis] = value
+            sample = replace(sample, **{field: tuple(vector)})
+    float_ctx = _copy_context(ctx, float_tuple)
+    oracle_ctx = _copy_context(ctx, lambda held: np.array(held, dtype=float))
+    arrays = as_arrays(sample, "pvaj")
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            expected = oracles.flatness_transform(
+                params, arrays, oracle_ctx,
+                wind=None if wind is None else np.array(wind, dtype=float))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            flatness_transform(params, sample, float_ctx, wind=wind)
+        expected = out = None
+    else:
+        out = flatness_transform(params, sample, float_ctx, wind=wind)
+    if ctx is not None:
+        assert float_ctx.in_singular is oracle_ctx.in_singular
+        assert (float_ctx.held_axis is None) == (oracle_ctx.held_axis is None)
+        if oracle_ctx.held_axis is not None:
+            assert_agrees(float_ctx.held_axis, oracle_ctx.held_axis)
+    if expected is None:
+        return
+    assert out.singular is expected.singular
+    for name in ("rotation", "thrust", "alpha", "airspeed", "wind_axis"):
+        assert_agrees(getattr(out, name), getattr(expected, name))
+    # the body rate solves a 3x3 system: its error scales with the
+    # system's condition number (the singular regimes give exact zeros)
+    condition = 1.0
+    if expected.singular is SingularCase.NONE:
+        a_mat, _, _ = oracles.body_rate_system(
+            params, arrays, expected.rotation, expected.thrust,
+            expected.airspeed)
+        condition = np.linalg.cond(a_mat)
+    scale = max(1.0, float(np.max(np.abs(expected.omega))))
+    assert_allclose(np.asarray(out.omega, dtype=float), expected.omega,
+                    rtol=0.0, atol=1e-12 * condition * scale)
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,9 +242,10 @@ def assert_controllers_agree(params, gains, mode, limits, sample, flat, p, v,
     for _ in range(steps):
         cmd = controller_step(params, gains, mode, limits, sample, flat,
                               floats, ctx, 0.004)
-        expected = oracles.controller_step(params, gains, mode, limits,
-                                           sample, flat, arrays, oracle_ctx,
-                                           0.004)
+        expected = oracles.controller_step(
+            params, gains, mode, limits, as_arrays(sample, "pvaj"),
+            as_arrays(flat, ("rotation", "omega", "airspeed", "wind_axis")),
+            arrays, oracle_ctx, 0.004)
         assert type(cmd.thrust) is float and type(cmd.omega) is tuple
         assert_agrees(cmd.thrust, expected.thrust)
         assert_agrees(cmd.omega, expected.omega)
@@ -215,10 +312,9 @@ _NO_AERO = ControlMode(use_aero_feedforward=False)
 def test_float_controller_is_the_numpy_oracle_on_every_branch(
         mode, a_ref, heading, flat_rotation, v, integrator, limits, y_body):
     params, gains = AeroParams(), ControlGains()
-    sample = FlatSample(np.array([1.0, 2.0, -3.0]), np.zeros(3),
-                        np.array(a_ref), np.zeros(3))
-    flat = FlatnessOutput(flat_rotation, -10.0, params.kappa, np.zeros(3),
-                          np.zeros(3), np.array(heading),
+    sample = FlatSample((1.0, 2.0, -3.0), _ZERO, a_ref, _ZERO)
+    flat = FlatnessOutput(tuple(map(tuple, flat_rotation.tolist())), -10.0,
+                          params.kappa, _ZERO, _ZERO, heading,
                           SingularCase.AXIS_ALIGNED)
     q = (1.0, 0.0, 0.0, 0.0)
     held = mat_to_quat(rodrigues(np.array([0.0, 0.0, 1.0]), 0.4))
@@ -244,8 +340,8 @@ def test_float_controller_is_the_numpy_oracle_on_every_branch(
        t=st.floats(0.0, MAX_ROWS - 1.0))
 def test_reference_stays_finite_over_the_accepted_keys(
         kind, p0, r, omega, speed_cap, psi, t):
-    # any time a run can reach (its most rows at 1 Hz), under the strict
-    # error state a run uses: every sample and its norm are finite
+    # any time a run can reach (its most rows at 1 Hz): every sample is
+    # finite, and so is its norm under numpy's strict error state
     assume(kind is not TrajectoryKind.CIRCLE or speed_cap > 0.0)
     traj = TrajectoryDef(kind, p0, r, omega, speed_cap, psi)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -286,24 +382,6 @@ def _raises(fn, *args):
     return False
 
 
-@settings(max_examples=1000, deadline=None)
-@given(a=triples, b=triples)
-def test_cross3_is_numpys_cross(a, b):
-    with np.errstate(all="ignore"):
-        assert _bits(cross3(a, b)) == _bits(np.cross(a, b))
-    assert _raises(cross3, a, b) == _raises(np.cross, a, b)
-
-
-@settings(max_examples=1000, deadline=None)
-@given(x=st.one_of(triples, matrices))
-def test_norm_is_numpys_norm(x):
-    with np.errstate(all="ignore"):
-        value = norm(x)
-        assert type(value) is np.float64
-        assert _bits(value) == _bits(np.linalg.norm(x))
-    assert _raises(norm, x) == _raises(np.linalg.norm, x)
-
-
 unit_axes = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
     lambda x: math.hypot(*x) > 0.1).map(lambda x: np.array(x) / math.hypot(*x))
 rotations = st.builds(rodrigues, unit_axes, st.floats(-math.pi, math.pi))
@@ -312,6 +390,37 @@ rotations = st.builds(rodrigues, unit_axes, st.floats(-math.pi, math.pi))
 def decades(low, high):
     return st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
                      st.floats(1.0, 10.0), st.integers(low, high))
+
+
+huge_airframes = st.builds(
+    AeroParams, mass=decades(-300, 299),
+    kappa=st.floats(KAPPA_MIN, KAPPA_MAX, exclude_min=True),
+    rho=decades(-300, 299), area=st.just(0.0) | decades(-300, 299),
+    cd0=st.just(0.0) | decades(-300, 299),
+    cy0=st.just(0.0) | decades(-300, 299),
+    cla=st.just(0.0) | decades(-300, 299))
+huge_vectors = st.lists(magnitudes, min_size=3, max_size=3).map(float_tuple)
+
+
+@settings(max_examples=500, deadline=None)
+@given(params=st.one_of(airframes, huge_airframes), v=huge_vectors,
+       a=huge_vectors, j=huge_vectors, wind=st.none() | huge_vectors,
+       ctx=contexts)
+def test_flatness_transform_is_finite_or_overflows(params, v, a, j, wind, ctx):
+    # finite samples and airframes of every magnitude, whose squares and
+    # products overflow: the transform returns a finite output or raises
+    # the one FloatingPointError naming it, and warns of nothing
+    sample = FlatSample((0.0, 0.0, 0.0), v, a, j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = flatness_transform(params, sample, ctx, wind=wind)
+        except FloatingPointError as exc:
+            assert str(exc) == "overflow encountered in the flatness transform"
+            return
+    assert all_finite(out.rotation, out.thrust, out.alpha, out.omega,
+                      out.wind_axis, out.airspeed)
+    assert out.thrust <= 0.0
 
 
 @settings(max_examples=1000, deadline=None)

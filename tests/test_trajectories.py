@@ -61,7 +61,8 @@ def test_circle_constant_phase_speed_and_accel():
         # pure centripetal acceleration cap^2 / r
         assert np.linalg.norm(ref.a) == pytest.approx(
             traj.speed_cap ** 2 / traj.r, abs=1e-9)
-        assert float(ref.v @ ref.a) == pytest.approx(0.0, abs=1e-9)
+        assert float(np.asarray(ref.v) @ ref.a) == pytest.approx(0.0,
+                                                                 abs=1e-9)
 
 
 def test_hover_is_static():
