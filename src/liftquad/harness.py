@@ -35,6 +35,9 @@ COLUMNS = {"t": 0, "p": slice(1, 4), "p_ref": slice(4, 7), "v": slice(7, 10),
            "omega": slice(19, 22), "alpha": 22, "singular": 23,
            "v_ref": slice(24, 27)}
 _CSV_WIDTH = CSV_COLUMNS.count(",") + 1
+_CSV_LINE = ",".join(["%.17g"] * _CSV_WIDTH) + "\n"
+# rows formatted per write: bounds what the CSV holds as Python objects
+_CSV_BATCH = 256
 # the condition matrix's last cell: pid-dfaf without the rate feedforward
 ABLATION = "rate-ff-off"
 
@@ -119,26 +122,25 @@ class RunResult:
     def store(self, k, t, ref, state, q, q_d, cmd, flat):
         """Fill row ``k`` from the tick's reference, the position and
         velocity of ``state``, the measured and desired attitude
-        quaternions, the command and the feedforward."""
-        row = self.table[k]
-        for name, value in (("t", t), ("p", state.p), ("p_ref", ref.p),
-                            ("v", state.v), ("v_ref", ref.v), ("q", q),
-                            ("q_d", q_d), ("thrust", cmd.thrust),
-                            ("omega", cmd.omega), ("alpha", flat.alpha),
-                            ("singular", flat.singular)):
-            row[COLUMNS[name]] = value
+        quaternions, the command and the feedforward: one row write,
+        its values in ``COLUMNS`` order."""
+        self.table[k] = (t, *state.p, *ref.p, *state.v, *q, *q_d, cmd.thrust,
+                         *cmd.omega, flat.alpha, flat.singular, *ref.v)
 
     def head(self, n_rows):
         """The first ``n_rows`` rows, e.g. a diverged run's partial trace."""
         return replace(self, table=self.table[:n_rows])
 
     def write_csv(self, path):
-        """Trace as CSV with 17-significant-digit floats; byte-stable."""
+        """Trace as CSV with 17-significant-digit floats; byte-stable.
+        Written in batches of ``_CSV_BATCH`` rows, each batch formatted
+        by one ``%``."""
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(CSV_COLUMNS + "\n")
-            for row in self.table[:, :_CSV_WIDTH]:
-                handle.write(",".join(f"{x:.17g}" for x in row.tolist())
-                             + "\n")
+            for start in range(0, len(self.table), _CSV_BATCH):
+                batch = self.table[start:start + _CSV_BATCH, :_CSV_WIDTH]
+                lines = _CSV_LINE * len(batch)
+                handle.write(lines % tuple(batch.ravel().tolist()))
 
 
 def _went_non_finite(reason, t, ref, result, k):

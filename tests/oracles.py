@@ -12,7 +12,9 @@ package against; none of them runs in a simulation.
   calls (:func:`cross3`, :func:`norm`, :data:`EYE3`, :func:`skew`,
   :func:`rodrigues`); the transform reads a
   :class:`liftquad.flatness.FlatSample` of numpy arrays;
-* a central-difference audit of the trajectories' analytic derivatives.
+* a central-difference audit of the trajectories' analytic derivatives;
+* the trace CSV formatted one value at a time, an oracle for
+  :meth:`liftquad.harness.RunResult.write_csv`.
 """
 
 import math
@@ -29,6 +31,7 @@ from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL,
                                TransformContext, thrust_and_alpha)
 from liftquad.geom import (UNIT_TOL, NonOrthonormalError, lateral_axis,
                            quat_conj, quat_mul, quat_to_axis_angle)
+from liftquad.harness import CSV_COLUMNS
 from liftquad.trajectories import sample
 
 EYE3 = np.identity(3)
@@ -155,6 +158,17 @@ def quat_to_mat(q):
 def unskew(m):
     """Inverse of :func:`skew` for an antisymmetric 3x3 matrix."""
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
+
+
+def csv_text(table):
+    """The trace CSV of a result ``table``: the header, then each row's
+    trace columns, every value formatted on its own to 17 significant
+    digits."""
+    width = len(CSV_COLUMNS.split(","))
+    lines = [CSV_COLUMNS]
+    for row in table[:, :width]:
+        lines.append(",".join(f"{x:.17g}" for x in row.tolist()))
+    return "".join(line + "\n" for line in lines)
 
 
 def derivative_check(traj, t, h):

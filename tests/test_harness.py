@@ -4,9 +4,11 @@ import math
 import re
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from liftquad import control, harness
@@ -15,12 +17,13 @@ from liftquad.config import (CONDITIONS, MAX_PLANT_STEPS, MAX_ROWS,
                              ConfigError, ExperimentConfig, build_config,
                              load_config, parse_config_text)
 from liftquad.flatness import SingularCase
-from liftquad.harness import (CSV_COLUMNS, DivergenceError, EmptySeriesError,
+from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
+                              DivergenceError, EmptySeriesError, RunResult,
                               condition_matrix, feasibility_check,
                               feedforward_trace, format_matrix, rmse,
                               run_experiment)
 from liftquad.trajectories import TrajectoryKind
-from oracles import quat_to_mat
+from oracles import csv_text, quat_to_mat
 
 
 def config_from(text):
@@ -383,6 +386,65 @@ def test_csv_layout_and_round_trip(tmp_path):
     # the table is the trace plus the reference velocity, views included
     assert np.array_equal(result.table[:, :24], data)
     assert result.v_ref.base is result.table
+
+
+def test_store_fills_each_column_its_view_reads():
+    # a distinct sentinel per value: every COLUMNS view, v_ref included,
+    # reads back exactly what store was given for it, so the row store
+    # writes and the layout COLUMNS names cannot drift apart
+    sentinels = iter(np.arange(100.0, 200.0))
+
+    def take(n):
+        return tuple(next(sentinels) for _ in range(n))
+
+    ref = SimpleNamespace(p=take(3), v=take(3))
+    state = SimpleNamespace(p=take(3), v=take(3))
+    q, q_d = take(4), take(4)
+    cmd = control.ControlInput(*take(1), take(3))
+    flat = SimpleNamespace(alpha=next(sentinels),
+                           singular=SingularCase.AXIS_ALIGNED)
+    t = next(sentinels)
+    expected = {"t": t, "p": state.p, "p_ref": ref.p, "v": state.v,
+                "q": q, "q_d": q_d, "thrust": cmd.thrust,
+                "omega": cmd.omega, "alpha": flat.alpha,
+                "singular": int(SingularCase.AXIS_ALIGNED), "v_ref": ref.v}
+    assert expected.keys() == COLUMNS.keys()
+    result = RunResult.allocate(config_from("sim.duration = 0.008"))
+    result.store(1, t, ref, state, q, q_d, cmd, flat)
+    for name, value in expected.items():
+        assert np.array_equal(getattr(result, name)[1], value), name
+    assert not np.any(np.delete(result.table, 1, axis=0))
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, math.nan,
+                5e-324, -5e-324, 2.225073858507201e-308,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                float(2 ** 53 + 1), -12345.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(palette=st.lists(st.sampled_from(_EDGE_VALUES) | st.floats()
+                        | st.integers(-2 ** 63, 2 ** 63).map(float),
+                        min_size=1, max_size=16),
+       n_rows=st.sampled_from([0, 1, _CSV_BATCH - 1, _CSV_BATCH,
+                               _CSV_BATCH + 1])
+       | st.integers(0, 3 * _CSV_BATCH),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(palette=_EDGE_VALUES, n_rows=_CSV_BATCH + 1, seed=0)
+def test_csv_bytes_are_the_per_value_formatter(tmp_path_factory, palette,
+                                               n_rows, seed):
+    # the batched writer gives the bytes of formatting each value on its
+    # own, for any values (signed zeros, infinities, nan, subnormals, the
+    # largest doubles, integers, every singular flag) and for row counts
+    # around the batch size; the table is a head, like a partial trace
+    rng = np.random.default_rng(seed)
+    shape = (n_rows + 2, COLUMNS["v_ref"].stop)
+    table = np.array(palette)[rng.integers(len(palette), size=shape)]
+    table[:, COLUMNS["singular"]] = rng.integers(0, 3, size=n_rows + 2)
+    result = RunResult(table).head(n_rows)
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    result.write_csv(path)
+    assert path.read_bytes() == csv_text(table[:n_rows]).encode("utf-8")
 
 
 def test_feedforward_trace_hover():
