@@ -43,7 +43,9 @@ class AeroParams:
     lateral drag coefficient and ``cla`` the lift-curve slope.
     ``drag`` (derived, read-only) is the body-frame drag matrix D as
     three row tuples of floats, with the wing's x-z coupling: the force
-    is ``-(rho*S*|v_a|/2) R D R^T v_a``.
+    is ``-(rho*S*|v_a|/2) R D R^T v_a``.  ``cos_kappa`` and
+    ``sin_kappa`` (derived, read-only) are the cosine and sine of
+    ``kappa``, which the flatness transform's force balance reads.
     """
 
     mass: float = 1.5
@@ -54,6 +56,8 @@ class AeroParams:
     cy0: float = 0.0
     cla: float = 2.0
     drag: tuple = field(init=False, repr=False, compare=False)
+    cos_kappa: float = field(init=False, repr=False, compare=False)
+    sin_kappa: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mass <= 0.0:
@@ -69,6 +73,8 @@ class AeroParams:
         if self.cd0 < 0.0 or self.cla < 0.0:
             raise ValueError("drag and lift coefficients must be non-negative")
         c, s = math.cos(self.kappa), math.sin(self.kappa)
+        object.__setattr__(self, "cos_kappa", c)
+        object.__setattr__(self, "sin_kappa", s)
         cdxz = self.cla * s * c
         object.__setattr__(self, "drag", (
             (self.cd0 * c * c + (self.cla + self.cd0) * s * s, 0.0, cdxz),

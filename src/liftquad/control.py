@@ -25,19 +25,21 @@ they are, and makes no numpy call.  Float arithmetic does not
 raise on overflow, so the step checks each value that a later clamp,
 branch or saturation could hide: the velocity integral before its
 clamp, the demand's norm before the free-fall and lateral-axis branches
-and the command before saturation.  Each raises
-``FloatingPointError("overflow encountered in the controller")``.  The
-numpy form of the controller is the test oracle in ``tests/oracles.py``.
+and the command before saturation.  Each check is an inline
+``math.isfinite`` test and raises
+``FloatingPointError("overflow encountered in the controller")``
+(:func:`liftquad.geom.overflow_error`).  The numpy form of the
+controller is the test oracle in ``tests/oracles.py``.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .aero import GRAVITY, AeroParams, aero_accel
-from .geom import (check_finite, lateral_axis, mat_to_quat, quat_conj,
+from .geom import (lateral_axis, mat_to_quat, overflow_error, quat_conj,
                    quat_mul, quat_to_axis_angle)
 
 # Acceleration-demand norm below which the thrust direction is
@@ -61,23 +63,22 @@ def _axis_vector(value):
 
 @dataclass(frozen=True)
 class ControlGains:
-    """Per-axis diagonal gains of the cascade.
+    """Per-axis diagonal gains of the cascade, each a float 3-tuple.
 
     ``kpp``: position to velocity (1/s); ``kvp``: velocity to
     acceleration (1/s); ``kvi``: velocity integral (1/s^2); ``kff``:
     aerodynamic-feedforward attenuation, entries in [0, 1]; ``ktp``:
-    attitude to body rate (1/s).  Scalars broadcast to all three axes.
+    attitude to body rate (1/s).  A gain is given as a scalar, which
+    broadcasts to all three axes, or as any three numbers.
     ``integrator_limit`` clamps the integral term per axis (m/s^2).
     """
 
-    kpp: np.ndarray = field(default_factory=lambda: np.full(3, 1.0))
-    kvp: np.ndarray = field(default_factory=lambda: np.full(3, 3.0))
-    kvi: np.ndarray = field(default_factory=lambda: np.full(3, 0.6))
-    kff: np.ndarray = field(default_factory=lambda: np.full(3, 0.8))
-    ktp: np.ndarray = field(default_factory=lambda: np.full(3, 8.0))
+    kpp: tuple = (1.0, 1.0, 1.0)
+    kvp: tuple = (3.0, 3.0, 3.0)
+    kvi: tuple = (0.6, 0.6, 0.6)
+    kff: tuple = (0.8, 0.8, 0.8)
+    ktp: tuple = (8.0, 8.0, 8.0)
     integrator_limit: float = 3.0
-    # the five gains as rows of Python floats, the form the loops read
-    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _GAINS:
@@ -86,13 +87,11 @@ class ControlGains:
                 raise ValueError(f"{name} must be a scalar or 3-vector")
             if np.any(vec < 0.0):
                 raise ValueError(f"{name} entries must be >= 0, got {vec}")
-            object.__setattr__(self, name, vec)
-        if np.any(self.kff > 1.0):
+            object.__setattr__(self, name, tuple(vec.tolist()))
+        if any(k > 1.0 for k in self.kff):
             raise ValueError(f"kff entries must be <= 1, got {self.kff}")
         if self.integrator_limit < 0.0:
             raise ValueError("integrator_limit must be >= 0")
-        object.__setattr__(self, "_rows", {
-            name: tuple(getattr(self, name).tolist()) for name in _GAINS})
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ def _clip(v, bound):
 
 def position_loop(gains, p_ref, p, v_ref):
     """Velocity command from position error plus reference velocity."""
-    (kx, ky, kz), (rx, ry, rz), (px, py, pz) = gains._rows["kpp"], p_ref, p
+    (kx, ky, kz), (rx, ry, rz), (px, py, pz) = gains.kpp, p_ref, p
     vx, vy, vz = v_ref
     return (kx * (rx - px) + vx, ky * (ry - py) + vy, kz * (rz - pz) + vz)
 
@@ -196,13 +195,13 @@ def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
     (dx, dy, dz), (vx, vy, vz) = v_d, v
     ex, ey, ez = dx - vx, dy - vy, dz - vz
     if mode.use_integrator:
-        (kx, ky, kz), (ix, iy, iz) = gains._rows["kvi"], integrator
+        (kx, ky, kz), (ix, iy, iz) = gains.kvi, integrator
         ix, iy, iz = ix + kx * ex * dt, iy + ky * ey * dt, iz + kz * ez * dt
-        integrator = (ix, iy, iz)
-        check_finite(_LAYER, *integrator)
-        integrator = _clip(integrator, gains.integrator_limit)
-    (kx, ky, kz), (ix, iy, iz), (ax, ay, az) = (gains._rows["kvp"],
-                                                 integrator, a_ref)
+        if not (math.isfinite(ix) and math.isfinite(iy)
+                and math.isfinite(iz)):
+            raise overflow_error(_LAYER)
+        integrator = _clip((ix, iy, iz), gains.integrator_limit)
+    (kx, ky, kz), (ix, iy, iz), (ax, ay, az) = gains.kvp, integrator, a_ref
     a_d = (kx * ex + ix + ax, ky * ey + iy + ay, kz * ez + iz + az)
     return a_d, integrator
 
@@ -223,14 +222,15 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
     rx, ry, rz = dx, dy, dz - GRAVITY
     rotation_ff = flat.rotation
     if mode.use_aero_feedforward:
-        (kx, ky, kz), (fx, fy, fz) = gains._rows["kff"], aero_accel(
+        (kx, ky, kz), (fx, fy, fz) = gains.kff, aero_accel(
             params, rotation_ff, flat.airspeed)
         rx, ry, rz = rx - kx * fx, ry - ky * fy, rz - kz * fz
     rotor_norm = math.sqrt(rx * rx + ry * ry + rz * rz)
     # the printed projection also divides by the demand's norm
     demand_norm = (math.sqrt(dx * dx + dy * dy + dz * dz)
                    if mode.printed_accel_projection else FREE_FALL_ACCEL)
-    check_finite(_LAYER, rotor_norm, demand_norm)
+    if not (math.isfinite(rotor_norm) and math.isfinite(demand_norm)):
+        raise overflow_error(_LAYER)
     if rotor_norm < FREE_FALL_ACCEL or demand_norm < FREE_FALL_ACCEL:
         return rotation_ff, 0.0, True
     force = (rx / rotor_norm, ry / rotor_norm, rz / rotor_norm)
@@ -257,8 +257,7 @@ def attitude_loop(gains, mode, q_d, q_current, omega_ref):
     Antipodal quaternion representations give the identical command.
     """
     q_err = quat_mul(quat_conj(q_current), q_d)
-    (kx, ky, kz), (ex, ey, ez) = (gains._rows["ktp"],
-                                  quat_to_axis_angle(q_err).vector)
+    (kx, ky, kz), (ex, ey, ez) = gains.ktp, quat_to_axis_angle(q_err).vector
     if not mode.use_rate_feedforward:
         return (kx * ex, ky * ey, kz * ez)
     wx, wy, wz = omega_ref
@@ -291,8 +290,11 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
         params, gains, mode, a_d, flat)
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
-    omega_d = attitude_loop(gains, mode, ctx.held_quat, state.q, flat.omega)
-    check_finite(_LAYER, thrust_d, *omega_d)
+    omega_d = wx, wy, wz = attitude_loop(gains, mode, ctx.held_quat, state.q,
+                                         flat.omega)
+    if not (math.isfinite(thrust_d) and math.isfinite(wx)
+            and math.isfinite(wy) and math.isfinite(wz)):
+        raise overflow_error(_LAYER)
     command = saturate(limits, thrust_d, omega_d)
     ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)
     return command

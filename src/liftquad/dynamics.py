@@ -62,6 +62,10 @@ class PlantConfig:
     step: float = 1e-3
     # ``v_wind`` as Python floats, the form the plant reads
     _wind: tuple = field(init=False, repr=False, compare=False)
+    # exp(-step/tau) of the thrust and body-rate channels, taken once for
+    # actuator_lag; 0, and never read, for a channel without lag
+    _thrust_decay: float = field(init=False, repr=False, compare=False)
+    _omega_decay: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v_wind", np.asarray(self.v_wind, dtype=float))
@@ -70,6 +74,10 @@ class PlantConfig:
             raise ValueError("integration step must be > 0")
         if self.tau_omega < 0.0 or self.tau_thrust < 0.0:
             raise ValueError("actuator time constants must be >= 0")
+        for name, tau in (("_thrust_decay", self.tau_thrust),
+                          ("_omega_decay", self.tau_omega)):
+            object.__setattr__(self, name, (
+                math.exp(-self.step / tau) if tau != 0.0 else 0.0))
 
 
 def acceleration(cfg, R, v, thrust):
@@ -156,10 +164,9 @@ def actuator_lag(cfg, commanded, applied_prev):
     """
     thrust, omega = commanded.thrust, commanded.omega
     if cfg.tau_thrust != 0.0:
-        f = math.exp(-cfg.step / cfg.tau_thrust)
-        thrust = thrust + f * (applied_prev.thrust - thrust)
+        thrust = thrust + cfg._thrust_decay * (applied_prev.thrust - thrust)
     if cfg.tau_omega != 0.0:
-        f = math.exp(-cfg.step / cfg.tau_omega)
+        f = cfg._omega_decay
         (cx, cy, cz), (px, py, pz) = omega, applied_prev.omega
         omega = (cx + f * (px - cx), cy + f * (py - cy), cz + f * (pz - cz))
     return ControlInput(thrust, omega)

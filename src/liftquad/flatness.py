@@ -32,8 +32,16 @@ arithmetic does not raise on overflow, so the transform checks its
 output, and before that each value a branch or clamp could hide (the
 airspeed, the force-balance normalizer, the symmetry-plane norm, the
 body-rate system's scale, the hover thrust), raising
-``FloatingPointError("overflow encountered in the flatness transform")``.
-Its numpy form is the test oracle in ``tests/oracles.py``.
+``FloatingPointError("overflow encountered in the flatness transform")``
+(:func:`liftquad.geom.overflow_error`).  Each check is an inline
+``math.isfinite`` test right before the branch or clamp it protects:
+the transform runs once per tick, and a call per check would cost more
+than the check.  For the same reason the domain check is one pass over
+all thirteen sample components, and only a sample that fails it is
+scanned field by field for the error message; the airspeed is computed
+once and handed to the helpers that need it, and the force balance
+reads the airframe's ``cos_kappa`` and ``sin_kappa``.  Its numpy form
+is the test oracle in ``tests/oracles.py``.
 """
 
 import math
@@ -41,7 +49,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .aero import GRAVITY
-from .geom import check_finite, lateral_axis
+from .geom import lateral_axis, overflow_error
 
 # Hysteresis band for the zero-velocity branch: enter below the first
 # speed, return to the smooth construction above the second.
@@ -159,14 +167,14 @@ def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
     lift_gain = params.cla * q_s
     k_along = params.cd0 * q_s + params.mass * accel_along
     k_perp = params.mass * accel_perp
-    ck = math.cos(params.kappa)
-    sk = math.sin(params.kappa)
+    ck, sk = params.cos_kappa, params.sin_kappa
     # k1*sin(alpha) and k1*cos(alpha) up to a common sign
     sin_num = -(k_along * ck + k_perp * sk)
     cos_num = (k_along + lift_gain) * sk - k_perp * ck
     k1 = math.hypot(sin_num, cos_num)
     scale = params.mass * GRAVITY + abs(k_along) + abs(k_perp) + lift_gain
-    check_finite(_LAYER, k1, scale)
+    if not (math.isfinite(k1) and math.isfinite(scale)):
+        raise overflow_error(_LAYER)
     if k1 <= 1e-12 * scale:
         raise DegenerateBalanceError(
             "force balance normalizer vanished (thrust-free equilibrium)")
@@ -181,18 +189,19 @@ def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
     return thrust, alpha
 
 
-def symmetry_plane_vector(params, v_air, accel):
+def symmetry_plane_vector(params, v_air, accel, speed):
     """Vector the wing symmetry plane must contain (the body y-axis is its
-    normal together with the airspeed direction), as a 3-tuple."""
+    normal together with the airspeed direction), as a 3-tuple;
+    ``speed`` is the airspeed's norm, ``|v_air|``."""
     (vx, vy, vz), (ax, ay, az) = v_air, accel
-    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     k = params.rho * params.area * speed / (2.0 * params.mass) * params.cy0
     return (k * vx + ax, k * vy + ay, k * vz - GRAVITY + az)
 
 
-def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
+def angular_velocity_from_flat(params, sample, rotation, thrust, v_air,
+                               airspeed):
     """Body angular velocity consistent with the flat reference, as a
-    3-tuple.
+    3-tuple; ``airspeed`` is the norm of ``v_air``.
 
     Assembles and solves the 3x3 linear system obtained from the body
     x/y projections of the differentiated force balance together with
@@ -203,7 +212,6 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
     ``FloatingPointError`` when that scale overflows.
     """
     vx, vy, vz = v_air
-    airspeed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if airspeed < _TINY:
         raise SingularSystemError("zero airspeed")
     (cdx, _, cdxz), (_, cy0, _), (_, _, cdz) = params.drag
@@ -235,7 +243,8 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
     scale = math.sqrt(a00 * a00 + a01 * a01 + a02 * a02 + a10 * a10
                       + a12 * a12 + w * w + u * u)
     cube = scale * scale * scale
-    check_finite(_LAYER, cube)
+    if not math.isfinite(cube):
+        raise overflow_error(_LAYER)
     # expanded along the middle column: no pivot to divide by
     inner = a10 * u + a12 * w
     det = a01 * inner
@@ -261,34 +270,66 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     makes the call a stateless per-sample transform.  The estimated
     ``wind`` (none when omitted) enters only here.
     """
-    for name in ("p", "v", "a", "j"):
-        if not all(map(math.isfinite, getattr(sample, name))):
-            raise ValueError(f"flat sample field {name} is not finite")
-    if not math.isfinite(sample.psi):
-        raise ValueError("flat sample field psi is not finite")
+    if not all(map(math.isfinite, (*sample.p, *sample.v, *sample.a,
+                                   *sample.j, sample.psi))):
+        _refuse(sample)
     if ctx is None:
         ctx = TransformContext()
     (vx, vy, vz), (wx, wy, wz) = sample.v, _ZERO if wind is None else wind
     vx, vy, vz = v_air = (vx - wx, vy - wy, vz - wz)
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
-    check_finite(_LAYER, speed)
+    if not math.isfinite(speed):
+        raise overflow_error(_LAYER)
     threshold = SPEED_SINGULAR_EXIT if ctx.in_singular else SPEED_SINGULAR_ENTER
     if speed < threshold:
         ctx.in_singular = True
-        return _finite(_zero_velocity_output(params, sample, v_air,
-                                             ctx.held_axis))
-    ux, uy, uz = axis = (vx / speed, vy / speed, vz / speed)
-    ctx.in_singular = False
-    ctx.held_axis = axis
+        out = _zero_velocity_output(params, sample, v_air, speed,
+                                    ctx.held_axis)
+    else:
+        axis = (vx / speed, vy / speed, vz / speed)
+        ctx.in_singular = False
+        ctx.held_axis = axis
+        out = _smooth_output(params, sample, v_air, speed, axis)
+    # the output's attitude, thrust, angle of attack and body rate (its
+    # airspeed and wind axis are finite once the speed is)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = out.rotation
+    ox, oy, oz = out.omega
+    if not (math.isfinite(r00) and math.isfinite(r01) and math.isfinite(r02)
+            and math.isfinite(r10) and math.isfinite(r11)
+            and math.isfinite(r12) and math.isfinite(r20)
+            and math.isfinite(r21) and math.isfinite(r22)
+            and math.isfinite(out.thrust) and math.isfinite(out.alpha)
+            and math.isfinite(ox) and math.isfinite(oy)
+            and math.isfinite(oz)):
+        raise overflow_error(_LAYER)
+    return out
+
+
+def _refuse(sample):
+    """Raise the ``ValueError`` naming the first of ``p``, ``v``, ``a``,
+    ``j`` and ``psi`` that is not finite in a sample outside the
+    transform's domain."""
+    for name in ("p", "v", "a", "j"):
+        if not all(map(math.isfinite, getattr(sample, name))):
+            raise ValueError(f"flat sample field {name} is not finite")
+    raise ValueError("flat sample field psi is not finite")
+
+
+def _smooth_output(params, sample, v_air, speed, axis):
+    """The construction of the module docstring at airspeed ``v_air``
+    of norm ``speed`` along the unit ``axis``, with the aligned-axis
+    policy where the lateral axis is undefined."""
+    ux, uy, uz = axis
     along, perp = wind_frame_accels(axis, sample.a)
     try:
         thrust, alpha = thrust_and_alpha(params, speed, along, perp)
     except DegenerateBalanceError:
         # aerodynamics alone meet the demand: no thrust, chord on the path
         thrust, alpha = 0.0, params.kappa
-    px, py, pz = plane = symmetry_plane_vector(params, v_air, sample.a)
+    px, py, pz = plane = symmetry_plane_vector(params, v_air, sample.a, speed)
     plane_norm = math.sqrt(px * px + py * py + pz * pz)
-    check_finite(_LAYER, plane_norm)
+    if not math.isfinite(plane_norm):
+        raise overflow_error(_LAYER)
     # axis x plane
     cx, cy, cz = uy * pz - uz * py, uz * px - ux * pz, ux * py - uy * px
     cross_norm = math.sqrt(cx * cx + cy * cy + cz * cz)
@@ -321,20 +362,21 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     rotation = _frame(x_body, (yx, yy, yz))
     try:
         omega = angular_velocity_from_flat(params, sample, rotation, thrust,
-                                           v_air)
+                                           v_air, speed)
     except SingularSystemError:
         omega = _ZERO
-    return _finite(FlatnessOutput(rotation, thrust, alpha, omega, v_air,
-                                  axis, singular))
+    return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis,
+                          singular)
 
 
-def _zero_velocity_output(params, sample, v_air, held_axis):
+def _zero_velocity_output(params, sample, v_air, speed, held_axis):
     """Hover-regime policy: attitude from the held (when there is one) or
     fallback axis, thrust from the projection of the specific-force
     demand."""
-    px, py, pz = plane = symmetry_plane_vector(params, v_air, sample.a)
+    px, py, pz = plane = symmetry_plane_vector(params, v_air, sample.a, speed)
     plane_norm = math.sqrt(px * px + py * py + pz * pz)
-    check_finite(_LAYER, plane_norm)
+    if not math.isfinite(plane_norm):
+        raise overflow_error(_LAYER)
     c, s = math.cos(sample.psi), math.sin(sample.psi)
     yaw_axis = (c, s, 0.0)
     if plane_norm < _TINY:
@@ -352,14 +394,7 @@ def _zero_velocity_output(params, sample, v_air, held_axis):
     (_, _, zx), (_, _, zy), (_, _, zz) = rotation
     ax, ay, az = sample.a
     thrust = params.mass * (zx * ax + zy * ay + zz * (az - GRAVITY))
-    check_finite(_LAYER, thrust)
+    if not math.isfinite(thrust):
+        raise overflow_error(_LAYER)
     return FlatnessOutput(rotation, min(0.0, thrust), params.kappa, _ZERO,
                           v_air, axis, SingularCase.ZERO_VELOCITY)
-
-
-def _finite(out):
-    """``out``, once its attitude, thrust, angle of attack and body rate
-    are finite (its airspeed and wind axis are, once the speed is)."""
-    r0, r1, r2 = out.rotation
-    check_finite(_LAYER, *r0, *r1, *r2, out.thrust, out.alpha, *out.omega)
-    return out

@@ -23,7 +23,7 @@ from .control import (ControlInput, ControllerContext, Measurement,
                       controller_step)
 from .dynamics import VehicleState, actuator_lag, require_finite, rk4_step
 from .flatness import TransformContext, flatness_transform
-from .geom import check_finite, mat_to_quat
+from .geom import mat_to_quat, overflow_error
 from .trajectories import sample as sample_trajectory
 
 CSV_COLUMNS = ("t,px,py,pz,prx,pry,prz,vx,vy,vz,qw,qx,qy,qz,"
@@ -175,6 +175,9 @@ def run_experiment(cfg):
     The plant starts on tick 0's reference in tick 0's feedforward
     attitude, with tick 0's feedforward as the applied input."""
     dt = 1.0 / cfg.rate
+    plant, substeps = cfg.plant, cfg.substeps
+    # without a lagging channel the plant holds the command as it is
+    lags = plant.tau_thrust != 0.0 or plant.tau_omega != 0.0
     result = RunResult.allocate(cfg)
     ticks = _ticks(cfg, result)
     first = next(ticks)
@@ -189,9 +192,9 @@ def run_experiment(cfg):
     for k, t, ref, flat in chain([first], ticks):
         try:
             if k:   # the plant follows the previous tick's command to t
-                for _ in range(cfg.substeps):
-                    applied = actuator_lag(cfg.plant, cmd, applied)
-                    state = rk4_step(cfg.plant, state, applied)
+                for _ in range(substeps):
+                    applied = actuator_lag(plant, cmd, applied) if lags else cmd
+                    state = rk4_step(plant, state, applied)
                 require_finite(state)
                 p_history.append(state.p)
             q = mat_to_quat(state.R)
@@ -202,7 +205,8 @@ def run_experiment(cfg):
             (px, py, pz), (rx, ry, rz) = state.p, ref.p
             dx, dy, dz = px - rx, py - ry, pz - rz
             error = math.sqrt(dx * dx + dy * dy + dz * dz)
-            check_finite("the harness", error)
+            if not math.isfinite(error):
+                raise overflow_error("the harness")
         except FloatingPointError as exc:
             raise _went_non_finite(exc, t, ref, result, k) from None
         result.store(k, t, ref, state, q, control_ctx.held_quat, cmd, flat)
@@ -220,8 +224,8 @@ def feedforward_trace(cfg):
     for k, t, ref, flat in _ticks(cfg, result):
         # the reference is the state: measured and desired attitude agree
         quat = mat_to_quat(flat.rotation)
-        cmd = ControlInput(flat.thrust, flat.omega)
-        result.store(k, t, ref, ref, quat, quat, cmd, flat)
+        # the feedforward is the command: it has its thrust and omega
+        result.store(k, t, ref, ref, quat, quat, flat, flat)
     return result
 
 

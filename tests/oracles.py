@@ -242,7 +242,7 @@ def mat_to_quat(rotation):
 
 def position_loop(gains, p_ref, p, v_ref):
     """Velocity command from position error plus reference velocity."""
-    return gains.kpp * (p_ref - p) + v_ref
+    return np.asarray(gains.kpp) * (p_ref - p) + v_ref
 
 
 def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
@@ -255,8 +255,9 @@ def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
     error = v_d - v
     if mode.use_integrator:
         limit = gains.integrator_limit
-        integrator = np.clip(integrator + gains.kvi * error * dt, -limit, limit)
-    return gains.kvp * error + integrator + a_ref, integrator
+        step = np.asarray(gains.kvi) * error * dt
+        integrator = np.clip(integrator + step, -limit, limit)
+    return np.asarray(gains.kvp) * error + integrator + a_ref, integrator
 
 
 def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
@@ -272,7 +273,7 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
     a_rotor = a_d - GRAVITY_VEC
     if mode.use_aero_feedforward:
         a_ff = aero_accel(params, flat.rotation, flat.airspeed)
-        a_rotor = a_rotor - gains.kff * a_ff
+        a_rotor = a_rotor - np.asarray(gains.kff) * a_ff
     rotor_norm = norm(a_rotor)
     if rotor_norm < FREE_FALL_ACCEL or (mode.printed_accel_projection
                                         and norm(a_d) < FREE_FALL_ACCEL):
@@ -300,7 +301,7 @@ def attitude_loop(gains, mode, q_d, q_current, omega_ref):
     """
     q_err = quat_mul(quat_conj(q_current), q_d)
     xi = quat_to_axis_angle(q_err).vector
-    omega = gains.ktp * xi
+    omega = np.asarray(gains.ktp) * xi
     if mode.use_rate_feedforward:
         omega = omega + omega_ref
     return omega

@@ -190,6 +190,25 @@ def test_drag_field_is_derived_and_read_only():
     assert "drag" not in repr(params)
 
 
+def test_kappa_cosine_and_sine_are_derived_and_follow_copies():
+    # bit for bit the cosine and sine of kappa, which the force balance
+    # reads instead of taking them per call; a copy recomputes them
+    params = AeroParams(kappa=math.radians(52.0), cla=2.6)
+    for copy in (params, replace(params, kappa=1.2), params.zeroed(),
+                 replace(params, kappa=1.2).zeroed()):
+        assert copy.cos_kappa == math.cos(copy.kappa)
+        assert copy.sin_kappa == math.sin(copy.kappa)
+    with pytest.raises(TypeError):
+        AeroParams(cos_kappa=1.0)
+    with pytest.raises(ValueError):
+        replace(params, sin_kappa=0.0)
+    with pytest.raises(AttributeError):
+        params.cos_kappa = 0.0
+    # derived, so neither compared nor shown
+    assert params == replace(params)
+    assert "kappa=" in repr(params) and "cos_kappa" not in repr(params)
+
+
 def test_accel_zero_airspeed():
     assert_allclose(aero_accel(AeroParams(), np.eye(3), np.zeros(3)),
                     np.zeros(3))

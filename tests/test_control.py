@@ -150,7 +150,7 @@ def test_aero_feedforward_shifts_demand():
     assert thrust_ff != pytest.approx(thrust_raw)
     # oracle: rebuild the compensated demand directly
     a_rotor = a_d - GRAVITY_VEC \
-        - gains.kff * aero_accel(PARAMS, flat.rotation, sample.v)
+        - np.asarray(gains.kff) * aero_accel(PARAMS, flat.rotation, sample.v)
     assert_allclose(with_ff[:, 2], -a_rotor / np.linalg.norm(a_rotor),
                     atol=1e-15)
     assert thrust_ff == pytest.approx(
@@ -321,3 +321,40 @@ def test_saturated_step_keeps_other_mode_flags():
     expected = saturate(tight, thrust_d, omega_d)
     assert cmd.thrust == expected.thrust
     assert_allclose(cmd.omega, expected.omega)
+
+
+@pytest.mark.parametrize("case", ["integral", "demand", "command"])
+def test_each_overflow_check_raises_the_one_error(case):
+    # each check is an inline test before its clamp, branch or
+    # saturation: the one FloatingPointError naming the controller comes
+    # from the frame that holds the value which overflowed; on floats,
+    # as a tick runs, so that nothing else warns first
+    sample = FlatSample((0.0,) * 3, (8.0, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3)
+    flat = flatness_transform(PARAMS, sample)
+    if case == "integral":
+        def call():
+            velocity_loop(ControlGains(kvi=1e308), ControlMode(),
+                          (10.0, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3,
+                          (0.0,) * 3, 1.0)
+        where, value = "velocity_loop", "ix"
+    elif case == "demand":
+        def call():
+            accel_to_attitude_thrust(PARAMS, ControlGains(), ControlMode(),
+                                     (1e200, 0.0, 0.0), flat)
+        where, value = "accel_to_attitude_thrust", "rotor_norm"
+    else:
+        # upside down: an attitude error near pi times a gain near the
+        # largest float
+        def call():
+            controller_step(PARAMS, ControlGains(ktp=1e308), ControlMode(),
+                            ControlLimits(), sample, flat,
+                            Measurement((0.0,) * 3, (8.0, 0.0, 0.0),
+                                        (0.0, 1.0, 0.0, 0.0)),
+                            ControllerContext(), 0.004)
+        where, value = "controller_step", "wx"
+    with pytest.raises(FloatingPointError, match="^overflow encountered in "
+                                                 "the controller$") as info:
+        call()
+    frame = info.traceback[-1]
+    assert frame.name == where
+    assert not math.isfinite(frame.locals[value])

@@ -171,7 +171,8 @@ def test_attitude_orthogonality_invariants():
             continue
         rotation, alpha, thrust, axis = (np.asarray(out.rotation), out.alpha,
                                          out.thrust, out.wind_axis)
-        plane = symmetry_plane_vector(PARAMS, sample.v, sample.a)
+        plane = symmetry_plane_vector(PARAMS, sample.v, sample.a,
+                                      math.hypot(*sample.v))
         y_body = rotation[:, 1]
         assert abs(float(y_body @ plane)) < 1e-12 * np.linalg.norm(plane)
         assert abs(float(y_body @ axis)) < 1e-12
@@ -219,7 +220,8 @@ def test_rate_system_residual_and_turn_constraint():
             continue
         try:
             omega = angular_velocity_from_flat(PARAMS, sample, out.rotation,
-                                               out.thrust, sample.v)
+                                               out.thrust, sample.v,
+                                               math.hypot(*sample.v))
         except SingularSystemError:
             continue
         rotation = np.asarray(out.rotation)
@@ -258,7 +260,7 @@ def test_rate_system_rejects_zero_airspeed():
     sample = make_sample([0.0] * 3, [0.0] * 3)
     with pytest.raises(SingularSystemError):
         angular_velocity_from_flat(PARAMS, sample, np.eye(3), -14.0,
-                                   sample.v)
+                                   sample.v, 0.0)
 
 
 def test_rate_system_with_subnormal_coefficients_stays_quiet():
@@ -418,10 +420,49 @@ def test_overflow_raises_one_error_in_any_error_state(speed, strict):
             flatness_transform(PARAMS, sample)
 
 
+_IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("call, where, value", [
+    (lambda: flatness_transform(PARAMS, make_sample([1e200, 0, 0], [0] * 3)),
+     "flatness_transform", "speed"),
+    (lambda: thrust_and_alpha(AeroParams(cd0=1e308), 10.0, 0.0, -GRAVITY),
+     "thrust_and_alpha", "k1"),
+    (lambda: flatness_transform(AeroParams(cy0=1e300),
+                                make_sample([10, 0, 0], [0] * 3)),
+     "_smooth_output", "plane_norm"),
+    (lambda: flatness_transform(PARAMS, make_sample([0] * 3, [1e200, 0, 0])),
+     "_zero_velocity_output", "plane_norm"),
+    (lambda: flatness_transform(AeroParams(mass=1e200),
+                                make_sample([0] * 3, [0, 0, -1e150])),
+     "_zero_velocity_output", "thrust"),
+    (lambda: angular_velocity_from_flat(
+        PARAMS, make_sample([10, 0, 0], [0] * 3), _IDENTITY, -1e200,
+        (10.0, 0.0, 0.0), 10.0),
+     "angular_velocity_from_flat", "cube"),
+    (lambda: flatness_transform(PARAMS, make_sample([10, 0, 0], [0] * 3,
+                                                    [0, 1e308, 0])),
+     "flatness_transform", "ox"),
+], ids=["speed", "normalizer", "plane", "hover-plane", "hover-thrust",
+        "rate-scale", "output"])
+def test_each_overflow_check_raises_the_one_error(call, where, value):
+    # each check is an inline test before its branch or clamp: the one
+    # FloatingPointError naming the transform comes from the frame that
+    # holds the value which overflowed
+    with pytest.raises(FloatingPointError,
+                       match="^overflow encountered in the flatness "
+                             "transform$") as info:
+        call()
+    frame = info.traceback[-1]
+    assert frame.name == where
+    assert not math.isfinite(frame.locals[value])
+
+
 def test_symmetry_plane_vector_zero_side_coefficient():
     v = np.array([3.0, 1.0, 0.0])
     a = np.array([0.5, -0.2, 0.1])
-    assert_allclose(symmetry_plane_vector(PARAMS, v, a), a - GRAVITY_VEC)
+    assert_allclose(symmetry_plane_vector(PARAMS, v, a, np.linalg.norm(v)),
+                    a - GRAVITY_VEC)
 
 
 def test_feedforward_consistency_along_figure_eight():

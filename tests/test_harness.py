@@ -333,6 +333,42 @@ def test_arithmetic_overflow_is_a_divergence():
         assert np.geterr() == settings
 
 
+def test_tracking_error_that_overflows_is_a_divergence(monkeypatch):
+    # a finite plant state so far from the reference that its distance
+    # overflows ends the run through the harness's own check, on the row
+    # it appeared; without a position gain the controller never sees it
+    step = harness.rk4_step
+
+    def drifted(plant, state, applied):
+        out = step(plant, state, applied)
+        return replace(out, p=(1e200, 0.0, 0.0))
+    monkeypatch.setattr(harness, "rk4_step", drifted)
+    cfg = short_circle(**{"sim.duration": 1, "gains.kpp.x": 0,
+                          "gains.kpp.y": 0, "gains.kpp.z": 0})
+    with pytest.raises(DivergenceError,
+                       match=r"went non-finite \(overflow encountered in "
+                             r"the harness\)") as info:
+        run_experiment(cfg)
+    assert len(info.value.result.t) == 1
+
+
+def test_actuator_lag_runs_only_when_a_channel_lags(monkeypatch):
+    # without a time constant the plant holds the command as it is, so
+    # the lag is not called; with one it runs once per plant step
+    calls = Counter()
+    lag = harness.actuator_lag
+
+    def counted(plant, commanded, applied):
+        calls["lag"] += 1
+        return lag(plant, commanded, applied)
+    monkeypatch.setattr(harness, "actuator_lag", counted)
+    run_experiment(short_circle(**{"sim.duration": 0.1}))
+    assert calls["lag"] == 0
+    cfg = short_circle(**{"sim.duration": 0.1, "plant.tau_thrust": 0.05})
+    run_experiment(cfg)
+    assert calls["lag"] == (cfg.n_rows - 1) * cfg.substeps
+
+
 def test_zero_aero_model_makes_ff_conditions_identical(tmp_path):
     base = ("sim.duration = 2\n"
             "plant.cd0 = 0\nplant.cy0 = 0\nplant.cla = 0\n"

@@ -91,25 +91,32 @@ def test_flatness_transform_is_total(params, sample, ctx, wind):
     assert out.thrust <= 0.0
 
 
-@settings(max_examples=200, deadline=None)
-@given(sample=samples, field=st.sampled_from(["p", "v", "a", "j", "psi"]),
-       axis=st.integers(0, 2),
-       bad=st.sampled_from([math.inf, -math.inf, math.nan]), ctx=contexts)
-def test_flatness_transform_refuses_non_finite_input(sample, field, axis, bad,
-                                                     ctx):
+_FIELDS = ("p", "v", "a", "j", "psi")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=samples, ctx=contexts, wind=winds, arrays=st.booleans(),
+       bad=st.dictionaries(st.integers(0, 12),
+                           st.sampled_from([math.inf, -math.inf, math.nan]),
+                           min_size=1, max_size=3))
+def test_flatness_transform_refuses_non_finite_input(sample, ctx, wind,
+                                                     arrays, bad):
     # outside its domain the transform raises one ValueError naming the
-    # field, under the strict error state too, and leaves the context be
-    values = {name: np.array(getattr(sample, name)) for name in "pvaj"}
-    values["psi"] = sample.psi
-    if field == "psi":
-        values["psi"] = bad
-    else:
-        values[field][axis] = bad
-    sample = FlatSample(**values)
+    # first field (in the order p, v, a, j, psi) with a non-finite one of
+    # its thirteen components, on float tuples and numpy arrays, under
+    # the strict error state too, and leaves the context be
+    values = [*sample.p, *sample.v, *sample.a, *sample.j, sample.psi]
+    for index, value in bad.items():
+        values[index] = value
+    vector = np.array if arrays else tuple
+    sample = FlatSample(*(vector(values[i:i + 3]) for i in (0, 3, 6, 9)),
+                        values[12])
     before = None if ctx is None else (ctx.held_axis, ctx.in_singular)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        with pytest.raises(ValueError, match=f"field {field} is not finite"):
-            flatness_transform(AeroParams(), sample, ctx)
+        with pytest.raises(ValueError, match=f"^flat sample field "
+                                             f"{_FIELDS[min(bad) // 3]} is "
+                                             f"not finite$"):
+            flatness_transform(AeroParams(), sample, ctx, wind=wind)
     assert before is None or (ctx.held_axis, ctx.in_singular) == before
 
 
