@@ -7,7 +7,7 @@ columns, scalar-first unit quaternions, collective thrust <= 0 along
 body z.
 """
 
-from .aero import AeroParams, GRAVITY, GRAVITY_VEC, aero_accel
+from .aero import AeroParams, GRAVITY, aero_accel
 from .config import CONDITIONS, ConfigError, ExperimentConfig, build_config, load_config
 from .control import (ControlGains, ControlInput, ControlLimits, ControlMode,
                       ControllerContext, controller_step)
@@ -22,7 +22,7 @@ from .trajectories import TrajectoryDef, TrajectoryKind, sample
 __version__ = "0.1.0"
 
 __all__ = [
-    "AeroParams", "GRAVITY", "GRAVITY_VEC", "aero_accel",
+    "AeroParams", "GRAVITY", "aero_accel",
     "CONDITIONS", "ConfigError", "ExperimentConfig", "build_config",
     "load_config",
     "ControlGains", "ControlInput", "ControlLimits", "ControlMode",

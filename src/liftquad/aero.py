@@ -24,10 +24,7 @@ state.
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-GRAVITY = 9.81
-GRAVITY_VEC = np.array([0.0, 0.0, GRAVITY])  # NED: +z is down
+GRAVITY = 9.81  # along +z: NED, +z is down
 
 KAPPA_MIN = math.radians(15.0)
 KAPPA_MAX = math.radians(90.0)

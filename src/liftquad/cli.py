@@ -97,7 +97,7 @@ def _write_run(run, cfg, path):
         print(f"wrote partial trace to {path}", file=sys.stderr)
         raise
     _write(path, result.write_csv)
-    print(f"wrote {len(result.t)} rows to {path}")
+    print(f"wrote {result.n_rows} rows to {path}")
     return result
 
 

@@ -154,7 +154,7 @@ _SCHEMA = {
     "sim.substeps": ("int", _DEFAULT.substeps),
     "sim.abort_radius": ("float", _DEFAULT.abort_radius),
     "sim.delay_ticks": ("int", _DEFAULT.delay_ticks),
-    **_airframe("plant", _DEFAULT.plant.aero, _DEFAULT.plant.v_wind),
+    **_airframe("plant", _DEFAULT.plant.aero, _DEFAULT.plant.wind),
     **_airframe("model", _DEFAULT.model, _DEFAULT.wind_est),
 }
 for _gain in ("kpp", "kvp", "kvi", "kff", "ktp"):
@@ -248,7 +248,7 @@ def build_config(raw):
             psi_fallback=values["trajectory.psi"])
         plant = PlantConfig(
             aero=aero("plant"),
-            v_wind=vec("plant.wind"),
+            wind=vec("plant.wind"),
             tau_omega=values["plant.tau_omega"],
             tau_thrust=values["plant.tau_thrust"])
         model = aero("model")

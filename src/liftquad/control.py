@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from .aero import GRAVITY, AeroParams, aero_accel
 from .geom import (lateral_axis, mat_to_quat, overflow_error, quat_conj,
                    quat_mul, quat_to_axis_angle)
@@ -54,11 +52,20 @@ _GAINS = ("kpp", "kvp", "kvi", "kff", "ktp")
 _LAYER = "the controller"
 
 
-def _axis_vector(value):
-    value = np.asarray(value, dtype=float)
-    if value.ndim == 0:
-        return np.full(3, float(value))
-    return value
+def _axis_vector(name, value):
+    """Gain ``name`` as a float 3-tuple: a scalar broadcasts to the
+    three axes, a sequence must hold three numbers."""
+    try:
+        items = iter(value)
+    except TypeError:   # not a sequence: a scalar
+        return (float(value),) * 3
+    try:
+        vec = tuple(map(float, items))
+    except TypeError:   # an entry that is itself a sequence
+        vec = ()
+    if len(vec) != 3:
+        raise ValueError(f"{name} must be a scalar or 3-vector")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -82,12 +89,10 @@ class ControlGains:
 
     def __post_init__(self):
         for name in _GAINS:
-            vec = _axis_vector(getattr(self, name))
-            if vec.shape != (3,):
-                raise ValueError(f"{name} must be a scalar or 3-vector")
-            if np.any(vec < 0.0):
+            vec = _axis_vector(name, getattr(self, name))
+            if any(k < 0.0 for k in vec):
                 raise ValueError(f"{name} entries must be >= 0, got {vec}")
-            object.__setattr__(self, name, tuple(vec.tolist()))
+            object.__setattr__(self, name, vec)
         if any(k > 1.0 for k in self.kff):
             raise ValueError(f"kff entries must be <= 1, got {self.kff}")
         if self.integrator_limit < 0.0:

@@ -22,11 +22,9 @@ copy, which is how model mismatch experiments are expressed.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .aero import GRAVITY, AeroParams, aero_accel
 from .control import ControlInput
-from .geom import check_finite
+from .geom import overflow_error
 
 
 @dataclass
@@ -44,32 +42,40 @@ class VehicleState:
 
 def require_finite(state):
     """Raise ``FloatingPointError`` unless every component of ``state``
-    is finite: float arithmetic overflows to ``inf`` without raising."""
-    (px, py, pz), (vx, vy, vz), (r0, r1, r2) = state.p, state.v, state.R
-    check_finite("the plant", px, py, pz, vx, vy, vz, *r0, *r1, *r2)
+    is finite: float arithmetic overflows to ``inf`` without raising.
+    One inline ``math.isfinite`` test per component, as in the other
+    layers' per-tick checks."""
+    isfinite = math.isfinite
+    (px, py, pz), (vx, vy, vz) = state.p, state.v
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = state.R
+    if not (isfinite(px) and isfinite(py) and isfinite(pz)
+            and isfinite(vx) and isfinite(vy) and isfinite(vz)
+            and isfinite(r00) and isfinite(r01) and isfinite(r02)
+            and isfinite(r10) and isfinite(r11) and isfinite(r12)
+            and isfinite(r20) and isfinite(r21) and isfinite(r22)):
+        raise overflow_error("the plant")
 
 
 @dataclass(frozen=True)
 class PlantConfig:
     """Ground-truth model: aerodynamic parameters, constant wind
-    (earth frame, m/s), actuator time constants for the body-rate and
-    thrust channels (s, 0 disables the lag) and the integration step."""
+    (earth frame, m/s, a float 3-tuple; any three numbers are taken),
+    actuator time constants for the body-rate and thrust channels (s,
+    0 disables the lag) and the integration step."""
 
     aero: AeroParams = field(default_factory=AeroParams)
-    v_wind: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    wind: tuple = (0.0, 0.0, 0.0)
     tau_omega: float = 0.0
     tau_thrust: float = 0.0
     step: float = 1e-3
-    # ``v_wind`` as Python floats, the form the plant reads
-    _wind: tuple = field(init=False, repr=False, compare=False)
     # exp(-step/tau) of the thrust and body-rate channels, taken once for
     # actuator_lag; 0, and never read, for a channel without lag
     _thrust_decay: float = field(init=False, repr=False, compare=False)
     _omega_decay: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "v_wind", np.asarray(self.v_wind, dtype=float))
-        object.__setattr__(self, "_wind", tuple(self.v_wind.tolist()))
+        wx, wy, wz = self.wind
+        object.__setattr__(self, "wind", (float(wx), float(wy), float(wz)))
         if self.step <= 0.0:
             raise ValueError("integration step must be > 0")
         if self.tau_omega < 0.0 or self.tau_thrust < 0.0:
@@ -79,16 +85,24 @@ class PlantConfig:
             object.__setattr__(self, name, (
                 math.exp(-self.step / tau) if tau != 0.0 else 0.0))
 
+    @property
+    def v_wind(self):
+        """``wind`` as a read-only numpy array; imports numpy."""
+        import numpy as np
+        v_wind = np.array(self.wind)
+        v_wind.flags.writeable = False
+        return v_wind
+
 
 def acceleration(cfg, R, v, thrust):
     """Earth-frame acceleration at attitude ``R`` (three rows) and
     velocity ``v``, as a 3-tuple.
 
     Thrust acts along body z (negative thrust pulls up in NED), the wing
-    acts through the airspeed ``v - v_wind``, gravity closes the sum.
+    acts through the airspeed ``v - wind``, gravity closes the sum.
     """
     vx, vy, vz = v
-    wx, wy, wz = cfg._wind
+    wx, wy, wz = cfg.wind
     ax, ay, az = aero_accel(cfg.aero, R, (vx - wx, vy - wy, vz - wz))
     f = thrust / cfg.aero.mass
     return (f * R[0][2] + ax, f * R[1][2] + ay, f * R[2][2] + az + GRAVITY)

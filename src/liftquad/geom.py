@@ -24,11 +24,10 @@ raise under its strict error state, and nothing here raises on it.  The
 flatness transform (:mod:`liftquad.flatness`), the controller
 (:mod:`liftquad.control`), the plant (:mod:`liftquad.dynamics`) and the
 harness each check their own values and raise the
-``FloatingPointError`` of :func:`overflow_error`, naming the layer.  On
-a hot path the check is an inline ``math.isfinite`` test per value, a
-few tens of nanoseconds where a call of :func:`check_finite` costs
-about half a microsecond; elsewhere :func:`check_finite` does it in one
-call.
+``FloatingPointError`` of :func:`overflow_error`, naming the layer.  The
+check is an inline ``math.isfinite`` test per value, a few tens of
+nanoseconds where a helper call over many values costs about half a
+microsecond.
 """
 
 import math
@@ -67,13 +66,6 @@ def overflow_error(layer):
     when one of its values is not finite: float arithmetic overflows to
     ``inf`` or ``nan`` without raising."""
     return FloatingPointError(f"overflow encountered in {layer}")
-
-
-def check_finite(layer, *values):
-    """Raise :func:`overflow_error` of ``layer`` unless every value is
-    finite."""
-    if not all(map(math.isfinite, values)):
-        raise overflow_error(layer)
 
 
 def lateral_axis(force, headings, floor):

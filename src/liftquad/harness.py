@@ -13,11 +13,12 @@ rate-feedforward ablation, and reports tracking RMSE per cell.
 """
 
 import math
+import struct
+from array import array
 from collections import deque
-from dataclasses import dataclass, replace
-from itertools import chain
-
-import numpy as np
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain, compress
 
 from .control import (ControlInput, ControllerContext, Measurement,
                       controller_step)
@@ -34,10 +35,17 @@ COLUMNS = {"t": 0, "p": slice(1, 4), "p_ref": slice(4, 7), "v": slice(7, 10),
            "q": slice(10, 14), "q_d": slice(14, 18), "thrust": 18,
            "omega": slice(19, 22), "alpha": 22, "singular": 23,
            "v_ref": slice(24, 27)}
+_WIDTH = COLUMNS["v_ref"].stop
+# one row of RunResult.rows as machine doubles, written in one call
+_ROW = struct.Struct(f"{_WIDTH}d")
 _CSV_WIDTH = CSV_COLUMNS.count(",") + 1
 _CSV_LINE = ",".join(["%.17g"] * _CSV_WIDTH) + "\n"
 # rows formatted per write: bounds what the CSV holds as Python objects
 _CSV_BATCH = 256
+# which values of a batch of rows the CSV writes: each row's trace
+# columns, not the reference velocity after them
+_CSV_KEEP = ((True,) * _CSV_WIDTH
+             + (False,) * (_WIDTH - _CSV_WIDTH)) * _CSV_BATCH
 # the condition matrix's last cell: pid-dfaf without the rate feedforward
 ABLATION = "rate-ff-off"
 
@@ -63,84 +71,120 @@ class DivergenceError(RuntimeError):
         self.result = result
 
 
+def _squared_errors(p_ref, p):
+    """Squared Euclidean distance of each pair of 3-vectors."""
+    for (rx, ry, rz), (px, py, pz) in zip(p_ref, p):
+        dx, dy, dz = rx - px, ry - py, rz - pz
+        yield dx * dx + dy * dy + dz * dz
+
+
 def rmse(p_ref, p):
-    """Root-mean-square Euclidean position error over a series."""
-    p_ref = np.asarray(p_ref, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if len(p_ref) == 0 or len(p) == 0:
+    """Root-mean-square Euclidean position error over two series of
+    3-vectors of one length; the sum of squares is exactly rounded
+    (``math.fsum``)."""
+    n = len(p_ref)
+    if n == 0 or len(p) == 0:
         raise EmptySeriesError("empty series")
-    return float(np.sqrt(np.mean(np.sum((p_ref - p) ** 2, axis=1))))
+    if len(p) != n:
+        raise ValueError(f"series of {n} and {len(p)} points")
+    return math.sqrt(math.fsum(_squared_errors(p_ref, p)) / n)
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     """Logged time series of one run plus scalar summaries.
 
-    ``table`` holds one row per tick, its columns named in ``COLUMNS``;
-    each name reads as a view of its columns (``result.p`` is the
-    measured position).  ``q`` is the measured attitude, ``q_d`` the
-    controller's desired attitude, ``thrust``/``omega`` the saturated
-    command, ``alpha`` and ``singular`` the flatness reference angle of
-    attack and singular-case flag.
+    ``rows`` holds ``n_rows`` rows of the columns named in ``COLUMNS``,
+    row after row, in one preallocated ``array('d')`` that never
+    resizes; :meth:`head` shares it, so results compare by identity.
+    The summaries read it in plain Python.  ``table`` is the rows as a
+    numpy array over the same memory, and each name in ``COLUMNS``
+    reads as a view of its columns (``result.p`` is the measured
+    position); they import numpy on first use.  ``q`` is the measured
+    attitude, ``q_d`` the controller's desired attitude,
+    ``thrust``/``omega`` the saturated command, ``alpha`` and
+    ``singular`` the flatness reference angle of attack and
+    singular-case flag.
     """
 
-    table: np.ndarray
+    rows: array = field(repr=False)
+    n_rows: int
+
+    @cached_property
+    def table(self):
+        import numpy as np
+        return np.ndarray((self.n_rows, _WIDTH), buffer=self.rows)
 
     def __getattr__(self, name):
         if name not in COLUMNS:
             raise AttributeError(name)
         return self.table[:, COLUMNS[name]]
 
+    def _column(self, index):
+        """Column ``index`` of the logged rows, as an ``array('d')``."""
+        return self.rows[index:self.n_rows * _WIDTH:_WIDTH]
+
+    def _vectors(self, name):
+        """The 3-vectors of column group ``name``, row by row."""
+        columns = COLUMNS[name]
+        return zip(*map(self._column, range(columns.start, columns.stop)))
+
+    def _errors(self):
+        """Each row's Euclidean position error, in row order."""
+        return map(math.sqrt, _squared_errors(self._vectors("p_ref"),
+                                              self._vectors("p")))
+
     @property
     def rmse(self):
-        return rmse(self.p_ref, self.p)
+        if not self.n_rows:
+            raise EmptySeriesError("empty series")
+        squares = _squared_errors(self._vectors("p_ref"), self._vectors("p"))
+        return math.sqrt(math.fsum(squares) / self.n_rows)
 
     @property
     def position_error(self):
-        return np.linalg.norm(self.p_ref - self.p, axis=1)
-
-    @property
-    def ref_speed(self):
-        return np.linalg.norm(self.v_ref, axis=1)
+        """Each row's Euclidean position error, as a list."""
+        return list(self._errors())
 
     def peak_error(self, speed_below=None):
         """Largest position error, optionally restricted to ticks where
         the reference speed is still below ``speed_below``."""
-        err = self.position_error
-        if speed_below is not None:
-            mask = self.ref_speed < speed_below
-            if not np.any(mask):
-                return 0.0
-            err = err[mask]
-        return float(np.max(err))
+        if speed_below is None:
+            return max(self._errors())
+        speeds = (math.sqrt(x * x + y * y + z * z)
+                  for x, y, z in self._vectors("v_ref"))
+        return max((error for error, speed in zip(self._errors(), speeds)
+                    if speed < speed_below), default=0.0)
 
     @classmethod
     def allocate(cls, cfg):
         """Zeroed rows for a run of ``cfg``."""
-        return cls(np.zeros((cfg.n_rows, COLUMNS["v_ref"].stop)))
+        return cls(array("d", [0.0]) * (cfg.n_rows * _WIDTH), cfg.n_rows)
 
     def store(self, k, t, ref, state, q, q_d, cmd, flat):
         """Fill row ``k`` from the tick's reference, the position and
         velocity of ``state``, the measured and desired attitude
         quaternions, the command and the feedforward: one row write,
         its values in ``COLUMNS`` order."""
-        self.table[k] = (t, *state.p, *ref.p, *state.v, *q, *q_d, cmd.thrust,
-                         *cmd.omega, flat.alpha, flat.singular, *ref.v)
+        _ROW.pack_into(self.rows, k * _ROW.size, t, *state.p, *ref.p,
+                       *state.v, *q, *q_d, cmd.thrust, *cmd.omega,
+                       flat.alpha, flat.singular, *ref.v)
 
     def head(self, n_rows):
         """The first ``n_rows`` rows, e.g. a diverged run's partial trace."""
-        return replace(self, table=self.table[:n_rows])
+        return RunResult(self.rows, min(n_rows, self.n_rows))
 
     def write_csv(self, path):
         """Trace as CSV with 17-significant-digit floats; byte-stable.
         Written in batches of ``_CSV_BATCH`` rows, each batch formatted
-        by one ``%``."""
+        by one ``%`` from a slice of ``rows``."""
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(CSV_COLUMNS + "\n")
-            for start in range(0, len(self.table), _CSV_BATCH):
-                batch = self.table[start:start + _CSV_BATCH, :_CSV_WIDTH]
-                lines = _CSV_LINE * len(batch)
-                handle.write(lines % tuple(batch.ravel().tolist()))
+            for start in range(0, self.n_rows, _CSV_BATCH):
+                stop = min(start + _CSV_BATCH, self.n_rows)
+                batch = self.rows[start * _WIDTH:stop * _WIDTH]
+                handle.write(_CSV_LINE * (stop - start)
+                             % tuple(compress(batch, _CSV_KEEP)))
 
 
 def _went_non_finite(reason, t, ref, result, k):
@@ -272,8 +316,8 @@ def format_matrix(cells):
     """Human-readable summary table of condition-matrix cells."""
     lines = [f"{'condition':<12} {'E_p [m]':>12} {'peak [m]':>12}  status"]
     for cell in cells:
-        ep = cell.result.rmse if len(cell.result.t) else math.nan
-        peak = cell.result.peak_error() if len(cell.result.t) else math.nan
+        ep = cell.result.rmse if cell.result.n_rows else math.nan
+        peak = cell.result.peak_error() if cell.result.n_rows else math.nan
         lines.append(f"{cell.name:<12} {ep:>12.6f} {peak:>12.6f}  "
                      f"{cell.status()}")
     return "\n".join(lines)
@@ -313,12 +357,14 @@ def feasibility_check(cfg):
     """Sweep the flatness transform along the reference and compare the
     feedforward demands against the configured actuator limits."""
     trace = feedforward_trace(cfg)
+    alpha = trace._column(COLUMNS["alpha"])
     return FeasibilityReport(
-        thrust_peak=float(np.min(trace.thrust)),
+        thrust_peak=min(trace._column(COLUMNS["thrust"])),
         thrust_min=cfg.limits.thrust_min,
-        omega_peak=float(np.max(np.abs(trace.omega))),
+        omega_peak=max(map(abs, chain.from_iterable(trace._vectors("omega")))),
         omega_max=cfg.limits.omega_max,
-        singular_ticks=int(np.count_nonzero(trace.singular)),
-        total_ticks=len(trace.t),
-        alpha_range=(float(np.min(trace.alpha)), float(np.max(trace.alpha))),
+        singular_ticks=trace.n_rows - trace._column(
+            COLUMNS["singular"]).count(0.0),
+        total_ticks=trace.n_rows,
+        alpha_range=(min(alpha), max(alpha)),
     )

@@ -14,7 +14,9 @@ package against; none of them runs in a simulation.
   :class:`liftquad.flatness.FlatSample` of numpy arrays;
 * a central-difference audit of the trajectories' analytic derivatives;
 * the trace CSV formatted one value at a time, an oracle for
-  :meth:`liftquad.harness.RunResult.write_csv`.
+  :meth:`liftquad.harness.RunResult.write_csv`, and the numpy form of
+  :func:`liftquad.harness.rmse`;
+* gravity as a numpy vector, :data:`GRAVITY_VEC`.
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from liftquad.aero import GRAVITY, GRAVITY_VEC, aero_accel
+from liftquad.aero import GRAVITY, aero_accel
 from liftquad.control import (_CROSS_TOL, FREE_FALL_ACCEL, ControlInput)
 from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL,
                                SPEED_SINGULAR_ENTER, SPEED_SINGULAR_EXIT,
@@ -34,6 +36,8 @@ from liftquad.geom import (UNIT_TOL, NonOrthonormalError, lateral_axis,
 from liftquad.harness import CSV_COLUMNS
 from liftquad.trajectories import sample
 
+GRAVITY_VEC = np.array([0.0, 0.0, GRAVITY])  # NED: +z is down
+GRAVITY_VEC.setflags(write=False)
 EYE3 = np.identity(3)
 EYE3.setflags(write=False)
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -169,6 +173,15 @@ def csv_text(table):
     for row in table[:, :width]:
         lines.append(",".join(f"{x:.17g}" for x in row.tolist()))
     return "".join(line + "\n" for line in lines)
+
+
+def rmse(p_ref, p):
+    """Root-mean-square Euclidean position error over two ``(n, 3)``
+    series, the numpy form of :func:`liftquad.harness.rmse`: numpy's
+    pairwise mean of the squared errors where the package rounds their
+    sum once."""
+    diff = np.asarray(p_ref, dtype=float) - np.asarray(p, dtype=float)
+    return float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
 
 
 def derivative_check(traj, t, h):

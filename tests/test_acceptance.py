@@ -12,7 +12,7 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from liftquad.aero import AeroParams, GRAVITY, GRAVITY_VEC, aero_accel
+from liftquad.aero import AeroParams, GRAVITY, aero_accel
 from liftquad.config import build_config, parse_config_text
 from liftquad.control import ControlInput
 from liftquad.dynamics import PlantConfig, VehicleState, rk4_step
@@ -20,8 +20,9 @@ from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                flatness_transform)
 from liftquad.harness import DivergenceError, run_experiment
 from liftquad.trajectories import TrajectoryDef, TrajectoryKind, sample
-from oracles import (aero_force_wind, aero_force_wing, body_to_wing_rotation,
-                     rodrigues, unskew, wing_to_wind_rotation)
+from oracles import (GRAVITY_VEC, aero_force_wind, aero_force_wing,
+                     body_to_wing_rotation, rodrigues, unskew,
+                     wing_to_wind_rotation)
 
 PARAMS = AeroParams()
 

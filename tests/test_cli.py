@@ -1,7 +1,12 @@
 """Command-line front end: outputs, overrides, exit codes."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,3 +255,38 @@ def test_flat_trace_is_deterministic(tmp_path):
     a = (tmp_path / "a" / "flat.csv").read_bytes()
     b = (tmp_path / "b" / "flat.csv").read_bytes()
     assert a == b
+
+
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+from liftquad.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_no_run_imports_numpy(tmp_path):
+    # every command, the exit-2 and exit-3 paths included, runs on the
+    # standard library: numpy costs a fresh process more than a whole
+    # short run, and only the trace's array views need it
+    out = str(tmp_path / "out")
+    bad = write_cfg(tmp_path, "sim.rate = 0\n", "bad.cfg")
+    overflow = write_cfg(tmp_path, "plant.cd0 = 1e300\n", "overflow.cfg")
+    runs = [([command, "--duration", "0.2", "--out", out], EXIT_OK)
+            for command in ("sim", "flat", "compare", "check")]
+    runs += [(["check", "--config", bad, "--out", out], EXIT_CONFIG),
+             (["sim", "--config", overflow, "--duration", "0.2",
+               "--out", out], EXIT_DIVERGED)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT,
+         json.dumps([argv for argv, _ in runs])],
+        capture_output=True, text=True, timeout=120, check=False,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[code, False] for _, code in runs]

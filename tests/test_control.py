@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from liftquad.aero import AeroParams, GRAVITY, GRAVITY_VEC, aero_accel
+from liftquad.aero import AeroParams, GRAVITY, aero_accel
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
                               ControllerContext, Measurement,
                               accel_to_attitude_thrust,
@@ -16,7 +16,7 @@ from liftquad.control import (ControlGains, ControlLimits, ControlMode,
 from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                flatness_transform)
 from liftquad.geom import mat_to_quat
-from oracles import rodrigues
+from oracles import GRAVITY_VEC, rodrigues
 
 PARAMS = AeroParams()
 EZ = np.array([0.0, 0.0, 1.0])
@@ -37,15 +37,27 @@ def cruise_reference(speed=8.0):
 
 
 def test_gains_broadcast_and_validate():
-    gains = ControlGains(kpp=2.0, kvp=[1.0, 2.0, 3.0])
-    assert_allclose(gains.kpp, [2.0, 2.0, 2.0])
-    assert_allclose(gains.kvp, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
+    gains = ControlGains(kpp=2.0, kvp=[1.0, 2.0, 3.0],
+                         ktp=np.array([4.0, 5.0, 6.0]), kvi=np.array(0.5))
+    assert gains.kpp == (2.0, 2.0, 2.0)
+    assert gains.kvp == (1.0, 2.0, 3.0)
+    assert gains.ktp == (4.0, 5.0, 6.0)
+    assert gains.kvi == (0.5, 0.5, 0.5)
+    for name in ("kpp", "kvp", "ktp", "kvi"):
+        assert all(type(k) is float for k in getattr(gains, name)), name
+    with pytest.raises(ValueError, match=r"^kvp entries must be >= 0, "
+                                         r"got \(-1\.0, -1\.0, -1\.0\)$"):
         ControlGains(kvp=-1.0)
-    with pytest.raises(ValueError):
-        ControlGains(kff=1.5)
-    with pytest.raises(ValueError):
-        ControlGains(kpp=[1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^ktp entries must be >= 0, "
+                                         r"got \(1\.0, -2\.0, 3\.0\)$"):
+        ControlGains(ktp=np.array([1.0, -2.0, 3.0]))
+    with pytest.raises(ValueError, match=r"^kff entries must be <= 1, "
+                                         r"got \(0\.8, 1\.5, 0\.8\)$"):
+        ControlGains(kff=[0.8, 1.5, 0.8])
+    for bad in ([1.0, 2.0], np.zeros(4), [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError,
+                           match=r"^kpp must be a scalar or 3-vector$"):
+            ControlGains(kpp=bad)
 
 
 def test_limits_validate():

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from liftquad.aero import AeroParams, GRAVITY, GRAVITY_VEC
+from liftquad.aero import AeroParams, GRAVITY
 from liftquad.control import ControlInput, ControlLimits
 from liftquad.dynamics import (PlantConfig, VehicleState, acceleration,
                                actuator_lag, rk4_step)
-from oracles import aero_force_wing, body_to_wing_rotation, rodrigues
+from oracles import (GRAVITY_VEC, aero_force_wing, body_to_wing_rotation,
+                     rodrigues)
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -37,7 +38,7 @@ def test_hover_thrust_balances_weight():
 def test_force_sum_matches_drag_matrix_route():
     # oracle: thrust plus the wing-frame force rotated to earth, over the
     # mass, plus gravity; independent of the drag-matrix route under test
-    cfg = PlantConfig(v_wind=np.array([1.0, -2.0, 0.5]))
+    cfg = PlantConfig(wind=(1.0, -2.0, 0.5))
     aero = cfg.aero
     wing_to_body = body_to_wing_rotation(aero.kappa).T
     rng = np.random.default_rng(41)
@@ -56,7 +57,7 @@ def test_force_sum_matches_drag_matrix_route():
 
 def test_wind_enters_through_relative_velocity():
     cfg_still = PlantConfig()
-    cfg_windy = PlantConfig(v_wind=np.array([3.0, 0.0, 0.0]))
+    cfg_windy = PlantConfig(wind=(3.0, 0.0, 0.0))
     moving = np.array([3.0, 0.0, 0.0])
     v_dot_rel = acceleration(cfg_windy, np.eye(3), moving, 0.0)
     # moving with the wind: no relative airflow, pure free fall
@@ -191,10 +192,21 @@ def test_plant_config_validation():
         PlantConfig(step=0.0)
     with pytest.raises(ValueError):
         PlantConfig(tau_omega=-0.1)
+    with pytest.raises(ValueError):
+        PlantConfig(wind=(1.0, 2.0))
+
+
+def test_wind_is_a_float_tuple_with_a_read_only_array_view():
+    cfg = PlantConfig(wind=np.array([1, -2, 0.5]))
+    assert cfg.wind == (1.0, -2.0, 0.5)
+    assert all(type(w) is float for w in cfg.wind)
+    assert np.array_equal(cfg.v_wind, [1.0, -2.0, 0.5])
+    with pytest.raises(ValueError):
+        cfg.v_wind[0] = 3.0
 
 
 def test_integration_is_deterministic():
-    cfg = PlantConfig(v_wind=np.array([1.0, 0.0, 0.0]))
+    cfg = PlantConfig(wind=(1.0, 0.0, 0.0))
     inp = ControlInput(-14.0, np.array([0.2, -0.1, 0.05]))
 
     def run():
@@ -220,7 +232,7 @@ thrusts = st.floats(LIMITS.thrust_min, 0.0, **finite)
 @given(omega=rates, thrust=thrusts,
        v0=st.lists(st.floats(-30.0, 30.0, **finite), min_size=3, max_size=3))
 def test_rk4_keeps_attitude_orthonormal_and_state_finite(omega, thrust, v0):
-    cfg = PlantConfig(v_wind=np.array([2.0, -1.0, 0.0]))
+    cfg = PlantConfig(wind=(2.0, -1.0, 0.0))
     inp = ControlInput(thrust, np.array(omega))
     state = make_state(v=v0)
     for _ in range(10_000):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
                               feedforward_trace, format_matrix, rmse,
                               run_experiment)
 from liftquad.trajectories import TrajectoryKind
-from oracles import csv_text, quat_to_mat
+from oracles import csv_text, quat_to_mat, rmse as numpy_rmse
 
 
 def config_from(text):
@@ -65,11 +66,8 @@ def test_every_default_is_the_dataclass_default():
     stock = dict(leaves(ExperimentConfig()))
     assert built.keys() == stock.keys()
     for name, value in stock.items():
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(built[name], value), name
-        else:
-            assert type(built[name]) is type(value), name
-            assert built[name] == value, name
+        assert type(built[name]) is type(value), name
+        assert built[name] == value, name
 
 
 def test_config_values_comments_and_degrees():
@@ -199,6 +197,24 @@ def test_rmse_two_sample_hand_value():
 def test_rmse_rejects_empty():
     with pytest.raises(EmptySeriesError):
         rmse(np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+def test_rmse_rejects_series_of_two_lengths():
+    with pytest.raises(ValueError, match="series of 2 and 3 points"):
+        rmse(np.zeros((2, 3)), np.zeros((3, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 6),
+                       min_size=1, max_size=64))
+def test_rmse_is_the_numpy_rmse(points):
+    # the package rounds the sum of squares once (math.fsum) where numpy
+    # adds them pairwise; each square is the same, and the two sums part
+    # by at most 63 roundings of at most half an ulp of the total
+    table = np.array(points)
+    ours = rmse(table[:, :3], table[:, 3:])
+    assert math.isclose(ours, numpy_rmse(table[:, :3], table[:, 3:]),
+                        rel_tol=1e-14, abs_tol=0.0)
 
 
 # --- closed loop ------------------------------------------------------------
@@ -422,6 +438,7 @@ def test_csv_layout_and_round_trip(tmp_path):
     # the table is the trace plus the reference velocity, views included
     assert np.array_equal(result.table[:, :24], data)
     assert result.v_ref.base is result.table
+    assert result.table.base is result.rows
 
 
 def test_store_fills_each_column_its_view_reads():
@@ -477,7 +494,7 @@ def test_csv_bytes_are_the_per_value_formatter(tmp_path_factory, palette,
     shape = (n_rows + 2, COLUMNS["v_ref"].stop)
     table = np.array(palette)[rng.integers(len(palette), size=shape)]
     table[:, COLUMNS["singular"]] = rng.integers(0, 3, size=n_rows + 2)
-    result = RunResult(table).head(n_rows)
+    result = RunResult(array("d", table.tobytes()), len(table)).head(n_rows)
     path = tmp_path_factory.mktemp("csv") / "trace.csv"
     result.write_csv(path)
     assert path.read_bytes() == csv_text(table[:n_rows]).encode("utf-8")
@@ -516,6 +533,31 @@ def test_peak_error_speed_filter():
     result = run_experiment(short_circle(**{"sim.duration": 2}))
     assert result.peak_error(speed_below=0.5) <= result.peak_error()
     assert result.peak_error(speed_below=1e-9) == 0.0
+
+
+def test_summaries_are_numpy_over_the_views():
+    # the summaries read the rows in plain Python; over the numpy views
+    # the norms, the extrema and the counts are the same bits, and E_p
+    # is numpy's to the last bits of its pairwise mean
+    cfg = short_circle(**{"sim.duration": 2})
+    result = run_experiment(cfg)
+    error = np.linalg.norm(result.p_ref - result.p, axis=1)
+    speed = np.linalg.norm(result.v_ref, axis=1)
+    assert result.position_error == error.tolist()
+    assert result.peak_error() == np.max(error)
+    for below in (0.5, 1.0, 1.5):
+        assert 0 < np.count_nonzero(speed < below) < len(speed)
+        assert result.peak_error(speed_below=below) == np.max(
+            error[speed < below])
+    assert math.isclose(result.rmse, numpy_rmse(result.p_ref, result.p),
+                        rel_tol=1e-15, abs_tol=0.0)
+    trace = feedforward_trace(cfg)
+    report = feasibility_check(cfg)
+    assert report.thrust_peak == np.min(trace.thrust)
+    assert report.omega_peak == np.max(np.abs(trace.omega))
+    assert 0 < report.singular_ticks == np.count_nonzero(trace.singular)
+    assert report.total_ticks == len(trace.t)
+    assert report.alpha_range == (np.min(trace.alpha), np.max(trace.alpha))
 
 
 def test_experiment_config_validation():

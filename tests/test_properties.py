@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from liftquad.aero import (GRAVITY, GRAVITY_VEC, KAPPA_MAX, KAPPA_MIN,
-                           AeroParams, aero_accel)
+from liftquad.aero import (GRAVITY, KAPPA_MAX, KAPPA_MIN, AeroParams,
+                           aero_accel)
 from liftquad.config import MAX_ROWS
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
                               ControllerContext, Measurement,
@@ -27,7 +27,8 @@ from liftquad.trajectories import (MAX_OFFSET, MAX_OMEGA, MAX_RADIUS,
                                    MAX_SPEED, TrajectoryDef, TrajectoryKind,
                                    sample as sample_trajectory)
 import oracles
-from oracles import aero_force_wing, body_to_wing_rotation, rodrigues
+from oracles import (GRAVITY_VEC, aero_force_wing, body_to_wing_rotation,
+                     rodrigues)
 
 
 def float_tuple(x):
