@@ -14,6 +14,7 @@ everywhere in code.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .aero import AeroParams, GRAVITY
@@ -42,6 +43,32 @@ MAX_ROWS = 10**7
 # Most plant substeps a run may integrate; at about 0.1 ms each, 10**8
 # substeps take about three hours.
 MAX_PLANT_STEPS = 10**8
+# RK4's stability interval on the negative real axis: h * |lambda| <= 2.785
+RK4_REAL_LIMIT = 2.785
+_LOG_RK4_LIMIT = math.log(RK4_REAL_LIMIT)
+_LOG2 = math.log(2.0)
+
+
+def _log_drag_rate(aero, peak_speed, wind):
+    """Natural log of ``(rho*S/m) * max(cd0 + cla, |cy0|) * v``, with
+    ``v = peak_speed + |wind|``: a bound (1/s) on the spectral radius of
+    the plant's drag Jacobian ``(rho*S/2m) R D R^T (|v| I + v v^T/|v|)``
+    at airspeeds up to ``v``, since ``max(cd0 + cla, |cy0|)`` is the
+    largest eigenvalue of ``D``; -inf when the bound is 0.  A sum of
+    logs, and each sum halved where it overflows, so it is finite for
+    any finite inputs: no product can overflow or meet ``inf * 0``."""
+    coeff = max(aero.cd0 + aero.cla, abs(aero.cy0))
+    speed = peak_speed + math.hypot(*wind)
+    if aero.area == 0.0 or coeff == 0.0 or speed == 0.0:
+        return -math.inf
+    log_coeff = (math.log(coeff) if coeff < math.inf else
+                 math.log(0.5 * aero.cd0 + 0.5 * aero.cla) + _LOG2)
+    log_speed = (math.log(speed) if speed < math.inf else
+                 math.log(0.5 * peak_speed
+                          + math.hypot(*(0.5 * w for w in wind))) + _LOG2)
+    return (math.log(aero.rho) + math.log(aero.area) - math.log(aero.mass)
+            + log_coeff + log_speed)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -63,7 +90,7 @@ class ExperimentConfig:
     mode: ControlMode = field(default_factory=ControlMode)
     duration: float = 60.0
     rate: int = 250
-    substeps: int = 4
+    substeps: int = 1
     abort_radius: float = 100.0
     delay_ticks: int = 0
 
@@ -87,10 +114,40 @@ class ExperimentConfig:
         if self.n_rows * self.substeps > MAX_PLANT_STEPS:  # ints: no overflow
             raise ConfigError(f"sim.substeps * rows ({self.n_rows}) must be "
                               f"at most {MAX_PLANT_STEPS} plant steps")
+        self._check_plant_step()
         # the plant substep follows from the tick rate, so a config
         # derived with replace() never integrates a stale step
         object.__setattr__(self, "plant", replace(
             self.plant, step=1.0 / (self.rate * self.substeps)))
+
+    def _check_plant_step(self):
+        """Refuse a plant step outside RK4's stability interval on the
+        wing's drag, ``step * J > RK4_REAL_LIMIT`` with ``J`` the bound of
+        :func:`_log_drag_rate` at the reference's peak speed plus the
+        wind.  ``J`` is about twice the largest radius measured along a
+        run (370 against 185 /s on a stiff probe airframe), and that
+        factor is the margin left for tracking error.  The refusal names
+        the fewest substeps that pass, found by bisection over the
+        budget, so no float is rounded to an int."""
+        peak, wind = self.trajectory.peak_speed(), self.plant.wind
+        log_bound = _log_drag_rate(self.plant.aero, peak, wind)
+
+        def stable(substeps):
+            return log_bound - math.log(self.rate * substeps) <= _LOG_RK4_LIMIT
+        if stable(self.substeps):
+            return
+        most = MAX_PLANT_STEPS // self.n_rows
+        fewest = 1 + bisect_left(range(1, most + 1), True, key=stable)
+        bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
+        advice = (f"the smallest sim.substeps that passes is {fewest}"
+                  if fewest <= most else
+                  f"no sim.substeps passes within the budget of "
+                  f"{MAX_PLANT_STEPS} plant steps")
+        raise ConfigError(
+            f"sim.substeps = {self.substeps} leaves a plant step of "
+            f"{1.0 / (self.rate * self.substeps):.4g} s, but RK4 on the "
+            f"wing's drag needs step * {bound:.4g} /s <= {RK4_REAL_LIMIT} "
+            f"(peak airspeed {peak + math.hypot(*wind):.4g} m/s); {advice}")
 
     @property
     def n_rows(self):

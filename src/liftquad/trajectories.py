@@ -87,6 +87,20 @@ class TrajectoryDef:
             return math.inf
         return self.speed_cap / (self.r * self.omega)
 
+    def peak_speed(self):
+        """Largest speed the reference reaches over any run, in closed
+        form: the circle's cap (0 when ``r*omega == 0``),
+        ``r*omega*sqrt(1.25)`` for the figure-eight (at half a lap),
+        ``|speed_cap|`` on the line and 0 in hover."""
+        kind = self.kind
+        if kind is TrajectoryKind.CIRCLE:
+            return self.speed_cap if self.r * self.omega != 0.0 else 0.0
+        if kind is TrajectoryKind.LEMNISCATE:
+            return self.r * self.omega * math.sqrt(1.25)
+        if kind is TrajectoryKind.LINE:
+            return abs(self.speed_cap)
+        return 0.0
+
 
 def _angle_states(traj, t):
     """Phase angle and its first three time derivatives for the circle:

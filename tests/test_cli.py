@@ -1,5 +1,6 @@
 """Command-line front end: outputs, overrides, exit codes."""
 
+import itertools
 import json
 import math
 import os
@@ -84,9 +85,8 @@ def test_near_zero_actuator_lag_exits_ok(tmp_path, capsys):
 
 
 _OVERFLOWS = [
-    ("sim", "plant.cd0 = 1e300", "the plant"),
+    ("sim", "model.mass = 1e300", "the plant"),
     ("sim", "model.cd0 = 1e300", "the controller"),
-    ("sim", "plant.mass = 1e-300", "the plant"),
     ("flat", "model.wind.x = 1e200", "the flatness transform"),
     ("flat", "model.cd0 = 1e300", "the flatness transform")]
 
@@ -114,6 +114,94 @@ def test_non_finite_run_exits_as_divergence(tmp_path, capsys, command,
     assert len(lines) < 252
     for line in lines[1:]:
         assert all(math.isfinite(float(x)) for x in line.split(","))
+
+
+# the probe airframe: light, with a large and steep wing, so that its
+# drag is stiff (a bound of 370.6 /s at the circle's 10 m/s)
+_PROBE = "\n".join([
+    "plant.mass = 0.2", "model.mass = 0.2", "plant.area = 1.0",
+    "model.area = 1.0", "plant.cla = 6", "model.cla = 6",
+    "limits.thrust_factor = 40", "sim.duration = 20"])
+_NONE_FITS = "no sim.substeps passes within the budget of 100000000 plant steps"
+
+
+@pytest.mark.parametrize("command, text, advice", [
+    ("sim", "plant.cd0 = 1e300", _NONE_FITS),
+    ("compare", "plant.cd0 = 1e300", _NONE_FITS),
+    ("sim", "plant.mass = 1e-300", _NONE_FITS),
+    ("check", "plant.mass = 5e-324", _NONE_FITS),
+    ("sim", _PROBE + "\nsim.rate = 50",
+     "the smallest sim.substeps that passes is 3"),
+    ("compare", _PROBE + "\nsim.rate = 20\nsim.substeps = 6",
+     "the smallest sim.substeps that passes is 7")],
+    ids=["sim-plant.cd0 = 1e300", "compare-plant.cd0 = 1e300",
+         "sim-plant.mass = 1e-300", "check-plant.mass = 5e-324",
+         "sim-probe at 50 Hz", "compare-probe at 20 Hz"])
+def test_plant_step_past_rk4s_drag_limit_is_a_config_error(
+        tmp_path, capsys, command, text, advice):
+    # refused before the run starts, in one line naming sim.substeps and
+    # the fewest that pass, or saying that no count fits the budget;
+    # the plant rows of the overflow cases above once ran into this
+    cfg = write_cfg(tmp_path, text + "\n")
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"config error: sim\.substeps = \d+ leaves a plant "
+                        r"step of \S+ s, but RK4 on the wing's drag needs "
+                        r"step \* \S+ /s <= 2\.785 \(peak airspeed \S+ "
+                        r"m/s\); " + re.escape(advice), line)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("rate, fewest", [(50, 3), (20, 7)])
+def test_named_substeps_run_the_probe_to_completion(tmp_path, capsys, rate,
+                                                    fewest):
+    # the count a refusal names is one that runs: 20 s of the probe with
+    # no divergence (the substep counts below it that RK4 also survives
+    # are refused, since the bound leaves a margin for tracking error)
+    text = f"{_PROBE}\nsim.rate = {rate}\n"
+    code = main(["sim", "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    named = int(capsys.readouterr().err.split()[-1])
+    assert named == fewest
+    code = main(["sim", "--config", write_cfg(
+        tmp_path, f"{text}sim.substeps = {named}\n"), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"wrote {20 * rate + 1} rows" in out
+    assert out.endswith(" m over 20 s\n")
+
+
+_EDGES = ["plant.mass = 5e-324", "plant.cd0 = 1e300", "plant.area = 0",
+          "trajectory.kind = hover"]
+
+
+@pytest.mark.parametrize("edges", [
+    combo for size in range(1, len(_EDGES) + 1)
+    for combo in itertools.combinations(_EDGES, size)],
+    ids=lambda combo: "+".join(edge.split(" = ")[0] for edge in combo))
+def test_edge_airframes_meet_the_exit_code_contract(tmp_path, capsys, edges):
+    # the step guard decides every combination of the extreme airframe
+    # values and the still reference without raising anything but its
+    # config error: check, which runs no plant, exits 0 or 2; sim may
+    # also overflow in the plant (exit 3), and never shows a traceback
+    cfg = write_cfg(tmp_path, "\n".join(edges) + "\n")
+    codes = {}
+    for command in ("check", "sim"):
+        codes[command] = main([command, "--config", cfg, "--duration", "0.2",
+                               "--out", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        if codes[command] == EXIT_CONFIG:
+            (line,) = err
+            assert line.startswith("config error: sim.substeps = 1 ")
+        elif codes[command] == EXIT_DIVERGED:
+            assert err[-1].startswith("error: the run went non-finite ")
+        else:
+            assert codes[command] == EXIT_OK and not err
+    assert codes["check"] in (EXIT_OK, EXIT_CONFIG)
+    # the guard is the config's: both commands refuse or neither does
+    assert (codes["check"] == EXIT_CONFIG) == (codes["sim"] == EXIT_CONFIG)
 
 
 def test_check_reports_overflow_as_divergence(tmp_path, capsys):
@@ -275,10 +363,12 @@ def test_no_run_imports_numpy(tmp_path):
     # short run, and only the trace's array views need it
     out = str(tmp_path / "out")
     bad = write_cfg(tmp_path, "sim.rate = 0\n", "bad.cfg")
-    overflow = write_cfg(tmp_path, "plant.cd0 = 1e300\n", "overflow.cfg")
+    unstable = write_cfg(tmp_path, "plant.cd0 = 1e300\n", "unstable.cfg")
+    overflow = write_cfg(tmp_path, "model.mass = 1e300\n", "overflow.cfg")
     runs = [([command, "--duration", "0.2", "--out", out], EXIT_OK)
             for command in ("sim", "flat", "compare", "check")]
     runs += [(["check", "--config", bad, "--out", out], EXIT_CONFIG),
+             (["sim", "--config", unstable, "--out", out], EXIT_CONFIG),
              (["sim", "--config", overflow, "--duration", "0.2",
                "--out", out], EXIT_DIVERGED)]
     src = str(Path(cli.__file__).resolve().parents[1])

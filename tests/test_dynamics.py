@@ -2,16 +2,20 @@
 and velocity, actuator lag."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from liftquad import dynamics
 from liftquad.aero import AeroParams, GRAVITY
+from liftquad.config import ConfigError, ExperimentConfig
 from liftquad.control import ControlInput, ControlLimits
 from liftquad.dynamics import (PlantConfig, VehicleState, acceleration,
                                actuator_lag, rk4_step)
+from liftquad.trajectories import TrajectoryDef, TrajectoryKind
 from oracles import (GRAVITY_VEC, aero_force_wing, body_to_wing_rotation,
                      rodrigues)
 
@@ -152,6 +156,65 @@ def test_drag_only_dissipates_mechanical_energy():
         cur = energy(state)
         assert cur <= prev + 1e-9
         prev = cur
+
+
+def _at_the_guard(**fields):
+    """The config of ``fields`` at its substep count if the step guard
+    accepts it, else at the fewest substeps the guard's refusal names;
+    None when no count fits the plant-step budget."""
+    try:
+        return ExperimentConfig(**fields)
+    except ConfigError as exc:
+        message = str(exc)
+        if "the smallest sim.substeps that passes is" not in message:
+            return None
+        return ExperimentConfig(**{**fields, "substeps": int(message.split()[-1])})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mass=st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x),
+       rho=st.floats(0.1, 2.0), area=st.floats(0.0, 5.0),
+       cd0=st.floats(0.0, 2.0), cy0=st.floats(0.0, 2.0),
+       cla=st.floats(0.0, 10.0),
+       kappa=st.floats(math.radians(15.5), math.radians(90.0)),
+       speed=st.floats(0.0, 100.0),
+       wind=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3),
+       rate=st.integers(1, 1000),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       fraction=st.floats(0.0, 1.0),
+       attitude=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+def test_guard_accepted_drag_only_plant_dissipates_energy(
+        mass, rho, area, cd0, cy0, cla, kappa, speed, wind, rate, direction,
+        fraction, attitude):
+    # the drag-only plant (zero thrust, no gravity, no body rate) at a
+    # step the guard accepts, the fewest substeps it names most often:
+    # from any airspeed up to the guard's (the line's speed plus the
+    # wind) the kinetic energy in the air's frame never grows
+    aero = AeroParams(mass=mass, kappa=kappa, rho=rho, area=area, cd0=cd0,
+                      cy0=cy0, cla=cla)
+    cfg = _at_the_guard(
+        trajectory=TrajectoryDef(kind=TrajectoryKind.LINE, speed_cap=speed),
+        plant=PlantConfig(aero=aero, wind=wind), rate=rate, duration=1.0)
+    assume(cfg is not None)
+    norm = math.hypot(*direction)
+    assume(norm > 1e-3)
+    airspeed = fraction * (speed + math.hypot(*wind)) / norm
+    v = [w + airspeed * d for w, d in zip(wind, direction)]
+    angle = math.hypot(*attitude)
+    R = rodrigues(np.array(attitude) / angle, angle) if angle else np.eye(3)
+    state = make_state(v=v, R=R)
+    inp = ControlInput(0.0, (0.0, 0.0, 0.0))
+
+    def energy(s):
+        return 0.5 * sum((x - w) ** 2 for x, w in zip(s.v, wind))
+
+    prev = energy(state)
+    with mock.patch.object(dynamics, "GRAVITY", 0.0):
+        for _ in range(200):
+            state = rk4_step(cfg.plant, state, inp)
+            cur = energy(state)
+            assert cur <= prev * (1.0 + 1e-12)
+            prev = cur
 
 
 def test_actuator_lag_passthrough_when_disabled():

@@ -23,7 +23,8 @@ from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
                               condition_matrix, feasibility_check,
                               feedforward_trace, format_matrix, rmse,
                               run_experiment)
-from liftquad.trajectories import TrajectoryKind
+from liftquad.trajectories import (TrajectoryDef, TrajectoryKind,
+                                   sample as sample_trajectory)
 from oracles import csv_text, quat_to_mat, rmse as numpy_rmse
 
 
@@ -46,7 +47,8 @@ def test_empty_config_is_stock_circle():
     assert cfg.trajectory.r == 15.0
     assert cfg.duration == 60.0
     assert cfg.rate == 250
-    assert cfg.plant.step == pytest.approx(1e-3)
+    assert cfg.substeps == 1
+    assert cfg.plant.step == 1.0 / 250.0
     assert cfg.limits.thrust_min == pytest.approx(-4.0 * 1.5 * GRAVITY)
     assert_allclose(cfg.gains.kvp, [3.0, 3.0, 3.0])
 
@@ -281,7 +283,7 @@ def test_rate_override_keeps_the_plant_step_in_step():
     # the same rate parsed from the config file
     parsed = config_from("sim.duration = 5\nsim.rate = 500")
     replaced = replace(config_from("sim.duration = 5"), rate=500)
-    assert replaced.plant.step == parsed.plant.step == 1.0 / 2000.0
+    assert replaced.plant.step == parsed.plant.step == 1.0 / 500.0
     assert run_experiment(replaced).rmse == run_experiment(parsed).rmse
 
 
@@ -323,7 +325,10 @@ def test_arithmetic_overflow_is_a_divergence():
     # the plant's float state is checked once per tick, after the
     # substeps, so a lagged plant in wind overflows on the same row; a
     # controller's integral step or command that overflows raises before
-    # its clamp or saturation could make it finite again
+    # its clamp or saturation could make it finite again.  The plant
+    # overflows on a stock airframe under a model mass of 1e300, whose
+    # thrust command no plant step can integrate: an overflowing plant
+    # airframe (cd0 = 1e300) is refused by the step guard before the run
     settings = np.geterr()
     lagged_windy_hover = {"trajectory.kind": "hover", "plant.wind.x": 4.0,
                           "plant.wind.y": -2.0, "plant.tau_omega": 0.03,
@@ -331,12 +336,12 @@ def test_arithmetic_overflow_is_a_divergence():
     coarse_lemniscate = {"trajectory.kind": "lemniscate",
                          "sim.duration": 30}
     for run, overrides, rows, layer in (
-            (run_experiment, {"plant.cd0": "1e300"}, 1, "plant"),
+            (run_experiment, {"model.mass": "1e300"}, 1, "plant"),
             (run_experiment, {"model.cd0": "1e300"}, 1, "controller"),
             (feedforward_trace, {"model.wind.x": "1e300"}, 0,
              "flatness transform"),
-            (run_experiment, {**lagged_windy_hover, "plant.cd0": "1e300"}, 1,
-             "plant"),
+            (run_experiment, {**lagged_windy_hover, "model.mass": "1e300"},
+             1, "plant"),
             (run_experiment, {**coarse_lemniscate, "sim.rate": 1,
                               "gains.kvi.x": "1e308"}, 2, "controller"),
             (run_experiment, {**coarse_lemniscate, "sim.rate": 2,
@@ -602,3 +607,116 @@ def test_experiment_config_bounds_the_plant_steps():
                       {"substeps": 10**9}, {"substeps": 10**400}):
         with pytest.raises(ConfigError, match=f"at most {MAX_PLANT_STEPS}"):
             ExperimentConfig(**overrides)
+
+
+def test_plant_step_guard_refuses_an_airframe_no_step_can_integrate():
+    # a plant airframe whose drag overflows the arithmetic of any step,
+    # once a plant overflow at run time, is refused up front (exit 2):
+    # the drag rate bound is above what the budget of plant steps allows
+    lagged_windy_hover = {"trajectory.kind": "hover", "plant.wind.x": 4.0,
+                          "plant.wind.y": -2.0, "plant.tau_omega": 0.03,
+                          "plant.tau_thrust": 0.05}
+    for overrides in ({"plant.cd0": "1e300"}, {"plant.mass": "1e-300"},
+                      {**lagged_windy_hover, "plant.cd0": "1e300"}):
+        with pytest.raises(ConfigError, match=r"^sim\.substeps = 1 .*; no "
+                           r"sim\.substeps passes within the budget of "
+                           f"{MAX_PLANT_STEPS} plant steps$"):
+            short_circle(**{"sim.duration": 1, **overrides})
+
+
+def test_plant_step_guard_bound_is_closed_form():
+    # the probe airframe: (rho*S/m) * max(cd0 + cla, |cy0|) * v is
+    # 1.225/0.2 * 6.05 * 10 = 370.6 /s; at 50 Hz the step h = 1/(50 n)
+    # passes from n = 3 (h * 370.6 = 2.47), not at n = 2 (3.71), and a
+    # wind of 10 m/s doubles the airspeed and the bound
+    probe = {"plant.mass": 0.2, "plant.area": 1.0, "plant.cla": 6,
+             "sim.rate": 50}
+    for substeps in (1, 2):
+        with pytest.raises(ConfigError, match=r"step \* 370\.6 /s <= 2\.785 "
+                           r"\(peak airspeed 10 m/s\); the smallest "
+                           r"sim\.substeps that passes is 3$"):
+            short_circle(**probe, **{"sim.substeps": substeps})
+    assert short_circle(**probe, **{"sim.substeps": 3}).substeps == 3
+    with pytest.raises(ConfigError, match=r"step \* 741\.1 /s .* airspeed "
+                       r"20 m/s\); the smallest sim\.substeps that passes is "
+                       r"6$"):
+        short_circle(**probe, **{"sim.substeps": 5, "plant.wind.y": -10})
+    # the bound reads |cy0| when the lateral coefficient is the larger
+    with pytest.raises(ConfigError, match=r"step \* 490 /s"):
+        short_circle(**probe, **{"plant.cy0": -8})
+
+
+def test_peak_speed_is_each_references_fastest_sample():
+    # closed form against sampling: the circle reaches its cap, the
+    # figure-eight r*omega*sqrt(1.25) at half a lap
+    cases = [({"kind": TrajectoryKind.CIRCLE}, 10.0),
+             ({"kind": TrajectoryKind.CIRCLE, "omega": 0.0}, 0.0),
+             ({"kind": TrajectoryKind.LEMNISCATE}, 20 * 0.33 * 1.25 ** 0.5),
+             ({"kind": TrajectoryKind.LINE, "speed_cap": -3.0}, 3.0),
+             ({"kind": TrajectoryKind.HOVER}, 0.0)]
+    for fields_, peak in cases:
+        traj = TrajectoryDef(**fields_)
+        assert traj.peak_speed() == pytest.approx(peak, rel=1e-15)
+        sampled = max(math.hypot(*sample_trajectory(traj, k * 0.01).v)
+                      for k in range(20000))
+        assert sampled <= traj.peak_speed() * (1 + 1e-12)
+        assert sampled >= traj.peak_speed() * (1 - 1e-6)
+
+
+_GUARD_VALUES = [0.0, 5e-324, 1e-300, 1e-8, 0.2, 1.0, 6.0, 1e8, 1e154,
+                 1e300, 1.7976931348623157e308]
+# mostly airframe-like values, so that many draws need a few substeps
+_magnitudes = st.one_of(st.sampled_from(_GUARD_VALUES), st.floats(0.0, 1e3),
+                        *[st.floats(0.01, 10.0)] * 3)
+_signed = _magnitudes | _magnitudes.map(lambda x: -x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(airframe=st.fixed_dictionaries(
+           {f"plant.{name}": _magnitudes
+            for name in ("mass", "rho", "area", "cd0", "cla")}),
+       cy0=_signed, wind=st.tuples(_signed, _signed, _signed),
+       kind=st.sampled_from(["circle", "lemniscate", "line", "hover"]),
+       radius=st.sampled_from([0.0, 5e-324, 15.0, 1e6]),
+       omega=st.sampled_from([0.0, 5e-324, 0.33, 1e3]),
+       speed_cap=st.sampled_from([-1e4, -10.0, 0.0, 5e-324, 10.0, 1e4]),
+       rate=st.sampled_from([1, 50, 250, 10**7]) | st.integers(1, 10**7),
+       substeps=st.integers(1, 64),
+       duration=st.sampled_from([1e-320, 1e-3, 1.0, 60.0, 1e5]))
+def test_plant_step_guard_raises_only_config_errors_and_names_a_count(
+        airframe, cy0, wind, kind, radius, omega, speed_cap, rate, substeps,
+        duration):
+    # any values the parser accepts: the config builds or is refused
+    # with a ConfigError, never another exception; a step refusal names
+    # the fewest substeps that pass (one fewer is refused too) or says
+    # that none fits the budget, and then the budget's most is refused
+    raw = {**{key: repr(value) for key, value in airframe.items()},
+           "plant.cy0": repr(cy0), "trajectory.kind": kind,
+           "trajectory.radius": repr(radius), "trajectory.omega": repr(omega),
+           "trajectory.speed_cap": repr(speed_cap), "sim.rate": str(rate),
+           "sim.duration": repr(duration),
+           **{f"plant.wind.{axis}": repr(w) for axis, w in zip("xyz", wind)}}
+
+    def build(count):
+        return build_config({**raw, "sim.substeps": str(count)})
+    try:
+        build(substeps)
+        return
+    except ConfigError as exc:
+        message = str(exc)
+    if not message.startswith(f"sim.substeps = {substeps} leaves"):
+        return   # refused by a range rule before the guard
+    named = re.search(r"the smallest sim\.substeps that passes is (\d+)$",
+                      message)
+    if named is None:
+        assert message.endswith(f"no sim.substeps passes within the budget "
+                                f"of {MAX_PLANT_STEPS} plant steps")
+        most = MAX_PLANT_STEPS // (round(rate * duration) + 1)
+        with pytest.raises(ConfigError, match=f"^sim.substeps = {most} "):
+            build(most)
+        return
+    fewest = int(named.group(1))
+    assert fewest > substeps
+    assert build(fewest).substeps == fewest
+    with pytest.raises(ConfigError, match=f"passes is {fewest}$"):
+        build(fewest - 1)
