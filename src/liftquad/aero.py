@@ -14,15 +14,12 @@ The model is quadratic in airspeed with a flat-plate-style lift curve.
 :func:`aero_accel` (through ``AeroParams.drag``) is the one
 implementation that the controller and the plant call; drag opposes the
 airspeed: with only ``cd0`` active the earth-frame acceleration is
-``-(rho*S*cd0 / 2m) * |v_a| * v_a``.  It is scalar arithmetic on the
-components of its inputs: the plant and the controller run it on Python
-floats, and on numpy float64 scalars (the numpy controller oracle's
-arrays) it gives the same bits and raises under numpy's strict error
-state.
+``-(rho*S*cd0 / 2m) * |v_a| * v_a``.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+
+from .record import Frozen
 
 GRAVITY = 9.81  # along +z: NED, +z is down
 
@@ -30,8 +27,7 @@ KAPPA_MIN = math.radians(15.0)
 KAPPA_MAX = math.radians(90.0)
 
 
-@dataclass(frozen=True)
-class AeroParams:
+class AeroParams(Frozen):
     """Airframe constants shared by the flatness transform, controller and
     plant.
 
@@ -45,45 +41,36 @@ class AeroParams:
     ``kappa``, which the flatness transform's force balance reads.
     """
 
-    mass: float = 1.5
-    kappa: float = math.radians(34.0)
-    rho: float = 1.225
-    area: float = 0.2
-    cd0: float = 0.05
-    cy0: float = 0.0
-    cla: float = 2.0
-    drag: tuple = field(init=False, repr=False, compare=False)
-    cos_kappa: float = field(init=False, repr=False, compare=False)
-    sin_kappa: float = field(init=False, repr=False, compare=False)
+    _fields = ("mass", "kappa", "rho", "area", "cd0", "cy0", "cla")
+    __slots__ = _fields + ("drag", "cos_kappa", "sin_kappa")
 
-    def __post_init__(self):
-        if self.mass <= 0.0:
+    def __init__(self, mass=1.5, kappa=math.radians(34.0), rho=1.225,
+                 area=0.2, cd0=0.05, cy0=0.0, cla=2.0):
+        if mass <= 0.0:
             raise ValueError("mass must be positive")
-        if self.rho <= 0.0:
+        if rho <= 0.0:
             raise ValueError("air density must be positive")
-        if self.area < 0.0:
+        if area < 0.0:
             raise ValueError("wing area must be non-negative")
-        if not (KAPPA_MIN < self.kappa <= KAPPA_MAX):
+        if not (KAPPA_MIN < kappa <= KAPPA_MAX):
             raise ValueError(
-                f"installation angle {math.degrees(self.kappa):.3g} deg "
+                f"installation angle {math.degrees(kappa):.3g} deg "
                 "outside (15, 90] deg")
-        if self.cd0 < 0.0 or self.cla < 0.0:
+        if cd0 < 0.0 or cla < 0.0:
             raise ValueError("drag and lift coefficients must be non-negative")
-        c, s = math.cos(self.kappa), math.sin(self.kappa)
-        object.__setattr__(self, "cos_kappa", c)
-        object.__setattr__(self, "sin_kappa", s)
-        cdxz = self.cla * s * c
-        object.__setattr__(self, "drag", (
-            (self.cd0 * c * c + (self.cla + self.cd0) * s * s, 0.0, cdxz),
-            (0.0, self.cy0, 0.0),
-            (cdxz, 0.0, self.cd0 * s * s + (self.cla + self.cd0) * c * c)))
+        c, s = math.cos(kappa), math.sin(kappa)
+        cdxz = cla * s * c
+        self._set(mass, kappa, rho, area, cd0, cy0, cla, (
+            (cd0 * c * c + (cla + cd0) * s * s, 0.0, cdxz),
+            (0.0, cy0, 0.0),
+            (cdxz, 0.0, cd0 * s * s + (cla + cd0) * c * c)), c, s)
 
     def zeroed(self):
         """Copy with all aerodynamic coefficients set to zero.
 
         Used for feedforward variants that ignore the wing.
         """
-        return replace(self, cd0=0.0, cy0=0.0, cla=0.0)
+        return self.replace(cd0=0.0, cy0=0.0, cla=0.0)
 
 
 def aero_accel(params, rotation, airspeed_vec):

@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 bad config or arguments, 3 divergence.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import CONDITIONS, ConfigError, build_config, load_config
@@ -56,7 +55,7 @@ def build_parser():
 def _resolve_config(args):
     cfg = load_config(args.config) if args.config else build_config({})
     if args.duration is not None:
-        cfg = replace(cfg, duration=args.duration)
+        cfg = cfg.replace(duration=args.duration)
     if getattr(args, "condition", None):
         cfg = cfg.with_condition(args.condition)
     return cfg

@@ -15,12 +15,12 @@ everywhere in code.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 
 from .aero import AeroParams, GRAVITY
 from .control import (THRUST_FLOOR_FACTOR, ControlGains, ControlLimits,
                       ControlMode)
 from .dynamics import PlantConfig
+from .record import Frozen
 from .trajectories import TrajectoryDef, TrajectoryKind
 
 
@@ -70,8 +70,7 @@ def _log_drag_rate(aero, peak_speed, wind):
             + log_coeff + log_speed)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Frozen):
     """Fully resolved experiment: reference, plant, controller model and
     gains, run length and output bookkeeping.
 
@@ -81,44 +80,40 @@ class ExperimentConfig:
     aero-feedforward-off conditions.
     """
 
-    trajectory: TrajectoryDef = field(default_factory=TrajectoryDef)
-    plant: PlantConfig = field(default_factory=PlantConfig)
-    model: AeroParams = field(default_factory=AeroParams)
-    wind_est: tuple = (0.0, 0.0, 0.0)
-    gains: ControlGains = field(default_factory=ControlGains)
-    limits: ControlLimits = field(default_factory=ControlLimits)
-    mode: ControlMode = field(default_factory=ControlMode)
-    duration: float = 60.0
-    rate: int = 250
-    substeps: int = 1
-    abort_radius: float = 100.0
-    delay_ticks: int = 0
+    __slots__ = _fields = (
+        "trajectory", "plant", "model", "wind_est", "gains", "limits", "mode",
+        "duration", "rate", "substeps", "abort_radius", "delay_ticks")
 
-    def __post_init__(self):
+    def __init__(self, trajectory=TrajectoryDef(), plant=PlantConfig(),
+                 model=AeroParams(), wind_est=(0.0, 0.0, 0.0),
+                 gains=ControlGains(), limits=ControlLimits(),
+                 mode=ControlMode(), duration=60.0, rate=250, substeps=1,
+                 abort_radius=100.0, delay_ticks=0):
+        self._set(trajectory, plant, model, wind_est, gains, limits, mode,
+                  duration, rate, substeps, abort_radius, delay_ticks)
         # written so that NaN fails the range checks too
-        if not 0.0 < self.duration < math.inf:
+        if not 0.0 < duration < math.inf:
             raise ConfigError("sim.duration must be finite and > 0")
-        if self.rate <= 0 or self.substeps <= 0:
+        if rate <= 0 or substeps <= 0:
             raise ConfigError("sim.rate and sim.substeps must be > 0")
-        if not 0.0 < self.abort_radius < math.inf:
+        if not 0.0 < abort_radius < math.inf:
             raise ConfigError("sim.abort_radius must be finite and > 0")
         # a delay longer than the longest run changes nothing
-        if not 0 <= self.delay_ticks <= MAX_ROWS:
+        if not 0 <= delay_ticks <= MAX_ROWS:
             raise ConfigError(f"sim.delay_ticks must be in [0, {MAX_ROWS}]")
-        if self.duration > (MAX_ROWS - 1) / self.rate:  # a huge int rate: no overflow
+        if duration > (MAX_ROWS - 1) / rate:  # a huge int rate: no overflow
             raise ConfigError(f"sim.rate * sim.duration must log at most "
                               f"{MAX_ROWS} rows")
-        if self.rate > MAX_ROWS:  # an int rate: n_rows converts it to float
+        if rate > MAX_ROWS:  # an int rate: n_rows converts it to float
             raise ConfigError(f"sim.rate must be at most {MAX_ROWS} "
                               f"ticks per second")
-        if self.n_rows * self.substeps > MAX_PLANT_STEPS:  # ints: no overflow
+        if self.n_rows * substeps > MAX_PLANT_STEPS:  # ints: no overflow
             raise ConfigError(f"sim.substeps * rows ({self.n_rows}) must be "
                               f"at most {MAX_PLANT_STEPS} plant steps")
         self._check_plant_step()
-        # the plant substep follows from the tick rate, so a config
-        # derived with replace() never integrates a stale step
-        object.__setattr__(self, "plant", replace(
-            self.plant, step=1.0 / (self.rate * self.substeps)))
+        # the plant substep follows from the tick rate, in a copy too
+        object.__setattr__(self, "plant", plant.replace(
+            step=1.0 / (rate * substeps)))
 
     def _check_plant_step(self):
         """Refuse a plant step outside RK4's stability interval on the
@@ -168,9 +163,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown condition {name!r}; expected one of "
                 f"{', '.join(CONDITIONS)}") from None
-        mode = replace(self.mode, use_integrator=use_integrator,
-                       use_aero_feedforward=use_aero)
-        return replace(self, mode=mode)
+        return self.replace(mode=self.mode.replace(
+            use_integrator=use_integrator, use_aero_feedforward=use_aero))
 
 
 def _axes(prefix, vector):

@@ -17,28 +17,22 @@ no-sideslip heading.
 All functions are pure given an explicit :class:`ControllerContext`;
 use one context per vehicle.
 
-The tick runs on Python floats, as the plant does: vectors are
-3-tuples, rotations three row tuples and quaternions 4-tuples.  The
-loops read any sequences of those shapes, numpy arrays included; a
-step reads the reference sample and the feedforward as the float tuples
-they are, and makes no numpy call.  Float arithmetic does not
-raise on overflow, so the step checks each value that a later clamp,
-branch or saturation could hide: the velocity integral before its
-clamp, the demand's norm before the free-fall and lateral-axis branches
-and the command before saturation.  Each check is an inline
-``math.isfinite`` test and raises
-``FloatingPointError("overflow encountered in the controller")``
-(:func:`liftquad.geom.overflow_error`).  The numpy form of the
-controller is the test oracle in ``tests/oracles.py``.
+The tick runs on Python floats, in :mod:`liftquad.geom`'s conventions,
+and makes no numpy call.  Float arithmetic does not raise on overflow,
+so the step checks each value that a later clamp, branch or saturation
+could hide: the velocity integral before its clamp, the demand's norm
+before the free-fall and lateral-axis branches and the command before
+saturation.  The numpy form of the controller is the test oracle in
+``tests/oracles.py``.
 """
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .aero import GRAVITY, AeroParams, aero_accel
 from .geom import (lateral_axis, mat_to_quat, overflow_error, quat_conj,
                    quat_mul, quat_to_axis_angle)
+from .record import Frozen, Record
 
 # Acceleration-demand norm below which the thrust direction is
 # undefined and the free-fall policy (hold attitude, zero thrust) is
@@ -53,23 +47,25 @@ _LAYER = "the controller"
 
 
 def _axis_vector(name, value):
-    """Gain ``name`` as a float 3-tuple: a scalar broadcasts to the
-    three axes, a sequence must hold three numbers."""
+    """Gain ``name`` as a float 3-tuple of entries >= 0, given as in
+    :class:`ControlGains`."""
     try:
         items = iter(value)
     except TypeError:   # not a sequence: a scalar
-        return (float(value),) * 3
-    try:
-        vec = tuple(map(float, items))
-    except TypeError:   # an entry that is itself a sequence
-        vec = ()
-    if len(vec) != 3:
-        raise ValueError(f"{name} must be a scalar or 3-vector")
+        vec = (float(value),) * 3
+    else:
+        try:
+            vec = tuple(map(float, items))
+        except TypeError:   # an entry that is itself a sequence
+            vec = ()
+        if len(vec) != 3:
+            raise ValueError(f"{name} must be a scalar or 3-vector")
+    if any(k < 0.0 for k in vec):
+        raise ValueError(f"{name} entries must be >= 0, got {vec}")
     return vec
 
 
-@dataclass(frozen=True)
-class ControlGains:
+class ControlGains(Frozen):
     """Per-axis diagonal gains of the cascade, each a float 3-tuple.
 
     ``kpp``: position to velocity (1/s); ``kvp``: velocity to
@@ -80,27 +76,20 @@ class ControlGains:
     ``integrator_limit`` clamps the integral term per axis (m/s^2).
     """
 
-    kpp: tuple = (1.0, 1.0, 1.0)
-    kvp: tuple = (3.0, 3.0, 3.0)
-    kvi: tuple = (0.6, 0.6, 0.6)
-    kff: tuple = (0.8, 0.8, 0.8)
-    ktp: tuple = (8.0, 8.0, 8.0)
-    integrator_limit: float = 3.0
+    __slots__ = _fields = (*_GAINS, "integrator_limit")
 
-    def __post_init__(self):
-        for name in _GAINS:
-            vec = _axis_vector(name, getattr(self, name))
-            if any(k < 0.0 for k in vec):
-                raise ValueError(f"{name} entries must be >= 0, got {vec}")
-            object.__setattr__(self, name, vec)
-        if any(k > 1.0 for k in self.kff):
-            raise ValueError(f"kff entries must be <= 1, got {self.kff}")
-        if self.integrator_limit < 0.0:
+    def __init__(self, kpp=1.0, kvp=3.0, kvi=0.6, kff=0.8, ktp=8.0,
+                 integrator_limit=3.0):
+        gains = [_axis_vector(name, value)
+                 for name, value in zip(_GAINS, (kpp, kvp, kvi, kff, ktp))]
+        if any(k > 1.0 for k in gains[3]):
+            raise ValueError(f"kff entries must be <= 1, got {gains[3]}")
+        if integrator_limit < 0.0:
             raise ValueError("integrator_limit must be >= 0")
+        self._set(*gains, integrator_limit)
 
 
-@dataclass(frozen=True)
-class ControlMode:
+class ControlMode(Frozen):
     """Feature switches for the experiment conditions.
 
     ``use_integrator`` picks PID vs PD on velocity; ``use_aero_feedforward``
@@ -110,29 +99,36 @@ class ControlMode:
     normalization for comparison runs: the thrust projection uses the
     raw acceleration demand (gravity and feedforward not removed) and is
     scaled by its norm; off by default because it no longer returns
-    exactly the weight in hover.
+    exactly the weight in hover.  ``integrator_frozen`` (derived): the
+    mode without the integrator, for a tick after the thrust floor.
     """
 
-    use_integrator: bool = True
-    use_aero_feedforward: bool = True
-    use_rate_feedforward: bool = True
-    printed_accel_projection: bool = False
+    _fields = ("use_integrator", "use_aero_feedforward",
+               "use_rate_feedforward", "printed_accel_projection")
+    __slots__ = _fields + ("integrator_frozen",)
+
+    def __init__(self, use_integrator=True, use_aero_feedforward=True,
+                 use_rate_feedforward=True, printed_accel_projection=False):
+        switches = (use_aero_feedforward, use_rate_feedforward,
+                    printed_accel_projection)
+        self._set(use_integrator, *switches,
+                  ControlMode(False, *switches) if use_integrator else self)
 
 
-@dataclass(frozen=True)
-class ControlLimits:
+class ControlLimits(Frozen):
     """Actuator saturation bounds: collective thrust floor (N, <= 0; the
     default is four times the default airframe weight) and a per-axis
     body-rate bound (rad/s)."""
 
-    thrust_min: float = -THRUST_FLOOR_FACTOR * AeroParams.mass * GRAVITY
-    omega_max: float = 6.0
+    __slots__ = _fields = ("thrust_min", "omega_max")
 
-    def __post_init__(self):
-        if self.thrust_min > 0.0:
+    def __init__(self, thrust_min=-THRUST_FLOOR_FACTOR * AeroParams().mass
+                 * GRAVITY, omega_max=6.0):
+        if thrust_min > 0.0:
             raise ValueError("thrust_min must be <= 0")
-        if self.omega_max <= 0.0:
+        if omega_max <= 0.0:
             raise ValueError("omega_max must be > 0")
+        self._set(thrust_min, omega_max)
 
 
 class ControlInput(NamedTuple):
@@ -154,8 +150,7 @@ class Measurement(NamedTuple):
     q: tuple
 
 
-@dataclass
-class ControllerContext:
+class ControllerContext(Record):
     """Mutable per-vehicle controller state.
 
     ``integrator`` is the clamped integral acceleration term (m/s^2) as
@@ -165,9 +160,12 @@ class ControllerContext:
     exposed for logging.
     """
 
-    integrator: tuple = (0.0, 0.0, 0.0)
-    thrust_saturated: bool = False
-    held_quat: tuple | None = None
+    __slots__ = _fields = ("integrator", "thrust_saturated", "held_quat")
+
+    def __init__(self, integrator=(0.0, 0.0, 0.0), thrust_saturated=False,
+                 held_quat=None):
+        self.integrator, self.thrust_saturated, self.held_quat = (
+            integrator, thrust_saturated, held_quat)
 
 
 def _clip(v, bound):
@@ -288,7 +286,7 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     finite.
     """
     v_d = position_loop(gains, sample.p, state.p, sample.v)
-    freeze = replace(mode, use_integrator=False) if ctx.thrust_saturated else mode
+    freeze = mode.integrator_frozen if ctx.thrust_saturated else mode
     a_d, ctx.integrator = velocity_loop(
         gains, freeze, v_d, state.v, sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(

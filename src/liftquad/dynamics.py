@@ -10,34 +10,33 @@ optional first-order actuator lag, updated exactly over the held step,
 sits between the commanded and applied inputs.
 
 The plant runs on Python floats: the state is tuples and a step makes
-no numpy call, because numpy's per-call cost on a 3-vector or a 3x3
-matrix is far above the arithmetic it does.  Float arithmetic does not
-raise on overflow, it gives ``inf`` or ``nan``; the harness checks the
-state once per tick with :func:`require_finite`.
+no numpy call (see :mod:`liftquad.geom`).  Float arithmetic gives
+``inf`` or ``nan`` on overflow; the harness checks the state once per
+tick with :func:`require_finite`.
 
 The plant's aerodynamic parameters are independent of the controller's
 copy, which is how model mismatch experiments are expressed.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .aero import GRAVITY, AeroParams, aero_accel
 from .control import ControlInput
 from .geom import overflow_error
+from .record import Frozen, Record
 
 
-@dataclass
-class VehicleState:
+class VehicleState(Record):
     """Plant state: position and velocity in the earth frame (NED) as
     3-tuples, and the body-to-earth rotation as three row tuples.
 
     A step reads any sequences of that shape, numpy arrays included,
     and returns tuples."""
 
-    p: tuple
-    v: tuple
-    R: tuple
+    __slots__ = _fields = ("p", "v", "R")
+
+    def __init__(self, p, v, R):
+        self.p, self.v, self.R = p, v, R
 
 
 def require_finite(state):
@@ -56,34 +55,28 @@ def require_finite(state):
         raise overflow_error("the plant")
 
 
-@dataclass(frozen=True)
-class PlantConfig:
+class PlantConfig(Frozen):
     """Ground-truth model: aerodynamic parameters, constant wind
     (earth frame, m/s, a float 3-tuple; any three numbers are taken),
     actuator time constants for the body-rate and thrust channels (s,
     0 disables the lag) and the integration step."""
 
-    aero: AeroParams = field(default_factory=AeroParams)
-    wind: tuple = (0.0, 0.0, 0.0)
-    tau_omega: float = 0.0
-    tau_thrust: float = 0.0
-    step: float = 1e-3
+    _fields = ("aero", "wind", "tau_omega", "tau_thrust", "step")
     # exp(-step/tau) of the thrust and body-rate channels, taken once for
     # actuator_lag; 0, and never read, for a channel without lag
-    _thrust_decay: float = field(init=False, repr=False, compare=False)
-    _omega_decay: float = field(init=False, repr=False, compare=False)
+    __slots__ = _fields + ("_thrust_decay", "_omega_decay")
 
-    def __post_init__(self):
-        wx, wy, wz = self.wind
-        object.__setattr__(self, "wind", (float(wx), float(wy), float(wz)))
-        if self.step <= 0.0:
+    def __init__(self, aero=AeroParams(), wind=(0.0, 0.0, 0.0), tau_omega=0.0,
+                 tau_thrust=0.0, step=1e-3):
+        wx, wy, wz = wind
+        wind = (float(wx), float(wy), float(wz))
+        if step <= 0.0:
             raise ValueError("integration step must be > 0")
-        if self.tau_omega < 0.0 or self.tau_thrust < 0.0:
+        if tau_omega < 0.0 or tau_thrust < 0.0:
             raise ValueError("actuator time constants must be >= 0")
-        for name, tau in (("_thrust_decay", self.tau_thrust),
-                          ("_omega_decay", self.tau_omega)):
-            object.__setattr__(self, name, (
-                math.exp(-self.step / tau) if tau != 0.0 else 0.0))
+        decays = [math.exp(-step / tau) if tau != 0.0 else 0.0
+                  for tau in (tau_thrust, tau_omega)]
+        self._set(aero, wind, tau_omega, tau_thrust, step, *decays)
 
     @property
     def v_wind(self):

@@ -26,30 +26,20 @@ Two singular regimes are handled by policy instead of failing:
 In both regimes the feedforward body rate is zero and the output is
 flagged through :class:`SingularCase`.
 
-The transform computes on Python floats, as the controller and the
-plant do: vectors are 3-tuples and rotations three row tuples.  Float
-arithmetic does not raise on overflow, so the transform checks its
-output, and before that each value a branch or clamp could hide (the
-airspeed, the force-balance normalizer, the symmetry-plane norm, the
-body-rate system's scale, the hover thrust), raising
-``FloatingPointError("overflow encountered in the flatness transform")``
-(:func:`liftquad.geom.overflow_error`).  Each check is an inline
-``math.isfinite`` test right before the branch or clamp it protects:
-the transform runs once per tick, and a call per check would cost more
-than the check.  For the same reason the domain check is one pass over
-all thirteen sample components, and only a sample that fails it is
-scanned field by field for the error message; the airspeed is computed
-once and handed to the helpers that need it, and the force balance
-reads the airframe's ``cos_kappa`` and ``sin_kappa``.  Its numpy form
-is the test oracle in ``tests/oracles.py``.
+The transform computes on Python floats, in :mod:`liftquad.geom`'s
+conventions.  Float arithmetic does not raise on overflow, so the
+transform checks its output, and before that each value a branch or
+clamp could hide (the airspeed, the force-balance normalizer, the
+symmetry-plane norm, the body-rate system's scale, the hover thrust).
+Its numpy form is the test oracle in ``tests/oracles.py``.
 """
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .aero import GRAVITY
 from .geom import lateral_axis, overflow_error
+from .record import Record
 
 # Hysteresis band for the zero-velocity branch: enter below the first
 # speed, return to the smooth construction above the second.
@@ -85,21 +75,22 @@ class SingularCase(IntEnum):
     AXIS_ALIGNED = 2
 
 
-@dataclass
-class FlatSample:
+class FlatSample(Record):
     """One point of a flat reference: position and derivatives as float
     3-tuples, plus the yaw angle used only when the trajectory does not
     define a heading."""
 
-    p: tuple
-    v: tuple
-    a: tuple
-    j: tuple
-    psi: float = 0.0
+    __slots__ = _fields = ("p", "v", "a", "j", "psi")
+
+    def __init__(self, p, v, a, j, psi=0.0):
+        self.p = p
+        self.v = v
+        self.a = a
+        self.j = j
+        self.psi = psi
 
 
-@dataclass
-class FlatnessOutput:
+class FlatnessOutput(Record):
     """Feedforward references produced by :func:`flatness_transform`.
 
     ``rotation`` is the body-to-earth attitude as three row tuples,
@@ -110,23 +101,29 @@ class FlatnessOutput:
     3-tuple.
     """
 
-    rotation: tuple
-    thrust: float
-    alpha: float
-    omega: tuple
-    airspeed: tuple
-    wind_axis: tuple
-    singular: SingularCase
+    __slots__ = _fields = ("rotation", "thrust", "alpha", "omega",
+                           "airspeed", "wind_axis", "singular")
+
+    def __init__(self, rotation, thrust, alpha, omega, airspeed, wind_axis,
+                 singular):
+        self.rotation = rotation
+        self.thrust = thrust
+        self.alpha = alpha
+        self.omega = omega
+        self.airspeed = airspeed
+        self.wind_axis = wind_axis
+        self.singular = singular
 
 
-@dataclass
-class TransformContext:
+class TransformContext(Record):
     """Mutable per-trajectory state: last good airspeed direction and the
     hysteresis flag for the zero-velocity branch.  Use one context per
     reference stream; it is not safe to share across threads."""
 
-    held_axis: tuple | None = None
-    in_singular: bool = False
+    __slots__ = _fields = ("held_axis", "in_singular")
+
+    def __init__(self, held_axis=None, in_singular=False):
+        self.held_axis, self.in_singular = held_axis, in_singular
 
 
 def _frame(x, y):

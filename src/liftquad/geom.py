@@ -14,20 +14,13 @@ Conventions used throughout the package:
 All functions are pure scalar arithmetic on the components of their
 inputs and return float tuples: on a 3-vector or a 3x3 matrix, numpy's
 per-call cost is far above the arithmetic it does, and a tick makes
-dozens of these calls.  The numpy form of :func:`mat_to_quat` is a
-test oracle in ``tests/oracles.py``, beside the numpy kernels
-(``cross3``, ``norm``, ``skew``, ``rodrigues``) of the numpy flatness
-transform the float one is checked against.
+dozens of these calls.  The numpy :func:`mat_to_quat`, and the numpy
+kernels of the numpy flatness transform, are test oracles in
+``tests/oracles.py``.
 
-Overflow: float arithmetic gives ``inf`` or ``nan`` where numpy would
-raise under its strict error state, and nothing here raises on it.  The
-flatness transform (:mod:`liftquad.flatness`), the controller
-(:mod:`liftquad.control`), the plant (:mod:`liftquad.dynamics`) and the
-harness each check their own values and raise the
-``FloatingPointError`` of :func:`overflow_error`, naming the layer.  The
-check is an inline ``math.isfinite`` test per value, a few tens of
-nanoseconds where a helper call over many values costs about half a
-microsecond.
+Float arithmetic gives ``inf`` or ``nan`` on overflow, and nothing here
+raises on it: each layer tests its own values inline and raises the
+``FloatingPointError`` of :func:`overflow_error`, naming the layer.
 """
 
 import math

@@ -16,9 +16,9 @@ import math
 import struct
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress
+from typing import NamedTuple
 
 from .control import (ControlInput, ControllerContext, Measurement,
                       controller_step)
@@ -90,25 +90,23 @@ def rmse(p_ref, p):
     return math.sqrt(math.fsum(_squared_errors(p_ref, p)) / n)
 
 
-@dataclass(eq=False)
 class RunResult:
     """Logged time series of one run plus scalar summaries.
 
     ``rows`` holds ``n_rows`` rows of the columns named in ``COLUMNS``,
     row after row, in one preallocated ``array('d')`` that never
     resizes; :meth:`head` shares it, so results compare by identity.
-    The summaries read it in plain Python.  ``table`` is the rows as a
-    numpy array over the same memory, and each name in ``COLUMNS``
-    reads as a view of its columns (``result.p`` is the measured
-    position); they import numpy on first use.  ``q`` is the measured
-    attitude, ``q_d`` the controller's desired attitude,
-    ``thrust``/``omega`` the saturated command, ``alpha`` and
-    ``singular`` the flatness reference angle of attack and
-    singular-case flag.
+    ``table`` is the rows as a numpy array over the same memory, and
+    each name in ``COLUMNS`` reads as a view of its columns
+    (``result.p`` is the measured position); they import numpy on first
+    use.  ``q`` is the measured attitude, ``q_d`` the controller's
+    desired attitude, ``thrust``/``omega`` the saturated command,
+    ``alpha`` and ``singular`` the flatness reference angle of attack
+    and singular-case flag.
     """
 
-    rows: array = field(repr=False)
-    n_rows: int
+    def __init__(self, rows, n_rows):
+        self.rows, self.n_rows = rows, n_rows
 
     @cached_property
     def table(self):
@@ -273,8 +271,7 @@ def feedforward_trace(cfg):
     return result
 
 
-@dataclass
-class Cell:
+class Cell(NamedTuple):
     """One condition-matrix entry: a (possibly partial) run plus the
     divergence error if the run aborted."""
 
@@ -307,8 +304,8 @@ def condition_matrix(cfg):
     from .config import CONDITIONS
     cells = [_run_cell(name, cfg.with_condition(name)) for name in CONDITIONS]
     base = cfg.with_condition("pid-dfaf")
-    ablation_cfg = replace(
-        base, mode=replace(base.mode, use_rate_feedforward=False))
+    ablation_cfg = base.replace(
+        mode=base.mode.replace(use_rate_feedforward=False))
     return cells + [_run_cell(ABLATION, ablation_cfg)]
 
 
@@ -323,8 +320,7 @@ def format_matrix(cells):
     return "\n".join(lines)
 
 
-@dataclass
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Flatness feedforward demands along a reference vs actuator limits."""
 
     thrust_peak: float

@@ -9,10 +9,10 @@ differences.  A sample is Python floats: its vectors are 3-tuples.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .flatness import FlatSample
+from .record import Frozen
 
 
 class TrajectoryKind(Enum):
@@ -38,8 +38,7 @@ MAX_OMEGA = 1e3       # rad/s
 MAX_SPEED = 1e4       # |speed_cap| (m/s)
 
 
-@dataclass(frozen=True)
-class TrajectoryDef:
+class TrajectoryDef(Frozen):
     """Reference definition.
 
     ``r`` and ``omega`` default per kind (15 m / 0.06 rad/s circle,
@@ -49,36 +48,31 @@ class TrajectoryDef:
     kept as a float 3-tuple.
     """
 
-    kind: TrajectoryKind = TrajectoryKind.CIRCLE
-    p0: tuple = None
-    r: float = None
-    omega: float = None
-    speed_cap: float = 10.0
-    psi_fallback: float = None
+    __slots__ = _fields = ("kind", "p0", "r", "omega", "speed_cap",
+                           "psi_fallback")
 
-    def __post_init__(self):
-        p0 = _ZERO if self.p0 is None else tuple(map(float, self.p0))
-        object.__setattr__(self, "p0", p0)
-        if self.r is None:
-            object.__setattr__(self, "r", _DEFAULT_RADIUS.get(self.kind, 0.0))
-        if self.omega is None:
-            object.__setattr__(self, "omega", _DEFAULT_OMEGA.get(self.kind, 0.0))
-        if self.psi_fallback is None:
-            planar = self.kind in (TrajectoryKind.CIRCLE,
-                                   TrajectoryKind.LEMNISCATE)
-            object.__setattr__(self, "psi_fallback",
-                               0.5 * math.pi if planar else 0.0)
+    def __init__(self, kind=TrajectoryKind.CIRCLE, p0=None, r=None,
+                 omega=None, speed_cap=10.0, psi_fallback=None):
+        p0 = _ZERO if p0 is None else tuple(map(float, p0))
+        if r is None:
+            r = _DEFAULT_RADIUS.get(kind, 0.0)
+        if omega is None:
+            omega = _DEFAULT_OMEGA.get(kind, 0.0)
+        if psi_fallback is None:
+            planar = kind in (TrajectoryKind.CIRCLE, TrajectoryKind.LEMNISCATE)
+            psi_fallback = 0.5 * math.pi if planar else 0.0
         for key, value, low, high in (
                 *((f"p0.{axis}", x, -MAX_OFFSET, MAX_OFFSET)
                   for axis, x in zip("xyz", p0)),
-                ("radius", self.r, 0.0, MAX_RADIUS),
-                ("omega", self.omega, 0.0, MAX_OMEGA),
-                ("speed_cap", self.speed_cap, -MAX_SPEED, MAX_SPEED)):
+                ("radius", r, 0.0, MAX_RADIUS),
+                ("omega", omega, 0.0, MAX_OMEGA),
+                ("speed_cap", speed_cap, -MAX_SPEED, MAX_SPEED)):
             if not low <= value <= high:
                 raise ValueError(
                     f"trajectory.{key} must be in [{low:g}, {high:g}]")
-        if self.kind is TrajectoryKind.CIRCLE and self.speed_cap <= 0.0:
+        if kind is TrajectoryKind.CIRCLE and speed_cap <= 0.0:
             raise ValueError("speed_cap must be > 0 for the circle")
+        self._set(kind, p0, r, omega, speed_cap, psi_fallback)
 
     def switch_time(self):
         """Circle accelerate-to-constant switch instant ``cap/(r*omega)``;

@@ -20,7 +20,6 @@ package against; none of them runs in a simulation.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -338,7 +337,7 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     Deterministic given its arguments.
     """
     v_d = position_loop(gains, sample.p, state.p, sample.v)
-    freeze = replace(mode, use_integrator=False) if ctx.thrust_saturated else mode
+    freeze = mode.replace(use_integrator=False) if ctx.thrust_saturated else mode
     a_d, ctx.integrator = velocity_loop(
         gains, freeze, v_d, state.v, sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(

@@ -221,10 +221,8 @@ def test_criterion_7_rate_feedforward_ablation_degrades_tracking():
     # stock circle, or destabilize the run outright.
     text = "gains.kff.x = 1\ngains.kff.y = 1\ngains.kff.z = 1\n"
     base_cfg = config_from(text).with_condition("pid-dfaf")
-    from dataclasses import replace
-    ablation_cfg = replace(base_cfg,
-                           mode=replace(base_cfg.mode,
-                                        use_rate_feedforward=False))
+    ablation_cfg = base_cfg.replace(
+        mode=base_cfg.mode.replace(use_rate_feedforward=False))
     base_peak = run_experiment(base_cfg).peak_error(speed_below=10.0)
     try:
         ablation_peak = run_experiment(ablation_cfg).peak_error(

@@ -132,16 +132,21 @@ _NONE_FITS = "no sim.substeps passes within the budget of 100000000 plant steps"
     ("check", "plant.mass = 5e-324", _NONE_FITS),
     ("sim", _PROBE + "\nsim.rate = 50",
      "the smallest sim.substeps that passes is 3"),
+    ("flat", _PROBE + "\nsim.rate = 50",
+     "the smallest sim.substeps that passes is 3"),
     ("compare", _PROBE + "\nsim.rate = 20\nsim.substeps = 6",
      "the smallest sim.substeps that passes is 7")],
     ids=["sim-plant.cd0 = 1e300", "compare-plant.cd0 = 1e300",
          "sim-plant.mass = 1e-300", "check-plant.mass = 5e-324",
-         "sim-probe at 50 Hz", "compare-probe at 20 Hz"])
+         "sim-probe at 50 Hz", "flat-probe at 50 Hz",
+         "compare-probe at 20 Hz"])
 def test_plant_step_past_rk4s_drag_limit_is_a_config_error(
         tmp_path, capsys, command, text, advice):
     # refused before the run starts, in one line naming sim.substeps and
     # the fewest that pass, or saying that no count fits the budget;
-    # the plant rows of the overflow cases above once ran into this
+    # the plant rows of the overflow cases above once ran into this.  A
+    # config is valid for every subcommand or for none, so flat and
+    # check, which integrate no plant, refuse it too
     cfg = write_cfg(tmp_path, text + "\n")
     code = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -345,6 +350,9 @@ def test_flat_trace_is_deterministic(tmp_path):
     assert a == b
 
 
+# modules no run may import: numpy, and dataclasses with the inspect it
+# pulls in
+_UNLOADED = ("numpy", "dataclasses", "inspect")
 _NO_NUMPY_SCRIPT = """
 import contextlib, io, json, sys
 from liftquad.cli import main
@@ -352,15 +360,16 @@ seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    seen.append([code, "numpy" in sys.modules])
+    seen.append([code, [name for name in %r if name in sys.modules]])
 print(json.dumps(seen))
-"""
+""" % (_UNLOADED,)
 
 
 def test_no_run_imports_numpy(tmp_path):
     # every command, the exit-2 and exit-3 paths included, runs on the
     # standard library: numpy costs a fresh process more than a whole
-    # short run, and only the trace's array views need it
+    # short run, and only the trace's array views need it; nor does a
+    # run import dataclasses or inspect, about a fifth of its set-up
     out = str(tmp_path / "out")
     bad = write_cfg(tmp_path, "sim.rate = 0\n", "bad.cfg")
     unstable = write_cfg(tmp_path, "plant.cd0 = 1e300\n", "unstable.cfg")
@@ -379,4 +388,4 @@ def test_no_run_imports_numpy(tmp_path):
         capture_output=True, text=True, timeout=120, check=False,
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[code, False] for _, code in runs]
+    assert json.loads(proc.stdout) == [[code, []] for _, code in runs]

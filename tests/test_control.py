@@ -1,13 +1,16 @@
 """Controller cascade: loop arithmetic, attitude/thrust extraction,
 attitude error, saturation, context handling."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from liftquad import harness
 from liftquad.aero import AeroParams, GRAVITY, aero_accel
+from liftquad.config import build_config
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
                               ControllerContext, Measurement,
                               accel_to_attitude_thrust,
@@ -16,6 +19,7 @@ from liftquad.control import (ControlGains, ControlLimits, ControlMode,
 from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                flatness_transform)
 from liftquad.geom import mat_to_quat
+from liftquad.harness import run_experiment
 from oracles import GRAVITY_VEC, rodrigues
 
 PARAMS = AeroParams()
@@ -333,6 +337,33 @@ def test_saturated_step_keeps_other_mode_flags():
     expected = saturate(tight, thrust_d, omega_d)
     assert cmd.thrust == expected.thrust
     assert_allclose(cmd.omega, expected.omega)
+
+
+# sha256 of the fast figure-eight's trace below, as written before the
+# integrator-frozen mode was built once per mode instead of per tick
+_THRUST_FLOOR_PROBE_SHA256 = (
+    "8d4f5dc47f8ba5cc8fac035cb90272d77f42bb0753571c59bc5203aba8993dab")
+
+
+def test_thrust_floor_probe_trace_is_unchanged(tmp_path, monkeypatch):
+    # a 20 m figure-eight at 1 rad/s with the full aerodynamic
+    # feedforward holds thrust at its floor on 723 ticks, so the velocity
+    # loop runs the integrator-frozen mode on the tick after each
+    cfg = build_config({
+        "trajectory.kind": "lemniscate", "trajectory.radius": "20",
+        "trajectory.omega": "1.0", "sim.duration": "12",
+        **{f"gains.kff.{axis}": "1" for axis in "xyz"}})
+    frozen_ticks = []
+
+    def step(*args):
+        frozen_ticks.append(args[7].thrust_saturated)
+        return controller_step(*args)
+    monkeypatch.setattr(harness, "controller_step", step)
+    path = tmp_path / "probe.csv"
+    run_experiment(cfg).write_csv(path)
+    assert sum(frozen_ticks) == 723
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == _THRUST_FLOOR_PROBE_SHA256)
 
 
 @pytest.mark.parametrize("case", ["integral", "demand", "command"])

@@ -101,8 +101,7 @@ def test_rk4_full_turn_returns_to_identity():
     for _ in range(steps):
         state = rk4_step(cfg, state, inp)
     if abs(dt_last) > 0.0:
-        from dataclasses import replace
-        state = rk4_step(replace(cfg, step=dt_last), state, inp)
+        state = rk4_step(cfg.replace(step=dt_last), state, inp)
     assert np.linalg.norm(state.R - np.eye(3)) < 1e-6
 
 

@@ -4,7 +4,6 @@ import math
 import re
 from array import array
 from collections import Counter
-from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +22,7 @@ from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
                               condition_matrix, feasibility_check,
                               feedforward_trace, format_matrix, rmse,
                               run_experiment)
+from liftquad.record import Record
 from liftquad.trajectories import (TrajectoryDef, TrajectoryKind,
                                    sample as sample_trajectory)
 from oracles import csv_text, quat_to_mat, rmse as numpy_rmse
@@ -53,23 +53,26 @@ def test_empty_config_is_stock_circle():
     assert_allclose(cfg.gains.kvp, [3.0, 3.0, 3.0])
 
 
-def test_every_default_is_the_dataclass_default():
+def test_every_default_is_the_record_default():
     # the empty config is ExperimentConfig(), field by field, down to the
-    # bits: no key's default can drift from the one its dataclass declares
+    # bits of every leaf: no key's default can drift from the one its
+    # record's constructor declares
     def leaves(obj, prefix=""):
-        for spec in fields(obj):
-            value = getattr(obj, spec.name)
-            if is_dataclass(value):
-                yield from leaves(value, f"{prefix}{spec.name}.")
+        for name in obj._fields:
+            value = getattr(obj, name)
+            if isinstance(value, Record):
+                yield from leaves(value, f"{prefix}{name}.")
             else:
-                yield prefix + spec.name, value
+                yield prefix + name, value
 
     built = dict(leaves(build_config({})))
     stock = dict(leaves(ExperimentConfig()))
     assert built.keys() == stock.keys()
+    assert "plant.aero.cla" in stock and "mode.use_integrator" in stock
     for name, value in stock.items():
         assert type(built[name]) is type(value), name
-        assert built[name] == value, name
+        # repr round-trips a float's bits: 0.0 and -0.0 differ here
+        assert repr(built[name]) == repr(value), name
 
 
 def test_config_values_comments_and_degrees():
@@ -279,11 +282,13 @@ def test_closed_loop_starts_where_the_feedforward_does(kind):
 
 
 def test_rate_override_keeps_the_plant_step_in_step():
-    # a rate set through replace() must integrate the same substep as
-    # the same rate parsed from the config file
+    # a copy with a new rate must integrate the same substep as the
+    # same rate parsed from the config file
     parsed = config_from("sim.duration = 5\nsim.rate = 500")
-    replaced = replace(config_from("sim.duration = 5"), rate=500)
+    replaced = config_from("sim.duration = 5").replace(rate=500)
     assert replaced.plant.step == parsed.plant.step == 1.0 / 500.0
+    assert replaced.replace(substeps=4).plant.step == 1.0 / 2000.0
+    assert replaced.replace(rate=250) == config_from("sim.duration = 5")
     assert run_experiment(replaced).rmse == run_experiment(parsed).rmse
 
 
@@ -362,7 +367,7 @@ def test_tracking_error_that_overflows_is_a_divergence(monkeypatch):
 
     def drifted(plant, state, applied):
         out = step(plant, state, applied)
-        return replace(out, p=(1e200, 0.0, 0.0))
+        return out.replace(p=(1e200, 0.0, 0.0))
     monkeypatch.setattr(harness, "rk4_step", drifted)
     cfg = short_circle(**{"sim.duration": 1, "gains.kpp.x": 0,
                           "gains.kpp.y": 0, "gains.kpp.z": 0})

@@ -7,7 +7,6 @@ wing-force kernel is one kernel on numpy and float inputs."""
 import math
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,8 +75,8 @@ def all_finite(*values):
 def as_arrays(record, names):
     """``record`` with its fields ``names`` as numpy arrays, the form the
     numpy oracles read."""
-    return replace(record, **{name: np.array(getattr(record, name), float)
-                              for name in names})
+    return record.replace(**{name: np.array(getattr(record, name), float)
+                             for name in names})
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,11 +162,11 @@ def test_float_flatness_transform_is_the_numpy_oracle(params, sample, ctx,
     if bad is not None:
         field, axis, value = bad
         if field == "psi":
-            sample = replace(sample, psi=value)
+            sample = sample.replace(psi=value)
         else:
             vector = list(getattr(sample, field))
             vector[axis] = value
-            sample = replace(sample, **{field: tuple(vector)})
+            sample = sample.replace(**{field: tuple(vector)})
     float_ctx = _copy_context(ctx, float_tuple)
     oracle_ctx = _copy_context(ctx, lambda held: np.array(held, dtype=float))
     arrays = as_arrays(sample, "pvaj")

@@ -1,0 +1,74 @@
+"""Plain records: copies go through the constructor, derived slots are
+read-only, never compared, hashed or shown, and no copy argument."""
+
+import math
+
+import pytest
+
+from liftquad.aero import AeroParams
+from liftquad.config import ConfigError, ExperimentConfig
+from liftquad.control import ControlGains, ControlLimits, ControlMode
+from liftquad.dynamics import PlantConfig
+from liftquad.trajectories import TrajectoryDef
+
+_DERIVED = [
+    (AeroParams(kappa=math.radians(52.0), cla=2.6), "drag"),
+    (AeroParams(kappa=math.radians(52.0), cla=2.6), "cos_kappa"),
+    (AeroParams(kappa=math.radians(52.0), cla=2.6), "sin_kappa"),
+    (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_thrust_decay"),
+    (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_omega_decay"),
+    (ControlMode(), "integrator_frozen")]
+
+
+@pytest.mark.parametrize("record, name", _DERIVED,
+                         ids=[name for _, name in _DERIVED])
+def test_derived_slots_are_read_only_hidden_and_no_copy_argument(record,
+                                                                 name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0.0)
+    with pytest.raises(TypeError):
+        record.replace(**{name: 0.0})
+    with pytest.raises(TypeError):
+        type(record)(**{name: 0.0})
+    assert f"{name}=" not in repr(record)
+    copy = record.replace()
+    assert copy == record and hash(copy) == hash(record)
+    # a copy whose derived slot differs still equals and hashes alike
+    object.__setattr__(copy, name, "changed")
+    assert copy == record and hash(copy) == hash(record)
+
+
+def test_plant_copy_derives_its_decay_factors_again():
+    plant = PlantConfig(tau_omega=0.03, tau_thrust=0.05, step=0.004)
+    for copy in (plant.replace(step=0.001), plant.replace(tau_thrust=0.02),
+                 plant.replace(tau_omega=0.0)):
+        assert copy._thrust_decay == (math.exp(-copy.step / copy.tau_thrust)
+                                      if copy.tau_thrust else 0.0)
+        assert copy._omega_decay == (math.exp(-copy.step / copy.tau_omega)
+                                     if copy.tau_omega else 0.0)
+    assert plant.replace(step=0.001)._thrust_decay != plant._thrust_decay
+
+
+def test_mode_without_integrator_is_built_once_per_mode():
+    pid = ControlMode(use_rate_feedforward=False)
+    pd = pid.integrator_frozen
+    assert pd == pid.replace(use_integrator=False)
+    assert pd.integrator_frozen is pd
+    # a tick after the thrust floor reads the slot: no copy per tick
+    assert pid.integrator_frozen is pd
+
+
+@pytest.mark.parametrize("record, change, error", [
+    (AeroParams(), {"mass": 0.0}, ValueError),
+    (TrajectoryDef(), {"speed_cap": 0.0}, ValueError),
+    (ControlGains(), {"kff": 2.0}, ValueError),
+    (ControlLimits(), {"omega_max": 0.0}, ValueError),
+    (PlantConfig(), {"step": 0.0}, ValueError),
+    (ExperimentConfig(), {"duration": 0.0}, ConfigError)],
+    ids=["AeroParams", "TrajectoryDef", "ControlGains", "ControlLimits",
+         "PlantConfig", "ExperimentConfig"])
+def test_copies_are_checked_like_new_records(record, change, error):
+    with pytest.raises(error):
+        record.replace(**change)
+    with pytest.raises(AttributeError):
+        setattr(record, next(iter(change)), 1.0)
