@@ -15,8 +15,7 @@ from .dynamics import PlantConfig, VehicleState, actuator_lag, rk4_step
 from .flatness import (FlatSample, FlatnessOutput, SingularCase,
                        TransformContext, flatness_transform)
 from .harness import (DivergenceError, RunResult, condition_matrix,
-                      feasibility_check, feedforward_trace, rmse,
-                      run_experiment)
+                      feasibility_check, feedforward_trace, run_experiment)
 from .trajectories import TrajectoryDef, TrajectoryKind, sample
 
 __version__ = "0.1.0"
@@ -31,7 +30,7 @@ __all__ = [
     "FlatSample", "FlatnessOutput", "SingularCase", "TransformContext",
     "flatness_transform",
     "DivergenceError", "RunResult", "condition_matrix", "feasibility_check",
-    "feedforward_trace", "rmse", "run_experiment",
+    "feedforward_trace", "run_experiment",
     "TrajectoryDef", "TrajectoryKind", "sample",
     "__version__",
 ]

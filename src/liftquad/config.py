@@ -307,6 +307,8 @@ def build_config(raw):
             kpp=vec("gains.kpp"), kvp=vec("gains.kvp"), kvi=vec("gains.kvi"),
             kff=vec("gains.kff"), ktp=vec("gains.ktp"),
             integrator_limit=values["gains.integrator_limit"])
+        if values["limits.thrust_factor"] < 0.0:
+            raise ConfigError("limits.thrust_factor must be >= 0")
         limits = ControlLimits(
             thrust_min=-values["limits.thrust_factor"] * model.mass * GRAVITY,
             omega_max=values["limits.omega_max"])

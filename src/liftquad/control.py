@@ -99,20 +99,16 @@ class ControlMode(Frozen):
     normalization for comparison runs: the thrust projection uses the
     raw acceleration demand (gravity and feedforward not removed) and is
     scaled by its norm; off by default because it no longer returns
-    exactly the weight in hover.  ``integrator_frozen`` (derived): the
-    mode without the integrator, for a tick after the thrust floor.
+    exactly the weight in hover.
     """
 
-    _fields = ("use_integrator", "use_aero_feedforward",
-               "use_rate_feedforward", "printed_accel_projection")
-    __slots__ = _fields + ("integrator_frozen",)
+    __slots__ = _fields = ("use_integrator", "use_aero_feedforward",
+                           "use_rate_feedforward", "printed_accel_projection")
 
     def __init__(self, use_integrator=True, use_aero_feedforward=True,
                  use_rate_feedforward=True, printed_accel_projection=False):
-        switches = (use_aero_feedforward, use_rate_feedforward,
-                    printed_accel_projection)
-        self._set(use_integrator, *switches,
-                  ControlMode(False, *switches) if use_integrator else self)
+        self._set(use_integrator, use_aero_feedforward, use_rate_feedforward,
+                  printed_accel_projection)
 
 
 class ControlLimits(Frozen):
@@ -186,18 +182,18 @@ def position_loop(gains, p_ref, p, v_ref):
     return (kx * (rx - px) + vx, ky * (ry - py) + vy, kz * (rz - pz) + vz)
 
 
-def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
+def velocity_loop(gains, integrate, v_d, v, a_ref, integrator, dt):
     """Acceleration demand from velocity error.
 
     Returns ``(a_d, integrator')``.  The integrator stores the gain-scaled
     integral term directly, accumulates ``kvi * error * dt`` per call and
-    is clamped per axis; it is passed through unchanged in PD mode.  A
-    step of the integral that overflows raises ``FloatingPointError``
-    rather than reaching the clamp.
+    is clamped per axis; it is passed through unchanged unless
+    ``integrate`` is true.  A step of the integral that overflows raises
+    ``FloatingPointError`` rather than reaching the clamp.
     """
     (dx, dy, dz), (vx, vy, vz) = v_d, v
     ex, ey, ez = dx - vx, dy - vy, dz - vz
-    if mode.use_integrator:
+    if integrate:
         (kx, ky, kz), (ix, iy, iz) = gains.kvi, integrator
         ix, iy, iz = ix + kx * ex * dt, iy + ky * ey * dt, iz + kz * ez * dt
         if not (math.isfinite(ix) and math.isfinite(iy)
@@ -286,9 +282,9 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     finite.
     """
     v_d = position_loop(gains, sample.p, state.p, sample.v)
-    freeze = mode.integrator_frozen if ctx.thrust_saturated else mode
     a_d, ctx.integrator = velocity_loop(
-        gains, freeze, v_d, state.v, sample.a, ctx.integrator, dt)
+        gains, mode.use_integrator and not ctx.thrust_saturated, v_d, state.v,
+        sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
         params, gains, mode, a_d, flat)
     if not free_fall or ctx.held_quat is None:

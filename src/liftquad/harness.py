@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import NamedTuple
 
+from .config import CONDITIONS
 from .control import (ControlInput, ControllerContext, Measurement,
                       controller_step)
 from .dynamics import VehicleState, actuator_lag, require_finite, rk4_step
@@ -78,18 +79,6 @@ def _squared_errors(p_ref, p):
         yield dx * dx + dy * dy + dz * dz
 
 
-def rmse(p_ref, p):
-    """Root-mean-square Euclidean position error over two series of
-    3-vectors of one length; the sum of squares is exactly rounded
-    (``math.fsum``)."""
-    n = len(p_ref)
-    if n == 0 or len(p) == 0:
-        raise EmptySeriesError("empty series")
-    if len(p) != n:
-        raise ValueError(f"series of {n} and {len(p)} points")
-    return math.sqrt(math.fsum(_squared_errors(p_ref, p)) / n)
-
-
 class RunResult:
     """Logged time series of one run plus scalar summaries.
 
@@ -134,15 +123,12 @@ class RunResult:
 
     @property
     def rmse(self):
+        """E_p: the root-mean-square Euclidean position error over the
+        rows; the sum of squares is exactly rounded (``math.fsum``)."""
         if not self.n_rows:
             raise EmptySeriesError("empty series")
         squares = _squared_errors(self._vectors("p_ref"), self._vectors("p"))
         return math.sqrt(math.fsum(squares) / self.n_rows)
-
-    @property
-    def position_error(self):
-        """Each row's Euclidean position error, as a list."""
-        return list(self._errors())
 
     def peak_error(self, speed_below=None):
         """Largest position error, optionally restricted to ticks where
@@ -301,7 +287,6 @@ def condition_matrix(cfg):
     """Run the four controller conditions and the rate-feedforward
     ablation on one shared reference and plant; returns their five
     :class:`Cell` in that order and never raises on a diverging cell."""
-    from .config import CONDITIONS
     cells = [_run_cell(name, cfg.with_condition(name)) for name in CONDITIONS]
     base = cfg.with_condition("pid-dfaf")
     ablation_cfg = base.replace(

@@ -15,7 +15,7 @@ package against; none of them runs in a simulation.
 * a central-difference audit of the trajectories' analytic derivatives;
 * the trace CSV formatted one value at a time, an oracle for
   :meth:`liftquad.harness.RunResult.write_csv`, and the numpy form of
-  :func:`liftquad.harness.rmse`;
+  :attr:`liftquad.harness.RunResult.rmse`;
 * gravity as a numpy vector, :data:`GRAVITY_VEC`.
 """
 
@@ -176,7 +176,7 @@ def csv_text(table):
 
 def rmse(p_ref, p):
     """Root-mean-square Euclidean position error over two ``(n, 3)``
-    series, the numpy form of :func:`liftquad.harness.rmse`: numpy's
+    series, the numpy form of :attr:`liftquad.harness.RunResult.rmse`: numpy's
     pairwise mean of the squared errors where the package rounds their
     sum once."""
     diff = np.asarray(p_ref, dtype=float) - np.asarray(p, dtype=float)
@@ -257,15 +257,16 @@ def position_loop(gains, p_ref, p, v_ref):
     return np.asarray(gains.kpp) * (p_ref - p) + v_ref
 
 
-def velocity_loop(gains, mode, v_d, v, a_ref, integrator, dt):
+def velocity_loop(gains, integrate, v_d, v, a_ref, integrator, dt):
     """Acceleration demand from velocity error.
 
     Returns ``(a_d, integrator')``.  The integrator stores the gain-scaled
     integral term directly, accumulates ``kvi * error * dt`` per call and
-    is clamped per axis; it is passed through unchanged in PD mode.
+    is clamped per axis; it is passed through unchanged unless
+    ``integrate`` is true.
     """
     error = v_d - v
-    if mode.use_integrator:
+    if integrate:
         limit = gains.integrator_limit
         step = np.asarray(gains.kvi) * error * dt
         integrator = np.clip(integrator + step, -limit, limit)
@@ -337,9 +338,9 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     Deterministic given its arguments.
     """
     v_d = position_loop(gains, sample.p, state.p, sample.v)
-    freeze = mode.replace(use_integrator=False) if ctx.thrust_saturated else mode
     a_d, ctx.integrator = velocity_loop(
-        gains, freeze, v_d, state.v, sample.a, ctx.integrator, dt)
+        gains, mode.use_integrator and not ctx.thrust_saturated, v_d, state.v,
+        sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
         params, gains, mode, a_d, flat)
     if not free_fall or ctx.held_quat is None:

@@ -210,11 +210,17 @@ def test_edge_airframes_meet_the_exit_code_contract(tmp_path, capsys, edges):
 
 
 def test_check_reports_overflow_as_divergence(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "model.wind.x = 1e200\n")
-    code = main(["check", "--config", cfg, "--duration", "1"])
-    assert code == EXIT_DIVERGED
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: the run went non-finite (overflow")
+    # the sweep overflows in the flatness transform: on the wind estimate
+    # at once, and in the smooth branch's checks on a model of absurd drag
+    for override, time in (("model.wind.x = 1e200", "0.000"),
+                           ("model.cd0 = 1e300", "0.556")):
+        cfg = write_cfg(tmp_path, override + "\n")
+        code = main(["check", "--config", cfg, "--duration", "1"])
+        assert code == EXIT_DIVERGED
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: the run went non-finite (overflow "
+                               "encountered in the flatness transform) "
+                               f"at t={time} s ")
 
 
 def test_tick_count_is_bounded(tmp_path, capsys):
@@ -240,7 +246,8 @@ def test_tick_count_is_bounded(tmp_path, capsys):
              "trajectory.speed_cap = 1e308", "trajectory.p0.x"),
     ("flat", "trajectory.kind = line\ntrajectory.speed_cap = 1e308",
      "trajectory.speed_cap"),
-    ("sim", "sim.delay_ticks = 1" + "0" * 23, "sim.delay_ticks")])
+    ("sim", "sim.delay_ticks = 1" + "0" * 23, "sim.delay_ticks"),
+    ("sim", "limits.thrust_factor = -1", "limits.thrust_factor")])
 def test_out_of_range_key_is_a_config_error(tmp_path, capsys, command, text,
                                             key):
     # refused before the run starts: one line naming the key, no trace
@@ -326,6 +333,20 @@ def test_compare_writes_matrix(tmp_path, capsys):
     assert summary.startswith("duration 1 s\n")
     assert "rate-ff-off" in summary
     assert "pid-dfaf" in capsys.readouterr().out
+
+
+def test_compare_never_fails_on_a_diverging_cell(tmp_path, capsys):
+    # a controller model of absurd mass overflows the plant in every
+    # cell: compare still exits 0, with each cell marked in the summary
+    cfg = write_cfg(tmp_path, "model.mass = 1e300\n")
+    code = main(["compare", "--config", cfg, "--duration", "1",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert len(summary) == 7
+    for line in summary[2:]:
+        assert line.endswith("  diverged at t=0.00 s, ref speed 0.00 m/s")
+    assert not capsys.readouterr().err
 
 
 def test_check_prints_feasibility(capsys):

@@ -8,8 +8,11 @@ angle, at one RK4 substep per tick, is 3.67, 2.24, 1.48 and 1.28 mm on
 the stock circle and 0.218, 0.308, 0.363 and 0.321 mm on the stock
 figure-eight; four substeps move the circle's by at most 1.0e-11 m.
 Taking the rate feedforward away multiplies the circle's peak error
-below 10 m/s by 8.15, 11.2, 15.6 and 17.1 (criterion 7 asks for 3).
-Each test prints its margins the way the acceptance criteria do.
+below 10 m/s by 8.15, 11.2, 15.6 and 17.1 (criterion 7 asks for 3), and
+E_p on the 10 m figure-eight at 34 deg by 77.5 and 52.6 at
+``trajectory.omega`` 0.5 and 1.0 rad/s: the bandwidth the paper claims
+for it.  Each test prints its margins the way the acceptance criteria
+do.
 """
 
 from functools import cache
@@ -26,16 +29,18 @@ FIGURE_EIGHT_E_P_BOUNDS = {16: 4.4e-4, 34: 6.2e-4, 60: 7.3e-4, 90: 6.5e-4}
 SUBSTEP_TOLERANCE = 1e-9
 # criterion 7: the ablation's peak error below 10 m/s over the baseline's
 ABLATION_RATIO = 3.0
+# the 10 m figure-eight's E_p without the rate feedforward over with it
+BANDWIDTH_RATIO = 20.0
 
 
 @cache
-def angle_run(kappa_deg, kind="circle", rate_ff=True, substeps=1):
+def angle_run(kappa_deg, kind="circle", rate_ff=True, substeps=1, **keys):
     raw = {"sim.duration": "12", "trajectory.kind": kind,
            "plant.kappa_deg": str(kappa_deg),
            "model.kappa_deg": str(kappa_deg),
            "mode.rate_ff": "true" if rate_ff else "false",
            "sim.substeps": str(substeps),
-           **{f"gains.kff.{axis}": "1" for axis in "xyz"}}
+           **{f"gains.kff.{axis}": "1" for axis in "xyz"}, **keys}
     return run_experiment(build_config(raw))
 
 
@@ -73,3 +78,18 @@ def test_rate_feedforward_ablation_degrades_tracking_at_every_angle(
     print(f"kappa {kappa_deg} deg ablation: PASS (peak error "
           f"{base * 1e3:.2f} mm -> {ablated * 1e3:.2f} mm, ratio "
           f"{ratio:.1f} >= {ABLATION_RATIO:g})")
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0])
+def test_rate_feedforward_raises_the_tracking_bandwidth(omega):
+    # below the knee (about 1.2 rad/s here), a faster figure-eight is
+    # tracked many times better with the body-rate feedforward than
+    # without it
+    on, off = (angle_run(34, "lemniscate", rate_ff, **{
+        "trajectory.radius": "10", "trajectory.omega": str(omega)}).rmse
+        for rate_ff in (True, False))
+    ratio = off / on
+    assert ratio >= BANDWIDTH_RATIO
+    print(f"omega {omega:g} rad/s figure-eight: PASS (E_p "
+          f"{on * 1e3:.2f} mm -> {off * 1e3:.1f} mm without the rate "
+          f"feedforward, ratio {ratio:.1f} >= {BANDWIDTH_RATIO:g})")

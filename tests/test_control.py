@@ -82,9 +82,8 @@ def test_position_loop_arithmetic():
 
 def test_velocity_loop_pd_only():
     gains = ControlGains(kvp=2.0, kvi=0.5)
-    mode = ControlMode(use_integrator=False)
     integ = np.array([0.3, 0.0, 0.0])
-    a_d, integ_out = velocity_loop(gains, mode, np.array([1.0, 0.0, 0.0]),
+    a_d, integ_out = velocity_loop(gains, False, np.array([1.0, 0.0, 0.0]),
                                    np.zeros(3), np.array([0.0, 0.0, 0.5]),
                                    integ, 0.01)
     assert_allclose(a_d, [2.3, 0.0, 0.5])
@@ -93,13 +92,12 @@ def test_velocity_loop_pd_only():
 
 def test_velocity_loop_integrator_accumulates():
     gains = ControlGains(kvp=0.0, kvi=2.0)
-    mode = ControlMode()
     integ = np.zeros(3)
     errors = [np.array([1.0, -0.5, 0.0]), np.array([0.5, -0.5, 2.0])]
     dt = 0.1
     expected = np.zeros(3)
     for err in errors:
-        a_d, integ = velocity_loop(gains, mode, err, np.zeros(3), np.zeros(3),
+        a_d, integ = velocity_loop(gains, True, err, np.zeros(3), np.zeros(3),
                                    integ, dt)
         expected = expected + gains.kvi * err * dt
         assert_allclose(integ, expected)
@@ -110,7 +108,7 @@ def test_velocity_loop_integrator_clamps():
     gains = ControlGains(kvp=0.0, kvi=10.0, integrator_limit=1.0)
     integ = np.zeros(3)
     for _ in range(100):
-        _, integ = velocity_loop(gains, ControlMode(),
+        _, integ = velocity_loop(gains, True,
                                  np.array([5.0, -5.0, 0.0]), np.zeros(3),
                                  np.zeros(3), integ, 0.1)
     assert_allclose(integ, [1.0, -1.0, 0.0])
@@ -279,8 +277,8 @@ def test_controller_step_matches_manual_stage_replay():
 
     # oracle: replay each stage with the public pieces
     v_d = position_loop(gains, sample.p, state.p, sample.v)
-    a_d, integ = velocity_loop(gains, mode, v_d, state.v, sample.a,
-                               np.zeros(3), dt)
+    a_d, integ = velocity_loop(gains, mode.use_integrator, v_d, state.v,
+                               sample.a, np.zeros(3), dt)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
         PARAMS, gains, mode, a_d, flat)
     omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), state.q,
@@ -328,8 +326,8 @@ def test_saturated_step_keeps_other_mode_flags():
     ctx_ref = ControllerContext(integrator=np.asarray(ctx.integrator),
                                 thrust_saturated=True)
     v_d = position_loop(gains, sample.p, state.p, sample.v)
-    a_d, _ = velocity_loop(gains, ControlMode(use_integrator=False), v_d,
-                           state.v, sample.a, ctx_ref.integrator, 0.004)
+    a_d, _ = velocity_loop(gains, False, v_d, state.v, sample.a,
+                           ctx_ref.integrator, 0.004)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
         PARAMS, gains, mode, a_d, flat)
     omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), state.q,
@@ -376,7 +374,7 @@ def test_each_overflow_check_raises_the_one_error(case):
     flat = flatness_transform(PARAMS, sample)
     if case == "integral":
         def call():
-            velocity_loop(ControlGains(kvi=1e308), ControlMode(),
+            velocity_loop(ControlGains(kvi=1e308), True,
                           (10.0, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3,
                           (0.0,) * 3, 1.0)
         where, value = "velocity_loop", "ix"

@@ -20,7 +20,7 @@ from liftquad.flatness import SingularCase
 from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
                               DivergenceError, EmptySeriesError, RunResult,
                               condition_matrix, feasibility_check,
-                              feedforward_trace, format_matrix, rmse,
+                              feedforward_trace, format_matrix,
                               run_experiment)
 from liftquad.record import Record
 from liftquad.trajectories import (TrajectoryDef, TrajectoryKind,
@@ -183,30 +183,36 @@ def test_with_condition_sets_mode_flags():
 # --- rmse -------------------------------------------------------------------
 
 
+def result_of(p_ref, p):
+    """A RunResult whose rows hold the positions ``p_ref`` and ``p``."""
+    n_rows = len(p_ref)
+    result = RunResult(array("d", [0.0]) * (n_rows * COLUMNS["v_ref"].stop),
+                       n_rows)
+    result.table[:, COLUMNS["p_ref"]] = p_ref
+    result.table[:, COLUMNS["p"]] = p
+    return result
+
+
 def test_rmse_zero_for_identical_series():
     p = np.arange(30.0).reshape(10, 3)
-    assert rmse(p, p) == 0.0
+    assert result_of(p, p).rmse == 0.0
 
 
 def test_rmse_constant_offset():
     p = np.zeros((4, 3))
-    assert rmse(p + np.array([3.0, 4.0, 0.0]), p) == pytest.approx(5.0)
+    offset = result_of(p + np.array([3.0, 4.0, 0.0]), p)
+    assert offset.rmse == pytest.approx(5.0)
 
 
 def test_rmse_two_sample_hand_value():
     p_ref = np.zeros((2, 3))
     p = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    assert rmse(p_ref, p) == pytest.approx(1.5811388300841898)
+    assert result_of(p_ref, p).rmse == pytest.approx(1.5811388300841898)
 
 
 def test_rmse_rejects_empty():
     with pytest.raises(EmptySeriesError):
-        rmse(np.zeros((0, 3)), np.zeros((0, 3)))
-
-
-def test_rmse_rejects_series_of_two_lengths():
-    with pytest.raises(ValueError, match="series of 2 and 3 points"):
-        rmse(np.zeros((2, 3)), np.zeros((3, 3)))
+        result_of(np.zeros((0, 3)), np.zeros((0, 3))).rmse
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,7 +223,7 @@ def test_rmse_is_the_numpy_rmse(points):
     # adds them pairwise; each square is the same, and the two sums part
     # by at most 63 roundings of at most half an ulp of the total
     table = np.array(points)
-    ours = rmse(table[:, :3], table[:, 3:])
+    ours = result_of(table[:, :3], table[:, 3:]).rmse
     assert math.isclose(ours, numpy_rmse(table[:, :3], table[:, 3:]),
                         rel_tol=1e-14, abs_tol=0.0)
 
@@ -302,7 +308,7 @@ def test_near_zero_actuator_lag_tracks_like_no_lag():
 def test_matched_circle_error_stays_small():
     result = run_experiment(short_circle(**{"mode.integrator": "false"}))
     assert result.rmse < 0.1
-    assert result.position_error[-1] < 0.1
+    assert np.linalg.norm(result.p_ref[-1] - result.p[-1]) < 0.1
 
 
 def test_zero_feedback_run_diverges():
@@ -320,7 +326,7 @@ def test_zero_feedback_run_diverges():
     assert err.ref_speed >= 0.0
     partial = err.result
     assert len(partial.t) >= 1
-    assert partial.position_error[-1] > 5.0
+    assert np.linalg.norm(partial.p_ref[-1] - partial.p[-1]) > 5.0
     assert "abort radius" in str(err)
 
 
@@ -553,7 +559,6 @@ def test_summaries_are_numpy_over_the_views():
     result = run_experiment(cfg)
     error = np.linalg.norm(result.p_ref - result.p, axis=1)
     speed = np.linalg.norm(result.v_ref, axis=1)
-    assert result.position_error == error.tolist()
     assert result.peak_error() == np.max(error)
     for below in (0.5, 1.0, 1.5):
         assert 0 < np.count_nonzero(speed < below) < len(speed)

@@ -7,7 +7,7 @@ import pytest
 
 from liftquad.aero import AeroParams
 from liftquad.config import ConfigError, ExperimentConfig
-from liftquad.control import ControlGains, ControlLimits, ControlMode
+from liftquad.control import ControlGains, ControlLimits
 from liftquad.dynamics import PlantConfig
 from liftquad.trajectories import TrajectoryDef
 
@@ -16,8 +16,7 @@ _DERIVED = [
     (AeroParams(kappa=math.radians(52.0), cla=2.6), "cos_kappa"),
     (AeroParams(kappa=math.radians(52.0), cla=2.6), "sin_kappa"),
     (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_thrust_decay"),
-    (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_omega_decay"),
-    (ControlMode(), "integrator_frozen")]
+    (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_omega_decay")]
 
 
 @pytest.mark.parametrize("record, name", _DERIVED,
@@ -47,15 +46,6 @@ def test_plant_copy_derives_its_decay_factors_again():
         assert copy._omega_decay == (math.exp(-copy.step / copy.tau_omega)
                                      if copy.tau_omega else 0.0)
     assert plant.replace(step=0.001)._thrust_decay != plant._thrust_decay
-
-
-def test_mode_without_integrator_is_built_once_per_mode():
-    pid = ControlMode(use_rate_feedforward=False)
-    pd = pid.integrator_frozen
-    assert pd == pid.replace(use_integrator=False)
-    assert pd.integrator_frozen is pd
-    # a tick after the thrust floor reads the slot: no copy per tick
-    assert pid.integrator_frozen is pd
 
 
 @pytest.mark.parametrize("record, change, error", [
