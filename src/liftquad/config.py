@@ -38,7 +38,7 @@ CONDITIONS = {
 
 _KINDS = {k.value: k for k in TrajectoryKind}
 
-# Most rows a run may log; 10**7 rows of a RunResult are about 2.2 GB.
+# Most rows a run may log; 10**7 rows of a RunResult are about 1.9 GB.
 MAX_ROWS = 10**7
 # Most plant substeps a run may integrate; at about 0.1 ms each, 10**8
 # substeps take about three hours.
@@ -309,9 +309,12 @@ def build_config(raw):
             integrator_limit=values["gains.integrator_limit"])
         if values["limits.thrust_factor"] < 0.0:
             raise ConfigError("limits.thrust_factor must be >= 0")
-        limits = ControlLimits(
-            thrust_min=-values["limits.thrust_factor"] * model.mass * GRAVITY,
-            omega_max=values["limits.omega_max"])
+        thrust_min = -values["limits.thrust_factor"] * model.mass * GRAVITY
+        if not math.isfinite(thrust_min):
+            raise ConfigError("limits.thrust_factor times model.mass * g "
+                              "must be finite")
+        limits = ControlLimits(thrust_min=thrust_min,
+                               omega_max=values["limits.omega_max"])
     except ConfigError:
         raise
     except ValueError as exc:

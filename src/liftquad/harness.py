@@ -17,7 +17,7 @@ import struct
 from array import array
 from collections import deque
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import NamedTuple
 
 from .config import CONDITIONS
@@ -30,23 +30,16 @@ from .trajectories import sample as sample_trajectory
 
 CSV_COLUMNS = ("t,px,py,pz,prx,pry,prz,vx,vy,vz,qw,qx,qy,qz,"
                "qdw,qdx,qdy,qdz,fz,wx,wy,wz,alpha,singular")
-# RunResult.table's columns by name: the trace's, in CSV_COLUMNS order,
-# then the reference velocity, which the trace does not write
+# RunResult.table's columns by name, in CSV_COLUMNS order
 COLUMNS = {"t": 0, "p": slice(1, 4), "p_ref": slice(4, 7), "v": slice(7, 10),
            "q": slice(10, 14), "q_d": slice(14, 18), "thrust": 18,
-           "omega": slice(19, 22), "alpha": 22, "singular": 23,
-           "v_ref": slice(24, 27)}
-_WIDTH = COLUMNS["v_ref"].stop
+           "omega": slice(19, 22), "alpha": 22, "singular": 23}
+_WIDTH = CSV_COLUMNS.count(",") + 1
 # one row of RunResult.rows as machine doubles, written in one call
 _ROW = struct.Struct(f"{_WIDTH}d")
-_CSV_WIDTH = CSV_COLUMNS.count(",") + 1
-_CSV_LINE = ",".join(["%.17g"] * _CSV_WIDTH) + "\n"
+_CSV_LINE = ",".join(["%.17g"] * _WIDTH) + "\n"
 # rows formatted per write: bounds what the CSV holds as Python objects
 _CSV_BATCH = 256
-# which values of a batch of rows the CSV writes: each row's trace
-# columns, not the reference velocity after them
-_CSV_KEEP = ((True,) * _CSV_WIDTH
-             + (False,) * (_WIDTH - _CSV_WIDTH)) * _CSV_BATCH
 # the condition matrix's last cell: pid-dfaf without the rate feedforward
 ABLATION = "rate-ff-off"
 
@@ -82,9 +75,10 @@ def _squared_errors(p_ref, p):
 class RunResult:
     """Logged time series of one run plus scalar summaries.
 
-    ``rows`` holds ``n_rows`` rows of the columns named in ``COLUMNS``,
-    row after row, in one preallocated ``array('d')`` that never
-    resizes; :meth:`head` shares it, so results compare by identity.
+    ``rows`` holds ``n_rows`` rows of the trace's columns, named in
+    ``COLUMNS``, row after row, in one preallocated ``array('d')`` that
+    never resizes; :meth:`head` shares it, so results compare by
+    identity.
     ``table`` is the rows as a numpy array over the same memory, and
     each name in ``COLUMNS`` reads as a view of its columns
     (``result.p`` is the measured position); they import numpy on first
@@ -116,11 +110,6 @@ class RunResult:
         columns = COLUMNS[name]
         return zip(*map(self._column, range(columns.start, columns.stop)))
 
-    def _errors(self):
-        """Each row's Euclidean position error, in row order."""
-        return map(math.sqrt, _squared_errors(self._vectors("p_ref"),
-                                              self._vectors("p")))
-
     @property
     def rmse(self):
         """E_p: the root-mean-square Euclidean position error over the
@@ -130,15 +119,10 @@ class RunResult:
         squares = _squared_errors(self._vectors("p_ref"), self._vectors("p"))
         return math.sqrt(math.fsum(squares) / self.n_rows)
 
-    def peak_error(self, speed_below=None):
-        """Largest position error, optionally restricted to ticks where
-        the reference speed is still below ``speed_below``."""
-        if speed_below is None:
-            return max(self._errors())
-        speeds = (math.sqrt(x * x + y * y + z * z)
-                  for x, y, z in self._vectors("v_ref"))
-        return max((error for error, speed in zip(self._errors(), speeds)
-                    if speed < speed_below), default=0.0)
+    def peak_error(self):
+        """Largest Euclidean position error over the rows."""
+        return math.sqrt(max(_squared_errors(self._vectors("p_ref"),
+                                             self._vectors("p"))))
 
     @classmethod
     def allocate(cls, cfg):
@@ -152,7 +136,7 @@ class RunResult:
         its values in ``COLUMNS`` order."""
         _ROW.pack_into(self.rows, k * _ROW.size, t, *state.p, *ref.p,
                        *state.v, *q, *q_d, cmd.thrust, *cmd.omega,
-                       flat.alpha, flat.singular, *ref.v)
+                       flat.alpha, flat.singular)
 
     def head(self, n_rows):
         """The first ``n_rows`` rows, e.g. a diverged run's partial trace."""
@@ -167,8 +151,7 @@ class RunResult:
             for start in range(0, self.n_rows, _CSV_BATCH):
                 stop = min(start + _CSV_BATCH, self.n_rows)
                 batch = self.rows[start * _WIDTH:stop * _WIDTH]
-                handle.write(_CSV_LINE * (stop - start)
-                             % tuple(compress(batch, _CSV_KEEP)))
+                handle.write(_CSV_LINE * (stop - start) % tuple(batch))
 
 
 def _went_non_finite(reason, t, ref, result, k):

@@ -16,6 +16,8 @@ package against; none of them runs in a simulation.
 * the trace CSV formatted one value at a time, an oracle for
   :meth:`liftquad.harness.RunResult.write_csv`, and the numpy form of
   :attr:`liftquad.harness.RunResult.rmse`;
+* the peak position error below a reference speed, which criterion 7
+  reads, with the reference speed sampled again from the trajectory;
 * gravity as a numpy vector, :data:`GRAVITY_VEC`.
 """
 
@@ -32,7 +34,7 @@ from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL,
                                TransformContext, thrust_and_alpha)
 from liftquad.geom import (UNIT_TOL, NonOrthonormalError, lateral_axis,
                            quat_conj, quat_mul, quat_to_axis_angle)
-from liftquad.harness import CSV_COLUMNS
+from liftquad.harness import COLUMNS, CSV_COLUMNS
 from liftquad.trajectories import sample
 
 GRAVITY_VEC = np.array([0.0, 0.0, GRAVITY])  # NED: +z is down
@@ -164,12 +166,10 @@ def unskew(m):
 
 
 def csv_text(table):
-    """The trace CSV of a result ``table``: the header, then each row's
-    trace columns, every value formatted on its own to 17 significant
-    digits."""
-    width = len(CSV_COLUMNS.split(","))
+    """The trace CSV of a result ``table``: the header, then each row,
+    every value formatted on its own to 17 significant digits."""
     lines = [CSV_COLUMNS]
-    for row in table[:, :width]:
+    for row in table:
         lines.append(",".join(f"{x:.17g}" for x in row.tolist()))
     return "".join(line + "\n" for line in lines)
 
@@ -181,6 +181,24 @@ def rmse(p_ref, p):
     sum once."""
     diff = np.asarray(p_ref, dtype=float) - np.asarray(p, dtype=float)
     return float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
+
+
+def peak_error_below(result, trajectory, speed_below):
+    """Largest position error of ``result`` over the rows whose reference
+    speed is still below ``speed_below`` (0.0 when there is none).
+
+    The trace holds no reference velocity, so each row's is sampled
+    again from ``trajectory`` at the row's time, which the trace stores
+    exactly as the run computed it."""
+    peak = 0.0
+    for row in result.table.tolist():
+        x, y, z = sample(trajectory, row[COLUMNS["t"]]).v
+        if math.sqrt(x * x + y * y + z * z) < speed_below:
+            (px, py, pz), (rx, ry, rz) = (row[COLUMNS["p"]],
+                                          row[COLUMNS["p_ref"]])
+            dx, dy, dz = rx - px, ry - py, rz - pz
+            peak = max(peak, math.sqrt(dx * dx + dy * dy + dz * dz))
+    return peak
 
 
 def derivative_check(traj, t, h):

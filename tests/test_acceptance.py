@@ -21,8 +21,8 @@ from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
 from liftquad.harness import DivergenceError, run_experiment
 from liftquad.trajectories import TrajectoryDef, TrajectoryKind, sample
 from oracles import (GRAVITY_VEC, aero_force_wind, aero_force_wing,
-                     body_to_wing_rotation, rodrigues, unskew,
-                     wing_to_wind_rotation)
+                     body_to_wing_rotation, peak_error_below, rodrigues,
+                     unskew, wing_to_wind_rotation)
 
 PARAMS = AeroParams()
 
@@ -223,10 +223,11 @@ def test_criterion_7_rate_feedforward_ablation_degrades_tracking():
     base_cfg = config_from(text).with_condition("pid-dfaf")
     ablation_cfg = base_cfg.replace(
         mode=base_cfg.mode.replace(use_rate_feedforward=False))
-    base_peak = run_experiment(base_cfg).peak_error(speed_below=10.0)
+    circle = base_cfg.trajectory
+    base_peak = peak_error_below(run_experiment(base_cfg), circle, 10.0)
     try:
-        ablation_peak = run_experiment(ablation_cfg).peak_error(
-            speed_below=10.0)
+        ablation_peak = peak_error_below(run_experiment(ablation_cfg),
+                                         circle, 10.0)
     except DivergenceError:
         report(7, "ablated run diverged; baseline completed")
         return

@@ -1,5 +1,6 @@
 """Command-line front end: outputs, overrides, exit codes."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -247,7 +248,8 @@ def test_tick_count_is_bounded(tmp_path, capsys):
     ("flat", "trajectory.kind = line\ntrajectory.speed_cap = 1e308",
      "trajectory.speed_cap"),
     ("sim", "sim.delay_ticks = 1" + "0" * 23, "sim.delay_ticks"),
-    ("sim", "limits.thrust_factor = -1", "limits.thrust_factor")])
+    ("sim", "limits.thrust_factor = -1", "limits.thrust_factor"),
+    ("check", "limits.thrust_factor = 1e308", "limits.thrust_factor")])
 def test_out_of_range_key_is_a_config_error(tmp_path, capsys, command, text,
                                             key):
     # refused before the run starts: one line naming the key, no trace
@@ -360,6 +362,32 @@ def test_check_prints_feasibility(capsys):
 def test_unknown_condition_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["sim", "--condition", "nonsense"])
+
+
+# sha256 of 2 s traces on two paths the thrust-floor probe in
+# tests/test_control.py does not take: the open-loop figure-eight, and a
+# hover in wind with both actuator lags and a two-tick measurement delay
+_TRACE_SHA256 = {
+    "flat": (
+        "trajectory.kind = lemniscate\n",
+        "8693198c94f00d6eb62f648595a5d5e8b21cab02882e1299a132d145ab110a02"),
+    "sim": (
+        "trajectory.kind = hover\n"
+        "plant.wind.x = 4.0\nplant.wind.y = -2.0\nplant.wind.z = 0.0\n"
+        "plant.tau_omega = 0.03\nplant.tau_thrust = 0.05\n"
+        "sim.delay_ticks = 2\n",
+        "f729963802e8224d3e75adac5207e8e30d0f9e080222fd0ecdb53f57b3e45412"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TRACE_SHA256))
+def test_trace_is_unchanged(tmp_path, command):
+    text, digest = _TRACE_SHA256[command]
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--duration", "2",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    trace = (tmp_path / f"{command}.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == digest
 
 
 def test_flat_trace_is_deterministic(tmp_path):

@@ -21,6 +21,7 @@ import pytest
 
 from liftquad.config import build_config
 from liftquad.harness import run_experiment
+from oracles import peak_error_below
 
 # installation angle (deg) -> bound on E_p (m), twice the measured value
 E_P_BOUNDS = {16: 7.5e-3, 34: 4.5e-3, 60: 3.0e-3, 90: 2.6e-3}
@@ -33,15 +34,18 @@ ABLATION_RATIO = 3.0
 BANDWIDTH_RATIO = 20.0
 
 
+def angle_config(kappa_deg, kind="circle", rate_ff=True, substeps=1, **keys):
+    return build_config({
+        "sim.duration": "12", "trajectory.kind": kind,
+        "plant.kappa_deg": str(kappa_deg), "model.kappa_deg": str(kappa_deg),
+        "mode.rate_ff": "true" if rate_ff else "false",
+        "sim.substeps": str(substeps),
+        **{f"gains.kff.{axis}": "1" for axis in "xyz"}, **keys})
+
+
 @cache
-def angle_run(kappa_deg, kind="circle", rate_ff=True, substeps=1, **keys):
-    raw = {"sim.duration": "12", "trajectory.kind": kind,
-           "plant.kappa_deg": str(kappa_deg),
-           "model.kappa_deg": str(kappa_deg),
-           "mode.rate_ff": "true" if rate_ff else "false",
-           "sim.substeps": str(substeps),
-           **{f"gains.kff.{axis}": "1" for axis in "xyz"}, **keys}
-    return run_experiment(build_config(raw))
+def angle_run(*args, **keys):
+    return run_experiment(angle_config(*args, **keys))
 
 
 @pytest.mark.parametrize("kappa_deg", sorted(E_P_BOUNDS))
@@ -70,9 +74,10 @@ def test_rate_feedforward_ablation_degrades_tracking_at_every_angle(
         kappa_deg):
     # criterion 7 away from 34 deg: without the body-rate feedforward
     # the peak error at reference speeds below 10 m/s at least triples
-    base = angle_run(kappa_deg).peak_error(speed_below=10.0)
-    ablated = angle_run(kappa_deg, rate_ff=False).peak_error(
-        speed_below=10.0)
+    circle = angle_config(kappa_deg).trajectory
+    base = peak_error_below(angle_run(kappa_deg), circle, 10.0)
+    ablated = peak_error_below(angle_run(kappa_deg, rate_ff=False), circle,
+                               10.0)
     ratio = ablated / base
     assert ratio >= ABLATION_RATIO
     print(f"kappa {kappa_deg} deg ablation: PASS (peak error "

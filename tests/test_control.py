@@ -337,16 +337,16 @@ def test_saturated_step_keeps_other_mode_flags():
     assert_allclose(cmd.omega, expected.omega)
 
 
-# sha256 of the fast figure-eight's trace below, as written before the
-# integrator-frozen mode was built once per mode instead of per tick
+# sha256 of the thrust-floor probe's trace below, which pins byte for
+# byte the ticks on which velocity_loop gets a False ``integrate`` bool
 _THRUST_FLOOR_PROBE_SHA256 = (
     "8d4f5dc47f8ba5cc8fac035cb90272d77f42bb0753571c59bc5203aba8993dab")
 
 
 def test_thrust_floor_probe_trace_is_unchanged(tmp_path, monkeypatch):
     # a 20 m figure-eight at 1 rad/s with the full aerodynamic
-    # feedforward holds thrust at its floor on 723 ticks, so the velocity
-    # loop runs the integrator-frozen mode on the tick after each
+    # feedforward holds thrust at its floor on 723 ticks, so velocity_loop
+    # gets integrate=False on the tick after each
     cfg = build_config({
         "trajectory.kind": "lemniscate", "trajectory.radius": "20",
         "trajectory.omega": "1.0", "sim.duration": "12",

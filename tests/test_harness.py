@@ -25,7 +25,11 @@ from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
 from liftquad.record import Record
 from liftquad.trajectories import (TrajectoryDef, TrajectoryKind,
                                    sample as sample_trajectory)
-from oracles import csv_text, quat_to_mat, rmse as numpy_rmse
+from oracles import (csv_text, peak_error_below, quat_to_mat,
+                     rmse as numpy_rmse)
+
+# columns of the trace, and of every row of RunResult.rows
+WIDTH = len(CSV_COLUMNS.split(","))
 
 
 def config_from(text):
@@ -186,8 +190,7 @@ def test_with_condition_sets_mode_flags():
 def result_of(p_ref, p):
     """A RunResult whose rows hold the positions ``p_ref`` and ``p``."""
     n_rows = len(p_ref)
-    result = RunResult(array("d", [0.0]) * (n_rows * COLUMNS["v_ref"].stop),
-                       n_rows)
+    result = RunResult(array("d", [0.0]) * (n_rows * WIDTH), n_rows)
     result.table[:, COLUMNS["p_ref"]] = p_ref
     result.table[:, COLUMNS["p"]] = p
     return result
@@ -283,7 +286,7 @@ def test_closed_loop_starts_where_the_feedforward_does(kind):
     run = run_experiment(cfg)
     trace = feedforward_trace(cfg)
     assert np.array_equal(run.p[0], run.p_ref[0])
-    for name in ("p", "p_ref", "v", "v_ref", "q", "alpha", "singular"):
+    for name in ("p", "p_ref", "v", "q", "alpha", "singular"):
         assert np.array_equal(getattr(run, name)[0], getattr(trace, name)[0])
 
 
@@ -439,7 +442,7 @@ def test_csv_layout_and_round_trip(tmp_path):
     assert lines[0] == CSV_COLUMNS
     assert len(lines) == len(result.t) + 1
     data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    assert data.shape == (len(result.t), 24)
+    assert data.shape == (len(result.t), WIDTH) == result.table.shape
     # 17 significant digits round-trip doubles exactly
     assert_allclose(data[:, 0], result.t, rtol=0, atol=0)
     assert_allclose(data[:, 1:4], result.p, rtol=0, atol=0)
@@ -451,22 +454,23 @@ def test_csv_layout_and_round_trip(tmp_path):
     assert_allclose(data[:, 19:22], result.omega, rtol=0, atol=0)
     assert_allclose(data[:, 22], result.alpha, rtol=0, atol=0)
     assert np.array_equal(data[:, 23].astype(int), result.singular)
-    # the table is the trace plus the reference velocity, views included
-    assert np.array_equal(result.table[:, :24], data)
-    assert result.v_ref.base is result.table
+    # the table is the trace, and its views share its memory
+    assert np.array_equal(result.table, data)
+    assert result.p.base is result.table
     assert result.table.base is result.rows
 
 
 def test_store_fills_each_column_its_view_reads():
-    # a distinct sentinel per value: every COLUMNS view, v_ref included,
-    # reads back exactly what store was given for it, so the row store
-    # writes and the layout COLUMNS names cannot drift apart
+    # a distinct sentinel per value: every COLUMNS view reads back
+    # exactly what store was given for it, so the row store writes and
+    # the layout COLUMNS names cannot drift apart; the reference gives
+    # only its position, the one field of it the trace holds
     sentinels = iter(np.arange(100.0, 200.0))
 
     def take(n):
         return tuple(next(sentinels) for _ in range(n))
 
-    ref = SimpleNamespace(p=take(3), v=take(3))
+    ref = SimpleNamespace(p=take(3))
     state = SimpleNamespace(p=take(3), v=take(3))
     q, q_d = take(4), take(4)
     cmd = control.ControlInput(*take(1), take(3))
@@ -476,7 +480,7 @@ def test_store_fills_each_column_its_view_reads():
     expected = {"t": t, "p": state.p, "p_ref": ref.p, "v": state.v,
                 "q": q, "q_d": q_d, "thrust": cmd.thrust,
                 "omega": cmd.omega, "alpha": flat.alpha,
-                "singular": int(SingularCase.AXIS_ALIGNED), "v_ref": ref.v}
+                "singular": int(SingularCase.AXIS_ALIGNED)}
     assert expected.keys() == COLUMNS.keys()
     result = RunResult.allocate(config_from("sim.duration = 0.008"))
     result.store(1, t, ref, state, q, q_d, cmd, flat)
@@ -507,7 +511,7 @@ def test_csv_bytes_are_the_per_value_formatter(tmp_path_factory, palette,
     # largest doubles, integers, every singular flag) and for row counts
     # around the batch size; the table is a head, like a partial trace
     rng = np.random.default_rng(seed)
-    shape = (n_rows + 2, COLUMNS["v_ref"].stop)
+    shape = (n_rows + 2, WIDTH)
     table = np.array(palette)[rng.integers(len(palette), size=shape)]
     table[:, COLUMNS["singular"]] = rng.integers(0, 3, size=n_rows + 2)
     result = RunResult(array("d", table.tobytes()), len(table)).head(n_rows)
@@ -546,9 +550,20 @@ def test_condition_matrix_runs_all_cells():
 
 
 def test_peak_error_speed_filter():
-    result = run_experiment(short_circle(**{"sim.duration": 2}))
-    assert result.peak_error(speed_below=0.5) <= result.peak_error()
-    assert result.peak_error(speed_below=1e-9) == 0.0
+    # the speed-filtered peak criterion 7 reads: the numpy maximum over
+    # the rows whose resampled reference speed is below the bound
+    cfg = short_circle(**{"sim.duration": 2})
+    result = run_experiment(cfg)
+    error = np.linalg.norm(result.p_ref - result.p, axis=1)
+    speed = np.array([np.linalg.norm(sample_trajectory(cfg.trajectory, t).v)
+                      for t in result.t.tolist()])
+    for below in (0.5, 1.0, 1.5):
+        assert 0 < np.count_nonzero(speed < below) < len(speed)
+        assert peak_error_below(result, cfg.trajectory, below) == np.max(
+            error[speed < below])
+    assert peak_error_below(result, cfg.trajectory, math.inf) == (
+        result.peak_error())
+    assert peak_error_below(result, cfg.trajectory, 1e-9) == 0.0
 
 
 def test_summaries_are_numpy_over_the_views():
@@ -558,12 +573,7 @@ def test_summaries_are_numpy_over_the_views():
     cfg = short_circle(**{"sim.duration": 2})
     result = run_experiment(cfg)
     error = np.linalg.norm(result.p_ref - result.p, axis=1)
-    speed = np.linalg.norm(result.v_ref, axis=1)
     assert result.peak_error() == np.max(error)
-    for below in (0.5, 1.0, 1.5):
-        assert 0 < np.count_nonzero(speed < below) < len(speed)
-        assert result.peak_error(speed_below=below) == np.max(
-            error[speed < below])
     assert math.isclose(result.rmse, numpy_rmse(result.p_ref, result.p),
                         rel_tol=1e-15, abs_tol=0.0)
     trace = feedforward_trace(cfg)
