@@ -199,7 +199,6 @@ _SCHEMA = {
     "mode.integrator": ("bool", _DEFAULT.mode.use_integrator),
     "mode.aero_ff": ("bool", _DEFAULT.mode.use_aero_feedforward),
     "mode.rate_ff": ("bool", _DEFAULT.mode.use_rate_feedforward),
-    "mode.printed_projection": ("bool", _DEFAULT.mode.printed_accel_projection),
     "sim.duration": ("float", _DEFAULT.duration),
     "sim.rate": ("int", _DEFAULT.rate),
     "sim.substeps": ("int", _DEFAULT.substeps),
@@ -322,8 +321,7 @@ def build_config(raw):
     mode = ControlMode(
         use_integrator=values["mode.integrator"],
         use_aero_feedforward=values["mode.aero_ff"],
-        use_rate_feedforward=values["mode.rate_ff"],
-        printed_accel_projection=values["mode.printed_projection"])
+        use_rate_feedforward=values["mode.rate_ff"])
     return ExperimentConfig(
         trajectory=trajectory, plant=plant, model=model,
         wind_est=vec("model.wind"), gains=gains, limits=limits, mode=mode,

@@ -95,20 +95,14 @@ class ControlMode(Frozen):
     ``use_integrator`` picks PID vs PD on velocity; ``use_aero_feedforward``
     enables the model-based aerodynamic compensation;
     ``use_rate_feedforward`` adds the flatness body rate to the command.
-    ``printed_accel_projection`` switches to the alternate published
-    normalization for comparison runs: the thrust projection uses the
-    raw acceleration demand (gravity and feedforward not removed) and is
-    scaled by its norm; off by default because it no longer returns
-    exactly the weight in hover.
     """
 
     __slots__ = _fields = ("use_integrator", "use_aero_feedforward",
-                           "use_rate_feedforward", "printed_accel_projection")
+                           "use_rate_feedforward")
 
     def __init__(self, use_integrator=True, use_aero_feedforward=True,
-                 use_rate_feedforward=True, printed_accel_projection=False):
-        self._set(use_integrator, use_aero_feedforward, use_rate_feedforward,
-                  printed_accel_projection)
+                 use_rate_feedforward=True):
+        self._set(use_integrator, use_aero_feedforward, use_rate_feedforward)
 
 
 class ControlLimits(Frozen):
@@ -217,20 +211,17 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
     thrust is zero.  A demand whose norm is not finite raises
     ``FloatingPointError`` before either case is chosen.
     """
-    dx, dy, dz = a_d
-    rx, ry, rz = dx, dy, dz - GRAVITY
+    rx, ry, rz = a_d
+    rz -= GRAVITY
     rotation_ff = flat.rotation
     if mode.use_aero_feedforward:
         (kx, ky, kz), (fx, fy, fz) = gains.kff, aero_accel(
             params, rotation_ff, flat.airspeed)
         rx, ry, rz = rx - kx * fx, ry - ky * fy, rz - kz * fz
     rotor_norm = math.sqrt(rx * rx + ry * ry + rz * rz)
-    # the printed projection also divides by the demand's norm
-    demand_norm = (math.sqrt(dx * dx + dy * dy + dz * dz)
-                   if mode.printed_accel_projection else FREE_FALL_ACCEL)
-    if not (math.isfinite(rotor_norm) and math.isfinite(demand_norm)):
+    if not math.isfinite(rotor_norm):
         raise overflow_error(_LAYER)
-    if rotor_norm < FREE_FALL_ACCEL or demand_norm < FREE_FALL_ACCEL:
+    if rotor_norm < FREE_FALL_ACCEL:
         return rotation_ff, 0.0, True
     force = (rx / rotor_norm, ry / rotor_norm, rz / rotor_norm)
     (hx, _, _), (hy, _, _), (hz, _, _) = rotation_ff
@@ -240,10 +231,7 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
     # x_body = y_body x z_body
     xx, xy, xz = yy * zz - yz * zy, yz * zx - yx * zz, yx * zy - yy * zx
     rotation = ((xx, yx, zx), (xy, yy, zy), (xz, yz, zz))
-    if mode.printed_accel_projection:
-        thrust = -params.mass * (rx * dx + ry * dy + rz * dz) / demand_norm
-    else:
-        thrust = params.mass * (zx * rx + zy * ry + zz * rz)
+    thrust = params.mass * (zx * rx + zy * ry + zz * rz)
     return rotation, min(thrust, 0.0), False
 
 

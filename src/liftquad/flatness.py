@@ -50,6 +50,9 @@ SPEED_SINGULAR_EXIT = 0.5
 CROSS_ALIGN_TOL = 1e-6
 # Relative tolerance on the body-rate system determinant.
 DET_TOL = 1e-9
+# Bound on the body-rate system's Hadamard ratio, |det| over the product
+# of its row norms, below which the system counts as singular.
+HADAMARD_TOL = 1e-6
 
 _TINY = 1e-9
 _LAYER = "the flatness transform"
@@ -205,8 +208,9 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air,
     the differentiated no-sideslip condition
     ``w_x*v_z - w_z*v_x = -g_y`` (body-frame airspeed components, body-y
     gravity component).  Raises :class:`SingularSystemError` when the
-    system determinant vanishes relative to the matrix scale, and
-    ``FloatingPointError`` when that scale overflows.
+    system determinant vanishes relative to the matrix scale or to the
+    product of its row norms, and ``FloatingPointError`` when that scale
+    overflows.
     """
     vx, vy, vz = v_air
     if airspeed < _TINY:
@@ -245,7 +249,12 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air,
     # expanded along the middle column: no pivot to divide by
     inner = a10 * u + a12 * w
     det = a01 * inner
-    if scale < _TINY or abs(det) < DET_TOL * cube:
+    # each row norm is at most the scale, so a determinant above
+    # HADAMARD_TOL * cube passes the row-norm test without computing it
+    if scale < _TINY or abs(det) < DET_TOL * cube or (
+            abs(det) < HADAMARD_TOL * cube
+            and abs(det) < HADAMARD_TOL * math.hypot(a00, a01, a02)
+            * math.hypot(a10, a12) * math.hypot(w, u)):
         raise SingularSystemError("body-rate system is singular")
     # rows 1 and 2 hold w_x and w_z only; row 0 then gives w_y
     wx = (rhs1 * u + a12 * rhs2) / inner

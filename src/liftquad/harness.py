@@ -190,17 +190,8 @@ def run_experiment(cfg):
     # without a lagging channel the plant holds the command as it is
     lags = plant.tau_thrust != 0.0 or plant.tau_omega != 0.0
     result = RunResult.allocate(cfg)
-    ticks = _ticks(cfg, result)
-    first = next(ticks)
-    _, _, ref0, flat0 = first
-    state = VehicleState(ref0.p, ref0.v, flat0.rotation)
     control_ctx = ControllerContext()
-    applied = ControlInput(flat0.thrust, flat0.omega)
-    # position-only measurement delay; the oldest entry is what the
-    # controller sees this tick
-    p_history = deque([state.p], maxlen=cfg.delay_ticks + 1)
-
-    for k, t, ref, flat in chain([first], ticks):
+    for k, t, ref, flat in _ticks(cfg, result):
         try:
             if k:   # the plant follows the previous tick's command to t
                 for _ in range(substeps):
@@ -208,6 +199,12 @@ def run_experiment(cfg):
                     state = rk4_step(plant, state, applied)
                 require_finite(state)
                 p_history.append(state.p)
+            else:   # the start-up
+                state = VehicleState(ref.p, ref.v, flat.rotation)
+                applied = ControlInput(flat.thrust, flat.omega)
+                # position-only measurement delay; the oldest entry is
+                # what the controller sees this tick
+                p_history = deque([state.p], maxlen=cfg.delay_ticks + 1)
             q = mat_to_quat(state.R)
             measured = Measurement(p_history[0], state.v, q)
             # the command the plant holds until the next tick

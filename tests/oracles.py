@@ -27,7 +27,7 @@ import numpy as np
 
 from liftquad.aero import GRAVITY, aero_accel
 from liftquad.control import (_CROSS_TOL, FREE_FALL_ACCEL, ControlInput)
-from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL,
+from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL, HADAMARD_TOL,
                                SPEED_SINGULAR_ENTER, SPEED_SINGULAR_EXIT,
                                DegenerateBalanceError, FlatnessOutput,
                                SingularCase, SingularSystemError,
@@ -306,8 +306,7 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
         a_ff = aero_accel(params, flat.rotation, flat.airspeed)
         a_rotor = a_rotor - np.asarray(gains.kff) * a_ff
     rotor_norm = norm(a_rotor)
-    if rotor_norm < FREE_FALL_ACCEL or (mode.printed_accel_projection
-                                        and norm(a_d) < FREE_FALL_ACCEL):
+    if rotor_norm < FREE_FALL_ACCEL:
         return flat.rotation, 0.0, True
     force = a_rotor / rotor_norm
     _, y_body = lateral_axis(force, (flat.wind_axis, flat.rotation[:, 0]),
@@ -315,10 +314,7 @@ def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
     z_body = -force
     x_body = cross3(y_body, z_body)
     rotation = np.column_stack((x_body, y_body, z_body))
-    if mode.printed_accel_projection:
-        thrust = -params.mass * float(a_rotor @ a_d) / norm(a_d)
-    else:
-        thrust = params.mass * float(z_body @ a_rotor)
+    thrust = params.mass * float(z_body @ a_rotor)
     return rotation, min(thrust, 0.0), False
 
 
@@ -431,12 +427,15 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
     the differentiated no-sideslip condition
     ``w_x*v_z - w_z*v_x = -g_y`` (body-frame airspeed components, body-y
     gravity component).  Raises :class:`SingularSystemError` when the
-    system determinant vanishes relative to the matrix scale.
+    system determinant vanishes relative to the matrix scale or to the
+    product of its row norms.
     """
     a_mat, rhs, det = body_rate_system(params, sample, rotation, thrust,
                                        v_air)
     scale = norm(a_mat)
-    if scale < _TINY or abs(det) < DET_TOL * scale ** 3:
+    rows = norm(a_mat[0]) * norm(a_mat[1]) * norm(a_mat[2])
+    if (scale < _TINY or abs(det) < DET_TOL * scale ** 3
+            or abs(det) < HADAMARD_TOL * rows):
         raise SingularSystemError("body-rate system is singular")
     return np.linalg.solve(a_mat, rhs)
 

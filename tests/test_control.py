@@ -126,29 +126,26 @@ def test_hover_demand_gives_level_attitude_and_weight():
 
 def test_free_fall_demand_holds_attitude():
     # on the reference, the stock loops demand a = g: free fall
-    falling = FlatSample(np.zeros(3), np.zeros(3), GRAVITY_VEC, np.zeros(3))
-    # the printed projection divides by the demand: a zero one holds too
-    hover = FlatSample(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
+    ref = FlatSample(np.zeros(3), np.zeros(3), GRAVITY_VEC, np.zeros(3))
     state = measured(np.zeros(3), np.zeros(3), rodrigues(EZ, 0.3))
-    for mode, ref in ((ControlMode(), falling),
-                      (ControlMode(printed_accel_projection=True), hover)):
-        flat = flatness_transform(PARAMS, ref)
-        _, thrust, free_fall = accel_to_attitude_thrust(
-            PARAMS, ControlGains(), mode, ref.a, flat)
-        assert free_fall and thrust == 0.0
-        # a fresh context takes the reference attitude
-        ctx = ControllerContext()
-        cmd = controller_step(PARAMS, ControlGains(), mode, ControlLimits(),
-                              ref, flat, state, ctx, 0.004)
-        assert cmd.thrust == 0.0
-        assert np.array_equal(ctx.held_quat, mat_to_quat(flat.rotation))
-        # a held attitude survives bit for bit
-        held = mat_to_quat(rodrigues(EZ, -0.7))
-        ctx = ControllerContext(held_quat=held)
-        controller_step(PARAMS, ControlGains(), mode, ControlLimits(), ref,
-                        flat, state, ctx, 0.004)
-        assert ctx.held_quat is held
-        assert np.array_equal(held, mat_to_quat(rodrigues(EZ, -0.7)))
+    mode = ControlMode()
+    flat = flatness_transform(PARAMS, ref)
+    _, thrust, free_fall = accel_to_attitude_thrust(
+        PARAMS, ControlGains(), mode, ref.a, flat)
+    assert free_fall and thrust == 0.0
+    # a fresh context takes the reference attitude
+    ctx = ControllerContext()
+    cmd = controller_step(PARAMS, ControlGains(), mode, ControlLimits(),
+                          ref, flat, state, ctx, 0.004)
+    assert cmd.thrust == 0.0
+    assert np.array_equal(ctx.held_quat, mat_to_quat(flat.rotation))
+    # a held attitude survives bit for bit
+    held = mat_to_quat(rodrigues(EZ, -0.7))
+    ctx = ControllerContext(held_quat=held)
+    controller_step(PARAMS, ControlGains(), mode, ControlLimits(), ref,
+                    flat, state, ctx, 0.004)
+    assert ctx.held_quat is held
+    assert np.array_equal(held, mat_to_quat(rodrigues(EZ, -0.7)))
 
 
 def test_aero_feedforward_shifts_demand():
@@ -177,18 +174,6 @@ def test_lateral_axis_prefers_airspeed_direction():
         PARAMS, ControlGains(), ControlMode(), sample.a, flat)
     rotation = np.asarray(rotation)
     assert abs(float(rotation[:, 1] @ flat.wind_axis)) < 1e-12
-
-
-def test_printed_projection_differs_but_stays_nonpositive():
-    sample, flat = cruise_reference()
-    a_d = np.array([1.0, 0.5, -0.5])
-    _, thrust_std, _ = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(), a_d, flat)
-    _, thrust_alt, _ = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(printed_accel_projection=True),
-        a_d, flat)
-    assert thrust_alt <= 0.0
-    assert thrust_alt != pytest.approx(thrust_std)
 
 
 def test_attitude_loop_zero_error_returns_feedforward():

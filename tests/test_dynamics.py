@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from liftquad import dynamics
@@ -182,13 +182,20 @@ def _at_the_guard(**fields):
        direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
        fraction=st.floats(0.0, 1.0),
        attitude=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+# an airspeed of 6e-8 m/s in a 1 m/s wind, along a direction the rank-1
+# drag matrix does not damp: only the rounding of the stored velocity
+# moves the energy, by +1.7e-9 relative
+@example(mass=1.0, rho=1.0, area=1.0, cd0=0.0, cy0=0.0, cla=1.0, kappa=1.0,
+         speed=0.0, wind=[0.0, 0.0, 1.0], rate=1, direction=[0.0, -1.0, 1.0],
+         fraction=5.960464477539063e-08, attitude=[0.0, 0.0, 1.0])
 def test_guard_accepted_drag_only_plant_dissipates_energy(
         mass, rho, area, cd0, cy0, cla, kappa, speed, wind, rate, direction,
         fraction, attitude):
     # the drag-only plant (zero thrust, no gravity, no body rate) at a
     # step the guard accepts, the fewest substeps it names most often:
     # from any airspeed up to the guard's (the line's speed plus the
-    # wind) the kinetic energy in the air's frame never grows
+    # wind) the kinetic energy in the air's frame never grows, beyond
+    # the half ulp that storing each velocity component may round by
     aero = AeroParams(mass=mass, kappa=kappa, rho=rho, area=area, cd0=cd0,
                       cy0=cy0, cla=cla)
     cfg = _at_the_guard(
@@ -212,7 +219,8 @@ def test_guard_accepted_drag_only_plant_dissipates_energy(
         for _ in range(200):
             state = rk4_step(cfg.plant, state, inp)
             cur = energy(state)
-            assert cur <= prev * (1.0 + 1e-12)
+            assert cur <= prev * (1.0 + 1e-12) + sum(
+                abs(x - w) * math.ulp(x) for x, w in zip(state.v, wind))
             prev = cur
 
 

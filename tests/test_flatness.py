@@ -264,6 +264,17 @@ def test_rate_system_rejects_zero_airspeed():
                                    sample.v, 0.0)
 
 
+def test_ill_conditioned_rate_system_takes_the_zero_rate():
+    # an axis-aligned sample whose body-rate system passes the scale test
+    # but has a Hadamard ratio of 3.8e-8: it solved to omega ~ 1e8 rad/s
+    params = AeroParams(mass=1.0, kappa=1.0, cd0=5.96e-08, cy0=1.0, cla=3.0)
+    out = flatness_transform(params, make_sample([0.0] * 3, GRAVITY_VEC,
+                                                 [0.0, 1.0, 0.0]),
+                             wind=(0.0, 0.0, 1.0))
+    assert out.singular is SingularCase.AXIS_ALIGNED
+    assert out.omega == (0.0, 0.0, 0.0)
+
+
 def test_rate_system_with_subnormal_coefficients_stays_quiet():
     # a subnormal lift slope puts subnormal entries in the body-rate
     # system; deciding that it is singular must not divide by them

@@ -108,6 +108,9 @@ def test_config_values_comments_and_degrees():
     ("plant.rho = thick", "bad value"),
     ("mode.integrator = yes", "bad value"),
     ("trajectory.kind = spiral", "bad value"),
+    # the thrust has one projection, so no key selects another
+    ("mode.printed_projection = false",
+     "unknown key 'mode.printed_projection'"),
 ])
 def test_config_rejects_malformed_input(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -212,8 +212,8 @@ def test_float_flatness_transform_is_the_numpy_oracle(params, sample, ctx,
 @given(params=airframes, sample=samples, wind=winds,
        offset=vectors(50.0), v=vectors(50.0), attitude=units(4),
        held=st.none() | units(4), integrator=vectors(3.0),
-       saturated=st.booleans(), switches=st.lists(st.booleans(), min_size=4,
-                                                  max_size=4))
+       saturated=st.booleans(), switches=st.lists(st.booleans(), min_size=3,
+                                                  max_size=3))
 def test_controller_commands_stay_within_limits(
         params, sample, wind, offset, v, attitude, held, integrator,
         saturated, switches):
@@ -278,13 +278,13 @@ def assert_controllers_agree(params, gains, mode, limits, sample, flat, p, v,
        integrator=st.just(np.zeros(3)) | vectors(3.0),
        limit=st.sampled_from([0.0, 0.5, 3.0]),
        saturated=st.booleans(),
-       switches=st.lists(st.booleans(), min_size=4, max_size=4))
+       switches=st.lists(st.booleans(), min_size=3, max_size=3))
 def test_float_controller_is_the_numpy_oracle(
         params, sample, wind, offset, v, attitude, held, integrator, limit,
         saturated, switches):
     # on and off the reference (v None: the vehicle flies the reference
     # velocity, so a = g references fall freely), PID and PD, both
-    # projections, both feedforwards, clamped and frozen integrators
+    # feedforwards, clamped and frozen integrators
     mode = ControlMode(*switches)
     ff_params = params if mode.use_aero_feedforward else params.zeroed()
     flat = flatness_transform(ff_params, sample, wind=wind)
@@ -308,13 +308,9 @@ _NO_AERO = ControlMode(use_aero_feedforward=False)
          (0, 0, 0), ControlLimits(), (0.0, -1.0, 0.0)),
         (_NO_AERO, (5.0, 0.0, _G), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0),
          (0, 0, 0), ControlLimits(), (0.0, 0.0, -1.0)),
-        # free fall, and the printed projection's zero demand
+        # free fall
         (_NO_AERO, (0.0, 0.0, _G), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0),
          (0, 0, 0), ControlLimits(), None),
-        (ControlMode(use_aero_feedforward=False,
-                     printed_accel_projection=True),
-         (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0), (0, 0, 0),
-         ControlLimits(), None),
         # the thrust floor, whose next tick freezes the integrator
         (ControlMode(), (0.0, 0.0, -3.0 * _G), (1.0, 0.0, 0.0), np.eye(3),
          (0.0, 0.0, 5.0), (0.5, -0.5, 0.5), ControlLimits(thrust_min=-10.0),
@@ -322,8 +318,7 @@ _NO_AERO = ControlMode(use_aero_feedforward=False)
         # the integrator clamp on all three axes
         (ControlMode(), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.eye(3),
          (-5.0, 5.0, -5.0), (2.999, -2.999, 2.999), ControlLimits(), None),
-    ], ids=["earth-x", "earth-y", "free-fall", "printed-free-fall",
-            "thrust-floor", "clamp"])
+    ], ids=["earth-x", "earth-y", "free-fall", "thrust-floor", "clamp"])
 def test_float_controller_is_the_numpy_oracle_on_every_branch(
         mode, a_ref, heading, flat_rotation, v, integrator, limits, y_body):
     params, gains = AeroParams(), ControlGains()
