@@ -60,8 +60,9 @@ def _axis_vector(name, value):
             vec = ()
         if len(vec) != 3:
             raise ValueError(f"{name} must be a scalar or 3-vector")
-    if any(k < 0.0 for k in vec):
-        raise ValueError(f"{name} entries must be >= 0, got {vec}")
+    for axis, k in zip("xyz", vec):
+        if k < 0.0:
+            raise ValueError(f"gains.{name}.{axis} must be >= 0, got {k}")
     return vec
 
 
@@ -82,10 +83,11 @@ class ControlGains(Frozen):
                  integrator_limit=3.0):
         gains = [_axis_vector(name, value)
                  for name, value in zip(_GAINS, (kpp, kvp, kvi, kff, ktp))]
-        if any(k > 1.0 for k in gains[3]):
-            raise ValueError(f"kff entries must be <= 1, got {gains[3]}")
+        for axis, k in zip("xyz", gains[3]):
+            if k > 1.0:
+                raise ValueError(f"gains.kff.{axis} must be <= 1, got {k}")
         if integrator_limit < 0.0:
-            raise ValueError("integrator_limit must be >= 0")
+            raise ValueError("gains.integrator_limit must be >= 0")
         self._set(*gains, integrator_limit)
 
 
@@ -117,7 +119,7 @@ class ControlLimits(Frozen):
         if thrust_min > 0.0:
             raise ValueError("thrust_min must be <= 0")
         if omega_max <= 0.0:
-            raise ValueError("omega_max must be > 0")
+            raise ValueError("limits.omega_max must be > 0")
         self._set(thrust_min, omega_max)
 
 

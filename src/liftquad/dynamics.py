@@ -72,8 +72,9 @@ class PlantConfig(Frozen):
         wind = (float(wx), float(wy), float(wz))
         if step <= 0.0:
             raise ValueError("integration step must be > 0")
-        if tau_omega < 0.0 or tau_thrust < 0.0:
-            raise ValueError("actuator time constants must be >= 0")
+        for key, tau in (("tau_omega", tau_omega), ("tau_thrust", tau_thrust)):
+            if tau < 0.0:
+                raise ValueError(f"plant.{key} must be >= 0")
         decays = [math.exp(-step / tau) if tau != 0.0 else 0.0
                   for tau in (tau_thrust, tau_omega)]
         self._set(aero, wind, tau_omega, tau_thrust, step, *decays)

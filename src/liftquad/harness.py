@@ -24,7 +24,8 @@ from .config import CONDITIONS
 from .control import (ControlInput, ControllerContext, Measurement,
                       controller_step)
 from .dynamics import VehicleState, actuator_lag, require_finite, rk4_step
-from .flatness import TransformContext, flatness_transform
+from .flatness import (FlatnessOutput, FlatSample, TransformContext,
+                       flatness_transform)
 from .geom import mat_to_quat, overflow_error
 from .trajectories import sample as sample_trajectory
 
@@ -42,6 +43,14 @@ _CSV_LINE = ",".join(["%.17g"] * _WIDTH) + "\n"
 _CSV_BATCH = 256
 # the condition matrix's last cell: pid-dfaf without the rate feedforward
 ABLATION = "rate-ff-off"
+# one recorded reference tick, what the closed loop reads of it: the
+# sample's p, v and a, then the feedforward's rotation rows, thrust,
+# alpha, omega, airspeed, wind axis and singular case
+_TICK_WIDTH = 30
+_TICK = struct.Struct(f"{_TICK_WIDTH}d")
+# the reference streams the running condition_matrix has recorded, by
+# _stream_key; None outside condition_matrix, so no stream outlives it
+_streams = None
 
 
 class EmptySeriesError(ValueError):
@@ -161,10 +170,30 @@ def _went_non_finite(reason, t, ref, result, k):
                            f"the run went non-finite ({reason})")
 
 
+def _stream_key(cfg):
+    """All a run's reference stream depends on: the transform's
+    hysteresis runs on reference speed, never on the plant."""
+    return (cfg.trajectory, cfg.ff_params, cfg.wind_est, cfg.rate,
+            cfg.n_rows)
+
+
 def _ticks(cfg, result):
     """The tick skeleton every run shares: for each row of ``result``,
-    the tick's index, time, reference sample and flatness feedforward,
-    all transforms of one run going through one context."""
+    the tick's index, time, reference sample and flatness feedforward.
+    Inside :func:`condition_matrix` a stream an earlier cell recorded
+    is replayed, and one no cell has is recorded."""
+    streams = _streams
+    if streams is None:
+        return _computed(cfg, result)
+    key = _stream_key(cfg)
+    if key in streams:
+        return _replay(cfg, streams[key])
+    return _recorded(cfg, result, streams, key)
+
+
+def _computed(cfg, result):
+    """The ticks sampled and transformed, all transforms of one run
+    going through one context."""
     dt = 1.0 / cfg.rate
     ff_params = cfg.ff_params
     transform_ctx = TransformContext()
@@ -177,6 +206,32 @@ def _ticks(cfg, result):
         except FloatingPointError as exc:
             raise _went_non_finite(exc, t, ref, result, k) from None
         yield k, t, ref, flat
+
+
+def _recorded(cfg, result, streams, key):
+    """The computed ticks, each also packed into one ``array('d')``
+    that goes into ``streams`` under ``key`` only once the run reached
+    its last tick: a diverged run's partial stream is dropped."""
+    record = array("d", [0.0]) * (cfg.n_rows * _TICK_WIDTH)
+    for k, t, ref, flat in _computed(cfg, result):
+        r0, r1, r2 = flat.rotation
+        _TICK.pack_into(record, k * _TICK.size, *ref.p, *ref.v, *ref.a,
+                        *r0, *r1, *r2, flat.thrust, flat.alpha, *flat.omega,
+                        *flat.airspeed, *flat.wind_axis, flat.singular)
+        yield k, t, ref, flat
+    streams[key] = record
+
+
+def _replay(cfg, record):
+    """The ticks of a recorded stream, each value the float it was (the
+    singular case as its number); the closed loop reads no jerk or yaw,
+    so the samples carry none."""
+    dt = 1.0 / cfg.rate
+    for k, v in enumerate(_TICK.iter_unpack(record)):
+        ref = FlatSample(v[0:3], v[3:6], v[6:9], None, None)
+        flat = FlatnessOutput((v[9:12], v[12:15], v[15:18]), v[18], v[19],
+                              v[20:23], v[23:26], v[26:29], v[29])
+        yield k, k * dt, ref, flat
 
 
 def run_experiment(cfg):
@@ -266,12 +321,22 @@ def _run_cell(name, cfg):
 def condition_matrix(cfg):
     """Run the four controller conditions and the rate-feedforward
     ablation on one shared reference and plant; returns their five
-    :class:`Cell` in that order and never raises on a diverging cell."""
-    cells = [_run_cell(name, cfg.with_condition(name)) for name in CONDITIONS]
-    base = cfg.with_condition("pid-dfaf")
-    ablation_cfg = base.replace(
-        mode=base.mode.replace(use_rate_feedforward=False))
-    return cells + [_run_cell(ABLATION, ablation_cfg)]
+    :class:`Cell` in that order and never raises on a diverging cell.
+
+    The first cell of each distinct reference stream (two, with and
+    without the aero model) records it for the cells after it to
+    replay, 240 bytes per tick; the streams are dropped on return."""
+    global _streams
+    _streams = {}
+    try:
+        cells = [_run_cell(name, cfg.with_condition(name))
+                 for name in CONDITIONS]
+        base = cfg.with_condition("pid-dfaf")
+        ablation_cfg = base.replace(
+            mode=base.mode.replace(use_rate_feedforward=False))
+        return cells + [_run_cell(ABLATION, ablation_cfg)]
+    finally:
+        _streams = None
 
 
 def format_matrix(cells):
@@ -302,9 +367,11 @@ class FeasibilityReport(NamedTuple):
                 and self.omega_peak <= self.omega_max)
 
     def summary(self):
+        """The report in five lines; thrusts to five significant digits,
+        so a value of any size prints in a bounded width."""
         return "\n".join([
-            f"thrust demand   {self.thrust_peak:.3f} N "
-            f"(limit {self.thrust_min:.3f} N)",
+            f"thrust demand   {self.thrust_peak:#.5g} N "
+            f"(limit {self.thrust_min:#.5g} N)",
             f"body-rate demand {self.omega_peak:.4f} rad/s "
             f"(limit {self.omega_max:.4f} rad/s)",
             f"singular ticks  {self.singular_ticks} / {self.total_ticks}",

@@ -71,7 +71,7 @@ class TrajectoryDef(Frozen):
                 raise ValueError(
                     f"trajectory.{key} must be in [{low:g}, {high:g}]")
         if kind is TrajectoryKind.CIRCLE and speed_cap <= 0.0:
-            raise ValueError("speed_cap must be > 0 for the circle")
+            raise ValueError("trajectory.speed_cap must be > 0 for the circle")
         self._set(kind, p0, r, omega, speed_cap, psi_fallback)
 
     def switch_time(self):

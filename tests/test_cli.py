@@ -249,7 +249,15 @@ def test_tick_count_is_bounded(tmp_path, capsys):
      "trajectory.speed_cap"),
     ("sim", "sim.delay_ticks = 1" + "0" * 23, "sim.delay_ticks"),
     ("sim", "limits.thrust_factor = -1", "limits.thrust_factor"),
-    ("check", "limits.thrust_factor = 1e308", "limits.thrust_factor")])
+    ("check", "limits.thrust_factor = 1e308", "limits.thrust_factor"),
+    ("flat", "trajectory.speed_cap = 0", "trajectory.speed_cap"),
+    ("sim", "limits.omega_max = 0", "limits.omega_max"),
+    ("sim", "gains.integrator_limit = -1", "gains.integrator_limit"),
+    ("sim", "plant.tau_omega = -1", "plant.tau_omega"),
+    ("sim", "plant.tau_thrust = -1", "plant.tau_thrust"),
+    ("sim", "gains.kpp.x = -1", "gains.kpp.x"),
+    ("compare", "gains.kvi.z = -1", "gains.kvi.z"),
+    ("sim", "gains.kff.y = 2", "gains.kff.y")])
 def test_out_of_range_key_is_a_config_error(tmp_path, capsys, command, text,
                                             key):
     # refused before the run starts: one line naming the key, no trace
@@ -359,6 +367,21 @@ def test_check_prints_feasibility(capsys):
     assert "feasible        yes" in out
 
 
+@pytest.mark.parametrize("text, line", [
+    ("", "thrust demand   -14.777 N (limit -58.860 N)"),
+    ("limits.thrust_factor = 1e306",
+     "thrust demand   -14.777 N (limit -1.4715e+307 N)"),
+    ("model.mass = 1e100",
+     "thrust demand   -9.8513e+100 N (limit -3.9240e+101 N)")])
+def test_check_prints_thrusts_of_any_size_in_bounded_width(tmp_path, capsys,
+                                                           text, line):
+    # five significant digits: a huge floor or demand once printed with
+    # hundreds of digits
+    cfg = write_cfg(tmp_path, text + "\n")
+    assert main(["check", "--config", cfg, "--duration", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
 def test_unknown_condition_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["sim", "--condition", "nonsense"])
@@ -388,6 +411,34 @@ def test_trace_is_unchanged(tmp_path, command):
                  "--out", str(tmp_path)]) == EXIT_OK
     trace = (tmp_path / f"{command}.csv").read_bytes()
     assert hashlib.sha256(trace).hexdigest() == digest
+
+
+# sha256 of every file a 2 s compare writes at 20% drag/lift mismatch
+# (the compare-mismatch benchmark's config); the cells that share a
+# reference stream must write what five separate runs write
+_COMPARE_SHA256 = {
+    "pid-dfaf.csv":
+        "aefa89a028ef60dc8de9938f0f9ba40d1bcdd726e19ba33aa7c1efd90283cfd3",
+    "pd-dfaf.csv":
+        "40602ad9c623b78bd9b0fdadb8463422d0307112818b33d6bc58f375616af890",
+    "pid-df.csv":
+        "d936bc0996a26436797977891b81ae4b9bd8f84c46bc4c2d127394294e45d559",
+    "pd-df.csv":
+        "d4f968813f4ea5da14e46412397c9987bfff9b86e94f3fa773d105c91794dbef",
+    "rate-ff-off.csv":
+        "9e805a316bf585b900e72f0ed20e66953dcbcd9a7513b7c9175e0ec6ef5d980d",
+    "summary.txt":
+        "577ee98bb8dce4d11c57c75716f139e62a895aec65c7d587fc977769d39ed338",
+}
+
+
+def test_compare_outputs_are_unchanged(tmp_path):
+    cfg = write_cfg(tmp_path, "plant.cd0 = 0.06\nplant.cla = 2.4\n")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--duration", "2",
+                 "--out", str(out)]) == EXIT_OK
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()} == _COMPARE_SHA256
 
 
 def test_flat_trace_is_deterministic(tmp_path):

@@ -49,14 +49,15 @@ def test_gains_broadcast_and_validate():
     assert gains.kvi == (0.5, 0.5, 0.5)
     for name in ("kpp", "kvp", "ktp", "kvi"):
         assert all(type(k) is float for k in getattr(gains, name)), name
-    with pytest.raises(ValueError, match=r"^kvp entries must be >= 0, "
-                                         r"got \(-1\.0, -1\.0, -1\.0\)$"):
+    # each refusal names the config key of the first entry out of range
+    with pytest.raises(ValueError,
+                       match=r"^gains\.kvp\.x must be >= 0, got -1\.0$"):
         ControlGains(kvp=-1.0)
-    with pytest.raises(ValueError, match=r"^ktp entries must be >= 0, "
-                                         r"got \(1\.0, -2\.0, 3\.0\)$"):
+    with pytest.raises(ValueError,
+                       match=r"^gains\.ktp\.y must be >= 0, got -2\.0$"):
         ControlGains(ktp=np.array([1.0, -2.0, 3.0]))
-    with pytest.raises(ValueError, match=r"^kff entries must be <= 1, "
-                                         r"got \(0\.8, 1\.5, 0\.8\)$"):
+    with pytest.raises(ValueError,
+                       match=r"^gains\.kff\.y must be <= 1, got 1\.5$"):
         ControlGains(kff=[0.8, 1.5, 0.8])
     for bad in ([1.0, 2.0], np.zeros(4), [[1.0, 2.0, 3.0]]):
         with pytest.raises(ValueError,

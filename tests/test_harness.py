@@ -552,6 +552,98 @@ def test_condition_matrix_runs_all_cells():
     assert "pid-dfaf" in table and "rate-ff-off" in table
 
 
+# 2 s configs whose cells diverge in every layer, at different ticks, or
+# not at all: (config text, rows each cell logs in condition order)
+_MATRICES = [
+    ("model.mass = 1e300", [1, 1, 1, 1, 1]),          # the plant
+    ("model.cd0 = 1e300", [1, 1, 501, 501, 1]),       # the controller
+    ("model.wind.x = 1e200", [0, 0, 0, 0, 0]),        # the transform
+    # the aero cells finish; pid-df records, pd-df replays and aborts
+    ("plant.cd0 = 0.3\nplant.cla = 6\nsim.abort_radius = 0.08",
+     [501, 501, 501, 499, 501]),
+    # every zeroed-model cell aborts, so no cell replays its stream
+    ("plant.cd0 = 0.3\nplant.cla = 6\nsim.abort_radius = 0.06",
+     [501, 501, 458, 451, 501]),
+    ("trajectory.kind = hover\nmodel.wind.x = 3\nplant.wind.x = 4",
+     [501] * 5),
+    ("trajectory.kind = lemniscate\nplant.tau_omega = 0.03\n"
+     "plant.tau_thrust = 0.05\nsim.delay_ticks = 2", [501] * 5)]
+
+
+@pytest.mark.parametrize("text, rows", _MATRICES,
+                         ids=[text for text, _ in _MATRICES])
+def test_condition_matrix_cells_are_separate_runs(text, rows):
+    # the cells that replay a shared reference stream log, and diverge,
+    # exactly as a run of their own
+    cfg = config_from(text + "\nsim.duration = 2")
+    cells = condition_matrix(cfg)
+    assert [cell.result.n_rows for cell in cells] == rows
+    base = cfg.with_condition("pid-dfaf")
+    configs = [cfg.with_condition(name) for name in CONDITIONS] + [
+        base.replace(mode=base.mode.replace(use_rate_feedforward=False))]
+    for cell, cell_cfg in zip(cells, configs):
+        try:
+            alone, error = run_experiment(cell_cfg), None
+        except DivergenceError as exc:
+            alone, error = exc.result, exc
+        assert cell.result.rows[:cell.result.n_rows * WIDTH] == \
+            alone.rows[:alone.n_rows * WIDTH], cell.name
+        assert cell.result.n_rows == alone.n_rows
+        assert str(cell.error) == str(error), cell.name
+
+
+def test_condition_matrix_transforms_each_reference_once(monkeypatch):
+    # the aero-model stream is recorded by pid-dfaf and replayed by
+    # pd-dfaf and rate-ff-off; the zeroed-model one by pid-df for pd-df
+    counts = Counter()
+    for name in ("sample_trajectory", "flatness_transform"):
+        def counted(*args, name=name, original=getattr(harness, name),
+                    **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    cfg = short_circle(**{"sim.duration": 1})
+    assert all(not cell.diverged for cell in condition_matrix(cfg))
+    assert counts == {"sample_trajectory": 2 * cfg.n_rows,
+                      "flatness_transform": 2 * cfg.n_rows}
+    # a run outside the matrix computes its own stream again
+    run_experiment(cfg)
+    assert counts["flatness_transform"] == 3 * cfg.n_rows
+
+
+def test_a_stream_is_published_only_once_complete(monkeypatch):
+    cfg = short_circle(**{"sim.duration": 0.1})
+    streams = {}
+    monkeypatch.setattr(harness, "_streams", streams)
+    ticks = harness._ticks(cfg, RunResult.allocate(cfg))
+    next(ticks)
+    ticks.close()   # a cell that diverged on its first tick
+    assert streams == {}
+    live = list(harness._ticks(cfg, RunResult.allocate(cfg)))
+    assert list(streams) == [harness._stream_key(cfg)]
+    replayed = list(harness._ticks(cfg, RunResult.allocate(cfg)))
+    assert len(replayed) == len(live) == cfg.n_rows
+    for (k, t, ref, flat), (rk, rt, rref, rflat) in zip(live, replayed):
+        assert (rk, rt) == (k, t)
+        assert (rref.p, rref.v, rref.a) == (ref.p, ref.v, ref.a)
+        assert (rflat.rotation, rflat.thrust, rflat.alpha, rflat.omega,
+                rflat.airspeed, rflat.wind_axis, rflat.singular) == (
+            flat.rotation, flat.thrust, flat.alpha, flat.omega,
+            flat.airspeed, flat.wind_axis, flat.singular)
+
+
+def test_no_stream_outlives_the_matrix(monkeypatch):
+    condition_matrix(short_circle(**{"sim.duration": 0.1}))
+    assert harness._streams is None
+
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(harness, "run_experiment", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        condition_matrix(short_circle(**{"sim.duration": 0.1}))
+    assert harness._streams is None
+
+
 def test_peak_error_speed_filter():
     # the speed-filtered peak criterion 7 reads: the numpy maximum over
     # the rows whose resampled reference speed is below the bound
