@@ -47,17 +47,18 @@ class AeroParams(Frozen):
     def __init__(self, mass=1.5, kappa=math.radians(34.0), rho=1.225,
                  area=0.2, cd0=0.05, cy0=0.0, cla=2.0):
         if mass <= 0.0:
-            raise ValueError("mass must be positive")
+            raise ValueError("mass must be > 0")
         if rho <= 0.0:
-            raise ValueError("air density must be positive")
+            raise ValueError("rho must be > 0")
         if area < 0.0:
-            raise ValueError("wing area must be non-negative")
+            raise ValueError("area must be >= 0")
         if not (KAPPA_MIN < kappa <= KAPPA_MAX):
-            raise ValueError(
-                f"installation angle {math.degrees(kappa):.3g} deg "
-                "outside (15, 90] deg")
-        if cd0 < 0.0 or cla < 0.0:
-            raise ValueError("drag and lift coefficients must be non-negative")
+            raise ValueError(f"kappa_deg must be in (15, 90], "
+                             f"got {math.degrees(kappa):g}")
+        if cd0 < 0.0:
+            raise ValueError("cd0 must be >= 0")
+        if cla < 0.0:
+            raise ValueError("cla must be >= 0")
         c, s = math.cos(kappa), math.sin(kappa)
         cdxz = cla * s * c
         self._set(mass, kappa, rho, area, cd0, cy0, cla, (

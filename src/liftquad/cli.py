@@ -2,8 +2,8 @@
 
 Subcommands: ``flat`` dumps the open-loop flatness feedforward along a
 reference, ``sim`` runs one closed-loop experiment, ``compare`` runs
-the four-condition matrix plus the rate-feedforward ablation, and
-``check`` audits the feedforward demands against the actuator limits.
+the condition matrix, a cell per entry of ``CONDITIONS``, and ``check``
+audits the feedforward demands against the actuator limits.
 Exit codes: 0 success, 2 bad config or arguments, 3 divergence.
 """
 
@@ -12,9 +12,8 @@ import sys
 from pathlib import Path
 
 from .config import CONDITIONS, ConfigError, build_config, load_config
-from .harness import (ABLATION, DivergenceError, condition_matrix,
-                      feasibility_check, feedforward_trace, format_matrix,
-                      run_experiment)
+from .harness import (DivergenceError, condition_matrix, feasibility_check,
+                      feedforward_trace, format_matrix, run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,7 +117,7 @@ def _cmd_compare(args):
     cfg = _resolve_config(args)
     out = _out_dir(args)
     summary = out / "summary.txt"
-    _claim(*(out / f"{name}.csv" for name in (*CONDITIONS, ABLATION)), summary)
+    _claim(*(out / f"{name}.csv" for name in CONDITIONS), summary)
     cells = condition_matrix(cfg)
     for cell in cells:
         _write(out / f"{cell.name}.csv", cell.result.write_csv)

@@ -28,12 +28,15 @@ class ConfigError(ValueError):
     """Invalid config file or config value."""
 
 
-# Controller-condition names: (use_integrator, use_aero_feedforward).
+# The condition matrix's cells in run order, each with the ControlMode
+# switches it sets; the cells that share a reference stream are adjacent.
 CONDITIONS = {
-    "pid-dfaf": (True, True),
-    "pd-dfaf": (False, True),
-    "pid-df": (True, False),
-    "pd-df": (False, False),
+    "pid-dfaf": {"use_integrator": True, "use_aero_feedforward": True},
+    "pd-dfaf": {"use_integrator": False, "use_aero_feedforward": True},
+    "rate-ff-off": {"use_integrator": True, "use_aero_feedforward": True,
+                    "use_rate_feedforward": False},
+    "pid-df": {"use_integrator": True, "use_aero_feedforward": False},
+    "pd-df": {"use_integrator": False, "use_aero_feedforward": False},
 }
 
 _KINDS = {k.value: k for k in TrajectoryKind}
@@ -157,14 +160,10 @@ class ExperimentConfig(Frozen):
 
     def with_condition(self, name):
         """Config for a named controller condition (see CONDITIONS)."""
-        try:
-            use_integrator, use_aero = CONDITIONS[name]
-        except KeyError:
-            raise ConfigError(
-                f"unknown condition {name!r}; expected one of "
-                f"{', '.join(CONDITIONS)}") from None
-        return self.replace(mode=self.mode.replace(
-            use_integrator=use_integrator, use_aero_feedforward=use_aero))
+        if name not in CONDITIONS:
+            raise ConfigError(f"unknown condition {name!r}; expected one of "
+                              f"{', '.join(CONDITIONS)}")
+        return self.replace(mode=self.mode.replace(**CONDITIONS[name]))
 
 
 def _axes(prefix, vector):
@@ -286,7 +285,7 @@ def build_config(raw):
                 **{name: values[f"{section}.{name}"]
                    for name in ("mass", "rho", "area", "cd0", "cy0", "cla")})
         except ValueError as exc:
-            raise ConfigError(f"invalid {section} parameters: {exc}") from None
+            raise ConfigError(f"{section}.{exc}") from None
 
     try:
         trajectory = TrajectoryDef(

@@ -286,16 +286,21 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if not math.isfinite(speed):
         raise overflow_error(_LAYER)
+    px, py, pz = plane = symmetry_plane_vector(params, v_air, sample.a, speed)
+    plane_norm = math.sqrt(px * px + py * py + pz * pz)
+    if not math.isfinite(plane_norm):
+        raise overflow_error(_LAYER)
     threshold = SPEED_SINGULAR_EXIT if ctx.in_singular else SPEED_SINGULAR_ENTER
     if speed < threshold:
         ctx.in_singular = True
-        out = _zero_velocity_output(params, sample, v_air, speed,
+        out = _zero_velocity_output(params, sample, v_air, plane, plane_norm,
                                     ctx.held_axis)
     else:
         axis = (vx / speed, vy / speed, vz / speed)
         ctx.in_singular = False
         ctx.held_axis = axis
-        out = _smooth_output(params, sample, v_air, speed, axis)
+        out = _smooth_output(params, sample, v_air, speed, axis, plane,
+                             plane_norm)
     # the output's attitude, thrust, angle of attack and body rate (its
     # airspeed and wind axis are finite once the speed is)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = out.rotation
@@ -321,9 +326,10 @@ def _refuse(sample):
     raise ValueError("flat sample field psi is not finite")
 
 
-def _smooth_output(params, sample, v_air, speed, axis):
+def _smooth_output(params, sample, v_air, speed, axis, plane, plane_norm):
     """The construction of the module docstring at airspeed ``v_air``
-    of norm ``speed`` along the unit ``axis``, with the aligned-axis
+    of norm ``speed`` along the unit ``axis`` with the symmetry-plane
+    vector ``plane`` of norm ``plane_norm``, with the aligned-axis
     policy where the lateral axis is undefined."""
     ux, uy, uz = axis
     along, perp = wind_frame_accels(axis, sample.a)
@@ -332,10 +338,7 @@ def _smooth_output(params, sample, v_air, speed, axis):
     except DegenerateBalanceError:
         # aerodynamics alone meet the demand: no thrust, chord on the path
         thrust, alpha = 0.0, params.kappa
-    px, py, pz = plane = symmetry_plane_vector(params, v_air, sample.a, speed)
-    plane_norm = math.sqrt(px * px + py * py + pz * pz)
-    if not math.isfinite(plane_norm):
-        raise overflow_error(_LAYER)
+    px, py, pz = plane
     # axis x plane
     cx, cy, cz = uy * pz - uz * py, uz * px - ux * pz, ux * py - uy * px
     cross_norm = math.sqrt(cx * cx + cy * cy + cz * cz)
@@ -375,14 +378,13 @@ def _smooth_output(params, sample, v_air, speed, axis):
                           singular)
 
 
-def _zero_velocity_output(params, sample, v_air, speed, held_axis):
-    """Hover-regime policy: attitude from the held (when there is one) or
+def _zero_velocity_output(params, sample, v_air, plane, plane_norm,
+                          held_axis):
+    """Hover-regime policy about the symmetry-plane vector ``plane`` of
+    norm ``plane_norm``: attitude from the held (when there is one) or
     fallback axis, thrust from the projection of the specific-force
     demand."""
-    px, py, pz = plane = symmetry_plane_vector(params, v_air, sample.a, speed)
-    plane_norm = math.sqrt(px * px + py * py + pz * pz)
-    if not math.isfinite(plane_norm):
-        raise overflow_error(_LAYER)
+    px, py, pz = plane
     c, s = math.cos(sample.psi), math.sin(sample.psi)
     yaw_axis = (c, s, 0.0)
     if plane_norm < _TINY:

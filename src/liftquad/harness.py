@@ -7,9 +7,9 @@ Every tick is logged, including the final one, so a run of N ticks
 yields N+1 rows.  Runs are deterministic: identical configs produce
 byte-identical CSV traces.
 
-``condition_matrix`` repeats one experiment under the four controller
-conditions (PID/PD crossed with aero feedforward on/off) plus a
-rate-feedforward ablation, and reports tracking RMSE per cell.
+``condition_matrix`` repeats one experiment under each cell of
+``config.CONDITIONS`` (PID/PD crossed with aero feedforward on/off, and
+the rate-feedforward ablation), and reports tracking RMSE per cell.
 """
 
 import math
@@ -41,20 +41,18 @@ _ROW = struct.Struct(f"{_WIDTH}d")
 _CSV_LINE = ",".join(["%.17g"] * _WIDTH) + "\n"
 # rows formatted per write: bounds what the CSV holds as Python objects
 _CSV_BATCH = 256
-# the condition matrix's last cell: pid-dfaf without the rate feedforward
-ABLATION = "rate-ff-off"
 # one recorded reference tick, what the closed loop reads of it: the
 # sample's p, v and a, then the feedforward's rotation rows, thrust,
 # alpha, omega, airspeed, wind axis and singular case
 _TICK_WIDTH = 30
 _TICK = struct.Struct(f"{_TICK_WIDTH}d")
-# the reference streams the running condition_matrix has recorded, by
-# _stream_key; None outside condition_matrix, so no stream outlives it
-_streams = None
+# the running condition_matrix's one reference stream, (_stream_key,
+# record), or (None, None); None outside it, so no stream outlives it
+_stream = None
 
 
 class EmptySeriesError(ValueError):
-    """RMSE of an empty series is undefined."""
+    """E_p and the peak error of an empty series are undefined."""
 
 
 class DivergenceError(RuntimeError):
@@ -130,6 +128,8 @@ class RunResult:
 
     def peak_error(self):
         """Largest Euclidean position error over the rows."""
+        if not self.n_rows:
+            raise EmptySeriesError("empty series")
         return math.sqrt(max(_squared_errors(self._vectors("p_ref"),
                                              self._vectors("p"))))
 
@@ -180,15 +180,15 @@ def _stream_key(cfg):
 def _ticks(cfg, result):
     """The tick skeleton every run shares: for each row of ``result``,
     the tick's index, time, reference sample and flatness feedforward.
-    Inside :func:`condition_matrix` a stream an earlier cell recorded
-    is replayed, and one no cell has is recorded."""
-    streams = _streams
-    if streams is None:
+    Inside :func:`condition_matrix` the held stream is replayed when it
+    is the run's, and the run's is recorded in its place otherwise."""
+    if _stream is None:
         return _computed(cfg, result)
     key = _stream_key(cfg)
-    if key in streams:
-        return _replay(cfg, streams[key])
-    return _recorded(cfg, result, streams, key)
+    held, record = _stream
+    if held == key:
+        return _replay(cfg, record)
+    return _recorded(cfg, result, key)
 
 
 def _computed(cfg, result):
@@ -208,10 +208,13 @@ def _computed(cfg, result):
         yield k, t, ref, flat
 
 
-def _recorded(cfg, result, streams, key):
+def _recorded(cfg, result, key):
     """The computed ticks, each also packed into one ``array('d')``
-    that goes into ``streams`` under ``key`` only once the run reached
-    its last tick: a diverged run's partial stream is dropped."""
+    that the slot holds under ``key`` only once the run reached its last
+    tick: a diverged run's partial stream is dropped.  The slot lets go
+    of the stream it held as the first tick starts."""
+    global _stream
+    _stream = (None, None)
     record = array("d", [0.0]) * (cfg.n_rows * _TICK_WIDTH)
     for k, t, ref, flat in _computed(cfg, result):
         r0, r1, r2 = flat.rotation
@@ -219,7 +222,7 @@ def _recorded(cfg, result, streams, key):
                         *r0, *r1, *r2, flat.thrust, flat.alpha, *flat.omega,
                         *flat.airspeed, *flat.wind_axis, flat.singular)
         yield k, t, ref, flat
-    streams[key] = record
+    _stream = (key, record)
 
 
 def _replay(cfg, record):
@@ -319,24 +322,20 @@ def _run_cell(name, cfg):
 
 
 def condition_matrix(cfg):
-    """Run the four controller conditions and the rate-feedforward
-    ablation on one shared reference and plant; returns their five
-    :class:`Cell` in that order and never raises on a diverging cell.
+    """Run each cell of ``CONDITIONS`` on one shared reference and plant;
+    returns their :class:`Cell` in table order and never raises on a
+    diverging cell.
 
-    The first cell of each distinct reference stream (two, with and
-    without the aero model) records it for the cells after it to
-    replay, 240 bytes per tick; the streams are dropped on return."""
-    global _streams
-    _streams = {}
+    The first cell of each reference stream (with, then without the
+    aero model) records it for the adjacent cells to replay, 240 bytes
+    per tick; one stream is held at a time, and none past the return."""
+    global _stream
+    _stream = (None, None)
     try:
-        cells = [_run_cell(name, cfg.with_condition(name))
-                 for name in CONDITIONS]
-        base = cfg.with_condition("pid-dfaf")
-        ablation_cfg = base.replace(
-            mode=base.mode.replace(use_rate_feedforward=False))
-        return cells + [_run_cell(ABLATION, ablation_cfg)]
+        return [_run_cell(name, cfg.with_condition(name))
+                for name in CONDITIONS]
     finally:
-        _streams = None
+        _stream = None
 
 
 def format_matrix(cells):

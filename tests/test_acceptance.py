@@ -221,8 +221,7 @@ def test_criterion_7_rate_feedforward_ablation_degrades_tracking():
     # stock circle, or destabilize the run outright.
     text = "gains.kff.x = 1\ngains.kff.y = 1\ngains.kff.z = 1\n"
     base_cfg = config_from(text).with_condition("pid-dfaf")
-    ablation_cfg = base_cfg.replace(
-        mode=base_cfg.mode.replace(use_rate_feedforward=False))
+    ablation_cfg = config_from(text).with_condition("rate-ff-off")
     circle = base_cfg.trajectory
     base_peak = peak_error_below(run_experiment(base_cfg), circle, 10.0)
     try:

@@ -20,14 +20,17 @@ def random_rotation(rng):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        AeroParams(mass=0.0)
-    with pytest.raises(ValueError):
-        AeroParams(kappa=math.radians(10.0))  # below the installation range
-    with pytest.raises(ValueError):
-        AeroParams(kappa=math.radians(95.0))
-    with pytest.raises(ValueError):
-        AeroParams(cd0=-0.1)
+    # each refusal starts with the field's config key suffix
+    for field, value, message in [
+            ("mass", 0.0, "mass must be > 0"), ("rho", 0.0, "rho must be > 0"),
+            ("area", -1.0, "area must be >= 0"),
+            # below and above the installation range
+            ("kappa", math.radians(10.0), r"kappa_deg must be in \(15, 90\], "
+                                          "got 10$"),
+            ("kappa", math.radians(95.0), "kappa_deg .* got 95$"),
+            ("cd0", -0.1, "cd0 must be >= 0"), ("cla", -0.1, "cla must be >= 0")]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            AeroParams(**{field: value})
     AeroParams(kappa=math.radians(90.0))  # upper bound inclusive
 
 

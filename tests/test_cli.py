@@ -257,7 +257,13 @@ def test_tick_count_is_bounded(tmp_path, capsys):
     ("sim", "plant.tau_thrust = -1", "plant.tau_thrust"),
     ("sim", "gains.kpp.x = -1", "gains.kpp.x"),
     ("compare", "gains.kvi.z = -1", "gains.kvi.z"),
-    ("sim", "gains.kff.y = 2", "gains.kff.y")])
+    ("sim", "gains.kff.y = 2", "gains.kff.y"),
+    ("sim", "plant.mass = 0", "plant.mass"),
+    ("check", "model.rho = 0", "model.rho"),
+    ("flat", "model.area = -1", "model.area"),
+    ("compare", "plant.kappa_deg = 10", "plant.kappa_deg"),
+    ("flat", "model.cd0 = -1", "model.cd0"),
+    ("sim", "plant.cla = -1", "plant.cla")])
 def test_out_of_range_key_is_a_config_error(tmp_path, capsys, command, text,
                                             key):
     # refused before the run starts: one line naming the key, no trace
@@ -427,8 +433,9 @@ _COMPARE_SHA256 = {
         "d4f968813f4ea5da14e46412397c9987bfff9b86e94f3fa773d105c91794dbef",
     "rate-ff-off.csv":
         "9e805a316bf585b900e72f0ed20e66953dcbcd9a7513b7c9175e0ec6ef5d980d",
+    # the summary lists the cells in CONDITIONS order, rate-ff-off third
     "summary.txt":
-        "577ee98bb8dce4d11c57c75716f139e62a895aec65c7d587fc977769d39ed338",
+        "8aba16d35d725260451b135cc1c96120c518e9a192c66d85a7716edaa372d99d",
 }
 
 

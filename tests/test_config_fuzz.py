@@ -12,8 +12,8 @@ tracking errors of such a short run, so that some runs diverge.
 The properties: every subcommand exits 0 with nothing on stderr, 2
 with one ``config error:`` line, or 3 with one ``error:`` line after at
 most the partial-trace line, and never raises; every written row is
-finite; and each of ``compare``'s four condition cells writes the bytes
-``sim --condition`` writes for it.
+finite; and each of ``compare``'s five cells, one per entry of
+``CONDITIONS``, writes the bytes ``sim --condition`` writes for it.
 """
 
 import contextlib

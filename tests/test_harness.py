@@ -173,16 +173,24 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_with_condition_sets_mode_flags():
-    cfg = build_config({})
-    for name, (use_int, use_aero) in CONDITIONS.items():
-        sub = cfg.with_condition(name)
-        assert sub.mode.use_integrator is use_int
-        assert sub.mode.use_aero_feedforward is use_aero
-        if use_aero:
-            assert sub.ff_params is sub.model
-        else:
-            assert sub.ff_params.cla == 0.0
-            assert sub.ff_params.mass == sub.model.mass
+    # (integrator, aero feedforward, rate feedforward) of each cell, in
+    # the order the matrix runs them; None keeps the config's switch
+    expected = {"pid-dfaf": (True, True, None), "pd-dfaf": (False, True, None),
+                "rate-ff-off": (True, True, False),
+                "pid-df": (True, False, None), "pd-df": (False, False, None)}
+    assert list(CONDITIONS) == list(expected)
+    for rate_ff in (True, False):
+        cfg = build_config({"mode.rate_ff": str(rate_ff).lower()})
+        for name, (use_int, use_aero, use_rate) in expected.items():
+            sub = cfg.with_condition(name)
+            assert (sub.mode.use_integrator, sub.mode.use_aero_feedforward,
+                    sub.mode.use_rate_feedforward) == (
+                use_int, use_aero, rate_ff if use_rate is None else use_rate)
+            if use_aero:
+                assert sub.ff_params is sub.model
+            else:
+                assert sub.ff_params.cla == 0.0
+                assert sub.ff_params.mass == sub.model.mass
     with pytest.raises(ConfigError):
         cfg.with_condition("pid")
 
@@ -219,6 +227,12 @@ def test_rmse_two_sample_hand_value():
 def test_rmse_rejects_empty():
     with pytest.raises(EmptySeriesError):
         result_of(np.zeros((0, 3)), np.zeros((0, 3))).rmse
+
+
+def test_peak_error_rejects_empty():
+    # a cell that diverges on tick 0 logs no row
+    with pytest.raises(EmptySeriesError, match="empty series"):
+        result_of(np.zeros((0, 3)), np.zeros((0, 3))).peak_error()
 
 
 @settings(max_examples=200, deadline=None)
@@ -543,7 +557,7 @@ def test_feasibility_stock_circle():
 
 def test_condition_matrix_runs_all_cells():
     cells = condition_matrix(short_circle(**{"sim.duration": 2}))
-    assert [c.name for c in cells] == list(CONDITIONS) + ["rate-ff-off"]
+    assert [c.name for c in cells] == list(CONDITIONS)
     for cell in cells:
         assert not cell.diverged
         assert cell.status() == "ok"
@@ -553,17 +567,17 @@ def test_condition_matrix_runs_all_cells():
 
 
 # 2 s configs whose cells diverge in every layer, at different ticks, or
-# not at all: (config text, rows each cell logs in condition order)
+# not at all: (config text, rows each cell logs in CONDITIONS order)
 _MATRICES = [
     ("model.mass = 1e300", [1, 1, 1, 1, 1]),          # the plant
-    ("model.cd0 = 1e300", [1, 1, 501, 501, 1]),       # the controller
+    ("model.cd0 = 1e300", [1, 1, 1, 501, 501]),       # the controller
     ("model.wind.x = 1e200", [0, 0, 0, 0, 0]),        # the transform
     # the aero cells finish; pid-df records, pd-df replays and aborts
     ("plant.cd0 = 0.3\nplant.cla = 6\nsim.abort_radius = 0.08",
-     [501, 501, 501, 499, 501]),
+     [501, 501, 501, 501, 499]),
     # every zeroed-model cell aborts, so no cell replays its stream
     ("plant.cd0 = 0.3\nplant.cla = 6\nsim.abort_radius = 0.06",
-     [501, 501, 458, 451, 501]),
+     [501, 501, 501, 458, 451]),
     ("trajectory.kind = hover\nmodel.wind.x = 3\nplant.wind.x = 4",
      [501] * 5),
     ("trajectory.kind = lemniscate\nplant.tau_omega = 0.03\n"
@@ -578,10 +592,8 @@ def test_condition_matrix_cells_are_separate_runs(text, rows):
     cfg = config_from(text + "\nsim.duration = 2")
     cells = condition_matrix(cfg)
     assert [cell.result.n_rows for cell in cells] == rows
-    base = cfg.with_condition("pid-dfaf")
-    configs = [cfg.with_condition(name) for name in CONDITIONS] + [
-        base.replace(mode=base.mode.replace(use_rate_feedforward=False))]
-    for cell, cell_cfg in zip(cells, configs):
+    for cell in cells:
+        cell_cfg = cfg.with_condition(cell.name)
         try:
             alone, error = run_experiment(cell_cfg), None
         except DivergenceError as exc:
@@ -613,14 +625,13 @@ def test_condition_matrix_transforms_each_reference_once(monkeypatch):
 
 def test_a_stream_is_published_only_once_complete(monkeypatch):
     cfg = short_circle(**{"sim.duration": 0.1})
-    streams = {}
-    monkeypatch.setattr(harness, "_streams", streams)
+    monkeypatch.setattr(harness, "_stream", (None, None))
     ticks = harness._ticks(cfg, RunResult.allocate(cfg))
     next(ticks)
     ticks.close()   # a cell that diverged on its first tick
-    assert streams == {}
+    assert harness._stream == (None, None)
     live = list(harness._ticks(cfg, RunResult.allocate(cfg)))
-    assert list(streams) == [harness._stream_key(cfg)]
+    assert harness._stream[0] == harness._stream_key(cfg)
     replayed = list(harness._ticks(cfg, RunResult.allocate(cfg)))
     assert len(replayed) == len(live) == cfg.n_rows
     for (k, t, ref, flat), (rk, rt, rref, rflat) in zip(live, replayed):
@@ -632,16 +643,33 @@ def test_a_stream_is_published_only_once_complete(monkeypatch):
             flat.airspeed, flat.wind_axis, flat.singular)
 
 
+def test_one_stream_is_held_at_a_time(monkeypatch):
+    # the slot the matrix's first transform of each stream sees: pid-df
+    # starts recording the zeroed-model stream with the model stream,
+    # which pd-dfaf and rate-ff-off replayed, already let go
+    seen = {}
+
+    def transform(params, *args, original=harness.flatness_transform,
+                  **kwargs):
+        seen.setdefault(params, harness._stream)
+        return original(params, *args, **kwargs)
+    monkeypatch.setattr(harness, "flatness_transform", transform)
+    cfg = short_circle(**{"sim.duration": 0.1})
+    assert all(not cell.diverged for cell in condition_matrix(cfg))
+    assert seen == {cfg.model: (None, None),
+                    cfg.model.zeroed(): (None, None)}
+
+
 def test_no_stream_outlives_the_matrix(monkeypatch):
     condition_matrix(short_circle(**{"sim.duration": 0.1}))
-    assert harness._streams is None
+    assert harness._stream is None
 
     def interrupted(cfg):
         raise KeyboardInterrupt
     monkeypatch.setattr(harness, "run_experiment", interrupted)
     with pytest.raises(KeyboardInterrupt):
         condition_matrix(short_circle(**{"sim.duration": 0.1}))
-    assert harness._streams is None
+    assert harness._stream is None
 
 
 def test_peak_error_speed_filter():
