@@ -43,8 +43,8 @@ def build_parser():
     _add_common(sub.add_parser(
         "sim", help="run one closed-loop experiment"), True)
     _add_common(sub.add_parser(
-        "compare", help="run the condition matrix and the rate-feedforward "
-                        "ablation"), False)
+        "compare", help="run the five cells of the condition matrix"),
+        False)
     _add_common(sub.add_parser(
         "check", help="compare feedforward demands with actuator limits"),
         True)

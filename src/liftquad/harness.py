@@ -17,7 +17,6 @@ import struct
 from array import array
 from collections import deque
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .config import CONDITIONS
@@ -108,14 +107,11 @@ class RunResult:
             raise AttributeError(name)
         return self.table[:, COLUMNS[name]]
 
-    def _column(self, index):
-        """Column ``index`` of the logged rows, as an ``array('d')``."""
-        return self.rows[index:self.n_rows * _WIDTH:_WIDTH]
-
     def _vectors(self, name):
         """The 3-vectors of column group ``name``, row by row."""
-        columns = COLUMNS[name]
-        return zip(*map(self._column, range(columns.start, columns.stop)))
+        columns, stop = COLUMNS[name], self.n_rows * _WIDTH
+        return zip(*(self.rows[index:stop:_WIDTH]
+                     for index in range(columns.start, columns.stop)))
 
     @property
     def rmse(self):
@@ -381,17 +377,21 @@ class FeasibilityReport(NamedTuple):
 
 
 def feasibility_check(cfg):
-    """Sweep the flatness transform along the reference and compare the
-    feedforward demands against the configured actuator limits."""
-    trace = feedforward_trace(cfg)
-    alpha = trace._column(COLUMNS["alpha"])
-    return FeasibilityReport(
-        thrust_peak=min(trace._column(COLUMNS["thrust"])),
-        thrust_min=cfg.limits.thrust_min,
-        omega_peak=max(map(abs, chain.from_iterable(trace._vectors("omega")))),
-        omega_max=cfg.limits.omega_max,
-        singular_ticks=trace.n_rows - trace._column(
-            COLUMNS["singular"]).count(0.0),
-        total_ticks=trace.n_rows,
-        alpha_range=(min(alpha), max(alpha)),
-    )
+    """Fold one sweep of the flatness transform along the reference into
+    a report against the actuator limits, keeping no trace (a diverging
+    sweep has no partial one) and, of equal extremes, the first."""
+    thrust_peak = alpha_low = math.inf
+    omega_peak, alpha_high, singular_ticks = 0.0, -math.inf, 0
+    for _, _, _, flat in _ticks(cfg, RunResult(array("d"), 0)):
+        thrust, alpha, (wx, wy, wz) = flat.thrust, flat.alpha, flat.omega
+        if thrust < thrust_peak:
+            thrust_peak = thrust
+        omega_peak = max(omega_peak, abs(wx), abs(wy), abs(wz))
+        if alpha < alpha_low:
+            alpha_low = alpha
+        if alpha > alpha_high:
+            alpha_high = alpha
+        singular_ticks += flat.singular != 0
+    return FeasibilityReport(thrust_peak, cfg.limits.thrust_min, omega_peak,
+                             cfg.limits.omega_max, singular_ticks, cfg.n_rows,
+                             (alpha_low, alpha_high))

@@ -18,6 +18,8 @@ package against; none of them runs in a simulation.
   :attr:`liftquad.harness.RunResult.rmse`;
 * the peak position error below a reference speed, which criterion 7
   reads, with the reference speed sampled again from the trajectory;
+* the feasibility report read back from an open-loop trace's columns,
+  an oracle for the one-pass :func:`liftquad.harness.feasibility_check`;
 * gravity as a numpy vector, :data:`GRAVITY_VEC`.
 """
 
@@ -34,7 +36,7 @@ from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL, HADAMARD_TOL,
                                TransformContext, thrust_and_alpha)
 from liftquad.geom import (UNIT_TOL, NonOrthonormalError, lateral_axis,
                            quat_conj, quat_mul, quat_to_axis_angle)
-from liftquad.harness import COLUMNS, CSV_COLUMNS
+from liftquad.harness import COLUMNS, CSV_COLUMNS, FeasibilityReport
 from liftquad.trajectories import sample
 
 GRAVITY_VEC = np.array([0.0, 0.0, GRAVITY])  # NED: +z is down
@@ -199,6 +201,22 @@ def peak_error_below(result, trajectory, speed_below):
             dx, dy, dz = rx - px, ry - py, rz - pz
             peak = max(peak, math.sqrt(dx * dx + dy * dy + dz * dz))
     return peak
+
+
+def feasibility_from_trace(cfg, trace):
+    """The feasibility report of ``cfg`` read back from the columns of
+    its :func:`liftquad.harness.feedforward_trace` ``trace``, with the
+    built-in ``min`` and ``max`` over each column in row order."""
+    thrust, alpha = trace.thrust.tolist(), trace.alpha.tolist()
+    return FeasibilityReport(
+        thrust_peak=min(thrust),
+        thrust_min=cfg.limits.thrust_min,
+        omega_peak=max(map(abs, trace.omega.ravel().tolist())),
+        omega_max=cfg.limits.omega_max,
+        singular_ticks=trace.n_rows - trace.singular.tolist().count(0.0),
+        total_ticks=trace.n_rows,
+        alpha_range=(min(alpha), max(alpha)),
+    )
 
 
 def derivative_check(traj, t, h):

@@ -8,13 +8,15 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liftquad import cli
+from liftquad import cli, harness
 from liftquad.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from liftquad.config import build_config
 from liftquad.harness import CSV_COLUMNS
 
 
@@ -373,6 +375,28 @@ def test_check_prints_feasibility(capsys):
     assert "feasible        yes" in out
 
 
+def test_check_keeps_no_trace(tmp_path, monkeypatch):
+    # check folds its report in one sweep: no attitude conversion and no
+    # row write, where flat converts and writes each of its rows once
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+    monkeypatch.setattr(harness, "mat_to_quat",
+                        counted("mat_to_quat", harness.mat_to_quat))
+    monkeypatch.setattr(harness.RunResult, "store",
+                        counted("store", harness.RunResult.store))
+    args = ["--duration", "0.2", "--out", str(tmp_path)]
+    assert main(["check", *args]) == EXIT_OK
+    assert not calls
+    assert main(["flat", *args]) == EXIT_OK
+    n_rows = build_config({}).replace(duration=0.2).n_rows
+    assert calls == {"mat_to_quat": n_rows, "store": n_rows}
+
+
 @pytest.mark.parametrize("text, line", [
     ("", "thrust demand   -14.777 N (limit -58.860 N)"),
     ("limits.thrust_factor = 1e306",
@@ -417,6 +441,43 @@ def test_trace_is_unchanged(tmp_path, command):
                  "--out", str(tmp_path)]) == EXIT_OK
     trace = (tmp_path / f"{command}.csv").read_bytes()
     assert hashlib.sha256(trace).hexdigest() == digest
+
+
+# the stdout of a 2 s check on the four benchmark workloads' seed-0
+# configs; the plant (the mismatch, the gust) leaves it as it is
+_CIRCLE_CHECK = """\
+thrust demand   -14.777 N (limit -58.860 N)
+body-rate demand 0.1169 rad/s (limit 6.0000 rad/s)
+singular ticks  139 / 501
+alpha range     [0.4866, 0.5934] rad
+feasible        yes
+"""
+_CHECK_STDOUT = {
+    "circle": ("", _CIRCLE_CHECK),
+    "lemniscate": ("trajectory.kind = lemniscate\n", """\
+thrust demand   -11.632 N (limit -58.860 N)
+body-rate demand 0.1439 rad/s (limit 6.0000 rad/s)
+singular ticks  0 / 501
+alpha range     [0.4123, 0.5636] rad
+feasible        yes
+"""),
+    "hover-gust": (_TRACE_SHA256["sim"][0], """\
+thrust demand   -14.715 N (limit -58.860 N)
+body-rate demand 0.0000 rad/s (limit 6.0000 rad/s)
+singular ticks  501 / 501
+alpha range     [0.5934, 0.5934] rad
+feasible        yes
+"""),
+    "mismatch": ("plant.cd0 = 0.06\nplant.cla = 2.4\n", _CIRCLE_CHECK),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHECK_STDOUT))
+def test_check_report_is_unchanged(tmp_path, capsys, name):
+    text, report = _CHECK_STDOUT[name]
+    cfg = write_cfg(tmp_path, text)
+    assert main(["check", "--config", cfg, "--duration", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == report
 
 
 # sha256 of every file a 2 s compare writes at 20% drag/lift mismatch
@@ -481,12 +542,14 @@ def test_no_run_imports_numpy(tmp_path):
     bad = write_cfg(tmp_path, "sim.rate = 0\n", "bad.cfg")
     unstable = write_cfg(tmp_path, "plant.cd0 = 1e300\n", "unstable.cfg")
     overflow = write_cfg(tmp_path, "model.mass = 1e300\n", "overflow.cfg")
+    wind = write_cfg(tmp_path, "model.wind.x = 1e200\n", "wind.cfg")
     runs = [([command, "--duration", "0.2", "--out", out], EXIT_OK)
             for command in ("sim", "flat", "compare", "check")]
     runs += [(["check", "--config", bad, "--out", out], EXIT_CONFIG),
              (["sim", "--config", unstable, "--out", out], EXIT_CONFIG),
              (["sim", "--config", overflow, "--duration", "0.2",
-               "--out", out], EXIT_DIVERGED)]
+               "--out", out], EXIT_DIVERGED),
+             (["check", "--config", wind, "--out", out], EXIT_DIVERGED)]
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -25,8 +25,8 @@ from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
 from liftquad.record import Record
 from liftquad.trajectories import (TrajectoryDef, TrajectoryKind,
                                    sample as sample_trajectory)
-from oracles import (csv_text, peak_error_below, quat_to_mat,
-                     rmse as numpy_rmse)
+from oracles import (csv_text, feasibility_from_trace, peak_error_below,
+                     quat_to_mat, rmse as numpy_rmse)
 
 # columns of the trace, and of every row of RunResult.rows
 WIDTH = len(CSV_COLUMNS.split(","))
@@ -553,6 +553,43 @@ def test_feasibility_stock_circle():
     assert 0.0 < report.omega_peak < report.omega_max
     assert 0 < report.singular_ticks < report.total_ticks
     assert "feasible        yes" in report.summary()
+
+
+# 12 s references through each branch of the sweep, with the singular
+# ticks each takes
+_FEASIBILITY_CASES = {
+    "circle": ("", 139),    # the zero-velocity start
+    "lemniscate": ("trajectory.kind = lemniscate", 0),
+    "hover": ("trajectory.kind = hover", 3001),     # at rest throughout
+    # the wind estimate is the airspeed: the smooth branch at rest
+    "hover-wind": ("trajectory.kind = hover\nmodel.wind.x = 4", 0),
+    # a vertical airspeed: the aligned-axis policy throughout
+    "hover-updraft": ("trajectory.kind = hover\nmodel.wind.z = 4", 3001),
+    "line": ("trajectory.kind = line", 0),
+    # past the knee: the feedforward attitude flips, alpha below -pi/2
+    "figure-eight-1.4": ("trajectory.kind = lemniscate\n"
+                         "trajectory.radius = 10\ntrajectory.omega = 1.4\n"
+                         "gains.kff.x = 1\ngains.kff.y = 1\ngains.kff.z = 1",
+                         0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FEASIBILITY_CASES))
+def test_feasibility_check_is_the_trace_read_back(name):
+    # the one-pass fold gives the report the trace's columns give, with
+    # the sign of each zero as min and max keep it
+    text, singular_ticks = _FEASIBILITY_CASES[name]
+    cfg = config_from(text + "\nsim.duration = 12")
+    report = feasibility_check(cfg)
+    expected = feasibility_from_trace(cfg, feedforward_trace(cfg))
+    assert report == expected
+    for got, want in ((report.thrust_peak, expected.thrust_peak),
+                      *zip(report.alpha_range, expected.alpha_range)):
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert report.singular_ticks == singular_ticks
+    assert report.total_ticks == cfg.n_rows == 3001
+    if name == "figure-eight-1.4":
+        assert [round(a, 4) for a in report.alpha_range] == [-2.8718, 1.0935]
 
 
 def test_condition_matrix_runs_all_cells():
