@@ -331,7 +331,8 @@ def build_config(raw):
 def load_config(path):
     """Parse and resolve a config file; ConfigError on any problem."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a byte-order mark is not part of the first key
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .aero import GRAVITY, AeroParams, aero_accel
 from .geom import (lateral_axis, mat_to_quat, overflow_error, quat_conj,
-                   quat_mul, quat_to_axis_angle)
+                   quat_mul, quat_to_rotation_vector)
 from .record import Frozen, Record
 
 # Acceleration-demand norm below which the thrust direction is
@@ -130,16 +130,6 @@ class ControlInput(NamedTuple):
 
     thrust: float
     omega: tuple
-
-
-class Measurement(NamedTuple):
-    """What the controller reads of the vehicle: earth-frame position
-    and velocity as 3-tuples and the body-to-earth attitude as a unit
-    quaternion 4-tuple (any sequences of those lengths will do)."""
-
-    p: tuple
-    v: tuple
-    q: tuple
 
 
 class ControllerContext(Record):
@@ -241,12 +231,13 @@ def attitude_loop(gains, mode, q_d, q_current, omega_ref):
     """Body-rate command from the attitude error.
 
     The error quaternion rotates the current attitude ``q_current`` onto
-    the desired one ``q_d``; its axis-angle vector is scaled by ``ktp``
+    the desired one ``q_d``; its rotation vector is scaled by ``ktp``
     and the flatness body rate is added unless rate feedforward is off.
-    Antipodal quaternion representations give the identical command.
+    Antipodal quaternion representations give the same command up to
+    rounding (see :func:`liftquad.geom.quat_to_rotation_vector`).
     """
     q_err = quat_mul(quat_conj(q_current), q_d)
-    (kx, ky, kz), (ex, ey, ez) = gains.ktp, quat_to_axis_angle(q_err).vector
+    (kx, ky, kz), (ex, ey, ez) = gains.ktp, quat_to_rotation_vector(q_err)
     if not mode.use_rate_feedforward:
         return (kx * ex, ky * ey, kz * ez)
     wx, wy, wz = omega_ref
@@ -264,22 +255,24 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     """One 250 Hz controller tick; chains the four loops and saturates.
 
     ``sample`` is the flat reference point, ``flat`` the matching
-    flatness feedforward, ``state`` the :class:`Measurement` (anything
-    with ``p``, ``v`` and ``q``), ``ctx`` the per-vehicle context
-    (mutated; in free fall it holds its desired attitude, if it has one).
+    flatness feedforward, ``state`` the measured ``(p, v, q)`` (any 3-, 3-
+    and 4-sequences, in :mod:`liftquad.geom`'s conventions), ``ctx`` the
+    per-vehicle context (mutated; in free fall it holds its desired
+    attitude, if it has one).
     Deterministic given its arguments.  Raises ``FloatingPointError``
     when the integral step, the demand or the unsaturated command is not
     finite.
     """
-    v_d = position_loop(gains, sample.p, state.p, sample.v)
+    p, v, q = state
+    v_d = position_loop(gains, sample.p, p, sample.v)
     a_d, ctx.integrator = velocity_loop(
-        gains, mode.use_integrator and not ctx.thrust_saturated, v_d, state.v,
+        gains, mode.use_integrator and not ctx.thrust_saturated, v_d, v,
         sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
         params, gains, mode, a_d, flat)
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
-    omega_d = wx, wy, wz = attitude_loop(gains, mode, ctx.held_quat, state.q,
+    omega_d = wx, wy, wz = attitude_loop(gains, mode, ctx.held_quat, q,
                                          flat.omega)
     if not (math.isfinite(thrust_d) and math.isfinite(wx)
             and math.isfinite(wy) and math.isfinite(wz)):

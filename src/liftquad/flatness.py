@@ -61,15 +61,6 @@ _ZERO = (0.0, 0.0, 0.0)
 _UP = (0.0, 0.0, -GRAVITY)
 
 
-class DegenerateBalanceError(ArithmeticError):
-    """The in-plane force balance normalizer vanished (thrust-free
-    equilibrium); thrust and angle of attack are indeterminate."""
-
-
-class SingularSystemError(ArithmeticError):
-    """The body-rate linear system is singular at this flight condition."""
-
-
 class SingularCase(IntEnum):
     """Which singular policy, if any, produced a flatness output."""
 
@@ -158,10 +149,11 @@ def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
 
     Solves the in-plane force balance (thrust tilted ``alpha - kappa``
     from the wind z-axis plus quadratic drag/lift equals the mass-scaled
-    specific force) for ``(thrust, alpha)`` with ``thrust <= 0``.  Raises
-    :class:`DegenerateBalanceError` when the normalizer vanishes, which
-    happens exactly when aerodynamic forces alone meet the demand, and
-    ``FloatingPointError`` when the normalizer or its scale overflows.
+    specific force) for ``(thrust, alpha)`` with ``thrust <= 0``.  Returns
+    ``None`` when the normalizer vanishes, which happens exactly when
+    aerodynamic forces alone meet the demand (thrust and angle of attack
+    are then indeterminate), and raises ``FloatingPointError`` when the
+    normalizer or its scale overflows.
     """
     q_s = 0.5 * params.rho * params.area * airspeed * airspeed
     lift_gain = params.cla * q_s
@@ -176,8 +168,7 @@ def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
     if not (math.isfinite(k1) and math.isfinite(scale)):
         raise overflow_error(_LAYER)
     if k1 <= 1e-12 * scale:
-        raise DegenerateBalanceError(
-            "force balance normalizer vanished (thrust-free equilibrium)")
+        return None
     s = k_along * (k_along + lift_gain) + k_perp * k_perp
     thrust = -abs(s) / k1
     # half-angle form of the two-argument arctangent keeps the branch
@@ -207,14 +198,14 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air,
     x/y projections of the differentiated force balance together with
     the differentiated no-sideslip condition
     ``w_x*v_z - w_z*v_x = -g_y`` (body-frame airspeed components, body-y
-    gravity component).  Raises :class:`SingularSystemError` when the
+    gravity component).  Returns ``None`` at zero airspeed and when the
     system determinant vanishes relative to the matrix scale or to the
-    product of its row norms, and ``FloatingPointError`` when that scale
-    overflows.
+    product of its row norms, and raises ``FloatingPointError`` when
+    that scale overflows.
     """
     vx, vy, vz = v_air
     if airspeed < _TINY:
-        raise SingularSystemError("zero airspeed")
+        return None
     (cdx, _, cdxz), (_, cy0, _), (_, _, cdz) = params.drag
     qa = params.rho * params.area * airspeed / (2.0 * params.mass)
     cz = thrust / params.mass
@@ -255,7 +246,7 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air,
             abs(det) < HADAMARD_TOL * cube
             and abs(det) < HADAMARD_TOL * math.hypot(a00, a01, a02)
             * math.hypot(a10, a12) * math.hypot(w, u)):
-        raise SingularSystemError("body-rate system is singular")
+        return None
     # rows 1 and 2 hold w_x and w_z only; row 0 then gives w_y
     wx = (rhs1 * u + a12 * rhs2) / inner
     wz = (w * rhs1 - a10 * rhs2) / inner
@@ -333,11 +324,9 @@ def _smooth_output(params, sample, v_air, speed, axis, plane, plane_norm):
     policy where the lateral axis is undefined."""
     ux, uy, uz = axis
     along, perp = wind_frame_accels(axis, sample.a)
-    try:
-        thrust, alpha = thrust_and_alpha(params, speed, along, perp)
-    except DegenerateBalanceError:
-        # aerodynamics alone meet the demand: no thrust, chord on the path
-        thrust, alpha = 0.0, params.kappa
+    # None: aerodynamics alone meet the demand; no thrust, chord on the path
+    thrust, alpha = (thrust_and_alpha(params, speed, along, perp)
+                     or (0.0, params.kappa))
     px, py, pz = plane
     # axis x plane
     cx, cy, cz = uy * pz - uz * py, uz * px - ux * pz, ux * py - uy * px
@@ -369,11 +358,9 @@ def _smooth_output(params, sample, v_air, speed, axis, plane, plane_norm):
               c * uy + s * (yz * ux - yx * uz),
               c * uz + s * (yx * uy - yy * ux))
     rotation = _frame(x_body, (yx, yy, yz))
-    try:
-        omega = angular_velocity_from_flat(params, sample, rotation, thrust,
-                                           v_air, speed)
-    except SingularSystemError:
-        omega = _ZERO
+    # None: a singular body-rate system, whose policy is the zero rate
+    omega = angular_velocity_from_flat(params, sample, rotation, thrust,
+                                       v_air, speed) or _ZERO
     return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis,
                           singular)
 

@@ -20,8 +20,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .config import CONDITIONS
-from .control import (ControlInput, ControllerContext, Measurement,
-                      controller_step)
+from .control import ControlInput, ControllerContext, controller_step
 from .dynamics import VehicleState, actuator_lag, require_finite, rk4_step
 from .flatness import (FlatnessOutput, FlatSample, TransformContext,
                        flatness_transform)
@@ -260,10 +259,10 @@ def run_experiment(cfg):
                 # what the controller sees this tick
                 p_history = deque([state.p], maxlen=cfg.delay_ticks + 1)
             q = mat_to_quat(state.R)
-            measured = Measurement(p_history[0], state.v, q)
             # the command the plant holds until the next tick
             cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
-                                  ref, flat, measured, control_ctx, dt)
+                                  ref, flat, (p_history[0], state.v, q),
+                                  control_ctx, dt)
             (px, py, pz), (rx, ry, rz) = state.p, ref.p
             dx, dy, dz = px - rx, py - ry, pz - rz
             error = math.sqrt(dx * dx + dy * dy + dz * dz)

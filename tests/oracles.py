@@ -31,11 +31,10 @@ from liftquad.aero import GRAVITY, aero_accel
 from liftquad.control import (_CROSS_TOL, FREE_FALL_ACCEL, ControlInput)
 from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL, HADAMARD_TOL,
                                SPEED_SINGULAR_ENTER, SPEED_SINGULAR_EXIT,
-                               DegenerateBalanceError, FlatnessOutput,
-                               SingularCase, SingularSystemError,
-                               TransformContext, thrust_and_alpha)
+                               FlatnessOutput, SingularCase, TransformContext,
+                               thrust_and_alpha)
 from liftquad.geom import (UNIT_TOL, NonOrthonormalError, lateral_axis,
-                           quat_conj, quat_mul, quat_to_axis_angle)
+                           quat_conj, quat_mul, quat_to_rotation_vector)
 from liftquad.harness import COLUMNS, CSV_COLUMNS, FeasibilityReport
 from liftquad.trajectories import sample
 
@@ -244,11 +243,11 @@ def mat_to_quat(rotation):
 
     Raises :class:`NonOrthonormalError` when ``rotation`` is not orthonormal
     within ``UNIT_TOL`` (Frobenius residual of R^T R - I) or has negative
-    determinant.
+    determinant, and any matrix with a NaN entry.
     """
     r = np.asarray(rotation, dtype=float)
     residual = norm(r.T @ r - EYE3)
-    if residual > UNIT_TOL or np.linalg.det(r) <= 0.0:
+    if not (residual <= UNIT_TOL and np.linalg.det(r) > 0.0):
         raise NonOrthonormalError(f"orthonormality residual {residual:.3g} "
                                   f"exceeds {UNIT_TOL:g} or det <= 0")
     # Shepperd's method: branch on the largest diagonal combination to keep
@@ -340,12 +339,13 @@ def attitude_loop(gains, mode, q_d, q_current, omega_ref):
     """Body-rate command from the attitude error.
 
     The error quaternion rotates the current attitude ``q_current`` onto
-    the desired one ``q_d``; its axis-angle vector is scaled by ``ktp``
+    the desired one ``q_d``; its rotation vector is scaled by ``ktp``
     and the flatness body rate is added unless rate feedforward is off.
-    Antipodal quaternion representations give the identical command.
+    Antipodal quaternion representations give the same command up to
+    rounding (see :func:`liftquad.geom.quat_to_rotation_vector`).
     """
     q_err = quat_mul(quat_conj(q_current), q_d)
-    xi = quat_to_axis_angle(q_err).vector
+    xi = quat_to_rotation_vector(q_err)
     omega = np.asarray(gains.ktp) * xi
     if mode.use_rate_feedforward:
         omega = omega + omega_ref
@@ -364,20 +364,21 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     """One 250 Hz controller tick; chains the four loops and saturates.
 
     ``sample`` is the flat reference point, ``flat`` the matching
-    flatness feedforward, ``state`` the :class:`Measurement` (anything
-    with ``p``, ``v`` and ``q``), ``ctx`` the per-vehicle context
-    (mutated; in free fall it holds its desired attitude, if it has one).
-    Deterministic given its arguments.
+    flatness feedforward, ``state`` the measured ``(p, v, q)`` as numpy
+    arrays, ``ctx`` the per-vehicle context (mutated; in free fall it
+    holds its desired attitude, if it has one).  Deterministic given its
+    arguments.
     """
-    v_d = position_loop(gains, sample.p, state.p, sample.v)
+    p, v, q = state
+    v_d = position_loop(gains, sample.p, p, sample.v)
     a_d, ctx.integrator = velocity_loop(
-        gains, mode.use_integrator and not ctx.thrust_saturated, v_d, state.v,
+        gains, mode.use_integrator and not ctx.thrust_saturated, v_d, v,
         sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
         params, gains, mode, a_d, flat)
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
-    omega_d = attitude_loop(gains, mode, ctx.held_quat, state.q, flat.omega)
+    omega_d = attitude_loop(gains, mode, ctx.held_quat, q, flat.omega)
     command = saturate(limits, thrust_d, omega_d)
     ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)
     return command
@@ -406,10 +407,9 @@ def symmetry_plane_vector(params, v_air, accel):
 
 def body_rate_system(params, sample, rotation, thrust, v_air):
     """The 3x3 body-rate system ``a_mat @ omega = rhs`` that
-    :func:`angular_velocity_from_flat` solves, as ``(a_mat, rhs, det)``."""
+    :func:`angular_velocity_from_flat` solves, as ``(a_mat, rhs, det)``;
+    the airspeed ``v_air`` must not vanish."""
     airspeed = norm(v_air)
-    if airspeed < _TINY:
-        raise SingularSystemError("zero airspeed")
     (cdx, _, cdxz), (_, cy0, _), (_, _, cdz) = params.drag
     qa = params.rho * params.area * airspeed / (2.0 * params.mass)
     cz = thrust / params.mass
@@ -444,17 +444,19 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
     x/y projections of the differentiated force balance together with
     the differentiated no-sideslip condition
     ``w_x*v_z - w_z*v_x = -g_y`` (body-frame airspeed components, body-y
-    gravity component).  Raises :class:`SingularSystemError` when the
+    gravity component).  Returns ``None`` at zero airspeed and when the
     system determinant vanishes relative to the matrix scale or to the
     product of its row norms.
     """
+    if norm(v_air) < _TINY:
+        return None
     a_mat, rhs, det = body_rate_system(params, sample, rotation, thrust,
                                        v_air)
     scale = norm(a_mat)
     rows = norm(a_mat[0]) * norm(a_mat[1]) * norm(a_mat[2])
     if (scale < _TINY or abs(det) < DET_TOL * scale ** 3
             or abs(det) < HADAMARD_TOL * rows):
-        raise SingularSystemError("body-rate system is singular")
+        return None
     return np.linalg.solve(a_mat, rhs)
 
 
@@ -490,11 +492,9 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     ctx.in_singular = False
     ctx.held_axis = axis.copy()
     along, perp = wind_frame_accels(axis, sample.a)
-    try:
-        thrust, alpha = thrust_and_alpha(params, speed, along, perp)
-    except DegenerateBalanceError:
-        # aerodynamics alone meet the demand: no thrust, chord on the path
-        thrust, alpha = 0.0, params.kappa
+    # None: aerodynamics alone meet the demand; no thrust, chord on the path
+    thrust, alpha = (thrust_and_alpha(params, speed, along, perp)
+                     or (0.0, params.kappa))
     plane = symmetry_plane_vector(params, v_air, sample.a)
     plane_norm = norm(plane)
     cross = cross3(axis, plane)
@@ -519,9 +519,8 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     # the body x-axis is the wind x-axis rotated about y_b by alpha - kappa
     x_body = rodrigues(y_body, alpha - params.kappa) @ x_wind
     rotation = np.column_stack((x_body, y_body, cross3(x_body, y_body)))
-    try:
-        omega = angular_velocity_from_flat(params, sample, rotation, thrust, v_air)
-    except SingularSystemError:
+    omega = angular_velocity_from_flat(params, sample, rotation, thrust, v_air)
+    if omega is None:
         omega = np.zeros(3)
     return FlatnessOutput(rotation, thrust, alpha, omega, v_air, axis, singular)
 

@@ -417,25 +417,31 @@ def test_unknown_condition_rejected(capsys):
         main(["sim", "--condition", "nonsense"])
 
 
-# sha256 of 2 s traces on two paths the thrust-floor probe in
-# tests/test_control.py does not take: the open-loop figure-eight, and a
-# hover in wind with both actuator lags and a two-tick measurement delay
+# test id -> (command, config, sha256 of its 2 s trace), on three paths
+# the thrust-floor probe in tests/test_control.py does not take: the
+# open-loop figure-eight, a hover in wind with both actuator lags and a
+# two-tick measurement delay, and the stock circle's closed loop in the
+# smooth regime
+_HOVER_GUST = ("trajectory.kind = hover\n"
+               "plant.wind.x = 4.0\nplant.wind.y = -2.0\nplant.wind.z = 0.0\n"
+               "plant.tau_omega = 0.03\nplant.tau_thrust = 0.05\n"
+               "sim.delay_ticks = 2\n")
 _TRACE_SHA256 = {
     "flat": (
-        "trajectory.kind = lemniscate\n",
+        "flat", "trajectory.kind = lemniscate\n",
         "8693198c94f00d6eb62f648595a5d5e8b21cab02882e1299a132d145ab110a02"),
     "sim": (
-        "trajectory.kind = hover\n"
-        "plant.wind.x = 4.0\nplant.wind.y = -2.0\nplant.wind.z = 0.0\n"
-        "plant.tau_omega = 0.03\nplant.tau_thrust = 0.05\n"
-        "sim.delay_ticks = 2\n",
+        "sim", _HOVER_GUST,
         "f729963802e8224d3e75adac5207e8e30d0f9e080222fd0ecdb53f57b3e45412"),
+    "sim-circle": (
+        "sim", "",
+        "a40f82b0def6d89d220aa034e0a9bdbc07a2fd37182bd6d036cf30e6f56057c4"),
 }
 
 
-@pytest.mark.parametrize("command", sorted(_TRACE_SHA256))
-def test_trace_is_unchanged(tmp_path, command):
-    text, digest = _TRACE_SHA256[command]
+@pytest.mark.parametrize("name", sorted(_TRACE_SHA256))
+def test_trace_is_unchanged(tmp_path, name):
+    command, text, digest = _TRACE_SHA256[name]
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--duration", "2",
                  "--out", str(tmp_path)]) == EXIT_OK
@@ -461,7 +467,7 @@ singular ticks  0 / 501
 alpha range     [0.4123, 0.5636] rad
 feasible        yes
 """),
-    "hover-gust": (_TRACE_SHA256["sim"][0], """\
+    "hover-gust": (_HOVER_GUST, """\
 thrust demand   -14.715 N (limit -58.860 N)
 body-rate demand 0.0000 rad/s (limit 6.0000 rad/s)
 singular ticks  501 / 501

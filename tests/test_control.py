@@ -12,8 +12,7 @@ from liftquad import harness
 from liftquad.aero import AeroParams, GRAVITY, aero_accel
 from liftquad.config import build_config
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
-                              ControllerContext, Measurement,
-                              accel_to_attitude_thrust,
+                              ControllerContext, accel_to_attitude_thrust,
                               attitude_loop, controller_step, position_loop,
                               saturate, velocity_loop)
 from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
@@ -28,8 +27,7 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 def measured(p, v, R):
     """The controller's measurement of a vehicle at attitude ``R``."""
-    return Measurement(np.asarray(p, float), np.asarray(v, float),
-                       mat_to_quat(R))
+    return np.asarray(p, float), np.asarray(v, float), mat_to_quat(R)
 
 
 def cruise_reference(speed=8.0):
@@ -262,12 +260,13 @@ def test_controller_step_matches_manual_stage_replay():
                           ctx, dt)
 
     # oracle: replay each stage with the public pieces
-    v_d = position_loop(gains, sample.p, state.p, sample.v)
-    a_d, integ = velocity_loop(gains, mode.use_integrator, v_d, state.v,
+    p, v, q = state
+    v_d = position_loop(gains, sample.p, p, sample.v)
+    a_d, integ = velocity_loop(gains, mode.use_integrator, v_d, v,
                                sample.a, np.zeros(3), dt)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
         PARAMS, gains, mode, a_d, flat)
-    omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), state.q,
+    omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), q,
                             flat.omega)
     expected = saturate(limits, thrust_d, omega_d)
 
@@ -311,12 +310,13 @@ def test_saturated_step_keeps_other_mode_flags():
 
     ctx_ref = ControllerContext(integrator=np.asarray(ctx.integrator),
                                 thrust_saturated=True)
-    v_d = position_loop(gains, sample.p, state.p, sample.v)
-    a_d, _ = velocity_loop(gains, False, v_d, state.v, sample.a,
+    p, v, q = state
+    v_d = position_loop(gains, sample.p, p, sample.v)
+    a_d, _ = velocity_loop(gains, False, v_d, v, sample.a,
                            ctx_ref.integrator, 0.004)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
         PARAMS, gains, mode, a_d, flat)
-    omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), state.q,
+    omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), q,
                             flat.omega)
     expected = saturate(tight, thrust_d, omega_d)
     assert cmd.thrust == expected.thrust
@@ -375,8 +375,8 @@ def test_each_overflow_check_raises_the_one_error(case):
         def call():
             controller_step(PARAMS, ControlGains(ktp=1e308), ControlMode(),
                             ControlLimits(), sample, flat,
-                            Measurement((0.0,) * 3, (8.0, 0.0, 0.0),
-                                        (0.0, 1.0, 0.0, 0.0)),
+                            ((0.0,) * 3, (8.0, 0.0, 0.0),
+                             (0.0, 1.0, 0.0, 0.0)),
                             ControllerContext(), 0.004)
         where, value = "controller_step", "wx"
     with pytest.raises(FloatingPointError, match="^overflow encountered in "

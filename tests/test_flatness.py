@@ -11,9 +11,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import fsolve
 
 from liftquad.aero import AeroParams, GRAVITY, aero_accel
-from liftquad.flatness import (DegenerateBalanceError, FlatSample,
-                               SingularCase, SingularSystemError,
-                               TransformContext, angular_velocity_from_flat,
+from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
+                               angular_velocity_from_flat,
                                flatness_transform, symmetry_plane_vector,
                                thrust_and_alpha, wind_frame_accels)
 from oracles import GRAVITY_VEC
@@ -142,22 +141,21 @@ def test_thrust_alpha_matches_root_finder():
 def test_thrust_alpha_always_nonpositive():
     rng = np.random.default_rng(34)
     for _ in range(300):
-        try:
-            thrust, _ = thrust_and_alpha(
-                PARAMS, rng.uniform(0.0, 15.0), rng.uniform(-10.0, 10.0),
-                -rng.uniform(0.0, 20.0))
-        except DegenerateBalanceError:
+        balance = thrust_and_alpha(
+            PARAMS, rng.uniform(0.0, 15.0), rng.uniform(-10.0, 10.0),
+            -rng.uniform(0.0, 20.0))
+        if balance is None:   # degenerate
             continue
+        thrust, _ = balance
         assert thrust <= 0.0
 
 
-def test_thrust_alpha_degenerate_raises():
+def test_thrust_alpha_degenerate_is_none():
     # tail-sitter with the along-axis demand exactly met by drag+lift
     params = AeroParams(kappa=0.5 * math.pi)
     q_s = 0.5 * params.rho * params.area * 100.0
     a_along = -(params.cd0 + params.cla) * q_s / params.mass
-    with pytest.raises(DegenerateBalanceError):
-        thrust_and_alpha(params, 10.0, a_along, 0.0)
+    assert thrust_and_alpha(params, 10.0, a_along, 0.0) is None
 
 
 def test_attitude_orthogonality_invariants():
@@ -219,11 +217,10 @@ def test_rate_system_residual_and_turn_constraint():
         out = flatness_transform(PARAMS, sample)
         if out.singular is not SingularCase.NONE:
             continue
-        try:
-            omega = angular_velocity_from_flat(PARAMS, sample, out.rotation,
-                                               out.thrust, sample.v,
-                                               math.hypot(*sample.v))
-        except SingularSystemError:
+        omega = angular_velocity_from_flat(PARAMS, sample, out.rotation,
+                                           out.thrust, sample.v,
+                                           math.hypot(*sample.v))
+        if omega is None:   # singular
             continue
         rotation = np.asarray(out.rotation)
         v_body = rotation.T @ sample.v
@@ -259,9 +256,8 @@ def test_rate_matches_finite_difference_of_attitude():
 
 def test_rate_system_rejects_zero_airspeed():
     sample = make_sample([0.0] * 3, [0.0] * 3)
-    with pytest.raises(SingularSystemError):
-        angular_velocity_from_flat(PARAMS, sample, np.eye(3), -14.0,
-                                   sample.v, 0.0)
+    assert angular_velocity_from_flat(PARAMS, sample, np.eye(3), -14.0,
+                                      sample.v, 0.0) is None
 
 
 def test_ill_conditioned_rate_system_takes_the_zero_rate():

@@ -1,5 +1,6 @@
 """Config parsing and the closed-loop experiment harness."""
 
+import codecs
 import math
 import re
 from array import array
@@ -170,6 +171,19 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(path)
     assert cfg.duration == 2.5
     assert cfg.plant.aero.cd0 == 0.07
+
+
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    # a file saved with a UTF-8 byte-order mark is valid UTF-8; the mark
+    # is no part of its first key
+    text = "trajectory.kind = lemniscate\nsim.duration = 2.5\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == codecs.BOM_UTF8 + plain.read_bytes()
+    cfg = load_config(marked)
+    assert cfg == load_config(plain)
+    assert cfg != build_config({"sim.duration": "2.5"})
 
 
 def test_with_condition_sets_mode_flags():

@@ -17,8 +17,8 @@ from liftquad.aero import (GRAVITY, KAPPA_MAX, KAPPA_MIN, AeroParams,
                            aero_accel)
 from liftquad.config import MAX_ROWS
 from liftquad.control import (ControlGains, ControlLimits, ControlMode,
-                              ControllerContext, Measurement,
-                              accel_to_attitude_thrust, controller_step)
+                              ControllerContext, accel_to_attitude_thrust,
+                              controller_step)
 from liftquad.flatness import (FlatnessOutput, FlatSample, SingularCase,
                                TransformContext, flatness_transform)
 from liftquad.geom import NonOrthonormalError, mat_to_quat
@@ -225,7 +225,7 @@ def test_controller_commands_stay_within_limits(
         integrator=integrator,
         held_quat=held,
         thrust_saturated=saturated)
-    state = Measurement(sample.p + offset, v, attitude)
+    state = (sample.p + offset, v, attitude)
     cmd = controller_step(params, ControlGains(), mode, limits, sample, flat,
                           state, ctx, 0.004)
     assert all_finite(cmd.thrust, cmd.omega)
@@ -252,8 +252,8 @@ def assert_controllers_agree(params, gains, mode, limits, sample, flat, p, v,
     ctx = ControllerContext(
         tuple(map(float, ctx.integrator)), ctx.thrust_saturated,
         None if ctx.held_quat is None else tuple(map(float, ctx.held_quat)))
-    floats = Measurement(*(tuple(map(float, x)) for x in (p, v, q)))
-    arrays = Measurement(*(np.array(x, dtype=float) for x in (p, v, q)))
+    floats = tuple(tuple(map(float, x)) for x in (p, v, q))
+    arrays = tuple(np.array(x, dtype=float) for x in (p, v, q))
     for _ in range(steps):
         cmd = controller_step(params, gains, mode, limits, sample, flat,
                               floats, ctx, 0.004)
@@ -491,11 +491,13 @@ half_turns = st.builds(
          scale=0.0, flip=False)
 @example(rotation=np.diag([-1.0, -1.0, 1.0]), noise=np.zeros((3, 3)),
          scale=0.0, flip=False)
+@example(rotation=_AXES, noise=np.array([[0.0, np.nan, 0.0], [0.0] * 3,
+                                         [0.0] * 3]), scale=1.0, flip=False)
 def test_float_mat_to_quat_is_the_numpy_oracle(rotation, noise, scale, flip):
     # rotations on all four of Shepperd's branches, perturbed from exact
-    # to far off orthonormal, and reflections: the float conversion
-    # refuses exactly the matrices the oracle refuses, and agrees with
-    # it on the rest
+    # to far off orthonormal, reflections and a NaN entry: the float
+    # conversion refuses exactly the matrices the oracle refuses, and
+    # agrees with it on the rest
     matrix = rotation + scale * noise
     if flip:
         matrix[:, 2] = -matrix[:, 2]
