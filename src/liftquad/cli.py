@@ -130,6 +130,7 @@ def _cmd_compare(args):
 
 def _cmd_check(args):
     cfg = _resolve_config(args)
+    _out_dir(args)
     report = feasibility_check(cfg)
     print(report.summary())
     return EXIT_OK

@@ -15,6 +15,7 @@ everywhere in code.
 
 import math
 from bisect import bisect_left
+from numbers import Integral
 
 from .aero import AeroParams, GRAVITY
 from .control import (THRUST_FLOOR_FACTOR, ControlGains, ControlLimits,
@@ -78,9 +79,9 @@ class ExperimentConfig(Frozen):
     gains, run length and output bookkeeping.
 
     ``model`` and ``wind_est`` (a float 3-tuple) are the controller's
-    beliefs and are independent of the plant's truth; ``ff_params`` is
-    what the flatness feedforward actually uses, the zeroed model in the
-    aero-feedforward-off conditions.
+    beliefs and are independent of the plant's truth; ``model`` reaches a
+    run only as ``ff_params``, which the flatness transform and the
+    controller both use: the zeroed model with aero feedforward off.
     """
 
     __slots__ = _fields = (
@@ -94,6 +95,13 @@ class ExperimentConfig(Frozen):
                  abort_radius=100.0, delay_ticks=0):
         self._set(trajectory, plant, model, wind_est, gains, limits, mode,
                   duration, rate, substeps, abort_radius, delay_ticks)
+        if len(wind_est) != 3:
+            raise ConfigError("model.wind must be a 3-vector")
+        for name, count in (("substeps", substeps),
+                            ("delay_ticks", delay_ticks)):
+            if not isinstance(count, Integral):
+                raise ConfigError(f"sim.{name} must be an integer, "
+                                  f"got {count!r}")
         # written so that NaN fails the range checks too
         if not 0.0 < duration < math.inf:
             raise ConfigError("sim.duration must be finite and > 0")

@@ -94,9 +94,9 @@ class ControlGains(Frozen):
 class ControlMode(Frozen):
     """Feature switches for the experiment conditions.
 
-    ``use_integrator`` picks PID vs PD on velocity; ``use_aero_feedforward``
-    enables the model-based aerodynamic compensation;
-    ``use_rate_feedforward`` adds the flatness body rate to the command.
+    ``use_integrator`` picks PID vs PD on velocity; ``use_rate_feedforward``
+    adds the flatness body rate to the command; ``use_aero_feedforward``
+    off makes a run believe the wingless model (``ff_params``).
     """
 
     __slots__ = _fields = ("use_integrator", "use_aero_feedforward",
@@ -191,25 +191,22 @@ def velocity_loop(gains, integrate, v_d, v, a_ref, integrator, dt):
     return a_d, integrator
 
 
-def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
+def accel_to_attitude_thrust(params, gains, a_d, flat):
     """Desired attitude and collective thrust from an acceleration demand.
 
-    The aerodynamic feedforward is evaluated at the reference attitude
-    (``flat.rotation``) and reference airspeed (``flat.airspeed``),
-    attenuated by ``kff`` and removed from the demand together with
-    gravity; what remains must come from the rotors.  Returns
+    The aerodynamic feedforward of ``params`` (+-0.0 on the wingless
+    model), at the reference attitude (``flat.rotation``) and airspeed
+    (``flat.airspeed``) and attenuated by ``kff``, is removed from the
+    demand with gravity; what remains must come from the rotors.  Returns
     ``(rotation, thrust, free_fall)``, the rotation as three rows; in
     the free-fall case the rotation is the reference attitude and the
     thrust is zero.  A demand whose norm is not finite raises
     ``FloatingPointError`` before either case is chosen.
     """
-    rx, ry, rz = a_d
-    rz -= GRAVITY
-    rotation_ff = flat.rotation
-    if mode.use_aero_feedforward:
-        (kx, ky, kz), (fx, fy, fz) = gains.kff, aero_accel(
-            params, rotation_ff, flat.airspeed)
-        rx, ry, rz = rx - kx * fx, ry - ky * fy, rz - kz * fz
+    (ax, ay, az), rotation_ff = a_d, flat.rotation
+    (kx, ky, kz), (fx, fy, fz) = gains.kff, aero_accel(
+        params, rotation_ff, flat.airspeed)
+    rx, ry, rz = ax - kx * fx, ay - ky * fy, az - GRAVITY - kz * fz
     rotor_norm = math.sqrt(rx * rx + ry * ry + rz * rz)
     if not math.isfinite(rotor_norm):
         raise overflow_error(_LAYER)
@@ -252,16 +249,17 @@ def saturate(limits, thrust, omega):
 
 
 def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
-    """One 250 Hz controller tick; chains the four loops and saturates.
+    """One controller tick of ``dt`` seconds (``1/sim.rate`` in a run);
+    chains the four loops and saturates.
 
-    ``sample`` is the flat reference point, ``flat`` the matching
-    flatness feedforward, ``state`` the measured ``(p, v, q)`` (any 3-, 3-
-    and 4-sequences, in :mod:`liftquad.geom`'s conventions), ``ctx`` the
+    ``params`` is the model the run believes (its ``ff_params``),
+    ``sample`` the flat reference point, ``flat`` the matching flatness
+    feedforward, ``state`` the measured ``(p, v, q)`` (any 3-, 3- and
+    4-sequences, in :mod:`liftquad.geom`'s conventions), ``ctx`` the
     per-vehicle context (mutated; in free fall it holds its desired
-    attitude, if it has one).
-    Deterministic given its arguments.  Raises ``FloatingPointError``
-    when the integral step, the demand or the unsaturated command is not
-    finite.
+    attitude, if it has one).  Deterministic given its arguments.
+    Raises ``FloatingPointError`` when the integral step, the demand or
+    the unsaturated command is not finite.
     """
     p, v, q = state
     v_d = position_loop(gains, sample.p, p, sample.v)
@@ -269,7 +267,7 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
         gains, mode.use_integrator and not ctx.thrust_saturated, v_d, v,
         sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
-        params, gains, mode, a_d, flat)
+        params, gains, a_d, flat)
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
     omega_d = wx, wy, wz = attitude_loop(gains, mode, ctx.held_quat, q,

@@ -19,6 +19,9 @@ from collections import deque
 from functools import cached_property
 from typing import NamedTuple
 
+# perfbench/tracer.py rebinds the per-tick calls imported here, the two
+# runs and RunResult.write_csv by name, and reads controller_step's
+# ``ctx`` by position; tests/test_harness.py pins those names.
 from .config import CONDITIONS
 from .control import ControlInput, ControllerContext, controller_step
 from .dynamics import VehicleState, actuator_lag, require_finite, rk4_step
@@ -239,7 +242,7 @@ def run_experiment(cfg):
     The plant starts on tick 0's reference in tick 0's feedforward
     attitude, with tick 0's feedforward as the applied input."""
     dt = 1.0 / cfg.rate
-    plant, substeps = cfg.plant, cfg.substeps
+    plant, substeps, model = cfg.plant, cfg.substeps, cfg.ff_params
     # without a lagging channel the plant holds the command as it is
     lags = plant.tau_thrust != 0.0 or plant.tau_omega != 0.0
     result = RunResult.allocate(cfg)
@@ -260,7 +263,7 @@ def run_experiment(cfg):
                 p_history = deque([state.p], maxlen=cfg.delay_ticks + 1)
             q = mat_to_quat(state.R)
             # the command the plant holds until the next tick
-            cmd = controller_step(cfg.model, cfg.gains, cfg.mode, cfg.limits,
+            cmd = controller_step(model, cfg.gains, cfg.mode, cfg.limits,
                                   ref, flat, (p_history[0], state.v, q),
                                   control_ctx, dt)
             (px, py, pz), (rx, ry, rz) = state.p, ref.p

@@ -22,9 +22,10 @@ class TrajectoryKind(Enum):
     LINE = "line"
 
 
-# Per-kind defaults for (radius, angular rate); the circle's speed cap
-# defaults to 10 m/s and its yaw fallback to the initial flight heading
-# (+y) so the standstill start hands off smoothly.
+# Per-kind defaults for (radius, omega): omega is the circle's phase
+# acceleration (rad/s^2) and the figure-eight's phase rate (rad/s).  The
+# circle's speed cap defaults to 10 m/s and its yaw fallback to the
+# initial flight heading (+y) so the standstill start hands off smoothly.
 _DEFAULT_RADIUS = {TrajectoryKind.CIRCLE: 15.0, TrajectoryKind.LEMNISCATE: 20.0}
 _DEFAULT_OMEGA = {TrajectoryKind.CIRCLE: 0.06, TrajectoryKind.LEMNISCATE: 0.33}
 _ZERO = (0.0, 0.0, 0.0)
@@ -34,15 +35,17 @@ _ZERO = (0.0, 0.0, 0.0)
 # cannot overflow.
 MAX_OFFSET = 1e7      # |p0| per axis (m)
 MAX_RADIUS = 1e6      # m
-MAX_OMEGA = 1e3       # rad/s
+MAX_OMEGA = 1e3       # rad/s^2 (circle) or rad/s (figure-eight)
 MAX_SPEED = 1e4       # |speed_cap| (m/s)
 
 
 class TrajectoryDef(Frozen):
     """Reference definition.
 
-    ``r`` and ``omega`` default per kind (15 m / 0.06 rad/s circle,
-    20 m / 0.33 rad/s figure-eight); ``speed_cap`` bounds the circle's
+    ``r`` and ``omega`` default per kind: 15 m and 0.06 rad/s^2 on the
+    circle, whose ``omega`` is the phase's angular acceleration up to the
+    speed cap, and 20 m and 0.33 rad/s on the figure-eight, whose
+    ``omega`` is the phase rate.  ``speed_cap`` bounds the circle's
     accelerating phase and sets the line speed; ``psi_fallback`` seeds
     the flatness yaw policy and doubles as the line heading.  ``p0`` is
     kept as a float 3-tuple.
@@ -54,6 +57,8 @@ class TrajectoryDef(Frozen):
     def __init__(self, kind=TrajectoryKind.CIRCLE, p0=None, r=None,
                  omega=None, speed_cap=10.0, psi_fallback=None):
         p0 = _ZERO if p0 is None else tuple(map(float, p0))
+        if len(p0) != 3:
+            raise ValueError("trajectory.p0 must be a 3-vector")
         if r is None:
             r = _DEFAULT_RADIUS.get(kind, 0.0)
         if omega is None:

@@ -308,20 +308,18 @@ def velocity_loop(gains, integrate, v_d, v, a_ref, integrator, dt):
     return np.asarray(gains.kvp) * error + integrator + a_ref, integrator
 
 
-def accel_to_attitude_thrust(params, gains, mode, a_d, flat):
+def accel_to_attitude_thrust(params, gains, a_d, flat):
     """Desired attitude and collective thrust from an acceleration demand.
 
-    The aerodynamic feedforward is evaluated at the reference attitude
-    (``flat.rotation``) and reference airspeed (``flat.airspeed``),
-    attenuated by ``kff`` and removed from the demand together with
-    gravity; what remains must come from the rotors.  Returns
+    The aerodynamic feedforward of ``params`` (+-0.0 on the wingless
+    model), at the reference attitude (``flat.rotation``) and airspeed
+    (``flat.airspeed``) and attenuated by ``kff``, is removed from the
+    demand with gravity; what remains must come from the rotors.  Returns
     ``(rotation, thrust, free_fall)``; in the free-fall case the
     rotation is the reference attitude and the thrust is zero.
     """
-    a_rotor = a_d - GRAVITY_VEC
-    if mode.use_aero_feedforward:
-        a_ff = aero_accel(params, flat.rotation, flat.airspeed)
-        a_rotor = a_rotor - np.asarray(gains.kff) * a_ff
+    a_ff = aero_accel(params, flat.rotation, flat.airspeed)
+    a_rotor = a_d - GRAVITY_VEC - np.asarray(gains.kff) * a_ff
     rotor_norm = norm(a_rotor)
     if rotor_norm < FREE_FALL_ACCEL:
         return flat.rotation, 0.0, True
@@ -361,13 +359,14 @@ def saturate(limits, thrust, omega):
 
 
 def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
-    """One 250 Hz controller tick; chains the four loops and saturates.
+    """One controller tick of ``dt`` seconds; chains the four loops and
+    saturates.
 
-    ``sample`` is the flat reference point, ``flat`` the matching
-    flatness feedforward, ``state`` the measured ``(p, v, q)`` as numpy
-    arrays, ``ctx`` the per-vehicle context (mutated; in free fall it
-    holds its desired attitude, if it has one).  Deterministic given its
-    arguments.
+    ``params`` is the model the run believes, ``sample`` the flat
+    reference point, ``flat`` the matching flatness feedforward, ``state``
+    the measured ``(p, v, q)`` as numpy arrays, ``ctx`` the per-vehicle
+    context (mutated; in free fall it holds its desired attitude, if it
+    has one).  Deterministic given its arguments.
     """
     p, v, q = state
     v_d = position_loop(gains, sample.p, p, sample.v)
@@ -375,7 +374,7 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
         gains, mode.use_integrator and not ctx.thrust_saturated, v_d, v,
         sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
-        params, gains, mode, a_d, flat)
+        params, gains, a_d, flat)
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
     omega_d = attitude_loop(gains, mode, ctx.held_quat, q, flat.omega)

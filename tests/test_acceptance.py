@@ -102,7 +102,7 @@ def test_criterion_2_body_rates_match_attitude_derivative():
     assert checked >= 1990
     assert worst < 1e-3
     assert elapsed < 5.0
-    report(2, f"max rate error {worst:.3e} rad/s < 1e-3 over {checked} "
+    report(2, f"max rate error {worst:.1e} rad/s < 1e-3 over {checked} "
               f"samples, {elapsed:.2f} s")
 
 

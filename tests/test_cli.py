@@ -296,7 +296,7 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("command", ["flat", "sim", "compare"])
+@pytest.mark.parametrize("command", ["flat", "sim", "compare", "check"])
 def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command):
     out = tmp_path / "taken"
     out.write_text("")
@@ -327,6 +327,12 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch,
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"config error: cannot write {tmp_path / output}: ")
     assert not entered
+
+
+def test_check_creates_a_missing_out_directory(tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    assert main(["check", "--duration", "0.1", "--out", str(out)]) == EXIT_OK
+    assert out.is_dir() and not list(out.iterdir())
 
 
 def test_bad_duration_override_exit_code(tmp_path, capsys):

@@ -117,7 +117,7 @@ def test_hover_demand_gives_level_attitude_and_weight():
     sample = FlatSample(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
     flat = flatness_transform(PARAMS, sample)
     rotation, thrust, free_fall = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(), np.zeros(3), flat)
+        PARAMS, ControlGains(), np.zeros(3), flat)
     assert not free_fall
     assert_allclose(rotation, np.eye(3), atol=1e-15)
     assert thrust == pytest.approx(-PARAMS.mass * GRAVITY)
@@ -130,7 +130,7 @@ def test_free_fall_demand_holds_attitude():
     mode = ControlMode()
     flat = flatness_transform(PARAMS, ref)
     _, thrust, free_fall = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), mode, ref.a, flat)
+        PARAMS, ControlGains(), ref.a, flat)
     assert free_fall and thrust == 0.0
     # a fresh context takes the reference attitude
     ctx = ControllerContext()
@@ -148,13 +148,13 @@ def test_free_fall_demand_holds_attitude():
 
 
 def test_aero_feedforward_shifts_demand():
+    # aero feedforward off, a run believes the wingless model
     sample, flat = cruise_reference()
     gains = ControlGains()
     a_d = np.array([0.5, 0.0, -0.2])
-    with_ff, thrust_ff, _ = accel_to_attitude_thrust(
-        PARAMS, gains, ControlMode(), a_d, flat)
+    with_ff, thrust_ff, _ = accel_to_attitude_thrust(PARAMS, gains, a_d, flat)
     without, thrust_raw, _ = accel_to_attitude_thrust(
-        PARAMS, gains, ControlMode(use_aero_feedforward=False), a_d, flat)
+        PARAMS.zeroed(), gains, a_d, flat)
     with_ff, without = np.asarray(with_ff), np.asarray(without)
     assert np.linalg.norm(with_ff - without) > 1e-3
     assert thrust_ff != pytest.approx(thrust_raw)
@@ -170,7 +170,7 @@ def test_aero_feedforward_shifts_demand():
 def test_lateral_axis_prefers_airspeed_direction():
     sample, flat = cruise_reference()
     rotation, _, _ = accel_to_attitude_thrust(
-        PARAMS, ControlGains(), ControlMode(), sample.a, flat)
+        PARAMS, ControlGains(), sample.a, flat)
     rotation = np.asarray(rotation)
     assert abs(float(rotation[:, 1] @ flat.wind_axis)) < 1e-12
 
@@ -265,7 +265,7 @@ def test_controller_step_matches_manual_stage_replay():
     a_d, integ = velocity_loop(gains, mode.use_integrator, v_d, v,
                                sample.a, np.zeros(3), dt)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
-        PARAMS, gains, mode, a_d, flat)
+        PARAMS, gains, a_d, flat)
     omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), q,
                             flat.omega)
     expected = saturate(limits, thrust_d, omega_d)
@@ -295,17 +295,17 @@ def test_integrator_freezes_after_thrust_floor():
 
 
 def test_saturated_step_keeps_other_mode_flags():
-    # the one-step integrator freeze must not re-enable feedforwards
-    gains = ControlGains()
+    # the one-step integrator freeze must not re-enable feedforwards; aero
+    # feedforward off, a run believes the wingless model
+    gains, bare = ControlGains(), PARAMS.zeroed()
     mode = ControlMode(use_aero_feedforward=False, use_rate_feedforward=False)
     tight = ControlLimits(thrust_min=-10.0)
     sample, flat = cruise_reference()
     state = measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
                      flat.rotation)
     ctx = ControllerContext()
-    controller_step(PARAMS, gains, mode, tight, sample, flat, state, ctx,
-                    0.004)
-    cmd = controller_step(PARAMS, gains, mode, tight, sample, flat, state,
+    controller_step(bare, gains, mode, tight, sample, flat, state, ctx, 0.004)
+    cmd = controller_step(bare, gains, mode, tight, sample, flat, state,
                           ctx, 0.004)
 
     ctx_ref = ControllerContext(integrator=np.asarray(ctx.integrator),
@@ -314,8 +314,7 @@ def test_saturated_step_keeps_other_mode_flags():
     v_d = position_loop(gains, sample.p, p, sample.v)
     a_d, _ = velocity_loop(gains, False, v_d, v, sample.a,
                            ctx_ref.integrator, 0.004)
-    rotation_d, thrust_d, _ = accel_to_attitude_thrust(
-        PARAMS, gains, mode, a_d, flat)
+    rotation_d, thrust_d, _ = accel_to_attitude_thrust(bare, gains, a_d, flat)
     omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), q,
                             flat.omega)
     expected = saturate(tight, thrust_d, omega_d)
@@ -366,7 +365,7 @@ def test_each_overflow_check_raises_the_one_error(case):
         where, value = "velocity_loop", "ix"
     elif case == "demand":
         def call():
-            accel_to_attitude_thrust(PARAMS, ControlGains(), ControlMode(),
+            accel_to_attitude_thrust(PARAMS, ControlGains(),
                                      (1e200, 0.0, 0.0), flat)
         where, value = "accel_to_attitude_thrust", "rotor_norm"
     else:

@@ -1,6 +1,7 @@
 """Config parsing and the closed-loop experiment harness."""
 
 import codecs
+import inspect
 import math
 import re
 from array import array
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from liftquad import control, harness
+from liftquad import cli, control, harness
 from liftquad.aero import GRAVITY
 from liftquad.config import (CONDITIONS, MAX_PLANT_STEPS, MAX_ROWS,
                              ConfigError, ExperimentConfig, build_config,
@@ -41,6 +42,24 @@ def short_circle(**overrides):
     pairs = {"sim.duration": 3, "trajectory.kind": "circle"}
     pairs.update(overrides)
     return config_from("\n".join(f"{k} = {v}" for k, v in pairs.items()))
+
+
+def test_the_names_the_benchmark_tracer_binds_to():
+    # perfbench/tracer.py rebinds these names for a traced run and reads
+    # controller_step's context by position; a change that moves one
+    # breaks every traced benchmark run, which no other tier-1 test sees
+    for name in ("sample_trajectory", "flatness_transform",
+                 "controller_step", "actuator_lag", "rk4_step", "mat_to_quat",
+                 "run_experiment", "feedforward_trace", "DivergenceError",
+                 "CSV_COLUMNS"):
+        assert name in vars(harness), name
+    assert "write_csv" in vars(harness.RunResult)
+    for name in ("run_experiment", "feedforward_trace", "load_config"):
+        assert name in vars(cli), name
+    for run in (harness.run_experiment, harness.feedforward_trace):
+        assert len(inspect.signature(run).parameters) == 1
+    assert list(inspect.signature(harness.controller_step).parameters)[7] \
+        == "ctx"
 
 
 # --- config -----------------------------------------------------------------
@@ -445,6 +464,24 @@ def test_zero_aero_model_makes_ff_conditions_identical(tmp_path):
     run_experiment(with_ff).write_csv(a)
     run_experiment(without).write_csv(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_aero_off_run_reads_the_model_only_through_ff_params(tmp_path):
+    # aero feedforward off, a run believes the wingless model in both the
+    # flatness transform and the controller: the model's wing
+    # coefficients change no byte, and the run is the one the zeroed
+    # model flies with aero feedforward on
+    stock = config_from("sim.duration = 3")
+    wings = config_from("sim.duration = 3\nmodel.cd0 = 0.3\n"
+                        "model.cla = 4.5\nmodel.cy0 = -0.4")
+    zeroed = stock.replace(model=stock.model.zeroed())
+    runs = [stock.with_condition("pid-df"), wings.with_condition("pid-df"),
+            zeroed.with_condition("pid-dfaf")]
+    paths = [tmp_path / f"{index}.csv" for index in range(len(runs))]
+    for cfg, path in zip(runs, paths):
+        run_experiment(cfg).write_csv(path)
+    first = paths[0].read_bytes()
+    assert all(path.read_bytes() == first for path in paths[1:])
 
 
 def test_runs_are_deterministic(tmp_path):

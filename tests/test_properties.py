@@ -226,8 +226,8 @@ def test_controller_commands_stay_within_limits(
         held_quat=held,
         thrust_saturated=saturated)
     state = (sample.p + offset, v, attitude)
-    cmd = controller_step(params, ControlGains(), mode, limits, sample, flat,
-                          state, ctx, 0.004)
+    cmd = controller_step(ff_params, ControlGains(), mode, limits, sample,
+                          flat, state, ctx, 0.004)
     assert all_finite(cmd.thrust, cmd.omega)
     assert limits.thrust_min <= cmd.thrust <= 0.0
     assert np.all(np.abs(cmd.omega) <= limits.omega_max)
@@ -291,7 +291,7 @@ def test_float_controller_is_the_numpy_oracle(
     limits = ControlLimits(thrust_min=-4.0 * params.mass * GRAVITY)
     ctx = ControllerContext(integrator, saturated, held)
     assert_controllers_agree(
-        params, ControlGains(integrator_limit=limit), mode, limits, sample,
+        ff_params, ControlGains(integrator_limit=limit), mode, limits, sample,
         flat, sample.p + offset, sample.v if v is None else v, attitude, ctx,
         steps=2)
 
@@ -321,7 +321,10 @@ _NO_AERO = ControlMode(use_aero_feedforward=False)
     ], ids=["earth-x", "earth-y", "free-fall", "thrust-floor", "clamp"])
 def test_float_controller_is_the_numpy_oracle_on_every_branch(
         mode, a_ref, heading, flat_rotation, v, integrator, limits, y_body):
+    # the model the run believes; at zero airspeed either compensates 0
     params, gains = AeroParams(), ControlGains()
+    if not mode.use_aero_feedforward:
+        params = params.zeroed()
     sample = FlatSample((1.0, 2.0, -3.0), _ZERO, a_ref, _ZERO)
     flat = FlatnessOutput(tuple(map(tuple, flat_rotation.tolist())), -10.0,
                           params.kappa, _ZERO, _ZERO, heading,
@@ -333,7 +336,7 @@ def test_float_controller_is_the_numpy_oracle_on_every_branch(
                                    sample.p, v, q, ctx, steps=2)
     # each case takes the branch it is named for
     rotation, thrust, free_fall = accel_to_attitude_thrust(
-        params, gains, mode, sample.a, flat)
+        params, gains, sample.a, flat)
     if y_body is None:
         assert free_fall or np.all(np.abs(ctx.integrator) == 3.0)
         assert not free_fall or ctx.held_quat == held

@@ -2,6 +2,7 @@
 read-only, never compared, hashed or shown, and no copy argument."""
 
 import math
+import re
 
 import pytest
 
@@ -62,3 +63,18 @@ def test_copies_are_checked_like_new_records(record, change, error):
         record.replace(**change)
     with pytest.raises(AttributeError):
         setattr(record, next(iter(change)), 1.0)
+
+
+@pytest.mark.parametrize("build, error, key", [
+    (lambda: TrajectoryDef(p0=(1.0, 2.0)), ValueError, "trajectory.p0"),
+    (lambda: ExperimentConfig(wind_est=(1.0, 2.0)), ConfigError,
+     "model.wind"),
+    (lambda: ExperimentConfig(substeps=1.5), ConfigError, "sim.substeps"),
+    (lambda: ExperimentConfig(delay_ticks=1.5), ConfigError,
+     "sim.delay_ticks")],
+    ids=["p0", "wind_est", "substeps", "delay_ticks"])
+def test_inputs_a_run_cannot_read_are_refused_at_construction(build, error,
+                                                               key):
+    # each passed construction and then failed at the run's first tick
+    with pytest.raises(error, match=f"^{re.escape(key)} must be "):
+        build()
