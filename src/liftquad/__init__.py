@@ -9,7 +9,7 @@ body z.
 
 from .aero import AeroParams, GRAVITY, aero_accel
 from .config import CONDITIONS, ConfigError, ExperimentConfig, build_config, load_config
-from .control import (ControlGains, ControlInput, ControlLimits, ControlMode,
+from .control import (ControlGains, ControlInput, ControlLimits,
                       ControllerContext, controller_step)
 from .dynamics import PlantConfig, VehicleState, actuator_lag, rk4_step
 from .flatness import (FlatSample, FlatnessOutput, SingularCase,
@@ -24,8 +24,8 @@ __all__ = [
     "AeroParams", "GRAVITY", "aero_accel",
     "CONDITIONS", "ConfigError", "ExperimentConfig", "build_config",
     "load_config",
-    "ControlGains", "ControlInput", "ControlLimits", "ControlMode",
-    "ControllerContext", "controller_step",
+    "ControlGains", "ControlInput", "ControlLimits", "ControllerContext",
+    "controller_step",
     "PlantConfig", "VehicleState", "actuator_lag", "rk4_step",
     "FlatSample", "FlatnessOutput", "SingularCase", "TransformContext",
     "flatness_transform",

@@ -46,19 +46,22 @@ class AeroParams(Frozen):
 
     def __init__(self, mass=1.5, kappa=math.radians(34.0), rho=1.225,
                  area=0.2, cd0=0.05, cy0=0.0, cla=2.0):
-        if mass <= 0.0:
+        # written so that NaN fails the range checks too
+        if not mass > 0.0:
             raise ValueError("mass must be > 0")
-        if rho <= 0.0:
+        if not rho > 0.0:
             raise ValueError("rho must be > 0")
-        if area < 0.0:
+        if not area >= 0.0:
             raise ValueError("area must be >= 0")
         if not (KAPPA_MIN < kappa <= KAPPA_MAX):
             raise ValueError(f"kappa_deg must be in (15, 90], "
                              f"got {math.degrees(kappa):g}")
-        if cd0 < 0.0:
+        if not cd0 >= 0.0:
             raise ValueError("cd0 must be >= 0")
-        if cla < 0.0:
+        if not cla >= 0.0:
             raise ValueError("cla must be >= 0")
+        if math.isnan(cy0):
+            raise ValueError("cy0 must be a number")
         c, s = math.cos(kappa), math.sin(kappa)
         cdxz = cla * s * c
         self._set(mass, kappa, rho, area, cd0, cy0, cla, (

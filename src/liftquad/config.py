@@ -18,10 +18,9 @@ from bisect import bisect_left
 from numbers import Integral
 
 from .aero import AeroParams, GRAVITY
-from .control import (THRUST_FLOOR_FACTOR, ControlGains, ControlLimits,
-                      ControlMode)
+from .control import THRUST_FLOOR_FACTOR, ControlGains, ControlLimits
 from .dynamics import PlantConfig
-from .record import Frozen
+from .record import Frozen, float3
 from .trajectories import TrajectoryDef, TrajectoryKind
 
 
@@ -29,15 +28,16 @@ class ConfigError(ValueError):
     """Invalid config file or config value."""
 
 
-# The condition matrix's cells in run order, each with the ControlMode
-# switches it sets; the cells that share a reference stream are adjacent.
+# The condition matrix's cells in run order, each with what it turns off:
+# the velocity integral (gains.kvi = 0), the wing of the model the run
+# believes (model.zeroed()) or the body-rate feedforward; the cells that
+# share a reference stream are adjacent.
 CONDITIONS = {
-    "pid-dfaf": {"use_integrator": True, "use_aero_feedforward": True},
-    "pd-dfaf": {"use_integrator": False, "use_aero_feedforward": True},
-    "rate-ff-off": {"use_integrator": True, "use_aero_feedforward": True,
-                    "use_rate_feedforward": False},
-    "pid-df": {"use_integrator": True, "use_aero_feedforward": False},
-    "pd-df": {"use_integrator": False, "use_aero_feedforward": False},
+    "pid-dfaf": (),
+    "pd-dfaf": ("integral",),
+    "rate-ff-off": ("rate_ff",),
+    "pid-df": ("wing",),
+    "pd-df": ("integral", "wing"),
 }
 
 _KINDS = {k.value: k for k in TrajectoryKind}
@@ -79,24 +79,32 @@ class ExperimentConfig(Frozen):
     gains, run length and output bookkeeping.
 
     ``model`` and ``wind_est`` (a float 3-tuple) are the controller's
-    beliefs and are independent of the plant's truth; ``model`` reaches a
-    run only as ``ff_params``, which the flatness transform and the
-    controller both use: the zeroed model with aero feedforward off.
+    beliefs and are independent of the plant's truth; the flatness
+    transform and the controller both read ``model``, so a run without
+    aerodynamic feedforward is a run of ``model.zeroed()``.  ``rate_ff``
+    adds the flatness body rate to the body-rate command.  ``limits``
+    does not follow ``model``: its default thrust floor is the default
+    airframe's (see :class:`ControlLimits`), while :func:`build_config`
+    derives the floor from ``model.mass``, so a caller who changes the
+    model's mass passes ``limits`` too.
     """
 
     __slots__ = _fields = (
-        "trajectory", "plant", "model", "wind_est", "gains", "limits", "mode",
-        "duration", "rate", "substeps", "abort_radius", "delay_ticks")
+        "trajectory", "plant", "model", "wind_est", "gains", "limits",
+        "rate_ff", "duration", "rate", "substeps", "abort_radius",
+        "delay_ticks")
 
     def __init__(self, trajectory=TrajectoryDef(), plant=PlantConfig(),
                  model=AeroParams(), wind_est=(0.0, 0.0, 0.0),
                  gains=ControlGains(), limits=ControlLimits(),
-                 mode=ControlMode(), duration=60.0, rate=250, substeps=1,
+                 rate_ff=True, duration=60.0, rate=250, substeps=1,
                  abort_radius=100.0, delay_ticks=0):
-        self._set(trajectory, plant, model, wind_est, gains, limits, mode,
+        try:
+            wind_est = float3("model.wind", wind_est)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        self._set(trajectory, plant, model, wind_est, gains, limits, rate_ff,
                   duration, rate, substeps, abort_radius, delay_ticks)
-        if len(wind_est) != 3:
-            raise ConfigError("model.wind must be a 3-vector")
         for name, count in (("substeps", substeps),
                             ("delay_ticks", delay_ticks)):
             if not isinstance(count, Integral):
@@ -105,7 +113,7 @@ class ExperimentConfig(Frozen):
         # written so that NaN fails the range checks too
         if not 0.0 < duration < math.inf:
             raise ConfigError("sim.duration must be finite and > 0")
-        if rate <= 0 or substeps <= 0:
+        if not (rate > 0 and substeps > 0):
             raise ConfigError("sim.rate and sim.substeps must be > 0")
         if not 0.0 < abort_radius < math.inf:
             raise ConfigError("sim.abort_radius must be finite and > 0")
@@ -160,18 +168,19 @@ class ExperimentConfig(Frozen):
         """Rows a run logs: N ticks log N+1, the first and last included."""
         return round(self.rate * self.duration) + 1
 
-    @property
-    def ff_params(self):
-        if self.mode.use_aero_feedforward:
-            return self.model
-        return self.model.zeroed()
-
     def with_condition(self, name):
-        """Config for a named controller condition (see CONDITIONS)."""
+        """Config for a named controller condition (see CONDITIONS): the
+        integral off is ``gains.kvi = 0``, the wing off believes
+        ``model.zeroed()``."""
         if name not in CONDITIONS:
             raise ConfigError(f"unknown condition {name!r}; expected one of "
                               f"{', '.join(CONDITIONS)}")
-        return self.replace(mode=self.mode.replace(**CONDITIONS[name]))
+        off = CONDITIONS[name]
+        return self.replace(
+            gains=self.gains.replace(kvi=0.0) if "integral" in off
+            else self.gains,
+            model=self.model.zeroed() if "wing" in off else self.model,
+            rate_ff=self.rate_ff and "rate_ff" not in off)
 
 
 def _axes(prefix, vector):
@@ -203,9 +212,7 @@ _SCHEMA = {
     "gains.integrator_limit": ("float", _DEFAULT.gains.integrator_limit),
     "limits.thrust_factor": ("float", THRUST_FLOOR_FACTOR),
     "limits.omega_max": ("float", _DEFAULT.limits.omega_max),
-    "mode.integrator": ("bool", _DEFAULT.mode.use_integrator),
-    "mode.aero_ff": ("bool", _DEFAULT.mode.use_aero_feedforward),
-    "mode.rate_ff": ("bool", _DEFAULT.mode.use_rate_feedforward),
+    "mode.rate_ff": ("bool", _DEFAULT.rate_ff),
     "sim.duration": ("float", _DEFAULT.duration),
     "sim.rate": ("int", _DEFAULT.rate),
     "sim.substeps": ("int", _DEFAULT.substeps),
@@ -325,13 +332,10 @@ def build_config(raw):
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    mode = ControlMode(
-        use_integrator=values["mode.integrator"],
-        use_aero_feedforward=values["mode.aero_ff"],
-        use_rate_feedforward=values["mode.rate_ff"])
     return ExperimentConfig(
         trajectory=trajectory, plant=plant, model=model,
-        wind_est=vec("model.wind"), gains=gains, limits=limits, mode=mode,
+        wind_est=vec("model.wind"), gains=gains, limits=limits,
+        rate_ff=values["mode.rate_ff"],
         **{name: values[f"sim.{name}"] for name in
            ("duration", "rate", "substeps", "abort_radius", "delay_ticks")})
 

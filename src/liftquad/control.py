@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .aero import GRAVITY, AeroParams, aero_accel
 from .geom import (lateral_axis, mat_to_quat, overflow_error, quat_conj,
                    quat_mul, quat_to_rotation_vector)
-from .record import Frozen, Record
+from .record import Frozen, Record, float3
 
 # Acceleration-demand norm below which the thrust direction is
 # undefined and the free-fall policy (hold attitude, zero thrust) is
@@ -50,16 +50,10 @@ def _axis_vector(name, value):
     """Gain ``name`` as a float 3-tuple of entries >= 0, given as in
     :class:`ControlGains`."""
     try:
-        items = iter(value)
+        iter(value)
     except TypeError:   # not a sequence: a scalar
-        vec = (float(value),) * 3
-    else:
-        try:
-            vec = tuple(map(float, items))
-        except TypeError:   # an entry that is itself a sequence
-            vec = ()
-        if len(vec) != 3:
-            raise ValueError(f"{name} must be a scalar or 3-vector")
+        value = (value,) * 3
+    vec = float3(f"gains.{name}", value)
     for axis, k in zip("xyz", vec):
         if k < 0.0:
             raise ValueError(f"gains.{name}.{axis} must be >= 0, got {k}")
@@ -86,39 +80,27 @@ class ControlGains(Frozen):
         for axis, k in zip("xyz", gains[3]):
             if k > 1.0:
                 raise ValueError(f"gains.kff.{axis} must be <= 1, got {k}")
-        if integrator_limit < 0.0:
+        if not integrator_limit >= 0.0:
             raise ValueError("gains.integrator_limit must be >= 0")
         self._set(*gains, integrator_limit)
 
 
-class ControlMode(Frozen):
-    """Feature switches for the experiment conditions.
-
-    ``use_integrator`` picks PID vs PD on velocity; ``use_rate_feedforward``
-    adds the flatness body rate to the command; ``use_aero_feedforward``
-    off makes a run believe the wingless model (``ff_params``).
-    """
-
-    __slots__ = _fields = ("use_integrator", "use_aero_feedforward",
-                           "use_rate_feedforward")
-
-    def __init__(self, use_integrator=True, use_aero_feedforward=True,
-                 use_rate_feedforward=True):
-        self._set(use_integrator, use_aero_feedforward, use_rate_feedforward)
-
-
 class ControlLimits(Frozen):
-    """Actuator saturation bounds: collective thrust floor (N, <= 0; the
-    default is four times the default airframe weight) and a per-axis
-    body-rate bound (rad/s)."""
+    """Actuator saturation bounds: collective thrust floor (N, <= 0) and
+    a per-axis body-rate bound (rad/s).
+
+    The default floor is four times the weight of the *default* airframe,
+    whatever model a run believes; a config file derives it from
+    ``model.mass`` (``limits.thrust_factor``), so a library caller who
+    changes the model's mass passes its floor too."""
 
     __slots__ = _fields = ("thrust_min", "omega_max")
 
     def __init__(self, thrust_min=-THRUST_FLOOR_FACTOR * AeroParams().mass
                  * GRAVITY, omega_max=6.0):
-        if thrust_min > 0.0:
+        if not thrust_min <= 0.0:
             raise ValueError("thrust_min must be <= 0")
-        if omega_max <= 0.0:
+        if not omega_max > 0.0:
             raise ValueError("limits.omega_max must be > 0")
         self._set(thrust_min, omega_max)
 
@@ -224,18 +206,18 @@ def accel_to_attitude_thrust(params, gains, a_d, flat):
     return rotation, min(thrust, 0.0), False
 
 
-def attitude_loop(gains, mode, q_d, q_current, omega_ref):
+def attitude_loop(gains, rate_ff, q_d, q_current, omega_ref):
     """Body-rate command from the attitude error.
 
     The error quaternion rotates the current attitude ``q_current`` onto
     the desired one ``q_d``; its rotation vector is scaled by ``ktp``
-    and the flatness body rate is added unless rate feedforward is off.
+    and the flatness body rate is added if ``rate_ff`` is true.
     Antipodal quaternion representations give the same command up to
     rounding (see :func:`liftquad.geom.quat_to_rotation_vector`).
     """
     q_err = quat_mul(quat_conj(q_current), q_d)
     (kx, ky, kz), (ex, ey, ez) = gains.ktp, quat_to_rotation_vector(q_err)
-    if not mode.use_rate_feedforward:
+    if not rate_ff:
         return (kx * ex, ky * ey, kz * ez)
     wx, wy, wz = omega_ref
     return (kx * ex + wx, ky * ey + wy, kz * ez + wz)
@@ -248,29 +230,33 @@ def saturate(limits, thrust, omega):
                         _clip(omega, limits.omega_max))
 
 
-def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
+def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
+                    dt):
     """One controller tick of ``dt`` seconds (``1/sim.rate`` in a run);
     chains the four loops and saturates.
 
-    ``params`` is the model the run believes (its ``ff_params``),
+    ``params`` is the model the run believes (``cfg.model``),
+    ``rate_ff`` whether the flatness body rate is added to the command,
     ``sample`` the flat reference point, ``flat`` the matching flatness
     feedforward, ``state`` the measured ``(p, v, q)`` (any 3-, 3- and
     4-sequences, in :mod:`liftquad.geom`'s conventions), ``ctx`` the
     per-vehicle context (mutated; in free fall it holds its desired
-    attitude, if it has one).  Deterministic given its arguments.
+    attitude, if it has one).  The velocity integral runs on every tick
+    but the one after the thrust hit its floor; a PD controller is
+    ``gains.kvi = 0``, whose integral stays at +0.0.  Deterministic
+    given its arguments.
     Raises ``FloatingPointError`` when the integral step, the demand or
     the unsaturated command is not finite.
     """
     p, v, q = state
     v_d = position_loop(gains, sample.p, p, sample.v)
     a_d, ctx.integrator = velocity_loop(
-        gains, mode.use_integrator and not ctx.thrust_saturated, v_d, v,
-        sample.a, ctx.integrator, dt)
+        gains, not ctx.thrust_saturated, v_d, v, sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
         params, gains, a_d, flat)
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
-    omega_d = wx, wy, wz = attitude_loop(gains, mode, ctx.held_quat, q,
+    omega_d = wx, wy, wz = attitude_loop(gains, rate_ff, ctx.held_quat, q,
                                          flat.omega)
     if not (math.isfinite(thrust_d) and math.isfinite(wx)
             and math.isfinite(wy) and math.isfinite(wz)):

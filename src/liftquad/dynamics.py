@@ -23,7 +23,7 @@ import math
 from .aero import GRAVITY, AeroParams, aero_accel
 from .control import ControlInput
 from .geom import overflow_error
-from .record import Frozen, Record
+from .record import Frozen, Record, float3
 
 
 class VehicleState(Record):
@@ -68,12 +68,12 @@ class PlantConfig(Frozen):
 
     def __init__(self, aero=AeroParams(), wind=(0.0, 0.0, 0.0), tau_omega=0.0,
                  tau_thrust=0.0, step=1e-3):
-        wx, wy, wz = wind
-        wind = (float(wx), float(wy), float(wz))
-        if step <= 0.0:
+        wind = float3("plant.wind", wind)
+        # written so that NaN fails the range checks too
+        if not step > 0.0:
             raise ValueError("integration step must be > 0")
         for key, tau in (("tau_omega", tau_omega), ("tau_thrust", tau_thrust)):
-            if tau < 0.0:
+            if not tau >= 0.0:
                 raise ValueError(f"plant.{key} must be >= 0")
         decays = [math.exp(-step / tau) if tau != 0.0 else 0.0
                   for tau in (tau_thrust, tau_omega)]

@@ -8,7 +8,8 @@ yields N+1 rows.  Runs are deterministic: identical configs produce
 byte-identical CSV traces.
 
 ``condition_matrix`` repeats one experiment under each cell of
-``config.CONDITIONS`` (PID/PD crossed with aero feedforward on/off, and
+``config.CONDITIONS`` (PID/PD, the configured ``gains.kvi`` or 0,
+crossed with DFAF/DF, the configured model or its wingless copy, and
 the rate-feedforward ablation), and reports tracking RMSE per cell.
 """
 
@@ -171,8 +172,7 @@ def _went_non_finite(reason, t, ref, result, k):
 def _stream_key(cfg):
     """All a run's reference stream depends on: the transform's
     hysteresis runs on reference speed, never on the plant."""
-    return (cfg.trajectory, cfg.ff_params, cfg.wind_est, cfg.rate,
-            cfg.n_rows)
+    return (cfg.trajectory, cfg.model, cfg.wind_est, cfg.rate, cfg.n_rows)
 
 
 def _ticks(cfg, result):
@@ -193,13 +193,12 @@ def _computed(cfg, result):
     """The ticks sampled and transformed, all transforms of one run
     going through one context."""
     dt = 1.0 / cfg.rate
-    ff_params = cfg.ff_params
     transform_ctx = TransformContext()
     for k in range(cfg.n_rows):
         t = k * dt
         ref = sample_trajectory(cfg.trajectory, t)
         try:
-            flat = flatness_transform(ff_params, ref, transform_ctx,
+            flat = flatness_transform(cfg.model, ref, transform_ctx,
                                       wind=cfg.wind_est)
         except FloatingPointError as exc:
             raise _went_non_finite(exc, t, ref, result, k) from None
@@ -242,7 +241,7 @@ def run_experiment(cfg):
     The plant starts on tick 0's reference in tick 0's feedforward
     attitude, with tick 0's feedforward as the applied input."""
     dt = 1.0 / cfg.rate
-    plant, substeps, model = cfg.plant, cfg.substeps, cfg.ff_params
+    plant, substeps, model = cfg.plant, cfg.substeps, cfg.model
     # without a lagging channel the plant holds the command as it is
     lags = plant.tau_thrust != 0.0 or plant.tau_omega != 0.0
     result = RunResult.allocate(cfg)
@@ -263,7 +262,7 @@ def run_experiment(cfg):
                 p_history = deque([state.p], maxlen=cfg.delay_ticks + 1)
             q = mat_to_quat(state.R)
             # the command the plant holds until the next tick
-            cmd = controller_step(model, cfg.gains, cfg.mode, cfg.limits,
+            cmd = controller_step(model, cfg.gains, cfg.rate_ff, cfg.limits,
                                   ref, flat, (p_history[0], state.v, q),
                                   control_ctx, dt)
             (px, py, pz), (rx, ry, rz) = state.p, ref.p

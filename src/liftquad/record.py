@@ -4,7 +4,22 @@
 they, are compared, hashed, shown and copied.  Other slots are derived,
 and :meth:`Record.replace` copies through the constructor, so a copy is
 checked and derives them again; a derived slot is no copy argument.
+A vector argument is kept as the float 3-tuple :func:`float3` makes.
 """
+
+import math
+
+
+def float3(key, value):
+    """``value`` as a float 3-tuple; a ``ValueError`` naming the config
+    key ``key`` unless it is three finite numbers (a string is none)."""
+    try:
+        vec = () if isinstance(value, str) else tuple(map(float, value))
+    except (TypeError, ValueError):
+        vec = ()
+    if len(vec) != 3 or not all(map(math.isfinite, vec)):
+        raise ValueError(f"{key} must be three finite numbers")
+    return vec
 
 
 class Record:

@@ -12,7 +12,7 @@ import math
 from enum import Enum
 
 from .flatness import FlatSample
-from .record import Frozen
+from .record import Frozen, float3
 
 
 class TrajectoryKind(Enum):
@@ -56,9 +56,10 @@ class TrajectoryDef(Frozen):
 
     def __init__(self, kind=TrajectoryKind.CIRCLE, p0=None, r=None,
                  omega=None, speed_cap=10.0, psi_fallback=None):
-        p0 = _ZERO if p0 is None else tuple(map(float, p0))
-        if len(p0) != 3:
-            raise ValueError("trajectory.p0 must be a 3-vector")
+        if not isinstance(kind, TrajectoryKind):
+            raise ValueError(f"trajectory.kind must be a TrajectoryKind, "
+                             f"got {kind!r}")
+        p0 = _ZERO if p0 is None else float3("trajectory.p0", p0)
         if r is None:
             r = _DEFAULT_RADIUS.get(kind, 0.0)
         if omega is None:
@@ -66,6 +67,8 @@ class TrajectoryDef(Frozen):
         if psi_fallback is None:
             planar = kind in (TrajectoryKind.CIRCLE, TrajectoryKind.LEMNISCATE)
             psi_fallback = 0.5 * math.pi if planar else 0.0
+        if not math.isfinite(psi_fallback):
+            raise ValueError("trajectory.psi must be finite")
         for key, value, low, high in (
                 *((f"p0.{axis}", x, -MAX_OFFSET, MAX_OFFSET)
                   for axis, x in zip("xyz", p0)),

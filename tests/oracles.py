@@ -333,19 +333,19 @@ def accel_to_attitude_thrust(params, gains, a_d, flat):
     return rotation, min(thrust, 0.0), False
 
 
-def attitude_loop(gains, mode, q_d, q_current, omega_ref):
+def attitude_loop(gains, rate_ff, q_d, q_current, omega_ref):
     """Body-rate command from the attitude error.
 
     The error quaternion rotates the current attitude ``q_current`` onto
     the desired one ``q_d``; its rotation vector is scaled by ``ktp``
-    and the flatness body rate is added unless rate feedforward is off.
+    and the flatness body rate is added if ``rate_ff`` is true.
     Antipodal quaternion representations give the same command up to
     rounding (see :func:`liftquad.geom.quat_to_rotation_vector`).
     """
     q_err = quat_mul(quat_conj(q_current), q_d)
     xi = quat_to_rotation_vector(q_err)
     omega = np.asarray(gains.ktp) * xi
-    if mode.use_rate_feedforward:
+    if rate_ff:
         omega = omega + omega_ref
     return omega
 
@@ -358,11 +358,13 @@ def saturate(limits, thrust, omega):
         np.clip(omega, -limits.omega_max, limits.omega_max))
 
 
-def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
+def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
+                    dt):
     """One controller tick of ``dt`` seconds; chains the four loops and
     saturates.
 
-    ``params`` is the model the run believes, ``sample`` the flat
+    ``params`` is the model the run believes, ``rate_ff`` whether the
+    flatness body rate is added to the command, ``sample`` the flat
     reference point, ``flat`` the matching flatness feedforward, ``state``
     the measured ``(p, v, q)`` as numpy arrays, ``ctx`` the per-vehicle
     context (mutated; in free fall it holds its desired attitude, if it
@@ -371,13 +373,12 @@ def controller_step(params, gains, mode, limits, sample, flat, state, ctx, dt):
     p, v, q = state
     v_d = position_loop(gains, sample.p, p, sample.v)
     a_d, ctx.integrator = velocity_loop(
-        gains, mode.use_integrator and not ctx.thrust_saturated, v_d, v,
-        sample.a, ctx.integrator, dt)
+        gains, not ctx.thrust_saturated, v_d, v, sample.a, ctx.integrator, dt)
     rotation_d, thrust_d, free_fall = accel_to_attitude_thrust(
         params, gains, a_d, flat)
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
-    omega_d = attitude_loop(gains, mode, ctx.held_quat, q, flat.omega)
+    omega_d = attitude_loop(gains, rate_ff, ctx.held_quat, q, flat.omega)
     command = saturate(limits, thrust_d, omega_d)
     ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)
     return command

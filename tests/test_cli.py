@@ -492,33 +492,79 @@ def test_check_report_is_unchanged(tmp_path, capsys, name):
     assert capsys.readouterr().out == report
 
 
-# sha256 of every file a 2 s compare writes at 20% drag/lift mismatch
-# (the compare-mismatch benchmark's config); the cells that share a
-# reference stream must write what five separate runs write
+# test id -> (config, sha256 of every file a 2 s compare writes).  At
+# 20% drag/lift mismatch (the compare-mismatch benchmark's config) the
+# cells that share a reference stream must write what five separate
+# runs write.  The PD cells' traces on the hover-gust and on the
+# zero-radius circle without integrator headroom hold -0 cells, which
+# pin the sign of a velocity integral that never moves off zero
+_HOVER_GUST_PID = (
+    "f729963802e8224d3e75adac5207e8e30d0f9e080222fd0ecdb53f57b3e45412")
+_HOVER_GUST_PD = (
+    "22416684c64160697bdeca5f831a7c3758fe4e4c73ba209c67e52f394d009e0c")
+_ZERO_RADIUS = (
+    "965c9c858b6e6eb8e9fae969f6f6f1ef5ba76f76a17a1dfc5daa1b8fa64a59d0")
 _COMPARE_SHA256 = {
-    "pid-dfaf.csv":
-        "aefa89a028ef60dc8de9938f0f9ba40d1bcdd726e19ba33aa7c1efd90283cfd3",
-    "pd-dfaf.csv":
-        "40602ad9c623b78bd9b0fdadb8463422d0307112818b33d6bc58f375616af890",
-    "pid-df.csv":
-        "d936bc0996a26436797977891b81ae4b9bd8f84c46bc4c2d127394294e45d559",
-    "pd-df.csv":
-        "d4f968813f4ea5da14e46412397c9987bfff9b86e94f3fa773d105c91794dbef",
-    "rate-ff-off.csv":
-        "9e805a316bf585b900e72f0ed20e66953dcbcd9a7513b7c9175e0ec6ef5d980d",
-    # the summary lists the cells in CONDITIONS order, rate-ff-off third
-    "summary.txt":
-        "8aba16d35d725260451b135cc1c96120c518e9a192c66d85a7716edaa372d99d",
+    "mismatch": ("plant.cd0 = 0.06\nplant.cla = 2.4\n", {
+        "pid-dfaf.csv":
+            "aefa89a028ef60dc8de9938f0f9ba40d1bcdd726e19ba33aa7c1efd90283cfd3",
+        "pd-dfaf.csv":
+            "40602ad9c623b78bd9b0fdadb8463422d0307112818b33d6bc58f375616af890",
+        "pid-df.csv":
+            "d936bc0996a26436797977891b81ae4b9bd8f84c46bc4c2d127394294e45d559",
+        "pd-df.csv":
+            "d4f968813f4ea5da14e46412397c9987bfff9b86e94f3fa773d105c91794dbef",
+        "rate-ff-off.csv":
+            "9e805a316bf585b900e72f0ed20e66953dcbcd9a7513b7c9175e0ec6ef5d980d",
+        # the summary lists the cells in CONDITIONS order, rate-ff-off third
+        "summary.txt":
+            "8aba16d35d725260451b135cc1c96120c518e9a192c66d85a7716edaa372d99d",
+    }),
+    # at rest the wing changes nothing, and the PID cells fly the trace
+    # test_trace_is_unchanged[sim] pins
+    "hover-gust": (_HOVER_GUST, {
+        "pid-dfaf.csv": _HOVER_GUST_PID, "pd-dfaf.csv": _HOVER_GUST_PD,
+        "rate-ff-off.csv": _HOVER_GUST_PID, "pid-df.csv": _HOVER_GUST_PID,
+        "pd-df.csv": _HOVER_GUST_PD,
+        "summary.txt":
+            "b3046e6db8e1cc40f0c3a05611dc9958a3e0ae5cf0f5a7fc91a45fcbde5c7677",
+    }),
+    # a still reference whose integral is clamped to zero: every cell
+    # flies alike
+    "zero-radius": (
+        "trajectory.radius = 0\ngains.integrator_limit = 0\n", {
+            **{f"{name}.csv": _ZERO_RADIUS for name in (
+                "pid-dfaf", "pd-dfaf", "rate-ff-off", "pid-df", "pd-df")},
+            "summary.txt": "cbfbb665599c10c0acbd1700bb18c68ade7b1406be265a10"
+                           "e7d48bb10c843abf",
+        }),
 }
 
 
-def test_compare_outputs_are_unchanged(tmp_path):
-    cfg = write_cfg(tmp_path, "plant.cd0 = 0.06\nplant.cla = 2.4\n")
+@pytest.mark.parametrize("name", list(_COMPARE_SHA256))
+def test_compare_outputs_are_unchanged(tmp_path, name):
+    text, digests = _COMPARE_SHA256[name]
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["compare", "--config", cfg, "--duration", "2",
                  "--out", str(out)]) == EXIT_OK
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in out.iterdir()} == _COMPARE_SHA256
+            for path in out.iterdir()} == digests
+
+
+@pytest.mark.parametrize("text", ["", _HOVER_GUST],
+                         ids=["circle", "hover-gust"])
+def test_pd_cell_is_the_config_with_no_velocity_integral(tmp_path, text):
+    # --condition pd-dfaf sets gains.kvi = 0 and nothing else: the two
+    # runs write the same bytes
+    pd, kvi = tmp_path / "pd", tmp_path / "kvi"
+    assert main(["sim", "--config", write_cfg(tmp_path, text), "--duration",
+                 "3", "--condition", "pd-dfaf", "--out", str(pd)]) == EXIT_OK
+    zeroed = text + "".join(f"gains.kvi.{axis} = 0\n" for axis in "xyz")
+    assert main(["sim", "--config", write_cfg(tmp_path, zeroed, "kvi.cfg"),
+                 "--duration", "3", "--out", str(kvi)]) == EXIT_OK
+    assert ((pd / "pd-dfaf.csv").read_bytes()
+            == (kvi / "sim.csv").read_bytes())
 
 
 def test_flat_trace_is_deterministic(tmp_path):

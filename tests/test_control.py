@@ -11,10 +11,10 @@ from numpy.testing import assert_allclose
 from liftquad import harness
 from liftquad.aero import AeroParams, GRAVITY, aero_accel
 from liftquad.config import build_config
-from liftquad.control import (ControlGains, ControlLimits, ControlMode,
-                              ControllerContext, accel_to_attitude_thrust,
-                              attitude_loop, controller_step, position_loop,
-                              saturate, velocity_loop)
+from liftquad.control import (ControlGains, ControlLimits, ControllerContext,
+                              accel_to_attitude_thrust, attitude_loop,
+                              controller_step, position_loop, saturate,
+                              velocity_loop)
 from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                flatness_transform)
 from liftquad.geom import mat_to_quat
@@ -57,9 +57,9 @@ def test_gains_broadcast_and_validate():
     with pytest.raises(ValueError,
                        match=r"^gains\.kff\.y must be <= 1, got 1\.5$"):
         ControlGains(kff=[0.8, 1.5, 0.8])
+    shape = r"^gains\.kpp must be three finite numbers$"
     for bad in ([1.0, 2.0], np.zeros(4), [[1.0, 2.0, 3.0]]):
-        with pytest.raises(ValueError,
-                           match=r"^kpp must be a scalar or 3-vector$"):
+        with pytest.raises(ValueError, match=shape):
             ControlGains(kpp=bad)
 
 
@@ -127,21 +127,20 @@ def test_free_fall_demand_holds_attitude():
     # on the reference, the stock loops demand a = g: free fall
     ref = FlatSample(np.zeros(3), np.zeros(3), GRAVITY_VEC, np.zeros(3))
     state = measured(np.zeros(3), np.zeros(3), rodrigues(EZ, 0.3))
-    mode = ControlMode()
     flat = flatness_transform(PARAMS, ref)
     _, thrust, free_fall = accel_to_attitude_thrust(
         PARAMS, ControlGains(), ref.a, flat)
     assert free_fall and thrust == 0.0
     # a fresh context takes the reference attitude
     ctx = ControllerContext()
-    cmd = controller_step(PARAMS, ControlGains(), mode, ControlLimits(),
+    cmd = controller_step(PARAMS, ControlGains(), True, ControlLimits(),
                           ref, flat, state, ctx, 0.004)
     assert cmd.thrust == 0.0
     assert np.array_equal(ctx.held_quat, mat_to_quat(flat.rotation))
     # a held attitude survives bit for bit
     held = mat_to_quat(rodrigues(EZ, -0.7))
     ctx = ControllerContext(held_quat=held)
-    controller_step(PARAMS, ControlGains(), mode, ControlLimits(), ref,
+    controller_step(PARAMS, ControlGains(), True, ControlLimits(), ref,
                     flat, state, ctx, 0.004)
     assert ctx.held_quat is held
     assert np.array_equal(held, mat_to_quat(rodrigues(EZ, -0.7)))
@@ -180,17 +179,16 @@ def test_attitude_loop_zero_error_returns_feedforward():
     rotation = rodrigues(np.array([0.0, 1.0, 0.0]), 0.4)
     omega_ref = np.array([0.1, -0.2, 0.3])
     q = mat_to_quat(rotation)
-    omega = attitude_loop(gains, ControlMode(), q, q, omega_ref)
+    omega = attitude_loop(gains, True, q, q, omega_ref)
     assert_allclose(omega, omega_ref, atol=1e-12)
-    omega = attitude_loop(gains, ControlMode(use_rate_feedforward=False),
-                          q, q, omega_ref)
+    omega = attitude_loop(gains, False, q, q, omega_ref)
     assert_allclose(omega, np.zeros(3), atol=1e-12)
 
 
 def test_attitude_loop_quarter_turn_command():
     # oracle: axis-angle error (0, 0, pi/2) scaled by the gain
     gains = ControlGains(ktp=2.0)
-    omega = attitude_loop(gains, ControlMode(use_rate_feedforward=False),
+    omega = attitude_loop(gains, False,
                           mat_to_quat(rodrigues(EZ, 0.5 * math.pi)),
                           np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
     assert_allclose(omega, [0.0, 0.0, math.pi], atol=1e-12)
@@ -198,7 +196,7 @@ def test_attitude_loop_quarter_turn_command():
 
 def test_attitude_loop_takes_shortest_path():
     gains = ControlGains(ktp=1.0)
-    omega = attitude_loop(gains, ControlMode(use_rate_feedforward=False),
+    omega = attitude_loop(gains, False,
                           mat_to_quat(rodrigues(EZ, 1.9 * math.pi)),
                           np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
     assert np.linalg.norm(omega) <= math.pi
@@ -209,8 +207,8 @@ def test_attitude_loop_antipodal_quaternions_agree():
     gains = ControlGains()
     q_d = mat_to_quat(rodrigues(np.array([0.0, 1.0, 0.0]), 1.1))
     q = mat_to_quat(rodrigues(EZ, 0.8))
-    a = attitude_loop(gains, ControlMode(), q_d, q, np.zeros(3))
-    b = attitude_loop(gains, ControlMode(), q_d, -np.asarray(q), np.zeros(3))
+    a = attitude_loop(gains, True, q_d, q, np.zeros(3))
+    b = attitude_loop(gains, True, q_d, -np.asarray(q), np.zeros(3))
     assert_allclose(a, b, atol=1e-12)
 
 
@@ -239,7 +237,7 @@ def test_controller_passes_feedforward_through_on_reference():
         flat = flatness_transform(PARAMS, ref, tctx)
         assert flat.singular is SingularCase.NONE
         state = measured(ref.p, ref.v, flat.rotation)
-        cmd = controller_step(PARAMS, gains, ControlMode(), limits, ref, flat,
+        cmd = controller_step(PARAMS, gains, True, limits, ref, flat,
                               state, ctx, 0.004)
         assert cmd.thrust == pytest.approx(flat.thrust, abs=1e-9)
         assert_allclose(cmd.omega, flat.omega, atol=1e-9)
@@ -248,7 +246,6 @@ def test_controller_passes_feedforward_through_on_reference():
 
 def test_controller_step_matches_manual_stage_replay():
     gains = ControlGains(kpp=1.2, kvp=2.5, kvi=0.4, kff=0.7, ktp=6.0)
-    mode = ControlMode()
     limits = ControlLimits()
     sample, flat = cruise_reference()
     state = measured([0.3, -0.2, 0.1], [7.5, 0.2, -0.1],
@@ -256,17 +253,17 @@ def test_controller_step_matches_manual_stage_replay():
     dt = 0.004
 
     ctx = ControllerContext()
-    cmd = controller_step(PARAMS, gains, mode, limits, sample, flat, state,
+    cmd = controller_step(PARAMS, gains, True, limits, sample, flat, state,
                           ctx, dt)
 
     # oracle: replay each stage with the public pieces
     p, v, q = state
     v_d = position_loop(gains, sample.p, p, sample.v)
-    a_d, integ = velocity_loop(gains, mode.use_integrator, v_d, v,
-                               sample.a, np.zeros(3), dt)
+    a_d, integ = velocity_loop(gains, True, v_d, v, sample.a, np.zeros(3),
+                               dt)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(
         PARAMS, gains, a_d, flat)
-    omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), q,
+    omega_d = attitude_loop(gains, True, mat_to_quat(rotation_d), q,
                             flat.omega)
     expected = saturate(limits, thrust_d, omega_d)
 
@@ -278,18 +275,17 @@ def test_controller_step_matches_manual_stage_replay():
 
 def test_integrator_freezes_after_thrust_floor():
     gains = ControlGains()
-    mode = ControlMode()
     tight = ControlLimits(thrust_min=-10.0)
     sample, flat = cruise_reference()
     # sinking 5 m/s below the reference demands a hard climb
     state = measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
                      flat.rotation)
     ctx = ControllerContext()
-    controller_step(PARAMS, gains, mode, tight, sample, flat, state, ctx,
+    controller_step(PARAMS, gains, True, tight, sample, flat, state, ctx,
                     0.004)
     assert ctx.thrust_saturated
     frozen = np.asarray(ctx.integrator)
-    controller_step(PARAMS, gains, mode, tight, sample, flat, state, ctx,
+    controller_step(PARAMS, gains, True, tight, sample, flat, state, ctx,
                     0.004)
     assert_allclose(ctx.integrator, frozen)
 
@@ -298,14 +294,13 @@ def test_saturated_step_keeps_other_mode_flags():
     # the one-step integrator freeze must not re-enable feedforwards; aero
     # feedforward off, a run believes the wingless model
     gains, bare = ControlGains(), PARAMS.zeroed()
-    mode = ControlMode(use_aero_feedforward=False, use_rate_feedforward=False)
     tight = ControlLimits(thrust_min=-10.0)
     sample, flat = cruise_reference()
     state = measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
                      flat.rotation)
     ctx = ControllerContext()
-    controller_step(bare, gains, mode, tight, sample, flat, state, ctx, 0.004)
-    cmd = controller_step(bare, gains, mode, tight, sample, flat, state,
+    controller_step(bare, gains, False, tight, sample, flat, state, ctx, 0.004)
+    cmd = controller_step(bare, gains, False, tight, sample, flat, state,
                           ctx, 0.004)
 
     ctx_ref = ControllerContext(integrator=np.asarray(ctx.integrator),
@@ -315,7 +310,7 @@ def test_saturated_step_keeps_other_mode_flags():
     a_d, _ = velocity_loop(gains, False, v_d, v, sample.a,
                            ctx_ref.integrator, 0.004)
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(bare, gains, a_d, flat)
-    omega_d = attitude_loop(gains, mode, mat_to_quat(rotation_d), q,
+    omega_d = attitude_loop(gains, False, mat_to_quat(rotation_d), q,
                             flat.omega)
     expected = saturate(tight, thrust_d, omega_d)
     assert cmd.thrust == expected.thrust
@@ -372,7 +367,7 @@ def test_each_overflow_check_raises_the_one_error(case):
         # upside down: an attitude error near pi times a gain near the
         # largest float
         def call():
-            controller_step(PARAMS, ControlGains(ktp=1e308), ControlMode(),
+            controller_step(PARAMS, ControlGains(ktp=1e308), True,
                             ControlLimits(), sample, flat,
                             ((0.0,) * 3, (8.0, 0.0, 0.0),
                              (0.0, 1.0, 0.0, 0.0)),

@@ -92,7 +92,7 @@ def test_every_default_is_the_record_default():
     built = dict(leaves(build_config({})))
     stock = dict(leaves(ExperimentConfig()))
     assert built.keys() == stock.keys()
-    assert "plant.aero.cla" in stock and "mode.use_integrator" in stock
+    assert "plant.aero.cla" in stock and "gains.kvi" in stock
     for name, value in stock.items():
         assert type(built[name]) is type(value), name
         # repr round-trips a float's bits: 0.0 and -0.0 differ here
@@ -108,7 +108,7 @@ def test_config_values_comments_and_degrees():
     gains.kvp.z = 4.5
     trajectory.kind = lemniscate
     sim.delay_ticks = 7
-    mode.integrator = false
+    mode.rate_ff = false
     """)
     assert cfg.plant.aero.rho == 1.1
     assert cfg.plant.aero.kappa == pytest.approx(math.radians(45.0))
@@ -117,7 +117,7 @@ def test_config_values_comments_and_degrees():
     assert_allclose(cfg.gains.kvp, [3.0, 3.0, 4.5])
     assert cfg.trajectory.kind is TrajectoryKind.LEMNISCATE
     assert cfg.delay_ticks == 7
-    assert not cfg.mode.use_integrator
+    assert not cfg.rate_ff
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -126,11 +126,15 @@ def test_config_values_comments_and_degrees():
     ("plant.rho", "expected 'key = value'"),
     ("plant.rho =", "empty key or value"),
     ("plant.rho = thick", "bad value"),
-    ("mode.integrator = yes", "bad value"),
+    ("mode.rate_ff = yes", "bad value"),
     ("trajectory.kind = spiral", "bad value"),
     # the thrust has one projection, so no key selects another
     ("mode.printed_projection = false",
      "unknown key 'mode.printed_projection'"),
+    # PD is gains.kvi = 0 and DF is model.cd0/cy0/cla = 0: no key
+    # repeats them
+    ("mode.integrator = false", "unknown key 'mode.integrator'"),
+    ("mode.aero_ff = false", "unknown key 'mode.aero_ff'"),
 ])
 def test_config_rejects_malformed_input(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -207,7 +211,9 @@ def test_load_config_skips_a_byte_order_mark(tmp_path):
 
 def test_with_condition_sets_mode_flags():
     # (integrator, aero feedforward, rate feedforward) of each cell, in
-    # the order the matrix runs them; None keeps the config's switch
+    # the order the matrix runs them; None keeps the config's switch.
+    # The integrator off is gains.kvi = 0, the aero feedforward off the
+    # wingless model, and each keeps every other value of the config
     expected = {"pid-dfaf": (True, True, None), "pd-dfaf": (False, True, None),
                 "rate-ff-off": (True, True, False),
                 "pid-df": (True, False, None), "pd-df": (False, False, None)}
@@ -216,14 +222,17 @@ def test_with_condition_sets_mode_flags():
         cfg = build_config({"mode.rate_ff": str(rate_ff).lower()})
         for name, (use_int, use_aero, use_rate) in expected.items():
             sub = cfg.with_condition(name)
-            assert (sub.mode.use_integrator, sub.mode.use_aero_feedforward,
-                    sub.mode.use_rate_feedforward) == (
+            assert (sub.gains.kvi != (0.0, 0.0, 0.0), sub.model.cla != 0.0,
+                    sub.rate_ff) == (
                 use_int, use_aero, rate_ff if use_rate is None else use_rate)
+            assert sub.gains == (cfg.gains if use_int else
+                                 cfg.gains.replace(kvi=0.0))
             if use_aero:
-                assert sub.ff_params is sub.model
+                assert sub.model is cfg.model
             else:
-                assert sub.ff_params.cla == 0.0
-                assert sub.ff_params.mass == sub.model.mass
+                assert sub.model == cfg.model.zeroed()
+                assert sub.model.cla == 0.0
+                assert sub.model.mass == cfg.model.mass
     with pytest.raises(ConfigError):
         cfg.with_condition("pid")
 
@@ -359,7 +368,8 @@ def test_near_zero_actuator_lag_tracks_like_no_lag():
 
 
 def test_matched_circle_error_stays_small():
-    result = run_experiment(short_circle(**{"mode.integrator": "false"}))
+    result = run_experiment(short_circle(**{
+        f"gains.kvi.{axis}": "0" for axis in "xyz"}))
     assert result.rmse < 0.1
     assert np.linalg.norm(result.p_ref[-1] - result.p[-1]) < 0.1
 
@@ -458,8 +468,8 @@ def test_zero_aero_model_makes_ff_conditions_identical(tmp_path):
     base = ("sim.duration = 2\n"
             "plant.cd0 = 0\nplant.cy0 = 0\nplant.cla = 0\n"
             "model.cd0 = 0\nmodel.cy0 = 0\nmodel.cla = 0\n")
-    with_ff = config_from(base + "mode.aero_ff = true")
-    without = config_from(base + "mode.aero_ff = false")
+    with_ff = config_from(base).with_condition("pid-dfaf")
+    without = config_from(base).with_condition("pid-df")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_experiment(with_ff).write_csv(a)
     run_experiment(without).write_csv(b)

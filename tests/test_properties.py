@@ -16,9 +16,8 @@ from numpy.testing import assert_allclose
 from liftquad.aero import (GRAVITY, KAPPA_MAX, KAPPA_MIN, AeroParams,
                            aero_accel)
 from liftquad.config import MAX_ROWS
-from liftquad.control import (ControlGains, ControlLimits, ControlMode,
-                              ControllerContext, accel_to_attitude_thrust,
-                              controller_step)
+from liftquad.control import (ControlGains, ControlLimits, ControllerContext,
+                              accel_to_attitude_thrust, controller_step)
 from liftquad.flatness import (FlatnessOutput, FlatSample, SingularCase,
                                TransformContext, flatness_transform)
 from liftquad.geom import NonOrthonormalError, mat_to_quat
@@ -217,16 +216,18 @@ def test_float_flatness_transform_is_the_numpy_oracle(params, sample, ctx,
 def test_controller_commands_stay_within_limits(
         params, sample, wind, offset, v, attitude, held, integrator,
         saturated, switches):
-    mode = ControlMode(*switches)
-    ff_params = params if mode.use_aero_feedforward else params.zeroed()
-    flat = flatness_transform(ff_params, sample, wind=wind)
+    # the integral, the wing and the rate feedforward, each on or off
+    integral, wing, rate_ff = switches
+    model = params if wing else params.zeroed()
+    gains = ControlGains() if integral else ControlGains(kvi=0.0)
+    flat = flatness_transform(model, sample, wind=wind)
     limits = ControlLimits(thrust_min=-4.0 * params.mass * GRAVITY)
     ctx = ControllerContext(
         integrator=integrator,
         held_quat=held,
         thrust_saturated=saturated)
     state = (sample.p + offset, v, attitude)
-    cmd = controller_step(ff_params, ControlGains(), mode, limits, sample,
+    cmd = controller_step(model, gains, rate_ff, limits, sample,
                           flat, state, ctx, 0.004)
     assert all_finite(cmd.thrust, cmd.omega)
     assert limits.thrust_min <= cmd.thrust <= 0.0
@@ -241,8 +242,8 @@ def assert_agrees(actual, expected):
                     atol=1e-12 * scale)
 
 
-def assert_controllers_agree(params, gains, mode, limits, sample, flat, p, v,
-                             q, ctx, steps=1):
+def assert_controllers_agree(params, gains, rate_ff, limits, sample, flat, p,
+                             v, q, ctx, steps=1):
     """Run the float controller on float tuples and the numpy oracle on
     arrays, ``steps`` ticks from the same context, and compare the
     commands and the contexts they leave."""
@@ -255,10 +256,10 @@ def assert_controllers_agree(params, gains, mode, limits, sample, flat, p, v,
     floats = tuple(tuple(map(float, x)) for x in (p, v, q))
     arrays = tuple(np.array(x, dtype=float) for x in (p, v, q))
     for _ in range(steps):
-        cmd = controller_step(params, gains, mode, limits, sample, flat,
+        cmd = controller_step(params, gains, rate_ff, limits, sample, flat,
                               floats, ctx, 0.004)
         expected = oracles.controller_step(
-            params, gains, mode, limits, as_arrays(sample, "pvaj"),
+            params, gains, rate_ff, limits, as_arrays(sample, "pvaj"),
             as_arrays(flat, ("rotation", "omega", "airspeed", "wind_axis")),
             arrays, oracle_ctx, 0.004)
         assert type(cmd.thrust) is float and type(cmd.omega) is tuple
@@ -285,45 +286,46 @@ def test_float_controller_is_the_numpy_oracle(
     # on and off the reference (v None: the vehicle flies the reference
     # velocity, so a = g references fall freely), PID and PD, both
     # feedforwards, clamped and frozen integrators
-    mode = ControlMode(*switches)
-    ff_params = params if mode.use_aero_feedforward else params.zeroed()
-    flat = flatness_transform(ff_params, sample, wind=wind)
+    integral, wing, rate_ff = switches
+    model = params if wing else params.zeroed()
+    gains = ControlGains(integrator_limit=limit)
+    if not integral:
+        gains = gains.replace(kvi=0.0)
+    flat = flatness_transform(model, sample, wind=wind)
     limits = ControlLimits(thrust_min=-4.0 * params.mass * GRAVITY)
     ctx = ControllerContext(integrator, saturated, held)
     assert_controllers_agree(
-        ff_params, ControlGains(integrator_limit=limit), mode, limits, sample,
-        flat, sample.p + offset, sample.v if v is None else v, attitude, ctx,
-        steps=2)
+        model, gains, rate_ff, limits, sample, flat, sample.p + offset,
+        sample.v if v is None else v, attitude, ctx, steps=2)
 
 
 _G = GRAVITY
-_NO_AERO = ControlMode(use_aero_feedforward=False)
 
 
 @pytest.mark.parametrize(
-    "mode, a_ref, heading, flat_rotation, v, integrator, limits, y_body", [
+    "wing, a_ref, heading, flat_rotation, v, integrator, limits, y_body", [
         # the demand along both headings: the earth x axis, then the y axis
-        (_NO_AERO, (0.0, 0.0, 2.0 * _G), (0.0, 0.0, 1.0),
+        (False, (0.0, 0.0, 2.0 * _G), (0.0, 0.0, 1.0),
          rodrigues(np.array([0.0, 1.0, 0.0]), -0.5 * math.pi), (0, 0, 0),
          (0, 0, 0), ControlLimits(), (0.0, -1.0, 0.0)),
-        (_NO_AERO, (5.0, 0.0, _G), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0),
+        (False, (5.0, 0.0, _G), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0),
          (0, 0, 0), ControlLimits(), (0.0, 0.0, -1.0)),
         # free fall
-        (_NO_AERO, (0.0, 0.0, _G), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0),
+        (False, (0.0, 0.0, _G), (1.0, 0.0, 0.0), np.eye(3), (0, 0, 0),
          (0, 0, 0), ControlLimits(), None),
         # the thrust floor, whose next tick freezes the integrator
-        (ControlMode(), (0.0, 0.0, -3.0 * _G), (1.0, 0.0, 0.0), np.eye(3),
+        (True, (0.0, 0.0, -3.0 * _G), (1.0, 0.0, 0.0), np.eye(3),
          (0.0, 0.0, 5.0), (0.5, -0.5, 0.5), ControlLimits(thrust_min=-10.0),
          (0.0, 1.0, 0.0)),
         # the integrator clamp on all three axes
-        (ControlMode(), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.eye(3),
+        (True, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.eye(3),
          (-5.0, 5.0, -5.0), (2.999, -2.999, 2.999), ControlLimits(), None),
     ], ids=["earth-x", "earth-y", "free-fall", "thrust-floor", "clamp"])
 def test_float_controller_is_the_numpy_oracle_on_every_branch(
-        mode, a_ref, heading, flat_rotation, v, integrator, limits, y_body):
+        wing, a_ref, heading, flat_rotation, v, integrator, limits, y_body):
     # the model the run believes; at zero airspeed either compensates 0
     params, gains = AeroParams(), ControlGains()
-    if not mode.use_aero_feedforward:
+    if not wing:
         params = params.zeroed()
     sample = FlatSample((1.0, 2.0, -3.0), _ZERO, a_ref, _ZERO)
     flat = FlatnessOutput(tuple(map(tuple, flat_rotation.tolist())), -10.0,
@@ -332,7 +334,7 @@ def test_float_controller_is_the_numpy_oracle_on_every_branch(
     q = (1.0, 0.0, 0.0, 0.0)
     held = mat_to_quat(rodrigues(np.array([0.0, 0.0, 1.0]), 0.4))
     ctx = ControllerContext(integrator, False, held)
-    ctx = assert_controllers_agree(params, gains, mode, limits, sample, flat,
+    ctx = assert_controllers_agree(params, gains, True, limits, sample, flat,
                                    sample.p, v, q, ctx, steps=2)
     # each case takes the branch it is named for
     rotation, thrust, free_fall = accel_to_attitude_thrust(

@@ -65,16 +65,71 @@ def test_copies_are_checked_like_new_records(record, change, error):
         setattr(record, next(iter(change)), 1.0)
 
 
-@pytest.mark.parametrize("build, error, key", [
-    (lambda: TrajectoryDef(p0=(1.0, 2.0)), ValueError, "trajectory.p0"),
-    (lambda: ExperimentConfig(wind_est=(1.0, 2.0)), ConfigError,
-     "model.wind"),
-    (lambda: ExperimentConfig(substeps=1.5), ConfigError, "sim.substeps"),
-    (lambda: ExperimentConfig(delay_ticks=1.5), ConfigError,
-     "sim.delay_ticks")],
-    ids=["p0", "wind_est", "substeps", "delay_ticks"])
-def test_inputs_a_run_cannot_read_are_refused_at_construction(build, error,
-                                                               key):
-    # each passed construction and then failed at the run's first tick
+_NAN = math.nan
+_REFUSED = {
+    "p0": (lambda: TrajectoryDef(p0=(1.0, 2.0)), ValueError, "trajectory.p0"),
+    "wind_est": (lambda: ExperimentConfig(wind_est=(1.0, 2.0)), ConfigError,
+                 "model.wind"),
+    "substeps": (lambda: ExperimentConfig(substeps=1.5), ConfigError,
+                 "sim.substeps"),
+    "delay_ticks": (lambda: ExperimentConfig(delay_ticks=1.5), ConfigError,
+                    "sim.delay_ticks"),
+    "rate-nan": (lambda: ExperimentConfig(rate=_NAN), ConfigError,
+                 "sim.rate and sim.substeps"),
+    # the vectors, each through the one float 3-tuple conversion
+    "p0-nan": (lambda: TrajectoryDef(p0=(_NAN, 0.0, 0.0)), ValueError,
+               "trajectory.p0"),
+    "wind_est-nan": (lambda: ExperimentConfig(wind_est=(_NAN, 0.0, 0.0)),
+                     ConfigError, "model.wind"),
+    "wind_est-str": (lambda: ExperimentConfig(wind_est="abc"), ConfigError,
+                     "model.wind"),
+    "wind-short": (lambda: PlantConfig(wind=(1.0, 2.0)), ValueError,
+                   "plant.wind"),
+    "wind-nan": (lambda: PlantConfig(wind=(_NAN, 0.0, 0.0)), ValueError,
+                 "plant.wind"),
+    "kpp-str": (lambda: ControlGains(kpp="abc"), ValueError, "gains.kpp"),
+    "kvi-nan": (lambda: ControlGains(kvi=_NAN), ValueError, "gains.kvi"),
+    # NaN fails every range check
+    "integrator_limit-nan": (lambda: ControlGains(integrator_limit=_NAN),
+                             ValueError, "gains.integrator_limit"),
+    "omega_max-nan": (lambda: ControlLimits(omega_max=_NAN), ValueError,
+                      "limits.omega_max"),
+    "thrust_min-nan": (lambda: ControlLimits(thrust_min=_NAN), ValueError,
+                       "thrust_min"),
+    "tau_omega-nan": (lambda: PlantConfig(tau_omega=_NAN), ValueError,
+                      "plant.tau_omega"),
+    "step-nan": (lambda: PlantConfig(step=_NAN), ValueError,
+                 "integration step"),
+    "psi-nan": (lambda: TrajectoryDef(psi_fallback=_NAN), ValueError,
+                "trajectory.psi"),
+    # a string is no TrajectoryKind: it flew a stationary point
+    "kind-str": (lambda: TrajectoryDef(kind="circle"), ValueError,
+                 "trajectory.kind"),
+    **{f"{name}-nan": ((lambda name=name: AeroParams(**{name: _NAN})),
+                       ValueError, name)
+       for name in ("mass", "rho", "area", "cd0", "cla", "cy0")},
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSED))
+def test_inputs_a_run_cannot_read_are_refused_at_construction(name):
+    # each passed construction, and the run then failed at its first
+    # tick, ran with a saturation, clamp or lag silently off, or flew
+    # another reference
+    build, error, key = _REFUSED[name]
     with pytest.raises(error, match=f"^{re.escape(key)} must be "):
         build()
+
+
+def test_vector_inputs_are_kept_as_float_tuples():
+    # a list is kept as the float 3-tuple the tick reads, so the record
+    # hashes
+    records = [(ExperimentConfig(wind_est=[0, 1, 2.0]), "wind_est"),
+               (PlantConfig(wind=[0, 1, 2.0]), "wind"),
+               (TrajectoryDef(p0=[0, 1, 2.0]), "p0"),
+               (ControlGains(kpp=[0, 1, 2.0]), "kpp")]
+    for record, name in records:
+        vec = getattr(record, name)
+        assert vec == (0.0, 1.0, 2.0), name
+        assert all(type(x) is float for x in vec), name
+        assert hash(record) == hash(record.replace()), name
