@@ -19,7 +19,7 @@ airspeed: with only ``cd0`` active the earth-frame acceleration is
 
 import math
 
-from .record import Frozen
+from .record import Frozen, float3
 
 GRAVITY = 9.81  # along +z: NED, +z is down
 
@@ -29,11 +29,14 @@ KAPPA_MAX = math.radians(90.0)
 
 class AeroParams(Frozen):
     """Airframe constants shared by the flatness transform, controller and
-    plant.
+    plant, with the wind the airframe flies in.
 
     ``kappa`` is the wing installation angle in radians; 90 degrees is a
     tail-sitter.  ``cd0`` is the zero-lift drag coefficient, ``cy0`` the
-    lateral drag coefficient and ``cla`` the lift-curve slope.
+    lateral drag coefficient and ``cla`` the lift-curve slope.  ``wind``
+    is a constant earth-frame wind (m/s, a float 3-tuple; any three
+    finite numbers are taken): the plant's is the true wind, the model's
+    the controller's estimate of it.
     ``drag`` (derived, read-only) is the body-frame drag matrix D as
     three row tuples of floats, with the wing's x-z coupling: the force
     is ``-(rho*S*|v_a|/2) R D R^T v_a``.  ``cos_kappa`` and
@@ -41,11 +44,11 @@ class AeroParams(Frozen):
     ``kappa``, which the flatness transform's force balance reads.
     """
 
-    _fields = ("mass", "kappa", "rho", "area", "cd0", "cy0", "cla")
+    _fields = ("mass", "kappa", "rho", "area", "cd0", "cy0", "cla", "wind")
     __slots__ = _fields + ("drag", "cos_kappa", "sin_kappa")
 
     def __init__(self, mass=1.5, kappa=math.radians(34.0), rho=1.225,
-                 area=0.2, cd0=0.05, cy0=0.0, cla=2.0):
+                 area=0.2, cd0=0.05, cy0=0.0, cla=2.0, wind=(0.0, 0.0, 0.0)):
         # written so that NaN fails the range checks too
         if not mass > 0.0:
             raise ValueError("mass must be > 0")
@@ -62,15 +65,16 @@ class AeroParams(Frozen):
             raise ValueError("cla must be >= 0")
         if math.isnan(cy0):
             raise ValueError("cy0 must be a number")
+        wind = float3("wind", wind)
         c, s = math.cos(kappa), math.sin(kappa)
         cdxz = cla * s * c
-        self._set(mass, kappa, rho, area, cd0, cy0, cla, (
+        self._set(mass, kappa, rho, area, cd0, cy0, cla, wind, (
             (cd0 * c * c + (cla + cd0) * s * s, 0.0, cdxz),
             (0.0, cy0, 0.0),
             (cdxz, 0.0, cd0 * s * s + (cla + cd0) * c * c)), c, s)
 
     def zeroed(self):
-        """Copy with all aerodynamic coefficients set to zero.
+        """Copy with the aerodynamic coefficients zeroed and the wind kept.
 
         Used for feedforward variants that ignore the wing.
         """

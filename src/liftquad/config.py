@@ -17,10 +17,10 @@ import math
 from bisect import bisect_left
 from numbers import Integral
 
-from .aero import AeroParams, GRAVITY
-from .control import THRUST_FLOOR_FACTOR, ControlGains, ControlLimits
+from .aero import AeroParams
+from .control import ControlGains, ControlLimits
 from .dynamics import PlantConfig
-from .record import Frozen, float3
+from .record import Frozen
 from .trajectories import TrajectoryDef, TrajectoryKind
 
 
@@ -53,7 +53,7 @@ _LOG_RK4_LIMIT = math.log(RK4_REAL_LIMIT)
 _LOG2 = math.log(2.0)
 
 
-def _log_drag_rate(aero, peak_speed, wind):
+def _log_drag_rate(aero, peak_speed):
     """Natural log of ``(rho*S/m) * max(cd0 + cla, |cy0|) * v``, with
     ``v = peak_speed + |wind|``: a bound (1/s) on the spectral radius of
     the plant's drag Jacobian ``(rho*S/2m) R D R^T (|v| I + v v^T/|v|)``
@@ -61,7 +61,7 @@ def _log_drag_rate(aero, peak_speed, wind):
     largest eigenvalue of ``D``; -inf when the bound is 0.  A sum of
     logs, and each sum halved where it overflows, so it is finite for
     any finite inputs: no product can overflow or meet ``inf * 0``."""
-    coeff = max(aero.cd0 + aero.cla, abs(aero.cy0))
+    coeff, wind = max(aero.cd0 + aero.cla, abs(aero.cy0)), aero.wind
     speed = peak_speed + math.hypot(*wind)
     if aero.area == 0.0 or coeff == 0.0 or speed == 0.0:
         return -math.inf
@@ -78,32 +78,29 @@ class ExperimentConfig(Frozen):
     """Fully resolved experiment: reference, plant, controller model and
     gains, run length and output bookkeeping.
 
-    ``model`` and ``wind_est`` (a float 3-tuple) are the controller's
-    beliefs and are independent of the plant's truth; the flatness
-    transform and the controller both read ``model``, so a run without
-    aerodynamic feedforward is a run of ``model.zeroed()``.  ``rate_ff``
-    adds the flatness body rate to the body-rate command.  ``limits``
-    does not follow ``model``: its default thrust floor is the default
-    airframe's (see :class:`ControlLimits`), while :func:`build_config`
-    derives the floor from ``model.mass``, so a caller who changes the
-    model's mass passes ``limits`` too.
+    ``model`` is everything the controller believes of the airframe, its
+    wind estimate (``model.wind``) included, and is independent of the
+    plant's truth; the flatness transform and the controller both read
+    it, so a run without aerodynamic feedforward is a run of
+    ``model.zeroed()``.  ``limits`` counts the thrust floor in weights
+    of ``model``.  ``rate_ff`` (a bool) adds the flatness body rate to
+    the body-rate command.
     """
 
     __slots__ = _fields = (
-        "trajectory", "plant", "model", "wind_est", "gains", "limits",
-        "rate_ff", "duration", "rate", "substeps", "abort_radius",
-        "delay_ticks")
+        "trajectory", "plant", "model", "gains", "limits", "rate_ff",
+        "duration", "rate", "substeps", "abort_radius", "delay_ticks")
 
     def __init__(self, trajectory=TrajectoryDef(), plant=PlantConfig(),
-                 model=AeroParams(), wind_est=(0.0, 0.0, 0.0),
-                 gains=ControlGains(), limits=ControlLimits(),
-                 rate_ff=True, duration=60.0, rate=250, substeps=1,
-                 abort_radius=100.0, delay_ticks=0):
-        try:
-            wind_est = float3("model.wind", wind_est)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        self._set(trajectory, plant, model, wind_est, gains, limits, rate_ff,
+                 model=AeroParams(), gains=ControlGains(),
+                 limits=ControlLimits(), rate_ff=True, duration=60.0,
+                 rate=250, substeps=1, abort_radius=100.0, delay_ticks=0):
+        if not math.isfinite(limits.thrust_min(model)):
+            raise ConfigError("limits.thrust_factor times model.mass * g "
+                              "must be finite")
+        if not isinstance(rate_ff, bool):
+            raise ConfigError(f"mode.rate_ff must be a bool, got {rate_ff!r}")
+        self._set(trajectory, plant, model, gains, limits, rate_ff,
                   duration, rate, substeps, abort_radius, delay_ticks)
         for name, count in (("substeps", substeps),
                             ("delay_ticks", delay_ticks)):
@@ -143,8 +140,8 @@ class ExperimentConfig(Frozen):
         factor is the margin left for tracking error.  The refusal names
         the fewest substeps that pass, found by bisection over the
         budget, so no float is rounded to an int."""
-        peak, wind = self.trajectory.peak_speed(), self.plant.wind
-        log_bound = _log_drag_rate(self.plant.aero, peak, wind)
+        peak, wind = self.trajectory.peak_speed(), self.plant.aero.wind
+        log_bound = _log_drag_rate(self.plant.aero, peak)
 
         def stable(substeps):
             return log_bound - math.log(self.rate * substeps) <= _LOG_RK4_LIMIT
@@ -188,13 +185,13 @@ def _axes(prefix, vector):
             for axis, value in zip("xyz", vector)}
 
 
-def _airframe(section, params, wind):
+def _airframe(section, params):
     values = {"mass": params.mass, "kappa_deg": math.degrees(params.kappa),
               "rho": params.rho, "area": params.area, "cd0": params.cd0,
               "cy0": params.cy0, "cla": params.cla}
     return {**{f"{section}.{name}": ("float", value)
                for name, value in values.items()},
-            **_axes(f"{section}.wind", wind)}
+            **_axes(f"{section}.wind", params.wind)}
 
 
 # key -> (type tag, default), each default read off the default config;
@@ -210,7 +207,7 @@ _SCHEMA = {
     "plant.tau_omega": ("float", _DEFAULT.plant.tau_omega),
     "plant.tau_thrust": ("float", _DEFAULT.plant.tau_thrust),
     "gains.integrator_limit": ("float", _DEFAULT.gains.integrator_limit),
-    "limits.thrust_factor": ("float", THRUST_FLOOR_FACTOR),
+    "limits.thrust_factor": ("float", _DEFAULT.limits.thrust_factor),
     "limits.omega_max": ("float", _DEFAULT.limits.omega_max),
     "mode.rate_ff": ("bool", _DEFAULT.rate_ff),
     "sim.duration": ("float", _DEFAULT.duration),
@@ -218,8 +215,8 @@ _SCHEMA = {
     "sim.substeps": ("int", _DEFAULT.substeps),
     "sim.abort_radius": ("float", _DEFAULT.abort_radius),
     "sim.delay_ticks": ("int", _DEFAULT.delay_ticks),
-    **_airframe("plant", _DEFAULT.plant.aero, _DEFAULT.plant.wind),
-    **_airframe("model", _DEFAULT.model, _DEFAULT.wind_est),
+    **_airframe("plant", _DEFAULT.plant.aero),
+    **_airframe("model", _DEFAULT.model),
 }
 for _gain in ("kpp", "kvp", "kvi", "kff", "ktp"):
     _SCHEMA.update(_axes(f"gains.{_gain}", getattr(_DEFAULT.gains, _gain)))
@@ -297,6 +294,7 @@ def build_config(raw):
         try:
             return AeroParams(
                 kappa=math.radians(values[f"{section}.kappa_deg"]),
+                wind=vec(f"{section}.wind"),
                 **{name: values[f"{section}.{name}"]
                    for name in ("mass", "rho", "area", "cd0", "cy0", "cla")})
         except ValueError as exc:
@@ -312,7 +310,6 @@ def build_config(raw):
             psi_fallback=values["trajectory.psi"])
         plant = PlantConfig(
             aero=aero("plant"),
-            wind=vec("plant.wind"),
             tau_omega=values["plant.tau_omega"],
             tau_thrust=values["plant.tau_thrust"])
         model = aero("model")
@@ -320,22 +317,15 @@ def build_config(raw):
             kpp=vec("gains.kpp"), kvp=vec("gains.kvp"), kvi=vec("gains.kvi"),
             kff=vec("gains.kff"), ktp=vec("gains.ktp"),
             integrator_limit=values["gains.integrator_limit"])
-        if values["limits.thrust_factor"] < 0.0:
-            raise ConfigError("limits.thrust_factor must be >= 0")
-        thrust_min = -values["limits.thrust_factor"] * model.mass * GRAVITY
-        if not math.isfinite(thrust_min):
-            raise ConfigError("limits.thrust_factor times model.mass * g "
-                              "must be finite")
-        limits = ControlLimits(thrust_min=thrust_min,
+        limits = ControlLimits(thrust_factor=values["limits.thrust_factor"],
                                omega_max=values["limits.omega_max"])
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return ExperimentConfig(
-        trajectory=trajectory, plant=plant, model=model,
-        wind_est=vec("model.wind"), gains=gains, limits=limits,
-        rate_ff=values["mode.rate_ff"],
+        trajectory=trajectory, plant=plant, model=model, gains=gains,
+        limits=limits, rate_ff=values["mode.rate_ff"],
         **{name: values[f"sim.{name}"] for name in
            ("duration", "rate", "substeps", "abort_radius", "delay_ticks")})
 

@@ -29,7 +29,7 @@ saturation.  The numpy form of the controller is the test oracle in
 import math
 from typing import NamedTuple
 
-from .aero import GRAVITY, AeroParams, aero_accel
+from .aero import GRAVITY, aero_accel
 from .geom import (lateral_axis, mat_to_quat, overflow_error, quat_conj,
                    quat_mul, quat_to_rotation_vector)
 from .record import Frozen, Record, float3
@@ -38,7 +38,6 @@ from .record import Frozen, Record, float3
 # undefined and the free-fall policy (hold attitude, zero thrust) is
 # used instead.
 FREE_FALL_ACCEL = 1e-6
-THRUST_FLOOR_FACTOR = 4.0  # default thrust floor, in airframe weights
 # Rejection threshold for lateral-axis candidates nearly parallel to
 # the desired thrust axis.
 _CROSS_TOL = 1e-6
@@ -86,23 +85,25 @@ class ControlGains(Frozen):
 
 
 class ControlLimits(Frozen):
-    """Actuator saturation bounds: collective thrust floor (N, <= 0) and
-    a per-axis body-rate bound (rad/s).
+    """Actuator saturation bounds: the collective thrust floor, counted
+    in weights of the model a run believes (``thrust_factor`` >= 0), and
+    a per-axis body-rate bound (rad/s)."""
 
-    The default floor is four times the weight of the *default* airframe,
-    whatever model a run believes; a config file derives it from
-    ``model.mass`` (``limits.thrust_factor``), so a library caller who
-    changes the model's mass passes its floor too."""
+    __slots__ = _fields = ("thrust_factor", "omega_max")
 
-    __slots__ = _fields = ("thrust_min", "omega_max")
-
-    def __init__(self, thrust_min=-THRUST_FLOOR_FACTOR * AeroParams().mass
-                 * GRAVITY, omega_max=6.0):
-        if not thrust_min <= 0.0:
-            raise ValueError("thrust_min must be <= 0")
+    def __init__(self, thrust_factor=4.0, omega_max=6.0):
+        if not thrust_factor >= 0.0:
+            raise ValueError("limits.thrust_factor must be >= 0")
+        if not thrust_factor < math.inf:
+            raise ValueError("limits.thrust_factor must be finite")
         if not omega_max > 0.0:
             raise ValueError("limits.omega_max must be > 0")
-        self._set(thrust_min, omega_max)
+        self._set(thrust_factor, omega_max)
+
+    def thrust_min(self, params):
+        """The thrust floor (N, <= 0) of the airframe ``params``:
+        ``thrust_factor`` times its weight."""
+        return -self.thrust_factor * params.mass * GRAVITY
 
 
 class ControlInput(NamedTuple):
@@ -223,11 +224,11 @@ def attitude_loop(gains, rate_ff, q_d, q_current, omega_ref):
     return (kx * ex + wx, ky * ey + wy, kz * ez + wz)
 
 
-def saturate(limits, thrust, omega):
+def saturate(thrust_min, omega_max, thrust, omega):
     """Clip the thrust to ``[thrust_min, 0]`` and each body-rate axis to
     ``[-omega_max, omega_max]``; idempotent."""
-    return ControlInput(min(max(thrust, limits.thrust_min), 0.0),
-                        _clip(omega, limits.omega_max))
+    return ControlInput(min(max(thrust, thrust_min), 0.0),
+                        _clip(omega, omega_max))
 
 
 def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
@@ -235,16 +236,16 @@ def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
     """One controller tick of ``dt`` seconds (``1/sim.rate`` in a run);
     chains the four loops and saturates.
 
-    ``params`` is the model the run believes (``cfg.model``),
-    ``rate_ff`` whether the flatness body rate is added to the command,
-    ``sample`` the flat reference point, ``flat`` the matching flatness
-    feedforward, ``state`` the measured ``(p, v, q)`` (any 3-, 3- and
-    4-sequences, in :mod:`liftquad.geom`'s conventions), ``ctx`` the
-    per-vehicle context (mutated; in free fall it holds its desired
-    attitude, if it has one).  The velocity integral runs on every tick
-    but the one after the thrust hit its floor; a PD controller is
-    ``gains.kvi = 0``, whose integral stays at +0.0.  Deterministic
-    given its arguments.
+    ``params`` is the model the run believes (``cfg.model``), in whose
+    weights ``limits`` counts the thrust floor, ``rate_ff`` whether the
+    flatness body rate is added to the command, ``sample`` the flat
+    reference point, ``flat`` the matching flatness feedforward,
+    ``state`` the measured ``(p, v, q)`` (any 3-, 3- and 4-sequences, in
+    :mod:`liftquad.geom`'s conventions), ``ctx`` the per-vehicle context
+    (mutated; in free fall it holds its desired attitude, if it has
+    one).  The velocity integral runs on every tick but the one after
+    the thrust hit its floor; a PD controller is ``gains.kvi = 0``, whose
+    integral stays at +0.0.  Deterministic given its arguments.
     Raises ``FloatingPointError`` when the integral step, the demand or
     the unsaturated command is not finite.
     """
@@ -261,6 +262,7 @@ def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
     if not (math.isfinite(thrust_d) and math.isfinite(wx)
             and math.isfinite(wy) and math.isfinite(wz)):
         raise overflow_error(_LAYER)
-    command = saturate(limits, thrust_d, omega_d)
-    ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)
+    thrust_min = limits.thrust_min(params)
+    command = saturate(thrust_min, limits.omega_max, thrust_d, omega_d)
+    ctx.thrust_saturated = bool(thrust_d < thrust_min)
     return command

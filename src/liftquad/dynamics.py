@@ -14,8 +14,8 @@ no numpy call (see :mod:`liftquad.geom`).  Float arithmetic gives
 ``inf`` or ``nan`` on overflow; the harness checks the state once per
 tick with :func:`require_finite`.
 
-The plant's aerodynamic parameters are independent of the controller's
-copy, which is how model mismatch experiments are expressed.
+The plant's airframe and wind are independent of the model the
+controller believes, which is how mismatch experiments are expressed.
 """
 
 import math
@@ -23,7 +23,7 @@ import math
 from .aero import GRAVITY, AeroParams, aero_accel
 from .control import ControlInput
 from .geom import overflow_error
-from .record import Frozen, Record, float3
+from .record import Frozen, Record
 
 
 class VehicleState(Record):
@@ -56,19 +56,17 @@ def require_finite(state):
 
 
 class PlantConfig(Frozen):
-    """Ground-truth model: aerodynamic parameters, constant wind
-    (earth frame, m/s, a float 3-tuple; any three numbers are taken),
-    actuator time constants for the body-rate and thrust channels (s,
-    0 disables the lag) and the integration step."""
+    """Ground-truth model: the airframe with the true wind
+    (``aero.wind``), actuator time constants for the body-rate and
+    thrust channels (s, 0 disables the lag) and the integration step."""
 
-    _fields = ("aero", "wind", "tau_omega", "tau_thrust", "step")
+    _fields = ("aero", "tau_omega", "tau_thrust", "step")
     # exp(-step/tau) of the thrust and body-rate channels, taken once for
     # actuator_lag; 0, and never read, for a channel without lag
     __slots__ = _fields + ("_thrust_decay", "_omega_decay")
 
-    def __init__(self, aero=AeroParams(), wind=(0.0, 0.0, 0.0), tau_omega=0.0,
-                 tau_thrust=0.0, step=1e-3):
-        wind = float3("plant.wind", wind)
+    def __init__(self, aero=AeroParams(), tau_omega=0.0, tau_thrust=0.0,
+                 step=1e-3):
         # written so that NaN fails the range checks too
         if not step > 0.0:
             raise ValueError("integration step must be > 0")
@@ -77,13 +75,13 @@ class PlantConfig(Frozen):
                 raise ValueError(f"plant.{key} must be >= 0")
         decays = [math.exp(-step / tau) if tau != 0.0 else 0.0
                   for tau in (tau_thrust, tau_omega)]
-        self._set(aero, wind, tau_omega, tau_thrust, step, *decays)
+        self._set(aero, tau_omega, tau_thrust, step, *decays)
 
     @property
     def v_wind(self):
-        """``wind`` as a read-only numpy array; imports numpy."""
+        """``aero.wind`` as a read-only numpy array; imports numpy."""
         import numpy as np
-        v_wind = np.array(self.wind)
+        v_wind = np.array(self.aero.wind)
         v_wind.flags.writeable = False
         return v_wind
 
@@ -93,12 +91,13 @@ def acceleration(cfg, R, v, thrust):
     velocity ``v``, as a 3-tuple.
 
     Thrust acts along body z (negative thrust pulls up in NED), the wing
-    acts through the airspeed ``v - wind``, gravity closes the sum.
+    acts through the airspeed ``v - aero.wind``, gravity closes the sum.
     """
+    aero = cfg.aero
     vx, vy, vz = v
-    wx, wy, wz = cfg.wind
-    ax, ay, az = aero_accel(cfg.aero, R, (vx - wx, vy - wy, vz - wz))
-    f = thrust / cfg.aero.mass
+    wx, wy, wz = aero.wind
+    ax, ay, az = aero_accel(aero, R, (vx - wx, vy - wy, vz - wz))
+    f = thrust / aero.mass
     return (f * R[0][2] + ax, f * R[1][2] + ay, f * R[2][2] + az + GRAVITY)
 
 

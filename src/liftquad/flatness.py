@@ -253,7 +253,7 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air,
     return wx, (rhs0 - a00 * wx - a02 * wz) / a01, wz
 
 
-def flatness_transform(params, sample, ctx=None, wind=None):
+def flatness_transform(params, sample, ctx=None):
     """Full flat-reference to feedforward mapping; total on its domain.
 
     The domain is every sample whose ``p``, ``v``, ``a``, ``j`` and
@@ -264,15 +264,16 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     speed near 1e154, say) raises ``FloatingPointError`` naming the
     flatness transform.  ``ctx`` carries the hysteresis state and the
     last good airspeed direction between calls; omitted, a fresh context
-    makes the call a stateless per-sample transform.  The estimated
-    ``wind`` (none when omitted) enters only here.
+    makes the call a stateless per-sample transform.  The wind of
+    ``params`` (in a run, the wind estimate) enters only through the
+    airspeed ``v - params.wind``.
     """
     if not all(map(math.isfinite, (*sample.p, *sample.v, *sample.a,
                                    *sample.j, sample.psi))):
         _refuse(sample)
     if ctx is None:
         ctx = TransformContext()
-    (vx, vy, vz), (wx, wy, wz) = sample.v, _ZERO if wind is None else wind
+    (vx, vy, vz), (wx, wy, wz) = sample.v, params.wind
     vx, vy, vz = v_air = (vx - wx, vy - wy, vz - wz)
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if not math.isfinite(speed):

@@ -172,7 +172,7 @@ def _went_non_finite(reason, t, ref, result, k):
 def _stream_key(cfg):
     """All a run's reference stream depends on: the transform's
     hysteresis runs on reference speed, never on the plant."""
-    return (cfg.trajectory, cfg.model, cfg.wind_est, cfg.rate, cfg.n_rows)
+    return (cfg.trajectory, cfg.model, cfg.rate, cfg.n_rows)
 
 
 def _ticks(cfg, result):
@@ -198,8 +198,7 @@ def _computed(cfg, result):
         t = k * dt
         ref = sample_trajectory(cfg.trajectory, t)
         try:
-            flat = flatness_transform(cfg.model, ref, transform_ctx,
-                                      wind=cfg.wind_est)
+            flat = flatness_transform(cfg.model, ref, transform_ctx)
         except FloatingPointError as exc:
             raise _went_non_finite(exc, t, ref, result, k) from None
         yield k, t, ref, flat
@@ -393,6 +392,6 @@ def feasibility_check(cfg):
         if alpha > alpha_high:
             alpha_high = alpha
         singular_ticks += flat.singular != 0
-    return FeasibilityReport(thrust_peak, cfg.limits.thrust_min, omega_peak,
-                             cfg.limits.omega_max, singular_ticks, cfg.n_rows,
-                             (alpha_low, alpha_high))
+    return FeasibilityReport(thrust_peak, cfg.limits.thrust_min(cfg.model),
+                             omega_peak, cfg.limits.omega_max, singular_ticks,
+                             cfg.n_rows, (alpha_low, alpha_high))

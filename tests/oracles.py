@@ -43,8 +43,6 @@ GRAVITY_VEC.setflags(write=False)
 EYE3 = np.identity(3)
 EYE3.setflags(write=False)
 _EZ = np.array([0.0, 0.0, 1.0])
-_NO_WIND = np.zeros(3)
-_NO_WIND.setflags(write=False)
 
 
 class NonUnitAxisError(ValueError):
@@ -209,7 +207,7 @@ def feasibility_from_trace(cfg, trace):
     thrust, alpha = trace.thrust.tolist(), trace.alpha.tolist()
     return FeasibilityReport(
         thrust_peak=min(thrust),
-        thrust_min=cfg.limits.thrust_min,
+        thrust_min=cfg.limits.thrust_min(cfg.model),
         omega_peak=max(map(abs, trace.omega.ravel().tolist())),
         omega_max=cfg.limits.omega_max,
         singular_ticks=trace.n_rows - trace.singular.tolist().count(0.0),
@@ -350,12 +348,12 @@ def attitude_loop(gains, rate_ff, q_d, q_current, omega_ref):
     return omega
 
 
-def saturate(limits, thrust, omega):
+def saturate(thrust_min, omega_max, thrust, omega):
     """Clip the thrust to ``[thrust_min, 0]`` and each body-rate axis to
     ``[-omega_max, omega_max]``; idempotent."""
     return ControlInput(
-        float(np.clip(thrust, limits.thrust_min, 0.0)),
-        np.clip(omega, -limits.omega_max, limits.omega_max))
+        float(np.clip(thrust, thrust_min, 0.0)),
+        np.clip(omega, -omega_max, omega_max))
 
 
 def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
@@ -363,7 +361,8 @@ def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
     """One controller tick of ``dt`` seconds; chains the four loops and
     saturates.
 
-    ``params`` is the model the run believes, ``rate_ff`` whether the
+    ``params`` is the model the run believes, in whose weights
+    ``limits`` counts the thrust floor, ``rate_ff`` whether the
     flatness body rate is added to the command, ``sample`` the flat
     reference point, ``flat`` the matching flatness feedforward, ``state``
     the measured ``(p, v, q)`` as numpy arrays, ``ctx`` the per-vehicle
@@ -379,8 +378,9 @@ def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
     if not free_fall or ctx.held_quat is None:
         ctx.held_quat = mat_to_quat(rotation_d)
     omega_d = attitude_loop(gains, rate_ff, ctx.held_quat, q, flat.omega)
-    command = saturate(limits, thrust_d, omega_d)
-    ctx.thrust_saturated = bool(thrust_d < limits.thrust_min)
+    thrust_min = limits.thrust_min(params)
+    command = saturate(thrust_min, limits.omega_max, thrust_d, omega_d)
+    ctx.thrust_saturated = bool(thrust_d < thrust_min)
     return command
 
 
@@ -460,7 +460,7 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air):
     return np.linalg.solve(a_mat, rhs)
 
 
-def flatness_transform(params, sample, ctx=None, wind=None):
+def flatness_transform(params, sample, ctx=None):
     """Full flat-reference to feedforward mapping; total on its domain.
 
     The domain is every sample whose ``p``, ``v``, ``a``, ``j`` and
@@ -472,8 +472,7 @@ def flatness_transform(params, sample, ctx=None, wind=None):
     strict error state the harness runs it in.  ``ctx`` carries the
     hysteresis state and the last good airspeed direction between calls;
     omitted, a fresh context makes the call a stateless per-sample
-    transform.  The estimated ``wind`` (none when omitted) enters only
-    here.
+    transform.  The wind of ``params`` enters only through the airspeed.
     """
     for name in ("p", "v", "a", "j"):
         if not all(map(math.isfinite, getattr(sample, name).tolist())):
@@ -482,7 +481,7 @@ def flatness_transform(params, sample, ctx=None, wind=None):
         raise ValueError("flat sample field psi is not finite")
     if ctx is None:
         ctx = TransformContext()
-    v_air = sample.v - (_NO_WIND if wind is None else wind)
+    v_air = sample.v - np.array(params.wind)
     speed = norm(v_air)
     threshold = SPEED_SINGULAR_EXIT if ctx.in_singular else SPEED_SINGULAR_ENTER
     if speed < threshold:

@@ -464,6 +464,10 @@ singular ticks  139 / 501
 alpha range     [0.4866, 0.5934] rad
 feasible        yes
 """
+# a plant and a model in different winds, at a floor of one weight of
+# the model: the thrust floor binds on 2 rows of each DF cell
+_WIND = ("plant.wind.x = 3\nplant.wind.y = -1\nmodel.wind.x = 2\n"
+         "model.wind.y = -1\nmodel.mass = 1.8\nlimits.thrust_factor = 1.0\n")
 _CHECK_STDOUT = {
     "circle": ("", _CIRCLE_CHECK),
     "lemniscate": ("trajectory.kind = lemniscate\n", """\
@@ -481,6 +485,13 @@ alpha range     [0.5934, 0.5934] rad
 feasible        yes
 """),
     "mismatch": ("plant.cd0 = 0.06\nplant.cla = 2.4\n", _CIRCLE_CHECK),
+    "wind": (_WIND, """\
+thrust demand   -17.216 N (limit -17.658 N)
+body-rate demand 0.3590 rad/s (limit 6.0000 rad/s)
+singular ticks  0 / 501
+alpha range     [0.4930, 0.5312] rad
+feasible        yes
+"""),
 }
 
 
@@ -538,6 +549,22 @@ _COMPARE_SHA256 = {
             "summary.txt": "cbfbb665599c10c0acbd1700bb18c68ade7b1406be265a10"
                            "e7d48bb10c843abf",
         }),
+    # the wind estimate and the thrust floor of the model each cell
+    # believes, the wingless one included
+    "wind": (_WIND, {
+        "pid-dfaf.csv":
+            "7b259c764536a1ae680e6e1fd417eff98a558b802e605afe9aecccea5254ce61",
+        "pd-dfaf.csv":
+            "97a64120fd616362d2bd173dfd47a8ee95af38b0068d08c834a766535b4232db",
+        "rate-ff-off.csv":
+            "0cb2723e0bcc2fb530efca6e2025ca4eb1c1f7f0409d19894b1a64b0bd1b61a7",
+        "pid-df.csv":
+            "be948662113962c3e4bd198626f45e162334edacf78cb66884ee3090cfbeb63c",
+        "pd-df.csv":
+            "80b96d1333bbb64e9f2dd6f7b0538c533712f1437a459162aafa43bb58d40e8d",
+        "summary.txt":
+            "3fb63ea18b45251a6a1b517d7b1159f75d6807e0a141e34f5aaed99417112ff7",
+    }),
 }
 
 

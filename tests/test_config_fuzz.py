@@ -27,7 +27,7 @@ from hypothesis import event, given, settings, strategies as st
 from liftquad.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from liftquad.config import (_SCHEMA, CONDITIONS, MAX_PLANT_STEPS,
                              MAX_ROWS)
-from liftquad.control import THRUST_FLOOR_FACTOR
+from liftquad.control import ControlLimits
 from liftquad.trajectories import (MAX_OFFSET, MAX_OMEGA, MAX_RADIUS,
                                    MAX_SPEED)
 
@@ -36,8 +36,8 @@ _ROWS = 50
 _MAX_RATE = 1000
 # where the schema's float range rules end: each end, its negative and
 # the floats on either side of them
-_RULE_ENDS = (0.0, 1.0, THRUST_FLOOR_FACTOR, 15.0, 90.0, MAX_OFFSET,
-              MAX_RADIUS, MAX_OMEGA, MAX_SPEED)
+_RULE_ENDS = (0.0, 1.0, ControlLimits().thrust_factor, 15.0, 90.0,
+              MAX_OFFSET, MAX_RADIUS, MAX_OMEGA, MAX_SPEED)
 _EDGES = sorted({x for end in _RULE_ENDS for e in (end, -end)
                  for x in (e, math.nextafter(e, math.inf),
                            math.nextafter(e, -math.inf))})

@@ -65,7 +65,7 @@ def test_gains_broadcast_and_validate():
 
 def test_limits_validate():
     with pytest.raises(ValueError):
-        ControlLimits(thrust_min=1.0)
+        ControlLimits(thrust_factor=-1.0)
     with pytest.raises(ValueError):
         ControlLimits(omega_max=0.0)
 
@@ -213,14 +213,13 @@ def test_attitude_loop_antipodal_quaternions_agree():
 
 
 def test_saturate_clips_and_is_idempotent():
-    limits = ControlLimits(thrust_min=-20.0, omega_max=2.0)
-    cmd = saturate(limits, -35.0, np.array([3.0, -5.0, 1.0]))
+    cmd = saturate(-20.0, 2.0, -35.0, np.array([3.0, -5.0, 1.0]))
     assert cmd.thrust == -20.0
     assert_allclose(cmd.omega, [2.0, -2.0, 1.0])
-    again = saturate(limits, cmd.thrust, cmd.omega)
+    again = saturate(-20.0, 2.0, cmd.thrust, cmd.omega)
     assert again.thrust == cmd.thrust
     assert_allclose(again.omega, cmd.omega)
-    assert saturate(limits, 5.0, np.zeros(3)).thrust == 0.0
+    assert saturate(-20.0, 2.0, 5.0, np.zeros(3)).thrust == 0.0
 
 
 def test_controller_passes_feedforward_through_on_reference():
@@ -265,7 +264,8 @@ def test_controller_step_matches_manual_stage_replay():
         PARAMS, gains, a_d, flat)
     omega_d = attitude_loop(gains, True, mat_to_quat(rotation_d), q,
                             flat.omega)
-    expected = saturate(limits, thrust_d, omega_d)
+    expected = saturate(limits.thrust_min(PARAMS), limits.omega_max, thrust_d,
+                        omega_d)
 
     assert cmd.thrust == expected.thrust
     assert_allclose(cmd.omega, expected.omega)
@@ -275,7 +275,7 @@ def test_controller_step_matches_manual_stage_replay():
 
 def test_integrator_freezes_after_thrust_floor():
     gains = ControlGains()
-    tight = ControlLimits(thrust_min=-10.0)
+    tight = ControlLimits(thrust_factor=0.68)  # a floor of -10.006 N
     sample, flat = cruise_reference()
     # sinking 5 m/s below the reference demands a hard climb
     state = measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
@@ -294,7 +294,7 @@ def test_saturated_step_keeps_other_mode_flags():
     # the one-step integrator freeze must not re-enable feedforwards; aero
     # feedforward off, a run believes the wingless model
     gains, bare = ControlGains(), PARAMS.zeroed()
-    tight = ControlLimits(thrust_min=-10.0)
+    tight = ControlLimits(thrust_factor=0.68)  # a floor of -10.006 N
     sample, flat = cruise_reference()
     state = measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
                      flat.rotation)
@@ -312,7 +312,8 @@ def test_saturated_step_keeps_other_mode_flags():
     rotation_d, thrust_d, _ = accel_to_attitude_thrust(bare, gains, a_d, flat)
     omega_d = attitude_loop(gains, False, mat_to_quat(rotation_d), q,
                             flat.omega)
-    expected = saturate(tight, thrust_d, omega_d)
+    expected = saturate(tight.thrust_min(bare), tight.omega_max, thrust_d,
+                        omega_d)
     assert cmd.thrust == expected.thrust
     assert_allclose(cmd.omega, expected.omega)
 

@@ -42,7 +42,7 @@ def test_hover_thrust_balances_weight():
 def test_force_sum_matches_drag_matrix_route():
     # oracle: thrust plus the wing-frame force rotated to earth, over the
     # mass, plus gravity; independent of the drag-matrix route under test
-    cfg = PlantConfig(wind=(1.0, -2.0, 0.5))
+    cfg = PlantConfig(aero=AeroParams(wind=(1.0, -2.0, 0.5)))
     aero = cfg.aero
     wing_to_body = body_to_wing_rotation(aero.kappa).T
     rng = np.random.default_rng(41)
@@ -61,7 +61,7 @@ def test_force_sum_matches_drag_matrix_route():
 
 def test_wind_enters_through_relative_velocity():
     cfg_still = PlantConfig()
-    cfg_windy = PlantConfig(wind=(3.0, 0.0, 0.0))
+    cfg_windy = PlantConfig(aero=AeroParams(wind=(3.0, 0.0, 0.0)))
     moving = np.array([3.0, 0.0, 0.0])
     v_dot_rel = acceleration(cfg_windy, np.eye(3), moving, 0.0)
     # moving with the wind: no relative airflow, pure free fall
@@ -197,10 +197,10 @@ def test_guard_accepted_drag_only_plant_dissipates_energy(
     # wind) the kinetic energy in the air's frame never grows, beyond
     # the half ulp that storing each velocity component may round by
     aero = AeroParams(mass=mass, kappa=kappa, rho=rho, area=area, cd0=cd0,
-                      cy0=cy0, cla=cla)
+                      cy0=cy0, cla=cla, wind=wind)
     cfg = _at_the_guard(
         trajectory=TrajectoryDef(kind=TrajectoryKind.LINE, speed_cap=speed),
-        plant=PlantConfig(aero=aero, wind=wind), rate=rate, duration=1.0)
+        plant=PlantConfig(aero=aero), rate=rate, duration=1.0)
     assume(cfg is not None)
     norm = math.hypot(*direction)
     assume(norm > 1e-3)
@@ -263,20 +263,20 @@ def test_plant_config_validation():
     with pytest.raises(ValueError):
         PlantConfig(tau_omega=-0.1)
     with pytest.raises(ValueError):
-        PlantConfig(wind=(1.0, 2.0))
+        PlantConfig(aero=AeroParams(wind=(1.0, 2.0)))
 
 
 def test_wind_is_a_float_tuple_with_a_read_only_array_view():
-    cfg = PlantConfig(wind=np.array([1, -2, 0.5]))
-    assert cfg.wind == (1.0, -2.0, 0.5)
-    assert all(type(w) is float for w in cfg.wind)
+    cfg = PlantConfig(aero=AeroParams(wind=np.array([1, -2, 0.5])))
+    assert cfg.aero.wind == (1.0, -2.0, 0.5)
+    assert all(type(w) is float for w in cfg.aero.wind)
     assert np.array_equal(cfg.v_wind, [1.0, -2.0, 0.5])
     with pytest.raises(ValueError):
         cfg.v_wind[0] = 3.0
 
 
 def test_integration_is_deterministic():
-    cfg = PlantConfig(wind=(1.0, 0.0, 0.0))
+    cfg = PlantConfig(aero=AeroParams(wind=(1.0, 0.0, 0.0)))
     inp = ControlInput(-14.0, np.array([0.2, -0.1, 0.05]))
 
     def run():
@@ -295,14 +295,14 @@ LIMITS = ControlLimits()
 finite = dict(allow_nan=False, allow_infinity=False)
 rates = st.lists(st.floats(-LIMITS.omega_max, LIMITS.omega_max, **finite),
                  min_size=3, max_size=3)
-thrusts = st.floats(LIMITS.thrust_min, 0.0, **finite)
+thrusts = st.floats(LIMITS.thrust_min(AeroParams()), 0.0, **finite)
 
 
 @settings(max_examples=10, deadline=None)
 @given(omega=rates, thrust=thrusts,
        v0=st.lists(st.floats(-30.0, 30.0, **finite), min_size=3, max_size=3))
 def test_rk4_keeps_attitude_orthonormal_and_state_finite(omega, thrust, v0):
-    cfg = PlantConfig(wind=(2.0, -1.0, 0.0))
+    cfg = PlantConfig(aero=AeroParams(wind=(2.0, -1.0, 0.0)))
     inp = ControlInput(thrust, np.array(omega))
     state = make_state(v=v0)
     for _ in range(10_000):

@@ -42,8 +42,9 @@ def in_plane_residual(params, speed, a_along, a_perp, thrust, alpha):
 def test_wind_axis_basics():
     # the unit airspeed direction on the smooth branch; at (air)standstill
     # the transform falls back to the zero-velocity policy instead
-    def transform(v, wind=None):
-        return flatness_transform(PARAMS, make_sample(v, [0.0] * 3), wind=wind)
+    def transform(v, wind=(0.0, 0.0, 0.0)):
+        return flatness_transform(PARAMS.replace(wind=wind),
+                                  make_sample(v, [0.0] * 3))
 
     for v, axis in (([10.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
                     ([3.0, 4.0, 0.0], [0.6, 0.8, 0.0])):
@@ -263,10 +264,10 @@ def test_rate_system_rejects_zero_airspeed():
 def test_ill_conditioned_rate_system_takes_the_zero_rate():
     # an axis-aligned sample whose body-rate system passes the scale test
     # but has a Hadamard ratio of 3.8e-8: it solved to omega ~ 1e8 rad/s
-    params = AeroParams(mass=1.0, kappa=1.0, cd0=5.96e-08, cy0=1.0, cla=3.0)
+    params = AeroParams(mass=1.0, kappa=1.0, cd0=5.96e-08, cy0=1.0, cla=3.0,
+                        wind=(0.0, 0.0, 1.0))
     out = flatness_transform(params, make_sample([0.0] * 3, GRAVITY_VEC,
-                                                 [0.0, 1.0, 0.0]),
-                             wind=(0.0, 0.0, 1.0))
+                                                 [0.0, 1.0, 0.0]))
     assert out.singular is SingularCase.AXIS_ALIGNED
     assert out.omega == (0.0, 0.0, 0.0)
 
@@ -274,9 +275,9 @@ def test_ill_conditioned_rate_system_takes_the_zero_rate():
 def test_rate_system_with_subnormal_coefficients_stays_quiet():
     # a subnormal lift slope puts subnormal entries in the body-rate
     # system; deciding that it is singular must not divide by them
-    params = AeroParams(mass=1.0, kappa=1.0, cd0=0.0, cla=2.2e-309)
-    out = flatness_transform(params, make_sample([0.0] * 3, GRAVITY_VEC),
-                             wind=np.array([0.0, 0.0, 1.0]))
+    params = AeroParams(mass=1.0, kappa=1.0, cd0=0.0, cla=2.2e-309,
+                        wind=np.array([0.0, 0.0, 1.0]))
+    out = flatness_transform(params, make_sample([0.0] * 3, GRAVITY_VEC))
     assert out.singular is SingularCase.AXIS_ALIGNED
     assert_allclose(out.omega, np.zeros(3))
 

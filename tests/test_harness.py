@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from liftquad import cli, control, harness
-from liftquad.aero import GRAVITY
+from liftquad.control import ControlLimits
+from liftquad.aero import GRAVITY, AeroParams
 from liftquad.config import (CONDITIONS, MAX_PLANT_STEPS, MAX_ROWS,
                              ConfigError, ExperimentConfig, build_config,
                              load_config, parse_config_text)
@@ -60,6 +61,20 @@ def test_the_names_the_benchmark_tracer_binds_to():
         assert len(inspect.signature(run).parameters) == 1
     assert list(inspect.signature(harness.controller_step).parameters)[7] \
         == "ctx"
+    # the record fields perfbench/tests reads off a config
+    cfg = build_config({"plant.wind.x": "4", "plant.wind.y": "-2",
+                        "plant.tau_omega": "0.03", "sim.delay_ticks": "2",
+                        "sim.duration": "0.02"})
+    assert list(cfg.plant.v_wind) == [4.0, -2.0, 0.0]
+    assert (cfg.plant.aero.cd0, cfg.plant.aero.cla, cfg.plant.tau_omega,
+            cfg.plant.tau_thrust, cfg.delay_ticks) == (0.05, 2.0, 0.03, 0.0,
+                                                       2)
+    # and those the tracer reads off a config, a context and a run
+    assert cfg.limits.omega_max == 6.0
+    assert control.ControllerContext().thrust_saturated is False
+    result = run_experiment(cfg)
+    assert (len(result.t), len(result.singular), result.omega.shape) == (
+        6, 6, (6, 3))
 
 
 # --- config -----------------------------------------------------------------
@@ -73,8 +88,27 @@ def test_empty_config_is_stock_circle():
     assert cfg.rate == 250
     assert cfg.substeps == 1
     assert cfg.plant.step == 1.0 / 250.0
-    assert cfg.limits.thrust_min == pytest.approx(-4.0 * 1.5 * GRAVITY)
+    assert cfg.limits.thrust_min(cfg.model) == pytest.approx(
+        -4.0 * 1.5 * GRAVITY)
     assert_allclose(cfg.gains.kvp, [3.0, 3.0, 3.0])
+
+
+def test_library_thrust_floor_follows_the_model():
+    # the floor is counted in weights of the model a run believes, in a
+    # config built by hand as in one read from a file; it was the
+    # default airframe's, -58.86 N, whatever the model
+    heavy = AeroParams(mass=3.0)
+    built = build_config({"model.mass": "3"})
+    assert built.model == heavy
+    floor = ExperimentConfig(model=heavy).limits.thrust_min(heavy)
+    assert floor == built.limits.thrust_min(built.model) == -117.72
+    # a floor that overflows is refused as the config file refuses it
+    message = "^limits.thrust_factor times model.mass \\* g must be finite$"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(model=AeroParams(mass=1e300),
+                         limits=ControlLimits(thrust_factor=1e10))
+    with pytest.raises(ConfigError, match=message):
+        build_config({"model.mass": "1e300", "limits.thrust_factor": "1e10"})
 
 
 def test_every_default_is_the_record_default():
@@ -219,7 +253,8 @@ def test_with_condition_sets_mode_flags():
                 "pid-df": (True, False, None), "pd-df": (False, False, None)}
     assert list(CONDITIONS) == list(expected)
     for rate_ff in (True, False):
-        cfg = build_config({"mode.rate_ff": str(rate_ff).lower()})
+        cfg = build_config({"mode.rate_ff": str(rate_ff).lower(),
+                            "model.wind.x": "2"})
         for name, (use_int, use_aero, use_rate) in expected.items():
             sub = cfg.with_condition(name)
             assert (sub.gains.kvi != (0.0, 0.0, 0.0), sub.model.cla != 0.0,
@@ -233,6 +268,8 @@ def test_with_condition_sets_mode_flags():
                 assert sub.model == cfg.model.zeroed()
                 assert sub.model.cla == 0.0
                 assert sub.model.mass == cfg.model.mass
+                # a DF cell still believes the wind estimate
+                assert sub.model.wind == cfg.model.wind == (2.0, 0.0, 0.0)
     with pytest.raises(ConfigError):
         cfg.with_condition("pid")
 

@@ -60,7 +60,7 @@ samples = st.builds(FlatSample, p=vectors(100.0).map(float_tuple),
                     a=accelerations.map(float_tuple),
                     j=vectors(100.0).map(float_tuple),
                     psi=st.floats(-math.pi, math.pi))
-winds = st.none() | vectors(10.0).map(float_tuple)
+winds = st.just((0.0, 0.0, 0.0)) | vectors(10.0).map(float_tuple)
 contexts = st.one_of(
     st.none(), st.builds(TransformContext),
     st.builds(TransformContext, held_axis=units(3).map(float_tuple),
@@ -81,7 +81,7 @@ def as_arrays(record, names):
 @settings(max_examples=300, deadline=None)
 @given(params=airframes, sample=samples, ctx=contexts, wind=winds)
 def test_flatness_transform_is_total(params, sample, ctx, wind):
-    out = flatness_transform(params, sample, ctx, wind=wind)
+    out = flatness_transform(params.replace(wind=wind), sample, ctx)
     assert all_finite(out.rotation, out.thrust, out.alpha, out.omega,
                       out.wind_axis, out.airspeed)
     rotation = np.asarray(out.rotation)
@@ -115,7 +115,7 @@ def test_flatness_transform_refuses_non_finite_input(sample, ctx, wind,
         with pytest.raises(ValueError, match=f"^flat sample field "
                                              f"{_FIELDS[min(bad) // 3]} is "
                                              f"not finite$"):
-            flatness_transform(AeroParams(), sample, ctx, wind=wind)
+            flatness_transform(AeroParams(wind=wind), sample, ctx)
     assert before is None or (ctx.held_axis, ctx.in_singular) == before
 
 
@@ -123,7 +123,7 @@ _ZERO = (0.0, 0.0, 0.0)
 _FREE_FALL = (0.0, 0.0, GRAVITY)
 
 
-def _flat_example(v, a, params=AeroParams(), wind=None):
+def _flat_example(v, a, params=AeroParams(), wind=_ZERO):
     return example(params=params, sample=FlatSample(_ZERO, v, a, _ZERO),
                    ctx=None, wind=wind, bad=None)
 
@@ -158,6 +158,7 @@ def test_float_flatness_transform_is_the_numpy_oracle(params, sample, ctx,
     # the domain: the float transform on tuples takes the numpy oracle's
     # branches and refusals, leaves the same context, and agrees with its
     # numbers
+    params = params.replace(wind=wind)
     if bad is not None:
         field, axis, value = bad
         if field == "psi":
@@ -171,15 +172,13 @@ def test_float_flatness_transform_is_the_numpy_oracle(params, sample, ctx,
     arrays = as_arrays(sample, "pvaj")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            expected = oracles.flatness_transform(
-                params, arrays, oracle_ctx,
-                wind=None if wind is None else np.array(wind, dtype=float))
+            expected = oracles.flatness_transform(params, arrays, oracle_ctx)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            flatness_transform(params, sample, float_ctx, wind=wind)
+            flatness_transform(params, sample, float_ctx)
         expected = out = None
     else:
-        out = flatness_transform(params, sample, float_ctx, wind=wind)
+        out = flatness_transform(params, sample, float_ctx)
     if ctx is not None:
         assert float_ctx.in_singular is oracle_ctx.in_singular
         assert (float_ctx.held_axis is None) == (oracle_ctx.held_axis is None)
@@ -218,10 +217,11 @@ def test_controller_commands_stay_within_limits(
         saturated, switches):
     # the integral, the wing and the rate feedforward, each on or off
     integral, wing, rate_ff = switches
+    params = params.replace(wind=wind)
     model = params if wing else params.zeroed()
     gains = ControlGains() if integral else ControlGains(kvi=0.0)
-    flat = flatness_transform(model, sample, wind=wind)
-    limits = ControlLimits(thrust_min=-4.0 * params.mass * GRAVITY)
+    flat = flatness_transform(model, sample)
+    limits = ControlLimits()
     ctx = ControllerContext(
         integrator=integrator,
         held_quat=held,
@@ -230,7 +230,7 @@ def test_controller_commands_stay_within_limits(
     cmd = controller_step(model, gains, rate_ff, limits, sample,
                           flat, state, ctx, 0.004)
     assert all_finite(cmd.thrust, cmd.omega)
-    assert limits.thrust_min <= cmd.thrust <= 0.0
+    assert limits.thrust_min(model) <= cmd.thrust <= 0.0
     assert np.all(np.abs(cmd.omega) <= limits.omega_max)
 
 
@@ -287,12 +287,13 @@ def test_float_controller_is_the_numpy_oracle(
     # velocity, so a = g references fall freely), PID and PD, both
     # feedforwards, clamped and frozen integrators
     integral, wing, rate_ff = switches
+    params = params.replace(wind=wind)
     model = params if wing else params.zeroed()
     gains = ControlGains(integrator_limit=limit)
     if not integral:
         gains = gains.replace(kvi=0.0)
-    flat = flatness_transform(model, sample, wind=wind)
-    limits = ControlLimits(thrust_min=-4.0 * params.mass * GRAVITY)
+    flat = flatness_transform(model, sample)
+    limits = ControlLimits()
     ctx = ControllerContext(integrator, saturated, held)
     assert_controllers_agree(
         model, gains, rate_ff, limits, sample, flat, sample.p + offset,
@@ -315,7 +316,7 @@ _G = GRAVITY
          (0, 0, 0), ControlLimits(), None),
         # the thrust floor, whose next tick freezes the integrator
         (True, (0.0, 0.0, -3.0 * _G), (1.0, 0.0, 0.0), np.eye(3),
-         (0.0, 0.0, 5.0), (0.5, -0.5, 0.5), ControlLimits(thrust_min=-10.0),
+         (0.0, 0.0, 5.0), (0.5, -0.5, 0.5), ControlLimits(thrust_factor=0.68),
          (0.0, 1.0, 0.0)),
         # the integrator clamp on all three axes
         (True, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.eye(3),
@@ -344,7 +345,7 @@ def test_float_controller_is_the_numpy_oracle_on_every_branch(
         assert not free_fall or ctx.held_quat == held
     else:
         assert np.array_equal(np.asarray(rotation)[:, 1], y_body)
-        assert ctx.thrust_saturated == (thrust < limits.thrust_min)
+        assert ctx.thrust_saturated == (thrust < limits.thrust_min(params))
 
 
 @settings(max_examples=500, deadline=None)
@@ -419,7 +420,8 @@ huge_vectors = st.lists(magnitudes, min_size=3, max_size=3).map(float_tuple)
 
 @settings(max_examples=500, deadline=None)
 @given(params=st.one_of(airframes, huge_airframes), v=huge_vectors,
-       a=huge_vectors, j=huge_vectors, wind=st.none() | huge_vectors,
+       a=huge_vectors, j=huge_vectors,
+       wind=st.just((0.0, 0.0, 0.0)) | huge_vectors,
        ctx=contexts)
 def test_flatness_transform_is_finite_or_overflows(params, v, a, j, wind, ctx):
     # finite samples and airframes of every magnitude, whose squares and
@@ -429,7 +431,7 @@ def test_flatness_transform_is_finite_or_overflows(params, v, a, j, wind, ctx):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            out = flatness_transform(params, sample, ctx, wind=wind)
+            out = flatness_transform(params.replace(wind=wind), sample, ctx)
         except FloatingPointError as exc:
             assert str(exc) == "overflow encountered in the flatness transform"
             return

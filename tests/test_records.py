@@ -68,8 +68,10 @@ def test_copies_are_checked_like_new_records(record, change, error):
 _NAN = math.nan
 _REFUSED = {
     "p0": (lambda: TrajectoryDef(p0=(1.0, 2.0)), ValueError, "trajectory.p0"),
-    "wind_est": (lambda: ExperimentConfig(wind_est=(1.0, 2.0)), ConfigError,
-                 "model.wind"),
+    # the wind estimate is the model's wind, the true wind the plant's;
+    # build_config names the section
+    "wind_est": (lambda: ExperimentConfig(model=AeroParams(wind=(1.0, 2.0))),
+                 ValueError, "wind"),
     "substeps": (lambda: ExperimentConfig(substeps=1.5), ConfigError,
                  "sim.substeps"),
     "delay_ticks": (lambda: ExperimentConfig(delay_ticks=1.5), ConfigError,
@@ -79,14 +81,15 @@ _REFUSED = {
     # the vectors, each through the one float 3-tuple conversion
     "p0-nan": (lambda: TrajectoryDef(p0=(_NAN, 0.0, 0.0)), ValueError,
                "trajectory.p0"),
-    "wind_est-nan": (lambda: ExperimentConfig(wind_est=(_NAN, 0.0, 0.0)),
-                     ConfigError, "model.wind"),
-    "wind_est-str": (lambda: ExperimentConfig(wind_est="abc"), ConfigError,
-                     "model.wind"),
-    "wind-short": (lambda: PlantConfig(wind=(1.0, 2.0)), ValueError,
-                   "plant.wind"),
-    "wind-nan": (lambda: PlantConfig(wind=(_NAN, 0.0, 0.0)), ValueError,
-                 "plant.wind"),
+    "wind_est-nan": (
+        lambda: ExperimentConfig(model=AeroParams(wind=(_NAN, 0.0, 0.0))),
+        ValueError, "wind"),
+    "wind_est-str": (lambda: ExperimentConfig(model=AeroParams(wind="abc")),
+                     ValueError, "wind"),
+    "wind-short": (lambda: PlantConfig(aero=AeroParams(wind=(1.0, 2.0))),
+                   ValueError, "wind"),
+    "wind-nan": (lambda: PlantConfig(aero=AeroParams(wind=(_NAN, 0.0, 0.0))),
+                 ValueError, "wind"),
     "kpp-str": (lambda: ControlGains(kpp="abc"), ValueError, "gains.kpp"),
     "kvi-nan": (lambda: ControlGains(kvi=_NAN), ValueError, "gains.kvi"),
     # NaN fails every range check
@@ -94,8 +97,21 @@ _REFUSED = {
                              ValueError, "gains.integrator_limit"),
     "omega_max-nan": (lambda: ControlLimits(omega_max=_NAN), ValueError,
                       "limits.omega_max"),
-    "thrust_min-nan": (lambda: ControlLimits(thrust_min=_NAN), ValueError,
-                       "thrust_min"),
+    # a NaN or infinite factor makes a floor that clips no thrust
+    "thrust_factor-nan": (lambda: ControlLimits(thrust_factor=_NAN),
+                          ValueError, "limits.thrust_factor"),
+    "thrust_factor-inf": (lambda: ControlLimits(thrust_factor=math.inf),
+                          ValueError, "limits.thrust_factor"),
+    "thrust_factor-negative": (lambda: ControlLimits(thrust_factor=-1.0),
+                               ValueError, "limits.thrust_factor"),
+    # a truthy string flew with the rate feedforward on; None survived
+    # with_condition as None, and a list made the config unhashable
+    "rate_ff-str": (lambda: ExperimentConfig(rate_ff="false"), ConfigError,
+                    "mode.rate_ff"),
+    "rate_ff-none": (lambda: ExperimentConfig(rate_ff=None), ConfigError,
+                     "mode.rate_ff"),
+    "rate_ff-list": (lambda: ExperimentConfig(rate_ff=[]), ConfigError,
+                     "mode.rate_ff"),
     "tau_omega-nan": (lambda: PlantConfig(tau_omega=_NAN), ValueError,
                       "plant.tau_omega"),
     "step-nan": (lambda: PlantConfig(step=_NAN), ValueError,
@@ -124,8 +140,7 @@ def test_inputs_a_run_cannot_read_are_refused_at_construction(name):
 def test_vector_inputs_are_kept_as_float_tuples():
     # a list is kept as the float 3-tuple the tick reads, so the record
     # hashes
-    records = [(ExperimentConfig(wind_est=[0, 1, 2.0]), "wind_est"),
-               (PlantConfig(wind=[0, 1, 2.0]), "wind"),
+    records = [(AeroParams(wind=[0, 1, 2.0]), "wind"),
                (TrajectoryDef(p0=[0, 1, 2.0]), "p0"),
                (ControlGains(kpp=[0, 1, 2.0]), "kpp")]
     for record, name in records:
