@@ -15,7 +15,7 @@ everywhere in code.
 
 import math
 from bisect import bisect_left
-from numbers import Integral
+from numbers import Integral, Real
 
 from .aero import AeroParams
 from .control import ControlGains, ControlLimits
@@ -102,11 +102,16 @@ class ExperimentConfig(Frozen):
             raise ConfigError(f"mode.rate_ff must be a bool, got {rate_ff!r}")
         self._set(trajectory, plant, model, gains, limits, rate_ff,
                   duration, rate, substeps, abort_radius, delay_ticks)
-        for name, count in (("substeps", substeps),
+        for name, count in (("rate", rate), ("substeps", substeps),
                             ("delay_ticks", delay_ticks)):
             if not isinstance(count, Integral):
                 raise ConfigError(f"sim.{name} must be an integer, "
                                   f"got {count!r}")
+        for name, value in (("duration", duration),
+                            ("abort_radius", abort_radius)):
+            if not isinstance(value, Real):
+                raise ConfigError(f"sim.{name} must be a number, "
+                                  f"got {value!r}")
         # written so that NaN fails the range checks too
         if not 0.0 < duration < math.inf:
             raise ConfigError("sim.duration must be finite and > 0")

@@ -264,7 +264,12 @@ def flatness_transform(params, sample, ctx=None):
     speed near 1e154, say) raises ``FloatingPointError`` naming the
     flatness transform.  ``ctx`` carries the hysteresis state and the
     last good airspeed direction between calls; omitted, a fresh context
-    makes the call a stateless per-sample transform.  The wind of
+    makes the call a stateless per-sample transform.  A sample repeated
+    through one context gives the same output from its first call on:
+    the zero-velocity branch only raises the threshold above the speed
+    that entered it and never writes the held axis, and the smooth
+    branch keeps the threshold at or below its speed and reads no
+    context.  The wind of
     ``params`` (in a run, the wind estimate) enters only through the
     airspeed ``v - params.wind``.
     """

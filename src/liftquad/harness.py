@@ -29,7 +29,7 @@ from .dynamics import VehicleState, actuator_lag, require_finite, rk4_step
 from .flatness import (FlatnessOutput, FlatSample, TransformContext,
                        flatness_transform)
 from .geom import mat_to_quat, overflow_error
-from .trajectories import sample as sample_trajectory
+from .trajectories import TrajectoryKind, sample as sample_trajectory
 
 CSV_COLUMNS = ("t,px,py,pz,prx,pry,prz,vx,vy,vz,qw,qx,qy,qz,"
                "qdw,qdx,qdy,qdz,fz,wx,wy,wz,alpha,singular")
@@ -191,16 +191,23 @@ def _ticks(cfg, result):
 
 def _computed(cfg, result):
     """The ticks sampled and transformed, all transforms of one run
-    going through one context."""
+    going through one context.
+
+    A hover samples the same reference at every tick, so its airspeed
+    ``-model.wind`` is constant and the hysteresis keeps tick 0's
+    branch; tick 0's feedforward is then every tick's, transformed once.
+    Every tick is still sampled: a tick starts at its sample call."""
     dt = 1.0 / cfg.rate
     transform_ctx = TransformContext()
+    hover = cfg.trajectory.kind is TrajectoryKind.HOVER
     for k in range(cfg.n_rows):
         t = k * dt
         ref = sample_trajectory(cfg.trajectory, t)
-        try:
-            flat = flatness_transform(cfg.model, ref, transform_ctx)
-        except FloatingPointError as exc:
-            raise _went_non_finite(exc, t, ref, result, k) from None
+        if not (hover and k):
+            try:
+                flat = flatness_transform(cfg.model, ref, transform_ctx)
+            except FloatingPointError as exc:
+                raise _went_non_finite(exc, t, ref, result, k) from None
         yield k, t, ref, flat
 
 

@@ -19,7 +19,9 @@ from liftquad.aero import GRAVITY, AeroParams
 from liftquad.config import (CONDITIONS, MAX_PLANT_STEPS, MAX_ROWS,
                              ConfigError, ExperimentConfig, build_config,
                              load_config, parse_config_text)
-from liftquad.flatness import SingularCase
+from liftquad.flatness import (SingularCase, TransformContext,
+                               flatness_transform)
+from liftquad.geom import mat_to_quat
 from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
                               DivergenceError, EmptySeriesError, RunResult,
                               condition_matrix, feasibility_check,
@@ -45,7 +47,7 @@ def short_circle(**overrides):
     return config_from("\n".join(f"{k} = {v}" for k, v in pairs.items()))
 
 
-def test_the_names_the_benchmark_tracer_binds_to():
+def test_the_names_the_benchmark_tracer_binds_to(monkeypatch):
     # perfbench/tracer.py rebinds these names for a traced run and reads
     # controller_step's context by position; a change that moves one
     # breaks every traced benchmark run, which no other tier-1 test sees
@@ -75,6 +77,18 @@ def test_the_names_the_benchmark_tracer_binds_to():
     result = run_experiment(cfg)
     assert (len(result.t), len(result.singular), result.omega.shape) == (
         6, 6, (6, 3))
+    # a tick starts at its sample call, a hover's too, though a hover
+    # transforms its one sample once
+    samples = []
+
+    def sampled(*args, original=harness.sample_trajectory):
+        samples.append(args)
+        return original(*args)
+    monkeypatch.setattr(harness, "sample_trajectory", sampled)
+    hover = build_config({"trajectory.kind": "hover", "sim.duration": "0.1"})
+    for run in (run_experiment, feedforward_trace):
+        samples.clear()
+        assert run(hover).n_rows == len(samples) == hover.n_rows == 26
 
 
 # --- config -----------------------------------------------------------------
@@ -642,6 +656,52 @@ def test_feedforward_trace_hover():
     assert_allclose(trace.thrust, -cfg.model.mass * GRAVITY)
     assert_allclose(trace.omega, np.zeros((251, 3)))
     assert np.all(trace.singular == int(SingularCase.ZERO_VELOCITY))
+
+
+@pytest.mark.parametrize("kind", ["circle", "hover"])
+def test_a_hover_transforms_its_one_reference_sample_once(kind, tmp_path,
+                                                          monkeypatch):
+    # each command's reference streams (compare records two, with and
+    # without the wing) transform every tick, but a hover's only once
+    calls = []
+
+    def counted(*args, original=harness.flatness_transform):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(harness, "flatness_transform", counted)
+    cfg = config_from(f"trajectory.kind = {kind}\nsim.duration = 0.2")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"trajectory.kind = {kind}\n", encoding="utf-8")
+    per_stream = 1 if kind == "hover" else cfg.n_rows
+    for command, streams in (("sim", 1), ("flat", 1), ("check", 1),
+                             ("compare", 2)):
+        calls.clear()
+        assert cli.main([command, "--config", str(path), "--out",
+                         str(tmp_path), "--duration", "0.2"]) == 0
+        assert len(calls) == streams * per_stream, command
+
+
+@pytest.mark.parametrize("wind", [0.0, 0.25, 0.3, 0.4, 0.5, 3.0])
+def test_a_hover_feedforward_is_every_ticks_transform(wind):
+    # the modelled wind is a hover's airspeed: below 0.3 m/s the
+    # zero-velocity branch, from 0.3 the smooth one, both edges of the
+    # 0.3-0.5 hysteresis band included.  The trace's feedforward columns
+    # are those of a transform of every tick through one context, to the
+    # bit, so the sign of each zero counts
+    cfg = config_from(f"trajectory.kind = hover\nmodel.wind.x = {wind}\n"
+                      f"sim.duration = 0.2")
+    trace = feedforward_trace(cfg)
+    ctx, expected = TransformContext(), []
+    for t in trace.t:
+        flat = flatness_transform(cfg.model,
+                                  sample_trajectory(cfg.trajectory, t), ctx)
+        expected.append((*mat_to_quat(flat.rotation), flat.thrust,
+                         *flat.omega, flat.alpha, flat.singular))
+    columns = np.column_stack([trace.q, trace.thrust, trace.omega,
+                               trace.alpha, trace.singular])
+    assert columns.tobytes() == np.array(expected, dtype=float).tobytes()
+    assert set(trace.singular) == {SingularCase.ZERO_VELOCITY if wind < 0.3
+                                   else SingularCase.NONE}
 
 
 def test_feasibility_stock_circle():

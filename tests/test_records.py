@@ -76,8 +76,15 @@ _REFUSED = {
                  "sim.substeps"),
     "delay_ticks": (lambda: ExperimentConfig(delay_ticks=1.5), ConfigError,
                     "sim.delay_ticks"),
+    # a float rate logged rows at no integer rate (250.5 logged 15,031
+    # in 60 s); a string duration or abort radius raised a bare TypeError
+    "rate": (lambda: ExperimentConfig(rate=250.5), ConfigError, "sim.rate"),
     "rate-nan": (lambda: ExperimentConfig(rate=_NAN), ConfigError,
-                 "sim.rate and sim.substeps"),
+                 "sim.rate"),
+    "duration-str": (lambda: ExperimentConfig(duration="5"), ConfigError,
+                     "sim.duration"),
+    "abort_radius-str": (lambda: ExperimentConfig(abort_radius="5"),
+                         ConfigError, "sim.abort_radius"),
     # the vectors, each through the one float 3-tuple conversion
     "p0-nan": (lambda: TrajectoryDef(p0=(_NAN, 0.0, 0.0)), ValueError,
                "trajectory.p0"),
