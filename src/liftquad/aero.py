@@ -19,7 +19,7 @@ airspeed: with only ``cd0`` active the earth-frame acceleration is
 
 import math
 
-from .record import Frozen, float3
+from .record import ConfigError, Frozen, finite, float3
 
 GRAVITY = 9.81  # along +z: NED, +z is down
 
@@ -49,22 +49,22 @@ class AeroParams(Frozen):
 
     def __init__(self, mass=1.5, kappa=math.radians(34.0), rho=1.225,
                  area=0.2, cd0=0.05, cy0=0.0, cla=2.0, wind=(0.0, 0.0, 0.0)):
-        # written so that NaN fails the range checks too
-        if not mass > 0.0:
-            raise ValueError("mass must be > 0")
-        if not rho > 0.0:
-            raise ValueError("rho must be > 0")
-        if not area >= 0.0:
-            raise ValueError("area must be >= 0")
+        mass, kappa, rho, area, cd0, cy0, cla = map(
+            finite, ("mass", "kappa_deg", "rho", "area", "cd0", "cy0", "cla"),
+            (mass, kappa, rho, area, cd0, cy0, cla))
+        if mass <= 0.0:
+            raise ConfigError("mass must be > 0")
+        if rho <= 0.0:
+            raise ConfigError("rho must be > 0")
+        if area < 0.0:
+            raise ConfigError("area must be >= 0")
         if not (KAPPA_MIN < kappa <= KAPPA_MAX):
-            raise ValueError(f"kappa_deg must be in (15, 90], "
-                             f"got {math.degrees(kappa):g}")
-        if not cd0 >= 0.0:
-            raise ValueError("cd0 must be >= 0")
-        if not cla >= 0.0:
-            raise ValueError("cla must be >= 0")
-        if math.isnan(cy0):
-            raise ValueError("cy0 must be a number")
+            raise ConfigError(f"kappa_deg must be in (15, 90], "
+                              f"got {math.degrees(kappa):g}")
+        if cd0 < 0.0:
+            raise ConfigError("cd0 must be >= 0")
+        if cla < 0.0:
+            raise ConfigError("cla must be >= 0")
         wind = float3("wind", wind)
         c, s = math.cos(kappa), math.sin(kappa)
         cdxz = cla * s * c

@@ -20,12 +20,8 @@ from numbers import Integral, Real
 from .aero import AeroParams
 from .control import ControlGains, ControlLimits
 from .dynamics import PlantConfig
-from .record import Frozen
+from .record import ConfigError, Frozen
 from .trajectories import TrajectoryDef, TrajectoryKind
-
-
-class ConfigError(ValueError):
-    """Invalid config file or config value."""
 
 
 # The condition matrix's cells in run order, each with what it turns off:
@@ -51,6 +47,12 @@ MAX_PLANT_STEPS = 10**8
 RK4_REAL_LIMIT = 2.785
 _LOG_RK4_LIMIT = math.log(RK4_REAL_LIMIT)
 _LOG2 = math.log(2.0)
+# each run-level value's config key and type, in the order checked
+_TYPES = {"mode.rate_ff": (bool, "a bool"),
+          **dict.fromkeys(("sim.rate", "sim.substeps", "sim.delay_ticks"),
+                          (Integral, "an integer")),
+          **dict.fromkeys(("sim.duration", "sim.abort_radius"),
+                          (Real, "a number"))}
 
 
 def _log_drag_rate(aero, peak_speed):
@@ -85,6 +87,12 @@ class ExperimentConfig(Frozen):
     ``model.zeroed()``.  ``limits`` counts the thrust floor in weights
     of ``model``.  ``rate_ff`` (a bool) adds the flatness body rate to
     the body-rate command.
+
+    The constructor refuses with a :class:`ConfigError` naming the key,
+    as a config file's value is refused: one type rule takes a bool for
+    ``rate_ff`` only, an integer for ``rate``, ``substeps`` and
+    ``delay_ticks`` and a number for ``duration`` and ``abort_radius``
+    (a bool is neither), and range checks and the run budgets follow.
     """
 
     __slots__ = _fields = (
@@ -98,20 +106,14 @@ class ExperimentConfig(Frozen):
         if not math.isfinite(limits.thrust_min(model)):
             raise ConfigError("limits.thrust_factor times model.mass * g "
                               "must be finite")
-        if not isinstance(rate_ff, bool):
-            raise ConfigError(f"mode.rate_ff must be a bool, got {rate_ff!r}")
         self._set(trajectory, plant, model, gains, limits, rate_ff,
                   duration, rate, substeps, abort_radius, delay_ticks)
-        for name, count in (("rate", rate), ("substeps", substeps),
-                            ("delay_ticks", delay_ticks)):
-            if not isinstance(count, Integral):
-                raise ConfigError(f"sim.{name} must be an integer, "
-                                  f"got {count!r}")
-        for name, value in (("duration", duration),
-                            ("abort_radius", abort_radius)):
-            if not isinstance(value, Real):
-                raise ConfigError(f"sim.{name} must be a number, "
-                                  f"got {value!r}")
+        for key, (kind, noun) in _TYPES.items():
+            value = getattr(self, key.partition(".")[2])
+            # a bool is a bool only: no count and no length
+            if (isinstance(value, bool) is not (kind is bool)
+                    or not isinstance(value, kind)):
+                raise ConfigError(f"{key} must be {noun}, got {value!r}")
         # written so that NaN fails the range checks too
         if not 0.0 < duration < math.inf:
             raise ConfigError("sim.duration must be finite and > 0")
@@ -283,7 +285,9 @@ def _convert(key, value):
 def build_config(raw):
     """ExperimentConfig from raw string pairs (defaults fill the gaps);
     strict like the file format: an unknown key is a ConfigError, located
-    when ``raw`` came from :func:`parse_config_text`."""
+    when ``raw`` came from :func:`parse_config_text`.  A record's own
+    ConfigError passes through as it is; only an airframe's gets the
+    ``plant.`` or ``model.`` section its field names lack."""
     where = getattr(raw, "where", {})
     for key in raw:
         if key not in _SCHEMA:
@@ -302,32 +306,27 @@ def build_config(raw):
                 wind=vec(f"{section}.wind"),
                 **{name: values[f"{section}.{name}"]
                    for name in ("mass", "rho", "area", "cd0", "cy0", "cla")})
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{section}.{exc}") from None
 
-    try:
-        trajectory = TrajectoryDef(
-            kind=values["trajectory.kind"],
-            p0=vec("trajectory.p0"),
-            r=values["trajectory.radius"],
-            omega=values["trajectory.omega"],
-            speed_cap=values["trajectory.speed_cap"],
-            psi_fallback=values["trajectory.psi"])
-        plant = PlantConfig(
-            aero=aero("plant"),
-            tau_omega=values["plant.tau_omega"],
-            tau_thrust=values["plant.tau_thrust"])
-        model = aero("model")
-        gains = ControlGains(
-            kpp=vec("gains.kpp"), kvp=vec("gains.kvp"), kvi=vec("gains.kvi"),
-            kff=vec("gains.kff"), ktp=vec("gains.ktp"),
-            integrator_limit=values["gains.integrator_limit"])
-        limits = ControlLimits(thrust_factor=values["limits.thrust_factor"],
-                               omega_max=values["limits.omega_max"])
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    trajectory = TrajectoryDef(
+        kind=values["trajectory.kind"],
+        p0=vec("trajectory.p0"),
+        r=values["trajectory.radius"],
+        omega=values["trajectory.omega"],
+        speed_cap=values["trajectory.speed_cap"],
+        psi_fallback=values["trajectory.psi"])
+    plant = PlantConfig(
+        aero=aero("plant"),
+        tau_omega=values["plant.tau_omega"],
+        tau_thrust=values["plant.tau_thrust"])
+    model = aero("model")
+    gains = ControlGains(
+        kpp=vec("gains.kpp"), kvp=vec("gains.kvp"), kvi=vec("gains.kvi"),
+        kff=vec("gains.kff"), ktp=vec("gains.ktp"),
+        integrator_limit=values["gains.integrator_limit"])
+    limits = ControlLimits(thrust_factor=values["limits.thrust_factor"],
+                           omega_max=values["limits.omega_max"])
     return ExperimentConfig(
         trajectory=trajectory, plant=plant, model=model, gains=gains,
         limits=limits, rate_ff=values["mode.rate_ff"],

@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .aero import GRAVITY, aero_accel
 from .geom import (lateral_axis, mat_to_quat, overflow_error, quat_conj,
                    quat_mul, quat_to_rotation_vector)
-from .record import Frozen, Record, float3
+from .record import ConfigError, Frozen, Record, finite, float3
 
 # Acceleration-demand norm below which the thrust direction is
 # undefined and the free-fall policy (hold attitude, zero thrust) is
@@ -55,7 +55,7 @@ def _axis_vector(name, value):
     vec = float3(f"gains.{name}", value)
     for axis, k in zip("xyz", vec):
         if k < 0.0:
-            raise ValueError(f"gains.{name}.{axis} must be >= 0, got {k}")
+            raise ConfigError(f"gains.{name}.{axis} must be >= 0, got {k}")
     return vec
 
 
@@ -78,9 +78,10 @@ class ControlGains(Frozen):
                  for name, value in zip(_GAINS, (kpp, kvp, kvi, kff, ktp))]
         for axis, k in zip("xyz", gains[3]):
             if k > 1.0:
-                raise ValueError(f"gains.kff.{axis} must be <= 1, got {k}")
-        if not integrator_limit >= 0.0:
-            raise ValueError("gains.integrator_limit must be >= 0")
+                raise ConfigError(f"gains.kff.{axis} must be <= 1, got {k}")
+        integrator_limit = finite("gains.integrator_limit", integrator_limit)
+        if integrator_limit < 0.0:
+            raise ConfigError("gains.integrator_limit must be >= 0")
         self._set(*gains, integrator_limit)
 
 
@@ -92,12 +93,12 @@ class ControlLimits(Frozen):
     __slots__ = _fields = ("thrust_factor", "omega_max")
 
     def __init__(self, thrust_factor=4.0, omega_max=6.0):
-        if not thrust_factor >= 0.0:
-            raise ValueError("limits.thrust_factor must be >= 0")
-        if not thrust_factor < math.inf:
-            raise ValueError("limits.thrust_factor must be finite")
-        if not omega_max > 0.0:
-            raise ValueError("limits.omega_max must be > 0")
+        thrust_factor = finite("limits.thrust_factor", thrust_factor)
+        omega_max = finite("limits.omega_max", omega_max)
+        if thrust_factor < 0.0:
+            raise ConfigError("limits.thrust_factor must be >= 0")
+        if omega_max <= 0.0:
+            raise ConfigError("limits.omega_max must be > 0")
         self._set(thrust_factor, omega_max)
 
     def thrust_min(self, params):

@@ -23,7 +23,7 @@ import math
 from .aero import GRAVITY, AeroParams, aero_accel
 from .control import ControlInput
 from .geom import overflow_error
-from .record import Frozen, Record
+from .record import ConfigError, Frozen, Record, finite
 
 
 class VehicleState(Record):
@@ -67,12 +67,14 @@ class PlantConfig(Frozen):
 
     def __init__(self, aero=AeroParams(), tau_omega=0.0, tau_thrust=0.0,
                  step=1e-3):
-        # written so that NaN fails the range checks too
+        # written so that NaN fails the range check too
         if not step > 0.0:
-            raise ValueError("integration step must be > 0")
+            raise ConfigError("integration step must be > 0")
+        tau_omega = finite("plant.tau_omega", tau_omega)
+        tau_thrust = finite("plant.tau_thrust", tau_thrust)
         for key, tau in (("tau_omega", tau_omega), ("tau_thrust", tau_thrust)):
-            if not tau >= 0.0:
-                raise ValueError(f"plant.{key} must be >= 0")
+            if tau < 0.0:
+                raise ConfigError(f"plant.{key} must be >= 0")
         decays = [math.exp(-step / tau) if tau != 0.0 else 0.0
                   for tau in (tau_thrust, tau_omega)]
         self._set(aero, tau_omega, tau_thrust, step, *decays)

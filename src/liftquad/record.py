@@ -4,21 +4,45 @@
 they, are compared, hashed, shown and copied.  Other slots are derived,
 and :meth:`Record.replace` copies through the constructor, so a copy is
 checked and derives them again; a derived slot is no copy argument.
-A vector argument is kept as the float 3-tuple :func:`float3` makes.
+A scalar argument that is a config key is kept as the float
+:func:`finite` makes, a vector argument as the float 3-tuple
+:func:`float3` makes.  A record refuses a value it cannot take with a
+:class:`ConfigError`, the refusal a config file's value gets.
 """
 
 import math
 
 
-def float3(key, value):
-    """``value`` as a float 3-tuple; a ``ValueError`` naming the config
-    key ``key`` unless it is three finite numbers (a string is none)."""
+class ConfigError(ValueError):
+    """The one refusal of a bad config: a file that does not parse, or a
+    value a run cannot take, from a file or given to a record built in
+    code, which a record names by its config key first.  The command
+    line raises it for an unusable output path too; it exits 2."""
+
+
+def finite(key, value):
+    """``value`` as a float; a :class:`ConfigError` naming the config key
+    ``key`` unless it is a finite number (a string or a bool is none)."""
     try:
-        vec = () if isinstance(value, str) else tuple(map(float, value))
-    except (TypeError, ValueError):
+        number = (math.nan if isinstance(value, (str, bytes, bool))
+                  else float(value))
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number")
+    return number
+
+
+def float3(key, value):
+    """``value`` as a float 3-tuple; a :class:`ConfigError` naming the
+    config key ``key`` unless it is three finite numbers, each as
+    :func:`finite` takes it (a string is none)."""
+    try:
+        vec = tuple([finite(key, x) for x in value])
+    except (TypeError, ConfigError):
         vec = ()
-    if len(vec) != 3 or not all(map(math.isfinite, vec)):
-        raise ValueError(f"{key} must be three finite numbers")
+    if len(vec) != 3:
+        raise ConfigError(f"{key} must be three finite numbers")
     return vec
 
 

@@ -12,7 +12,7 @@ import math
 from enum import Enum
 
 from .flatness import FlatSample
-from .record import Frozen, float3
+from .record import ConfigError, Frozen, finite, float3
 
 
 class TrajectoryKind(Enum):
@@ -57,8 +57,8 @@ class TrajectoryDef(Frozen):
     def __init__(self, kind=TrajectoryKind.CIRCLE, p0=None, r=None,
                  omega=None, speed_cap=10.0, psi_fallback=None):
         if not isinstance(kind, TrajectoryKind):
-            raise ValueError(f"trajectory.kind must be a TrajectoryKind, "
-                             f"got {kind!r}")
+            raise ConfigError(f"trajectory.kind must be a TrajectoryKind, "
+                              f"got {kind!r}")
         p0 = _ZERO if p0 is None else float3("trajectory.p0", p0)
         if r is None:
             r = _DEFAULT_RADIUS.get(kind, 0.0)
@@ -67,8 +67,10 @@ class TrajectoryDef(Frozen):
         if psi_fallback is None:
             planar = kind in (TrajectoryKind.CIRCLE, TrajectoryKind.LEMNISCATE)
             psi_fallback = 0.5 * math.pi if planar else 0.0
-        if not math.isfinite(psi_fallback):
-            raise ValueError("trajectory.psi must be finite")
+        r, omega, speed_cap, psi_fallback = map(
+            finite, ("trajectory.radius", "trajectory.omega",
+                     "trajectory.speed_cap", "trajectory.psi"),
+            (r, omega, speed_cap, psi_fallback))
         for key, value, low, high in (
                 *((f"p0.{axis}", x, -MAX_OFFSET, MAX_OFFSET)
                   for axis, x in zip("xyz", p0)),
@@ -76,10 +78,11 @@ class TrajectoryDef(Frozen):
                 ("omega", omega, 0.0, MAX_OMEGA),
                 ("speed_cap", speed_cap, -MAX_SPEED, MAX_SPEED)):
             if not low <= value <= high:
-                raise ValueError(
+                raise ConfigError(
                     f"trajectory.{key} must be in [{low:g}, {high:g}]")
         if kind is TrajectoryKind.CIRCLE and speed_cap <= 0.0:
-            raise ValueError("trajectory.speed_cap must be > 0 for the circle")
+            raise ConfigError(
+                "trajectory.speed_cap must be > 0 for the circle")
         self._set(kind, p0, r, omega, speed_cap, psi_fallback)
 
     def switch_time(self):

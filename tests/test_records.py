@@ -1,15 +1,19 @@
 """Plain records: copies go through the constructor, derived slots are
 read-only, never compared, hashed or shown, and no copy argument."""
 
+import importlib
 import math
+import pkgutil
 import re
 
 import pytest
 
+import liftquad
 from liftquad.aero import AeroParams
 from liftquad.config import ConfigError, ExperimentConfig
 from liftquad.control import ControlGains, ControlLimits
 from liftquad.dynamics import PlantConfig
+from liftquad.record import Frozen
 from liftquad.trajectories import TrajectoryDef
 
 _DERIVED = [
@@ -49,88 +53,102 @@ def test_plant_copy_derives_its_decay_factors_again():
     assert plant.replace(step=0.001)._thrust_decay != plant._thrust_decay
 
 
-@pytest.mark.parametrize("record, change, error", [
-    (AeroParams(), {"mass": 0.0}, ValueError),
-    (TrajectoryDef(), {"speed_cap": 0.0}, ValueError),
-    (ControlGains(), {"kff": 2.0}, ValueError),
-    (ControlLimits(), {"omega_max": 0.0}, ValueError),
-    (PlantConfig(), {"step": 0.0}, ValueError),
-    (ExperimentConfig(), {"duration": 0.0}, ConfigError)],
+@pytest.mark.parametrize("record, change", [
+    (AeroParams(), {"mass": 0.0}),
+    (TrajectoryDef(), {"speed_cap": 0.0}),
+    (ControlGains(), {"kff": 2.0}),
+    (ControlLimits(), {"omega_max": 0.0}),
+    (PlantConfig(), {"step": 0.0}),
+    (ExperimentConfig(), {"duration": 0.0})],
     ids=["AeroParams", "TrajectoryDef", "ControlGains", "ControlLimits",
          "PlantConfig", "ExperimentConfig"])
-def test_copies_are_checked_like_new_records(record, change, error):
-    with pytest.raises(error):
+def test_copies_are_checked_like_new_records(record, change):
+    with pytest.raises(ConfigError):
         record.replace(**change)
     with pytest.raises(AttributeError):
         setattr(record, next(iter(change)), 1.0)
 
 
-_NAN = math.nan
+_NAN, _INF = math.nan, math.inf
+# name -> (construction, config key its ConfigError names)
 _REFUSED = {
-    "p0": (lambda: TrajectoryDef(p0=(1.0, 2.0)), ValueError, "trajectory.p0"),
+    "p0": (lambda: TrajectoryDef(p0=(1.0, 2.0)), "trajectory.p0"),
     # the wind estimate is the model's wind, the true wind the plant's;
     # build_config names the section
     "wind_est": (lambda: ExperimentConfig(model=AeroParams(wind=(1.0, 2.0))),
-                 ValueError, "wind"),
-    "substeps": (lambda: ExperimentConfig(substeps=1.5), ConfigError,
-                 "sim.substeps"),
-    "delay_ticks": (lambda: ExperimentConfig(delay_ticks=1.5), ConfigError,
+                 "wind"),
+    "substeps": (lambda: ExperimentConfig(substeps=1.5), "sim.substeps"),
+    "delay_ticks": (lambda: ExperimentConfig(delay_ticks=1.5),
                     "sim.delay_ticks"),
     # a float rate logged rows at no integer rate (250.5 logged 15,031
     # in 60 s); a string duration or abort radius raised a bare TypeError
-    "rate": (lambda: ExperimentConfig(rate=250.5), ConfigError, "sim.rate"),
-    "rate-nan": (lambda: ExperimentConfig(rate=_NAN), ConfigError,
-                 "sim.rate"),
-    "duration-str": (lambda: ExperimentConfig(duration="5"), ConfigError,
-                     "sim.duration"),
+    "rate": (lambda: ExperimentConfig(rate=250.5), "sim.rate"),
+    "rate-nan": (lambda: ExperimentConfig(rate=_NAN), "sim.rate"),
+    "duration-str": (lambda: ExperimentConfig(duration="5"), "sim.duration"),
     "abort_radius-str": (lambda: ExperimentConfig(abort_radius="5"),
-                         ConfigError, "sim.abort_radius"),
+                         "sim.abort_radius"),
+    # a bool is no count and no length: duration=True logged 251 rows
+    **{f"{name}-bool": ((lambda name=name: ExperimentConfig(**{name: True})),
+                        f"sim.{name}")
+       for name in ("rate", "substeps", "delay_ticks", "duration",
+                    "abort_radius")},
     # the vectors, each through the one float 3-tuple conversion
-    "p0-nan": (lambda: TrajectoryDef(p0=(_NAN, 0.0, 0.0)), ValueError,
-               "trajectory.p0"),
+    "p0-nan": (lambda: TrajectoryDef(p0=(_NAN, 0.0, 0.0)), "trajectory.p0"),
+    # a bool or numeric-string component was taken as its float
+    "p0-bool": (lambda: TrajectoryDef(p0=[True, 2.0, 3.0]), "trajectory.p0"),
+    "p0-str": (lambda: TrajectoryDef(p0=[1.0, "2", 3.0]), "trajectory.p0"),
     "wind_est-nan": (
         lambda: ExperimentConfig(model=AeroParams(wind=(_NAN, 0.0, 0.0))),
-        ValueError, "wind"),
+        "wind"),
     "wind_est-str": (lambda: ExperimentConfig(model=AeroParams(wind="abc")),
-                     ValueError, "wind"),
+                     "wind"),
     "wind-short": (lambda: PlantConfig(aero=AeroParams(wind=(1.0, 2.0))),
-                   ValueError, "wind"),
+                   "wind"),
     "wind-nan": (lambda: PlantConfig(aero=AeroParams(wind=(_NAN, 0.0, 0.0))),
-                 ValueError, "wind"),
-    "kpp-str": (lambda: ControlGains(kpp="abc"), ValueError, "gains.kpp"),
-    "kvi-nan": (lambda: ControlGains(kvi=_NAN), ValueError, "gains.kvi"),
-    # NaN fails every range check
+                 "wind"),
+    "kpp-str": (lambda: ControlGains(kpp="abc"), "gains.kpp"),
+    # a bool gain broadcast to (1.0, 1.0, 1.0)
+    "kpp-bool": (lambda: ControlGains(kpp=True), "gains.kpp"),
+    "kvi-nan": (lambda: ControlGains(kvi=_NAN), "gains.kvi"),
+    # NaN fails every range check; an infinite bound clamps nothing
     "integrator_limit-nan": (lambda: ControlGains(integrator_limit=_NAN),
-                             ValueError, "gains.integrator_limit"),
-    "omega_max-nan": (lambda: ControlLimits(omega_max=_NAN), ValueError,
+                             "gains.integrator_limit"),
+    "integrator_limit-inf": (lambda: ControlGains(integrator_limit=_INF),
+                             "gains.integrator_limit"),
+    "omega_max-nan": (lambda: ControlLimits(omega_max=_NAN),
+                      "limits.omega_max"),
+    "omega_max-inf": (lambda: ControlLimits(omega_max=_INF),
                       "limits.omega_max"),
     # a NaN or infinite factor makes a floor that clips no thrust
     "thrust_factor-nan": (lambda: ControlLimits(thrust_factor=_NAN),
-                          ValueError, "limits.thrust_factor"),
-    "thrust_factor-inf": (lambda: ControlLimits(thrust_factor=math.inf),
-                          ValueError, "limits.thrust_factor"),
+                          "limits.thrust_factor"),
+    "thrust_factor-inf": (lambda: ControlLimits(thrust_factor=_INF),
+                          "limits.thrust_factor"),
     "thrust_factor-negative": (lambda: ControlLimits(thrust_factor=-1.0),
-                               ValueError, "limits.thrust_factor"),
+                               "limits.thrust_factor"),
     # a truthy string flew with the rate feedforward on; None survived
     # with_condition as None, and a list made the config unhashable
-    "rate_ff-str": (lambda: ExperimentConfig(rate_ff="false"), ConfigError,
+    "rate_ff-str": (lambda: ExperimentConfig(rate_ff="false"),
                     "mode.rate_ff"),
-    "rate_ff-none": (lambda: ExperimentConfig(rate_ff=None), ConfigError,
-                     "mode.rate_ff"),
-    "rate_ff-list": (lambda: ExperimentConfig(rate_ff=[]), ConfigError,
-                     "mode.rate_ff"),
-    "tau_omega-nan": (lambda: PlantConfig(tau_omega=_NAN), ValueError,
-                      "plant.tau_omega"),
-    "step-nan": (lambda: PlantConfig(step=_NAN), ValueError,
-                 "integration step"),
-    "psi-nan": (lambda: TrajectoryDef(psi_fallback=_NAN), ValueError,
-                "trajectory.psi"),
+    "rate_ff-none": (lambda: ExperimentConfig(rate_ff=None), "mode.rate_ff"),
+    "rate_ff-list": (lambda: ExperimentConfig(rate_ff=[]), "mode.rate_ff"),
+    "tau_omega-nan": (lambda: PlantConfig(tau_omega=_NAN), "plant.tau_omega"),
+    # an infinite lag held the body rate at tick 0's command
+    "tau_omega-inf": (lambda: PlantConfig(tau_omega=_INF), "plant.tau_omega"),
+    "step-nan": (lambda: PlantConfig(step=_NAN), "integration step"),
+    "psi-nan": (lambda: TrajectoryDef(psi_fallback=_NAN), "trajectory.psi"),
     # a string is no TrajectoryKind: it flew a stationary point
-    "kind-str": (lambda: TrajectoryDef(kind="circle"), ValueError,
-                 "trajectory.kind"),
-    **{f"{name}-nan": ((lambda name=name: AeroParams(**{name: _NAN})),
-                       ValueError, name)
+    "kind-str": (lambda: TrajectoryDef(kind="circle"), "trajectory.kind"),
+    "speed_cap-bool": (lambda: TrajectoryDef(speed_cap=True),
+                       "trajectory.speed_cap"),
+    **{f"{name}-nan": ((lambda name=name: AeroParams(**{name: _NAN})), name)
        for name in ("mass", "rho", "area", "cd0", "cla", "cy0")},
+    # an infinite density ran, and was reported as a divergence at t=0
+    "rho-inf": (lambda: ExperimentConfig(model=AeroParams(rho=_INF),
+                                         duration=0.1), "rho"),
+    # a string mass raised a bare TypeError; a bool one was kept as True
+    "mass-str": (lambda: AeroParams(mass="1.5"), "mass"),
+    "mass-bool": (lambda: AeroParams(mass=True), "mass"),
 }
 
 
@@ -138,10 +156,50 @@ _REFUSED = {
 def test_inputs_a_run_cannot_read_are_refused_at_construction(name):
     # each passed construction, and the run then failed at its first
     # tick, ran with a saturation, clamp or lag silently off, or flew
-    # another reference
-    build, error, key = _REFUSED[name]
-    with pytest.raises(error, match=f"^{re.escape(key)} must be "):
+    # another reference; each is refused the way a config file's value
+    # is
+    build, key = _REFUSED[name]
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
         build()
+
+
+def _refusing_record(exc):
+    """The record class whose constructor raised ``exc``: the innermost
+    ``__init__`` frame of a ``Frozen`` in its traceback."""
+    record, tb = None, exc.__traceback__
+    while tb is not None:
+        frame = tb.tb_frame
+        if (frame.f_code.co_name == "__init__"
+                and isinstance(frame.f_locals.get("self"), Frozen)):
+            record = type(frame.f_locals["self"])
+        tb = tb.tb_next
+    return record
+
+
+def _package_records():
+    for info in pkgutil.iter_modules(liftquad.__path__, "liftquad."):
+        importlib.import_module(info.name)
+    found, todo = set(), [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("liftquad."):
+                found.add(cls)
+            todo.append(cls)
+    return found
+
+
+def test_every_record_has_a_refused_case():
+    # a new record cannot skip the rule: each constructor that checks its
+    # values refuses at least one case above
+    assert liftquad.ConfigError is ConfigError is liftquad.record.ConfigError
+    refusing = set()
+    for build, _ in _REFUSED.values():
+        with pytest.raises(ConfigError) as info:
+            build()
+        refusing.add(_refusing_record(info.value))
+    records = _package_records()
+    assert len(records) >= 6
+    assert records <= refusing, sorted(r.__name__ for r in records - refusing)
 
 
 def test_vector_inputs_are_kept_as_float_tuples():
