@@ -47,8 +47,14 @@ MAX_PLANT_STEPS = 10**8
 RK4_REAL_LIMIT = 2.785
 _LOG_RK4_LIMIT = math.log(RK4_REAL_LIMIT)
 _LOG2 = math.log(2.0)
-# each run-level value's config key and type, in the order checked
-_TYPES = {"mode.rate_ff": (bool, "a bool"),
+# each value's config key (a record's field name) and type, in the
+# order checked
+_TYPES = {"trajectory": (TrajectoryDef, "a TrajectoryDef"),
+          "plant": (PlantConfig, "a PlantConfig"),
+          "model": (AeroParams, "an AeroParams"),
+          "gains": (ControlGains, "a ControlGains"),
+          "limits": (ControlLimits, "a ControlLimits"),
+          "mode.rate_ff": (bool, "a bool"),
           **dict.fromkeys(("sim.rate", "sim.substeps", "sim.delay_ticks"),
                           (Integral, "an integer")),
           **dict.fromkeys(("sim.duration", "sim.abort_radius"),
@@ -89,10 +95,12 @@ class ExperimentConfig(Frozen):
     the body-rate command.
 
     The constructor refuses with a :class:`ConfigError` naming the key,
-    as a config file's value is refused: one type rule takes a bool for
-    ``rate_ff`` only, an integer for ``rate``, ``substeps`` and
-    ``delay_ticks`` and a number for ``duration`` and ``abort_radius``
-    (a bool is neither), and range checks and the run budgets follow.
+    as a config file's value is refused: one type rule takes each
+    record field's record only (``gains`` a ``ControlGains``, and so
+    on), a bool for ``rate_ff`` only, an integer for ``rate``,
+    ``substeps`` and ``delay_ticks`` and a number for ``duration`` and
+    ``abort_radius`` (a bool is neither), and the thrust floor's check,
+    range checks and the run budgets follow.
     """
 
     __slots__ = _fields = (
@@ -103,17 +111,17 @@ class ExperimentConfig(Frozen):
                  model=AeroParams(), gains=ControlGains(),
                  limits=ControlLimits(), rate_ff=True, duration=60.0,
                  rate=250, substeps=1, abort_radius=100.0, delay_ticks=0):
-        if not math.isfinite(limits.thrust_min(model)):
-            raise ConfigError("limits.thrust_factor times model.mass * g "
-                              "must be finite")
         self._set(trajectory, plant, model, gains, limits, rate_ff,
                   duration, rate, substeps, abort_radius, delay_ticks)
         for key, (kind, noun) in _TYPES.items():
-            value = getattr(self, key.partition(".")[2])
+            value = getattr(self, key.rpartition(".")[2])
             # a bool is a bool only: no count and no length
             if (isinstance(value, bool) is not (kind is bool)
                     or not isinstance(value, kind)):
                 raise ConfigError(f"{key} must be {noun}, got {value!r}")
+        if not math.isfinite(limits.thrust_min(model)):
+            raise ConfigError("limits.thrust_factor times model.mass * g "
+                              "must be finite")
         # written so that NaN fails the range checks too
         if not 0.0 < duration < math.inf:
             raise ConfigError("sim.duration must be finite and > 0")

@@ -50,7 +50,9 @@ def _axis_vector(name, value):
     :class:`ControlGains`."""
     try:
         iter(value)
-    except TypeError:   # not a sequence: a scalar
+    except TypeError:   # not a sequence: a scalar, or numpy's 0-d array
+        if hasattr(value, "item"):  # numpy's: the Python scalar it holds
+            value = value.item()
         value = (value,) * 3
     vec = float3(f"gains.{name}", value)
     for axis, k in zip("xyz", vec):

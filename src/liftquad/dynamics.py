@@ -67,6 +67,8 @@ class PlantConfig(Frozen):
 
     def __init__(self, aero=AeroParams(), tau_omega=0.0, tau_thrust=0.0,
                  step=1e-3):
+        if not isinstance(aero, AeroParams):
+            raise ConfigError(f"aero must be an AeroParams, got {aero!r}")
         # written so that NaN fails the range check too
         if not step > 0.0:
             raise ConfigError("integration step must be > 0")

@@ -18,6 +18,7 @@ import struct
 from array import array
 from collections import deque
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 # perfbench/tracer.py rebinds the per-tick calls imported here, the two
@@ -40,7 +41,6 @@ COLUMNS = {"t": 0, "p": slice(1, 4), "p_ref": slice(4, 7), "v": slice(7, 10),
 _WIDTH = CSV_COLUMNS.count(",") + 1
 # one row of RunResult.rows as machine doubles, written in one call
 _ROW = struct.Struct(f"{_WIDTH}d")
-_CSV_LINE = ",".join(["%.17g"] * _WIDTH) + "\n"
 # rows formatted per write: bounds what the CSV holds as Python objects
 _CSV_BATCH = 256
 # one recorded reference tick, what the closed loop reads of it: the
@@ -153,13 +153,40 @@ class RunResult:
     def write_csv(self, path):
         """Trace as CSV with 17-significant-digit floats; byte-stable.
         Written in batches of ``_CSV_BATCH`` rows, each batch formatted
-        by one ``%`` from a slice of ``rows``."""
+        by one ``%`` from the columns of a slice of ``rows``
+        (:func:`_csv_lines`)."""
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(CSV_COLUMNS + "\n")
             for start in range(0, self.n_rows, _CSV_BATCH):
                 stop = min(start + _CSV_BATCH, self.n_rows)
-                batch = self.rows[start * _WIDTH:stop * _WIDTH]
-                handle.write(_CSV_LINE * (stop - start) % tuple(batch))
+                handle.write(_csv_lines(
+                    self.rows[start * _WIDTH:stop * _WIDTH], stop - start))
+
+
+def _csv_lines(batch, n):
+    """The ``n`` rows of ``batch`` as CSV lines, formatted by one ``%``
+    that formats each distinct column once.  A column whose bytes hold
+    one value is formatted into the line template; a column whose bytes
+    equal another's is formatted once into strings that both take by
+    ``%s``; every other column's values go to the template's
+    ``%.17g``.  Bytes, not floats, are compared, so ``0.0`` and
+    ``-0.0``, and NaNs of other bits, keep their own text."""
+    columns = [batch[index::_WIDTH] for index in range(_WIDTH)]
+    keys = [column.tobytes() for column in columns]
+    fields, sources, texts = [], [], {}
+    for column, key in zip(columns, keys):
+        if key == key[:8] * n:
+            fields.append("%.17g" % column[0])
+        elif keys.count(key) == 1:
+            fields.append("%.17g")
+            sources.append(column)
+        else:
+            if key not in texts:
+                texts[key] = ("%.17g\n" * n % tuple(column)).splitlines()
+            fields.append("%s")
+            sources.append(texts[key])
+    line = ",".join(fields) + "\n"
+    return line * n % tuple(chain.from_iterable(zip(*sources)))
 
 
 def _went_non_finite(reason, t, ref, result, k):

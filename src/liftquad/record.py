@@ -11,6 +11,7 @@ A scalar argument that is a config key is kept as the float
 """
 
 import math
+from numbers import Real
 
 
 class ConfigError(ValueError):
@@ -22,11 +23,13 @@ class ConfigError(ValueError):
 
 def finite(key, value):
     """``value`` as a float; a :class:`ConfigError` naming the config key
-    ``key`` unless it is a finite number (a string or a bool is none)."""
+    ``key`` unless it is a finite number: a ``numbers.Real`` that is no
+    bool, the number ``ExperimentConfig`` takes (a string, a numpy bool
+    or a ``Decimal`` is none)."""
     try:
-        number = (math.nan if isinstance(value, (str, bytes, bool))
-                  else float(value))
-    except (TypeError, ValueError, OverflowError):
+        number = (float(value) if isinstance(value, Real)
+                  and not isinstance(value, bool) else math.nan)
+    except OverflowError:  # an int beyond the largest float
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be a finite number")

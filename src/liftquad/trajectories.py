@@ -49,10 +49,16 @@ class TrajectoryDef(Frozen):
     accelerating phase and sets the line speed; ``psi_fallback`` seeds
     the flatness yaw policy and doubles as the line heading.  ``p0`` is
     kept as a float 3-tuple.
+    ``terms`` (derived, read-only) holds what a sample computes that does
+    not depend on ``t``, each term by the operations :func:`sample`
+    would apply, in their order: the circle's switch time, phase rate
+    after it and phase at it, the figure-eight's six coefficients of
+    velocity, acceleration and jerk, and the line's velocity; ``()`` in
+    hover.
     """
 
-    __slots__ = _fields = ("kind", "p0", "r", "omega", "speed_cap",
-                           "psi_fallback")
+    _fields = ("kind", "p0", "r", "omega", "speed_cap", "psi_fallback")
+    __slots__ = _fields + ("terms",)
 
     def __init__(self, kind=TrajectoryKind.CIRCLE, p0=None, r=None,
                  omega=None, speed_cap=10.0, psi_fallback=None):
@@ -83,14 +89,14 @@ class TrajectoryDef(Frozen):
         if kind is TrajectoryKind.CIRCLE and speed_cap <= 0.0:
             raise ConfigError(
                 "trajectory.speed_cap must be > 0 for the circle")
-        self._set(kind, p0, r, omega, speed_cap, psi_fallback)
+        self._set(kind, p0, r, omega, speed_cap, psi_fallback,
+                  _terms(kind, r, omega, speed_cap, psi_fallback))
 
     def switch_time(self):
         """Circle accelerate-to-constant switch instant ``cap/(r*omega)``;
         infinity for other kinds."""
-        if self.kind is not TrajectoryKind.CIRCLE or self.r * self.omega == 0.0:
-            return math.inf
-        return self.speed_cap / (self.r * self.omega)
+        return (self.terms[0] if self.kind is TrajectoryKind.CIRCLE
+                else math.inf)
 
     def peak_speed(self):
         """Largest speed the reference reaches over any run, in closed
@@ -107,16 +113,21 @@ class TrajectoryDef(Frozen):
         return 0.0
 
 
-def _angle_states(traj, t):
-    """Phase angle and its first three time derivatives for the circle:
-    theta = 0.5*omega*t^2 while accelerating, linear in t after the
-    speed cap is reached (position and velocity are continuous there)."""
-    t_switch = traj.switch_time()
-    if t <= t_switch:
-        return 0.5 * traj.omega * t * t, traj.omega * t, traj.omega, 0.0
-    rate = traj.speed_cap / traj.r
-    theta = 0.5 * traj.omega * t_switch * t_switch + rate * (t - t_switch)
-    return theta, rate, 0.0, 0.0
+def _terms(kind, r, omega, speed_cap, psi):
+    """A reference's terms that do not depend on ``t``, for
+    ``TrajectoryDef.terms``."""
+    if kind is TrajectoryKind.CIRCLE:
+        if r * omega == 0.0:  # the speed cap is never reached
+            return math.inf, 0.0, 0.0
+        t_switch = speed_cap / (r * omega)
+        return (t_switch, speed_cap / r,
+                0.5 * omega * t_switch * t_switch)
+    if kind is TrajectoryKind.LEMNISCATE:
+        return (0.5 * r * omega, r * omega, 0.25 * r * omega * omega,
+                -r * omega * omega, -0.125 * r * omega ** 3, -r * omega ** 3)
+    if kind is TrajectoryKind.LINE:
+        return speed_cap * math.cos(psi), speed_cap * math.sin(psi), 0.0
+    return ()
 
 
 def sample(traj, t):
@@ -128,13 +139,20 @@ def sample(traj, t):
     if kind is TrajectoryKind.HOVER:
         return FlatSample(traj.p0, _ZERO, _ZERO, _ZERO, traj.psi_fallback)
     if kind is TrajectoryKind.LINE:
-        cap = traj.speed_cap
-        vx = cap * math.cos(traj.psi_fallback)
-        vy = cap * math.sin(traj.psi_fallback)
-        return FlatSample((x + t * vx, y + t * vy, z), (vx, vy, 0.0), _ZERO,
+        vx, vy, _ = velocity = traj.terms
+        return FlatSample((x + t * vx, y + t * vy, z), velocity, _ZERO,
                           _ZERO, traj.psi_fallback)
     if kind is TrajectoryKind.CIRCLE:
-        theta, d1, d2, d3 = _angle_states(traj, t)
+        # the phase angle and its first three time derivatives:
+        # theta = 0.5*omega*t^2 while accelerating, linear in t after the
+        # speed cap is reached (position and velocity are continuous there)
+        t_switch, rate, theta_switch = traj.terms
+        if t <= t_switch:
+            omega = traj.omega
+            theta, d1, d2, d3 = 0.5 * omega * t * t, omega * t, omega, 0.0
+        else:
+            theta = theta_switch + rate * (t - t_switch)
+            d1, d2, d3 = rate, 0.0, 0.0
         s, c = math.sin(theta), math.cos(theta)
         r = traj.r
         # multiples of the tangent (s, c, 0) and the inward normal (c, -s, 0)
@@ -149,13 +167,13 @@ def sample(traj, t):
              j_along * c - j_inward * s - j_turn * c, 0.0),
             traj.psi_fallback)
     # figure-eight: x sweeps at half the phase rate of y
-    u = traj.omega * t
-    r, w = traj.r, traj.omega
+    u, r = traj.omega * t, traj.r
+    v_x, v_y, a_x, a_y, j_x, j_y = traj.terms
     sh, ch = math.sin(0.5 * u), math.cos(0.5 * u)
     s, c = math.sin(u), math.cos(u)
     return FlatSample(
         (x + r * (1.0 - ch), y + r * s, z),
-        (0.5 * r * w * sh, r * w * c, 0.0),
-        (0.25 * r * w * w * ch, -r * w * w * s, 0.0),
-        (-0.125 * r * w ** 3 * sh, -r * w ** 3 * c, 0.0),
+        (v_x * sh, v_y * c, 0.0),
+        (a_x * ch, a_y * s, 0.0),
+        (j_x * sh, j_y * c, 0.0),
         traj.psi_fallback)

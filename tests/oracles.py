@@ -12,7 +12,11 @@ package against; none of them runs in a simulation.
   calls (:func:`cross3`, :func:`norm`, :data:`EYE3`, :func:`skew`,
   :func:`rodrigues`); the transform reads a
   :class:`liftquad.flatness.FlatSample` of numpy arrays;
-* a central-difference audit of the trajectories' analytic derivatives;
+* a central-difference audit of the trajectories' analytic derivatives,
+  and the references sampled from their formulas with every term
+  computed at each call, an oracle for
+  :func:`liftquad.trajectories.sample`, which derives the terms that do
+  not depend on ``t`` once per ``TrajectoryDef``;
 * the trace CSV formatted one value at a time, an oracle for
   :meth:`liftquad.harness.RunResult.write_csv`, and the numpy form of
   :attr:`liftquad.harness.RunResult.rmse`;
@@ -36,7 +40,7 @@ from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL, HADAMARD_TOL,
 from liftquad.geom import (UNIT_TOL, NonOrthonormalError, lateral_axis,
                            quat_conj, quat_mul, quat_to_rotation_vector)
 from liftquad.harness import COLUMNS, CSV_COLUMNS, FeasibilityReport
-from liftquad.trajectories import sample
+from liftquad.trajectories import TrajectoryKind, sample
 
 GRAVITY_VEC = np.array([0.0, 0.0, GRAVITY])  # NED: +z is down
 GRAVITY_VEC.setflags(write=False)
@@ -234,6 +238,47 @@ def derivative_check(traj, t, h):
         err = norm(diff - exact) / max(norm(exact), 1.0)
         worst = max(worst, err)
     return worst
+
+
+def sample_by_formula(traj, t):
+    """The flat reference of ``traj`` at ``t >= 0`` as a tuple ``(p, v,
+    a, j, psi)``, every term computed from ``traj``'s fields at this
+    call, in the order of operations :func:`liftquad.trajectories.sample`
+    keeps, so the two agree bit for bit."""
+    kind, (x, y, z), psi = traj.kind, traj.p0, traj.psi_fallback
+    zero = (0.0, 0.0, 0.0)
+    if kind is TrajectoryKind.HOVER:
+        return traj.p0, zero, zero, zero, psi
+    if kind is TrajectoryKind.LINE:
+        cap = traj.speed_cap
+        vx, vy = cap * math.cos(psi), cap * math.sin(psi)
+        return (x + t * vx, y + t * vy, z), (vx, vy, 0.0), zero, zero, psi
+    r, w = traj.r, traj.omega
+    if kind is TrajectoryKind.CIRCLE:
+        t_switch = (math.inf if r * w == 0.0
+                    else traj.speed_cap / (r * w))
+        if t <= t_switch:
+            theta, d1, d2, d3 = 0.5 * w * t * t, w * t, w, 0.0
+        else:
+            rate = traj.speed_cap / r
+            theta = 0.5 * w * t_switch * t_switch + rate * (t - t_switch)
+            d1, d2, d3 = rate, 0.0, 0.0
+        s, c = math.sin(theta), math.cos(theta)
+        speed, tangential, centripetal = r * d1, r * d2, r * d1 * d1
+        j_along, j_inward, j_turn = r * d3, 3.0 * r * d1 * d2, r * d1 ** 3
+        return ((x + r * (1.0 - c), y + r * s, z),
+                (speed * s, speed * c, 0.0),
+                (tangential * s + centripetal * c,
+                 tangential * c - centripetal * s, 0.0),
+                (j_along * s + j_inward * c - j_turn * s,
+                 j_along * c - j_inward * s - j_turn * c, 0.0), psi)
+    u = w * t
+    sh, ch = math.sin(0.5 * u), math.cos(0.5 * u)
+    s, c = math.sin(u), math.cos(u)
+    return ((x + r * (1.0 - ch), y + r * s, z),
+            (0.5 * r * w * sh, r * w * c, 0.0),
+            (0.25 * r * w * w * ch, -r * w * w * s, 0.0),
+            (-0.125 * r * w ** 3 * sh, -r * w ** 3 * c, 0.0), psi)
 
 
 def mat_to_quat(rotation):

@@ -631,10 +631,13 @@ _EDGE_VALUES = [0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, math.nan,
        n_rows=st.sampled_from([0, 1, _CSV_BATCH - 1, _CSV_BATCH,
                                _CSV_BATCH + 1])
        | st.integers(0, 3 * _CSV_BATCH),
-       seed=st.integers(0, 2 ** 32 - 1))
-@example(palette=_EDGE_VALUES, n_rows=_CSV_BATCH + 1, seed=0)
+       seed=st.integers(0, 2 ** 32 - 1), repeated=st.booleans())
+@example(palette=_EDGE_VALUES, n_rows=_CSV_BATCH + 1, seed=0,
+         repeated=False)
+@example(palette=_EDGE_VALUES, n_rows=2 * _CSV_BATCH + 1, seed=0,
+         repeated=True)
 def test_csv_bytes_are_the_per_value_formatter(tmp_path_factory, palette,
-                                               n_rows, seed):
+                                               n_rows, seed, repeated):
     # the batched writer gives the bytes of formatting each value on its
     # own, for any values (signed zeros, infinities, nan, subnormals, the
     # largest doubles, integers, every singular flag) and for row counts
@@ -643,6 +646,27 @@ def test_csv_bytes_are_the_per_value_formatter(tmp_path_factory, palette,
     shape = (n_rows + 2, WIDTH)
     table = np.array(palette)[rng.integers(len(palette), size=shape)]
     table[:, COLUMNS["singular"]] = rng.integers(0, 3, size=n_rows + 2)
+    if repeated:
+        # the columns a batch formats once: constant ones and copies of
+        # another column; columns equal as floats but not as bytes (0.0
+        # beside -0.0), and columns of one NaN's bits beside other NaNs
+        for index in rng.permutation(WIDTH)[:rng.integers(1, WIDTH)]:
+            if rng.integers(2):
+                table[:, index] = table[rng.integers(len(table)), index]
+            else:
+                table[:, index] = table[:, rng.integers(WIDTH)]
+        zero = rng.integers(2, size=len(table)).astype(bool)
+        table[:, 1] = np.where(zero, 0.0, 1.0)
+        table[:, 2] = np.where(zero, -0.0, 1.0)
+        table[:, 3] = np.where(zero, 0.0, -0.0)
+        table[:, 4], table[:, 5] = 0.0, -0.0
+        payload = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF0_0000_0000_0001],
+                           dtype=np.uint64).view(np.float64)
+        table[:, 6] = table[:, 7] = np.where(zero, payload[0], 2.0)
+        table[:, 8] = np.where(zero, payload[1], 2.0)
+        table[:, 9] = payload[rng.integers(2)]
+        if rng.integers(3) == 0:  # every column has a twin
+            table[:, ::2] = table[:, 1::2]
     result = RunResult(array("d", table.tobytes()), len(table)).head(n_rows)
     path = tmp_path_factory.mktemp("csv") / "trace.csv"
     result.write_csv(path)

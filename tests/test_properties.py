@@ -366,6 +366,40 @@ def test_reference_stays_finite_over_the_accepted_keys(
             assert math.isfinite(np.linalg.norm(value))
 
 
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(TrajectoryKind), p0=vectors(MAX_OFFSET),
+       r=st.just(0.0) | st.floats(0.0, MAX_RADIUS) | st.floats(0.0, 50.0),
+       omega=st.just(0.0) | st.floats(0.0, MAX_OMEGA) | st.floats(0.0, 2.0),
+       speed_cap=st.floats(-MAX_SPEED, MAX_SPEED),
+       psi=st.floats(-10.0, 10.0),
+       times=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4))
+@example(kind=TrajectoryKind.CIRCLE, p0=np.zeros(3), r=0.0, omega=0.06,
+         speed_cap=10.0, psi=0.0, times=[0.0, 1e4])
+@example(kind=TrajectoryKind.CIRCLE, p0=np.zeros(3), r=15.0, omega=0.0,
+         speed_cap=10.0, psi=0.0, times=[0.0, 1e4])
+@example(kind=TrajectoryKind.LEMNISCATE, p0=np.zeros(3), r=0.0, omega=0.33,
+         speed_cap=10.0, psi=0.0, times=[0.0, 1e4])
+@example(kind=TrajectoryKind.LEMNISCATE, p0=np.zeros(3), r=20.0, omega=0.0,
+         speed_cap=10.0, psi=0.0, times=[0.0, 1e4])
+@example(kind=TrajectoryKind.LINE, p0=np.zeros(3), r=0.0, omega=0.0,
+         speed_cap=-4.0, psi=0.7, times=[0.0, 1e4])
+def test_a_sample_is_its_formulas_bit_for_bit(kind, p0, r, omega, speed_cap,
+                                              psi, times):
+    # the terms a definition derives once give every sample the bits of
+    # the formulas computed at each call; on the circle both sides of
+    # the switch too, and the switch itself
+    assume(kind is not TrajectoryKind.CIRCLE or speed_cap > 0.0)
+    traj = TrajectoryDef(kind, p0, r, omega, speed_cap, psi)
+    t_switch = traj.switch_time()
+    if t_switch <= 1e4:
+        times += [t_switch, math.nextafter(t_switch, math.inf)]
+    for t in times:
+        ref = sample_trajectory(traj, t)
+        p, v, a, j, yaw = oracles.sample_by_formula(traj, t)
+        assert _bits([ref.p, ref.v, ref.a, ref.j]) == _bits([p, v, a, j]), t
+        assert _bits(ref.psi) == _bits(yaw)
+
+
 # both zeros, subnormals, entries of one scale (whose sums round by
 # the order they are added in) and decades from 1e-300 to 1e300, whose
 # products and squares overflow, underflow and go subnormal

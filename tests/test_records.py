@@ -6,6 +6,7 @@ import math
 import pkgutil
 import re
 
+import numpy as np
 import pytest
 
 import liftquad
@@ -14,14 +15,15 @@ from liftquad.config import ConfigError, ExperimentConfig
 from liftquad.control import ControlGains, ControlLimits
 from liftquad.dynamics import PlantConfig
 from liftquad.record import Frozen
-from liftquad.trajectories import TrajectoryDef
+from liftquad.trajectories import TrajectoryDef, TrajectoryKind
 
 _DERIVED = [
     (AeroParams(kappa=math.radians(52.0), cla=2.6), "drag"),
     (AeroParams(kappa=math.radians(52.0), cla=2.6), "cos_kappa"),
     (AeroParams(kappa=math.radians(52.0), cla=2.6), "sin_kappa"),
     (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_thrust_decay"),
-    (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_omega_decay")]
+    (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_omega_decay"),
+    (TrajectoryDef(TrajectoryKind.LEMNISCATE, r=12.0, omega=0.4), "terms")]
 
 
 @pytest.mark.parametrize("record, name", _DERIVED,
@@ -149,6 +151,15 @@ _REFUSED = {
     # a string mass raised a bare TypeError; a bool one was kept as True
     "mass-str": (lambda: AeroParams(mass="1.5"), "mass"),
     "mass-bool": (lambda: AeroParams(mass=True), "mass"),
+    # a numpy bool is no number either: it was taken as 1.0
+    "mass-numpy-bool": (lambda: AeroParams(mass=np.True_), "mass"),
+    # a record field that holds no record: None constructed, and the run
+    # failed at its first tick, or construction raised a bare
+    # AttributeError
+    **{f"{name}-none": ((lambda name=name: ExperimentConfig(**{name: None})),
+                        name)
+       for name in ("trajectory", "plant", "model", "gains", "limits")},
+    "aero-none": (lambda: PlantConfig(aero=None), "aero"),
 }
 
 
