@@ -21,7 +21,7 @@ from .aero import AeroParams
 from .control import ControlGains, ControlLimits
 from .dynamics import PlantConfig
 from .record import ConfigError, Frozen
-from .trajectories import TrajectoryDef, TrajectoryKind
+from .trajectories import UNREAD_KEYS, TrajectoryDef, TrajectoryKind
 
 
 # The condition matrix's cells in run order, each with what it turns off:
@@ -292,8 +292,9 @@ def _convert(key, value):
 
 def build_config(raw):
     """ExperimentConfig from raw string pairs (defaults fill the gaps);
-    strict like the file format: an unknown key is a ConfigError, located
-    when ``raw`` came from :func:`parse_config_text`.  A record's own
+    strict like the file format: an unknown key, or a trajectory key the
+    kind never reads (``trajectories.UNREAD_KEYS``), is a ConfigError,
+    located when ``raw`` came from :func:`parse_config_text`.  A record's own
     ConfigError passes through as it is; only an airframe's gets the
     ``plant.`` or ``model.`` section its field names lack."""
     where = getattr(raw, "where", {})
@@ -303,6 +304,11 @@ def build_config(raw):
     values = {}
     for key, (tag, default) in _SCHEMA.items():
         values[key] = _convert(key, raw[key]) if key in raw else default
+    kind = values["trajectory.kind"]
+    for key in UNREAD_KEYS.get(kind, ()):
+        if key in raw:
+            raise ConfigError(f"{where.get(key, '')}{key} does nothing for "
+                              f"trajectory.kind = {kind.value}")
 
     def vec(prefix):
         return tuple(values[f"{prefix}.{axis}"] for axis in "xyz")

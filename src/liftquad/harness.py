@@ -5,12 +5,15 @@ transform, run the controller tick, pass the command through the
 actuator lag and integrate the plant for the configured substeps.
 Every tick is logged, including the final one, so a run of N ticks
 yields N+1 rows.  Runs are deterministic: identical configs produce
-byte-identical CSV traces.
+byte-identical CSV traces.  One generator, :func:`_ticks`, yields
+every run's reference ticks; it knows no trajectory kind, and skips
+the transform of a sample only when it is the previous tick's object.
 
 ``condition_matrix`` repeats one experiment under each cell of
 ``config.CONDITIONS`` (PID/PD, the configured ``gains.kvi`` or 0,
 crossed with DFAF/DF, the configured model or its wingless copy, and
-the rate-feedforward ablation), and reports tracking RMSE per cell.
+the rate-feedforward ablation), and reports tracking RMSE per cell;
+the cells that share a reference stream replay the first one's.
 """
 
 import math
@@ -30,7 +33,7 @@ from .dynamics import VehicleState, actuator_lag, require_finite, rk4_step
 from .flatness import (FlatnessOutput, FlatSample, TransformContext,
                        flatness_transform)
 from .geom import mat_to_quat, overflow_error
-from .trajectories import TrajectoryKind, sample as sample_trajectory
+from .trajectories import sample as sample_trajectory
 
 CSV_COLUMNS = ("t,px,py,pz,prx,pry,prz,vx,vy,vz,qw,qx,qy,qz,"
                "qdw,qdx,qdy,qdz,fz,wx,wy,wz,alpha,singular")
@@ -205,66 +208,49 @@ def _stream_key(cfg):
 def _ticks(cfg, result):
     """The tick skeleton every run shares: for each row of ``result``,
     the tick's index, time, reference sample and flatness feedforward.
-    Inside :func:`condition_matrix` the held stream is replayed when it
-    is the run's, and the run's is recorded in its place otherwise."""
-    if _stream is None:
-        return _computed(cfg, result)
-    key = _stream_key(cfg)
-    held, record = _stream
-    if held == key:
-        return _replay(cfg, record)
-    return _recorded(cfg, result, key)
-
-
-def _computed(cfg, result):
-    """The ticks sampled and transformed, all transforms of one run
-    going through one context.
-
-    A hover samples the same reference at every tick, so its airspeed
-    ``-model.wind`` is constant and the hysteresis keeps tick 0's
-    branch; tick 0's feedforward is then every tick's, transformed once.
-    Every tick is still sampled: a tick starts at its sample call."""
+    A tick starts at its sample call.  All transforms of one run go
+    through one context, and a sample that ``is`` the previous tick's
+    (a hover's) keeps its feedforward: a sample repeated through one
+    context gives the same output from its first call on.  Inside
+    :func:`condition_matrix` the held stream is replayed when it is the
+    run's, its samples without the jerk or yaw the closed loop never
+    reads; otherwise the slot lets go of it as the first tick starts,
+    and holds the run's, recorded, only once its last tick is done: a
+    diverged run's partial stream is dropped."""
+    global _stream
+    replay, record = False, None
+    if _stream is not None:
+        key = _stream_key(cfg)
+        held, record = _stream
+        replay = held == key
+        if not replay:
+            _stream = (None, None)
+            record = array("d", [0.0]) * (cfg.n_rows * _TICK_WIDTH)
     dt = 1.0 / cfg.rate
-    transform_ctx = TransformContext()
-    hover = cfg.trajectory.kind is TrajectoryKind.HOVER
+    transform_ctx, ref = TransformContext(), None
     for k in range(cfg.n_rows):
         t = k * dt
-        ref = sample_trajectory(cfg.trajectory, t)
-        if not (hover and k):
-            try:
-                flat = flatness_transform(cfg.model, ref, transform_ctx)
-            except FloatingPointError as exc:
-                raise _went_non_finite(exc, t, ref, result, k) from None
+        if replay:
+            v = _TICK.unpack_from(record, k * _TICK.size)
+            ref = FlatSample(v[0:3], v[3:6], v[6:9], None, None)
+            flat = FlatnessOutput((v[9:12], v[12:15], v[15:18]), v[18],
+                                  v[19], v[20:23], v[23:26], v[26:29], v[29])
+        else:
+            previous, ref = ref, sample_trajectory(cfg.trajectory, t)
+            if ref is not previous:
+                try:
+                    flat = flatness_transform(cfg.model, ref, transform_ctx)
+                except FloatingPointError as exc:
+                    raise _went_non_finite(exc, t, ref, result, k) from None
+            if record is not None:
+                r0, r1, r2 = flat.rotation
+                _TICK.pack_into(record, k * _TICK.size, *ref.p, *ref.v,
+                                *ref.a, *r0, *r1, *r2, flat.thrust,
+                                flat.alpha, *flat.omega, *flat.airspeed,
+                                *flat.wind_axis, flat.singular)
         yield k, t, ref, flat
-
-
-def _recorded(cfg, result, key):
-    """The computed ticks, each also packed into one ``array('d')``
-    that the slot holds under ``key`` only once the run reached its last
-    tick: a diverged run's partial stream is dropped.  The slot lets go
-    of the stream it held as the first tick starts."""
-    global _stream
-    _stream = (None, None)
-    record = array("d", [0.0]) * (cfg.n_rows * _TICK_WIDTH)
-    for k, t, ref, flat in _computed(cfg, result):
-        r0, r1, r2 = flat.rotation
-        _TICK.pack_into(record, k * _TICK.size, *ref.p, *ref.v, *ref.a,
-                        *r0, *r1, *r2, flat.thrust, flat.alpha, *flat.omega,
-                        *flat.airspeed, *flat.wind_axis, flat.singular)
-        yield k, t, ref, flat
-    _stream = (key, record)
-
-
-def _replay(cfg, record):
-    """The ticks of a recorded stream, each value the float it was (the
-    singular case as its number); the closed loop reads no jerk or yaw,
-    so the samples carry none."""
-    dt = 1.0 / cfg.rate
-    for k, v in enumerate(_TICK.iter_unpack(record)):
-        ref = FlatSample(v[0:3], v[3:6], v[6:9], None, None)
-        flat = FlatnessOutput((v[9:12], v[12:15], v[15:18]), v[18], v[19],
-                              v[20:23], v[23:26], v[26:29], v[29])
-        yield k, k * dt, ref, flat
+    if record is not None and not replay:
+        _stream = (key, record)
 
 
 def run_experiment(cfg):

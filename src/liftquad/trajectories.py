@@ -28,6 +28,13 @@ class TrajectoryKind(Enum):
 # initial flight heading (+y) so the standstill start hands off smoothly.
 _DEFAULT_RADIUS = {TrajectoryKind.CIRCLE: 15.0, TrajectoryKind.LEMNISCATE: 20.0}
 _DEFAULT_OMEGA = {TrajectoryKind.CIRCLE: 0.06, TrajectoryKind.LEMNISCATE: 0.33}
+# The config keys each kind never reads; the circle reads them all.
+UNREAD_KEYS = {
+    TrajectoryKind.LEMNISCATE: ("trajectory.speed_cap",),
+    TrajectoryKind.HOVER: ("trajectory.radius", "trajectory.omega",
+                           "trajectory.speed_cap"),
+    TrajectoryKind.LINE: ("trajectory.radius", "trajectory.omega"),
+}
 _ZERO = (0.0, 0.0, 0.0)
 
 # Range rules: within them every sample a run can reach (t up to 10**7 s,
@@ -53,8 +60,8 @@ class TrajectoryDef(Frozen):
     not depend on ``t``, each term by the operations :func:`sample`
     would apply, in their order: the circle's switch time, phase rate
     after it and phase at it, the figure-eight's six coefficients of
-    velocity, acceleration and jerk, and the line's velocity; ``()`` in
-    hover.
+    velocity, acceleration and jerk, the line's velocity, and a hover's
+    one sample, which :func:`sample` returns at every ``t``.
     """
 
     _fields = ("kind", "p0", "r", "omega", "speed_cap", "psi_fallback")
@@ -90,7 +97,7 @@ class TrajectoryDef(Frozen):
             raise ConfigError(
                 "trajectory.speed_cap must be > 0 for the circle")
         self._set(kind, p0, r, omega, speed_cap, psi_fallback,
-                  _terms(kind, r, omega, speed_cap, psi_fallback))
+                  _terms(kind, p0, r, omega, speed_cap, psi_fallback))
 
     def switch_time(self):
         """Circle accelerate-to-constant switch instant ``cap/(r*omega)``;
@@ -113,7 +120,7 @@ class TrajectoryDef(Frozen):
         return 0.0
 
 
-def _terms(kind, r, omega, speed_cap, psi):
+def _terms(kind, p0, r, omega, speed_cap, psi):
     """A reference's terms that do not depend on ``t``, for
     ``TrajectoryDef.terms``."""
     if kind is TrajectoryKind.CIRCLE:
@@ -127,17 +134,19 @@ def _terms(kind, r, omega, speed_cap, psi):
                 -r * omega * omega, -0.125 * r * omega ** 3, -r * omega ** 3)
     if kind is TrajectoryKind.LINE:
         return speed_cap * math.cos(psi), speed_cap * math.sin(psi), 0.0
-    return ()
+    return FlatSample(p0, _ZERO, _ZERO, _ZERO, psi)
 
 
 def sample(traj, t):
-    """Flat reference at time ``t >= 0``; derivatives are exact."""
+    """Flat reference at time ``t >= 0``; derivatives are exact.  A
+    hover's is ``traj.terms`` at every ``t``: one object that every
+    caller shares, so it must not be mutated."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     kind = traj.kind
-    x, y, z = traj.p0
     if kind is TrajectoryKind.HOVER:
-        return FlatSample(traj.p0, _ZERO, _ZERO, _ZERO, traj.psi_fallback)
+        return traj.terms
+    x, y, z = traj.p0
     if kind is TrajectoryKind.LINE:
         vx, vy, _ = velocity = traj.terms
         return FlatSample((x + t * vx, y + t * vy, z), velocity, _ZERO,
@@ -145,7 +154,9 @@ def sample(traj, t):
     if kind is TrajectoryKind.CIRCLE:
         # the phase angle and its first three time derivatives:
         # theta = 0.5*omega*t^2 while accelerating, linear in t after the
-        # speed cap is reached (position and velocity are continuous there)
+        # speed cap is reached.  Position and velocity are continuous
+        # there; the tangential acceleration steps down by r*omega (0.9
+        # m/s^2 at t = 11.111 s on the stock circle)
         t_switch, rate, theta_switch = traj.terms
         if t <= t_switch:
             omega = traj.omega

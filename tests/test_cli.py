@@ -277,6 +277,27 @@ def test_out_of_range_key_is_a_config_error(tmp_path, capsys, command, text,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, kind, key", [
+    ("flat", "lemniscate", "speed_cap"),
+    ("check", "hover", "radius"),
+    ("sim", "hover", "omega"),
+    ("compare", "hover", "speed_cap"),
+    ("flat", "line", "radius"),
+    ("check", "line", "omega")])
+def test_a_key_its_kind_never_reads_is_a_config_error(tmp_path, capsys,
+                                                      command, kind, key):
+    # a key that would change no output is refused, located, before the
+    # run starts, as an unknown key is
+    cfg = write_cfg(tmp_path, f"trajectory.kind = {kind}\n"
+                              f"trajectory.{key} = 3\n")
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {cfg}:2: trajectory.{key} does nothing for "
+        f"trajectory.kind = {kind}"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bogus.key = 1\n")
     code = main(["sim", "--config", cfg, "--out", str(tmp_path)])

@@ -6,6 +6,7 @@ import math
 import re
 from array import array
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,9 +17,9 @@ from numpy.testing import assert_allclose
 from liftquad import cli, control, harness
 from liftquad.control import ControlLimits
 from liftquad.aero import GRAVITY, AeroParams
-from liftquad.config import (CONDITIONS, MAX_PLANT_STEPS, MAX_ROWS,
-                             ConfigError, ExperimentConfig, build_config,
-                             load_config, parse_config_text)
+from liftquad.config import (_SCHEMA, CONDITIONS, MAX_PLANT_STEPS,
+                             MAX_ROWS, ConfigError, ExperimentConfig,
+                             build_config, load_config, parse_config_text)
 from liftquad.flatness import (SingularCase, TransformContext,
                                flatness_transform)
 from liftquad.geom import mat_to_quat
@@ -28,8 +29,8 @@ from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
                               feedforward_trace, format_matrix,
                               run_experiment)
 from liftquad.record import Record
-from liftquad.trajectories import (TrajectoryDef, TrajectoryKind,
-                                   sample as sample_trajectory)
+from liftquad.trajectories import (UNREAD_KEYS, TrajectoryDef,
+                                   TrajectoryKind, sample as sample_trajectory)
 from oracles import (csv_text, feasibility_from_trace, peak_error_below,
                      quat_to_mat, rmse as numpy_rmse)
 
@@ -92,6 +93,25 @@ def test_the_names_the_benchmark_tracer_binds_to(monkeypatch):
 
 
 # --- config -----------------------------------------------------------------
+
+
+def test_the_readme_key_table_documents_every_config_key():
+    # each row's first cell names its keys in backticks: `a.b/c` is a.b
+    # and a.c, and a trailing `.x/y/z` token gives each name its axes
+    readme = Path(__file__).parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split(
+        "| Key | Default | Meaning |\n| --- | --- | --- |\n")[1]
+    keys = []
+    for row in table[:table.index("\n\n")].splitlines():
+        names = re.findall(r"`([^`]+)`", row.split("|")[1])
+        suffixes = [""]
+        if names[-1].startswith("."):
+            suffixes = ["." + axis for axis in names.pop()[1:].split("/")]
+        for name in names:
+            stem, _, last = name.rpartition(".")
+            keys += [f"{stem}.{part}{suffix}" for part in last.split("/")
+                     for suffix in suffixes]
+    assert sorted(keys) == sorted(_SCHEMA)
 
 
 def test_empty_config_is_stock_circle():
@@ -706,14 +726,16 @@ def test_a_hover_transforms_its_one_reference_sample_once(kind, tmp_path,
 
 
 @pytest.mark.parametrize("wind", [0.0, 0.25, 0.3, 0.4, 0.5, 3.0])
-def test_a_hover_feedforward_is_every_ticks_transform(wind):
+def test_a_hover_feedforward_is_every_ticks_transform(wind, tmp_path,
+                                                      monkeypatch):
     # the modelled wind is a hover's airspeed: below 0.3 m/s the
     # zero-velocity branch, from 0.3 the smooth one, both edges of the
     # 0.3-0.5 hysteresis band included.  The trace's feedforward columns
     # are those of a transform of every tick through one context, to the
     # bit, so the sign of each zero counts
-    cfg = config_from(f"trajectory.kind = hover\nmodel.wind.x = {wind}\n"
-                      f"sim.duration = 0.2")
+    text = (f"trajectory.kind = hover\nmodel.wind.x = {wind}\n"
+            f"sim.duration = 0.2")
+    cfg = config_from(text)
     trace = feedforward_trace(cfg)
     ctx, expected = TransformContext(), []
     for t in trace.t:
@@ -726,6 +748,32 @@ def test_a_hover_feedforward_is_every_ticks_transform(wind):
     assert columns.tobytes() == np.array(expected, dtype=float).tobytes()
     assert set(trace.singular) == {SingularCase.ZERO_VELOCITY if wind < 0.3
                                    else SingularCase.NONE}
+    if wind not in (0.0, 0.3, 0.5, 3.0):
+        return
+    # the harness skips a transform on the sample's identity alone: a
+    # fresh copy of the sample each tick is transformed each tick, and
+    # sim and flat write the same bytes
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n", encoding="utf-8")
+    calls = []
+
+    def run(command, out):
+        calls.clear()
+        assert cli.main([command, "--config", str(path), "--out",
+                         str(tmp_path / out)]) == 0
+        return (tmp_path / out / f"{command}.csv").read_bytes()
+
+    def counted(*args, original=harness.flatness_transform):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(harness, "flatness_transform", counted)
+    commands = ("sim", "flat")
+    shared = {command: run(command, "shared") for command in commands}
+    monkeypatch.setattr(harness, "sample_trajectory",
+                        lambda *args: sample_trajectory(*args).replace())
+    for command in commands:
+        assert run(command, "copied") == shared[command], command
+        assert len(calls) == cfg.n_rows, command
 
 
 def test_feasibility_stock_circle():
@@ -1058,6 +1106,8 @@ def test_plant_step_guard_raises_only_config_errors_and_names_a_count(
            "trajectory.speed_cap": repr(speed_cap), "sim.rate": str(rate),
            "sim.duration": repr(duration),
            **{f"plant.wind.{axis}": repr(w) for axis, w in zip("xyz", wind)}}
+    for key in UNREAD_KEYS.get(TrajectoryKind(kind), ()):
+        del raw[key]   # a key the kind never reads is refused
 
     def build(count):
         return build_config({**raw, "sim.substeps": str(count)})

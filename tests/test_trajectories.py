@@ -50,6 +50,9 @@ def test_circle_switch_is_continuous():
     before, after = sample(traj, t_s - eps), sample(traj, t_s + eps)
     assert_allclose(before.p, after.p, atol=1e-7)
     assert_allclose(before.v, after.v, atol=1e-7)
+    # the tangential acceleration steps down by r * omega, 0.9 m/s^2
+    assert np.linalg.norm(np.subtract(before.a, after.a)) == pytest.approx(
+        traj.r * traj.omega, abs=1e-7)
 
 
 def test_circle_constant_phase_speed_and_accel():
@@ -73,6 +76,15 @@ def test_hover_is_static():
         assert_allclose(ref.v, np.zeros(3))
         assert_allclose(ref.a, np.zeros(3))
         assert_allclose(ref.j, np.zeros(3))
+
+
+def test_a_hover_sample_is_one_object():
+    # the harness transforms a sample once when it is the previous
+    # tick's object, which a hover's is at every t
+    traj = TrajectoryDef(kind=TrajectoryKind.HOVER, p0=[1.0, 2.0, -10.0])
+    assert all(sample(traj, t) is traj.terms for t in (0.0, 1.0, 1e4))
+    circle = TrajectoryDef()
+    assert sample(circle, 1.0) is not sample(circle, 1.0)
 
 
 def test_line_runs_at_cap_along_heading():
