@@ -61,7 +61,7 @@ class TrajectoryDef(Frozen):
     would apply, in their order: the circle's switch time, phase rate
     after it and phase at it, the figure-eight's six coefficients of
     velocity, acceleration and jerk, the line's velocity, and a hover's
-    one sample, which :func:`sample` returns at every ``t``.
+    one sample, read-only, which :func:`sample` returns at every ``t``.
     """
 
     _fields = ("kind", "p0", "r", "omega", "speed_cap", "psi_fallback")
@@ -120,6 +120,17 @@ class TrajectoryDef(Frozen):
         return 0.0
 
 
+class _HeldSample(FlatSample):
+    """A hover's one sample, which every caller shares: written once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{name!r}: a hover's sample is read-only")
+        object.__setattr__(self, name, value)
+
+
 def _terms(kind, p0, r, omega, speed_cap, psi):
     """A reference's terms that do not depend on ``t``, for
     ``TrajectoryDef.terms``."""
@@ -134,13 +145,13 @@ def _terms(kind, p0, r, omega, speed_cap, psi):
                 -r * omega * omega, -0.125 * r * omega ** 3, -r * omega ** 3)
     if kind is TrajectoryKind.LINE:
         return speed_cap * math.cos(psi), speed_cap * math.sin(psi), 0.0
-    return FlatSample(p0, _ZERO, _ZERO, _ZERO, psi)
+    return _HeldSample(p0, _ZERO, _ZERO, _ZERO, psi)
 
 
 def sample(traj, t):
     """Flat reference at time ``t >= 0``; derivatives are exact.  A
     hover's is ``traj.terms`` at every ``t``: one object that every
-    caller shares, so it must not be mutated."""
+    caller shares, and which refuses assignment."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     kind = traj.kind

@@ -16,15 +16,14 @@ from numpy.testing import assert_allclose
 from liftquad.aero import (GRAVITY, KAPPA_MAX, KAPPA_MIN, AeroParams,
                            aero_accel)
 from liftquad.config import MAX_ROWS
-from liftquad.control import (_CROSS_TOL, ControlGains, ControlLimits,
-                              ControllerContext, accel_to_attitude_thrust,
-                              controller_step)
+from liftquad.control import (ControlGains, ControlLimits, ControllerContext,
+                              accel_to_attitude_thrust, controller_step)
 from liftquad.flatness import (FlatnessOutput, FlatSample, SingularCase,
                                TransformContext, flatness_transform)
-from liftquad.geom import NonOrthonormalError, lateral_axis, mat_to_quat
+from liftquad.geom import NonOrthonormalError, mat_to_quat
 from liftquad.trajectories import (MAX_OFFSET, MAX_OMEGA, MAX_RADIUS,
-                                   MAX_SPEED, TrajectoryDef, TrajectoryKind,
-                                   sample as sample_trajectory)
+                                   MAX_SPEED, UNREAD_KEYS, TrajectoryDef,
+                                   TrajectoryKind, sample as sample_trajectory)
 import oracles
 from oracles import (GRAVITY_VEC, aero_force_wing, body_to_wing_rotation,
                      rodrigues)
@@ -235,25 +234,12 @@ def test_controller_commands_stay_within_limits(
     assert np.all(np.abs(cmd.omega) <= limits.omega_max)
 
 
-def assert_agrees(actual, expected, condition=1.0):
-    """Equal to 1e-12 of the larger of 1 and the largest magnitude, times
-    the ``condition`` by which the computation grows rounding."""
+def assert_agrees(actual, expected):
+    """Equal to 1e-12 of the larger of 1 and the largest magnitude."""
     expected = np.asarray(expected, dtype=float)
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert_allclose(np.asarray(actual, dtype=float), expected, rtol=0.0,
-                    atol=1e-12 * scale * condition)
-
-
-def lateral_condition(flat, quat):
-    """The desired attitude ``quat`` takes its lateral axis as
-    ``heading x force`` over its norm (``geom.lateral_axis``), so rounding
-    in the demand grows in it, and in the body-rate command, by the
-    inverse of that norm; at least 1."""
-    force = -oracles.quat_to_mat(quat)[:, 2]
-    (hx, _, _), (hy, _, _), (hz, _, _) = flat.rotation
-    heading, _ = lateral_axis(force, (flat.wind_axis, (hx, hy, hz)),
-                              _CROSS_TOL)
-    return max(1.0, 1.0 / float(np.linalg.norm(np.cross(heading, force))))
+                    atol=1e-12 * scale)
 
 
 def assert_controllers_agree(params, gains, rate_ff, limits, sample, flat, p,
@@ -277,11 +263,10 @@ def assert_controllers_agree(params, gains, rate_ff, limits, sample, flat, p,
             as_arrays(flat, ("rotation", "omega", "airspeed", "wind_axis")),
             arrays, oracle_ctx, 0.004)
         assert type(cmd.thrust) is float and type(cmd.omega) is tuple
-        condition = lateral_condition(flat, oracle_ctx.held_quat)
         assert_agrees(cmd.thrust, expected.thrust)
-        assert_agrees(cmd.omega, expected.omega, condition)
+        assert_agrees(cmd.omega, expected.omega)
         assert_agrees(ctx.integrator, oracle_ctx.integrator)
-        assert_agrees(ctx.held_quat, oracle_ctx.held_quat, condition)
+        assert_agrees(ctx.held_quat, oracle_ctx.held_quat)
         assert ctx.thrust_saturated is oracle_ctx.thrust_saturated
     return ctx
 
@@ -295,17 +280,6 @@ def assert_controllers_agree(params, gains, rate_ff, limits, sample, flat, p,
        limit=st.sampled_from([0.0, 0.5, 3.0]),
        saturated=st.booleans(),
        switches=st.lists(st.booleans(), min_size=3, max_size=3))
-# a rotor demand within 1.8e-5 rad of the airspeed line: a 1-ulp move of
-# the position moves the float command by up to 2.9e-11, more than the
-# 1.2e-11 by which it differs from the oracle's
-@example(params=AeroParams(mass=35.373154667659094, kappa=1.5188041168374413,
-                           cd0=0.6274610910373709, cy0=0.25, cla=2.234375),
-         sample=FlatSample((0.0, 0.0, 0.0), (0.5, 0.53125, 0.171875),
-                           (0.0, 0.0, GRAVITY), (0.0, 0.0, 0.0), 0.0),
-         wind=(0.0, 0.0, 0.0), offset=np.array([0.5, 0.53125, 0.171875]),
-         v=None, attitude=np.array([0.0, 0.0, 0.0, 1.0]), held=None,
-         integrator=np.zeros(3), limit=0.0, saturated=False,
-         switches=[False, True, False])
 def test_float_controller_is_the_numpy_oracle(
         params, sample, wind, offset, v, attitude, held, integrator, limit,
         saturated, switches):
@@ -398,19 +372,21 @@ def test_reference_stays_finite_over_the_accepted_keys(
        omega=st.just(0.0) | st.floats(0.0, MAX_OMEGA) | st.floats(0.0, 2.0),
        speed_cap=st.floats(-MAX_SPEED, MAX_SPEED),
        psi=st.floats(-10.0, 10.0),
-       times=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4))
+       times=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4),
+       other=st.tuples(st.floats(0.0, MAX_RADIUS), st.floats(0.0, MAX_OMEGA),
+                       st.floats(-MAX_SPEED, MAX_SPEED)))
 @example(kind=TrajectoryKind.CIRCLE, p0=np.zeros(3), r=0.0, omega=0.06,
-         speed_cap=10.0, psi=0.0, times=[0.0, 1e4])
+         speed_cap=10.0, psi=0.0, times=[0.0, 1e4], other=(2.0, 0.5, 3.0))
 @example(kind=TrajectoryKind.CIRCLE, p0=np.zeros(3), r=15.0, omega=0.0,
-         speed_cap=10.0, psi=0.0, times=[0.0, 1e4])
+         speed_cap=10.0, psi=0.0, times=[0.0, 1e4], other=(2.0, 0.5, 3.0))
 @example(kind=TrajectoryKind.LEMNISCATE, p0=np.zeros(3), r=0.0, omega=0.33,
-         speed_cap=10.0, psi=0.0, times=[0.0, 1e4])
+         speed_cap=10.0, psi=0.0, times=[0.0, 1e4], other=(2.0, 0.5, 3.0))
 @example(kind=TrajectoryKind.LEMNISCATE, p0=np.zeros(3), r=20.0, omega=0.0,
-         speed_cap=10.0, psi=0.0, times=[0.0, 1e4])
+         speed_cap=10.0, psi=0.0, times=[0.0, 1e4], other=(2.0, 0.5, 3.0))
 @example(kind=TrajectoryKind.LINE, p0=np.zeros(3), r=0.0, omega=0.0,
-         speed_cap=-4.0, psi=0.7, times=[0.0, 1e4])
+         speed_cap=-4.0, psi=0.7, times=[0.0, 1e4], other=(2.0, 0.5, 3.0))
 def test_a_sample_is_its_formulas_bit_for_bit(kind, p0, r, omega, speed_cap,
-                                              psi, times):
+                                              psi, times, other):
     # the terms a definition derives once give every sample the bits of
     # the formulas computed at each call; on the circle both sides of
     # the switch too, and the switch itself
@@ -424,6 +400,35 @@ def test_a_sample_is_its_formulas_bit_for_bit(kind, p0, r, omega, speed_cap,
         p, v, a, j, yaw = oracles.sample_by_formula(traj, t)
         assert _bits([ref.p, ref.v, ref.a, ref.j]) == _bits([p, v, a, j]), t
         assert _bits(ref.psi) == _bits(yaw)
+    # a key the kind never reads (trajectories.UNREAD_KEYS, which config
+    # files may not set) moves no bit of a sample or of the peak speed
+    for key, value in zip(_TRAJECTORY_KEYS, other):
+        if key in UNREAD_KEYS.get(kind, ()):
+            moved = traj.replace(**{_TRAJECTORY_KEYS[key]: value})
+            assert _sample_bits(moved, times) == _sample_bits(traj, times)
+            assert _bits(moved.peak_speed()) == _bits(traj.peak_speed())
+
+
+# config key: the TrajectoryDef field it sets
+_TRAJECTORY_KEYS = {"trajectory.radius": "r", "trajectory.omega": "omega",
+                    "trajectory.speed_cap": "speed_cap"}
+
+
+def _sample_bits(traj, times):
+    return [_bits([ref.p, ref.v, ref.a, ref.j]) + _bits(ref.psi)
+            for ref in (sample_trajectory(traj, t) for t in times)]
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind in TrajectoryKind for key in _TRAJECTORY_KEYS
+    if key not in UNREAD_KEYS.get(kind, ())])
+def test_a_key_its_kind_reads_moves_a_sample(kind, key):
+    # the other half of UNREAD_KEYS: adding 1 to a key the table does not
+    # list moves the kind's stock reference at 20 s
+    traj = TrajectoryDef(kind)
+    field = _TRAJECTORY_KEYS[key]
+    moved = traj.replace(**{field: getattr(traj, field) + 1.0})
+    assert _sample_bits(moved, [20.0]) != _sample_bits(traj, [20.0])
 
 
 # both zeros, subnormals, entries of one scale (whose sums round by

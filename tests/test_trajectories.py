@@ -83,6 +83,10 @@ def test_a_hover_sample_is_one_object():
     # tick's object, which a hover's is at every t
     traj = TrajectoryDef(kind=TrajectoryKind.HOVER, p0=[1.0, 2.0, -10.0])
     assert all(sample(traj, t) is traj.terms for t in (0.0, 1.0, 1e4))
+    # shared, so read-only: no caller changes another's reference
+    with pytest.raises(AttributeError):
+        sample(traj, 0.0).p = (0.0, 0.0, 0.0)
+    assert sample(traj, 0.0).p == (1.0, 2.0, -10.0)
     circle = TrajectoryDef()
     assert sample(circle, 1.0) is not sample(circle, 1.0)
 
