@@ -155,7 +155,7 @@ class ExperimentConfig(Frozen):
         factor is the margin left for tracking error.  The refusal names
         the fewest substeps that pass, found by bisection over the
         budget, so no float is rounded to an int."""
-        peak, wind = self.trajectory.peak_speed(), self.plant.aero.wind
+        peak, wind = self.trajectory.peak_speed, self.plant.aero.wind
         log_bound = _log_drag_rate(self.plant.aero, peak)
 
         def stable(substeps):

@@ -6,6 +6,8 @@ angular rate after it, a Gerono-style figure-eight, a hover point and a
 constant-speed straight line.  Velocity, acceleration and jerk come
 from symbolic differentiation of the position law, not finite
 differences.  A sample is Python floats: its vectors are 3-tuples.
+A kind is stated once: one row of ``_PER_KIND`` and one branch each of
+``_terms``, for every constant, and of :func:`sample`, for what moves.
 """
 
 import math
@@ -22,19 +24,22 @@ class TrajectoryKind(Enum):
     LINE = "line"
 
 
-# Per-kind defaults for (radius, omega): omega is the circle's phase
-# acceleration (rad/s^2) and the figure-eight's phase rate (rad/s).  The
-# circle's speed cap defaults to 10 m/s and its yaw fallback to the
-# initial flight heading (+y) so the standstill start hands off smoothly.
-_DEFAULT_RADIUS = {TrajectoryKind.CIRCLE: 15.0, TrajectoryKind.LEMNISCATE: 20.0}
-_DEFAULT_OMEGA = {TrajectoryKind.CIRCLE: 0.06, TrajectoryKind.LEMNISCATE: 0.33}
-# The config keys each kind never reads; the circle reads them all.
-UNREAD_KEYS = {
-    TrajectoryKind.LEMNISCATE: ("trajectory.speed_cap",),
-    TrajectoryKind.HOVER: ("trajectory.radius", "trajectory.omega",
-                           "trajectory.speed_cap"),
-    TrajectoryKind.LINE: ("trajectory.radius", "trajectory.omega"),
+# One row per kind: the defaults of ``r``, ``omega`` and ``psi_fallback``,
+# then the config keys the kind never reads.  ``omega`` is the circle's
+# phase acceleration (rad/s^2) and the figure-eight's phase rate
+# (rad/s); both planar kinds' yaw fallback is the initial flight heading
+# (+y), so the standstill start hands off smoothly.
+_PER_KIND = {
+    TrajectoryKind.CIRCLE: (15.0, 0.06, 0.5 * math.pi, ()),
+    TrajectoryKind.LEMNISCATE: (20.0, 0.33, 0.5 * math.pi,
+                                ("trajectory.speed_cap",)),
+    TrajectoryKind.HOVER: (0.0, 0.0, 0.0, ("trajectory.radius",
+                                           "trajectory.omega",
+                                           "trajectory.speed_cap")),
+    TrajectoryKind.LINE: (0.0, 0.0, 0.0, ("trajectory.radius",
+                                          "trajectory.omega")),
 }
+UNREAD_KEYS = {kind: row[3] for kind, row in _PER_KIND.items()}
 _ZERO = (0.0, 0.0, 0.0)
 
 # Range rules: within them every sample a run can reach (t up to 10**7 s,
@@ -49,23 +54,24 @@ MAX_SPEED = 1e4       # |speed_cap| (m/s)
 class TrajectoryDef(Frozen):
     """Reference definition.
 
-    ``r`` and ``omega`` default per kind: 15 m and 0.06 rad/s^2 on the
-    circle, whose ``omega`` is the phase's angular acceleration up to the
-    speed cap, and 20 m and 0.33 rad/s on the figure-eight, whose
-    ``omega`` is the phase rate.  ``speed_cap`` bounds the circle's
-    accelerating phase and sets the line speed; ``psi_fallback`` seeds
-    the flatness yaw policy and doubles as the line heading.  ``p0`` is
-    kept as a float 3-tuple.
-    ``terms`` (derived, read-only) holds what a sample computes that does
-    not depend on ``t``, each term by the operations :func:`sample`
-    would apply, in their order: the circle's switch time, phase rate
-    after it and phase at it, the figure-eight's six coefficients of
-    velocity, acceleration and jerk, the line's velocity, and a hover's
-    one sample, read-only, which :func:`sample` returns at every ``t``.
+    ``r``, ``omega`` and ``psi_fallback`` default per kind, by its row
+    of ``_PER_KIND``.  ``omega`` is the circle's phase acceleration up to
+    the speed cap and the figure-eight's phase rate; ``speed_cap`` bounds
+    the circle's accelerating phase and sets the line speed;
+    ``psi_fallback`` seeds the flatness yaw policy and doubles as the line
+    heading.  ``p0`` is kept as a float 3-tuple.
+    Derived, read-only, each in its kind's one branch of ``_terms``:
+    ``switch_time``, the instant the circle reaches its speed cap
+    (infinity for every other kind); ``peak_speed``, the largest speed
+    the reference reaches over any run, in closed form; and ``terms``,
+    what a sample computes that does not depend on ``t``, each term by
+    the operations :func:`sample` would apply, in their order.  A
+    hover's ``terms`` is its one sample, read-only, which :func:`sample`
+    returns at every ``t``.
     """
 
     _fields = ("kind", "p0", "r", "omega", "speed_cap", "psi_fallback")
-    __slots__ = _fields + ("terms",)
+    __slots__ = _fields + ("switch_time", "peak_speed", "terms")
 
     def __init__(self, kind=TrajectoryKind.CIRCLE, p0=None, r=None,
                  omega=None, speed_cap=10.0, psi_fallback=None):
@@ -73,17 +79,13 @@ class TrajectoryDef(Frozen):
             raise ConfigError(f"trajectory.kind must be a TrajectoryKind, "
                               f"got {kind!r}")
         p0 = _ZERO if p0 is None else float3("trajectory.p0", p0)
-        if r is None:
-            r = _DEFAULT_RADIUS.get(kind, 0.0)
-        if omega is None:
-            omega = _DEFAULT_OMEGA.get(kind, 0.0)
-        if psi_fallback is None:
-            planar = kind in (TrajectoryKind.CIRCLE, TrajectoryKind.LEMNISCATE)
-            psi_fallback = 0.5 * math.pi if planar else 0.0
+        default_r, default_omega, default_psi, _ = _PER_KIND[kind]
         r, omega, speed_cap, psi_fallback = map(
             finite, ("trajectory.radius", "trajectory.omega",
                      "trajectory.speed_cap", "trajectory.psi"),
-            (r, omega, speed_cap, psi_fallback))
+            (default_r if r is None else r,
+             default_omega if omega is None else omega, speed_cap,
+             default_psi if psi_fallback is None else psi_fallback))
         for key, value, low, high in (
                 *((f"p0.{axis}", x, -MAX_OFFSET, MAX_OFFSET)
                   for axis, x in zip("xyz", p0)),
@@ -93,31 +95,8 @@ class TrajectoryDef(Frozen):
             if not low <= value <= high:
                 raise ConfigError(
                     f"trajectory.{key} must be in [{low:g}, {high:g}]")
-        if kind is TrajectoryKind.CIRCLE and speed_cap <= 0.0:
-            raise ConfigError(
-                "trajectory.speed_cap must be > 0 for the circle")
         self._set(kind, p0, r, omega, speed_cap, psi_fallback,
-                  _terms(kind, p0, r, omega, speed_cap, psi_fallback))
-
-    def switch_time(self):
-        """Circle accelerate-to-constant switch instant ``cap/(r*omega)``;
-        infinity for other kinds."""
-        return (self.terms[0] if self.kind is TrajectoryKind.CIRCLE
-                else math.inf)
-
-    def peak_speed(self):
-        """Largest speed the reference reaches over any run, in closed
-        form: the circle's cap (0 when ``r*omega == 0``),
-        ``r*omega*sqrt(1.25)`` for the figure-eight (at half a lap),
-        ``|speed_cap|`` on the line and 0 in hover."""
-        kind = self.kind
-        if kind is TrajectoryKind.CIRCLE:
-            return self.speed_cap if self.r * self.omega != 0.0 else 0.0
-        if kind is TrajectoryKind.LEMNISCATE:
-            return self.r * self.omega * math.sqrt(1.25)
-        if kind is TrajectoryKind.LINE:
-            return abs(self.speed_cap)
-        return 0.0
+                  *_terms(kind, p0, r, omega, speed_cap, psi_fallback))
 
 
 class _HeldSample(FlatSample):
@@ -132,20 +111,25 @@ class _HeldSample(FlatSample):
 
 
 def _terms(kind, p0, r, omega, speed_cap, psi):
-    """A reference's terms that do not depend on ``t``, for
-    ``TrajectoryDef.terms``."""
+    """``TrajectoryDef``'s derived ``(switch_time, peak_speed, terms)``:
+    every constant of a reference, derived in its kind's one branch."""
     if kind is TrajectoryKind.CIRCLE:
+        if speed_cap <= 0.0:
+            raise ConfigError(
+                "trajectory.speed_cap must be > 0 for the circle")
         if r * omega == 0.0:  # the speed cap is never reached
-            return math.inf, 0.0, 0.0
+            return math.inf, 0.0, (0.0, 0.0)
         t_switch = speed_cap / (r * omega)
-        return (t_switch, speed_cap / r,
-                0.5 * omega * t_switch * t_switch)
-    if kind is TrajectoryKind.LEMNISCATE:
-        return (0.5 * r * omega, r * omega, 0.25 * r * omega * omega,
-                -r * omega * omega, -0.125 * r * omega ** 3, -r * omega ** 3)
+        return t_switch, speed_cap, (speed_cap / r,
+                                     0.5 * omega * t_switch * t_switch)
+    if kind is TrajectoryKind.LEMNISCATE:  # fastest at half a lap
+        return math.inf, r * omega * math.sqrt(1.25), (
+            0.5 * r * omega, r * omega, 0.25 * r * omega * omega,
+            -r * omega * omega, -0.125 * r * omega ** 3, -r * omega ** 3)
     if kind is TrajectoryKind.LINE:
-        return speed_cap * math.cos(psi), speed_cap * math.sin(psi), 0.0
-    return _HeldSample(p0, _ZERO, _ZERO, _ZERO, psi)
+        return math.inf, abs(speed_cap), (
+            speed_cap * math.cos(psi), speed_cap * math.sin(psi), 0.0)
+    return math.inf, 0.0, _HeldSample(p0, _ZERO, _ZERO, _ZERO, psi)
 
 
 def sample(traj, t):
@@ -168,7 +152,7 @@ def sample(traj, t):
         # speed cap is reached.  Position and velocity are continuous
         # there; the tangential acceleration steps down by r*omega (0.9
         # m/s^2 at t = 11.111 s on the stock circle)
-        t_switch, rate, theta_switch = traj.terms
+        t_switch, (rate, theta_switch) = traj.switch_time, traj.terms
         if t <= t_switch:
             omega = traj.omega
             theta, d1, d2, d3 = 0.5 * omega * t * t, omega * t, omega, 0.0

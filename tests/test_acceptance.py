@@ -83,7 +83,7 @@ def test_criterion_2_body_rates_match_attitude_derivative():
          np.linspace(0.1, 38.0, 1000)),
     ]
     for traj, times in cases:
-        t_switch = traj.switch_time()
+        t_switch = traj.switch_time
         for t in times:
             # the circle's speed-cap splice has an acceleration step;
             # a finite difference straddling it is meaningless

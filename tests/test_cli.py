@@ -444,33 +444,40 @@ def test_unknown_condition_rejected(capsys):
         main(["sim", "--condition", "nonsense"])
 
 
-# test id -> (command, config, sha256 of its 2 s trace), on three paths
+# test id -> (command, config, seconds, sha256 of its trace), on paths
 # the thrust-floor probe in tests/test_control.py does not take: the
 # open-loop figure-eight, a hover in wind with both actuator lags and a
-# two-tick measurement delay, and the stock circle's closed loop in the
-# smooth regime
+# two-tick measurement delay, the stock circle's closed loop in the
+# smooth regime, its open loop across the speed-cap switch at 11.111 s
+# and a line's closed loop
 _HOVER_GUST = ("trajectory.kind = hover\n"
                "plant.wind.x = 4.0\nplant.wind.y = -2.0\nplant.wind.z = 0.0\n"
                "plant.tau_omega = 0.03\nplant.tau_thrust = 0.05\n"
                "sim.delay_ticks = 2\n")
 _TRACE_SHA256 = {
     "flat": (
-        "flat", "trajectory.kind = lemniscate\n",
+        "flat", "trajectory.kind = lemniscate\n", 2,
         "8693198c94f00d6eb62f648595a5d5e8b21cab02882e1299a132d145ab110a02"),
     "sim": (
-        "sim", _HOVER_GUST,
+        "sim", _HOVER_GUST, 2,
         "f729963802e8224d3e75adac5207e8e30d0f9e080222fd0ecdb53f57b3e45412"),
     "sim-circle": (
-        "sim", "",
+        "sim", "", 2,
         "a40f82b0def6d89d220aa034e0a9bdbc07a2fd37182bd6d036cf30e6f56057c4"),
+    "flat-circle-switch": (
+        "flat", "", 12,
+        "8aa9236f977b4d5103c0c1bcdaf9a0c97433388522c3530a4f6ce1cf3fc98d42"),
+    "sim-line": (
+        "sim", "trajectory.kind = line\ntrajectory.speed_cap = 7\n", 2,
+        "5a7bf42d57a81e33058a6c3307300f08418f99b6baac5085c57fa769893d0df1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_TRACE_SHA256))
 def test_trace_is_unchanged(tmp_path, name):
-    command, text, digest = _TRACE_SHA256[name]
+    command, text, seconds, digest = _TRACE_SHA256[name]
     cfg = write_cfg(tmp_path, text)
-    assert main([command, "--config", cfg, "--duration", "2",
+    assert main([command, "--config", cfg, "--duration", str(seconds),
                  "--out", str(tmp_path)]) == EXIT_OK
     trace = (tmp_path / f"{command}.csv").read_bytes()
     assert hashlib.sha256(trace).hexdigest() == digest

@@ -1054,6 +1054,22 @@ def test_plant_step_guard_bound_is_closed_form():
     # the bound reads |cy0| when the lateral coefficient is the larger
     with pytest.raises(ConfigError, match=r"step \* 490 /s"):
         short_circle(**probe, **{"plant.cy0": -8})
+    # every kind's peak speed reaches the guard: the figure-eight's
+    # 20 * 0.33 * sqrt(1.25), a line's |speed_cap| and a hover's 0, here
+    # in a wind of 10 m/s
+    for overrides, bound, airspeed, fewest in (
+            ({"trajectory.kind": "lemniscate"}, "273.4", "7.379", 2),
+            ({"trajectory.kind": "line", "trajectory.speed_cap": -7},
+             "259.4", "7", 2),
+            ({"trajectory.kind": "hover", "plant.wind.y": -10},
+             "370.6", "10", 3)):
+        with pytest.raises(ConfigError, match=(
+                rf"step \* {bound} /s <= 2\.785 \(peak airspeed {airspeed} "
+                rf"m/s\); the smallest sim\.substeps that passes is "
+                rf"{fewest}$")):
+            short_circle(**probe, **overrides, **{"sim.substeps": fewest - 1})
+        assert short_circle(**probe, **overrides,
+                            **{"sim.substeps": fewest}).substeps == fewest
 
 
 def test_peak_speed_is_each_references_fastest_sample():
@@ -1066,13 +1082,19 @@ def test_peak_speed_is_each_references_fastest_sample():
              ({"kind": TrajectoryKind.HOVER}, 0.0)]
     for fields_, peak in cases:
         traj = TrajectoryDef(**fields_)
-        assert traj.peak_speed() == pytest.approx(peak, rel=1e-15)
+        assert traj.peak_speed == pytest.approx(peak, rel=1e-15)
         sampled = max(math.hypot(*sample_trajectory(traj, k * 0.01).v)
                       for k in range(20000))
-        assert sampled <= traj.peak_speed() * (1 + 1e-12)
-        assert sampled >= traj.peak_speed() * (1 - 1e-6)
+        assert sampled <= traj.peak_speed * (1 + 1e-12)
+        assert sampled >= traj.peak_speed * (1 - 1e-6)
 
 
+# the refusals a draw may meet before the guard: the row budget, the
+# circle's cap, a massless or airless airframe and the plant-step budget
+_REFUSED_BEFORE_THE_GUARD = (
+    "sim.rate * sim.duration must log at most",
+    "trajectory.speed_cap must be > 0 for the circle",
+    "plant.mass must be > 0", "plant.rho must be > 0", "sim.substeps * rows")
 _GUARD_VALUES = [0.0, 5e-324, 1e-300, 1e-8, 0.2, 1.0, 6.0, 1e8, 1e154,
                  1e300, 1.7976931348623157e308]
 # mostly airframe-like values, so that many draws need a few substeps
@@ -1117,7 +1139,10 @@ def test_plant_step_guard_raises_only_config_errors_and_names_a_count(
     except ConfigError as exc:
         message = str(exc)
     if not message.startswith(f"sim.substeps = {substeps} leaves"):
-        return   # refused by a range rule before the guard
+        # refused by a range rule before the guard; a rule that refuses
+        # other draws fails here rather than shrinking what reaches it
+        assert message.startswith(_REFUSED_BEFORE_THE_GUARD), message
+        return
     named = re.search(r"the smallest sim\.substeps that passes is (\d+)$",
                       message)
     if named is None:

@@ -23,7 +23,9 @@ _DERIVED = [
     (AeroParams(kappa=math.radians(52.0), cla=2.6), "sin_kappa"),
     (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_thrust_decay"),
     (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_omega_decay"),
-    (TrajectoryDef(TrajectoryKind.LEMNISCATE, r=12.0, omega=0.4), "terms")]
+    (TrajectoryDef(TrajectoryKind.LEMNISCATE, r=12.0, omega=0.4), "terms"),
+    (TrajectoryDef(), "switch_time"),
+    (TrajectoryDef(TrajectoryKind.LINE, speed_cap=-3.0), "peak_speed")]
 
 
 @pytest.mark.parametrize("record, name", _DERIVED,

@@ -1,12 +1,15 @@
 """Reference trajectories: analytic values, splice continuity,
 derivative consistency."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import liftquad
 from liftquad.trajectories import TrajectoryDef, TrajectoryKind, sample
 from oracles import derivative_check
 
@@ -20,7 +23,10 @@ def test_per_kind_defaults():
     assert eight.psi_fallback == pytest.approx(0.5 * math.pi)
     hover = TrajectoryDef(kind=TrajectoryKind.HOVER)
     assert hover.psi_fallback == 0.0
-    assert hover.switch_time() == math.inf
+    assert hover.switch_time == math.inf
+    line = TrajectoryDef(kind=TrajectoryKind.LINE)
+    assert (line.r, line.omega, line.psi_fallback) == (0.0, 0.0, 0.0)
+    assert line.switch_time == math.inf
 
 
 def test_circle_start_conditions():
@@ -44,7 +50,7 @@ def test_circle_stays_on_the_circle():
 
 def test_circle_switch_is_continuous():
     traj = TrajectoryDef(kind=TrajectoryKind.CIRCLE)
-    t_s = traj.switch_time()
+    t_s = traj.switch_time
     assert t_s == pytest.approx(10.0 / (15.0 * 0.06))
     eps = 1e-10
     before, after = sample(traj, t_s - eps), sample(traj, t_s + eps)
@@ -57,7 +63,7 @@ def test_circle_switch_is_continuous():
 
 def test_circle_constant_phase_speed_and_accel():
     traj = TrajectoryDef(kind=TrajectoryKind.CIRCLE)
-    for t in (traj.switch_time() + 1.0, 40.0, 90.0):
+    for t in (traj.switch_time + 1.0, 40.0, 90.0):
         ref = sample(traj, t)
         assert np.linalg.norm(ref.v) == pytest.approx(traj.speed_cap,
                                                       abs=1e-9)
@@ -150,3 +156,46 @@ def test_invalid_definitions_rejected():
         TrajectoryDef(kind=TrajectoryKind.CIRCLE, r=-1.0)
     with pytest.raises(ValueError):
         TrajectoryDef(kind=TrajectoryKind.CIRCLE, speed_cap=0.0)
+
+
+def _kind_comparisons(tree):
+    """The qualified names of the functions (``<module>`` outside any)
+    holding a comparison with a ``TrajectoryKind`` member, alone or in a
+    tuple, list or set."""
+    members = set(TrajectoryKind.__members__)
+
+    def is_member(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(is_member, node.elts))
+        return (isinstance(node, ast.Attribute) and node.attr in members
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "TrajectoryKind")
+
+    found = set()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, ast.Compare) and any(
+                map(is_member, [node.left, *node.comparators])):
+            found.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+    walk(tree, [])
+    return found
+
+
+def test_only_terms_and_sample_branch_on_a_trajectory_kind():
+    # a kind is one row of the defaults table and one branch each of
+    # _terms and sample: no other function of the package compares a
+    # kind, so a new kind touches nothing else
+    package = Path(liftquad.__file__).parent
+    found = {f"{path.stem}.{name}"
+             for path in sorted(package.glob("*.py"))
+             for name in _kind_comparisons(ast.parse(path.read_text()))}
+    assert found == {"trajectories._terms", "trajectories.sample"}
+    # the walk sees a comparison with a tuple of members, and in a method
+    assert _kind_comparisons(ast.parse(
+        "class A:\n def f(k):\n  return k in (TrajectoryKind.LINE,)\n"
+        "x = TrajectoryKind.HOVER == 1\n")) == {"A.f", "<module>"}
