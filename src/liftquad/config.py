@@ -8,6 +8,14 @@ that every knob in a config file actually did something.  Every key
 has a default, so the empty file is a valid full experiment (the stock
 circle).
 
+A key names the field it sets: a record field of ``ExperimentConfig``
+is a section, each field of that record a key ``section.field``, and a
+vector field one key per axis (``gains.kpp.x``).  ``_NAMES`` holds the
+exceptions: the config's own scalars are ``sim.`` keys, but
+``mode.rate_ff``; the plant's airframe fields sit directly under
+``plant.``; ``r``, ``psi_fallback`` and ``kappa`` are ``radius``,
+``psi`` and ``kappa_deg``; and ``PlantConfig.step`` is no key.
+
 Angle keys with a ``_deg`` suffix are degrees (``plant.kappa_deg``);
 all other angles, ``trajectory.psi`` included, are radians like
 everywhere in code.
@@ -20,7 +28,7 @@ from numbers import Integral, Real
 from .aero import AeroParams
 from .control import ControlGains, ControlLimits
 from .dynamics import PlantConfig
-from .record import ConfigError, Frozen
+from .record import ConfigError, Frozen, Record
 from .trajectories import UNREAD_KEYS, TrajectoryDef, TrajectoryKind
 
 
@@ -195,46 +203,37 @@ class ExperimentConfig(Frozen):
             rate_ff=self.rate_ff and "rate_ff" not in off)
 
 
-def _axes(prefix, vector):
-    return {f"{prefix}.{axis}": ("float", float(value))
-            for axis, value in zip("xyz", vector)}
+# The naming rule's exceptions: a field's name in its key (the whole key
+# where it has a dot), or None for a field that is no key
+_NAMES = {"rate_ff": "mode.rate_ff", "r": "radius", "psi_fallback": "psi",
+          "kappa": "kappa_deg", "step": None}
+_TAGS = {float: "float", int: "int", bool: "bool", TrajectoryKind: "kind"}
 
 
-def _airframe(section, params):
-    values = {"mass": params.mass, "kappa_deg": math.degrees(params.kappa),
-              "rho": params.rho, "area": params.area, "cd0": params.cd0,
-              "cy0": params.cy0, "cla": params.cla}
-    return {**{f"{section}.{name}": ("float", value)
-               for name, value in values.items()},
-            **_axes(f"{section}.wind", params.wind)}
+def _keys(record, section="sim", path=()):
+    """``(key, path, default)`` of each key that sets a field of
+    ``record``; ``path`` holds field names, then a vector axis's index.
+    A record within a section (the plant's airframe) adds no name."""
+    for field in record._fields:
+        value, at = getattr(record, field), path + (field,)
+        name = _NAMES.get(field, field)
+        if isinstance(value, Record):
+            yield from _keys(value, section if path else field, at)
+        elif isinstance(value, tuple):
+            for index, axis in enumerate("xyz"):
+                yield f"{section}.{name}.{axis}", at + (index,), value[index]
+        elif name is not None:
+            yield name if "." in name else f"{section}.{name}", at, value
 
 
-# key -> (type tag, default), each default read off the default config;
-# the per-kind trajectory keys default to None, resolved downstream
-_DEFAULT = ExperimentConfig()
-_SCHEMA = {
-    "trajectory.kind": ("kind", _DEFAULT.trajectory.kind),
-    **_axes("trajectory.p0", _DEFAULT.trajectory.p0),
-    "trajectory.radius": ("float", None),
-    "trajectory.omega": ("float", None),
-    "trajectory.speed_cap": ("float", _DEFAULT.trajectory.speed_cap),
-    "trajectory.psi": ("float", None),
-    "plant.tau_omega": ("float", _DEFAULT.plant.tau_omega),
-    "plant.tau_thrust": ("float", _DEFAULT.plant.tau_thrust),
-    "gains.integrator_limit": ("float", _DEFAULT.gains.integrator_limit),
-    "limits.thrust_factor": ("float", _DEFAULT.limits.thrust_factor),
-    "limits.omega_max": ("float", _DEFAULT.limits.omega_max),
-    "mode.rate_ff": ("bool", _DEFAULT.rate_ff),
-    "sim.duration": ("float", _DEFAULT.duration),
-    "sim.rate": ("int", _DEFAULT.rate),
-    "sim.substeps": ("int", _DEFAULT.substeps),
-    "sim.abort_radius": ("float", _DEFAULT.abort_radius),
-    "sim.delay_ticks": ("int", _DEFAULT.delay_ticks),
-    **_airframe("plant", _DEFAULT.plant.aero),
-    **_airframe("model", _DEFAULT.model),
-}
-for _gain in ("kpp", "kvp", "kvi", "kff", "ktp"):
-    _SCHEMA.update(_axes(f"gains.{_gain}", getattr(_DEFAULT.gains, _gain)))
+# the stock config, which a built config starts from, and each key's
+# path and (type tag, default) read off it, a _deg key's in degrees
+_STOCK = ExperimentConfig()
+_PATHS, _SCHEMA = {}, {}
+for _key, _path, _default in _keys(_STOCK):
+    _PATHS[_key] = _path
+    _SCHEMA[_key] = (_TAGS[type(_default)], math.degrees(_default)
+                     if _key.endswith("_deg") else _default)
 
 
 class _Located(dict):
@@ -245,7 +244,7 @@ class _Located(dict):
 def parse_config_text(text, source="<config>"):
     """Raw key-value pairs from config text; strict (see module docstring).
     The pairs carry each key's line, so that :func:`build_config` can
-    locate an unknown key."""
+    locate a refusal of a key."""
     raw = _Located()
     raw.where = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -267,85 +266,83 @@ def parse_config_text(text, source="<config>"):
     return raw
 
 
-def _convert(key, value):
+def _convert(key, value, where=""):
+    """The field value of ``key``'s raw string, a ``_deg`` key's in
+    radians; a ConfigError located by ``where`` for any other value."""
     tag = _SCHEMA[key][0]
     try:
+        if not isinstance(value, str):
+            raise ValueError("expected a string")
         if tag == "float":
             number = float(value)
             if not math.isfinite(number):
                 raise ValueError("not a finite number")
-            return number
+            return math.radians(number) if key.endswith("_deg") else number
         if tag == "int":
             return int(value)
         if tag == "bool":
             if value in ("true", "false"):
                 return value == "true"
             raise ValueError("expected true or false")
-        if tag == "kind":
-            if value in _KINDS:
-                return _KINDS[value]
-            raise ValueError(f"expected one of {', '.join(_KINDS)}")
-        raise AssertionError(f"unhandled tag {tag}")
+        if value in _KINDS:  # the one other tag, "kind"
+            return _KINDS[value]
+        raise ValueError(f"expected one of {', '.join(_KINDS)}")
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
+        raise ConfigError(f"{where}bad value for {key}: {value!r} "
+                          f"({exc})") from None
+
+
+def _build(record, values, section=None):
+    """``record``'s type from ``values`` by their paths below it, in field
+    order, with its constructor's defaults: a record field built from its
+    values, a vector field from the axes set and ``record``'s others."""
+    below = {}
+    for (name, *path), value in values.items():
+        below.setdefault(name, {})[tuple(path)] = value
+    fields = {}
+    for name in record._fields:
+        if name in below:
+            stock, mine = getattr(record, name), below[name]
+            if isinstance(stock, Record):
+                fields[name] = _build(stock, mine, section or name)
+            elif isinstance(stock, tuple):
+                fields[name] = tuple([mine.get((index,), x)
+                                      for index, x in enumerate(stock)])
+            else:
+                fields[name] = mine[()]
+    try:
+        return type(record)(**fields)
+    except ConfigError as exc:
+        if isinstance(record, AeroParams):  # its field names lack it
+            raise ConfigError(f"{section}.{exc}") from None
+        raise
 
 
 def build_config(raw):
     """ExperimentConfig from raw string pairs (defaults fill the gaps);
-    strict like the file format: an unknown key, or a trajectory key the
-    kind never reads (``trajectories.UNREAD_KEYS``), is a ConfigError,
-    located when ``raw`` came from :func:`parse_config_text`.  A record's own
-    ConfigError passes through as it is; only an airframe's gets the
-    ``plant.`` or ``model.`` section its field names lack."""
+    strict like the file format: an unknown key, a bad value (of several,
+    the first in ``raw``'s order) or a trajectory key the kind never
+    reads (``trajectories.UNREAD_KEYS``) is a ConfigError.  A record's
+    ConfigError passes through, an airframe's with its ``plant.`` or
+    ``model.`` section.  When ``raw`` came from :func:`parse_config_text`,
+    a refusal gets the line of its key, or of the first key it names."""
     where = getattr(raw, "where", {})
-    for key in raw:
+    values = {}
+    for key, value in raw.items():
         if key not in _SCHEMA:
             raise ConfigError(f"{where.get(key, '')}unknown key {key!r}")
-    values = {}
-    for key, (tag, default) in _SCHEMA.items():
-        values[key] = _convert(key, raw[key]) if key in raw else default
-    kind = values["trajectory.kind"]
+        values[_PATHS[key]] = _convert(key, value, where.get(key, ""))
+    kind = values.get(_PATHS["trajectory.kind"], _STOCK.trajectory.kind)
     for key in UNREAD_KEYS.get(kind, ()):
         if key in raw:
             raise ConfigError(f"{where.get(key, '')}{key} does nothing for "
                               f"trajectory.kind = {kind.value}")
-
-    def vec(prefix):
-        return tuple(values[f"{prefix}.{axis}"] for axis in "xyz")
-
-    def aero(section):
-        try:
-            return AeroParams(
-                kappa=math.radians(values[f"{section}.kappa_deg"]),
-                wind=vec(f"{section}.wind"),
-                **{name: values[f"{section}.{name}"]
-                   for name in ("mass", "rho", "area", "cd0", "cy0", "cla")})
-        except ConfigError as exc:
-            raise ConfigError(f"{section}.{exc}") from None
-
-    trajectory = TrajectoryDef(
-        kind=values["trajectory.kind"],
-        p0=vec("trajectory.p0"),
-        r=values["trajectory.radius"],
-        omega=values["trajectory.omega"],
-        speed_cap=values["trajectory.speed_cap"],
-        psi_fallback=values["trajectory.psi"])
-    plant = PlantConfig(
-        aero=aero("plant"),
-        tau_omega=values["plant.tau_omega"],
-        tau_thrust=values["plant.tau_thrust"])
-    model = aero("model")
-    gains = ControlGains(
-        kpp=vec("gains.kpp"), kvp=vec("gains.kvp"), kvi=vec("gains.kvi"),
-        kff=vec("gains.kff"), ktp=vec("gains.ktp"),
-        integrator_limit=values["gains.integrator_limit"])
-    limits = ControlLimits(thrust_factor=values["limits.thrust_factor"],
-                           omega_max=values["limits.omega_max"])
-    return ExperimentConfig(
-        trajectory=trajectory, plant=plant, model=model, gains=gains,
-        limits=limits, rate_ff=values["mode.rate_ff"],
-        **{name: values[f"sim.{name}"] for name in
-           ("duration", "rate", "substeps", "abort_radius", "delay_ticks")})
+    try:
+        return _build(_STOCK, values)
+    except ConfigError as exc:
+        message = str(exc)
+        raise ConfigError(next((where[word] for word in message.split()
+                                if word in where), "") + message) from None
 
 
 def load_config(path):

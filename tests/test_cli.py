@@ -149,12 +149,16 @@ def test_plant_step_past_rk4s_drag_limit_is_a_config_error(
     # the fewest that pass, or saying that no count fits the budget;
     # the plant rows of the overflow cases above once ran into this.  A
     # config is valid for every subcommand or for none, so flat and
-    # check, which integrate no plant, refuse it too
+    # check, which integrate no plant, refuse it too.  A file that sets
+    # sim.substeps has the refusal located at that line
     cfg = write_cfg(tmp_path, text + "\n")
     code = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     (line,) = capsys.readouterr().err.splitlines()
-    assert re.fullmatch(r"config error: sim\.substeps = \d+ leaves a plant "
+    where = "".join(f"{cfg}:{n}: " for n, row in enumerate(
+        text.splitlines(), start=1) if row.startswith("sim.substeps"))
+    assert re.fullmatch(r"config error: " + re.escape(where) +
+                        r"sim\.substeps = \d+ leaves a plant "
                         r"step of \S+ s, but RK4 on the wing's drag needs "
                         r"step \* \S+ /s <= 2\.785 \(peak airspeed \S+ "
                         r"m/s\); " + re.escape(advice), line)
@@ -268,12 +272,14 @@ def test_tick_count_is_bounded(tmp_path, capsys):
     ("sim", "plant.cla = -1", "plant.cla")])
 def test_out_of_range_key_is_a_config_error(tmp_path, capsys, command, text,
                                             key):
-    # refused before the run starts: one line naming the key, no trace
+    # refused before the run starts: one line naming the key, located at
+    # the file's line that sets it, no trace
     cfg = write_cfg(tmp_path, text + "\n")
     code = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"config error: {key} ")
+    lineno = [row.split(" = ")[0] for row in text.splitlines()].index(key) + 1
+    assert line.startswith(f"config error: {cfg}:{lineno}: {key} ")
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -145,18 +145,21 @@ def test_library_thrust_floor_follows_the_model():
         build_config({"model.mass": "1e300", "limits.thrust_factor": "1e10"})
 
 
+def leaves(obj, prefix=""):
+    """(dotted field path, value) of each field of a record that holds
+    no record, down from ``obj``."""
+    for name in obj._fields:
+        value = getattr(obj, name)
+        if isinstance(value, Record):
+            yield from leaves(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
+
+
 def test_every_default_is_the_record_default():
     # the empty config is ExperimentConfig(), field by field, down to the
     # bits of every leaf: no key's default can drift from the one its
     # record's constructor declares
-    def leaves(obj, prefix=""):
-        for name in obj._fields:
-            value = getattr(obj, name)
-            if isinstance(value, Record):
-                yield from leaves(value, f"{prefix}{name}.")
-            else:
-                yield prefix + name, value
-
     built = dict(leaves(build_config({})))
     stock = dict(leaves(ExperimentConfig()))
     assert built.keys() == stock.keys()
@@ -165,6 +168,67 @@ def test_every_default_is_the_record_default():
         assert type(built[name]) is type(value), name
         # repr round-trips a float's bits: 0.0 and -0.0 differ here
         assert repr(built[name]) == repr(value), name
+
+
+def leaf_of(key):
+    """The leaf a config key sets and its axis (None for a scalar), by
+    the naming rule, stated here apart from config's own statement."""
+    section, *names = key.split(".")
+    axis = "xyz".index(names.pop()) if len(names) == 2 else None
+    name = {"radius": "r", "psi": "psi_fallback",
+            "kappa_deg": "kappa"}.get(names[0], names[0])
+    if section in ("sim", "mode"):
+        return name, axis
+    if section == "plant" and name in AeroParams._fields:
+        return f"plant.aero.{name}", axis
+    return f"{section}.{name}", axis
+
+
+def test_every_key_sets_its_own_field_and_nothing_else():
+    # a one-key config at an in-range value other than the default moves
+    # exactly that key's leaf, and a vector key that leaf's one axis.
+    # Two knock-ons: the kind moves its per-kind defaults too, and the
+    # tick rate and substeps move the plant step they set
+    stock = dict(leaves(build_config({})))
+    lemniscate = dict(leaves(ExperimentConfig(
+        trajectory=TrajectoryDef(TrajectoryKind.LEMNISCATE))))
+    per_kind = {name for name, value in lemniscate.items()
+                if value != stock[name]}
+    for key, (tag, default) in _SCHEMA.items():
+        value = (TrajectoryKind.LEMNISCATE if tag == "kind" else
+                 not default if tag == "bool" else
+                 default + 1 if tag == "int" else 0.5 * (default or 1.0))
+        text = (value.value if tag == "kind" else
+                str(value).lower() if tag == "bool" else repr(value))
+        built = dict(leaves(build_config({key: text})))
+        moved = {name for name, old in stock.items()
+                 if repr(built[name]) != repr(old)}
+        leaf, axis = leaf_of(key)
+        knock_ons = (per_kind if key == "trajectory.kind" else
+                     {"plant.step"} if key in ("sim.rate", "sim.substeps")
+                     else set())
+        assert moved == {leaf} | knock_ons, key
+        if key.endswith("_deg"):
+            value = math.radians(value)
+        if axis is None:
+            assert built[leaf] == value, key
+        else:
+            expected = list(stock[leaf])
+            expected[axis] = value
+            assert built[leaf] == tuple(expected), key
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sim.rate", 2.5), ("sim.delay_ticks", 1.9), ("sim.duration", True),
+    ("plant.rho", b"1.1"), ("gains.kpp.x", 2), ("mode.rate_ff", True),
+    ("trajectory.kind", TrajectoryKind.HOVER)])
+def test_a_raw_value_that_is_no_string_is_a_bad_value(key, value):
+    # build_config converts strings only: int(2.5) would run at 2 Hz,
+    # float(True) for 1 s, and float(b"1.1") take bytes
+    with pytest.raises(ConfigError, match=(
+            f"^bad value for {re.escape(key)}: {re.escape(repr(value))} "
+            r"\(expected a string\)$")):
+        build_config({key: value})
 
 
 def test_config_values_comments_and_degrees():
@@ -212,6 +276,20 @@ def test_config_rejects_malformed_input(text, fragment):
 def test_config_error_carries_location():
     with pytest.raises(ConfigError, match=r"demo\.cfg:2"):
         parse_config_text("plant.rho = 1.0\nplant.rho = 1", source="demo.cfg")
+    # a bad value and a record's range refusal are located at the line of
+    # their key; of two bad values, the first line's is refused
+    for text, message in (
+            ("sim.duration = 1\nplant.rho = thick",
+             r"demo\.cfg:2: bad value for plant\.rho: 'thick' \("),
+            ("sim.duration = 1\nplant.mass = 0",
+             r"demo\.cfg:2: plant\.mass must be > 0"),
+            # the first key a refusal names that the file sets
+            ("sim.duration = 1\nsim.substeps = 0",
+             r"demo\.cfg:2: sim\.rate and sim\.substeps must be > 0$"),
+            ("plant.rho = thick\nsim.rate = fast",
+             r"demo\.cfg:1: bad value for plant\.rho: 'thick' \(")):
+        with pytest.raises(ConfigError, match="^" + message):
+            build_config(parse_config_text(text, source="demo.cfg"))
 
 
 def test_library_config_rejects_unknown_keys():
