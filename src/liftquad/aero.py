@@ -42,10 +42,15 @@ class AeroParams(Frozen):
     is ``-(rho*S*|v_a|/2) R D R^T v_a``.  ``cos_kappa`` and
     ``sin_kappa`` (derived, read-only) are the cosine and sine of
     ``kappa``, which the flatness transform's force balance reads.
+    ``rho_area``, ``half_rho_area`` and ``twice_mass`` (derived,
+    read-only) are ``rho * area``, ``0.5 * rho * area`` and
+    ``2.0 * mass``, rounded as the force's formulas round them, which
+    every call would otherwise compute again.
     """
 
     _fields = ("mass", "kappa", "rho", "area", "cd0", "cy0", "cla", "wind")
-    __slots__ = _fields + ("drag", "cos_kappa", "sin_kappa")
+    __slots__ = _fields + ("drag", "cos_kappa", "sin_kappa", "rho_area",
+                           "half_rho_area", "twice_mass")
 
     def __init__(self, mass=1.5, kappa=math.radians(34.0), rho=1.225,
                  area=0.2, cd0=0.05, cy0=0.0, cla=2.0, wind=(0.0, 0.0, 0.0)):
@@ -71,7 +76,8 @@ class AeroParams(Frozen):
         self._set(mass, kappa, rho, area, cd0, cy0, cla, wind, (
             (cd0 * c * c + (cla + cd0) * s * s, 0.0, cdxz),
             (0.0, cy0, 0.0),
-            (cdxz, 0.0, cd0 * s * s + (cla + cd0) * c * c)), c, s)
+            (cdxz, 0.0, cd0 * s * s + (cla + cd0) * c * c)), c, s,
+            rho * area, 0.5 * rho * area, 2.0 * mass)
 
     def zeroed(self):
         """Copy with the aerodynamic coefficients zeroed and the wind kept.
@@ -106,7 +112,7 @@ def aero_accel(params, rotation, airspeed_vec):
     fx = (dxx * bx + dxz * bz) * speed
     fy = dyy * by * speed
     fz = (dxz * bx + dzz * bz) * speed
-    gain, twice_mass = -params.rho * params.area, 2.0 * params.mass
+    gain, twice_mass = -params.rho_area, params.twice_mass
     return (gain * (r00 * fx + r01 * fy + r02 * fz) / twice_mass,
             gain * (r10 * fx + r11 * fy + r12 * fz) / twice_mass,
             gain * (r20 * fx + r21 * fy + r22 * fz) / twice_mass)

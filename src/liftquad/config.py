@@ -133,8 +133,10 @@ class ExperimentConfig(Frozen):
         # written so that NaN fails the range checks too
         if not 0.0 < duration < math.inf:
             raise ConfigError("sim.duration must be finite and > 0")
-        if not (rate > 0 and substeps > 0):
-            raise ConfigError("sim.rate and sim.substeps must be > 0")
+        if not rate > 0:
+            raise ConfigError("sim.rate must be > 0")
+        if not substeps > 0:
+            raise ConfigError("sim.substeps must be > 0")
         if not 0.0 < abort_radius < math.inf:
             raise ConfigError("sim.abort_radius must be finite and > 0")
         # a delay longer than the longest run changes nothing

@@ -207,7 +207,8 @@ def accel_to_attitude_thrust(params, gains, a_d, flat):
     xx, xy, xz = yy * zz - yz * zy, yz * zx - yx * zz, yx * zy - yy * zx
     rotation = ((xx, yx, zx), (xy, yy, zy), (xz, yz, zz))
     thrust = params.mass * (zx * rx + zy * ry + zz * rz)
-    return rotation, min(thrust, 0.0), False
+    # min(thrust, 0.0), NaN and -0.0 included
+    return rotation, 0.0 if 0.0 < thrust else thrust, False
 
 
 def attitude_loop(gains, rate_ff, q_d, q_current, omega_ref):
@@ -230,8 +231,13 @@ def attitude_loop(gains, rate_ff, q_d, q_current, omega_ref):
 def saturate(thrust_min, omega_max, thrust, omega):
     """Clip the thrust to ``[thrust_min, 0]`` and each body-rate axis to
     ``[-omega_max, omega_max]``; idempotent."""
-    return ControlInput(min(max(thrust, thrust_min), 0.0),
-                        _clip(omega, omega_max))
+    # clamped to [thrust_min, 0] by comparisons, half the cost of max and
+    # min, in their order: a NaN passes, and -0.0 stays -0.0
+    thrust = thrust_min if thrust_min > thrust else thrust
+    # ControlInput without its NamedTuple __new__, a Python function that
+    # costs more than the tuple
+    return tuple.__new__(ControlInput, (0.0 if 0.0 < thrust else thrust,
+                                        _clip(omega, omega_max)))
 
 
 def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,

@@ -42,16 +42,14 @@ class VehicleState(Record):
 def require_finite(state):
     """Raise ``FloatingPointError`` unless every component of ``state``
     is finite: float arithmetic overflows to ``inf`` without raising.
-    One inline ``math.isfinite`` test per component, as in the other
-    layers' per-tick checks."""
-    isfinite = math.isfinite
+    One test of the components' norm, and one per component only when
+    the norm is not finite (see :mod:`liftquad.geom`)."""
     (px, py, pz), (vx, vy, vz) = state.p, state.v
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = state.R
-    if not (isfinite(px) and isfinite(py) and isfinite(pz)
-            and isfinite(vx) and isfinite(vy) and isfinite(vz)
-            and isfinite(r00) and isfinite(r01) and isfinite(r02)
-            and isfinite(r10) and isfinite(r11) and isfinite(r12)
-            and isfinite(r20) and isfinite(r21) and isfinite(r22)):
+    values = (px, py, pz, vx, vy, vz, r00, r01, r02, r10, r11, r12, r20, r21,
+              r22)
+    if not (math.isfinite(math.hypot(*values))
+            or all(map(math.isfinite, values))):
         raise overflow_error("the plant")
 
 
@@ -62,8 +60,10 @@ class PlantConfig(Frozen):
 
     _fields = ("aero", "tau_omega", "tau_thrust", "step")
     # exp(-step/tau) of the thrust and body-rate channels, taken once for
-    # actuator_lag; 0, and never read, for a channel without lag
-    __slots__ = _fields + ("_thrust_decay", "_omega_decay")
+    # actuator_lag; 0, and never read, for a channel without lag; and
+    # rk4_step's half and sixth of the step
+    __slots__ = _fields + ("_thrust_decay", "_omega_decay", "_half_step",
+                           "_sixth_step")
 
     def __init__(self, aero=AeroParams(), tau_omega=0.0, tau_thrust=0.0,
                  step=1e-3):
@@ -79,7 +79,8 @@ class PlantConfig(Frozen):
                 raise ConfigError(f"plant.{key} must be >= 0")
         decays = [math.exp(-step / tau) if tau != 0.0 else 0.0
                   for tau in (tau_thrust, tau_omega)]
-        self._set(aero, tau_omega, tau_thrust, step, *decays)
+        self._set(aero, tau_omega, tau_thrust, step, *decays, 0.5 * step,
+                  step / 6.0)
 
     @property
     def v_wind(self):
@@ -97,11 +98,15 @@ def acceleration(cfg, R, v, thrust):
     Thrust acts along body z (negative thrust pulls up in NED), the wing
     acts through the airspeed ``v - aero.wind``, gravity closes the sum.
     """
-    aero = cfg.aero
     vx, vy, vz = v
+    return _acceleration(cfg.aero, R, vx, vy, vz, thrust / cfg.aero.mass)
+
+
+def _acceleration(aero, R, vx, vy, vz, f):
+    """:func:`acceleration` at the velocity ``(vx, vy, vz)`` and the
+    thrust per mass ``f``, which :func:`rk4_step` takes once a step."""
     wx, wy, wz = aero.wind
     ax, ay, az = aero_accel(aero, R, (vx - wx, vy - wy, vz - wz))
-    f = thrust / aero.mass
     return (f * R[0][2] + ax, f * R[1][2] + ay, f * R[2][2] + az + GRAVITY)
 
 
@@ -127,13 +132,13 @@ def rk4_step(cfg, state, inp):
     give the attitude at mid-step and at the end; classical RK4
     integrates position and velocity along it.
     """
-    h = cfg.step
+    h, g, w = cfg.step, cfg._half_step, cfg._sixth_step
     wx, wy, wz = inp.omega
     rate = math.hypot(wx, wy, wz)
     if rate > 0.0:
         # the half turn, Rodrigues' formula about the unit axis u
         ux, uy, uz = wx / rate, wy / rate, wz / rate
-        angle = 0.5 * h * rate
+        angle = g * rate
         c, s = math.cos(angle), math.sin(angle)
         kx, ky, kz = (1.0 - c) * ux, (1.0 - c) * uy, (1.0 - c) * uz
         sx, sy, sz = s * ux, s * uy, s * uz
@@ -144,18 +149,17 @@ def rk4_step(cfg, state, inp):
         R_end = _turn(R_mid, half)
     else:
         R_mid = R_end = state.R
-    thrust = inp.thrust
+    aero = cfg.aero
+    f = inp.thrust / aero.mass
     px, py, pz = state.p
     vx1, vy1, vz1 = state.v
-    ax1, ay1, az1 = acceleration(cfg, state.R, state.v, thrust)
-    g = 0.5 * h
+    ax1, ay1, az1 = _acceleration(aero, state.R, vx1, vy1, vz1, f)
     vx2, vy2, vz2 = vx1 + g * ax1, vy1 + g * ay1, vz1 + g * az1
-    ax2, ay2, az2 = acceleration(cfg, R_mid, (vx2, vy2, vz2), thrust)
+    ax2, ay2, az2 = _acceleration(aero, R_mid, vx2, vy2, vz2, f)
     vx3, vy3, vz3 = vx1 + g * ax2, vy1 + g * ay2, vz1 + g * az2
-    ax3, ay3, az3 = acceleration(cfg, R_mid, (vx3, vy3, vz3), thrust)
+    ax3, ay3, az3 = _acceleration(aero, R_mid, vx3, vy3, vz3, f)
     vx4, vy4, vz4 = vx1 + h * ax3, vy1 + h * ay3, vz1 + h * az3
-    ax4, ay4, az4 = acceleration(cfg, R_end, (vx4, vy4, vz4), thrust)
-    w = h / 6.0
+    ax4, ay4, az4 = _acceleration(aero, R_end, vx4, vy4, vz4, f)
     return VehicleState(
         (px + w * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4),
          py + w * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4),
@@ -180,4 +184,5 @@ def actuator_lag(cfg, commanded, applied_prev):
         f = cfg._omega_decay
         (cx, cy, cz), (px, py, pz) = omega, applied_prev.omega
         omega = (cx + f * (px - cx), cy + f * (py - cy), cz + f * (pz - cz))
-    return ControlInput(thrust, omega)
+    # ControlInput(thrust, omega), as control.saturate builds it
+    return tuple.__new__(ControlInput, (thrust, omega))

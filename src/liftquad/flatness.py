@@ -155,7 +155,7 @@ def thrust_and_alpha(params, airspeed, accel_along, accel_perp):
     are then indeterminate), and raises ``FloatingPointError`` when the
     normalizer or its scale overflows.
     """
-    q_s = 0.5 * params.rho * params.area * airspeed * airspeed
+    q_s = params.half_rho_area * airspeed * airspeed
     lift_gain = params.cla * q_s
     k_along = params.cd0 * q_s + params.mass * accel_along
     k_perp = params.mass * accel_perp
@@ -185,7 +185,7 @@ def symmetry_plane_vector(params, v_air, accel, speed):
     normal together with the airspeed direction), as a 3-tuple;
     ``speed`` is the airspeed's norm, ``|v_air|``."""
     (vx, vy, vz), (ax, ay, az) = v_air, accel
-    k = params.rho * params.area * speed / (2.0 * params.mass) * params.cy0
+    k = params.rho_area * speed / params.twice_mass * params.cy0
     return (k * vx + ax, k * vy + ay, k * vz - GRAVITY + az)
 
 
@@ -207,7 +207,7 @@ def angular_velocity_from_flat(params, sample, rotation, thrust, v_air,
     if airspeed < _TINY:
         return None
     (cdx, _, cdxz), (_, cy0, _), (_, _, cdz) = params.drag
-    qa = params.rho * params.area * airspeed / (2.0 * params.mass)
+    qa = params.rho_area * airspeed / params.twice_mass
     cz = thrust / params.mass
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
     (ax, ay, az), (jx, jy, jz) = sample.a, sample.j
@@ -273,8 +273,8 @@ def flatness_transform(params, sample, ctx=None):
     ``params`` (in a run, the wind estimate) enters only through the
     airspeed ``v - params.wind``.
     """
-    if not all(map(math.isfinite, (*sample.p, *sample.v, *sample.a,
-                                   *sample.j, sample.psi))):
+    if not math.isfinite(math.hypot(*sample.p, *sample.v, *sample.a,
+                                    *sample.j, sample.psi)):
         _refuse(sample)
     if ctx is None:
         ctx = TransformContext()
@@ -302,25 +302,23 @@ def flatness_transform(params, sample, ctx=None):
     # airspeed and wind axis are finite once the speed is)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = out.rotation
     ox, oy, oz = out.omega
-    if not (math.isfinite(r00) and math.isfinite(r01) and math.isfinite(r02)
-            and math.isfinite(r10) and math.isfinite(r11)
-            and math.isfinite(r12) and math.isfinite(r20)
-            and math.isfinite(r21) and math.isfinite(r22)
-            and math.isfinite(out.thrust) and math.isfinite(out.alpha)
-            and math.isfinite(ox) and math.isfinite(oy)
-            and math.isfinite(oz)):
+    values = (r00, r01, r02, r10, r11, r12, r20, r21, r22, out.thrust,
+              out.alpha, ox, oy, oz)
+    if not (math.isfinite(math.hypot(*values))
+            or all(map(math.isfinite, values))):
         raise overflow_error(_LAYER)
     return out
 
 
 def _refuse(sample):
     """Raise the ``ValueError`` naming the first of ``p``, ``v``, ``a``,
-    ``j`` and ``psi`` that is not finite in a sample outside the
-    transform's domain."""
+    ``j`` and ``psi`` that is not finite, if one is: the domain test of
+    a sample whose components' norm is not finite."""
     for name in ("p", "v", "a", "j"):
         if not all(map(math.isfinite, getattr(sample, name))):
             raise ValueError(f"flat sample field {name} is not finite")
-    raise ValueError("flat sample field psi is not finite")
+    if not math.isfinite(sample.psi):
+        raise ValueError("flat sample field psi is not finite")
 
 
 def _smooth_output(params, sample, v_air, speed, axis, plane, plane_norm):
@@ -359,7 +357,8 @@ def _smooth_output(params, sample, v_air, speed, axis, plane, plane_norm):
     # the body x-axis is the wind x-axis rotated about y_b by
     # alpha - kappa; y_b is normal to it, so Rodrigues' formula keeps
     # only its cosine and sine terms
-    c, s = math.cos(alpha - params.kappa), math.sin(alpha - params.kappa)
+    turn = alpha - params.kappa
+    c, s = math.cos(turn), math.sin(turn)
     x_body = (c * ux + s * (yy * uz - yz * uy),
               c * uy + s * (yz * ux - yx * uz),
               c * uz + s * (yx * uy - yy * ux))

@@ -21,6 +21,12 @@ kernels of the numpy flatness transform, are test oracles in
 Float arithmetic gives ``inf`` or ``nan`` on overflow, and nothing here
 raises on it: each layer tests its own values inline and raises the
 ``FloatingPointError`` of :func:`overflow_error`, naming the layer.
+A gate over many values makes one test, ``math.isfinite`` of their
+``math.hypot``, which is finite only if every value is; only when it
+is not does the gate test each value, so a norm that overflows on
+finite values refuses nothing.  The norm converts each value to a C
+double, so numpy scalars warn and raise nowhere, where a sum would.  A
+gate over three or four values tests each: the norm's call costs more.
 """
 
 import math
@@ -113,22 +119,28 @@ def mat_to_quat(rotation):
         raise NonOrthonormalError(f"orthonormality residual {residual:.3g} "
                                   f"exceeds {UNIT_TOL:g} or det <= 0")
     # Shepperd's method: branch on the largest diagonal combination to keep
-    # the divisor well away from zero.
+    # the divisor well away from zero.  The builtin max calls are written
+    # as comparisons, which cost half: the residual check lets no NaN
+    # through, and max(0.0, s) is s if s > 0.0 else 0.0.
     t = r00 + r11 + r22
-    if t >= max(r00, r11, r22):
-        w = 0.5 * math.sqrt(max(0.0, 1.0 + t))
+    if t >= r00 and t >= r11 and t >= r22:
+        s = 1.0 + t
+        w = 0.5 * math.sqrt(s if s > 0.0 else 0.0)
         f = 0.25 / w
         x, y, z = f * (r21 - r12), f * (r02 - r20), f * (r10 - r01)
-    elif r00 >= max(r11, r22):
-        x = 0.5 * math.sqrt(max(0.0, 1.0 + r00 - r11 - r22))
+    elif r00 >= r11 and r00 >= r22:
+        s = 1.0 + r00 - r11 - r22
+        x = 0.5 * math.sqrt(s if s > 0.0 else 0.0)
         f = 0.25 / x
         w, y, z = f * (r21 - r12), f * (r01 + r10), f * (r02 + r20)
     elif r11 >= r22:
-        y = 0.5 * math.sqrt(max(0.0, 1.0 + r11 - r00 - r22))
+        s = 1.0 + r11 - r00 - r22
+        y = 0.5 * math.sqrt(s if s > 0.0 else 0.0)
         f = 0.25 / y
         w, x, z = f * (r02 - r20), f * (r01 + r10), f * (r12 + r21)
     else:
-        z = 0.5 * math.sqrt(max(0.0, 1.0 + r22 - r00 - r11))
+        s = 1.0 + r22 - r00 - r11
+        z = 0.5 * math.sqrt(s if s > 0.0 else 0.0)
         f = 0.25 / z
         w, x, y = f * (r10 - r01), f * (r02 + r20), f * (r12 + r21)
     n = math.sqrt(w * w + x * x + y * y + z * z)
@@ -146,7 +158,11 @@ def quat_to_rotation_vector(q):
     """
     qw, qx, qy, qz = q
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    w = min(1.0, max(-1.0, qw / n))
+    # clamped to [-1, 1] by comparisons, half the cost of min and max,
+    # in their order: a NaN goes to -1.0
+    w = qw / n
+    w = w if w > -1.0 else -1.0
+    w = w if w < 1.0 else 1.0
     angle = wrap_pi(2.0 * math.acos(w))
     sign = 1.0 if w >= 0.0 else -1.0
     if abs(angle) < SMALL_ANGLE:

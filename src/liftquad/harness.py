@@ -145,9 +145,11 @@ class RunResult:
         velocity of ``state``, the measured and desired attitude
         quaternions, the command and the feedforward: one row write,
         its values in ``COLUMNS`` order."""
-        _ROW.pack_into(self.rows, k * _ROW.size, t, *state.p, *ref.p,
-                       *state.v, *q, *q_d, cmd.thrust, *cmd.omega,
-                       flat.alpha, flat.singular)
+        (px, py, pz), (rx, ry, rz), (vx, vy, vz) = state.p, ref.p, state.v
+        (qw, qx, qy, qz), (dw, dx, dy, dz), (wx, wy, wz) = q, q_d, cmd.omega
+        _ROW.pack_into(self.rows, k * _ROW.size, t, px, py, pz, rx, ry, rz,
+                       vx, vy, vz, qw, qx, qy, qz, dw, dx, dy, dz, cmd.thrust,
+                       wx, wy, wz, flat.alpha, flat.singular)
 
     def head(self, n_rows):
         """The first ``n_rows`` rows, e.g. a diverged run's partial trace."""
@@ -173,13 +175,17 @@ def _csv_lines(batch, n):
     equal another's is formatted once into strings that both take by
     ``%s``; every other column's values go to the template's
     ``%.17g``.  Bytes, not floats, are compared, so ``0.0`` and
-    ``-0.0``, and NaNs of other bits, keep their own text."""
+    ``-0.0``, and NaNs of other bits, keep their own text.  A batch with
+    no such twin columns, as a closed loop's usually is, gives its
+    values in row order once its constant columns are deleted from it:
+    ``batch`` is the caller's copy of the rows, which the call changes."""
     columns = [batch[index::_WIDTH] for index in range(_WIDTH)]
     keys = [column.tobytes() for column in columns]
-    fields, sources, texts = [], [], {}
-    for column, key in zip(columns, keys):
+    fields, sources, texts, constant = [], [], {}, []
+    for index, (column, key) in enumerate(zip(columns, keys)):
         if key == key[:8] * n:
             fields.append("%.17g" % column[0])
+            constant.append(index)
         elif keys.count(key) == 1:
             fields.append("%.17g")
             sources.append(column)
@@ -189,7 +195,12 @@ def _csv_lines(batch, n):
             fields.append("%s")
             sources.append(texts[key])
     line = ",".join(fields) + "\n"
-    return line * n % tuple(chain.from_iterable(zip(*sources)))
+    if texts:
+        return line * n % tuple(chain.from_iterable(zip(*sources)))
+    # highest first, each from rows as wide as the deletions left them
+    for width, index in zip(range(_WIDTH, 0, -1), reversed(constant)):
+        del batch[index::width]
+    return line * n % tuple(batch)
 
 
 def _went_non_finite(reason, t, ref, result, k):

@@ -24,7 +24,11 @@ package against; none of them runs in a simulation.
   reads, with the reference speed sampled again from the trajectory;
 * the feasibility report read back from an open-loop trace's columns,
   an oracle for the one-pass :func:`liftquad.harness.feasibility_check`;
-* gravity as a numpy vector, :data:`GRAVITY_VEC`.
+* gravity as a numpy vector, :data:`GRAVITY_VEC`;
+* the float kernels written with the ``min`` and ``max`` builtins,
+  :func:`mat_to_quat_minmax`, :func:`quat_to_rotation_vector_minmax`
+  and :func:`saturate_minmax`, oracles, bit for bit, for the package's
+  comparisons in their place.
 """
 
 import math
@@ -32,13 +36,15 @@ import math
 import numpy as np
 
 from liftquad.aero import GRAVITY, aero_accel
-from liftquad.control import (_CROSS_TOL, FREE_FALL_ACCEL, ControlInput)
+from liftquad.control import (_CROSS_TOL, FREE_FALL_ACCEL, ControlInput,
+                              _clip)
 from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL, HADAMARD_TOL,
                                SPEED_SINGULAR_ENTER, SPEED_SINGULAR_EXIT,
                                FlatnessOutput, SingularCase, TransformContext,
                                thrust_and_alpha)
-from liftquad.geom import (UNIT_TOL, NonOrthonormalError, lateral_axis,
-                           quat_conj, quat_mul, quat_to_rotation_vector)
+from liftquad.geom import (SMALL_ANGLE, UNIT_TOL, NonOrthonormalError,
+                           lateral_axis, quat_conj, quat_mul,
+                           quat_to_rotation_vector, wrap_pi)
 from liftquad.harness import COLUMNS, CSV_COLUMNS, FeasibilityReport
 from liftquad.trajectories import TrajectoryKind, sample
 
@@ -590,3 +596,66 @@ def _zero_velocity_output(params, sample, v_air, held_axis):
     thrust = min(0.0, params.mass * float(rotation[:, 2] @ (sample.a - GRAVITY_VEC)))
     return FlatnessOutput(rotation, thrust, params.kappa, np.zeros(3), v_air,
                           axis, SingularCase.ZERO_VELOCITY)
+
+
+def mat_to_quat_minmax(rotation):
+    """:func:`liftquad.geom.mat_to_quat` with its branch tests and
+    clamps as the ``max`` builtin calls."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    d00 = r00 * r00 + r10 * r10 + r20 * r20 - 1.0
+    d11 = r01 * r01 + r11 * r11 + r21 * r21 - 1.0
+    d22 = r02 * r02 + r12 * r12 + r22 * r22 - 1.0
+    d01 = r00 * r01 + r10 * r11 + r20 * r21
+    d02 = r00 * r02 + r10 * r12 + r20 * r22
+    d12 = r01 * r02 + r11 * r12 + r21 * r22
+    residual = math.sqrt(d00 * d00 + d11 * d11 + d22 * d22
+                         + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
+    det = (r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
+           + r02 * (r10 * r21 - r11 * r20))
+    if not (residual <= UNIT_TOL and det > 0.0):
+        raise NonOrthonormalError(f"orthonormality residual {residual:.3g} "
+                                  f"exceeds {UNIT_TOL:g} or det <= 0")
+    t = r00 + r11 + r22
+    if t >= max(r00, r11, r22):
+        w = 0.5 * math.sqrt(max(0.0, 1.0 + t))
+        f = 0.25 / w
+        x, y, z = f * (r21 - r12), f * (r02 - r20), f * (r10 - r01)
+    elif r00 >= max(r11, r22):
+        x = 0.5 * math.sqrt(max(0.0, 1.0 + r00 - r11 - r22))
+        f = 0.25 / x
+        w, y, z = f * (r21 - r12), f * (r01 + r10), f * (r02 + r20)
+    elif r11 >= r22:
+        y = 0.5 * math.sqrt(max(0.0, 1.0 + r11 - r00 - r22))
+        f = 0.25 / y
+        w, x, z = f * (r02 - r20), f * (r01 + r10), f * (r12 + r21)
+    else:
+        z = 0.5 * math.sqrt(max(0.0, 1.0 + r22 - r00 - r11))
+        f = 0.25 / z
+        w, x, y = f * (r10 - r01), f * (r02 + r20), f * (r12 + r21)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if w < 0.0:
+        n = -n
+    return (w / n, x / n, y / n, z / n)
+
+
+def quat_to_rotation_vector_minmax(q):
+    """:func:`liftquad.geom.quat_to_rotation_vector` with its clamp as
+    the ``min`` and ``max`` builtin calls."""
+    qw, qx, qy, qz = q
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    w = min(1.0, max(-1.0, qw / n))
+    angle = wrap_pi(2.0 * math.acos(w))
+    sign = 1.0 if w >= 0.0 else -1.0
+    if abs(angle) < SMALL_ANGLE:
+        scale = 2.0 + angle * angle / 12.0
+    else:
+        scale = angle / math.sin(0.5 * angle)
+    k = sign * scale
+    return (k * (qx / n), k * (qy / n), k * (qz / n))
+
+
+def saturate_minmax(thrust_min, omega_max, thrust, omega):
+    """:func:`liftquad.control.saturate` with its thrust clamp as the
+    ``min`` and ``max`` builtin calls."""
+    return ControlInput(min(max(thrust, thrust_min), 0.0),
+                        _clip(omega, omega_max))

@@ -313,6 +313,21 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("text, refusal", [
+    ("sim.rate = 250\nsim.substeps = 0\n", "2: sim.substeps must be > 0"),
+    ("sim.rate = 0\nsim.substeps = 1\n", "1: sim.rate must be > 0"),
+    # both out of range: the rate is refused first
+    ("sim.substeps = 0\nsim.rate = 0\n", "2: sim.rate must be > 0"),
+])
+def test_a_range_refusal_is_located_at_its_keys_line(tmp_path, capsys, text,
+                                                      refusal):
+    cfg = write_cfg(tmp_path, text)
+    code = main(["check", "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"config error: {cfg}:{refusal}"
+
+
 def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"sim.rate = 2\xff50\n")

@@ -285,7 +285,10 @@ def test_config_error_carries_location():
              r"demo\.cfg:2: plant\.mass must be > 0"),
             # the first key a refusal names that the file sets
             ("sim.duration = 1\nsim.substeps = 0",
-             r"demo\.cfg:2: sim\.rate and sim\.substeps must be > 0$"),
+             r"demo\.cfg:2: sim\.substeps must be > 0$"),
+            ("sim.duration = 1\nlimits.thrust_factor = 1e308",
+             r"demo\.cfg:2: limits\.thrust_factor times model\.mass \* g "
+             r"must be finite$"),
             ("plant.rho = thick\nsim.rate = fast",
              r"demo\.cfg:1: bad value for plant\.rho: 'thick' \(")):
         with pytest.raises(ConfigError, match="^" + message):
