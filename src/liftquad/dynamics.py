@@ -60,10 +60,8 @@ class PlantConfig(Frozen):
 
     _fields = ("aero", "tau_omega", "tau_thrust", "step")
     # exp(-step/tau) of the thrust and body-rate channels, taken once for
-    # actuator_lag; 0, and never read, for a channel without lag; and
-    # rk4_step's half and sixth of the step
-    __slots__ = _fields + ("_thrust_decay", "_omega_decay", "_half_step",
-                           "_sixth_step")
+    # actuator_lag; 0, and never read, for a channel without lag
+    __slots__ = _fields + ("_thrust_decay", "_omega_decay")
 
     def __init__(self, aero=AeroParams(), tau_omega=0.0, tau_thrust=0.0,
                  step=1e-3):
@@ -79,8 +77,7 @@ class PlantConfig(Frozen):
                 raise ConfigError(f"plant.{key} must be >= 0")
         decays = [math.exp(-step / tau) if tau != 0.0 else 0.0
                   for tau in (tau_thrust, tau_omega)]
-        self._set(aero, tau_omega, tau_thrust, step, *decays, 0.5 * step,
-                  step / 6.0)
+        self._set(aero, tau_omega, tau_thrust, step, *decays)
 
     @property
     def v_wind(self):
@@ -132,13 +129,13 @@ def rk4_step(cfg, state, inp):
     give the attitude at mid-step and at the end; classical RK4
     integrates position and velocity along it.
     """
-    h, g, w = cfg.step, cfg._half_step, cfg._sixth_step
+    h = cfg.step
     wx, wy, wz = inp.omega
     rate = math.hypot(wx, wy, wz)
     if rate > 0.0:
         # the half turn, Rodrigues' formula about the unit axis u
         ux, uy, uz = wx / rate, wy / rate, wz / rate
-        angle = g * rate
+        angle = 0.5 * h * rate
         c, s = math.cos(angle), math.sin(angle)
         kx, ky, kz = (1.0 - c) * ux, (1.0 - c) * uy, (1.0 - c) * uz
         sx, sy, sz = s * ux, s * uy, s * uz
@@ -154,12 +151,14 @@ def rk4_step(cfg, state, inp):
     px, py, pz = state.p
     vx1, vy1, vz1 = state.v
     ax1, ay1, az1 = _acceleration(aero, state.R, vx1, vy1, vz1, f)
+    g = 0.5 * h
     vx2, vy2, vz2 = vx1 + g * ax1, vy1 + g * ay1, vz1 + g * az1
     ax2, ay2, az2 = _acceleration(aero, R_mid, vx2, vy2, vz2, f)
     vx3, vy3, vz3 = vx1 + g * ax2, vy1 + g * ay2, vz1 + g * az2
     ax3, ay3, az3 = _acceleration(aero, R_mid, vx3, vy3, vz3, f)
     vx4, vy4, vz4 = vx1 + h * ax3, vy1 + h * ay3, vz1 + h * az3
     ax4, ay4, az4 = _acceleration(aero, R_end, vx4, vy4, vz4, f)
+    w = h / 6.0
     return VehicleState(
         (px + w * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4),
          py + w * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4),

@@ -175,17 +175,13 @@ def _csv_lines(batch, n):
     equal another's is formatted once into strings that both take by
     ``%s``; every other column's values go to the template's
     ``%.17g``.  Bytes, not floats, are compared, so ``0.0`` and
-    ``-0.0``, and NaNs of other bits, keep their own text.  A batch with
-    no such twin columns, as a closed loop's usually is, gives its
-    values in row order once its constant columns are deleted from it:
-    ``batch`` is the caller's copy of the rows, which the call changes."""
+    ``-0.0``, and NaNs of other bits, keep their own text."""
     columns = [batch[index::_WIDTH] for index in range(_WIDTH)]
     keys = [column.tobytes() for column in columns]
-    fields, sources, texts, constant = [], [], {}, []
-    for index, (column, key) in enumerate(zip(columns, keys)):
+    fields, sources, texts = [], [], {}
+    for column, key in zip(columns, keys):
         if key == key[:8] * n:
             fields.append("%.17g" % column[0])
-            constant.append(index)
         elif keys.count(key) == 1:
             fields.append("%.17g")
             sources.append(column)
@@ -195,12 +191,7 @@ def _csv_lines(batch, n):
             fields.append("%s")
             sources.append(texts[key])
     line = ",".join(fields) + "\n"
-    if texts:
-        return line * n % tuple(chain.from_iterable(zip(*sources)))
-    # highest first, each from rows as wide as the deletions left them
-    for width, index in zip(range(_WIDTH, 0, -1), reversed(constant)):
-        del batch[index::width]
-    return line * n % tuple(batch)
+    return line * n % tuple(chain.from_iterable(zip(*sources)))
 
 
 def _went_non_finite(reason, t, ref, result, k):

@@ -21,6 +21,9 @@ _DERIVED = [
     (AeroParams(kappa=math.radians(52.0), cla=2.6), "drag"),
     (AeroParams(kappa=math.radians(52.0), cla=2.6), "cos_kappa"),
     (AeroParams(kappa=math.radians(52.0), cla=2.6), "sin_kappa"),
+    (AeroParams(mass=2.3, rho=1.1, area=0.35), "rho_area"),
+    (AeroParams(mass=2.3, rho=1.1, area=0.35), "half_rho_area"),
+    (AeroParams(mass=2.3, rho=1.1, area=0.35), "twice_mass"),
     (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_thrust_decay"),
     (PlantConfig(tau_omega=0.03, tau_thrust=0.05), "_omega_decay"),
     (TrajectoryDef(TrajectoryKind.LEMNISCATE, r=12.0, omega=0.4), "terms"),
