@@ -30,17 +30,14 @@ import math
 from typing import NamedTuple
 
 from .aero import GRAVITY, aero_accel
-from .geom import (lateral_axis, mat_to_quat, overflow_error, quat_conj,
-                   quat_mul, quat_to_rotation_vector)
+from .geom import (CROSS_ALIGN_TOL, attitude_error, lateral_axis,
+                   mat_to_quat, overflow_error)
 from .record import ConfigError, Frozen, Record, finite, float3
 
 # Acceleration-demand norm below which the thrust direction is
 # undefined and the free-fall policy (hold attitude, zero thrust) is
 # used instead.
 FREE_FALL_ACCEL = 1e-6
-# Rejection threshold for lateral-axis candidates nearly parallel to
-# the desired thrust axis.
-_CROSS_TOL = 1e-6
 _GAINS = ("kpp", "kvp", "kvi", "kff", "ktp")
 _LAYER = "the controller"
 
@@ -200,8 +197,9 @@ def accel_to_attitude_thrust(params, gains, a_d, flat):
         return rotation_ff, 0.0, True
     force = (rx / rotor_norm, ry / rotor_norm, rz / rotor_norm)
     (hx, _, _), (hy, _, _), (hz, _, _) = rotation_ff
+    # the force is a unit vector, so the tolerance is the floor
     _, (yx, yy, yz) = lateral_axis(
-        force, (flat.wind_axis, (hx, hy, hz)), _CROSS_TOL)
+        force, (flat.wind_axis, (hx, hy, hz)), CROSS_ALIGN_TOL)
     zx, zy, zz = -force[0], -force[1], -force[2]
     # x_body = y_body x z_body
     xx, xy, xz = yy * zz - yz * zy, yz * zx - yx * zz, yx * zy - yy * zx
@@ -214,14 +212,13 @@ def accel_to_attitude_thrust(params, gains, a_d, flat):
 def attitude_loop(gains, rate_ff, q_d, q_current, omega_ref):
     """Body-rate command from the attitude error.
 
-    The error quaternion rotates the current attitude ``q_current`` onto
-    the desired one ``q_d``; its rotation vector is scaled by ``ktp``
-    and the flatness body rate is added if ``rate_ff`` is true.
-    Antipodal quaternion representations give the same command up to
-    rounding (see :func:`liftquad.geom.quat_to_rotation_vector`).
+    The error is the rotation vector that turns the current attitude
+    ``q_current`` onto the desired one ``q_d`` the short way round
+    (:func:`liftquad.geom.attitude_error`); it is scaled by ``ktp`` and
+    the flatness body rate is added if ``rate_ff`` is true.  Antipodal
+    quaternion representations give the same command up to rounding.
     """
-    q_err = quat_mul(quat_conj(q_current), q_d)
-    (kx, ky, kz), (ex, ey, ez) = gains.ktp, quat_to_rotation_vector(q_err)
+    (kx, ky, kz), (ex, ey, ez) = gains.ktp, attitude_error(q_current, q_d)
     if not rate_ff:
         return (kx * ex, ky * ey, kz * ez)
     wx, wy, wz = omega_ref

@@ -38,16 +38,13 @@ import math
 from enum import IntEnum
 
 from .aero import GRAVITY
-from .geom import lateral_axis, overflow_error
+from .geom import CROSS_ALIGN_TOL, lateral_axis, overflow_error
 from .record import Record
 
 # Hysteresis band for the zero-velocity branch: enter below the first
 # speed, return to the smooth construction above the second.
 SPEED_SINGULAR_ENTER = 0.3
 SPEED_SINGULAR_EXIT = 0.5
-# Relative tolerance on |x_w x plane| below which the lateral axis is
-# considered undefined.
-CROSS_ALIGN_TOL = 1e-6
 # Relative tolerance on the body-rate system determinant.
 DET_TOL = 1e-9
 # Bound on the body-rate system's Hadamard ratio, |det| over the product

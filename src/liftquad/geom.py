@@ -31,13 +31,14 @@ gate over three or four values tests each: the norm's call costs more.
 
 import math
 
-TWO_PI = 2.0 * math.pi
-
 # A matrix this far from orthonormal silently distorts lengths, so
 # mat_to_quat refuses it instead of converting it.
 UNIT_TOL = 1e-6
 SMALL_ANGLE = 1e-6
 
+# A heading within this angle (rad) of the force makes no lateral axis:
+# the floor a caller passes lateral_axis is this times the force's norm.
+CROSS_ALIGN_TOL = 1e-6
 # the earth axes lateral_axis falls back on, as floats
 _EARTH_X = (1.0, 0.0, 0.0)
 _EARTH_Y = (0.0, 1.0, 0.0)
@@ -68,30 +69,6 @@ def lateral_axis(force, headings, floor):
         if cross_norm > floor:
             return heading, (cx / cross_norm, cy / cross_norm, cz / cross_norm)
     raise AssertionError("no usable lateral axis candidate")
-
-
-def wrap_pi(angle):
-    """Wrap an angle in radians to (-pi, pi]."""
-    a = angle % TWO_PI
-    if a > math.pi:
-        a -= TWO_PI
-    return a
-
-
-def quat_mul(a, b):
-    """Hamilton product of two scalar-first quaternions, as a 4-tuple."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw)
-
-
-def quat_conj(q):
-    """Conjugate (inverse for unit quaternions), as a 4-tuple."""
-    w, x, y, z = q
-    return (w, -x, -y, -z)
 
 
 def mat_to_quat(rotation):
@@ -149,26 +126,37 @@ def mat_to_quat(rotation):
     return (w / n, x / n, y / n, z / n)
 
 
-def quat_to_rotation_vector(q):
-    """Rotation vector (axis scaled by angle) of a unit quaternion,
-    shortest path, as a 3-tuple of norm at most pi.
+def attitude_error(q, q_d):
+    """Rotation vector (axis scaled by angle) that turns the attitude
+    ``q`` onto ``q_d``, the short way round, as a 3-tuple of norm at most
+    pi: the rotation of the error quaternion ``conj(q) * q_d``.
 
-    Antipodal quaternions (q and -q) give the same vector up to rounding:
-    at most 8.9e-16 rad per component over 200,000 random draws.
+    Antipodal quaternions (q and -q, either argument) give the same
+    vector up to rounding: at most 8.9e-16 rad per component over
+    200,000 random draws.
     """
-    qw, qx, qy, qz = q
-    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    w, x, y, z = q
+    dw, dx, dy, dz = q_d
+    # the Hamilton product conj(q) * q_d, term by term in its order
+    ew = w * dw + x * dx + y * dy + z * dz
+    ex = w * dx - x * dw - y * dz + z * dy
+    ey = w * dy + x * dz - y * dw - z * dx
+    ez = w * dz - x * dy + y * dx - z * dw
+    n = math.sqrt(ew * ew + ex * ex + ey * ey + ez * ez)
     # clamped to [-1, 1] by comparisons, half the cost of min and max,
     # in their order: a NaN goes to -1.0
-    w = qw / n
-    w = w if w > -1.0 else -1.0
-    w = w if w < 1.0 else 1.0
-    angle = wrap_pi(2.0 * math.acos(w))
-    sign = 1.0 if w >= 0.0 else -1.0
+    c = ew / n
+    c = c if c > -1.0 else -1.0
+    c = c if c < 1.0 else 1.0
+    # 2 acos(c) lies in [0, 2 pi]; the short way round is in (-pi, pi]
+    angle = 2.0 * math.acos(c)
+    if angle > math.pi:
+        angle -= math.tau
     if abs(angle) < SMALL_ANGLE:
         # theta / sin(theta/2) -> 2 + theta^2/12 as theta -> 0
         scale = 2.0 + angle * angle / 12.0
     else:
         scale = angle / math.sin(0.5 * angle)
+    sign = 1.0 if c >= 0.0 else -1.0
     k = sign * scale
-    return (k * (qx / n), k * (qy / n), k * (qz / n))
+    return (k * (ex / n), k * (ey / n), k * (ez / n))

@@ -408,7 +408,13 @@ def feasibility_check(cfg):
         thrust, alpha, (wx, wy, wz) = flat.thrust, flat.alpha, flat.omega
         if thrust < thrust_peak:
             thrust_peak = thrust
-        omega_peak = max(omega_peak, abs(wx), abs(wy), abs(wz))
+        wx, wy, wz = abs(wx), abs(wy), abs(wz)
+        if wx > omega_peak:
+            omega_peak = wx
+        if wy > omega_peak:
+            omega_peak = wy
+        if wz > omega_peak:
+            omega_peak = wz
         if alpha < alpha_low:
             alpha_low = alpha
         if alpha > alpha_high:

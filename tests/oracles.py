@@ -11,7 +11,10 @@ package against; none of them runs in a simulation.
   computes on Python floats, with the numpy kernels the transform
   calls (:func:`cross3`, :func:`norm`, :data:`EYE3`, :func:`skew`,
   :func:`rodrigues`); the transform reads a
-  :class:`liftquad.flatness.FlatSample` of numpy arrays;
+  :class:`liftquad.flatness.FlatSample` of numpy arrays, and the
+  attitude loop computes its own error (:func:`attitude_error`, a numpy
+  Hamilton product and an ``atan2`` angle), an oracle for
+  :func:`liftquad.geom.attitude_error`;
 * a central-difference audit of the trajectories' analytic derivatives,
   and the references sampled from their formulas with every term
   computed at each call, an oracle for
@@ -26,9 +29,9 @@ package against; none of them runs in a simulation.
   an oracle for the one-pass :func:`liftquad.harness.feasibility_check`;
 * gravity as a numpy vector, :data:`GRAVITY_VEC`;
 * the float kernels written with the ``min`` and ``max`` builtins,
-  :func:`mat_to_quat_minmax`, :func:`quat_to_rotation_vector_minmax`
-  and :func:`saturate_minmax`, oracles, bit for bit, for the package's
-  comparisons in their place.
+  :func:`mat_to_quat_minmax`, :func:`attitude_error_minmax` (with the
+  general wrap of an angle to ``(-pi, pi]``) and :func:`saturate_minmax`,
+  oracles, bit for bit, for the package's comparisons in their place.
 """
 
 import math
@@ -36,15 +39,13 @@ import math
 import numpy as np
 
 from liftquad.aero import GRAVITY, aero_accel
-from liftquad.control import (_CROSS_TOL, FREE_FALL_ACCEL, ControlInput,
-                              _clip)
-from liftquad.flatness import (_TINY, CROSS_ALIGN_TOL, DET_TOL, HADAMARD_TOL,
+from liftquad.control import FREE_FALL_ACCEL, ControlInput, _clip
+from liftquad.flatness import (_TINY, DET_TOL, HADAMARD_TOL,
                                SPEED_SINGULAR_ENTER, SPEED_SINGULAR_EXIT,
                                FlatnessOutput, SingularCase, TransformContext,
                                thrust_and_alpha)
-from liftquad.geom import (SMALL_ANGLE, UNIT_TOL, NonOrthonormalError,
-                           lateral_axis, quat_conj, quat_mul,
-                           quat_to_rotation_vector, wrap_pi)
+from liftquad.geom import (CROSS_ALIGN_TOL, SMALL_ANGLE, UNIT_TOL,
+                           NonOrthonormalError, lateral_axis)
 from liftquad.harness import COLUMNS, CSV_COLUMNS, FeasibilityReport
 from liftquad.trajectories import TrajectoryKind, sample
 
@@ -374,7 +375,7 @@ def accel_to_attitude_thrust(params, gains, a_d, flat):
         return flat.rotation, 0.0, True
     force = a_rotor / rotor_norm
     _, y_body = lateral_axis(force, (flat.wind_axis, flat.rotation[:, 0]),
-                             _CROSS_TOL)
+                             CROSS_ALIGN_TOL)
     z_body = -force
     x_body = cross3(y_body, z_body)
     rotation = np.column_stack((x_body, y_body, z_body))
@@ -382,18 +383,32 @@ def accel_to_attitude_thrust(params, gains, a_d, flat):
     return rotation, min(thrust, 0.0), False
 
 
+def attitude_error(q, q_d):
+    """The rotation vector that turns the attitude ``q`` onto ``q_d`` the
+    short way round: the error quaternion ``conj(q) q_d``, negated if
+    its scalar part ``w`` is negative, turns by ``2 atan2(|v|, w)`` about
+    its vector part ``v``."""
+    w, v = q[0], -np.asarray(q[1:], dtype=float)
+    dw, dv = q_d[0], np.asarray(q_d[1:], dtype=float)
+    # the Hamilton product (w, v) (dw, dv)
+    err_w, err_v = w * dw - v @ dv, w * dv + dw * v + cross3(v, dv)
+    if err_w < 0.0:
+        err_w, err_v = -err_w, -err_v
+    turn = norm(err_v)
+    if turn == 0.0:
+        return np.zeros(3)
+    return 2.0 * math.atan2(turn, err_w) / turn * err_v
+
+
 def attitude_loop(gains, rate_ff, q_d, q_current, omega_ref):
     """Body-rate command from the attitude error.
 
-    The error quaternion rotates the current attitude ``q_current`` onto
-    the desired one ``q_d``; its rotation vector is scaled by ``ktp``
-    and the flatness body rate is added if ``rate_ff`` is true.
-    Antipodal quaternion representations give the same command up to
-    rounding (see :func:`liftquad.geom.quat_to_rotation_vector`).
+    The error is the rotation vector that turns the current attitude
+    ``q_current`` onto the desired one ``q_d`` the short way round
+    (:func:`attitude_error`); it is scaled by ``ktp`` and the flatness
+    body rate is added if ``rate_ff`` is true.
     """
-    q_err = quat_mul(quat_conj(q_current), q_d)
-    xi = quat_to_rotation_vector(q_err)
-    omega = np.asarray(gains.ktp) * xi
+    omega = np.asarray(gains.ktp) * attitude_error(q_current, q_d)
     if rate_ff:
         omega = omega + omega_ref
     return omega
@@ -638,20 +653,28 @@ def mat_to_quat_minmax(rotation):
     return (w / n, x / n, y / n, z / n)
 
 
-def quat_to_rotation_vector_minmax(q):
-    """:func:`liftquad.geom.quat_to_rotation_vector` with its clamp as
-    the ``min`` and ``max`` builtin calls."""
-    qw, qx, qy, qz = q
-    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    w = min(1.0, max(-1.0, qw / n))
-    angle = wrap_pi(2.0 * math.acos(w))
-    sign = 1.0 if w >= 0.0 else -1.0
+def attitude_error_minmax(q, q_d):
+    """:func:`liftquad.geom.attitude_error` with its clamp as the ``min``
+    and ``max`` builtin calls, and its angle wrapped to ``(-pi, pi]``
+    from any angle, not only from ``[0, 2 pi]``."""
+    w, x, y, z = q
+    dw, dx, dy, dz = q_d
+    ew = w * dw + x * dx + y * dy + z * dz
+    ex = w * dx - x * dw - y * dz + z * dy
+    ey = w * dy + x * dz - y * dw - z * dx
+    ez = w * dz - x * dy + y * dx - z * dw
+    n = math.sqrt(ew * ew + ex * ex + ey * ey + ez * ez)
+    c = min(1.0, max(-1.0, ew / n))
+    angle = 2.0 * math.acos(c) % math.tau
+    if angle > math.pi:
+        angle -= math.tau
+    sign = 1.0 if c >= 0.0 else -1.0
     if abs(angle) < SMALL_ANGLE:
         scale = 2.0 + angle * angle / 12.0
     else:
         scale = angle / math.sin(0.5 * angle)
     k = sign * scale
-    return (k * (qx / n), k * (qy / n), k * (qz / n))
+    return (k * (ex / n), k * (ey / n), k * (ez / n))
 
 
 def saturate_minmax(thrust_min, omega_max, thrust, omega):

@@ -29,7 +29,7 @@ from liftquad.control import (ControlGains, ControlInput, ControlLimits,
 from liftquad.dynamics import VehicleState, require_finite
 from liftquad.flatness import (FlatnessOutput, FlatSample, SingularCase,
                                flatness_transform)
-from liftquad.geom import mat_to_quat, quat_to_rotation_vector
+from liftquad.geom import attitude_error, mat_to_quat
 import oracles
 
 _EDGES = (math.inf, -math.inf, math.nan, 1e308, -1e308,
@@ -200,12 +200,15 @@ def test_mat_to_quat_is_its_max_form(rotation):
         oracles.mat_to_quat_minmax, rotation)
 
 
+quats = st.lists(st.sampled_from(_TIES) | components, min_size=4,
+                 max_size=4) | tie_quats
+
+
 @settings(max_examples=500, deadline=None)
-@given(q=st.lists(st.sampled_from(_TIES) | components, min_size=4,
-                  max_size=4) | tie_quats)
-def test_quat_to_rotation_vector_is_its_min_max_form(q):
-    assert _outcome(quat_to_rotation_vector, q) == _outcome(
-        oracles.quat_to_rotation_vector_minmax, q)
+@given(q=quats, q_d=quats)
+def test_attitude_error_is_its_min_max_form(q, q_d):
+    assert _outcome(attitude_error, q, q_d) == _outcome(
+        oracles.attitude_error_minmax, q, q_d)
 
 
 @st.composite

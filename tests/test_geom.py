@@ -1,5 +1,6 @@
-"""Geometric primitives: quaternions and axis-angle, with the skew maps
-and Rodrigues rotations of the numpy oracles they are checked with."""
+"""Geometric primitives: quaternions and the attitude error, with the
+skew maps and Rodrigues rotations of the numpy oracles they are checked
+with."""
 
 import math
 
@@ -8,14 +9,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from liftquad.geom import (NonOrthonormalError, mat_to_quat, quat_conj,
-                           quat_mul, quat_to_rotation_vector, wrap_pi)
+from liftquad.geom import NonOrthonormalError, attitude_error, mat_to_quat
 from oracles import (NonUnitAxisError, quat_to_mat, rodrigues, skew,
                      unskew)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def random_unit(rng):
@@ -58,7 +59,11 @@ def test_unskew_inverts_skew():
     (-0.25 * math.pi, -0.25 * math.pi),
 ])
 def test_wrap_pi(angle, expected):
-    assert wrap_pi(angle) == pytest.approx(expected, abs=1e-12)
+    # a turn by ``angle`` about x is the error of the identity onto it,
+    # the short way round: a turn by ``angle`` wrapped to (-pi, pi]
+    half = 0.5 * angle
+    out = attitude_error(IDENTITY, (math.cos(half), math.sin(half), 0.0, 0.0))
+    assert np.linalg.norm(out) == pytest.approx(abs(expected), abs=1e-12)
 
 
 def test_rodrigues_zero_angle_identity():
@@ -108,21 +113,25 @@ def test_quat_identity_round_trip():
 
 
 def test_quat_conj_cancels():
+    # the error of an attitude onto itself is zero
     rng = np.random.default_rng(7)
     for _ in range(20):
         q = mat_to_quat(random_rotation(rng))
-        prod = quat_mul(q, quat_conj(q))
-        assert_allclose(prod, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+        assert_allclose(attitude_error(q, q), np.zeros(3), atol=1e-14)
 
 
 def test_quat_mul_matches_matrix_product():
+    # the error of q_a onto q_b, recomposed, is R_a^T R_b
     rng = np.random.default_rng(8)
     for _ in range(30):
         qa = mat_to_quat(random_rotation(rng))
         qb = mat_to_quat(random_rotation(rng))
+        out = np.asarray(attitude_error(qa, qb))
+        turn = np.linalg.norm(out)
+        assert turn <= math.pi
         # oracle: product of the corresponding rotation matrices
-        lhs = quat_to_mat(quat_mul(qa, qb))
-        rhs = quat_to_mat(qa) @ quat_to_mat(qb)
+        lhs = rodrigues(out / turn, turn)
+        rhs = quat_to_mat(qa).T @ quat_to_mat(qb)
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -158,14 +167,14 @@ def test_mat_to_quat_rejects_a_nan_entry(row, col):
 
 
 def test_axis_angle_identity():
-    out = quat_to_rotation_vector(np.array([1.0, 0.0, 0.0, 0.0]))
+    out = attitude_error(IDENTITY, IDENTITY)
     assert type(out) is tuple
     assert out == (0.0, 0.0, 0.0)
 
 
 def test_axis_angle_quarter_turn_about_z():
     q = mat_to_quat(rodrigues(EZ, 0.5 * math.pi))
-    out = quat_to_rotation_vector(q)
+    out = attitude_error(IDENTITY, q)
     assert np.linalg.norm(out) == pytest.approx(0.5 * math.pi)
     assert_allclose(out, [0.0, 0.0, 0.5 * math.pi], atol=1e-12)
 
@@ -176,9 +185,10 @@ def test_axis_angle_long_way_takes_shortest_path():
     angle = 1.9 * math.pi
     q = np.array([math.cos(angle / 2), math.sin(angle / 2), 0.0, 0.0])
     assert q[0] < 0.0
-    out = quat_to_rotation_vector(q)
+    out = attitude_error(IDENTITY, q)
     assert np.linalg.norm(out) <= math.pi
-    assert_allclose(out, [wrap_pi(angle), 0.0, 0.0], rtol=0.0, atol=1e-12)
+    assert_allclose(out, [angle - 2.0 * math.pi, 0.0, 0.0], rtol=0.0,
+                    atol=1e-12)
     # oracle: re-composing the rotation vector reproduces the rotation
     # (rotate by its norm about its direction)
     turn = np.linalg.norm(out)
@@ -194,7 +204,7 @@ def test_axis_angle_round_trip_random():
         if rng.uniform() < 0.5:
             # both quaternion signs must give the same answer
             q = -np.asarray(q)
-        out = quat_to_rotation_vector(q)
+        out = attitude_error(IDENTITY, q)
         assert type(out) is tuple and len(out) == 3
         turn = np.linalg.norm(out)
         assert turn <= math.pi + 1e-12
@@ -208,7 +218,7 @@ def test_axis_angle_small_angles_stay_accurate():
     for scale in (1e-3, 1e-7, 1e-9):
         axis = random_unit(rng)
         q = mat_to_quat(rodrigues(axis, scale))
-        out = quat_to_rotation_vector(q)
+        out = attitude_error(IDENTITY, q)
         assert_allclose(out, axis * scale, rtol=1e-6, atol=1e-15)
 
 
@@ -216,6 +226,9 @@ def test_antipodal_quaternions_same_axis_angle():
     rng = np.random.default_rng(13)
     for _ in range(20):
         q = mat_to_quat(random_rotation(rng))
-        a, b = (quat_to_rotation_vector(q),
-                quat_to_rotation_vector(-np.asarray(q)))
+        a, b = (attitude_error(IDENTITY, q),
+                attitude_error(IDENTITY, -np.asarray(q)))
         assert_allclose(a, b, atol=1e-12)
+        # the measured attitude's sign does not matter either
+        assert_allclose(attitude_error(-np.asarray(q), IDENTITY),
+                        attitude_error(q, IDENTITY), atol=1e-12)

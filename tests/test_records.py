@@ -11,10 +11,11 @@ import pytest
 
 import liftquad
 from liftquad.aero import AeroParams
-from liftquad.config import ConfigError, ExperimentConfig
+from liftquad.config import (_SCHEMA, _TYPES, ConfigError, ExperimentConfig,
+                             build_config)
 from liftquad.control import ControlGains, ControlLimits
 from liftquad.dynamics import PlantConfig
-from liftquad.record import Frozen
+from liftquad.record import Frozen, Record
 from liftquad.trajectories import TrajectoryDef, TrajectoryKind
 
 _DERIVED = [
@@ -177,6 +178,48 @@ def test_inputs_a_run_cannot_read_are_refused_at_construction(name):
     build, key = _REFUSED[name]
     with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
         build()
+
+
+# what refusals name that is no key: the plant's step, which no config
+# sets, and the plant's airframe, whose fields are keys of its section
+_NON_KEYS = {"integration step", "aero"}
+# a refusal's dotted names: a key, a vector's stem, an airframe field
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+# a value out of any range, as the first key of its tag reads it
+_OUT_OF_RANGE = {"float": ("nan", "-1e300", "1e300"),
+                 "int": ("nan", "-1", "1000000000000"),
+                 "bool": ("nan",), "kind": ("nan",)}
+
+
+def _names_the_naming_rule_makes():
+    """The config keys, the vector keys' stems, the airframe fields
+    (``build_config`` prefixes their refusals with ``plant.`` or
+    ``model.``), the record sections and the listed non-keys."""
+    keys = set(_SCHEMA) | {key[:-2] for key in _SCHEMA
+                           if key[-2:] in (".x", ".y", ".z")}
+    plant, model = ({key[len(section):] for key in keys
+                     if key.startswith(section)}
+                    for section in ("plant.", "model."))
+    stock = ExperimentConfig()
+    sections = {field for field in stock._fields
+                if isinstance(getattr(stock, field), Record)}
+    return keys | (plant & model) | sections | _NON_KEYS
+
+
+def test_every_refusal_names_a_key_the_naming_rule_makes():
+    # records and ExperimentConfig spell their keys by hand, so a key the
+    # naming rule renames (config._NAMES) would leave its refusals naming
+    # the old key
+    named = {key for _, key in _REFUSED.values()} | set(_TYPES)
+    for key, (tag, _) in _SCHEMA.items():
+        for value in _OUT_OF_RANGE[tag]:
+            try:
+                build_config({key: value})
+            except ConfigError as exc:
+                named.update(_DOTTED.findall(str(exc)))
+    assert {"trajectory.psi", "model.kappa_deg", "sim.rate", "wind",
+            "gains.kpp"} <= named
+    assert sorted(named - _names_the_naming_rule_makes()) == []
 
 
 def _refusing_record(exc):
