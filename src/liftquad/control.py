@@ -9,10 +9,12 @@ flatness body rate added as feedforward.
 The attitude step removes gravity and an attenuated model-based
 aerodynamic acceleration (at the feedforward's attitude and airspeed,
 the only place the wind estimate enters) from the demand; what remains
-must come from the rotors, so the desired body z-axis opposes it and
-the thrust is its projection on that axis.  The lateral axis is
-completed from the reference airspeed direction, which encodes the
-no-sideslip heading.
+must come from the rotors.  :func:`liftquad.geom.thrust_attitude`, the
+one kernel the feedforward at rest uses too, sets the desired body
+z-axis against it and projects it on that axis for the thrust, clamped
+by the kernel's one rule; below ``FREE_FALL_ACCEL``, the one free-fall
+floor, it is free fall.  The lateral axis is completed from the
+reference airspeed direction, which encodes the no-sideslip heading.
 
 All functions are pure given an explicit :class:`ControllerContext`;
 use one context per vehicle.
@@ -30,14 +32,10 @@ import math
 from typing import NamedTuple
 
 from .aero import GRAVITY, aero_accel
-from .geom import (CROSS_ALIGN_TOL, attitude_error, lateral_axis,
-                   mat_to_quat, overflow_error)
+from .geom import (FREE_FALL_ACCEL, attitude_error, mat_to_quat,
+                   overflow_error, thrust_attitude)
 from .record import ConfigError, Frozen, Record, finite, float3
 
-# Acceleration-demand norm below which the thrust direction is
-# undefined and the free-fall policy (hold attitude, zero thrust) is
-# used instead.
-FREE_FALL_ACCEL = 1e-6
 _GAINS = ("kpp", "kvp", "kvi", "kff", "ktp")
 _LAYER = "the controller"
 
@@ -189,24 +187,16 @@ def accel_to_attitude_thrust(params, gains, a_d, flat):
     (ax, ay, az), rotation_ff = a_d, flat.rotation
     (kx, ky, kz), (fx, fy, fz) = gains.kff, aero_accel(
         params, rotation_ff, flat.airspeed)
-    rx, ry, rz = ax - kx * fx, ay - ky * fy, az - GRAVITY - kz * fz
+    rx, ry, rz = rotor = (ax - kx * fx, ay - ky * fy, az - GRAVITY - kz * fz)
     rotor_norm = math.sqrt(rx * rx + ry * ry + rz * rz)
     if not math.isfinite(rotor_norm):
         raise overflow_error(_LAYER)
     if rotor_norm < FREE_FALL_ACCEL:
         return rotation_ff, 0.0, True
-    force = (rx / rotor_norm, ry / rotor_norm, rz / rotor_norm)
     (hx, _, _), (hy, _, _), (hz, _, _) = rotation_ff
-    # the force is a unit vector, so the tolerance is the floor
-    _, (yx, yy, yz) = lateral_axis(
-        force, (flat.wind_axis, (hx, hy, hz)), CROSS_ALIGN_TOL)
-    zx, zy, zz = -force[0], -force[1], -force[2]
-    # x_body = y_body x z_body
-    xx, xy, xz = yy * zz - yz * zy, yz * zx - yx * zz, yx * zy - yy * zx
-    rotation = ((xx, yx, zx), (xy, yy, zy), (xz, yz, zz))
-    thrust = params.mass * (zx * rx + zy * ry + zz * rz)
-    # min(thrust, 0.0), NaN and -0.0 included
-    return rotation, 0.0 if 0.0 < thrust else thrust, False
+    _, rotation, thrust = thrust_attitude(
+        rotor, rotor_norm, (flat.wind_axis, (hx, hy, hz)), params.mass, rotor)
+    return rotation, thrust, False
 
 
 def attitude_loop(gains, rate_ff, q_d, q_current, omega_ref):

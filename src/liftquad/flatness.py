@@ -18,27 +18,30 @@ condition.
 Two singular regimes are handled by policy instead of failing:
 
 * near-zero airspeed (hover, with hysteresis on the speed threshold) --
-  the lateral axis is built from the last good airspeed direction the
-  context holds, else from the yaw fallback;
+  the controller's attitude and thrust (:func:`liftquad.geom.thrust_attitude`)
+  against the symmetry-plane vector, the lateral axis from the last good
+  airspeed direction the context holds, else from the yaw fallback;
 * airspeed aligned with the demanded force (e.g. vertical flight) -- the
   lateral axis comes from the yaw fallback.
 
-In both regimes the feedforward body rate is zero and the output is
-flagged through :class:`SingularCase`.
+In both regimes the feedforward body rate is zero, the output is flagged
+through :class:`SingularCase`, and a symmetry-plane vector below
+``geom.FREE_FALL_ACCEL``, the controller's free-fall floor, is free fall.
 
 The transform computes on Python floats, in :mod:`liftquad.geom`'s
 conventions.  Float arithmetic does not raise on overflow, so the
-transform checks its output, and before that each value a branch or
-clamp could hide (the airspeed, the force-balance normalizer, the
-symmetry-plane norm, the body-rate system's scale, the hover thrust).
-Its numpy form is the test oracle in ``tests/oracles.py``.
+transform checks its output (the thrust clamp passes an overflow), and
+before that each value a branch or clamp could hide (the airspeed, the
+force-balance normalizer, the symmetry-plane norm, the body-rate
+system's scale).  Its numpy form is the test oracle in ``tests/oracles.py``.
 """
 
 import math
 from enum import IntEnum
 
 from .aero import GRAVITY
-from .geom import CROSS_ALIGN_TOL, lateral_axis, overflow_error
+from .geom import (CROSS_ALIGN_TOL, FREE_FALL_ACCEL, lateral_axis,
+                   overflow_error, thrust_attitude)
 from .record import Record
 
 # Hysteresis band for the zero-velocity branch: enter below the first
@@ -115,15 +118,6 @@ class TransformContext(Record):
 
     def __init__(self, held_axis=None, in_singular=False):
         self.held_axis, self.in_singular = held_axis, in_singular
-
-
-def _frame(x, y):
-    """The rotation, as three rows, whose columns are the body axes
-    ``x``, ``y`` and ``x cross y``."""
-    (xx, xy, xz), (yx, yy, yz) = x, y
-    return ((xx, yx, xy * yz - xz * yy),
-            (xy, yy, xz * yx - xx * yz),
-            (xz, yz, xx * yy - xy * yx))
 
 
 def wind_frame_accels(axis, accel):
@@ -298,8 +292,8 @@ def flatness_transform(params, sample, ctx=None):
     # the output's attitude, thrust, angle of attack and body rate (its
     # airspeed and wind axis are finite once the speed is)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = out.rotation
-    ox, oy, oz = out.omega
-    values = (r00, r01, r02, r10, r11, r12, r20, r21, r22, out.thrust,
+    thrust, (ox, oy, oz) = out.thrust, out.omega
+    values = (r00, r01, r02, r10, r11, r12, r20, r21, r22, thrust,
               out.alpha, ox, oy, oz)
     if not (math.isfinite(math.hypot(*values))
             or all(map(math.isfinite, values))):
@@ -333,12 +327,12 @@ def _smooth_output(params, sample, v_air, speed, axis, plane, plane_norm):
     cx, cy, cz = uy * pz - uz * py, uz * px - ux * pz, ux * py - uy * px
     cross_norm = math.sqrt(cx * cx + cy * cy + cz * cz)
     singular = SingularCase.NONE
-    if cross_norm < CROSS_ALIGN_TOL * max(plane_norm, _TINY):
+    if cross_norm < CROSS_ALIGN_TOL * max(plane_norm, FREE_FALL_ACCEL):
         # aligned-axis policy (e.g. vertical flight): lateral axis from
         # the yaw fallback, led by the airspeed axis, which only
         # qualifies in free fall in motion
-        plane_ref, ref_norm = ((plane, plane_norm) if plane_norm >= _TINY
-                               else (_UP, GRAVITY))
+        plane_ref, ref_norm = ((_UP, GRAVITY) if plane_norm < FREE_FALL_ACCEL
+                               else (plane, plane_norm))
         yaw_axis = (math.cos(sample.psi), math.sin(sample.psi), 0.0)
         _, (yx, yy, yz) = lateral_axis(plane_ref, (axis, yaw_axis),
                                        CROSS_ALIGN_TOL * ref_norm)
@@ -356,10 +350,12 @@ def _smooth_output(params, sample, v_air, speed, axis, plane, plane_norm):
     # only its cosine and sine terms
     turn = alpha - params.kappa
     c, s = math.cos(turn), math.sin(turn)
-    x_body = (c * ux + s * (yy * uz - yz * uy),
-              c * uy + s * (yz * ux - yx * uz),
-              c * uz + s * (yx * uy - yy * ux))
-    rotation = _frame(x_body, (yx, yy, yz))
+    xx, xy, xz = (c * ux + s * (yy * uz - yz * uy),
+                  c * uy + s * (yz * ux - yx * uz),
+                  c * uz + s * (yx * uy - yy * ux))
+    # the body axes as columns, z_b = x_b x y_b
+    rotation = ((xx, yx, xy * yz - xz * yy), (xy, yy, xz * yx - xx * yz),
+                (xz, yz, xx * yy - xy * yx))
     # None: a singular body-rate system, whose policy is the zero rate
     omega = angular_velocity_from_flat(params, sample, rotation, thrust,
                                        v_air, speed) or _ZERO
@@ -370,28 +366,18 @@ def _smooth_output(params, sample, v_air, speed, axis, plane, plane_norm):
 def _zero_velocity_output(params, sample, v_air, plane, plane_norm,
                           held_axis):
     """Hover-regime policy about the symmetry-plane vector ``plane`` of
-    norm ``plane_norm``: attitude from the held (when there is one) or
-    fallback axis, thrust from the projection of the specific-force
-    demand."""
-    px, py, pz = plane
+    norm ``plane_norm``: the thrust-axis attitude and thrust of ``a - g``
+    (:func:`liftquad.geom.thrust_attitude`), body y from the held (when
+    there is one) or fallback axis; yaw only and no thrust in free fall."""
     c, s = math.cos(sample.psi), math.sin(sample.psi)
     yaw_axis = (c, s, 0.0)
-    if plane_norm < _TINY:
-        # free-fall reference at rest: yaw-only attitude, no thrust
+    if plane_norm < FREE_FALL_ACCEL:
         rotation = ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
         return FlatnessOutput(rotation, 0.0, params.kappa, _ZERO, v_air,
                               yaw_axis, SingularCase.ZERO_VELOCITY)
     headings = (yaw_axis,) if held_axis is None else (held_axis, yaw_axis)
-    axis, (yx, yy, yz) = lateral_axis(plane, headings,
-                                      CROSS_ALIGN_TOL * plane_norm)
-    # x_b = plane x y_b, normalized
-    xx, xy, xz = py * yz - pz * yy, pz * yx - px * yz, px * yy - py * yx
-    n = math.sqrt(xx * xx + xy * xy + xz * xz)
-    rotation = _frame((xx / n, xy / n, xz / n), (yx, yy, yz))
-    (_, _, zx), (_, _, zy), (_, _, zz) = rotation
     ax, ay, az = sample.a
-    thrust = params.mass * (zx * ax + zy * ay + zz * (az - GRAVITY))
-    if not math.isfinite(thrust):
-        raise overflow_error(_LAYER)
-    return FlatnessOutput(rotation, min(0.0, thrust), params.kappa, _ZERO,
-                          v_air, axis, SingularCase.ZERO_VELOCITY)
+    axis, rotation, thrust = thrust_attitude(
+        plane, plane_norm, headings, params.mass, (ax, ay, az - GRAVITY))
+    return FlatnessOutput(rotation, thrust, params.kappa, _ZERO, v_air, axis,
+                          SingularCase.ZERO_VELOCITY)

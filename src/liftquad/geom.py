@@ -39,6 +39,9 @@ SMALL_ANGLE = 1e-6
 # A heading within this angle (rad) of the force makes no lateral axis:
 # the floor a caller passes lateral_axis is this times the force's norm.
 CROSS_ALIGN_TOL = 1e-6
+# A rotor force (m/s^2) below this is free fall and sets no thrust axis,
+# in the controller's demand and the feedforward's symmetry plane alike.
+FREE_FALL_ACCEL = 1e-6
 # the earth axes lateral_axis falls back on, as floats
 _EARTH_X = (1.0, 0.0, 0.0)
 _EARTH_Y = (0.0, 1.0, 0.0)
@@ -59,8 +62,8 @@ def lateral_axis(force, headings, floor):
     """Body lateral axis ``heading x force``, normalized, from the first
     of ``headings`` (then the earth x and y axes) whose cross product
     with the demanded ``force`` is longer than ``floor``; returns
-    ``(heading, axis)``, the axis as a 3-tuple.  The flatness transform
-    and the controller complete their attitudes with it."""
+    ``(heading, axis)``, the axis as a 3-tuple.  :func:`thrust_attitude`
+    and the aligned-axis feedforward complete their attitudes with it."""
     fx, fy, fz = force
     for heading in (*headings, _EARTH_X, _EARTH_Y):
         hx, hy, hz = heading
@@ -69,6 +72,26 @@ def lateral_axis(force, headings, floor):
         if cross_norm > floor:
             return heading, (cx / cross_norm, cy / cross_norm, cz / cross_norm)
     raise AssertionError("no usable lateral axis candidate")
+
+
+def thrust_attitude(force, norm, headings, mass, demand):
+    """``(heading, rotation, thrust)``: the attitude, as three rows, whose
+    body z opposes ``force`` (of norm ``norm`` >= ``FREE_FALL_ACCEL``),
+    body y from the first usable of ``headings`` (:func:`lateral_axis`)
+    and body x = y x z; the thrust (N, <= 0) is ``mass`` times ``demand``
+    projected on body z.  The controller and the feedforward at rest."""
+    fx, fy, fz = force
+    ux, uy, uz = unit = (fx / norm, fy / norm, fz / norm)
+    # the force is a unit vector, so the tolerance is the floor
+    heading, (yx, yy, yz) = lateral_axis(unit, headings, CROSS_ALIGN_TOL)
+    zx, zy, zz = -ux, -uy, -uz
+    xx, xy, xz = yy * zz - yz * zy, yz * zx - yx * zz, yx * zy - yy * zx
+    dx, dy, dz = demand
+    thrust = mass * (zx * dx + zy * dy + zz * dz)
+    # min(thrust, 0.0) but for an overflow: -0.0, NaN and +-inf pass, so
+    # the caller's finiteness test still sees an overflowed projection
+    return heading, ((xx, yx, zx), (xy, yy, zy), (xz, yz, zz)), (
+        0.0 if 0.0 < thrust < math.inf else thrust)
 
 
 def mat_to_quat(rotation):

@@ -39,13 +39,13 @@ import math
 import numpy as np
 
 from liftquad.aero import GRAVITY, aero_accel
-from liftquad.control import FREE_FALL_ACCEL, ControlInput, _clip
+from liftquad.control import ControlInput, _clip
 from liftquad.flatness import (_TINY, DET_TOL, HADAMARD_TOL,
                                SPEED_SINGULAR_ENTER, SPEED_SINGULAR_EXIT,
                                FlatnessOutput, SingularCase, TransformContext,
                                thrust_and_alpha)
-from liftquad.geom import (CROSS_ALIGN_TOL, SMALL_ANGLE, UNIT_TOL,
-                           NonOrthonormalError, lateral_axis)
+from liftquad.geom import (CROSS_ALIGN_TOL, FREE_FALL_ACCEL, SMALL_ANGLE,
+                           UNIT_TOL, NonOrthonormalError, lateral_axis)
 from liftquad.harness import COLUMNS, CSV_COLUMNS, FeasibilityReport
 from liftquad.trajectories import TrajectoryKind, sample
 
@@ -565,11 +565,11 @@ def flatness_transform(params, sample, ctx=None):
     cross = cross3(axis, plane)
     cross_norm = norm(cross)
     x_wind, singular = axis, SingularCase.NONE
-    if cross_norm < CROSS_ALIGN_TOL * max(plane_norm, _TINY):
+    if cross_norm < CROSS_ALIGN_TOL * max(plane_norm, FREE_FALL_ACCEL):
         # aligned-axis policy (e.g. vertical flight): lateral axis from
         # the yaw fallback, led by the airspeed axis, which only
         # qualifies in free fall in motion
-        plane_ref = plane if plane_norm >= _TINY else -GRAVITY_VEC
+        plane_ref = plane if plane_norm >= FREE_FALL_ACCEL else -GRAVITY_VEC
         yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
         _, y_body = lateral_axis(plane_ref, (axis, yaw_axis),
                                  CROSS_ALIGN_TOL * norm(plane_ref))
@@ -597,7 +597,7 @@ def _zero_velocity_output(params, sample, v_air, held_axis):
     plane = symmetry_plane_vector(params, v_air, sample.a)
     plane_norm = norm(plane)
     yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
-    if plane_norm < _TINY:
+    if plane_norm < FREE_FALL_ACCEL:
         # free-fall reference at rest: yaw-only attitude, no thrust
         rotation = rodrigues(_EZ, sample.psi)
         return FlatnessOutput(rotation, 0.0, params.kappa, np.zeros(3), v_air,

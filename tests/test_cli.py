@@ -481,13 +481,13 @@ _TRACE_SHA256 = {
         "8693198c94f00d6eb62f648595a5d5e8b21cab02882e1299a132d145ab110a02"),
     "sim": (
         "sim", _HOVER_GUST, 2,
-        "f729963802e8224d3e75adac5207e8e30d0f9e080222fd0ecdb53f57b3e45412"),
+        "f4bf825d32b0a1acc91761ef09c7c63ea429c2af7f073fb48282616ae3be41f8"),
     "sim-circle": (
         "sim", "", 2,
-        "a40f82b0def6d89d220aa034e0a9bdbc07a2fd37182bd6d036cf30e6f56057c4"),
+        "ab7b2e918b85886af3b38e73cf2bc716eb52e3b6ca4ed8f0855d46666c21ec98"),
     "flat-circle-switch": (
         "flat", "", 12,
-        "8aa9236f977b4d5103c0c1bcdaf9a0c97433388522c3530a4f6ce1cf3fc98d42"),
+        "3e7c44af66c7f40ff40f26e29dfe876143d01114e8b2df6fbe3bad2535db8923"),
     "sim-line": (
         "sim", "trajectory.kind = line\ntrajectory.speed_cap = 7\n", 2,
         "5a7bf42d57a81e33058a6c3307300f08418f99b6baac5085c57fa769893d0df1"),
@@ -559,23 +559,23 @@ def test_check_report_is_unchanged(tmp_path, capsys, name):
 # zero-radius circle without integrator headroom hold -0 cells, which
 # pin the sign of a velocity integral that never moves off zero
 _HOVER_GUST_PID = (
-    "f729963802e8224d3e75adac5207e8e30d0f9e080222fd0ecdb53f57b3e45412")
+    "f4bf825d32b0a1acc91761ef09c7c63ea429c2af7f073fb48282616ae3be41f8")
 _HOVER_GUST_PD = (
-    "22416684c64160697bdeca5f831a7c3758fe4e4c73ba209c67e52f394d009e0c")
+    "ba2e15867d85e69552c8e62bd6458f4c618708eed0e222cd05d2fb17c765ffbc")
 _ZERO_RADIUS = (
-    "965c9c858b6e6eb8e9fae969f6f6f1ef5ba76f76a17a1dfc5daa1b8fa64a59d0")
+    "823227057c7edd8e923f303b40f5bd6703b84cb884985f64fc47c30e363b8bee")
 _COMPARE_SHA256 = {
     "mismatch": ("plant.cd0 = 0.06\nplant.cla = 2.4\n", {
         "pid-dfaf.csv":
-            "aefa89a028ef60dc8de9938f0f9ba40d1bcdd726e19ba33aa7c1efd90283cfd3",
+            "e990631776f5d7f9e904e74d72429444ccd3bf9af95d0b40b8b2b09ac0e1daf7",
         "pd-dfaf.csv":
-            "40602ad9c623b78bd9b0fdadb8463422d0307112818b33d6bc58f375616af890",
+            "becf18cf84309c8127698866744c0f219d9ceb02bcf8eac5e3e7dedd187d5de2",
         "pid-df.csv":
             "d936bc0996a26436797977891b81ae4b9bd8f84c46bc4c2d127394294e45d559",
         "pd-df.csv":
             "d4f968813f4ea5da14e46412397c9987bfff9b86e94f3fa773d105c91794dbef",
         "rate-ff-off.csv":
-            "9e805a316bf585b900e72f0ed20e66953dcbcd9a7513b7c9175e0ec6ef5d980d",
+            "b412f999aa1793ca5b4dbab19f9b0ba8e6482e9fc7686af695c90108bc82f924",
         # the summary lists the cells in CONDITIONS order, rate-ff-off third
         "summary.txt":
             "8aba16d35d725260451b135cc1c96120c518e9a192c66d85a7716edaa372d99d",

@@ -444,7 +444,13 @@ _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
      "flatness_transform", "plane_norm"),
     (lambda: flatness_transform(AeroParams(mass=1e200),
                                 make_sample([0] * 3, [0, 0, -1e150])),
-     "_zero_velocity_output", "thrust"),
+     "flatness_transform", "thrust"),
+    # a side force that turns body z along the demand at rest: the
+    # projection overflows to +inf, which the thrust clamp passes
+    (lambda: flatness_transform(
+        AeroParams(mass=1e300, rho=1e10, area=1e10, cy0=1e291),
+        make_sample([0, 0, 0.2], [0, 0, -1e9])),
+     "flatness_transform", "thrust"),
     (lambda: angular_velocity_from_flat(
         PARAMS, make_sample([10, 0, 0], [0] * 3), _IDENTITY, -1e200,
         (10.0, 0.0, 0.0), 10.0),
@@ -453,7 +459,7 @@ _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
                                                     [0, 1e308, 0])),
      "flatness_transform", "ox"),
 ], ids=["speed", "normalizer", "plane", "hover-plane", "hover-thrust",
-        "rate-scale", "output"])
+        "hover-thrust-up", "rate-scale", "output"])
 def test_each_overflow_check_raises_the_one_error(call, where, value):
     # each check is an inline test before its branch or clamp: the one
     # FloatingPointError naming the transform comes from the frame that

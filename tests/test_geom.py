@@ -1,15 +1,19 @@
-"""Geometric primitives: quaternions and the attitude error, with the
-skew maps and Rodrigues rotations of the numpy oracles they are checked
-with."""
+"""Geometric primitives: quaternions, the attitude error and the
+thrust-axis attitude, with the skew maps and Rodrigues rotations of the
+numpy oracles they are checked with."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from liftquad.geom import NonOrthonormalError, attitude_error, mat_to_quat
+import liftquad
+from liftquad.geom import (FREE_FALL_ACCEL, NonOrthonormalError,
+                           attitude_error, mat_to_quat, thrust_attitude)
 from oracles import (NonUnitAxisError, quat_to_mat, rodrigues, skew,
                      unskew)
 
@@ -232,3 +236,106 @@ def test_antipodal_quaternions_same_axis_angle():
         # the measured attitude's sign does not matter either
         assert_allclose(attitude_error(-np.asarray(q), IDENTITY),
                         attitude_error(q, IDENTITY), atol=1e-12)
+
+
+def random_thrust_attitudes(rng, count):
+    """``count`` draws of ``(force, norm, headings, out)``, ``out`` the
+    kernel's output: forces from the free-fall floor to 1e3, a heading
+    parallel to the force first in every fourth draw."""
+    for k in range(count):
+        force = random_unit(rng) * 10.0 ** rng.uniform(-5.9, 3.0)
+        norm = math.sqrt(float(force @ force))
+        headings = (random_unit(rng), random_unit(rng))
+        if k % 4 == 0:
+            headings = (-force / norm, *headings)
+        force = tuple(map(float, force))
+        yield force, norm, headings, thrust_attitude(
+            force, norm, headings, rng.uniform(0.1, 50.0),
+            tuple(rng.normal(size=3) * 20.0))
+
+
+def test_thrust_attitude_rows_are_orthonormal():
+    rng = np.random.default_rng(14)
+    for *_, (_, rotation, _) in random_thrust_attitudes(rng, 200):
+        assert type(rotation) is tuple and len(rotation) == 3
+        r = np.array(rotation)
+        assert np.linalg.norm(r.T @ r - np.eye(3)) < 1e-14
+        assert abs(np.linalg.det(r) - 1.0) < 1e-14
+        assert_allclose(quat_to_mat(mat_to_quat(rotation)), r, atol=1e-14)
+
+
+def test_thrust_attitude_sets_body_z_against_the_force():
+    # body z is -force/|force|, and body y is normal to the heading the
+    # kernel picked: the first one not parallel to the force
+    rng = np.random.default_rng(15)
+    for force, norm, headings, (heading, rotation, thrust) in (
+            random_thrust_attitudes(rng, 200)):
+        r = np.array(rotation)
+        assert_allclose(r[:, 2], -np.array(force) / norm, atol=1e-15)
+        assert heading is next(h for h in headings
+                               if np.linalg.norm(np.cross(h, force))
+                               > 1e-3 * norm)
+        assert abs(float(r[:, 1] @ heading)) < 1e-14
+        assert thrust <= 0.0
+
+
+@pytest.mark.parametrize("demand, mass, expected", [
+    ((0.0, 0.0, -0.0), 1.0, -0.0),      # a projection of -0.0 only
+    ((0.0, 0.0, -2.0), 1.5, -3.0),      # along the force: pulled
+    ((0.0, 0.0, 2.0), 1.5, 0.0),        # against it: clamped to zero
+    ((0.0, 0.0, math.nan), 1.5, math.nan),
+    ((0.0, 0.0, -1e300), 1e300, -math.inf),
+    ((0.0, 0.0, 1e300), 1e300, math.inf),
+], ids=["zero", "pull", "push", "nan", "overflow-pull", "overflow-push"])
+def test_thrust_attitude_clamps_its_projection_by_one_rule(demand, mass,
+                                                           expected):
+    # a positive thrust is clamped to 0.0; -0.0 keeps its sign, and a NaN
+    # or an overflow passes for its caller's finiteness test
+    force = (0.0, 0.0, -9.0)
+    _, _, thrust = thrust_attitude(force, 9.0, ((1.0, 0.0, 0.0),), mass,
+                                   demand)
+    assert np.float64(thrust).tobytes() == np.float64(expected).tobytes()
+
+
+def test_thrust_attitude_takes_a_force_at_the_free_fall_floor():
+    force = (0.0, 0.0, -FREE_FALL_ACCEL)
+    heading, rotation, thrust = thrust_attitude(
+        force, FREE_FALL_ACCEL, ((0.0, 1.0, 0.0),), 2.0, force)
+    assert heading == (0.0, 1.0, 0.0)
+    # a quarter turn in yaw: body x east, body y south, body z down
+    assert rotation == ((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    assert thrust == -2.0 * FREE_FALL_ACCEL
+
+
+def _lateral_axis_callers(tree):
+    """The qualified names of the functions (``<module>`` outside any)
+    holding a call of ``lateral_axis``, by name or as an attribute."""
+    found = set()
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, ast.Call) and "lateral_axis" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+    walk(tree, [])
+    return found
+
+
+def test_only_the_kernel_and_the_aligned_axis_policy_pick_a_lateral_axis():
+    # the thrust-axis attitude is built once, in thrust_attitude; the
+    # smooth feedforward's aligned-axis policy builds another frame, and
+    # no other function of the package picks a lateral axis
+    package = Path(liftquad.__file__).parent
+    found = {f"{path.stem}.{name}"
+             for path in sorted(package.glob("*.py"))
+             for name in _lateral_axis_callers(ast.parse(path.read_text()))}
+    assert found == {"geom.thrust_attitude", "flatness._smooth_output"}
+    # the walk sees a call by name, by attribute and in a method
+    assert _lateral_axis_callers(ast.parse(
+        "class A:\n def f(u):\n  return geom.lateral_axis(u, (), 0)\n"
+        "x = lateral_axis((1, 0, 0), (), 0)\n")) == {"A.f", "<module>"}

@@ -16,7 +16,7 @@ from hypothesis import (assume, currently_in_test_context, example, given,
                         settings, strategies as st)
 from numpy.testing import assert_allclose
 
-from liftquad import control
+from liftquad import geom
 from liftquad.aero import (GRAVITY, KAPPA_MAX, KAPPA_MIN, AeroParams,
                            aero_accel)
 from liftquad.config import MAX_ROWS
@@ -269,7 +269,7 @@ def lateral_conditions():
         conditions.append(1.0 / math.hypot(
             hy * fz - hz * fy, hz * fx - hx * fz, hx * fy - hy * fx))
         return heading, axis
-    with mock.patch.object(control, "lateral_axis", picking):
+    with mock.patch.object(geom, "lateral_axis", picking):
         yield conditions
 
 
@@ -426,6 +426,34 @@ def test_float_controller_is_the_numpy_oracle_on_every_branch(
     else:
         assert np.array_equal(np.asarray(rotation)[:, 1], y_body)
         assert ctx.thrust_saturated == (thrust < limits.thrust_min(params))
+
+
+# at rest the acceleration is planar or vertical, a = g free fall, and
+# no component is -0.0: the controller subtracts the wing's +-0.0
+# feedforward at rest from it, which can turn it into +0.0
+hover_scalars = st.floats(-30.0, 30.0).map(lambda x: x + 0.0)
+hover_accels = st.one_of(
+    st.just((0.0, 0.0, GRAVITY)),
+    st.tuples(hover_scalars, hover_scalars, st.just(0.0)),
+    hover_scalars.map(lambda az: (0.0, 0.0, az)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(params=airframes, a=hover_accels, psi=st.floats(-math.pi, math.pi),
+       cy0=st.floats(-1.0, 1.0), held=st.none() | units(3).map(float_tuple))
+def test_the_controller_at_rest_on_the_reference_is_its_feedforward(
+        params, a, psi, cy0, held):
+    # with no tracking error and the whole wing model fed forward, the
+    # demand is the feedforward's a - g, and thrust_attitude builds both
+    # attitudes and thrusts from it: the same bits, signs of zero included
+    params = params.replace(cy0=cy0)
+    sample = FlatSample(_ZERO, _ZERO, a, _ZERO, psi)
+    flat = flatness_transform(params, sample, TransformContext(held))
+    assert flat.singular is SingularCase.ZERO_VELOCITY
+    rotation, thrust, _ = accel_to_attitude_thrust(
+        params, ControlGains(kff=1.0), sample.a, flat)
+    assert _bits(rotation) == _bits(flat.rotation)
+    assert _bits(thrust) == _bits(flat.thrust)
 
 
 @settings(max_examples=500, deadline=None)
