@@ -31,14 +31,20 @@ package against; none of them runs in a simulation.
 * the float kernels written with the ``min`` and ``max`` builtins,
   :func:`mat_to_quat_minmax`, :func:`attitude_error_minmax` (with the
   general wrap of an angle to ``(-pi, pi]``) and :func:`saturate_minmax`,
-  oracles, bit for bit, for the package's comparisons in their place.
+  oracles, bit for bit, for the package's comparisons in their place;
+* what several test files share: the unit axes :data:`EX`, :data:`EY`
+  and :data:`EZ`, the identity's rows :data:`IDENTITY_ROWS`,
+  :func:`random_rotation`, :func:`config_from` and
+  :func:`assert_overflow_in`.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from liftquad.aero import GRAVITY, aero_accel
+from liftquad.config import build_config, parse_config_text
 from liftquad.control import ControlInput, _clip
 from liftquad.flatness import (_TINY, DET_TOL, HADAMARD_TOL,
                                SPEED_SINGULAR_ENTER, SPEED_SINGULAR_EXIT,
@@ -53,7 +59,8 @@ GRAVITY_VEC = np.array([0.0, 0.0, GRAVITY])  # NED: +z is down
 GRAVITY_VEC.setflags(write=False)
 EYE3 = np.identity(3)
 EYE3.setflags(write=False)
-_EZ = np.array([0.0, 0.0, 1.0])
+EX, EY, EZ = EYE3
+IDENTITY_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 class NonUnitAxisError(ValueError):
@@ -100,6 +107,14 @@ def rodrigues(axis, angle):
     c = math.cos(angle)
     s = math.sin(angle)
     return c * EYE3 + (1.0 - c) * np.outer(axis, axis) + s * skew(axis)
+
+
+def random_rotation(rng):
+    """A rotation about a direction drawn from ``rng``, by an angle drawn
+    from ``[-pi, pi)``."""
+    axis = rng.normal(size=3)
+    return rodrigues(axis / np.linalg.norm(axis), rng.uniform(-math.pi,
+                                                              math.pi))
 
 
 def body_to_wing_rotation(kappa):
@@ -599,7 +614,7 @@ def _zero_velocity_output(params, sample, v_air, held_axis):
     yaw_axis = np.array([math.cos(sample.psi), math.sin(sample.psi), 0.0])
     if plane_norm < FREE_FALL_ACCEL:
         # free-fall reference at rest: yaw-only attitude, no thrust
-        rotation = rodrigues(_EZ, sample.psi)
+        rotation = rodrigues(EZ, sample.psi)
         return FlatnessOutput(rotation, 0.0, params.kappa, np.zeros(3), v_air,
                               yaw_axis, SingularCase.ZERO_VELOCITY)
     headings = (yaw_axis,) if held_axis is None else (held_axis, yaw_axis)
@@ -682,3 +697,20 @@ def saturate_minmax(thrust_min, omega_max, thrust, omega):
     ``min`` and ``max`` builtin calls."""
     return ControlInput(min(max(thrust, thrust_min), 0.0),
                         _clip(omega, omega_max))
+
+
+def config_from(text):
+    """The config a file holding ``text`` gives."""
+    return build_config(parse_config_text(text))
+
+
+def assert_overflow_in(layer, where, value, call):
+    """``call()`` raises the one ``FloatingPointError`` naming ``layer``
+    from the frame of function ``where``, whose local ``value`` is the
+    one that overflowed."""
+    with pytest.raises(FloatingPointError, match=f"^overflow encountered "
+                                                 f"in the {layer}$") as info:
+        call()
+    frame = info.traceback[-1]
+    assert frame.name == where
+    assert not math.isfinite(frame.locals[value])

@@ -13,26 +13,22 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from liftquad.aero import AeroParams, GRAVITY, aero_accel
-from liftquad.config import build_config, parse_config_text
 from liftquad.control import ControlInput
 from liftquad.dynamics import PlantConfig, VehicleState, rk4_step
 from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                flatness_transform)
-from liftquad.harness import DivergenceError, run_experiment
+from liftquad.harness import (DivergenceError, feedforward_trace,
+                              run_experiment)
 from liftquad.trajectories import TrajectoryDef, TrajectoryKind, sample
 from oracles import (GRAVITY_VEC, aero_force_wind, aero_force_wing,
-                     body_to_wing_rotation, peak_error_below, rodrigues,
-                     unskew, wing_to_wind_rotation)
+                     body_to_wing_rotation, config_from, peak_error_below,
+                     rodrigues, unskew, wing_to_wind_rotation)
 
 PARAMS = AeroParams()
 
 
 def report(number, detail):
     print(f"criterion {number}: PASS ({detail})")
-
-
-def config_from(text):
-    return build_config(parse_config_text(text))
 
 
 def test_criterion_1_feedforward_replay_tracks_reference():
@@ -271,13 +267,21 @@ def test_criterion_8_singular_cases_resolved_with_hysteresis():
 
 
 def test_criterion_9_runs_are_byte_reproducible(tmp_path):
-    # Identical configs must yield byte-identical CSV traces.
-    for kind in ("circle", "lemniscate"):
-        cfg = config_from(f"trajectory.kind = {kind}\nsim.duration = 3\n")
-        paths = []
+    # Identical configs must yield byte-identical CSV traces: closed loop
+    # on the circle and the figure-eight, in a wind the plant feels, and
+    # the open-loop feedforward.
+    cases = [("circle", run_experiment, "trajectory.kind = circle"),
+             ("figure-eight", run_experiment, "trajectory.kind = lemniscate"),
+             ("windy-plant", run_experiment,
+              "plant.wind.x = 1\nplant.wind.y = -2"),
+             ("open-loop", feedforward_trace, "")]
+    for name, run, text in cases:
+        cfg = config_from(f"{text}\nsim.duration = 3\n")
+        traces = []
         for tag in ("a", "b"):
-            path = tmp_path / f"{kind}-{tag}.csv"
-            run_experiment(cfg).write_csv(path)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-    report(9, "circle and figure-eight traces byte-identical across reruns")
+            path = tmp_path / f"{name}-{tag}.csv"
+            run(cfg).write_csv(path)
+            traces.append(path.read_bytes())
+        assert traces[0] == traces[1], name
+    report(9, "circle, figure-eight, windy-plant and open-loop traces "
+              "byte-identical across reruns")

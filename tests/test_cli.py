@@ -643,15 +643,6 @@ def test_pd_cell_is_the_config_with_no_velocity_integral(tmp_path, text):
             == (kvi / "sim.csv").read_bytes())
 
 
-def test_flat_trace_is_deterministic(tmp_path):
-    for sub in ("a", "b"):
-        assert main(["flat", "--duration", "2",
-                     "--out", str(tmp_path / sub)]) == EXIT_OK
-    a = (tmp_path / "a" / "flat.csv").read_bytes()
-    b = (tmp_path / "b" / "flat.csv").read_bytes()
-    assert a == b
-
-
 # modules no run may import: numpy, and dataclasses with the inspect it
 # pulls in
 _UNLOADED = ("numpy", "dataclasses", "inspect")

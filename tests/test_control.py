@@ -19,10 +19,9 @@ from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                flatness_transform)
 from liftquad.geom import mat_to_quat
 from liftquad.harness import run_experiment
-from oracles import GRAVITY_VEC, rodrigues
+from oracles import EZ, GRAVITY_VEC, assert_overflow_in, rodrigues
 
 PARAMS = AeroParams()
-EZ = np.array([0.0, 0.0, 1.0])
 
 
 def measured(p, v, R):
@@ -194,24 +193,6 @@ def test_attitude_loop_quarter_turn_command():
     assert_allclose(omega, [0.0, 0.0, math.pi], atol=1e-12)
 
 
-def test_attitude_loop_takes_shortest_path():
-    gains = ControlGains(ktp=1.0)
-    omega = attitude_loop(gains, False,
-                          mat_to_quat(rodrigues(EZ, 1.9 * math.pi)),
-                          np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-    assert np.linalg.norm(omega) <= math.pi
-    assert omega[2] == pytest.approx(-0.1 * math.pi, abs=1e-12)
-
-
-def test_attitude_loop_antipodal_quaternions_agree():
-    gains = ControlGains()
-    q_d = mat_to_quat(rodrigues(np.array([0.0, 1.0, 0.0]), 1.1))
-    q = mat_to_quat(rodrigues(EZ, 0.8))
-    a = attitude_loop(gains, True, q_d, q, np.zeros(3))
-    b = attitude_loop(gains, True, q_d, -np.asarray(q), np.zeros(3))
-    assert_allclose(a, b, atol=1e-12)
-
-
 def test_saturate_clips_and_is_idempotent():
     cmd = saturate(-20.0, 2.0, -35.0, np.array([3.0, -5.0, 1.0]))
     assert cmd.thrust == -20.0
@@ -290,7 +271,7 @@ def test_integrator_freezes_after_thrust_floor():
     assert_allclose(ctx.integrator, frozen)
 
 
-def test_saturated_step_keeps_other_mode_flags():
+def test_integrator_freeze_leaves_the_feedforwards_off():
     # the one-step integrator freeze must not re-enable feedforwards; aero
     # feedforward off, a run believes the wingless model
     gains, bare = ControlGains(), PARAMS.zeroed()
@@ -345,38 +326,30 @@ def test_thrust_floor_probe_trace_is_unchanged(tmp_path, monkeypatch):
             == _THRUST_FLOOR_PROBE_SHA256)
 
 
-@pytest.mark.parametrize("case", ["integral", "demand", "command"])
-def test_each_overflow_check_raises_the_one_error(case):
+_CRUISE = FlatSample((0.0,) * 3, (8.0, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3)
+
+
+@pytest.mark.parametrize("call, where, value", [
+    (lambda: velocity_loop(ControlGains(kvi=1e308), True, (10.0, 0.0, 0.0),
+                           (0.0,) * 3, (0.0,) * 3, (0.0,) * 3, 1.0),
+     "velocity_loop", "ix"),
+    (lambda: accel_to_attitude_thrust(PARAMS, ControlGains(),
+                                      (1e200, 0.0, 0.0),
+                                      flatness_transform(PARAMS, _CRUISE)),
+     "accel_to_attitude_thrust", "rotor_norm"),
+    # upside down: an attitude error near pi times a gain near the
+    # largest float
+    (lambda: controller_step(PARAMS, ControlGains(ktp=1e308), True,
+                             ControlLimits(), _CRUISE,
+                             flatness_transform(PARAMS, _CRUISE),
+                             ((0.0,) * 3, (8.0, 0.0, 0.0),
+                              (0.0, 1.0, 0.0, 0.0)),
+                             ControllerContext(), 0.004),
+     "controller_step", "wx"),
+], ids=["integral", "demand", "command"])
+def test_each_overflow_check_raises_the_one_error(call, where, value):
     # each check is an inline test before its clamp, branch or
     # saturation: the one FloatingPointError naming the controller comes
     # from the frame that holds the value which overflowed; on floats,
     # as a tick runs, so that nothing else warns first
-    sample = FlatSample((0.0,) * 3, (8.0, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3)
-    flat = flatness_transform(PARAMS, sample)
-    if case == "integral":
-        def call():
-            velocity_loop(ControlGains(kvi=1e308), True,
-                          (10.0, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3,
-                          (0.0,) * 3, 1.0)
-        where, value = "velocity_loop", "ix"
-    elif case == "demand":
-        def call():
-            accel_to_attitude_thrust(PARAMS, ControlGains(),
-                                     (1e200, 0.0, 0.0), flat)
-        where, value = "accel_to_attitude_thrust", "rotor_norm"
-    else:
-        # upside down: an attitude error near pi times a gain near the
-        # largest float
-        def call():
-            controller_step(PARAMS, ControlGains(ktp=1e308), True,
-                            ControlLimits(), sample, flat,
-                            ((0.0,) * 3, (8.0, 0.0, 0.0),
-                             (0.0, 1.0, 0.0, 0.0)),
-                            ControllerContext(), 0.004)
-        where, value = "controller_step", "wx"
-    with pytest.raises(FloatingPointError, match="^overflow encountered in "
-                                                 "the controller$") as info:
-        call()
-    frame = info.traceback[-1]
-    assert frame.name == where
-    assert not math.isfinite(frame.locals[value])
+    assert_overflow_in("controller", where, value, call)

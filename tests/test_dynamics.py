@@ -16,10 +16,8 @@ from liftquad.control import ControlInput, ControlLimits
 from liftquad.dynamics import (PlantConfig, VehicleState, acceleration,
                                actuator_lag, rk4_step)
 from liftquad.trajectories import TrajectoryDef, TrajectoryKind
-from oracles import (GRAVITY_VEC, aero_force_wing, body_to_wing_rotation,
+from oracles import (EZ, GRAVITY_VEC, aero_force_wing, body_to_wing_rotation,
                      rodrigues)
-
-EZ = np.array([0.0, 0.0, 1.0])
 
 
 def make_state(p=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0), R=None):
@@ -273,22 +271,6 @@ def test_wind_is_a_float_tuple_with_a_read_only_array_view():
     assert np.array_equal(cfg.v_wind, [1.0, -2.0, 0.5])
     with pytest.raises(ValueError):
         cfg.v_wind[0] = 3.0
-
-
-def test_integration_is_deterministic():
-    cfg = PlantConfig(aero=AeroParams(wind=(1.0, 0.0, 0.0)))
-    inp = ControlInput(-14.0, np.array([0.2, -0.1, 0.05]))
-
-    def run():
-        state = make_state(v=(6.0, 0.0, 0.0))
-        for _ in range(500):
-            state = rk4_step(cfg, state, inp)
-        return state
-
-    a, b = run(), run()
-    assert np.array_equal(a.p, b.p)
-    assert np.array_equal(a.v, b.v)
-    assert np.array_equal(a.R, b.R)
 
 
 LIMITS = ControlLimits()

@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liftquad import control, flatness
 from liftquad.aero import AeroParams
@@ -38,7 +38,6 @@ components = st.sampled_from(_EDGES) | st.floats()
 # a reference point at 1 m/s, in the transform's smooth branch
 _SAMPLE = FlatSample((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0),
                      (0.0, 0.0, 0.0), 0.0)
-_IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @contextlib.contextmanager
@@ -48,113 +47,100 @@ def _strict():
         yield
 
 
-def _scalars(values, numpy):
-    return [np.float64(x) for x in values] if numpy else list(values)
+def _plant(v):
+    require_finite(VehicleState(tuple(v[0:3]), tuple(v[3:6]),
+                                (tuple(v[6:9]), tuple(v[9:12]),
+                                 tuple(v[12:15]))))
 
 
-def _finite(values):
-    return all(map(math.isfinite, values))
-
-
-@settings(max_examples=300, deadline=None)
-@given(values=st.lists(components, min_size=15, max_size=15),
-       numpy=st.booleans())
-def test_the_plant_gate_refuses_what_a_test_of_each_component_refuses(
-        values, numpy):
-    v = _scalars(values, numpy)
-    state = VehicleState(tuple(v[0:3]), tuple(v[3:6]),
-                         (tuple(v[6:9]), tuple(v[9:12]), tuple(v[12:15])))
-    with _strict():
-        if _finite(values):
-            require_finite(state)
-        else:
-            with pytest.raises(FloatingPointError,
-                               match="^overflow encountered in the plant$"):
-                require_finite(state)
-
-
-@settings(max_examples=300, deadline=None)
-@given(values=st.lists(components, min_size=13, max_size=13),
-       numpy=st.booleans())
-def test_the_transform_input_gate_refuses_what_a_test_of_each_field_refuses(
-        values, numpy):
-    v = _scalars(values, numpy)
+def _transform_input(v):
     sample = FlatSample(tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]),
                         tuple(v[9:12]), v[12])
-    bad = [i for i, x in enumerate(values) if not math.isfinite(x)]
-    with _strict():
-        if bad:
-            field = ("p", "v", "a", "j", "psi")[bad[0] // 3]
-            with pytest.raises(ValueError, match=f"^flat sample field "
-                                                 f"{field} is not finite$"):
-                flatness_transform(AeroParams(), sample)
-        else:
-            # in its domain: a feedforward, or an overflow it names
-            with contextlib.suppress(FloatingPointError):
-                flatness_transform(AeroParams(), sample)
+    # in its domain: a feedforward, or an overflow it names
+    with contextlib.suppress(FloatingPointError):
+        flatness_transform(AeroParams(), sample)
 
 
-@settings(max_examples=300, deadline=None)
-@given(values=st.lists(components, min_size=14, max_size=14),
-       numpy=st.booleans())
-def test_the_transform_output_gate_refuses_what_a_test_of_each_value_refuses(
-        values, numpy):
-    v = _scalars(values, numpy)
+def _transform_output(v):
     out = FlatnessOutput((tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9])),
                          v[9], v[10], tuple(v[11:14]), (1.0, 0.0, 0.0),
                          (1.0, 0.0, 0.0), SingularCase.NONE)
-    with _strict(), mock.patch.object(flatness, "_smooth_output",
-                                      return_value=out):
-        if _finite(values):
-            assert flatness_transform(AeroParams(), _SAMPLE) is out
-        else:
-            with pytest.raises(FloatingPointError, match="^overflow "
-                               "encountered in the flatness transform$"):
-                flatness_transform(AeroParams(), _SAMPLE)
+    with mock.patch.object(flatness, "_smooth_output", return_value=out):
+        assert flatness_transform(AeroParams(), _SAMPLE) is out
 
 
-@settings(max_examples=200, deadline=None)
-@given(values=st.lists(components, min_size=3, max_size=3),
-       numpy=st.booleans())
-def test_the_integral_gate_refuses_what_a_test_of_each_axis_refuses(values,
-                                                                     numpy):
+def _integral(v):
     # no velocity error: the step adds +0.0 to each axis of the integral
     zero = (0.0, 0.0, 0.0)
-    integrator = tuple(_scalars(values, numpy))
-    with _strict():
-        if _finite(values):
-            velocity_loop(ControlGains(), True, zero, zero, zero, integrator,
-                          0.004)
-        else:
-            with pytest.raises(FloatingPointError, match="^overflow "
-                               "encountered in the controller$"):
-                velocity_loop(ControlGains(), True, zero, zero, zero,
-                              integrator, 0.004)
+    velocity_loop(ControlGains(), True, zero, zero, zero, tuple(v), 0.004)
 
 
-@settings(max_examples=200, deadline=None)
-@given(values=st.lists(components, min_size=4, max_size=4),
-       numpy=st.booleans())
-def test_the_command_gate_refuses_what_a_test_of_each_value_refuses(values,
-                                                                    numpy):
-    thrust, *omega = _scalars(values, numpy)
+def _command(v):
+    thrust, *omega = v
     flat = flatness_transform(AeroParams(), _SAMPLE)
-    state = (_SAMPLE.p, _SAMPLE.v, (1.0, 0.0, 0.0, 0.0))
-
-    def step():
-        return controller_step(AeroParams(), ControlGains(), True,
-                               ControlLimits(), _SAMPLE, flat, state,
-                               ControllerContext(), 0.004)
-    with _strict(), mock.patch.object(
-            control, "accel_to_attitude_thrust",
-            return_value=(_IDENTITY, thrust, False)), mock.patch.object(
+    with mock.patch.object(control, "accel_to_attitude_thrust",
+                           return_value=(oracles.IDENTITY_ROWS, thrust,
+                                         False)), mock.patch.object(
             control, "attitude_loop", return_value=tuple(omega)):
-        if _finite(values):
-            assert type(step()) is ControlInput
-        else:
-            with pytest.raises(FloatingPointError, match="^overflow "
-                               "encountered in the controller$"):
-                step()
+        assert type(controller_step(
+            AeroParams(), ControlGains(), True, ControlLimits(), _SAMPLE,
+            flat, (_SAMPLE.p, _SAMPLE.v, (1.0, 0.0, 0.0, 0.0)),
+            ControllerContext(), 0.004)) is ControlInput
+
+
+def _field_refusal(bad):
+    field = ("p", "v", "a", "j", "psi")[bad // 3]
+    return ValueError, f"^flat sample field {field} is not finite$"
+
+
+def _overflow(layer):
+    return lambda bad: (FloatingPointError,
+                        f"^overflow encountered in the {layer}$")
+
+
+def _each_value_spoiled(count):
+    """One example per value: that value inf, every other 1.0, so that a
+    value a gate leaves out fails every run, not only one whose draws
+    happen to spoil that value alone."""
+    def decorate(test):
+        for index in range(count):
+            test = example(values=[1.0] * index + [math.inf]
+                           + [1.0] * (count - 1 - index), numpy=False)(test)
+        return test
+    return decorate
+
+
+def _gate_test(count, call, refusal):
+    """A test that ``call`` of ``count`` values passes them when each is
+    finite, and otherwise raises the error and message that ``refusal``
+    gives for the index of the first value that is not finite."""
+    @settings(max_examples=300, deadline=None)
+    @_each_value_spoiled(count)
+    @given(values=st.lists(components, min_size=count, max_size=count),
+           numpy=st.booleans())
+    def test(values, numpy):
+        bad = [i for i, x in enumerate(values) if not math.isfinite(x)]
+        v = [np.float64(x) for x in values] if numpy else values
+        with _strict():
+            if bad:
+                error, message = refusal(bad[0])
+                with pytest.raises(error, match=message):
+                    call(v)
+            else:
+                call(v)
+    return test
+
+
+test_the_plant_gate_refuses_what_a_test_of_each_component_refuses = (
+    _gate_test(15, _plant, _overflow("plant")))
+test_the_transform_input_gate_refuses_what_a_test_of_each_field_refuses = (
+    _gate_test(13, _transform_input, _field_refusal))
+test_the_transform_output_gate_refuses_what_a_test_of_each_value_refuses = (
+    _gate_test(14, _transform_output, _overflow("flatness transform")))
+test_the_integral_gate_refuses_what_a_test_of_each_axis_refuses = (
+    _gate_test(3, _integral, _overflow("controller")))
+test_the_command_gate_refuses_what_a_test_of_each_value_refuses = (
+    _gate_test(4, _command, _overflow("controller")))
 
 
 def _outcome(function, *args):

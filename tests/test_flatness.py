@@ -15,7 +15,7 @@ from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                angular_velocity_from_flat,
                                flatness_transform, symmetry_plane_vector,
                                thrust_and_alpha, wind_frame_accels)
-from oracles import GRAVITY_VEC
+from oracles import GRAVITY_VEC, IDENTITY_ROWS, assert_overflow_in
 
 PARAMS = AeroParams()
 
@@ -261,6 +261,21 @@ def test_rate_system_rejects_zero_airspeed():
                                       sample.v, 0.0) is None
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_rate_system_threshold_scales_with_the_cube_of_the_matrix(scale):
+    # without aero terms the system is [[0, c, 0], [-c, 0, 0], [0, 0, -u]]
+    # at identity attitude and airspeed (u, 0, 0): its determinant c^2 u
+    # against DET_TOL * scale^3, scale ~ u, reads (c/u)^2 against 1e-9
+    # at any scale, so a ratio of 2e-9 solves and one of 5e-10 does not
+    params = PARAMS.zeroed()
+    for ratio, solved in ((2e-9, True), (5e-10, False)):
+        thrust = params.mass * scale * math.sqrt(ratio)
+        out = angular_velocity_from_flat(
+            params, make_sample([0.0] * 3, [0.0] * 3), IDENTITY_ROWS, thrust,
+            (scale, 0.0, 0.0), scale)
+        assert (out is not None) is solved
+
+
 def test_ill_conditioned_rate_system_takes_the_zero_rate():
     # an axis-aligned sample whose body-rate system passes the scale test
     # but has a Hadamard ratio of 3.8e-8: it solved to omega ~ 1e8 rad/s
@@ -398,21 +413,6 @@ def test_hysteresis_band_thresholds():
     assert out.singular is SingularCase.NONE
 
 
-def test_transform_is_total_over_random_inputs():
-    rng = np.random.default_rng(38)
-    ctx = TransformContext()
-    for _ in range(500):
-        sample = make_sample(rng.uniform(-12.0, 12.0, size=3),
-                             rng.uniform(-15.0, 15.0, size=3),
-                             rng.uniform(-5.0, 5.0, size=3),
-                             psi=rng.uniform(-math.pi, math.pi))
-        out = flatness_transform(PARAMS, sample, ctx)
-        rotation = np.asarray(out.rotation)
-        assert np.linalg.norm(rotation.T @ rotation - np.eye(3)) < 1e-9
-        assert out.thrust <= 0.0
-        assert np.all(np.isfinite(out.omega))
-
-
 @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
 @pytest.mark.parametrize("speed", [1e160, 1e300])
 def test_overflow_raises_one_error_in_any_error_state(speed, strict):
@@ -427,9 +427,6 @@ def test_overflow_raises_one_error_in_any_error_state(speed, strict):
                            match="^overflow encountered in the flatness "
                                  "transform$"):
             flatness_transform(PARAMS, sample)
-
-
-_IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("call, where, value", [
@@ -452,7 +449,7 @@ _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
         make_sample([0, 0, 0.2], [0, 0, -1e9])),
      "flatness_transform", "thrust"),
     (lambda: angular_velocity_from_flat(
-        PARAMS, make_sample([10, 0, 0], [0] * 3), _IDENTITY, -1e200,
+        PARAMS, make_sample([10, 0, 0], [0] * 3), IDENTITY_ROWS, -1e200,
         (10.0, 0.0, 0.0), 10.0),
      "angular_velocity_from_flat", "cube"),
     (lambda: flatness_transform(PARAMS, make_sample([10, 0, 0], [0] * 3,
@@ -464,13 +461,7 @@ def test_each_overflow_check_raises_the_one_error(call, where, value):
     # each check is an inline test before its branch or clamp: the one
     # FloatingPointError naming the transform comes from the frame that
     # holds the value which overflowed
-    with pytest.raises(FloatingPointError,
-                       match="^overflow encountered in the flatness "
-                             "transform$") as info:
-        call()
-    frame = info.traceback[-1]
-    assert frame.name == where
-    assert not math.isfinite(frame.locals[value])
+    assert_overflow_in("flatness transform", where, value, call)
 
 
 def test_symmetry_plane_vector_zero_side_coefficient():

@@ -14,22 +14,15 @@ from scipy.linalg import expm
 import liftquad
 from liftquad.geom import (FREE_FALL_ACCEL, NonOrthonormalError,
                            attitude_error, mat_to_quat, thrust_attitude)
-from oracles import (NonUnitAxisError, quat_to_mat, rodrigues, skew,
-                     unskew)
+from oracles import (EX, EY, EZ, NonUnitAxisError, quat_to_mat,
+                     random_rotation, rodrigues, skew, unskew)
 
-EX = np.array([1.0, 0.0, 0.0])
-EY = np.array([0.0, 1.0, 0.0])
-EZ = np.array([0.0, 0.0, 1.0])
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def random_unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
-
-
-def random_rotation(rng):
-    return rodrigues(random_unit(rng), rng.uniform(-math.pi, math.pi))
 
 
 def test_skew_basis():
@@ -51,23 +44,6 @@ def test_unskew_inverts_skew():
     for _ in range(20):
         v = rng.normal(size=3)
         assert_allclose(unskew(skew(v)), v)
-
-
-@pytest.mark.parametrize("angle,expected", [
-    (0.0, 0.0),
-    (math.pi, math.pi),
-    (-math.pi, math.pi),
-    (2.0 * math.pi, 0.0),
-    (3.0 * math.pi, math.pi),
-    (5.5 * math.pi, -0.5 * math.pi),
-    (-0.25 * math.pi, -0.25 * math.pi),
-])
-def test_wrap_pi(angle, expected):
-    # a turn by ``angle`` about x is the error of the identity onto it,
-    # the short way round: a turn by ``angle`` wrapped to (-pi, pi]
-    half = 0.5 * angle
-    out = attitude_error(IDENTITY, (math.cos(half), math.sin(half), 0.0, 0.0))
-    assert np.linalg.norm(out) == pytest.approx(abs(expected), abs=1e-12)
 
 
 def test_rodrigues_zero_angle_identity():
@@ -116,29 +92,6 @@ def test_quat_identity_round_trip():
     assert_allclose(mat_to_quat(np.eye(3)), ident)
 
 
-def test_quat_conj_cancels():
-    # the error of an attitude onto itself is zero
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        q = mat_to_quat(random_rotation(rng))
-        assert_allclose(attitude_error(q, q), np.zeros(3), atol=1e-14)
-
-
-def test_quat_mul_matches_matrix_product():
-    # the error of q_a onto q_b, recomposed, is R_a^T R_b
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        qa = mat_to_quat(random_rotation(rng))
-        qb = mat_to_quat(random_rotation(rng))
-        out = np.asarray(attitude_error(qa, qb))
-        turn = np.linalg.norm(out)
-        assert turn <= math.pi
-        # oracle: product of the corresponding rotation matrices
-        lhs = rodrigues(out / turn, turn)
-        rhs = quat_to_mat(qa).T @ quat_to_mat(qb)
-        assert np.linalg.norm(lhs - rhs) < 1e-12
-
-
 def test_mat_quat_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -170,34 +123,62 @@ def test_mat_to_quat_rejects_a_nan_entry(row, col):
         mat_to_quat(rot)
 
 
-def test_axis_angle_identity():
-    out = attitude_error(IDENTITY, IDENTITY)
-    assert type(out) is tuple
-    assert out == (0.0, 0.0, 0.0)
+def _turn_about_x(angle):
+    """The quaternion of a turn by ``angle`` about x, its scalar part of
+    either sign."""
+    half = 0.5 * angle
+    return (math.cos(half), math.sin(half), 0.0, 0.0)
 
 
-def test_axis_angle_quarter_turn_about_z():
-    q = mat_to_quat(rodrigues(EZ, 0.5 * math.pi))
-    out = attitude_error(IDENTITY, q)
-    assert np.linalg.norm(out) == pytest.approx(0.5 * math.pi)
-    assert_allclose(out, [0.0, 0.0, 0.5 * math.pi], atol=1e-12)
+_SMALL_AXIS = np.array([2.0, -1.0, 2.0]) / 3.0
+# name -> (q_d, the error of the identity onto it, rtol, atol)
+_EXACT_ERRORS = {
+    "identity": (IDENTITY, (0.0, 0.0, 0.0), 0.0, 0.0),
+    "quarter-turn-z": (mat_to_quat(rodrigues(EZ, 0.5 * math.pi)),
+                       (0.0, 0.0, 0.5 * math.pi), 0.0, 1e-12),
+    # stored with a negative scalar part, it comes back as -0.1 pi
+    "long-way": (_turn_about_x(1.9 * math.pi), (-0.1 * math.pi, 0.0, 0.0),
+                 0.0, 1e-12),
+    # the short way round: a turn wrapped to [-pi, pi], where a half
+    # turn keeps its sign
+    **{f"wrap-{turns:g}pi": (_turn_about_x(turns * math.pi),
+                             (wrapped * math.pi, 0.0, 0.0), 0.0, 1e-12)
+       for turns, wrapped in ((0.0, 0.0), (1.0, 1.0), (-1.0, -1.0),
+                              (2.0, 0.0), (3.0, 1.0), (5.5, -0.5),
+                              (-0.25, -0.25))},
+    **{f"small-{angle:g}": (mat_to_quat(rodrigues(_SMALL_AXIS, angle)),
+                            tuple(_SMALL_AXIS * angle), 1e-6, 1e-15)
+       for angle in (1e-3, 1e-7, 1e-9)}}
 
 
-def test_axis_angle_long_way_takes_shortest_path():
-    # a 1.9 pi turn stored with negative scalar part must come back as
-    # a -0.1 pi turn
-    angle = 1.9 * math.pi
-    q = np.array([math.cos(angle / 2), math.sin(angle / 2), 0.0, 0.0])
-    assert q[0] < 0.0
-    out = attitude_error(IDENTITY, q)
-    assert np.linalg.norm(out) <= math.pi
-    assert_allclose(out, [angle - 2.0 * math.pi, 0.0, 0.0], rtol=0.0,
-                    atol=1e-12)
-    # oracle: re-composing the rotation vector reproduces the rotation
-    # (rotate by its norm about its direction)
-    turn = np.linalg.norm(out)
-    recomposed = rodrigues(np.asarray(out) / turn, turn)
-    assert np.linalg.norm(recomposed - quat_to_mat(q)) < 1e-12
+@pytest.mark.parametrize("q_d, expected, rtol, atol", _EXACT_ERRORS.values(),
+                         ids=list(_EXACT_ERRORS))
+def test_attitude_error_exact_cases(q_d, expected, rtol, atol):
+    assert_allclose(attitude_error(IDENTITY, q_d), expected, rtol=rtol,
+                    atol=atol)
+
+
+def test_quat_conj_cancels():
+    # the error of an attitude onto itself is zero
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        q = mat_to_quat(random_rotation(rng))
+        assert_allclose(attitude_error(q, q), np.zeros(3), atol=1e-14)
+
+
+def test_quat_mul_matches_matrix_product():
+    # oracle: the error of q_a onto q_b, re-composed (a turn by its norm
+    # about its direction), is the matrix product R_a^T R_b
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        qa = mat_to_quat(random_rotation(rng))
+        qb = mat_to_quat(random_rotation(rng))
+        out = np.asarray(attitude_error(qa, qb))
+        turn = np.linalg.norm(out)
+        assert turn <= math.pi
+        lhs = rodrigues(out / turn, turn)
+        rhs = quat_to_mat(qa).T @ quat_to_mat(qb)
+        assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
 def test_axis_angle_round_trip_random():
@@ -215,15 +196,6 @@ def test_axis_angle_round_trip_random():
         if turn > 1e-12:
             recomposed = rodrigues(np.asarray(out) / turn, turn)
             assert np.linalg.norm(recomposed - rot) < 1e-11
-
-
-def test_axis_angle_small_angles_stay_accurate():
-    rng = np.random.default_rng(12)
-    for scale in (1e-3, 1e-7, 1e-9):
-        axis = random_unit(rng)
-        q = mat_to_quat(rodrigues(axis, scale))
-        out = attitude_error(IDENTITY, q)
-        assert_allclose(out, axis * scale, rtol=1e-6, atol=1e-15)
 
 
 def test_antipodal_quaternions_same_axis_angle():

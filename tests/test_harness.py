@@ -31,15 +31,11 @@ from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
 from liftquad.record import Record
 from liftquad.trajectories import (UNREAD_KEYS, TrajectoryDef,
                                    TrajectoryKind, sample as sample_trajectory)
-from oracles import (csv_text, feasibility_from_trace, peak_error_below,
-                     quat_to_mat, rmse as numpy_rmse)
+from oracles import (config_from, csv_text, feasibility_from_trace,
+                     peak_error_below, quat_to_mat, rmse as numpy_rmse)
 
 # columns of the trace, and of every row of RunResult.rows
 WIDTH = len(CSV_COLUMNS.split(","))
-
-
-def config_from(text):
-    return build_config(parse_config_text(text))
 
 
 def short_circle(**overrides):
@@ -358,7 +354,7 @@ def test_load_config_skips_a_byte_order_mark(tmp_path):
     assert cfg != build_config({"sim.duration": "2.5"})
 
 
-def test_with_condition_sets_mode_flags():
+def test_with_condition_sets_each_cells_gains_model_and_rate_ff():
     # (integrator, aero feedforward, rate feedforward) of each cell, in
     # the order the matrix runs them; None keeps the config's switch.
     # The integrator off is gains.kvi = 0, the aero feedforward off the
@@ -628,7 +624,7 @@ def test_zero_aero_model_makes_ff_conditions_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_aero_off_run_reads_the_model_only_through_ff_params(tmp_path):
+def test_aero_off_run_reads_only_the_zeroed_model(tmp_path):
     # aero feedforward off, a run believes the wingless model in both the
     # flatness transform and the controller: the model's wing
     # coefficients change no byte, and the run is the one the zeroed
@@ -644,14 +640,6 @@ def test_aero_off_run_reads_the_model_only_through_ff_params(tmp_path):
         run_experiment(cfg).write_csv(path)
     first = paths[0].read_bytes()
     assert all(path.read_bytes() == first for path in paths[1:])
-
-
-def test_runs_are_deterministic(tmp_path):
-    cfg = short_circle(**{"sim.duration": 2})
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_experiment(cfg).write_csv(a)
-    run_experiment(cfg).write_csv(b)
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_measurement_delay_changes_the_run():
@@ -717,6 +705,7 @@ def test_store_fills_each_column_its_view_reads():
     for name, value in expected.items():
         assert np.array_equal(getattr(result, name)[1], value), name
     assert not np.any(np.delete(result.table, 1, axis=0))
+    assert not hasattr(result, "nope")
 
 
 _EDGE_VALUES = [0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, math.nan,
@@ -1143,14 +1132,18 @@ def test_plant_step_guard_bound_is_closed_form():
             ({"trajectory.kind": "line", "trajectory.speed_cap": -7},
              "259.4", "7", 2),
             ({"trajectory.kind": "hover", "plant.wind.y": -10},
-             "370.6", "10", 3)):
+             "370.6", "10", 3),
+            # cd0 + cla overflows: the bound reads their halves, doubled
+            ({"plant.cd0": 1e308, "plant.cla": 1e308, "plant.mass": 1e300,
+              "plant.area": 1e-7}, "245", "10", 2)):
         with pytest.raises(ConfigError, match=(
                 rf"step \* {bound} /s <= 2\.785 \(peak airspeed {airspeed} "
                 rf"m/s\); the smallest sim\.substeps that passes is "
                 rf"{fewest}$")):
-            short_circle(**probe, **overrides, **{"sim.substeps": fewest - 1})
-        assert short_circle(**probe, **overrides,
-                            **{"sim.substeps": fewest}).substeps == fewest
+            short_circle(**{**probe, **overrides,
+                            "sim.substeps": fewest - 1})
+        assert short_circle(**{**probe, **overrides, "sim.substeps":
+                               fewest}).substeps == fewest
 
 
 def test_peak_speed_is_each_references_fastest_sample():

@@ -48,6 +48,8 @@ def test_derived_slots_are_read_only_hidden_and_no_copy_argument(record,
     # a copy whose derived slot differs still equals and hashes alike
     object.__setattr__(copy, name, "changed")
     assert copy == record and hash(copy) == hash(record)
+    # a value of another type is unequal, not an error
+    assert record != record._values()
 
 
 def test_plant_copy_derives_its_decay_factors_again():
@@ -159,6 +161,8 @@ _REFUSED = {
     "mass-bool": (lambda: AeroParams(mass=True), "mass"),
     # a numpy bool is no number either: it was taken as 1.0
     "mass-numpy-bool": (lambda: AeroParams(mass=np.True_), "mass"),
+    # an int beyond the largest float, which float() cannot convert
+    "mass-huge-int": (lambda: AeroParams(mass=10**400), "mass"),
     # a record field that holds no record: None constructed, and the run
     # failed at its first tick, or construction raised a bare
     # AttributeError
