@@ -7,7 +7,6 @@ audits the feedforward demands against the actuator limits.
 Exit codes: 0 success, 2 bad config or arguments, 3 divergence.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -33,6 +32,7 @@ def _add_common(parser, with_condition):
 
 
 def build_parser():
+    import argparse     # and gettext: only main() pays for them
     parser = argparse.ArgumentParser(
         prog="liftquad",
         description="Flatness feedforward and closed-loop tracking "

@@ -103,6 +103,10 @@ class ControlLimits(Frozen):
         ``thrust_factor`` times its weight."""
         return -self.thrust_factor * params.mass * GRAVITY
 
+    def bounds(self, params):
+        """The ``(thrust_min(params), omega_max)`` a run saturates to."""
+        return self.thrust_min(params), self.omega_max
+
 
 class ControlInput(NamedTuple):
     """Saturated actuator command: collective thrust (N, <= 0) and body
@@ -227,14 +231,14 @@ def saturate(thrust_min, omega_max, thrust, omega):
                                         _clip(omega, omega_max)))
 
 
-def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
+def controller_step(params, gains, rate_ff, bounds, sample, flat, state, ctx,
                     dt):
     """One controller tick of ``dt`` seconds (``1/sim.rate`` in a run);
     chains the four loops and saturates.
 
-    ``params`` is the model the run believes (``cfg.model``), in whose
-    weights ``limits`` counts the thrust floor, ``rate_ff`` whether the
-    flatness body rate is added to the command, ``sample`` the flat
+    ``params`` is the model the run believes (``cfg.model``), ``bounds``
+    the limits' ``(thrust_min, omega_max)`` for it, ``rate_ff`` whether
+    the flatness body rate is added to the command, ``sample`` the flat
     reference point, ``flat`` the matching flatness feedforward,
     ``state`` the measured ``(p, v, q)`` (any 3-, 3- and 4-sequences, in
     :mod:`liftquad.geom`'s conventions), ``ctx`` the per-vehicle context
@@ -258,7 +262,7 @@ def controller_step(params, gains, rate_ff, limits, sample, flat, state, ctx,
     if not (math.isfinite(thrust_d) and math.isfinite(wx)
             and math.isfinite(wy) and math.isfinite(wz)):
         raise overflow_error(_LAYER)
-    thrust_min = limits.thrust_min(params)
-    command = saturate(thrust_min, limits.omega_max, thrust_d, omega_d)
+    thrust_min, omega_max = bounds
+    command = saturate(thrust_min, omega_max, thrust_d, omega_d)
     ctx.thrust_saturated = bool(thrust_d < thrust_min)
     return command

@@ -4,10 +4,10 @@ Translational dynamics sum rotor thrust along body z, the wing
 aerodynamic acceleration (the controller's :func:`aero_accel`) and
 gravity; the attitude follows the commanded body rate directly (the
 inner rate loop is assumed fast, so no rotational inertia is modeled).
-With the input held over a step the attitude update ``R exp(h[w]x)`` is
-exact, and classical RK4 integrates position and velocity along it.  An
-optional first-order actuator lag, updated exactly over the held step,
-sits between the commanded and applied inputs.
+With the input held over a step the quaternion update ``q exp(h w/2)``
+is exact, and classical RK4 integrates position and velocity along it.
+An optional first-order actuator lag, updated exactly over the held
+step, sits between the commanded and applied inputs.
 
 The plant runs on Python floats: the state is tuples and a step makes
 no numpy call (see :mod:`liftquad.geom`).  Float arithmetic gives
@@ -26,28 +26,34 @@ from .geom import overflow_error
 from .record import ConfigError, Frozen, Record, finite
 
 
+def _rotation(w, x, y, z):
+    """The rotation of the unit quaternion ``(w, x, y, z)``, three rows."""
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
+    return ((ww + xx - (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)),
+            (2.0 * (xy + wz), ww + yy - (xx + zz), 2.0 * (yz - wx)),
+            (2.0 * (xz - wy), 2.0 * (yz + wx), ww + zz - (xx + yy)))
+
+
 class VehicleState(Record):
     """Plant state: position and velocity in the earth frame (NED) as
-    3-tuples, and the body-to-earth rotation as three row tuples.
+    3-tuples, the body-to-earth attitude as a unit quaternion of canonical
+    sign (w >= 0), and ``R``, its rotation as three rows, which a step
+    reads and passes on as it computed it.  A step reads any sequences
+    of those shapes, numpy arrays included, and returns tuples."""
 
-    A step reads any sequences of that shape, numpy arrays included,
-    and returns tuples."""
+    __slots__ = _fields = ("p", "v", "q", "R")
 
-    __slots__ = _fields = ("p", "v", "R")
-
-    def __init__(self, p, v, R):
-        self.p, self.v, self.R = p, v, R
+    def __init__(self, p, v, q, R):
+        self.p, self.v, self.q, self.R = p, v, q, R
 
 
 def require_finite(state):
-    """Raise ``FloatingPointError`` unless every component of ``state``
-    is finite: float arithmetic overflows to ``inf`` without raising.
-    One test of the components' norm, and one per component only when
-    the norm is not finite (see :mod:`liftquad.geom`)."""
-    (px, py, pz), (vx, vy, vz) = state.p, state.v
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = state.R
-    values = (px, py, pz, vx, vy, vz, r00, r01, r02, r10, r11, r12, r20, r21,
-              r22)
+    """Raise ``FloatingPointError`` unless the 10 values of ``p``, ``v``
+    and the unit ``q`` (so ``R`` too) are finite, by one test of their
+    norm and one of each only when it is not (see :mod:`liftquad.geom`)."""
+    (px, py, pz), (vx, vy, vz), (qw, qx, qy, qz) = state.p, state.v, state.q
+    values = (px, py, pz, vx, vy, vz, qw, qx, qy, qz)
     if not (math.isfinite(math.hypot(*values))
             or all(map(math.isfinite, values))):
         raise overflow_error("the plant")
@@ -107,45 +113,35 @@ def _acceleration(aero, R, vx, vy, vz, f):
     return (f * R[0][2] + ax, f * R[1][2] + ay, f * R[2][2] + az + GRAVITY)
 
 
-def _turn(R, h):
-    """``R @ h`` for two 3x3 matrices given as rows; rows out."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = R
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = h
-    return ((a00 * b00 + a01 * b10 + a02 * b20,
-             a00 * b01 + a01 * b11 + a02 * b21,
-             a00 * b02 + a01 * b12 + a02 * b22),
-            (a10 * b00 + a11 * b10 + a12 * b20,
-             a10 * b01 + a11 * b11 + a12 * b21,
-             a10 * b02 + a11 * b12 + a12 * b22),
-            (a20 * b00 + a21 * b10 + a22 * b20,
-             a20 * b01 + a21 * b11 + a22 * b21,
-             a20 * b02 + a21 * b12 + a22 * b22))
-
-
 def rk4_step(cfg, state, inp):
     """One step of length ``cfg.step`` with the input held constant.
 
     The attitude turns exactly by ``h * omega``, in two half turns that
-    give the attitude at mid-step and at the end; classical RK4
-    integrates position and velocity along it.
+    give the attitude at mid-step and at the end (renormalised, w >= 0);
+    classical RK4 integrates position and velocity along it.
     """
     h = cfg.step
     wx, wy, wz = inp.omega
     rate = math.hypot(wx, wy, wz)
     if rate > 0.0:
-        # the half turn, Rodrigues' formula about the unit axis u
-        ux, uy, uz = wx / rate, wy / rate, wz / rate
-        angle = 0.5 * h * rate
-        c, s = math.cos(angle), math.sin(angle)
-        kx, ky, kz = (1.0 - c) * ux, (1.0 - c) * uy, (1.0 - c) * uz
-        sx, sy, sz = s * ux, s * uy, s * uz
-        half = ((c + kx * ux, kx * uy - sz, kx * uz + sy),
-                (kx * uy + sz, c + ky * uy, ky * uz - sx),
-                (kx * uz - sy, ky * uz + sx, c + kz * uz))
-        R_mid = _turn(state.R, half)
-        R_end = _turn(R_mid, half)
+        # q' = q (0, omega) / 2: the half turn (c, s omega) twice on the right
+        angle = 0.25 * h * rate
+        c, s = math.cos(angle), math.sin(angle) / rate
+        sx, sy, sz = s * wx, s * wy, s * wz
+        qw, qx, qy, qz = state.q
+        mw = qw * c - qx * sx - qy * sy - qz * sz
+        mx = qw * sx + qx * c + qy * sz - qz * sy
+        my = qw * sy - qx * sz + qy * c + qz * sx
+        mz = qw * sz + qx * sy - qy * sx + qz * c
+        qw = mw * c - mx * sx - my * sy - mz * sz
+        qx = mw * sx + mx * c + my * sz - mz * sy
+        qy = mw * sy - mx * sz + my * c + mz * sx
+        qz = mw * sz + mx * sy - my * sx + mz * c
+        n = math.copysign(math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz), qw)
+        q = qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
+        R_mid, R_end = _rotation(mw, mx, my, mz), _rotation(qw, qx, qy, qz)
     else:
-        R_mid = R_end = state.R
+        q, R_mid, R_end = state.q, state.R, state.R
     aero = cfg.aero
     f = inp.thrust / aero.mass
     px, py, pz = state.p
@@ -166,7 +162,7 @@ def rk4_step(cfg, state, inp):
         (vx1 + w * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
          vy1 + w * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
          vz1 + w * (az1 + 2.0 * az2 + 2.0 * az3 + az4)),
-        R_end)
+        q, R_end)
 
 
 def actuator_lag(cfg, commanded, applied_prev):

@@ -265,8 +265,9 @@ def run_experiment(cfg):
     plant, substeps, model = cfg.plant, cfg.substeps, cfg.model
     # without a lagging channel the plant holds the command as it is
     lags = plant.tau_thrust != 0.0 or plant.tau_omega != 0.0
+    gains, rate_ff, bounds = cfg.gains, cfg.rate_ff, cfg.limits.bounds(model)
     result = RunResult.allocate(cfg)
-    control_ctx = ControllerContext()
+    ctx = ControllerContext()
     for k, t, ref, flat in _ticks(cfg, result):
         try:
             if k:   # the plant follows the previous tick's command to t
@@ -276,16 +277,15 @@ def run_experiment(cfg):
                 require_finite(state)
                 p_history.append(state.p)
             else:   # the start-up
-                state = VehicleState(ref.p, ref.v, flat.rotation)
+                state = VehicleState(ref.p, ref.v, mat_to_quat(flat.rotation),
+                                     flat.rotation)
                 applied = ControlInput(flat.thrust, flat.omega)
                 # position-only measurement delay; the oldest entry is
                 # what the controller sees this tick
                 p_history = deque([state.p], maxlen=cfg.delay_ticks + 1)
-            q = mat_to_quat(state.R)
             # the command the plant holds until the next tick
-            cmd = controller_step(model, cfg.gains, cfg.rate_ff, cfg.limits,
-                                  ref, flat, (p_history[0], state.v, q),
-                                  control_ctx, dt)
+            cmd = controller_step(model, gains, rate_ff, bounds, ref, flat,
+                                  (p_history[0], state.v, state.q), ctx, dt)
             (px, py, pz), (rx, ry, rz) = state.p, ref.p
             dx, dy, dz = px - rx, py - ry, pz - rz
             error = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -293,7 +293,7 @@ def run_experiment(cfg):
                 raise overflow_error("the harness")
         except FloatingPointError as exc:
             raise _went_non_finite(exc, t, ref, result, k) from None
-        result.store(k, t, ref, state, q, control_ctx.held_quat, cmd, flat)
+        result.store(k, t, ref, state, state.q, ctx.held_quat, cmd, flat)
         if error > cfg.abort_radius:
             raise DivergenceError(t, math.hypot(*ref.v), result.head(k + 1))
     return result

@@ -17,6 +17,7 @@ from liftquad.control import ControlInput
 from liftquad.dynamics import PlantConfig, VehicleState, rk4_step
 from liftquad.flatness import (FlatSample, SingularCase, TransformContext,
                                flatness_transform)
+from liftquad.geom import mat_to_quat
 from liftquad.harness import (DivergenceError, feedforward_trace,
                               run_experiment)
 from liftquad.trajectories import TrajectoryDef, TrajectoryKind, sample
@@ -45,7 +46,8 @@ def test_criterion_1_feedforward_replay_tracks_reference():
     ref0 = sample(traj, 2.0)
     flat0 = flatness_transform(PARAMS, ref0, ctx)
     assert flat0.singular is SingularCase.NONE
-    state = VehicleState(ref0.p, ref0.v, flat0.rotation)
+    state = VehicleState(ref0.p, ref0.v, mat_to_quat(flat0.rotation),
+                         flat0.rotation)
     worst = 0.0
     for k in range(501):
         t = 2.0 + k * dt

@@ -11,7 +11,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from liftquad import cli, harness
@@ -481,16 +480,16 @@ _TRACE_SHA256 = {
         "8693198c94f00d6eb62f648595a5d5e8b21cab02882e1299a132d145ab110a02"),
     "sim": (
         "sim", _HOVER_GUST, 2,
-        "f4bf825d32b0a1acc91761ef09c7c63ea429c2af7f073fb48282616ae3be41f8"),
+        "99806fc9f7171cb6a2f0f9723aaa5b87169cd2f4e93b1b8316d63462354f7ebc"),
     "sim-circle": (
         "sim", "", 2,
-        "ab7b2e918b85886af3b38e73cf2bc716eb52e3b6ca4ed8f0855d46666c21ec98"),
+        "7ab75d51e03a94fdec045ae237a1be8103b33e2e9e6cdaf744180ea9ec097d32"),
     "flat-circle-switch": (
         "flat", "", 12,
         "3e7c44af66c7f40ff40f26e29dfe876143d01114e8b2df6fbe3bad2535db8923"),
     "sim-line": (
         "sim", "trajectory.kind = line\ntrajectory.speed_cap = 7\n", 2,
-        "5a7bf42d57a81e33058a6c3307300f08418f99b6baac5085c57fa769893d0df1"),
+        "d580bc6821a8b324c5b9c001a2b8af9dea2fe4b7259a1bda3d50f9962396a6dc"),
 }
 
 
@@ -559,23 +558,23 @@ def test_check_report_is_unchanged(tmp_path, capsys, name):
 # zero-radius circle without integrator headroom hold -0 cells, which
 # pin the sign of a velocity integral that never moves off zero
 _HOVER_GUST_PID = (
-    "f4bf825d32b0a1acc91761ef09c7c63ea429c2af7f073fb48282616ae3be41f8")
+    "99806fc9f7171cb6a2f0f9723aaa5b87169cd2f4e93b1b8316d63462354f7ebc")
 _HOVER_GUST_PD = (
-    "ba2e15867d85e69552c8e62bd6458f4c618708eed0e222cd05d2fb17c765ffbc")
+    "b1a6cfa98605ab7d777adbb4dd1c0f2f5c7cad8528a5f5dc62f28bf084e09cae")
 _ZERO_RADIUS = (
     "823227057c7edd8e923f303b40f5bd6703b84cb884985f64fc47c30e363b8bee")
 _COMPARE_SHA256 = {
     "mismatch": ("plant.cd0 = 0.06\nplant.cla = 2.4\n", {
         "pid-dfaf.csv":
-            "e990631776f5d7f9e904e74d72429444ccd3bf9af95d0b40b8b2b09ac0e1daf7",
+            "faabd51c8c12816aa35e0520d2c25d8bba7fb68b4006b57c3ab13024d8a40ec8",
         "pd-dfaf.csv":
-            "becf18cf84309c8127698866744c0f219d9ceb02bcf8eac5e3e7dedd187d5de2",
+            "83fb8df17a57b4ad4ca7353b50415f793a9b412767ff8acb97619f2530fe1e24",
         "pid-df.csv":
-            "d936bc0996a26436797977891b81ae4b9bd8f84c46bc4c2d127394294e45d559",
+            "870c94ab08561c3b7d932e95a474e1a4575b5882dd455dabb62c50d95d39b10c",
         "pd-df.csv":
-            "d4f968813f4ea5da14e46412397c9987bfff9b86e94f3fa773d105c91794dbef",
+            "b3585930185c695f6095f302a0e335ef845d09cd3a03addce3fcbedbc3aeca48",
         "rate-ff-off.csv":
-            "b412f999aa1793ca5b4dbab19f9b0ba8e6482e9fc7686af695c90108bc82f924",
+            "321cc4933ef305ab6e8da0b4c83813ba0b8150a17616ac74141aeb401bc07ddf",
         # the summary lists the cells in CONDITIONS order, rate-ff-off third
         "summary.txt":
             "8aba16d35d725260451b135cc1c96120c518e9a192c66d85a7716edaa372d99d",
@@ -602,15 +601,15 @@ _COMPARE_SHA256 = {
     # believes, the wingless one included
     "wind": (_WIND, {
         "pid-dfaf.csv":
-            "7b259c764536a1ae680e6e1fd417eff98a558b802e605afe9aecccea5254ce61",
+            "55dddc4ccbad7091de26a5a8c085f1beed6312bcf2ba1b5b9b9afe4a72dabcd3",
         "pd-dfaf.csv":
-            "97a64120fd616362d2bd173dfd47a8ee95af38b0068d08c834a766535b4232db",
+            "3ff58c0b6836d78a215e040617f3a34f71145cc989aed604b4c393d80af2353f",
         "rate-ff-off.csv":
-            "0cb2723e0bcc2fb530efca6e2025ca4eb1c1f7f0409d19894b1a64b0bd1b61a7",
+            "be22bd1e399b99d7b094e4a8f530ba04d620cd141d462d9e4383e0503ee6eb08",
         "pid-df.csv":
-            "be948662113962c3e4bd198626f45e162334edacf78cb66884ee3090cfbeb63c",
+            "736d9f5450e555c4220f42aabab9c2b93a466bdb3b2f7dba5143fcfb713f5ca7",
         "pd-df.csv":
-            "80b96d1333bbb64e9f2dd6f7b0538c533712f1437a459162aafa43bb58d40e8d",
+            "cfcfa005bb01ee9c839c84d4781552120fc5446192055775d79c8f4b5fb9edb8",
         "summary.txt":
             "3fb63ea18b45251a6a1b517d7b1159f75d6807e0a141e34f5aaed99417112ff7",
     }),
@@ -684,3 +683,21 @@ def test_no_run_imports_numpy(tmp_path):
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[code, []] for _, code in runs]
+
+
+def test_importing_the_cli_leaves_argparse_out(tmp_path):
+    # argparse, and gettext under it, cost a fresh process about 3 ms:
+    # only main() builds the parser, so a caller that imports the module
+    # and loads a config pays for neither
+    cfg = write_cfg(tmp_path, "sim.rate = 100\n")
+    script = ("import sys, liftquad.cli as cli\n"
+              f"cli.load_config({cfg!r})\n"
+              "print([m for m in ('argparse', 'gettext')"
+              " if m in sys.modules])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, check=False,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

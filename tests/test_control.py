@@ -132,15 +132,16 @@ def test_free_fall_demand_holds_attitude():
     assert free_fall and thrust == 0.0
     # a fresh context takes the reference attitude
     ctx = ControllerContext()
-    cmd = controller_step(PARAMS, ControlGains(), True, ControlLimits(),
-                          ref, flat, state, ctx, 0.004)
+    bounds = ControlLimits().bounds(PARAMS)
+    cmd = controller_step(PARAMS, ControlGains(), True, bounds, ref, flat,
+                          state, ctx, 0.004)
     assert cmd.thrust == 0.0
     assert np.array_equal(ctx.held_quat, mat_to_quat(flat.rotation))
     # a held attitude survives bit for bit
     held = mat_to_quat(rodrigues(EZ, -0.7))
     ctx = ControllerContext(held_quat=held)
-    controller_step(PARAMS, ControlGains(), True, ControlLimits(), ref,
-                    flat, state, ctx, 0.004)
+    controller_step(PARAMS, ControlGains(), True, bounds, ref, flat, state,
+                    ctx, 0.004)
     assert ctx.held_quat is held
     assert np.array_equal(held, mat_to_quat(rodrigues(EZ, -0.7)))
 
@@ -217,8 +218,8 @@ def test_controller_passes_feedforward_through_on_reference():
         flat = flatness_transform(PARAMS, ref, tctx)
         assert flat.singular is SingularCase.NONE
         state = measured(ref.p, ref.v, flat.rotation)
-        cmd = controller_step(PARAMS, gains, True, limits, ref, flat,
-                              state, ctx, 0.004)
+        cmd = controller_step(PARAMS, gains, True, limits.bounds(PARAMS),
+                              ref, flat, state, ctx, 0.004)
         assert cmd.thrust == pytest.approx(flat.thrust, abs=1e-9)
         assert_allclose(cmd.omega, flat.omega, atol=1e-9)
         assert_allclose(ctx.integrator, np.zeros(3), atol=1e-15)
@@ -233,8 +234,8 @@ def test_controller_step_matches_manual_stage_replay():
     dt = 0.004
 
     ctx = ControllerContext()
-    cmd = controller_step(PARAMS, gains, True, limits, sample, flat, state,
-                          ctx, dt)
+    cmd = controller_step(PARAMS, gains, True, limits.bounds(PARAMS), sample,
+                          flat, state, ctx, dt)
 
     # oracle: replay each stage with the public pieces
     p, v, q = state
@@ -262,12 +263,12 @@ def test_integrator_freezes_after_thrust_floor():
     state = measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
                      flat.rotation)
     ctx = ControllerContext()
-    controller_step(PARAMS, gains, True, tight, sample, flat, state, ctx,
-                    0.004)
+    controller_step(PARAMS, gains, True, tight.bounds(PARAMS), sample, flat,
+                    state, ctx, 0.004)
     assert ctx.thrust_saturated
     frozen = np.asarray(ctx.integrator)
-    controller_step(PARAMS, gains, True, tight, sample, flat, state, ctx,
-                    0.004)
+    controller_step(PARAMS, gains, True, tight.bounds(PARAMS), sample, flat,
+                    state, ctx, 0.004)
     assert_allclose(ctx.integrator, frozen)
 
 
@@ -280,9 +281,10 @@ def test_integrator_freeze_leaves_the_feedforwards_off():
     state = measured(sample.p, sample.v + np.array([0.0, 0.0, 5.0]),
                      flat.rotation)
     ctx = ControllerContext()
-    controller_step(bare, gains, False, tight, sample, flat, state, ctx, 0.004)
-    cmd = controller_step(bare, gains, False, tight, sample, flat, state,
-                          ctx, 0.004)
+    bounds = tight.bounds(bare)
+    for _ in range(2):
+        cmd = controller_step(bare, gains, False, bounds, sample, flat, state,
+                              ctx, 0.004)
 
     ctx_ref = ControllerContext(integrator=np.asarray(ctx.integrator),
                                 thrust_saturated=True)
@@ -302,7 +304,7 @@ def test_integrator_freeze_leaves_the_feedforwards_off():
 # sha256 of the thrust-floor probe's trace below, which pins byte for
 # byte the ticks on which velocity_loop gets a False ``integrate`` bool
 _THRUST_FLOOR_PROBE_SHA256 = (
-    "8d4f5dc47f8ba5cc8fac035cb90272d77f42bb0753571c59bc5203aba8993dab")
+    "7f70f79538f7cfe11ce6023f409b53df1d70b5abbe4871a6644c776f639185c9")
 
 
 def test_thrust_floor_probe_trace_is_unchanged(tmp_path, monkeypatch):
@@ -340,7 +342,7 @@ _CRUISE = FlatSample((0.0,) * 3, (8.0, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3)
     # upside down: an attitude error near pi times a gain near the
     # largest float
     (lambda: controller_step(PARAMS, ControlGains(ktp=1e308), True,
-                             ControlLimits(), _CRUISE,
+                             ControlLimits().bounds(PARAMS), _CRUISE,
                              flatness_transform(PARAMS, _CRUISE),
                              ((0.0,) * 3, (8.0, 0.0, 0.0),
                               (0.0, 1.0, 0.0, 0.0)),

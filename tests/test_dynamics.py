@@ -17,12 +17,14 @@ from liftquad.dynamics import (PlantConfig, VehicleState, acceleration,
                                actuator_lag, rk4_step)
 from liftquad.trajectories import TrajectoryDef, TrajectoryKind
 from oracles import (EZ, GRAVITY_VEC, aero_force_wing, body_to_wing_rotation,
-                     rodrigues)
+                     mat_to_quat, quat_to_mat, rodrigues)
 
 
 def make_state(p=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0), R=None):
-    return VehicleState(np.asarray(p, float), np.asarray(v, float),
-                        np.eye(3) if R is None else R)
+    # the attitude of R, and the rotation of that quaternion
+    q = (1.0, 0.0, 0.0, 0.0) if R is None else tuple(mat_to_quat(R))
+    return VehicleState(np.asarray(p, float), np.asarray(v, float), q,
+                        quat_to_mat(q))
 
 
 def test_free_fall_accelerates_at_gravity():
@@ -76,7 +78,9 @@ def test_rk4_hover_is_a_fixed_point():
         state = rk4_step(cfg, state, inp)
     assert_allclose(state.p, np.zeros(3), atol=1e-12)
     assert_allclose(state.v, np.zeros(3), atol=1e-12)
-    assert_allclose(state.R, np.eye(3), atol=1e-12)
+    # no body rate: the attitude is left bit for bit
+    assert state.q == (1.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(state.R, np.eye(3))
 
 
 def test_rk4_free_fall_velocity_is_exact():
@@ -100,7 +104,8 @@ def test_rk4_full_turn_returns_to_identity():
         state = rk4_step(cfg, state, inp)
     if abs(dt_last) > 0.0:
         state = rk4_step(cfg.replace(step=dt_last), state, inp)
-    assert np.linalg.norm(state.R - np.eye(3)) < 1e-6
+    assert np.linalg.norm(np.asarray(state.R) - np.eye(3)) < 1e-6
+    assert_allclose(state.q, (1.0, 0.0, 0.0, 0.0), rtol=0, atol=1e-6)
 
 
 def test_rk4_attitude_step_is_exact():
@@ -115,26 +120,35 @@ def test_rk4_attitude_step_is_exact():
         omega = rng.uniform(-6, 6, size=3)
         rate = np.linalg.norm(omega)
         out = rk4_step(cfg, state, ControlInput(-10.0, omega))
-        assert_allclose(out.R, state.R @ rodrigues(omega / rate, h * rate),
-                        rtol=0, atol=1e-15)
+        assert_allclose(out.R, np.asarray(state.R) @ rodrigues(
+            omega / rate, h * rate), rtol=0, atol=1e-15)
+        # the next step's first stage reads R: the rotation of q
+        assert_allclose(out.R, quat_to_mat(out.q), rtol=0, atol=1e-15)
     # no rate: the attitude is left bit for bit
     still = rk4_step(cfg, state, ControlInput(-10.0, np.zeros(3)))
-    assert np.array_equal(still.R, state.R)
+    assert still.q is state.q and still.R is state.R
 
 
 def test_rotation_stays_orthonormal_over_long_run():
+    # a constant rate turns q through both hemispheres many times over
+    # 1e5 steps (100 s at 1.5 rad/s): renormalised once a step and
+    # negated when w < 0, every state's q is a unit quaternion of the
+    # canonical sign that mat_to_quat gives, and its R orthonormal
     cfg = PlantConfig()
     inp = ControlInput(-10.0, np.array([0.7, -0.4, 1.3]))
     state = make_state(v=(5.0, 0.0, 0.0))
-    worst = 0.0
+    worst, unit, lowest = 0.0, 0.0, 1.0
     for k in range(100000):
         state = rk4_step(cfg, state, inp)
+        unit = max(unit, abs(math.hypot(*state.q) - 1.0))
+        lowest = min(lowest, state.q[0])
         if k % 500 == 0:
             R = np.asarray(state.R)
             worst = max(worst, np.linalg.norm(R.T @ R - np.eye(3)))
     R = np.asarray(state.R)
     worst = max(worst, np.linalg.norm(R.T @ R - np.eye(3)))
     assert worst < 1e-9
+    assert unit <= 1e-12 and lowest >= 0.0
 
 
 def test_drag_only_dissipates_mechanical_energy():

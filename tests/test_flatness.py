@@ -494,6 +494,7 @@ def test_feedforward_replay_holds_at_every_installation_angle(kind, kappa_deg):
     # replay of acceptance criterion 1), stays on the reference
     from liftquad.control import ControlInput
     from liftquad.dynamics import PlantConfig, VehicleState, rk4_step
+    from liftquad.geom import mat_to_quat
     from liftquad.trajectories import TrajectoryDef, TrajectoryKind, sample
     params = AeroParams(kappa=math.radians(kappa_deg))
     plant = PlantConfig(aero=params)
@@ -506,8 +507,8 @@ def test_feedforward_replay_holds_at_every_installation_angle(kind, kappa_deg):
         assert out.singular is SingularCase.NONE
         return out
 
-    ref0 = sample(traj, 2.0)
-    state = VehicleState(ref0.p, ref0.v, transform(2.0).rotation)
+    ref0, rotation = sample(traj, 2.0), transform(2.0).rotation
+    state = VehicleState(ref0.p, ref0.v, mat_to_quat(rotation), rotation)
     worst = 0.0
     for k in range(501):
         t = 2.0 + k * dt

@@ -15,11 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from liftquad import cli, control, harness
-from liftquad.control import ControlLimits
+from liftquad.control import ControlInput, ControlLimits
 from liftquad.aero import GRAVITY, AeroParams
 from liftquad.config import (_SCHEMA, CONDITIONS, MAX_PLANT_STEPS,
                              MAX_ROWS, ConfigError, ExperimentConfig,
                              build_config, load_config, parse_config_text)
+from liftquad.dynamics import PlantConfig, VehicleState
 from liftquad.flatness import (SingularCase, TransformContext,
                                flatness_transform)
 from liftquad.geom import mat_to_quat
@@ -31,8 +32,9 @@ from liftquad.harness import (_CSV_BATCH, COLUMNS, CSV_COLUMNS,
 from liftquad.record import Record
 from liftquad.trajectories import (UNREAD_KEYS, TrajectoryDef,
                                    TrajectoryKind, sample as sample_trajectory)
-from oracles import (config_from, csv_text, feasibility_from_trace,
-                     peak_error_below, quat_to_mat, rmse as numpy_rmse)
+from oracles import (IDENTITY_ROWS, config_from, csv_text,
+                     feasibility_from_trace, peak_error_below, quat_to_mat,
+                     rmse as numpy_rmse)
 
 # columns of the trace, and of every row of RunResult.rows
 WIDTH = len(CSV_COLUMNS.split(","))
@@ -60,6 +62,12 @@ def test_the_names_the_benchmark_tracer_binds_to(monkeypatch):
         assert len(inspect.signature(run).parameters) == 1
     assert list(inspect.signature(harness.controller_step).parameters)[7] \
         == "ctx"
+    # the tracer reads each plant step's rotation rows off its state
+    state = harness.rk4_step(PlantConfig(), VehicleState(
+        (0.0,) * 3, (0.0,) * 3, (1.0, 0.0, 0.0, 0.0), IDENTITY_ROWS),
+        ControlInput(-10.0, (0.1, 0.2, 0.3)))
+    assert type(state.R) is tuple and len(state.R) == 3
+    assert all(type(row) is tuple and len(row) == 3 for row in state.R)
     # the record fields perfbench/tests reads off a config
     cfg = build_config({"plant.wind.x": "4", "plant.wind.y": "-2",
                         "plant.tau_omega": "0.03", "sim.delay_ticks": "2",
@@ -457,8 +465,9 @@ def test_hover_tracks_exactly():
 
 
 def test_closed_loop_converts_each_rotation_once_per_tick(monkeypatch):
-    # two per tick, the measured attitude and the desired one, each in
-    # the module that needs it: nothing is converted twice
+    # the plant carries its attitude as a quaternion: the harness
+    # converts the start-up's feedforward attitude once, and the
+    # controller each tick's desired one; nothing is converted twice
     calls = Counter()
     for module in (harness, control):
         def counted(rotation, name=module.__name__,
@@ -468,8 +477,7 @@ def test_closed_loop_converts_each_rotation_once_per_tick(monkeypatch):
         monkeypatch.setattr(module, "mat_to_quat", counted)
     cfg = short_circle(**{"sim.duration": 0.2})
     run_experiment(cfg)
-    assert calls == {"liftquad.harness": cfg.n_rows,
-                     "liftquad.control": cfg.n_rows}
+    assert calls == {"liftquad.harness": 1, "liftquad.control": cfg.n_rows}
 
 
 def test_initial_state_sits_on_the_reference():

@@ -231,8 +231,8 @@ def test_controller_commands_stay_within_limits(
         held_quat=held,
         thrust_saturated=saturated)
     state = (sample.p + offset, v, attitude)
-    cmd = controller_step(model, gains, rate_ff, limits, sample,
-                          flat, state, ctx, 0.004)
+    cmd = controller_step(model, gains, rate_ff, limits.bounds(model),
+                          sample, flat, state, ctx, 0.004)
     assert all_finite(cmd.thrust, cmd.omega)
     assert limits.thrust_min(model) <= cmd.thrust <= 0.0
     assert np.all(np.abs(cmd.omega) <= limits.omega_max)
@@ -291,8 +291,9 @@ def assert_controllers_agree(params, gains, rate_ff, limits, sample, flat, p,
     condition = 1.0
     for _ in range(steps):
         with lateral_conditions() as picked:
-            cmd = controller_step(params, gains, rate_ff, limits, sample,
-                                  flat, floats, ctx, 0.004)
+            cmd = controller_step(params, gains, rate_ff,
+                                  limits.bounds(params), sample, flat,
+                                  floats, ctx, 0.004)
         condition = max([condition, *picked])
         if currently_in_test_context():
             assume(condition <= CONDITION_CAP)
@@ -357,8 +358,9 @@ def test_float_controller_is_the_numpy_oracle_near_the_airspeed_line():
 
     def commands(p):
         ctx = ControllerContext(_ZERO, False, None)
-        return [controller_step(params, gains, False, limits, sample, flat,
-                                (p, sample.v, q), ctx, 0.004).omega
+        return [controller_step(params, gains, False, limits.bounds(params),
+                                sample, flat, (p, sample.v, q), ctx,
+                                0.004).omega
                 for _ in range(2)]
     oracle_ctx = ControllerContext(np.zeros(3), False, None)
     expected = [oracles.controller_step(
